@@ -28,6 +28,7 @@ from scipy.optimize import brentq
 
 from .constants import raise_index
 from .errors import (
+    HypothesesFailed,
     LeftDomain,
     NoBracket,
     NotSpacelike,
@@ -474,7 +475,7 @@ class ComovingChart:
         if validate:
             report = check_theorem_hypotheses(bundle, box=hypothesis_box)
             if not report.passed:
-                raise ValueError(
+                raise HypothesesFailed(
                     "field fails the chart hypotheses: "
                     + ", ".join(report.violated)
                 )

@@ -23,6 +23,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field as dataclass_field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -35,7 +36,6 @@ from .constants import PhysicalConstants
 from .diffusion import (
     BinSpec,
     DiffusionConfig,
-    backward_drift_estimate,
     combine_drift_estimates,
     drift_from_fields,
     forward_drift_estimate,
@@ -690,14 +690,13 @@ def _run_estimate(ctx):
     nu = ctx.constants.nu
     min_count = ctx.scenario.raw["diffusion"].get("min_count", 500)
 
-    fwd = forward_drift_estimate(ensemble, bins, min_count=min_count)
-    bwd = backward_drift_estimate(ensemble, bins, min_count=min_count)
-    vel = velocities_from_drifts(fwd, bwd)
-    density = estimate_density(ensemble, bins, patch)
     osmotic = osmotic_identity_report(
         ensemble, bins, patch, nu, min_count=min_count, z=3.0,
         grad_log_density=fixture.grad_log_density,
     )
+    fwd, bwd = osmotic["forward"], osmotic["backward"]
+    vel = velocities_from_drifts(fwd, bwd)
+    density = estimate_density(ensemble, bins, patch)
 
     anti_mean, anti_se, anti_valid = combine_drift_estimates(fwd, bwd, 1.0, 1.0)
     usable = anti_valid & (fwd.count >= min_count) & (bwd.count >= min_count)
@@ -915,12 +914,19 @@ def _versions():
     }
 
 
+def _error_record(analysis, kind, err):
+    return {"analysis": analysis, "kind": kind, "type": type(err).__name__,
+            "message": str(err)}
+
+
 def run(scenario, out_dir=None, seed=None, threads=None):
     """Execute a validated scenario; returns the report dict.
 
     Writes data files and report.json under the output directory.  A hard
     error stops the analysis sequence but still writes the partial report
-    with an error record; property failures never raise.
+    with an error record; property failures never raise.  The record's
+    ``kind`` is ``domain`` for a ComovkitError and ``internal``, with the
+    traceback, for any other exception.
     """
     start = time.time()
     out = Path(out_dir or scenario.output or ("runs/" + scenario.name))
@@ -944,11 +950,11 @@ def run(scenario, out_dir=None, seed=None, threads=None):
         try:
             result, rows = _RUNNERS[analysis](ctx)
         except ComovkitError as err:
-            report["error"] = {
-                "analysis": analysis,
-                "type": type(err).__name__,
-                "message": str(err),
-            }
+            report["error"] = _error_record(analysis, "domain", err)
+            break
+        except Exception as err:  # noqa: BLE001 - every run leaves a report
+            report["error"] = _error_record(analysis, "internal", err)
+            report["error"]["traceback"] = traceback.format_exc()
             break
         report["analyses"][analysis] = result
         report["properties"].extend(rows)

@@ -23,11 +23,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigInvalid, Explosion, InsufficientSamples
+from .errors import (
+    ConfigInvalid,
+    Explosion,
+    InsufficientSamples,
+    SamplerStalled,
+)
 from .fields import Box
 
 DEFAULT_CHUNK = 16384
 DEFAULT_BATCHES = 32
+# proposals the rejection sampler may spend without a single acceptance
+PROPOSAL_BUDGET = 1 << 20
 
 
 @dataclass
@@ -140,7 +147,14 @@ def _sample_initial(config, rng, count):
         hi = box.hi_array
         out = np.empty((count, 3))
         have = 0
+        proposed = 0
         while have < count:
+            if have == 0 and proposed >= PROPOSAL_BUDGET:
+                raise SamplerStalled(
+                    f"rejection sampler accepted 0 of {proposed} proposals "
+                    f"in the box {lo.tolist()} to {hi.tolist()}; the "
+                    "initial density vanishes there"
+                )
             m = max(4 * (count - have), 1024)
             prop = rng.uniform(lo, hi, size=(m, 3))
             accept = rng.uniform(0.0, sup, size=m) < weight(prop)
@@ -148,6 +162,7 @@ def _sample_initial(config, rng, count):
             take = min(len(took), count - have)
             out[have:have + take] = took[:take]
             have += take
+            proposed += m
         return out
     raise ConfigInvalid(f"unknown initial sampler '{kind}'")
 
@@ -164,8 +179,7 @@ def drift_from_fields(u, patch, nu):
 
     def beta(q):
         q = np.atleast_2d(np.asarray(q, dtype=float))
-        corr = np.stack([patch.christoffel_contraction(row) for row in q])
-        return u(q) - 0.5 * nu * corr
+        return u(q) - 0.5 * nu * patch.christoffel_contraction(q)
 
     return beta
 
@@ -201,9 +215,8 @@ def simulate(drift, patch, config):
             if constant_metric:
                 step = beta * config.dt + root_nudt * z @ g_const.T
             else:
-                gs = np.stack([patch.noise_factor(row) for row in q])
                 step = beta * config.dt + root_nudt * np.einsum(
-                    "nij,nj->ni", gs, z
+                    "nij,nj->ni", patch.noise_factor(q), z
                 )
             qn = q + step
             if config.clip_box is not None:

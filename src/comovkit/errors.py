@@ -58,6 +58,14 @@ class NotSpacelike(ComovkitError):
     """The induced surface metric is not positive definite at a point."""
 
 
+class SamplerStalled(ComovkitError):
+    """The rejection sampler spent its proposal budget without acceptance."""
+
+
+class HypothesesFailed(ComovkitError):
+    """The field fails the chart-construction hypotheses."""
+
+
 class Explosion(ComovkitError):
     """A simulated path exceeded the configured magnitude bound."""
 

@@ -61,10 +61,7 @@ def _bin_volume(bins):
 
 
 def _sqrt_sigma_per_bin(bins, patch):
-    centers = bins.centers()
-    if getattr(patch, "is_constant", False):
-        return np.full(bins.n_bins, patch.sqrt_det(centers[0]))
-    return np.array([patch.sqrt_det(c) for c in centers])
+    return patch.sqrt_det(bins.centers())
 
 
 def _batch_of_path(n_paths, n_batches):
@@ -144,10 +141,7 @@ def velocities_from_drifts(fwd, bwd, patch=None, nu=None):
     if patch is not None and not getattr(patch, "is_constant", False):
         if nu is None:
             raise ValueError("nu is required for the metric correction")
-        corr = np.stack(
-            [patch.christoffel_contraction(c) for c in anchor]
-        )
-        osm_mean = osm_mean + 0.5 * nu * corr
+        osm_mean = osm_mean + 0.5 * nu * patch.christoffel_contraction(anchor)
     return VelocityEstimate(
         centers=centers, anchor=anchor,
         current=cur_mean, current_se=cur_se,
@@ -222,7 +216,9 @@ def osmotic_identity_report(ensemble, bins, patch, nu, min_count=500,
     Target is (nu/2) sigma^{-1} grad ln rho: from the closed form when
     ``grad_log_density`` is given, otherwise from central differences of
     the log of the per-batch density estimate (paired with the velocity
-    batches so the comparison keeps an honest error bar).
+    batches so the comparison keeps an honest error bar). The forward and
+    backward drift estimates it conditions on are returned under
+    ``forward`` and ``backward``.
     """
     fwd = forward_drift_estimate(ensemble, bins, min_count=min_count,
                                  n_batches=n_batches)
@@ -230,20 +226,14 @@ def osmotic_identity_report(ensemble, bins, patch, nu, min_count=500,
                                   n_batches=n_batches)
     centers = fwd.centers
     anchor = 0.5 * (fwd.eval_points() + bwd.eval_points())
-    constant = getattr(patch, "is_constant", False)
-    if constant:
-        inv0 = patch.inverse(centers[0])
 
-    def raise_index(grad, points):
-        if constant:
-            return grad @ inv0.T
-        return np.stack([
-            patch.inverse(c) @ g for c, g in zip(points, grad)
-        ])
+    def raise_index(inv, grad):
+        return (inv @ grad[..., None])[..., 0]
 
     if grad_log_density is not None:
         u_mean, u_se, valid = combine_drift_estimates(fwd, bwd, 0.5, -0.5)
-        target = 0.5 * nu * raise_index(grad_log_density(anchor), anchor)
+        target = 0.5 * nu * raise_index(patch.inverse(anchor),
+                                        grad_log_density(anchor))
         diff = u_mean - target
         diff_se = u_se
         count = np.minimum(fwd.count, bwd.count)
@@ -251,11 +241,12 @@ def osmotic_identity_report(ensemble, bins, patch, nu, min_count=500,
         density = estimate_density(ensemble, bins, patch,
                                    n_batches=n_batches)
         u_batch = 0.5 * (fwd.batch_mean - bwd.batch_mean)
+        inv_centers = patch.inverse(centers)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_b = np.log(density.batch_estimate)
             diff_batch = np.stack([
                 u_batch[b] - 0.5 * nu * raise_index(
-                    _lattice_gradient(log_b[b], bins), centers
+                    inv_centers, _lattice_gradient(log_b[b], bins)
                 )
                 for b in range(u_batch.shape[0])
             ])
@@ -272,11 +263,10 @@ def osmotic_identity_report(ensemble, bins, patch, nu, min_count=500,
         )
         valid = fwd.valid & bwd.valid & (n_eff >= max(2, n_batches // 4))
         count = np.minimum(fwd.count, bwd.count)
-    if not constant:
+    if not getattr(patch, "is_constant", False):
         # deterministic metric correction turning the drift combination
         # into the invariant osmotic velocity
-        corr = np.stack([patch.christoffel_contraction(c) for c in anchor])
-        diff = diff + 0.5 * nu * corr
+        diff = diff + 0.5 * nu * patch.christoffel_contraction(anchor)
 
     usable = valid & (count >= min_count) & np.all(
         np.isfinite(diff_se), axis=-1
@@ -292,6 +282,8 @@ def osmotic_identity_report(ensemble, bins, patch, nu, min_count=500,
         "diff_se": diff_se,
         "usable": usable,
         "centers": centers,
+        "forward": fwd,
+        "backward": bwd,
     }
 
 
@@ -323,16 +315,15 @@ def _tensor_nodes(box, order):
 
 
 def _metric_tables(patch, pts):
+    """sigma, sigma^{-1} and sqrt|sigma| on the nodes (one value if constant)."""
     if getattr(patch, "is_constant", False):
-        inv = patch.inverse(pts[0])
-        root = patch.sqrt_det(pts[0])
+        sig, inv, root = patch.factors(pts[0])
         return (
+            np.broadcast_to(sig, (len(pts), 3, 3)),
             np.broadcast_to(inv, (len(pts), 3, 3)),
             np.full(len(pts), root),
         )
-    inv = np.stack([patch.inverse(p) for p in pts])
-    root = np.array([patch.sqrt_det(p) for p in pts])
-    return inv, root
+    return patch.factors(pts)
 
 
 def _grad_log(density, pts, grad_log_density, box):
@@ -375,7 +366,7 @@ def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER,
         raise QuadratureDivergence(
             "density not above the floor on quadrature nodes"
         )
-    inv, root = _metric_tables(patch, pts)
+    sig, inv, root = _metric_tables(patch, pts)
     norm_weight = wts * rho * root
     normalization = float(np.sum(norm_weight))
 
@@ -400,6 +391,7 @@ def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER,
         "grad": grad,
         "points": pts,
         "weights": norm_weight,
+        "metric": sig,
         "inverse_metric": inv,
     }
 
@@ -451,12 +443,7 @@ def energy_report(density, patch, constants, box, delta=1.0,
     grad = u2["grad"]
     inv = u2["inverse_metric"]
     u_up = 0.5 * constants.nu * np.einsum("nij,nj->ni", inv, grad)
-    pts = u2["points"]
-    if getattr(patch, "is_constant", False):
-        sig = np.broadcast_to(patch.metric(pts[0]), (len(pts), 3, 3))
-    else:
-        sig = np.stack([patch.metric(p) for p in pts])
-    uu = np.einsum("ni,nij,nj->n", u_up, sig, u_up)
+    uu = np.einsum("ni,nij,nj->n", u_up, u2["metric"], u_up)
     w = u2["weights"]
     numerator = time_factor * float(
         np.sum(w * (-0.5 * c2 + 0.5 * uu))

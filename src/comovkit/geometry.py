@@ -11,6 +11,11 @@ in polar coordinates, where every nonzero Riemann component is pure
 numerical error. A unit-sphere patch provides the negative control that
 must fail the flatness gate.
 
+``MetricPatch`` methods take points of shape (..., 3) and return results
+stacked over the leading axes, e.g. (..., 3, 3) for the metric; the
+``sigma`` callables they wrap stay pointwise. The curvature and
+covariant-derivative helpers below take one point.
+
 All index layouts are explicit: Gamma[i, j, k] = Gamma^i_{jk},
 riemann[i, k, l, m] = R^i_{klm}, sigma derivative D[i, j, k] =
 d_i sigma_{jk}.
@@ -27,10 +32,17 @@ DEFAULT_H = 1e-2
 class MetricPatch:
     """A positive-definite 3-metric field with derived objects.
 
-    ``sigma`` maps a 3-point to a symmetric (3, 3) matrix. Derivatives
-    come from ``sigma_gradient`` when supplied (layout D[i, j, k] =
+    ``sigma`` maps one 3-point to a symmetric (3, 3) matrix. Derivatives
+    come from ``sigma_gradient`` when supplied (one 3-point to D[i, j, k] =
     d_i sigma_jk), otherwise from central differences with ``fd_step``.
     ``g00`` is the time-block function of xi0 (defaults to -1).
+
+    Every method takes points of shape (..., 3) and returns results stacked
+    over the leading axes: ``metric``, ``inverse`` and ``noise_factor``
+    give (..., 3, 3), ``sqrt_det`` gives (...) (a float for one point),
+    ``sigma_derivatives`` and ``christoffel`` give (..., 3, 3, 3) and
+    ``christoffel_contraction`` gives (..., 3). The two callables are
+    evaluated point by point; the factorizations run stacked.
     """
 
     def __init__(self, sigma, g00=None, sigma_gradient=None, fd_step=1e-3,
@@ -44,31 +56,41 @@ class MetricPatch:
         # the step loop and drop the (identically zero) drift correction
         self.is_constant = is_constant
 
-    # --- pointwise metric data ---------------------------------------------
+    # --- metric data ---------------------------------------------------------
     def metric(self, q):
         q = np.asarray(q, dtype=float)
-        sig = np.asarray(self._sigma(q), dtype=float)
-        if sig.shape != (3, 3):
+        rows = q.reshape(-1, 3)
+        sig = np.array([self._sigma(p) for p in rows], dtype=float)
+        if len(rows) and sig.shape != (len(rows), 3, 3):
             raise ValueError("sigma must evaluate to a 3x3 matrix")
-        return sig
+        return sig.reshape(q.shape[:-1] + (3, 3))
 
-    def _spd_factors(self, q):
+    def factors(self, q):
+        """sigma, sigma^{-1} and sqrt|sigma| from one stacked eigh.
+
+        Raises NotSpacelike naming the first point where sigma is not
+        positive definite.
+        """
+        q = np.asarray(q, dtype=float)
         sig = self.metric(q)
         w, v = np.linalg.eigh(sig)
-        if np.min(w) <= 0.0:
+        bad = (w[..., 0] <= 0.0).reshape(-1)
+        if np.any(bad):
+            n = int(np.argmax(bad))
             raise NotSpacelike(
-                f"spatial metric not positive-definite at {np.asarray(q).tolist()}: "
-                f"eigenvalues {w.tolist()}"
+                "spatial metric not positive-definite at "
+                f"{q.reshape(-1, 3)[n].tolist()}: "
+                f"eigenvalues {w.reshape(-1, 3)[n].tolist()}"
             )
-        return sig, w, v
+        inv = (v / w[..., None, :]) @ np.swapaxes(v, -1, -2)
+        root = np.sqrt(np.prod(w, axis=-1))
+        return sig, inv, (float(root) if root.ndim == 0 else root)
 
     def inverse(self, q):
-        _, w, v = self._spd_factors(q)
-        return (v / w) @ v.T
+        return self.factors(q)[1]
 
     def sqrt_det(self, q):
-        _, w, _ = self._spd_factors(q)
-        return float(np.sqrt(np.prod(w)))
+        return self.factors(q)[2]
 
     def noise_factor(self, q):
         """Lower-triangular G with G G^T = sigma^{-1}."""
@@ -76,34 +98,36 @@ class MetricPatch:
 
     # --- derivatives ---------------------------------------------------------
     def sigma_derivatives(self, q, h=None):
-        """D[i, j, k] = d sigma_jk / d q^i."""
+        """D[..., i, j, k] = d sigma_jk / d q^i."""
         q = np.asarray(q, dtype=float)
         if self._dsigma is not None:
-            return np.asarray(self._dsigma(q), dtype=float)
+            rows = q.reshape(-1, 3)
+            d = np.array([self._dsigma(p) for p in rows], dtype=float)
+            return d.reshape(q.shape[:-1] + (3, 3, 3))
         h = h or self.fd_step
-        out = np.empty((3, 3, 3))
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = h
-            out[i] = (self.metric(q + e) - self.metric(q - e)) / (2.0 * h)
-        return out
+        shifts = h * np.eye(3)  # row i displaces axis i
+        q = q[..., None, :]
+        return (self.metric(q + shifts) - self.metric(q - shifts)) / (2.0 * h)
+
+    def _christoffel(self, inv, q, h):
+        d = self.sigma_derivatives(q, h=h)
+        # term[..., l, j, k]
+        term = (
+            np.swapaxes(d, -3, -2)     # d_j sigma_lk -> [l, j, k]
+            + np.moveaxis(d, -3, -1)   # d_k sigma_lj -> [l, j, k]
+            - d                        # d_l sigma_jk
+        )
+        return 0.5 * np.einsum("...il,...ljk->...ijk", inv, term)
 
     def christoffel(self, q, h=None):
         """Gamma[i, j, k] = 1/2 sigma^{il} (d_j s_lk + d_k s_lj - d_l s_jk)."""
-        inv = self.inverse(q)
-        d = self.sigma_derivatives(q, h=h)
-        # term[l, j, k]
-        term = (
-            np.transpose(d, (1, 0, 2))   # d_j sigma_lk -> [l, j, k]
-            + np.transpose(d, (1, 2, 0))  # d_k sigma_lj -> [l, j, k]
-            - d                           # d_l sigma_jk
-        )
-        return 0.5 * np.einsum("il,ljk->ijk", inv, term)
+        return self._christoffel(self.inverse(q), q, h)
 
     def christoffel_contraction(self, q, h=None):
         """sigma^{jk} Gamma^i_{jk}: the curvature correction in drifts."""
+        inv = self.inverse(q)
         return np.einsum(
-            "jk,ijk->i", self.inverse(q), self.christoffel(q, h=h)
+            "...jk,...ijk->...i", inv, self._christoffel(inv, q, h)
         )
 
     # --- constructors ---------------------------------------------------------

@@ -15,6 +15,7 @@ from comovkit.chart import (
 )
 from comovkit.constants import PhysicalConstants
 from comovkit.errors import (
+    HypothesesFailed,
     LeftDomain,
     NoBracket,
     OutOfDomain,
@@ -246,7 +247,7 @@ def test_forward_map_rejects_outside_domain(packet9_chart):
 
 
 def test_chart_rejects_failing_hypotheses(near_standing):
-    with pytest.raises(ValueError, match="hypotheses"):
+    with pytest.raises(HypothesesFailed, match="hypotheses"):
         ComovingChart(near_standing, origin=np.zeros(4))
 
 

@@ -1,12 +1,17 @@
 """Scenario validation, run orchestration, exit codes, and plot extraction."""
 
 import json
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from comovkit import cli
 from comovkit.cli import emit_plotdata, main, run, validate
 from comovkit.errors import ConfigInvalid
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -256,6 +261,62 @@ def test_run_exit_three_writes_partial_report(tmp_path, capsys):
     assert report["error"]["type"] == "NodeInDomain"
     assert report["pass"] is False
     assert "error" in capsys.readouterr().err
+
+
+def test_run_exit_three_on_failed_chart_hypotheses(tmp_path, capsys):
+    # the shipped negative control with the chart analysis added: the
+    # chart refuses the field with a typed error after the hypothesis scan
+    doc = json.loads((SCENARIOS / "near_standing_wave.json").read_text())
+    doc["analyses"].append("chart_diag")
+    doc["chart"] = {"origin": [0.0, 0.0, 0.0, 0.0]}
+    path = write_scenario(tmp_path, doc)
+    code = main(["run", path, "--out", str(tmp_path / "out")])
+    assert code == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error"]["analysis"] == "chart_diag"
+    assert report["error"]["type"] == "HypothesesFailed"
+    assert report["error"]["kind"] == "domain"
+    assert "hypotheses" in report["analyses"]
+    assert "chart_diag" in capsys.readouterr().err
+
+
+def test_run_exit_three_on_stalled_initial_sampler(tmp_path):
+    # the gaussian weight underflows on the whole box: validation passes,
+    # the rejection sampler gives up after its proposal budget
+    doc = gaussian_doc(analyses=["simulate"])
+    doc["field"]["box"] = {"lo": [20.0] * 3, "hi": [24.0] * 3}
+    doc["diffusion"].update(n_paths=16, horizon=0.02, n_snapshots=2)
+    doc["diffusion"]["bins"] = {"lo": [20.5] * 3, "hi": [23.5] * 3,
+                                "shape": [2, 2, 2]}
+    path = write_scenario(tmp_path, doc)
+    assert main(["validate", path]) == 0
+    start = time.perf_counter()
+    code = main(["run", path, "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 20.0
+    assert code == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error"]["type"] == "SamplerStalled"
+    assert "[20.0, 20.0, 20.0]" in report["error"]["message"]
+
+
+def test_run_records_internal_error(tmp_path, monkeypatch, capsys):
+    def broken(ctx):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setitem(cli._RUNNERS, "classify", broken)
+    path = write_scenario(tmp_path, plane_wave_doc())
+    code = main(["run", path, "--out", str(tmp_path / "out")])
+    assert code == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    error = report["error"]
+    assert "injected fault" in error.pop("traceback")
+    assert error == {
+        "analysis": "classify", "kind": "internal",
+        "type": "RuntimeError", "message": "injected fault",
+    }
+    assert "chart_diag" in report["analyses"]
+    assert report["pass"] is False
+    assert "injected fault" in capsys.readouterr().err
 
 
 def test_run_gaussian_diffusion_properties(tmp_path):

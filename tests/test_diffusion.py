@@ -1,5 +1,7 @@
 """Simulator, reproducibility, drift estimators, specular reversal."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,12 @@ from comovkit.diffusion import (
     specular_reverse,
     variance_report,
 )
-from comovkit.errors import ConfigInvalid, Explosion, InsufficientSamples
+from comovkit.errors import (
+    ConfigInvalid,
+    Explosion,
+    InsufficientSamples,
+    SamplerStalled,
+)
 from comovkit.fields import Box
 from comovkit.geometry import MetricPatch, polar_flat_patch
 
@@ -148,6 +155,56 @@ def test_thread_count_does_not_change_results():
     threaded = simulate(drift, patch, DiffusionConfig(**base, n_threads=4))
     assert serial.pre.tobytes() == threaded.pre.tobytes()
     assert serial.post.tobytes() == threaded.post.tobytes()
+
+
+def test_curved_metric_threads_do_not_change_results():
+    # two chunks of the per-row metric path: noise factor and Christoffel
+    # correction evaluated stacked over each chunk
+    base = dict(dt=0.01, horizon=0.2, n_paths=96, master_seed=31,
+                initial=("point", (1.5, 0.2, -0.1)), burn_in_fraction=0.0,
+                n_snapshots=6, chunk_size=48)
+    patch = polar_flat_patch()
+    drift = drift_from_fields(lambda q: np.zeros_like(q), patch, 1.0)
+    serial = simulate(drift, patch, DiffusionConfig(**base, n_threads=1))
+    threaded = simulate(drift, patch, DiffusionConfig(**base, n_threads=2))
+    assert serial.pre.tobytes() == threaded.pre.tobytes()
+    assert serial.post.tobytes() == threaded.post.tobytes()
+    assert not np.array_equal(serial.pre[:48], serial.pre[48:])
+
+
+def test_curved_metric_step_matches_pointwise_replay():
+    # one Euler-Maruyama step rebuilt from pointwise metric calls
+    config = DiffusionConfig(dt=0.01, horizon=0.1, n_paths=5, master_seed=3,
+                             nu=0.5, initial=("point", (1.2, 0.4, 0.3)),
+                             burn_in_fraction=0.0, n_snapshots=100)
+    patch = polar_flat_patch()
+    drift = drift_from_fields(lambda q: np.zeros_like(q), patch, 0.5)
+    ens = simulate(drift, patch, config)
+    q = ens.pre[:, 3]
+    z = np.stack([recompute_noise(config, n, 3) for n in range(5)])
+    expected = np.stack([
+        p - 0.25 * patch.christoffel_contraction(p) * config.dt
+        + np.sqrt(0.5 * config.dt) * patch.noise_factor(p) @ zn
+        for p, zn in zip(q, z)
+    ])
+    np.testing.assert_allclose(ens.post[:, 3], expected, rtol=0, atol=1e-14)
+
+
+def test_density_initialization_stalls_with_typed_error():
+    # a box where the gaussian weight underflows: no proposal is accepted
+    config = DiffusionConfig(
+        dt=0.01, horizon=0.1, n_paths=16, master_seed=4, nu=NU,
+        initial=("density", gauss_weight,
+                 Box((20.0, 20.0, 20.0), (24.0, 24.0, 24.0)), 1.0),
+    )
+    patch = MetricPatch.euclidean()
+    start = time.perf_counter()
+    with pytest.raises(SamplerStalled) as err:
+        simulate(ou_drift, patch, config)
+    assert time.perf_counter() - start < 20.0
+    message = str(err.value)
+    assert "accepted 0 of" in message
+    assert "[20.0, 20.0, 20.0]" in message and "[24.0, 24.0, 24.0]" in message
 
 
 def test_density_initialization_matches_target():

@@ -360,6 +360,13 @@ def test_osmotic_identity_closed_form_target(ou_ensemble, ou_bins):
     )
     assert rep["n_bins"] >= 30
     assert rep["fraction"] >= 0.95
+    # the drift estimates it conditions on come back for reuse
+    for key, estimate in (("forward", forward_drift_estimate),
+                          ("backward", backward_drift_estimate)):
+        alone = estimate(ou_ensemble, ou_bins, min_count=500)
+        assert rep[key].direction == alone.direction
+        np.testing.assert_array_equal(rep[key].mean, alone.mean)
+        np.testing.assert_array_equal(rep[key].batch_mean, alone.batch_mean)
 
 
 def test_osmotic_identity_estimated_target(ou_ensemble, ou_bins):

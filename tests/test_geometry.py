@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comovkit.errors import NotSpacelike
 from comovkit.geometry import (
@@ -195,3 +197,86 @@ def test_geometry_diagnostics_packet(packet9_chart):
     assert diag["flatness"]["max_riemann"] < 1e-3
     eig = np.asarray(diag["sigma_eigenvalues"])
     assert np.all(eig > 0)
+
+
+# --- batched evaluation -----------------------------------------------------
+
+def _point_batches(lo, hi):
+    """(n, 3) arrays with n >= 1 inside the box [lo, hi] per axis."""
+    coords = st.tuples(*[
+        st.floats(a, b, allow_nan=False, allow_infinity=False)
+        for a, b in zip(lo, hi)
+    ])
+    return st.lists(coords, min_size=1, max_size=12).map(
+        lambda rows: np.array(rows, dtype=float))
+
+
+# name -> (patch factory, coordinate box keeping sigma positive definite)
+BATCHED_PATCHES = {
+    "polar_flat": (polar_flat_patch, ((0.2, -3.0, -2.0), (3.0, 3.0, 2.0))),
+    "unit_sphere": (unit_sphere_patch, ((0.2, -3.0, -2.0), (2.9, 3.0, 2.0))),
+    "polar_flat_fd": (lambda: polar_flat_patch(analytic_derivatives=False),
+                      ((0.2, -3.0, -2.0), (3.0, 3.0, 2.0))),
+}
+BATCHED_METHODS = ("metric", "inverse", "sqrt_det", "noise_factor",
+                   "sigma_derivatives", "christoffel",
+                   "christoffel_contraction")
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_PATCHES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batched_methods_equal_pointwise_stack(name, data):
+    factory, (lo, hi) = BATCHED_PATCHES[name]
+    patch = factory()
+    pts = data.draw(_point_batches(lo, hi))
+    for method in BATCHED_METHODS:
+        fn = getattr(patch, method)
+        batched = np.asarray(fn(pts))
+        single = [fn(p) for p in pts]
+        assert batched.shape == (len(pts),) + np.shape(single[0])
+        np.testing.assert_array_equal(batched, np.stack(single))
+        # a leading axis of length one and a 2-d batch keep the layout
+        np.testing.assert_array_equal(np.asarray(fn(pts[:1]))[0], single[0])
+        grid = np.stack([pts, pts])
+        np.testing.assert_array_equal(np.asarray(fn(grid))[1], batched)
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_PATCHES))
+def test_single_point_shapes(name):
+    factory, (lo, hi) = BATCHED_PATCHES[name]
+    patch = factory()
+    q = 0.5 * (np.asarray(lo) + np.asarray(hi))
+    assert patch.metric(q).shape == (3, 3)
+    assert patch.inverse(q).shape == (3, 3)
+    assert patch.noise_factor(q).shape == (3, 3)
+    assert isinstance(patch.sqrt_det(q), float)
+    assert patch.sigma_derivatives(q).shape == (3, 3, 3)
+    assert patch.christoffel(q).shape == (3, 3, 3)
+    assert patch.christoffel_contraction(q).shape == (3,)
+
+
+def test_factors_match_separate_methods():
+    patch = polar_flat_patch()
+    pts = np.array([[0.7, 0.1, 0.0], [1.9, -2.0, 1.0]])
+    sig, inv, root = patch.factors(pts)
+    np.testing.assert_array_equal(sig, patch.metric(pts))
+    np.testing.assert_array_equal(inv, patch.inverse(pts))
+    np.testing.assert_array_equal(root, patch.sqrt_det(pts))
+    np.testing.assert_allclose(root, pts[:, 0], rtol=1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pts=_point_batches((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0)),
+       bad=st.floats(-3.0, -0.01), where=st.integers(0, 11))
+def test_batched_not_spacelike_names_point(pts, bad, where):
+    # sigma = diag(1, x, 1) fails wherever x <= 0; plant one such point
+    patch = MetricPatch(lambda q: np.diag([1.0, q[0], 1.0]), name="signed")
+    pts = np.abs(pts) + 0.1
+    row = where % len(pts)
+    pts[row, 0] = bad
+    for method in ("inverse", "sqrt_det", "noise_factor", "christoffel",
+                   "christoffel_contraction"):
+        with pytest.raises(NotSpacelike) as err:
+            getattr(patch, method)(pts)
+        assert str(pts[row].tolist()) in str(err.value)
