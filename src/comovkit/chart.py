@@ -21,6 +21,7 @@ chart collapses to the closed-form Lorentz boost into the rest frame.
 """
 
 import bisect
+import threading
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -81,7 +82,8 @@ class Worldline:
     coordinate lambda accumulates integral sqrt(-dx_mu dx^mu), so for a
     unit-norm four-velocity lambda = c tau. Segments are integrated on
     demand in both directions; the phase is checked to decrease strictly
-    along the curve at every accepted solver step.
+    along the curve at every accepted solver step. Growth and segment
+    lookup hold one lock, so concurrent callers may share a curve.
     """
 
     def __init__(self, velocity, x0, domain=None, phase=None,
@@ -101,6 +103,8 @@ class Worldline:
             -1: np.concatenate([self.x0, [0.0]]),
         }
         self._exit_tau = {1: None, -1: None}
+        # reentrant: tau_from_arc grows the curve while reading arcs from it
+        self._lock = threading.RLock()
 
     def _rhs(self, t, state):
         v = self.velocity(state[:4])
@@ -146,33 +150,34 @@ class Worldline:
             s = self.phase(sol.y[:4].T)
             ds = np.diff(s) * direction
             if np.any(ds >= 0):
-                raise ValueError(
+                raise HypothesesFailed(
                     "phase is not strictly decreasing along the curve; the "
                     "field violates the chart hypotheses"
                 )
 
     def ensure(self, tau):
         """Extend integration so tau lies inside the covered span."""
-        guard = 0
-        while tau > self._cover[1]:
-            self._grow(1, max(1.0, 1.1 * (tau - self._cover[1])))
-            guard += 1
-            if guard > 64:
-                raise RootFailure("worldline extension did not reach tau")
-        guard = 0
-        while tau < self._cover[0]:
-            self._grow(-1, max(1.0, 1.1 * (self._cover[0] - tau)))
-            guard += 1
-            if guard > 64:
-                raise RootFailure("worldline extension did not reach tau")
+        with self._lock:
+            guard = 0
+            while tau > self._cover[1]:
+                self._grow(1, max(1.0, 1.1 * (tau - self._cover[1])))
+                guard += 1
+                if guard > 64:
+                    raise RootFailure("worldline extension did not reach tau")
+            guard = 0
+            while tau < self._cover[0]:
+                self._grow(-1, max(1.0, 1.1 * (self._cover[0] - tau)))
+                guard += 1
+                if guard > 64:
+                    raise RootFailure("worldline extension did not reach tau")
 
     def _state(self, tau):
-        self.ensure(tau)
-        if not self._segments:
-            return np.concatenate([self.x0, [0.0]])
-        idx = bisect.bisect_right(self._starts, tau) - 1
-        idx = max(idx, 0)
-        lo, hi, sol = self._segments[idx]
+        with self._lock:
+            self.ensure(tau)
+            if not self._segments:
+                return np.concatenate([self.x0, [0.0]])
+            idx = max(bisect.bisect_right(self._starts, tau) - 1, 0)
+            lo, hi, sol = self._segments[idx]
         if tau > hi + 1e-12 or tau < lo - 1e-12:
             if tau == 0.0:
                 return np.concatenate([self.x0, [0.0]])
@@ -191,25 +196,28 @@ class Worldline:
         """Invert the strictly increasing arc map by bracketed root-finding."""
         if lam == 0.0:
             return 0.0
-        guard = 0
-        while self.arc(self._cover[1]) < lam:
-            self._grow(1, max(1.0, lam - self.arc(self._cover[1])))
-            guard += 1
-            if guard > 64:
-                raise RootFailure("arc target not reached")
-        while self.arc(self._cover[0]) > lam:
-            self._grow(-1, max(1.0, self.arc(self._cover[0]) - lam))
-            guard += 1
-            if guard > 64:
-                raise RootFailure("arc target not reached")
+        with self._lock:
+            guard = 0
+            while self.arc(self._cover[1]) < lam:
+                self._grow(1, max(1.0, lam - self.arc(self._cover[1])))
+                guard += 1
+                if guard > 64:
+                    raise RootFailure("arc target not reached")
+            while self.arc(self._cover[0]) > lam:
+                self._grow(-1, max(1.0, self.arc(self._cover[0]) - lam))
+                guard += 1
+                if guard > 64:
+                    raise RootFailure("arc target not reached")
+            lo, hi = self._cover
         return brentq(
-            lambda t: self.arc(t) - lam, self._cover[0], self._cover[1],
+            lambda t: self.arc(t) - lam, lo, hi,
             xtol=1e-13 * (1.0 + abs(lam)), rtol=8.9e-16,
         )
 
     @property
     def span(self):
-        return tuple(self._cover)
+        with self._lock:
+            return tuple(self._cover)
 
 
 def integrate_curve(velocity, x0, tau_span, domain=None, phase=None,
@@ -236,7 +244,13 @@ def integrate_curve(velocity, x0, tau_span, domain=None, phase=None,
 
 
 class ReferenceSurface:
-    """Graph x0 = f(q) of the phase level set through the chart origin."""
+    """Graph x0 = f(q) of the phase level set through the chart origin.
+
+    Every method takes base points q of shape (..., 3) and returns results
+    stacked over the leading axes: ``height`` gives (...) (a float for one
+    point), ``embed`` (..., 4), ``height_gradient`` (..., 3), ``metric``
+    (..., 3, 3) and ``orthogonality_residual`` (...) (a float for one point).
+    """
 
     def __init__(self, bundle, origin, slope_floor=None):
         self.bundle = bundle
@@ -254,55 +268,70 @@ class ReferenceSurface:
 
     def embed(self, q):
         q = np.asarray(q, dtype=float)
-        return np.concatenate([[self.height(q)], q])
+        return np.concatenate([np.asarray(self.height(q))[..., None], q],
+                              axis=-1)
+
+    def _slope_at(self, x):
+        """Phase gradient at surface events x and df/dq_i = -S_i / S_0."""
+        grad = self.bundle.phase_gradient(x)
+        flat = np.abs(grad[..., 0]) < self.slope_floor
+        if np.any(flat):
+            n = int(np.argmax(flat.reshape(-1)))
+            raise ZeroSlope(
+                f"|dS/dx0| = {abs(grad.reshape(-1, 4)[n, 0]):.3e} below floor "
+                f"at {x.reshape(-1, 4)[n].tolist()}"
+            )
+        return grad, -grad[..., 1:] / grad[..., :1]
 
     def height_gradient(self, q):
         """df/dq_i = -S_i / S_0 at the surface point (implicit function)."""
-        x = self.embed(q)
-        grad = self.bundle.phase_gradient(x)
-        if abs(grad[0]) < self.slope_floor:
-            raise ZeroSlope(f"|dS/dx0| = {abs(grad[0]):.3e} below floor")
-        return -grad[1:] / grad[0]
+        return self._slope_at(self.embed(q))[1]
 
     def metric(self, q):
         """Induced surface metric sigma_ij = delta_ij - f_i f_j."""
         f = self.height_gradient(q)
-        sigma = np.eye(3) - np.outer(f, f)
-        if 1.0 - f @ f <= 0.0:
+        ff = np.einsum("...i,...i->...", f, f)
+        bad = (1.0 - ff <= 0.0).reshape(-1)
+        if np.any(bad):
+            n = int(np.argmax(bad))
             raise NotSpacelike(
-                f"|grad f| = {np.sqrt(f @ f):.6g} >= 1; the level set is not "
+                f"|grad f| = {np.sqrt(ff.reshape(-1)[n]):.6g} >= 1 at "
+                f"{np.reshape(q, (-1, 3))[n].tolist()}; the level set is not "
                 "spacelike here"
             )
-        return sigma
+        return np.eye(3) - f[..., :, None] * f[..., None, :]
 
     def orthogonality_residual(self, q):
         """max_i |eta(V, t_i)| for the tangent basis t_i = (f_i, e_i).
 
         Zero in exact arithmetic; measures height-solver error only.
         """
-        x = self.embed(q)
-        vcov = self.bundle.phase_gradient(x) / self.bundle.constants.mass
-        f = self.height_gradient(q)
+        grad, f = self._slope_at(self.embed(q))
+        vcov = grad / self.bundle.constants.mass
         # covariant pairing with tangents: V_0 f_i + V_i
-        return float(np.max(np.abs(vcov[0] * f + vcov[1:])))
+        resid = np.max(np.abs(vcov[..., :1] * f + vcov[..., 1:]), axis=-1)
+        return float(resid) if resid.ndim == 0 else resid
 
 
 def solve_height(surface, q, guess=None):
-    """Solve S(x0, q) = level for x0: damped Newton with bracket fallback.
+    """Solve S(x0, q) = level for x0 at base points q of shape (..., 3).
 
-    The phase is strictly monotone in x0 wherever the hypotheses hold, so
-    the root is unique. Residual tolerance is 1e-10 times the phase scale.
+    A damped, trust-capped Newton runs on the whole batch, dropping points
+    as they converge; points it leaves unconverged (or converged outside
+    the domain's x0 range) fall back one by one to bracket expansion and
+    ``brentq``. The phase is strictly monotone in x0 wherever the
+    hypotheses hold, so each root is unique. Residual tolerance is 1e-10
+    times the phase scale. Returns (...) heights, a float for one point.
+    ZeroSlope and NoBracket name the offending base point.
     """
     bundle = surface.bundle
     q = np.asarray(q, dtype=float)
+    rows = q.reshape(-1, 3)
     tol = 1e-10 * surface.scale
-    x0 = float(guess) if guess is not None else float(surface.origin[0])
-
-    def f(t):
-        return float(bundle.phase(np.concatenate([[t], q]))) - surface.level
-
-    def fprime(t):
-        return float(bundle.phase_gradient(np.concatenate([[t], q]))[0])
+    start = np.broadcast_to(
+        np.asarray(surface.origin[0] if guess is None else guess, dtype=float),
+        q.shape[:-1],
+    ).reshape(-1)
 
     if bundle.domain is not None:
         tmin = bundle.domain.lo[0]
@@ -310,23 +339,43 @@ def solve_height(surface, q, guess=None):
     else:
         tmin, tmax = -np.inf, np.inf
 
-    t = x0
+    t = start.copy()
+    done = np.zeros(len(rows), dtype=bool)
+    live = np.arange(len(rows))
     for _ in range(30):
-        r = f(t)
-        if abs(r) < tol:
-            if tmin <= t <= tmax:
-                return t
-            break  # converged outside the domain height range
-        slope = fprime(t)
-        if abs(slope) < surface.slope_floor:
+        if not live.size:
+            break
+        x = np.concatenate([t[live, None], rows[live]], axis=1)
+        r = bundle.phase(x) - surface.level
+        # converged outside the domain height range: leave it to the bracket
+        conv = np.abs(r) < tol
+        done[live[conv & (tmin <= t[live]) & (t[live] <= tmax)]] = True
+        live, x, r = live[~conv], x[~conv], r[~conv]
+        if not live.size:
+            break
+        slope = bundle.phase_gradient(x)[:, 0]
+        flat = np.abs(slope) < surface.slope_floor
+        if np.any(flat):
+            n = int(np.argmax(flat))
             raise ZeroSlope(
-                f"|dS/dx0| = {abs(slope):.3e} below floor during height solve"
+                f"|dS/dx0| = {abs(slope[n]):.3e} below floor during height "
+                f"solve for base point {rows[live[n]].tolist()}"
             )
-        step = -r / slope
         # keep Newton inside a sane trust region
-        cap = 0.5 * (1.0 + abs(t))
-        t = t + float(np.clip(step, -cap, cap))
-    # Newton did not settle; bracket by expansion and bisect
+        cap = 0.5 * (1.0 + np.abs(t[live]))
+        t[live] = t[live] + np.clip(-r / slope, -cap, cap)
+    for n in np.flatnonzero(~done):
+        t[n] = _bracket_height(surface, rows[n], start[n], tmin, tmax)
+    return float(t[0]) if q.ndim == 1 else t.reshape(q.shape[:-1])
+
+
+def _bracket_height(surface, q, x0, tmin, tmax):
+    """Height at one base point by bracket expansion from x0 and brentq."""
+
+    def f(t):
+        return float(surface.bundle.phase(np.concatenate([[t], q]))) \
+            - surface.level
+
     lo = hi = x0
     width = 0.5
     for _ in range(60):
@@ -661,10 +710,8 @@ def chart_diagnostics(chart, n_samples=40, seed=0, window=None):
     push = np.array([chart.pushforward(
         four_velocity_contravariant(chart.bundle), x) for x in pts])
     spatial_resid = np.max(np.abs(push[:, 1:]), axis=1) / np.abs(push[:, 0])
-    ortho = np.array([
-        chart.surface.orthogonality_residual(q)
-        for q in rng.uniform(lo[1:], hi[1:], size=(10, 3))
-    ])
+    ortho = chart.surface.orthogonality_residual(
+        rng.uniform(lo[1:], hi[1:], size=(10, 3)))
     report = (
         chart.hypothesis_report.to_dict()
         if chart.hypothesis_report is not None

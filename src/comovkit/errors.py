@@ -26,6 +26,14 @@ class NodeInDomain(ComovkitError):
     """The field modulus falls to (or provably near) zero inside the domain."""
 
 
+class BranchUnavailable(ComovkitError):
+    """The phase has no certified single-valued branch on the domain.
+
+    Raised when no mode dominates the superposition, or when the branch
+    lattice the certificate needs would be too large.
+    """
+
+
 class DensityZero(ComovkitError):
     """A density value below the positivity floor was encountered."""
 

@@ -12,9 +12,11 @@ Two constructive families are provided:
 
 For superpositions the phase *value* needs a branch choice: the argument is
 accumulated along axis sweeps from the domain corner on a lattice sized by a
-rigorous phase-rate bound, and off-lattice values combine the trilinearly
-interpolated lattice phase (branch selection only) with the exact local
-argument, so S keeps the smoothness of the underlying field.
+rigorous phase-rate bound, and every value combines the exact local argument
+with the whole turn count picked by the unwrapped argument at the nearest
+lattice node (branch selection only), so S keeps the smoothness of the
+underlying field. The lattice spacing keeps that node within pi/4 of the
+true argument, so the turn count is exact.
 
 The gradient of the phase divided by the mass is the current four-velocity
 field; the half-log-gradient of the density scaled by hbar/2m is the osmotic
@@ -27,10 +29,9 @@ and timelike character.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .constants import PhysicalConstants, raise_index
-from .errors import DensityZero, NodeInDomain, OutOfDomain
+from .errors import BranchUnavailable, DensityZero, NodeInDomain, OutOfDomain
 
 DENSITY_FLOOR = 1e-12
 
@@ -562,66 +563,65 @@ class PacketBundle(FieldBundle):
             )
 
     # --- phase branch cache -------------------------------------------------
-    def _phase_rate_bounds(self):
-        """Rigorous bounds on |grad arg phi| and |grad^2 arg phi|.
+    def _phase_rate_bound(self):
+        """Rigorous bound on |grad arg phi|.
 
         Writing phi = w0 exp(i theta0) (1 + R), R = sum_{j!=0} (wj/w0)
         exp(i (theta_j - theta0)), the argument deviates from the carrier by
-        arg(1+R), whose derivatives are bounded through the dominance margin.
+        arg(1+R), whose gradient is bounded through the dominance margin.
         """
         j0 = self.dominant_index
         margin = self.dominance_margin
         if margin <= 0:
-            raise ValueError(
+            raise BranchUnavailable(
                 "phase values need a dominant mode (weight above the sum of "
                 "the others); this superposition has no single-valued branch "
                 "certificate"
             )
         dk = np.linalg.norm(self.kappas - self.kappas[j0], axis=1)
-        w = self.weights
-        rest = np.arange(w.size) != j0
-        s1 = float(w[rest] @ dk[rest])
-        s2 = float(w[rest] @ dk[rest] ** 2)
-        rate1 = float(np.linalg.norm(self.kappas[j0])) + s1 / margin
-        rate2 = (s2 + s1 ** 2 / margin) / margin
-        return rate1, rate2
+        rest = np.arange(self.weights.size) != j0
+        s1 = float(self.weights[rest] @ dk[rest])
+        return float(np.linalg.norm(self.kappas[j0])) + s1 / margin
 
     def _build_phase_cache(self):
-        if self.weights.size == 1:
-            return None
-        rate1, rate2 = self._phase_rate_bounds()
-        # the interpolated branch must stay within pi of the true argument;
-        # a Lipschitz bound over the full 4-d cell diagonal (2 * spacing)
-        # with a factor-2 safety margin gives spacing <= pi / (4 rate1)
-        spacing = np.pi / (4.0 * rate1)
-        if rate2 > 0:
-            spacing = min(spacing, np.sqrt(np.pi / (2.0 * rate2)))
+        """Unwrapped lattice argument with its corner and node steps.
+
+        With spacing <= pi / (4 rate1), any event lies within half the 4-d
+        cell diagonal, i.e. one spacing, of its nearest node, so the node's
+        argument is within pi/4 of the true one: rounding the difference to
+        whole turns picks the branch exactly. The same bound keeps adjacent
+        nodes within pi/4 of each other, which the unwrapping needs.
+        """
+        spacing = np.pi / (4.0 * self._phase_rate_bound())
         extent = self.domain.extent
         shape = np.maximum((extent / spacing).astype(int) + 2, 2)
         if np.prod(shape.astype(float)) > 4e7:
-            raise ValueError(
+            raise BranchUnavailable(
                 "phase branch cache would need "
                 f"{np.prod(shape.astype(float)):.2e} lattice nodes; shrink the "
                 "domain or the mode spread"
             )
-        pts, axes = self.domain.grid(shape)
+        pts, _ = self.domain.grid(shape)
         raw = np.angle(self._amp(pts)).reshape(tuple(shape))
         # grow a coherent branch corner-outward, one axis at a time
         raw[:, 0, 0, 0] = np.unwrap(raw[:, 0, 0, 0])
         raw[:, :, 0, 0] = np.unwrap(raw[:, :, 0, 0], axis=1)
         raw[:, :, :, 0] = np.unwrap(raw[:, :, :, 0], axis=2)
         raw = np.unwrap(raw, axis=3)
-        return RegularGridInterpolator(axes, raw, method="linear",
-                                       bounds_error=False, fill_value=None)
+        return raw, self.domain.lo_array, extent / (shape - 1)
 
     def _branch_phase(self, x):
         if self._phase_cache is None:
             self._phase_cache = self._build_phase_cache()
+        lattice, lo, step = self._phase_cache
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = x[None] if single else x.reshape(-1, 4)
         local = np.angle(self._amp(pts))
-        approx = self._phase_cache(pts)
+        # nearest node, clipped to the lattice for events just outside it
+        idx = np.clip(np.rint((pts - lo) / step).astype(np.intp), 0,
+                      np.array(lattice.shape) - 1)
+        approx = lattice[idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3]]
         turns = np.round((approx - local) / (2.0 * np.pi))
         out = local + 2.0 * np.pi * turns
         return out[0] if single else out.reshape(x.shape[:-1])

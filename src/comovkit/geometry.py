@@ -13,8 +13,12 @@ must fail the flatness gate.
 
 ``MetricPatch`` methods take points of shape (..., 3) and return results
 stacked over the leading axes, e.g. (..., 3, 3) for the metric; the
-``sigma`` callables they wrap stay pointwise. The curvature and
-covariant-derivative helpers below take one point.
+``sigma`` callables they wrap stay pointwise, except for the chart-surface
+patch of ``MetricPatch.from_chart``, whose metric is one batched height
+solve per call. ``riemann`` and ``ricci_scalar`` take (..., 3) as well,
+and ``flatness_report``, ``curvature_budget`` and
+``geometry_diagnostics`` evaluate their lattices in one stacked call. The
+covariant-derivative helpers take one point.
 
 All index layouts are explicit: Gamma[i, j, k] = Gamma^i_{jk},
 riemann[i, k, l, m] = R^i_{klm}, sigma derivative D[i, j, k] =
@@ -154,12 +158,19 @@ class MetricPatch:
         normalization is a constant reparametrization that leaves all
         curvature quantities unchanged.
         """
-        surface = chart.surface
-        g00 = chart.time_convention.g00
-        return cls(
-            lambda q: surface.metric(q), g00=g00, fd_step=fd_step,
-            name="chart_surface",
-        )
+        return _SurfacePatch(chart.surface, chart.time_convention.g00,
+                             fd_step)
+
+
+class _SurfacePatch(MetricPatch):
+    """Chart-surface metric whose batches go to the surface in one call."""
+
+    def __init__(self, surface, g00, fd_step):
+        super().__init__(None, g00=g00, fd_step=fd_step, name="chart_surface")
+        self.surface = surface
+
+    def metric(self, q):
+        return self.surface.metric(q)
 
 
 def polar_flat_patch(analytic_derivatives=True):
@@ -219,14 +230,12 @@ def pullback_metric(chart, xi, step=1e-3):
 
 def spatial_metric(chart, q):
     """sigma, inverse, volume factor, and noise factor at base point q."""
-    patch = MetricPatch.from_chart(chart)
-    sig = patch.metric(q)
-    inv = patch.inverse(q)
+    sig, inv, root = MetricPatch.from_chart(chart).factors(q)
     return {
         "sigma": sig,
         "inverse": inv,
-        "sqrt_det": patch.sqrt_det(q),
-        "noise_factor": patch.noise_factor(q),
+        "sqrt_det": root,
+        "noise_factor": np.linalg.cholesky(inv),
     }
 
 
@@ -235,31 +244,32 @@ def spatial_metric(chart, q):
 
 
 def riemann(patch, q, h=DEFAULT_H):
-    """R^i_{klm} from finite differences of the Christoffel field."""
-    q = np.asarray(q, dtype=float)
-    gamma = patch.christoffel(q, h=h)
-    dgamma = np.empty((3, 3, 3, 3))  # dgamma[l, i, k, m] = d_l Gamma^i_km
-    for axis in range(3):
-        e = np.zeros(3)
-        e[axis] = h
-        dgamma[axis] = (
-            patch.christoffel(q + e, h=h) - patch.christoffel(q - e, h=h)
-        ) / (2.0 * h)
-    quad = np.einsum("ial,akm->iklm", gamma, gamma)
-    r = (
-        np.transpose(dgamma, (1, 2, 0, 3))  # d_l Gamma^i_km -> [i,k,l,m]
-        - np.transpose(dgamma, (1, 2, 3, 0))  # d_m Gamma^i_kl
+    """R^i_{klm} at points (..., 3) from FD of the Christoffel field.
+
+    The centre and its six axis neighbours go to ``christoffel`` as one
+    stacked batch; the result is (..., 3, 3, 3, 3).
+    """
+    q = np.asarray(q, dtype=float)[..., None, :]
+    shifts = h * np.eye(3)  # row l displaces axis l
+    gam = patch.christoffel(
+        np.concatenate([q, q + shifts, q - shifts], axis=-2), h=h)
+    gamma = gam[..., 0, :, :, :]
+    # dgamma[..., l, i, k, m] = d_l Gamma^i_km
+    dgamma = (gam[..., 1:4, :, :, :] - gam[..., 4:7, :, :, :]) / (2.0 * h)
+    quad = np.einsum("...ial,...akm->...iklm", gamma, gamma)
+    return (
+        np.moveaxis(dgamma, -4, -2)  # d_l Gamma^i_km -> [i,k,l,m]
+        - np.moveaxis(dgamma, -4, -1)  # d_m Gamma^i_kl
         + quad
-        - np.transpose(quad, (0, 1, 3, 2))
+        - np.swapaxes(quad, -1, -2)
     )
-    return r
 
 
 def ricci_scalar(patch, q, h=DEFAULT_H):
-    """sigma^{km} R^i_{kim}."""
-    r = riemann(patch, q, h=h)
-    ricci = np.einsum("ikim->km", r)
-    return float(np.einsum("km,km->", patch.inverse(q), ricci))
+    """sigma^{km} R^i_{kim} at points (...,3); a float for one point."""
+    ricci = np.einsum("...ikim->...km", riemann(patch, q, h=h))
+    scalar = np.einsum("...km,...km->...", patch.inverse(q), ricci)
+    return float(scalar) if scalar.ndim == 0 else scalar
 
 
 _BUDGET_PROBES = np.array([
@@ -279,9 +289,7 @@ def curvature_budget(h=DEFAULT_H, safety=10.0):
     factor, floored at a roundoff allowance.
     """
     patch = polar_flat_patch(analytic_derivatives=False)
-    resid = max(
-        float(np.max(np.abs(riemann(patch, p, h=h)))) for p in _BUDGET_PROBES
-    )
+    resid = float(np.max(np.abs(riemann(patch, _BUDGET_PROBES, h=h))))
     return safety * max(resid, 1e-12)
 
 
@@ -294,19 +302,15 @@ def flatness_report(patch, points, h=DEFAULT_H, budget=None):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if budget is None:
         budget = curvature_budget(h=h)
-    worst = 0.0
-    worst_point = points[0]
-    for p in points:
-        val = float(np.max(np.abs(riemann(patch, p, h=h))))
-        if val > worst:
-            worst = val
-            worst_point = p
+    vals = np.max(np.abs(riemann(patch, points, h=h)), axis=(-4, -3, -2, -1))
+    at = int(np.argmax(vals))
+    worst = float(vals[at])
     return {
         "max_riemann": worst,
         "budget": float(budget),
         "fd_step": float(h),
         "n_points": int(len(points)),
-        "worst_point": [float(v) for v in worst_point],
+        "worst_point": [float(v) for v in points[at]],
         "flat": bool(worst <= budget),
     }
 
@@ -384,7 +388,6 @@ def geometry_diagnostics(chart, half_width=1.0, n_per_axis=3, xi0=0.0,
     budget = curvature_budget(h=h)
 
     g_records = []
-    eig_records = []
     max_g0i = 0.0
     max_g00_dev = 0.0
     for sp in spatial:
@@ -396,12 +399,9 @@ def geometry_diagnostics(chart, half_width=1.0, n_per_axis=3, xi0=0.0,
             max_g00_dev,
             float(abs(g[0, 0] - chart.time_convention.g00(xi0))),
         )
-        q = chart.base_origin + chart.frame_matrix_inv @ sp
-        eig_records.append(np.linalg.eigvalsh(patch.metric(q)).tolist())
 
-    base_pts = np.stack([
-        chart.base_origin + chart.frame_matrix_inv @ sp for sp in spatial
-    ])
+    base_pts = chart.base_origin + spatial @ chart.frame_matrix_inv.T
+    eig_records = np.linalg.eigvalsh(patch.metric(base_pts)).tolist()
     flat = flatness_report(patch, base_pts, h=h, budget=budget)
     return {
         "xi0": float(xi0),

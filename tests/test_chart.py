@@ -1,7 +1,12 @@
 """Chart construction: curves, level surfaces, maps, boost equivalence."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comovkit.chart import (
     ComovingChart,
@@ -88,6 +93,15 @@ def test_worldline_left_domain(packet9):
     assert wl.span[1] == pytest.approx(4.0, rel=0.05)
 
 
+def test_worldline_rejects_phase_not_decreasing(rest_chart):
+    # S = +x0 grows along the rest congruence, against the hypotheses
+    with pytest.raises(HypothesesFailed, match="strictly decreasing"):
+        integrate_curve(
+            four_velocity_contravariant(rest_chart.bundle), np.zeros(4),
+            (0.0, 1.0), phase=lambda x: np.asarray(x)[..., 0],
+        )
+
+
 def test_solve_height_rest_and_boost(rest_chart, boost_chart):
     rng = np.random.default_rng(21)
     for q in rng.uniform(-2, 2, size=(5, 3)):
@@ -161,6 +175,106 @@ def test_solve_height_no_bracket():
     surface.level = 5.0  # S = -x0 only spans [-1, 1] in the domain
     with pytest.raises(NoBracket):
         solve_height(surface, np.zeros(3))
+
+
+def _base_batches(half):
+    """(n, 3) base points with n >= 1 inside [-half, half]^3."""
+    coord = st.floats(-half, half, allow_nan=False, allow_infinity=False)
+    return st.lists(st.tuples(coord, coord, coord), min_size=1,
+                    max_size=10).map(lambda rows: np.array(rows, dtype=float))
+
+
+@settings(max_examples=25, deadline=None)
+@given(qs=_base_batches(2.0))
+def test_batched_surface_equals_pointwise(packet9_chart, boost_chart, qs):
+    # a batched phase or gradient row may differ from a single one in the
+    # last bit (other BLAS kernels), far below the solver's 1e-10 tolerance
+    atol = 1e-12
+    for chart in (boost_chart, packet9_chart):
+        surface = chart.surface
+        heights = solve_height(surface, qs)
+        single = np.array([solve_height(surface, q) for q in qs])
+        assert heights.shape == (len(qs),)
+        assert isinstance(solve_height(surface, qs[0]), float)
+        np.testing.assert_allclose(heights, single, rtol=0.0, atol=atol)
+        metric = surface.metric(qs)
+        assert metric.shape == (len(qs), 3, 3)
+        np.testing.assert_allclose(
+            metric, np.stack([surface.metric(q) for q in qs]),
+            rtol=0.0, atol=atol)
+        # a 2-d batch keeps its layout
+        grid = np.stack([qs, qs[::-1]])
+        np.testing.assert_allclose(surface.height(grid),
+                                   np.stack([heights, heights[::-1]]),
+                                   rtol=0.0, atol=atol)
+        assert surface.embed(grid).shape == (2, len(qs), 4)
+        assert surface.orthogonality_residual(grid).shape == (2, len(qs))
+
+
+def test_batched_solve_height_zero_slope_names_point():
+    bundle = _FlatPhaseBundle(PhysicalConstants(), Box((-1.0,) * 4, (1.0,) * 4))
+    surface = ReferenceSurface(bundle, np.zeros(4))
+    qs = np.array([[0.5, 0.0, 0.0], [0.1, -0.2, 0.3]])
+    with pytest.raises(ZeroSlope, match=r"\[0\.5, 0\.0, 0\.0\]"):
+        solve_height(surface, qs)
+
+
+def test_batched_solve_height_no_bracket_names_point():
+    # level sets of the boosted wave are x0 = 0.6 q1: only q1 = 1.9 puts
+    # the root outside the domain's x0 range [-1, 1]
+    bundle = make_plane_wave([0.75, 0.0, 0.0],
+                             domain=Box((-1.0,) * 4, (1.0,) * 4))
+    surface = ReferenceSurface(bundle, np.zeros(4))
+    qs = np.array([[0.1, 0.0, 0.0], [1.9, 0.0, 0.0], [-0.3, 0.2, 0.0]])
+    with pytest.raises(NoBracket, match=r"\[1\.9, 0\.0, 0\.0\]"):
+        solve_height(surface, qs)
+    np.testing.assert_allclose(solve_height(surface, qs[[0, 2]]),
+                               [0.06, -0.18], atol=1e-12)
+
+
+def test_inverse_map_threads_match_serial(packet9):
+    # two threads start together on one fresh chart and ask for the same
+    # worldline growth, forwards and backwards, at the same moments
+    xis = np.random.default_rng(30).uniform(-0.5, 0.5, size=(6, 4))
+    xis[:, 0] = [0.4, -0.4, 1.5, -1.5, 2.6, -2.6]
+    serial = ComovingChart(packet9, origin=np.zeros(4)).inverse_map(xis)
+
+    def work(chart, barrier, k, results, errors):
+        try:
+            barrier.wait()
+            results[k] = chart.inverse_map(xis)
+        except Exception as err:  # noqa: BLE001 - reported below
+            errors.append(err)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # a lost update needs an unlucky interleaving: try a few fresh charts
+        for _ in range(3):
+            shared = ComovingChart(packet9, origin=np.zeros(4))
+            barrier = threading.Barrier(2, timeout=60)
+            results, errors = [None, None], []
+            threads = [
+                threading.Thread(target=work,
+                                 args=(shared, barrier, k, results, errors))
+                for k in (0, 1)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            # growth without lost updates leaves contiguous segments
+            segments = shared.worldline._segments
+            assert all(a[1] == b[0] for a, b in zip(segments, segments[1:]))
+            # the segments depend on the order of the growth requests, so
+            # agreement is to the integrator's tolerance, not to the bit
+            for result in results:
+                np.testing.assert_allclose(result, serial, rtol=0.0,
+                                           atol=1e-8)
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_forward_map_is_identity_for_rest_field(rest_chart):

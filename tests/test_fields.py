@@ -1,10 +1,21 @@
 """Field bundles: dispersion, derivatives, phase branches, hypotheses."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import comovkit
 from comovkit.constants import PhysicalConstants
-from comovkit.errors import DensityZero, NodeInDomain, OutOfDomain
+from comovkit.errors import (
+    BranchUnavailable,
+    DensityZero,
+    NodeInDomain,
+    OutOfDomain,
+)
 from comovkit.fields import (
     Box,
     PacketBundle,
@@ -135,6 +146,83 @@ def test_packet_phase_branch_continuity(packet9):
     np.testing.assert_allclose(impl, ref, atol=1e-9)
     # the path wraps through several branches, so the test is non-trivial
     assert np.ptp(ref) > 2.0 * np.pi
+
+
+def _interpolated_branch_phase(bundle, pts):
+    """Phase values with the branch picked by trilinear interpolation.
+
+    The reference for the nearest-node lookup: the same unwrapped lattice,
+    read through scipy's linear interpolator (linear extrapolation outside).
+    """
+    from scipy.interpolate import RegularGridInterpolator
+
+    bundle.phase(bundle.domain.lo_array)  # builds the branch lattice
+    lattice = bundle._phase_cache[0]
+    dom = bundle.domain
+    axes = [np.linspace(dom.lo[i], dom.hi[i], lattice.shape[i])
+            for i in range(4)]
+    interp = RegularGridInterpolator(axes, lattice, method="linear",
+                                     bounds_error=False, fill_value=None)
+    local = np.angle(bundle._amp(pts))
+    turns = np.round((interp(pts) - local) / (2.0 * np.pi))
+    return bundle.constants.hbar * (local + 2.0 * np.pi * turns)
+
+
+def _face_events(rng, domain, n_per_face, offset):
+    """Events placed ``offset`` outside each of the box's eight faces."""
+    lo, hi = domain.lo_array, domain.hi_array
+    out = []
+    for axis in range(4):
+        for side, sign in ((lo, -1.0), (hi, 1.0)):
+            pts = rng.uniform(lo, hi, size=(n_per_face, 4))
+            pts[:, axis] = side[axis] + sign * offset
+            out.append(pts)
+    return np.concatenate(out)
+
+
+def test_nearest_node_branch_matches_interpolated_branch(packet9, constants):
+    # a moving carrier, so the branch depends on every coordinate
+    wide = make_packet(
+        [[0.6, 0.3, -0.4], [0.9, -0.1, 0.2], [0.2, 0.5, -0.1]],
+        [1.0, 0.3, 0.25], Box((-3.0,) * 4, (3.0,) * 4), constants,
+    )
+    rng = np.random.default_rng(31)
+    for bundle in (packet9, wide):
+        dom = bundle.domain
+        inside = rng.uniform(dom.lo_array, dom.hi_array, size=(20000, 4))
+        outside = _face_events(rng, dom, 250, 3e-3)
+        for pts in (inside, outside):
+            np.testing.assert_array_equal(
+                bundle.phase(pts), _interpolated_branch_phase(bundle, pts))
+        # single events take the same path
+        assert bundle.phase(inside[0]) == _interpolated_branch_phase(
+            bundle, inside[:1])[0]
+
+
+def test_branch_without_dominant_mode_is_typed(constants):
+    # two equal weights: node-free on this small box, but no branch
+    # certificate for phase values
+    bundle = make_packet([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], [1.0, 1.0],
+                         Box((-0.5,) * 4, (0.5,) * 4), constants)
+    with pytest.raises(BranchUnavailable, match="dominant mode"):
+        bundle.phase(np.zeros(4))
+
+
+def test_branch_lattice_too_large_is_typed(constants):
+    bundle = make_packet([[0.0, 0.0, 0.0], [0.05, 0.0, 0.0]], [2.0, 0.2],
+                         Box((-1e3,) * 4, (1e3,) * 4), constants)
+    with pytest.raises(BranchUnavailable, match="lattice nodes"):
+        bundle.phase(np.zeros(4))
+
+
+def test_import_does_not_load_the_interpolator():
+    src = str(Path(comovkit.__file__).resolve().parents[1])
+    code = ("import sys, comovkit, comovkit.cli; "
+            "print('scipy.interpolate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 def test_packet_phase_gradient_consistent_with_values(packet9):

@@ -280,3 +280,34 @@ def test_batched_not_spacelike_names_point(pts, bad, where):
         with pytest.raises(NotSpacelike) as err:
             getattr(patch, method)(pts)
         assert str(pts[row].tolist()) in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["polar_flat", "unit_sphere"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_batched_riemann_equals_pointwise_stack(name, data):
+    factory, (lo, hi) = BATCHED_PATCHES[name]
+    patch = factory()
+    pts = data.draw(_point_batches(lo, hi))
+    batched = riemann(patch, pts)
+    assert batched.shape == (len(pts), 3, 3, 3, 3)
+    np.testing.assert_array_equal(
+        batched, np.stack([riemann(patch, p) for p in pts]))
+    np.testing.assert_array_equal(riemann(patch, np.stack([pts, pts]))[1],
+                                  batched)
+    np.testing.assert_array_equal(
+        ricci_scalar(patch, pts), [ricci_scalar(patch, p) for p in pts])
+
+
+def test_batched_riemann_chart_patch(packet9_chart):
+    patch = MetricPatch.from_chart(packet9_chart)
+    pts = np.array([[0.0, 0.0, 0.0], [0.8, -0.5, 0.3], [-0.6, 0.9, -0.7],
+                    [1.0, 1.0, -1.0]])
+    batched = riemann(patch, pts)
+    assert batched.shape == (4, 3, 3, 3, 3)
+    # surface metrics of a batch may differ from single ones in the last
+    # bit; the FD stencils amplify that by about 1e5
+    np.testing.assert_allclose(
+        batched, np.stack([riemann(patch, p) for p in pts]),
+        rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(batched)) < 1e-3
