@@ -1,27 +1,44 @@
-"""Comoving coordinate charts from integral curves and phase level sets.
+"""Comoving coordinate charts from the phase flow and its level sets.
 
-The construction: through a chosen origin event run the integral curve of
-the current four-velocity (the reference observer). Each level set of the
-phase S is a spacelike hypersurface crossed exactly once by every curve of
-the congruence; the level through the origin is represented as a graph
-x0 = f(q) over the inertial spatial coordinates. A point x is assigned
+The construction: the current four-velocity V = eta dS / m is a timelike
+gradient field, so the phase S falls strictly along every curve of the
+congruence and labels its leaves. Parametrized by S, the congruence is
+
+    dx^mu / dS = eta^{mu nu} d_nu S / (dS . dS),
+
+which reaches the level S_target from any event x over the phase interval
+[S(x), S_target], with no level event to locate. The level through the
+chart origin is represented as a graph x0 = f(q) over the inertial spatial
+coordinates. A point x is assigned
 
 * time coordinate: the arc coordinate (c times proper time) at which the
-  reference curve crosses the level set containing x, found as the unique
-  root of a strictly monotone 1-d equation, optionally regauged by a
-  TimeConvention;
-* spatial coordinates: flow x along the congruence to the origin level
-  set and read off the base coordinates of the foot point, linearly
-  normalized at the origin so the chart is isometric there (the frame
-  matrix is the principal square root of the induced surface metric).
+  reference curve through the origin crosses the level of x. A copy of the
+  origin rides in the same flow out to that level and carries the arc as a
+  fifth state, d lambda / dS = -1 / (m |V|); a TimeConvention may regauge it;
+* spatial coordinates: flow x to the origin level and read off the base
+  coordinates of the foot point, linearly normalized at the origin so the
+  chart is isometric there (the frame matrix is the principal square root of
+  the induced surface metric).
 
-Both maps use the same leaf labeling, so the round trip is exact up to
-solver tolerances. For a constant-gradient (plane-wave) field the whole
-chart collapses to the closed-form Lorentz boost into the rest frame.
+The inverse map flows the origin in its arc parameter, dx / d lambda =
+V / |V|, to find the target level, lifts the base point onto the origin
+level and flows it there. Every flow is one fixed-step classical RK4 over
+the whole batch (Hairer, Norsett & Wanner, *Solving ODEs I*, II.1). Its
+embedded third-order companion, which reuses the next step's first stage,
+gives each row an error estimate; rows above the chart tolerance are rerun
+with twice the steps, up to a cap that raises StepFailure. Both maps, the
+Jacobians and the pushforward take (..., 4) arrays. For a constant-gradient
+(plane-wave) field the flow field is constant, RK4 is exact, and the chart
+is the closed-form Lorentz boost into the rest frame.
+
+``Worldline`` and ``integrate_curve`` integrate one congruence curve in its
+proper-time parameter with adaptive dense output; the chart does not use
+them.
 """
 
 import bisect
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -48,6 +65,8 @@ from .fields import (
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
+FLOW_STEPS = 4  # RK4 steps of a first attempt; rejected rows double them
+MAX_FLOW_STEPS = 1024
 
 
 def _contravariant(field):
@@ -435,13 +454,18 @@ class TimeConvention:
         return val
 
     def lambda_from_time(self, xi0):
+        """Arc coordinate at chart time xi0 (a float or an array)."""
         if self._primitive is None:
-            return float(xi0)
-        return float(self._primitive(xi0))
+            return _float_or_array(xi0)
+        return _map_values(self._primitive, xi0)
 
     def time_from_lambda(self, lam):
+        """Chart time at arc coordinate lam (a float or an array)."""
         if self._primitive is None:
-            return float(lam)
+            return _float_or_array(lam)
+        return _map_values(self._invert_primitive, lam)
+
+    def _invert_primitive(self, lam):
         lo, hi = -1.0, 1.0
         for _ in range(200):
             if self._primitive(lo) <= lam <= self._primitive(hi):
@@ -454,48 +478,170 @@ class TimeConvention:
         raise RootFailure("time gauge primitive could not be inverted")
 
 
+def _float_or_array(values):
+    out = np.asarray(values, dtype=float)
+    return float(out) if out.ndim == 0 else out
+
+
+def _map_values(func, values):
+    """A pointwise scalar function applied over a float or an array."""
+    out = np.vectorize(lambda v: float(func(float(v))), otypes=[float])(
+        np.asarray(values, dtype=float))
+    return float(out) if out.ndim == 0 else out
+
+
 # ---------------------------------------------------------------------------
 # flow to a phase level
 
 
+@dataclass
+class FlowStats:
+    """Work counters of chart flows, filled by the maps that receive one.
+
+    ``steps`` counts RK4 steps summed over rows, ``rhs_evaluations`` the
+    phase-gradient rows evaluated (4 per step plus 1 per attempt), and
+    ``max_error_estimate`` is the largest accepted per-row error estimate.
+    Rejected attempts count in the work but not in the estimate.
+    """
+
+    steps: int = 0
+    rhs_evaluations: int = 0
+    max_error_estimate: float = 0.0
+
+    def to_dict(self):
+        return {
+            "flow_steps": int(self.steps),
+            "flow_rhs_evaluations": int(self.rhs_evaluations),
+            "max_step_error_estimate": float(self.max_error_estimate),
+        }
+
+
+def _flow_field(bundle, x):
+    """Contravariant phase gradient and dS . dS at events (n, 4).
+
+    Raises HypothesesFailed naming the first event where the gradient is not
+    timelike.
+    """
+    grad = bundle.phase_gradient(x)
+    up = raise_index(grad)
+    norm = np.einsum("ni,ni->n", grad, up)
+    bad = norm >= 0.0
+    if np.any(bad):
+        n = int(np.argmax(bad))
+        raise HypothesesFailed(
+            f"the phase gradient is not timelike at {x[n].tolist()}; the "
+            "field violates the chart hypotheses"
+        )
+    return up, norm
+
+
+def _phase_rhs(bundle):
+    """(dx/dS, d lambda/dS) for states (x, lambda) of shape (n, 5)."""
+
+    def rhs(y):
+        up, norm = _flow_field(bundle, y[:, :4])
+        return np.concatenate(
+            [up / norm[:, None], -1.0 / np.sqrt(-norm)[:, None]], axis=1)
+
+    return rhs
+
+
+def _arc_rhs(bundle):
+    """dx/d lambda = V / |V| for events of shape (n, 4)."""
+
+    def rhs(y):
+        up, norm = _flow_field(bundle, y)
+        return up / np.sqrt(-norm)[:, None]
+
+    return rhs
+
+
+def _rk4(rhs, start, span, n_steps, domain):
+    """n_steps classical RK4 steps from start over span (one per row).
+
+    Returns the end states and, per row, the summed local error estimate
+    h |f(y_new) - k4| / 6: the gap to the embedded third-order solution
+    (k1 + 2 k2 + 2 k3 + f(y_new)) h / 6, whose last stage is the next
+    step's first. Raises LeftDomain naming the start event of a row whose
+    step ends outside the domain.
+    """
+    h = (span / n_steps)[:, None]
+    lo, hi = domain.lo_array, domain.hi_array
+    y = start
+    k1 = rhs(y)
+    err = np.zeros(len(y))
+    for _ in range(n_steps):
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        outside = np.any((y[:, :4] < lo) | (y[:, :4] > hi), axis=1)
+        if np.any(outside):
+            n = int(np.argmax(outside))
+            raise LeftDomain(
+                f"congruence curve from {start[n, :4].tolist()} exits the "
+                "field domain before reaching its target"
+            )
+        k1 = rhs(y)
+        err += np.max(np.abs(h * (k1 - k4)), axis=1) / 6.0
+    return y, err
+
+
+def _integrate(rhs, start, span, domain, rtol, atol, stats):
+    """Flow every row of start over its span, refining rejected rows.
+
+    A row is accepted when its error estimate is at most atol + rtol times
+    its largest end component; the others are rerun from their start with
+    twice the steps, and a row still rejected at MAX_FLOW_STEPS raises
+    StepFailure naming its start event. Rows with a zero span stay at
+    their start, which is exactly where a flow would leave them.
+    """
+    out = np.array(start, dtype=float)
+    live = np.flatnonzero(span)
+    n_steps = FLOW_STEPS
+    while live.size:
+        if n_steps > MAX_FLOW_STEPS:
+            raise StepFailure(
+                f"flow from {start[live[0], :4].tolist()} misses its "
+                f"tolerance with {MAX_FLOW_STEPS} RK4 steps"
+            )
+        y, err = _rk4(rhs, start[live], span[live], n_steps, domain)
+        ok = err <= atol + rtol * np.max(np.abs(y), axis=1)
+        if stats is not None:
+            stats.steps += live.size * n_steps
+            stats.rhs_evaluations += live.size * (4 * n_steps + 1)
+            if np.any(ok):
+                stats.max_error_estimate = max(stats.max_error_estimate,
+                                               float(np.max(err[ok])))
+        out[live[ok]] = y[ok]
+        live = live[~ok]
+        n_steps *= 2
+    return out
+
+
+def _phase_flow(bundle, start, span, rtol, atol, stats):
+    """Events (n, 4) flowed over phase spans (n,); returns (n, 5) (x, arc)."""
+    states = np.concatenate([start, np.zeros((len(start), 1))], axis=1)
+    return _integrate(_phase_rhs(bundle), states, span, bundle.domain,
+                      rtol, atol, stats)
+
+
 def flow_to_level(bundle, start, s_target, rtol=DEFAULT_RTOL,
-                  atol=DEFAULT_ATOL):
+                  atol=DEFAULT_ATOL, stats=None):
     """Follow the congruence from start until the phase reaches s_target.
 
-    Returns the crossing event. The phase is strictly monotone along
-    curves, so the crossing is unique; the flow direction is chosen from
-    the sign of the required phase change.
+    ``start`` is (..., 4) and ``s_target`` broadcasts against its leading
+    axes; returns the crossing events (..., 4). The phase is strictly
+    monotone along curves, so each crossing is unique, and in the phase
+    parameter it lies at the end of the interval [S(start), s_target].
     """
     start = np.asarray(start, dtype=float)
-    s0 = float(bundle.phase(start))
-    scale = max(1.0, abs(s0), abs(s_target))
-    if abs(s0 - s_target) < 1e-13 * scale:
-        return start.copy()
-    direction = -1.0 if s_target > s0 else 1.0  # phase falls along +V
-    vfield = four_velocity_contravariant(bundle)
-
-    def rhs(t, x):
-        return direction * vfield(x)
-
-    def level(t, x):
-        return float(bundle.phase(x)) - s_target
-
-    level.terminal = True
-    events = [level, _domain_exit_event(bundle.domain)]
-    mass_rate = bundle.constants.mass * bundle.constants.c ** 2
-    tau_max = 1.5 * abs(s0 - s_target) / (0.9 * mass_rate) + 0.5 / mass_rate
-    sol = solve_ivp(rhs, (0.0, tau_max), start, method="RK45",
-                    rtol=rtol, atol=atol, events=events)
-    if sol.status == -1:
-        raise StepFailure(f"level flow failed: {sol.message}")
-    if sol.t_events[0].size:
-        return sol.y_events[0][0]
-    if sol.t_events[1].size:
-        raise LeftDomain(
-            "congruence curve exits the field domain before reaching the "
-            "target phase level"
-        )
-    raise RootFailure("phase level not reached within the flow horizon")
+    rows = start.reshape(-1, 4)
+    target = np.broadcast_to(np.asarray(s_target, dtype=float),
+                             start.shape[:-1]).reshape(-1)
+    end = _phase_flow(bundle, rows, target - bundle.phase(rows), rtol, atol,
+                      stats)
+    return end[:, :4].reshape(start.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +651,11 @@ def flow_to_level(bundle, start, s_target, rtol=DEFAULT_RTOL,
 class ComovingChart:
     """Diffeomorphism between inertial and comoving coordinates.
 
-    Immutable after construction; map and jacobian evaluations share no
-    mutable state and are safe to call concurrently.
+    Immutable after construction: the maps keep no reference curve or
+    cache, so concurrent calls share no mutable state. ``forward_map``,
+    ``inverse_map``, ``jacobian``, ``inverse_jacobian`` and ``pushforward``
+    take one event (4,) or a batch (..., 4), and each makes one batched
+    map call; pass a FlowStats as ``stats`` to count their flow work.
     """
 
     def __init__(self, bundle, origin=None, time_convention=None,
@@ -532,10 +681,6 @@ class ComovingChart:
         else:
             self.hypothesis_report = None
 
-        self.worldline = integrate_curve(
-            four_velocity_contravariant(bundle), self.origin, (0.0, 0.0),
-            domain=bundle.domain, phase=bundle.phase, rtol=rtol, atol=atol,
-        )
         self.surface = ReferenceSurface(bundle, self.origin)
         self.base_origin = self.origin[1:].copy()
         sigma0 = self.surface.metric(self.base_origin)
@@ -547,106 +692,83 @@ class ComovingChart:
         self.frame_matrix = rot @ np.diag(np.sqrt(w)) @ rot.T
         self.frame_matrix_inv = rot @ np.diag(1.0 / np.sqrt(w)) @ rot.T
 
-    # --- time labeling ----------------------------------------------------
-    def _reference_phase(self, tau):
-        return float(self.bundle.phase(self.worldline.point(tau)))
-
-    def _tau_of_level(self, s_value, bracket=None):
-        """Root of S(reference curve) = s_value; unique by monotonicity."""
-        rate = self.bundle.constants.mass * self.bundle.constants.c ** 2
-        s_origin = self.surface.level
-        est = (s_origin - s_value) / rate
-        if bracket is None:
-            width = 0.5 * (1.0 + abs(est))
-            lo, hi = est - width, est + width
-        else:
-            lo, hi = bracket
-        def g(t):
-            return self._reference_phase(t) - s_value
-        for _ in range(80):
-            self.worldline.ensure(hi)
-            self.worldline.ensure(lo)
-            glo, ghi = g(lo), g(hi)
-            if glo == 0.0:
-                return lo
-            if ghi == 0.0:
-                return hi
-            if glo * ghi < 0.0:
-                return brentq(g, lo, hi, xtol=1e-13 * (1.0 + abs(est)),
-                              rtol=8.9e-16)
-            width = hi - lo
-            lo -= width
-            hi += width
-        raise RootFailure("could not bracket the reference-curve phase root")
-
     # --- maps ---------------------------------------------------------------
-    def forward_map(self, x):
-        """Inertial event -> comoving coordinates (xi0, xi1, xi2, xi3)."""
+    def forward_map(self, x, stats=None):
+        """Inertial events (..., 4) -> comoving coordinates (xi0, ..., xi3)."""
         wrap = isinstance(x, SpacetimePoint)
         x = as_coords(x, "inertial")
-        if x.ndim > 1:
-            return np.stack([self.forward_map(row) for row in x])
-        if not self.bundle.domain.contains(x):
-            raise OutOfDomain(f"event {x.tolist()} outside the field domain")
-        s_x = float(self.bundle.phase(x))
-        tau_star = self._tau_of_level(s_x)
-        lam = self.worldline.arc(tau_star)
-        xi0 = self.time_convention.time_from_lambda(lam)
-        foot = flow_to_level(self.bundle, x, self.surface.level,
-                             rtol=self.rtol, atol=self.atol)
-        xi_sp = self.frame_matrix @ (foot[1:] - self.base_origin)
-        xi = np.concatenate([[xi0], xi_sp])
+        rows = x.reshape(-1, 4)
+        outside = ~self.bundle.domain.contains(rows)
+        if np.any(outside):
+            raise OutOfDomain(f"event {rows[np.argmax(outside)].tolist()} "
+                              "outside the field domain")
+        n = len(rows)
+        s_x = self.bundle.phase(rows)
+        level = self.surface.level
+        # each event flows to the origin leaf while a copy of the origin
+        # flows out to the event's leaf, carrying the reference arc
+        start = np.concatenate([rows,
+                                np.broadcast_to(self.origin, rows.shape)])
+        end = _phase_flow(self.bundle, start,
+                          np.concatenate([level - s_x, s_x - level]),
+                          self.rtol, self.atol, stats)
+        xi0 = self.time_convention.time_from_lambda(end[n:, 4])
+        xi_sp = (end[:n, 1:4] - self.base_origin) @ self.frame_matrix.T
+        xi = np.concatenate([xi0[:, None], xi_sp], axis=1)
+        xi = xi.reshape(x.shape)
         return SpacetimePoint(tuple(xi), frame="comoving") if wrap else xi
 
-    def inverse_map(self, xi):
-        """Comoving coordinates -> inertial event."""
+    def inverse_map(self, xi, stats=None):
+        """Comoving coordinates (..., 4) -> inertial events."""
         wrap = isinstance(xi, SpacetimePoint)
         xi = as_coords(xi, "comoving")
-        if xi.ndim > 1:
-            return np.stack([self.inverse_map(row) for row in xi])
-        lam = self.time_convention.lambda_from_time(xi[0])
-        tau_star = self.worldline.tau_from_arc(lam)
-        s_target = self._reference_phase(tau_star)
-        q = self.base_origin + self.frame_matrix_inv @ xi[1:]
-        lift = self.surface.embed(q)
-        x = flow_to_level(self.bundle, lift, s_target,
-                          rtol=self.rtol, atol=self.atol)
+        rows = xi.reshape(-1, 4)
+        lam = self.time_convention.lambda_from_time(rows[:, 0])
+        # the reference curve in its arc parameter, once per distinct time
+        arcs, which = np.unique(lam, return_inverse=True)
+        ref = _integrate(_arc_rhs(self.bundle),
+                         np.broadcast_to(self.origin, (len(arcs), 4)), arcs,
+                         self.bundle.domain, self.rtol, self.atol, stats)
+        s_target = self.bundle.phase(ref)[which]
+        lift = self.surface.embed(
+            self.base_origin + rows[:, 1:] @ self.frame_matrix_inv.T)
+        x = flow_to_level(self.bundle, lift, s_target, rtol=self.rtol,
+                          atol=self.atol, stats=stats).reshape(xi.shape)
         return SpacetimePoint(tuple(x), frame="inertial") if wrap else x
 
     # --- derivatives ---------------------------------------------------------
-    def jacobian(self, x, step=1e-3):
-        """d xi / d x by central differences of the forward map."""
+    def jacobian(self, x, step=1e-3, stats=None):
+        """d xi / d x (..., 4, 4) by central differences of the forward map."""
         x = as_coords(x, "inertial")
-        cols = []
-        for nu in range(4):
-            e = np.zeros(4)
-            e[nu] = step
-            cols.append(
-                (self.forward_map(x + e) - self.forward_map(x - e))
-                / (2.0 * step)
-            )
-        jac = np.stack(cols, axis=1)
-        if abs(np.linalg.det(jac)) < 1e-12:
-            raise RootFailure("chart jacobian is numerically singular")
+        jac = _central_jacobian(
+            lambda p: self.forward_map(p, stats=stats), x, step)
+        singular = np.abs(np.linalg.det(jac)) < 1e-12
+        if np.any(singular):
+            n = int(np.argmax(singular.reshape(-1)))
+            raise RootFailure("chart jacobian is numerically singular at "
+                              f"{x.reshape(-1, 4)[n].tolist()}")
         return jac
 
-    def inverse_jacobian(self, xi, step=1e-3):
-        """d x / d xi by central differences of the inverse map."""
-        xi = as_coords(xi, "comoving")
-        cols = []
-        for nu in range(4):
-            e = np.zeros(4)
-            e[nu] = step
-            cols.append(
-                (self.inverse_map(xi + e) - self.inverse_map(xi - e))
-                / (2.0 * step)
-            )
-        return np.stack(cols, axis=1)
+    def inverse_jacobian(self, xi, step=1e-3, stats=None):
+        """d x / d xi (..., 4, 4) by central differences of the inverse map."""
+        return _central_jacobian(
+            lambda p: self.inverse_map(p, stats=stats),
+            as_coords(xi, "comoving"), step)
 
-    def pushforward(self, field, x, step=1e-3):
+    def pushforward(self, field, x, step=1e-3, stats=None):
         """Contravariant components of a vector field in chart coordinates."""
-        vec = _contravariant(field)(as_coords(x, "inertial"))
-        return self.jacobian(x, step=step) @ vec
+        x = as_coords(x, "inertial")
+        vec = _contravariant(field)(x)
+        return np.einsum("...mn,...n->...m",
+                         self.jacobian(x, step=step, stats=stats), vec)
+
+
+def _central_jacobian(func, x, step):
+    """jac[..., mu, nu] = d func^mu / d x^nu from one call on 8 shifts each."""
+    shifts = step * np.eye(4)  # row nu displaces axis nu
+    x = x[..., None, :]
+    f = func(np.concatenate([x + shifts, x - shifts], axis=-2))
+    return np.swapaxes((f[..., :4, :] - f[..., 4:, :]) / (2.0 * step), -1, -2)
 
 
 # module-level operation aliases matching the library's functional API
@@ -693,7 +815,11 @@ def boost_to_rest_frame(velocity3, c=1.0):
 
 
 def chart_diagnostics(chart, n_samples=40, seed=0, window=None):
-    """Round-trip, orthogonality, and pushforward statistics (JSON-able)."""
+    """Round-trip, orthogonality, pushforward and flow-work statistics.
+
+    The result is JSON-able; ``flow_steps``, ``flow_rhs_evaluations`` and
+    ``max_step_error_estimate`` are the FlowStats of its map calls.
+    """
     rng = np.random.default_rng(seed)
     dom = chart.bundle.domain
     if window is None:
@@ -703,12 +829,11 @@ def chart_diagnostics(chart, n_samples=40, seed=0, window=None):
     else:
         lo, hi = window.lo_array, window.hi_array
     pts = rng.uniform(lo, hi, size=(n_samples, 4))
-    rt = np.array([
-        np.max(np.abs(chart.inverse_map(chart.forward_map(x)) - x))
-        for x in pts
-    ])
-    push = np.array([chart.pushforward(
-        four_velocity_contravariant(chart.bundle), x) for x in pts])
+    stats = FlowStats()
+    back = chart.inverse_map(chart.forward_map(pts, stats=stats), stats=stats)
+    rt = np.max(np.abs(back - pts), axis=1)
+    push = chart.pushforward(four_velocity_contravariant(chart.bundle), pts,
+                             stats=stats)
     spatial_resid = np.max(np.abs(push[:, 1:]), axis=1) / np.abs(push[:, 0])
     ortho = chart.surface.orthogonality_residual(
         rng.uniform(lo[1:], hi[1:], size=(10, 3)))
@@ -726,4 +851,5 @@ def chart_diagnostics(chart, n_samples=40, seed=0, window=None):
         "orthogonality_max": float(ortho.max()),
         "hypothesis_report": report,
         "n_samples": int(n_samples),
+        **stats.to_dict(),
     }

@@ -58,7 +58,7 @@ from .estimators import (
     velocities_from_drifts,
 )
 from .fields import Box, check_theorem_hypotheses, make_packet, make_plane_wave
-from .geometry import MetricPatch, geometry_diagnostics
+from .geometry import MetricPatch, chart_spatial_patch, geometry_diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +786,7 @@ def _run_energy(ctx):
     else:
         chart = ctx.chart()
         density = slice_density(ctx.bundle(), chart)
-        patch = MetricPatch.from_chart(chart)
+        patch = chart_spatial_patch(chart)
         rep = energy_report(density, patch, constants, box, **kwargs)
 
     rest = constants.mass * constants.c ** 2

@@ -28,7 +28,11 @@ from .chart import boost_to_rest_frame
 from .constants import natural_units, raise_index
 from .errors import ZeroJ0
 from .fields import Box, make_packet
-from .geometry import MetricPatch, covariant_derivative_covector, laplace_beltrami
+from .geometry import (
+    chart_spatial_patch,
+    covariant_derivative_covector,
+    laplace_beltrami,
+)
 
 __all__ = [
     "CurrentSample",
@@ -113,30 +117,11 @@ def kg_residual(bundle, x):
 # curved wave operator in chart coordinates
 
 
-def chart_spatial_patch(chart):
-    """Slice metric in chart spatial coordinates as a MetricPatch.
-
-    The chart's frame normalization is a constant linear map E0, so the
-    surface metric transforms by congruence: sigma_xi = E0^-T sigma_q E0^-1
-    evaluated at q = q0 + E0^-1 xi_sp.  The time block comes from the
-    chart's time convention (g00 = -1 for the proper-time gauge).
-    """
-    e_inv = chart.frame_matrix_inv
-    base = chart.base_origin
-    surface = chart.surface
-
-    def sigma(q_xi):
-        q = base + e_inv @ np.asarray(q_xi, dtype=float)
-        return e_inv.T @ surface.metric(q) @ e_inv
-
-    return MetricPatch(sigma, g00=chart.time_convention.g00, name="chart-slice")
-
-
 def comoving_kg_residual(bundle, chart, xi, h=1e-2, patch=None):
     """Normalized curved-metric wave residual of the pulled-back field.
 
     phi_tilde(xi) = phi(Phi^-1(xi)) is evaluated honestly through the chart
-    inverse map (one congruence flow per stencil point).  The operator uses
+    inverse map (one batched call on the 21-point stencil).  The operator uses
     the block metric diag(g00(xi0), sigma_ij(xi_sp)) whose off-diagonal and
     time-block structure the chart diagnostics certify separately:
 
@@ -151,38 +136,27 @@ def comoving_kg_residual(bundle, chart, xi, h=1e-2, patch=None):
         patch = chart_spatial_patch(chart)
     kc = bundle.constants.compton_wavenumber
 
-    def phi_tilde(z):
-        return complex(bundle.amplitude(chart.inverse_map(z)))
+    # the whole stencil in one inverse map: centre, +-h on each axis, and
+    # the four diagonal corners of each spatial pair
+    pairs = [(i, j) for i in range(1, 4) for j in range(i + 1, 4)]
+    offsets = [np.zeros(4)]
+    for sign in (1.0, -1.0):
+        offsets.extend(sign * np.eye(4))
+    for i, j in pairs:
+        for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            z = np.zeros(4)
+            z[i], z[j] = si, sj
+            offsets.append(z)
+    vals = bundle.amplitude(chart.inverse_map(xi + h * np.array(offsets)))
+    f0, plus, minus = vals[0], vals[1:5], vals[5:9]
+    corners = vals[9:].reshape(len(pairs), 4)
 
-    f0 = phi_tilde(xi)
-
-    def shifted(axis, amount):
-        z = xi.copy()
-        z[axis] += amount
-        return phi_tilde(z)
-
-    d00 = (shifted(0, h) - 2.0 * f0 + shifted(0, -h)) / h ** 2
-
-    grad = np.empty(3, dtype=complex)
-    hess = np.empty((3, 3), dtype=complex)
-    plus = [shifted(i + 1, h) for i in range(3)]
-    minus = [shifted(i + 1, -h) for i in range(3)]
-    for i in range(3):
-        grad[i] = (plus[i] - minus[i]) / (2.0 * h)
-        hess[i, i] = (plus[i] - 2.0 * f0 + minus[i]) / h ** 2
-    for i in range(3):
-        for j in range(i + 1, 3):
-            z = xi.copy()
-            z[i + 1] += h
-            z[j + 1] += h
-            fpp = phi_tilde(z)
-            z[j + 1] -= 2.0 * h
-            fpm = phi_tilde(z)
-            z[i + 1] -= 2.0 * h
-            fmm = phi_tilde(z)
-            z[j + 1] += 2.0 * h
-            fmp = phi_tilde(z)
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h ** 2)
+    d00 = (plus[0] - 2.0 * f0 + minus[0]) / h ** 2
+    grad = (plus[1:] - minus[1:]) / (2.0 * h)
+    hess = np.diag((plus[1:] - 2.0 * f0 + minus[1:]) / h ** 2)
+    for (i, j), (fpp, fpm, fmp, fmm) in zip(pairs, corners):
+        hess[i - 1, j - 1] = hess[j - 1, i - 1] = (
+            (fpp - fpm - fmp + fmm) / (4.0 * h ** 2))
 
     q = xi[1:]
     inv = patch.inverse(q)
@@ -235,27 +209,35 @@ def covariant_residuals(bundle, chart, xi, h=1e-2, patch=None):
         patch = chart_spatial_patch(chart)
     nu = bundle.constants.nu
 
-    def rho(z):
-        return float(bundle.density(chart.inverse_map(z)))
+    # motion_residual nests two central differences around u_cov, so u_cov
+    # is needed on the 5^3 lattice of step h around xi, and the densities
+    # its own central difference reads on the 7^3 lattice: one inverse map
+    # covers them and the time pair
+    reach = np.arange(-3, 4)
+    cube = np.stack(np.meshgrid(reach, reach, reach, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    stencil = np.concatenate([
+        xi + h * np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]),
+        xi + h * np.concatenate([np.zeros((len(cube), 1)), cube], axis=1),
+    ])
+    rho = bundle.density(chart.inverse_map(stencil))
+    log_rho = np.log(rho[2:]).reshape(7, 7, 7)
+    inner = (slice(1, -1),) * 3
+    u_lattice = (0.25 * nu / h) * np.stack([
+        (np.roll(log_rho, -1, axis=i) - np.roll(log_rho, 1, axis=i))[inner]
+        for i in range(3)
+    ], axis=-1)
 
-    up = xi.copy()
-    up[0] += h
-    dn = xi.copy()
-    dn[0] -= h
     g00 = patch.g00(xi[0])
     continuity = (
-        bundle.constants.c * (rho(up) - rho(dn)) / (2.0 * h) / np.sqrt(-g00)
+        bundle.constants.c * (rho[0] - rho[1]) / (2.0 * h) / np.sqrt(-g00)
     )
 
     def u_cov(q_xi):
-        grad = np.empty(3)
-        for i in range(3):
-            zp = np.concatenate([[xi[0]], q_xi])
-            zm = zp.copy()
-            zp[i + 1] += h
-            zm[i + 1] -= h
-            grad[i] = (np.log(rho(zp)) - np.log(rho(zm))) / (2.0 * h)
-        return 0.5 * nu * grad
+        node = np.rint((np.asarray(q_xi) - xi[1:]) / h).astype(int) + 2
+        if np.any(node < 0) or np.any(node > 4):
+            raise ValueError("u_cov evaluated outside the density lattice")
+        return u_lattice[tuple(node)]
 
     spatial = motion_residual(u_cov, patch, xi[1:], bundle.constants, h=h)
     motion = np.concatenate([[0.0], spatial])

@@ -47,7 +47,11 @@ class LeftDomain(ComovkitError):
 
 
 class StepFailure(ComovkitError):
-    """The adaptive ODE integrator could not meet its tolerances."""
+    """An ODE integration could not meet its tolerances.
+
+    Raised by the adaptive curve integrator, and by a chart flow whose
+    error estimate stays above tolerance at the step cap.
+    """
 
 
 class NoBracket(ComovkitError):

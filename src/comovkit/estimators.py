@@ -470,17 +470,15 @@ def slice_density(bundle, chart, xi0=0.0):
     """Stationary density on a comoving leaf, as a callable of xi space.
 
     Evaluates the squared amplitude at the inertial preimage of each
-    spatial point on the xi0 leaf. Each evaluation flows the congruence,
-    so keep quadrature orders modest with this callable.
+    spatial point on the xi0 leaf, with one batched inverse map per call.
+    Pair it with a metric in the same chart coordinates
+    (``chart_spatial_patch``).
     """
     def rho(points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty(len(points))
-        for i, q in enumerate(points):
-            xi = np.concatenate(([xi0], q))
-            x = chart.inverse_map(xi)
-            out[i] = bundle.density(x)
-        return out
+        xi = np.concatenate([np.full((len(points), 1), float(xi0)), points],
+                            axis=1)
+        return bundle.density(chart.inverse_map(xi))
 
     return rho
 

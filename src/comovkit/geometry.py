@@ -14,11 +14,12 @@ must fail the flatness gate.
 ``MetricPatch`` methods take points of shape (..., 3) and return results
 stacked over the leading axes, e.g. (..., 3, 3) for the metric; the
 ``sigma`` callables they wrap stay pointwise, except for the chart-surface
-patch of ``MetricPatch.from_chart``, whose metric is one batched height
-solve per call. ``riemann`` and ``ricci_scalar`` take (..., 3) as well,
-and ``flatness_report``, ``curvature_budget`` and
-``geometry_diagnostics`` evaluate their lattices in one stacked call. The
-covariant-derivative helpers take one point.
+patches of ``MetricPatch.from_chart`` (base coordinates q) and
+``chart_spatial_patch`` (chart coordinates xi), whose metric is one batched
+height solve per call. ``riemann``, ``ricci_scalar`` and
+``pullback_metric`` take batches as well, and ``flatness_report``,
+``curvature_budget`` and ``geometry_diagnostics`` evaluate their lattices
+in one stacked call. The covariant-derivative helpers take one point.
 
 All index layouts are explicit: Gamma[i, j, k] = Gamma^i_{jk},
 riemann[i, k, l, m] = R^i_{klm}, sigma derivative D[i, j, k] =
@@ -163,14 +164,40 @@ class MetricPatch:
 
 
 class _SurfacePatch(MetricPatch):
-    """Chart-surface metric whose batches go to the surface in one call."""
+    """Chart-surface metric whose batches go to the surface in one call.
 
-    def __init__(self, surface, g00, fd_step):
-        super().__init__(None, g00=g00, fd_step=fd_step, name="chart_surface")
+    With a ``frame`` (q0, E0^-1) the points are chart coordinates xi and
+    the metric is E0^-T sigma_q(q0 + E0^-1 xi) E0^-1; without one they are
+    the base coordinates q.
+    """
+
+    def __init__(self, surface, g00, fd_step, frame=None,
+                 name="chart_surface"):
+        super().__init__(None, g00=g00, fd_step=fd_step, name=name)
         self.surface = surface
+        self.frame = frame
 
     def metric(self, q):
-        return self.surface.metric(q)
+        if self.frame is None:
+            return self.surface.metric(q)
+        base, e_inv = self.frame
+        sig = self.surface.metric(base + np.asarray(q, dtype=float) @ e_inv.T)
+        return e_inv.T @ sig @ e_inv
+
+
+def chart_spatial_patch(chart):
+    """Slice metric in the chart's spatial coordinates xi as a MetricPatch.
+
+    The chart's frame normalization is a constant linear map E0, so the
+    surface metric transforms by congruence: sigma_xi = E0^-T sigma_q E0^-1
+    evaluated at q = q0 + E0^-1 xi, with one surface call per batch. The
+    time block comes from the chart's time convention (g00 = -1 for the
+    proper-time gauge). This is the metric that pairs with densities of xi
+    such as ``slice_density``.
+    """
+    return _SurfacePatch(chart.surface, chart.time_convention.g00, 1e-3,
+                         frame=(chart.base_origin, chart.frame_matrix_inv),
+                         name="chart-slice")
 
 
 def polar_flat_patch(analytic_derivatives=True):
@@ -223,9 +250,12 @@ def unit_sphere_patch(analytic_derivatives=True):
 
 
 def pullback_metric(chart, xi, step=1e-3):
-    """g_munu(xi) = eta_ab (dx^a/dxi^mu)(dx^b/dxi^nu) via the FD Jacobian."""
+    """g_munu(xi) = eta_ab (dx^a/dxi^mu)(dx^b/dxi^nu) via the FD Jacobian.
+
+    Takes (..., 4) and returns (..., 4, 4) from one inverse-map call.
+    """
     a = chart.inverse_jacobian(xi, step=step)
-    return a.T @ ETA @ a
+    return np.swapaxes(a, -1, -2) @ ETA @ a
 
 
 def spatial_metric(chart, q):
@@ -387,18 +417,12 @@ def geometry_diagnostics(chart, half_width=1.0, n_per_axis=3, xi0=0.0,
     patch = MetricPatch.from_chart(chart)
     budget = curvature_budget(h=h)
 
-    g_records = []
-    max_g0i = 0.0
-    max_g00_dev = 0.0
-    for sp in spatial:
-        xi = np.concatenate([[xi0], sp])
-        g = pullback_metric(chart, xi, step=jac_step)
-        g_records.append(g.tolist())
-        max_g0i = max(max_g0i, float(np.max(np.abs(g[0, 1:]))))
-        max_g00_dev = max(
-            max_g00_dev,
-            float(abs(g[0, 0] - chart.time_convention.g00(xi0))),
-        )
+    xi = np.concatenate([np.full((len(spatial), 1), float(xi0)), spatial],
+                        axis=1)
+    g = pullback_metric(chart, xi, step=jac_step)
+    max_g0i = float(np.max(np.abs(g[:, 0, 1:])))
+    max_g00_dev = float(np.max(np.abs(
+        g[:, 0, 0] - chart.time_convention.g00(xi0))))
 
     base_pts = chart.base_origin + spatial @ chart.frame_matrix_inv.T
     eig_records = np.linalg.eigvalsh(patch.metric(base_pts)).tolist()
@@ -410,6 +434,6 @@ def geometry_diagnostics(chart, half_width=1.0, n_per_axis=3, xi0=0.0,
         "max_abs_g0i": max_g0i,
         "max_abs_g00_deviation": max_g00_dev,
         "sigma_eigenvalues": eig_records,
-        "metric_components": g_records,
+        "metric_components": g.tolist(),
         "flatness": flat,
     }

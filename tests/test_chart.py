@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comovkit.chart import (
+    FLOW_STEPS,
     ComovingChart,
+    FlowStats,
     ReferenceSurface,
     TimeConvention,
     boost_to_rest_frame,
@@ -24,12 +26,15 @@ from comovkit.errors import (
     LeftDomain,
     NoBracket,
     OutOfDomain,
+    StepFailure,
     ZeroSlope,
 )
 from comovkit.fields import (
     Box,
     FieldBundle,
+    SpacetimePoint,
     four_velocity_contravariant,
+    make_packet,
     make_plane_wave,
 )
 
@@ -233,8 +238,8 @@ def test_batched_solve_height_no_bracket_names_point():
 
 
 def test_inverse_map_threads_match_serial(packet9):
-    # two threads start together on one fresh chart and ask for the same
-    # worldline growth, forwards and backwards, at the same moments
+    # two threads start together on one fresh chart, forwards and backwards
+    # in time; the chart keeps no mutable state, so both match serial calls
     xis = np.random.default_rng(30).uniform(-0.5, 0.5, size=(6, 4))
     xis[:, 0] = [0.4, -0.4, 1.5, -1.5, 2.6, -2.6]
     serial = ComovingChart(packet9, origin=np.zeros(4)).inverse_map(xis)
@@ -265,14 +270,8 @@ def test_inverse_map_threads_match_serial(packet9):
                 t.join(timeout=120)
             assert not any(t.is_alive() for t in threads)
             assert not errors
-            # growth without lost updates leaves contiguous segments
-            segments = shared.worldline._segments
-            assert all(a[1] == b[0] for a, b in zip(segments, segments[1:]))
-            # the segments depend on the order of the growth requests, so
-            # agreement is to the integrator's tolerance, not to the bit
             for result in results:
-                np.testing.assert_allclose(result, serial, rtol=0.0,
-                                           atol=1e-8)
+                np.testing.assert_array_equal(result, serial)
     finally:
         sys.setswitchinterval(old)
 
@@ -304,6 +303,17 @@ def test_forward_map_sends_origin_to_zero(boost_chart, packet9_chart):
     )
 
 
+def test_maps_keep_spacetime_point_tags(packet9_chart):
+    x = SpacetimePoint((0.4, -0.3, 0.2, 0.5))
+    xi = packet9_chart.forward_map(x)
+    assert isinstance(xi, SpacetimePoint) and xi.frame == "comoving"
+    back = packet9_chart.inverse_map(xi)
+    assert isinstance(back, SpacetimePoint) and back.frame == "inertial"
+    np.testing.assert_allclose(back.array, x.array, rtol=0.0, atol=1e-12)
+    with pytest.raises(ValueError, match="comoving"):
+        packet9_chart.forward_map(xi)
+
+
 def test_round_trip_packet(packet9_chart):
     rng = np.random.default_rng(26)
     pts = rng.uniform(-1.5, 1.5, size=(15, 4))
@@ -330,8 +340,16 @@ def test_jacobian_boost_entries(boost_chart):
 
 def test_jacobian_nonsingular_on_packet(packet9_chart):
     rng = np.random.default_rng(28)
-    for x in rng.uniform(-1.0, 1.0, size=(5, 4)):
+    pts = rng.uniform(-1.0, 1.0, size=(5, 4))
+    for x in pts:
         assert abs(np.linalg.det(packet9_chart.jacobian(x))) > 0.1
+    # one stacked call gives the per-point Jacobians
+    np.testing.assert_allclose(
+        packet9_chart.jacobian(pts),
+        np.stack([packet9_chart.jacobian(x) for x in pts]),
+        rtol=0.0, atol=1e-10)
+    assert packet9_chart.inverse_jacobian(pts.reshape(5, 1, 4)).shape == (
+        5, 1, 4, 4)
 
 
 def test_pushforward_kills_spatial_components(boost_chart, packet9_chart):
@@ -345,14 +363,6 @@ def test_pushforward_kills_spatial_components(boost_chart, packet9_chart):
     for x in rng.uniform(-1.0, 1.0, size=(4, 4)):
         outp = packet9_chart.pushforward(vp, x)
         assert np.max(np.abs(outp[1:])) / outp[0] < 1e-4
-
-
-def test_time_root_unique_across_brackets(packet9_chart):
-    x = np.array([0.8, -0.4, 0.3, 0.6])
-    s_x = float(packet9_chart.bundle.phase(x))
-    t1 = packet9_chart._tau_of_level(s_x)
-    t2 = packet9_chart._tau_of_level(s_x, bracket=(t1 - 1.7, t1 + 0.9))
-    assert t1 == pytest.approx(t2, abs=1e-10)
 
 
 def test_forward_map_rejects_outside_domain(packet9_chart):
@@ -388,10 +398,127 @@ def test_flow_to_level_matches_phase(packet9):
     target = float(packet9.phase(np.zeros(4)))
     y = flow_to_level(packet9, x, target)
     assert float(packet9.phase(y)) == pytest.approx(target, abs=1e-8)
+    # a batch with one target per row, and a 2-d batch with one target
+    pts = np.random.default_rng(32).uniform(-1.5, 1.5, size=(2, 3, 4))
+    targets = target + np.array([0.0, 0.7, -1.1])
+    ys = flow_to_level(packet9, pts[0], targets)
+    np.testing.assert_allclose(packet9.phase(ys), targets, atol=1e-8)
+    np.testing.assert_allclose(ys[1], flow_to_level(packet9, pts[0, 1],
+                                                    targets[1]),
+                               rtol=0.0, atol=1e-12)
+    assert flow_to_level(packet9, pts, target).shape == (2, 3, 4)
+
+
+def _moving_packet():
+    """Carrier at 0.6c with six side modes at bandwidth 0.2."""
+    side = 0.2 * np.vstack([np.eye(3), -np.eye(3)])
+    wavevectors = np.vstack([[0.75, 0.0, 0.0], [0.75, 0.0, 0.0] + side])
+    weights = np.array([2.0] + [0.25] * 6)
+    return make_packet(wavevectors, weights, Box((-5.0,) * 4, (5.0,) * 4))
+
+
+def test_flow_refines_rows_above_tolerance():
+    bundle = _moving_packet()
+    pts = np.random.default_rng(31).uniform(-2.0, 2.0, size=(20, 4))
+    level = float(bundle.phase(np.zeros(4)))
+    coarse, fine = FlowStats(), FlowStats()
+    y0 = flow_to_level(bundle, pts, level, stats=coarse)
+    y1 = flow_to_level(bundle, pts, level, rtol=1e-14, atol=0.0, stats=fine)
+    # the default tolerance accepts the first attempt of every row
+    assert coarse.steps == FLOW_STEPS * len(pts)
+    assert coarse.rhs_evaluations == (4 * FLOW_STEPS + 1) * len(pts)
+    assert fine.steps > coarse.steps
+    assert fine.max_error_estimate <= 1e-14 * np.max(np.abs(y1))
+    np.testing.assert_allclose(bundle.phase(y1), level, rtol=0.0, atol=1e-14)
+    # the third-order estimate bounds the classical step's actual error
+    assert np.max(np.abs(y0 - y1)) <= coarse.max_error_estimate
+
+
+def test_flow_step_failure_names_point(packet9):
+    # a zero tolerance rejects every nonzero estimate up to the step cap
+    chart = ComovingChart(packet9, origin=np.zeros(4), rtol=0.0, atol=0.0,
+                          validate=False)
+    with pytest.raises(StepFailure, match=r"\[0\.5, 0\.25, -0\.5, 1\.0\]"):
+        chart.forward_map(np.array([0.5, 0.25, -0.5, 1.0]))
+
+
+def test_flow_left_domain_names_point():
+    # level sets of the 0.6c wave on the unit box are x0 = 0.6 x1 + const;
+    # the event's curve crosses x0 = 1 before it reaches the origin level
+    bundle = make_plane_wave([0.75, 0.0, 0.0],
+                             domain=Box((-1.0,) * 4, (1.0,) * 4))
+    chart = ComovingChart(bundle, origin=np.zeros(4))
+    with pytest.raises(LeftDomain, match=r"\[-0\.9, 0\.95, 0\.0, 0\.0\]"):
+        chart.forward_map(np.array([[0.1, 0.2, 0.0, 0.0],
+                                    [-0.9, 0.95, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.6, 0.9])
+def test_plane_wave_maps_equal_boost(constants, beta):
+    # the flow field is constant, so RK4 is exact and both maps are the
+    # closed-form boost to round-off
+    gamma = 1.0 / np.sqrt(1.0 - beta ** 2)
+    k = gamma * constants.mass * beta * constants.c / constants.hbar
+    chart = ComovingChart(make_plane_wave([k, 0.0, 0.0], constants),
+                          origin=np.zeros(4))
+    lam = boost_to_rest_frame([beta * constants.c, 0.0, 0.0], c=constants.c)
+    pts = np.random.default_rng(101).uniform(-2.0, 2.0, size=(100, 4))
+    np.testing.assert_allclose(chart.forward_map(pts), pts @ lam.T,
+                               rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(chart.inverse_map(pts @ lam.T), pts,
+                               rtol=0.0, atol=1e-10)
+
+
+@st.composite
+def _dominant_packets(draw):
+    """A carrier at rest (weight 2) and 2-8 side modes with |k| <= 0.05,
+    side weights summing to at most 1.5, on [-4, 4]^4; with 3 events."""
+    n_side = draw(st.integers(2, 8))
+    unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    ks = np.array(draw(st.lists(st.tuples(unit, unit, unit), min_size=n_side,
+                                max_size=n_side)))
+    ks *= 0.05 / np.maximum(np.linalg.norm(ks, axis=1, keepdims=True), 1.0)
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n_side,
+                               max_size=n_side)))
+    w *= min(1.0, 1.5 / w.sum())
+    bundle = make_packet(np.vstack([np.zeros(3), ks]),
+                         np.concatenate([[2.0], w]),
+                         Box((-4.0,) * 4, (4.0,) * 4))
+    coord = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+    pts = np.array(draw(st.lists(st.tuples(coord, coord, coord, coord),
+                                 min_size=3, max_size=3)))
+    return bundle, pts
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=_dominant_packets())
+def test_packet_chart_invariants(case):
+    bundle, pts = case
+    chart = ComovingChart(bundle, origin=np.zeros(4))
+    xi = chart.forward_map(pts)
+    back = chart.inverse_map(xi)
+    np.testing.assert_allclose(back, pts, rtol=0.0, atol=1e-6)
+    # Phi^-1 of (xi0, 0, 0, 0) lies on the leaf of x
+    leaf = chart.inverse_map(np.column_stack([xi[:, 0], np.zeros((3, 3))]))
+    np.testing.assert_allclose(bundle.phase(leaf), bundle.phase(pts),
+                               rtol=0.0, atol=1e-7)
+    # batched maps agree with per-row calls
+    np.testing.assert_allclose(xi, np.stack([chart.forward_map(x)
+                                             for x in pts]),
+                               rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(back, np.stack([chart.inverse_map(v)
+                                               for v in xi]),
+                               rtol=0.0, atol=1e-10)
 
 
 def test_chart_diagnostics_report(boost_chart):
     report = chart_diagnostics(boost_chart, n_samples=10, seed=3)
+    # rows of one accepted attempt each: 10 events and 10 origin copies
+    # forward, 10 arcs and 10 lifts back, and 80 shifted events and 80
+    # origin copies for the Jacobians
+    assert report["flow_steps"] == FLOW_STEPS * 200
+    assert report["flow_rhs_evaluations"] == (4 * FLOW_STEPS + 1) * 200
+    assert report["max_step_error_estimate"] == 0.0
     assert report["round_trip_max"] < 1e-7
     assert report["pushforward_spatial_max"] < 1e-5
     assert report["orthogonality_max"] < 1e-9

@@ -201,6 +201,19 @@ def test_run_plane_wave_passes(tmp_path):
     assert saved["versions"]["comovkit"]
 
 
+def test_run_packet_reports_flow_counters(tmp_path):
+    scenario = validate(str(SCENARIOS / "packet_9mode.json"))
+    run(scenario, out_dir=tmp_path / "out")
+    saved = json.loads((tmp_path / "out" / "report.json").read_text())
+    diag = saved["analyses"]["chart_diag"]
+    steps = diag["flow_steps"]
+    evaluations = diag["flow_rhs_evaluations"]
+    estimate = diag["max_step_error_estimate"]
+    assert all(np.isfinite([steps, evaluations, estimate]))
+    assert 0 < steps < evaluations
+    assert 0.0 <= estimate <= 1e-9
+
+
 def test_run_exit_one_names_failed_hypothesis(tmp_path, capsys):
     doc = {
         "name": "standing-ish",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from comovkit.errors import NotSpacelike
 from comovkit.geometry import (
     MetricPatch,
+    chart_spatial_patch,
     covariant_derivative_covector,
     curvature_budget,
     flatness_report,
@@ -162,10 +163,15 @@ def test_pullback_metric_boost_is_isometry(boost_chart):
 
 
 def test_pullback_metric_packet_block_structure(packet9_chart):
-    for xi in ([0.0, 0.5, -0.4, 0.2], [0.3, -0.2, 0.6, -0.5]):
-        g = pullback_metric(packet9_chart, np.asarray(xi))
+    xis = np.array([[0.0, 0.5, -0.4, 0.2], [0.3, -0.2, 0.6, -0.5]])
+    for xi in xis:
+        g = pullback_metric(packet9_chart, xi)
         assert np.max(np.abs(g[0, 1:])) < 1e-4
         assert abs(g[0, 0] + 1.0) < 1e-4
+    np.testing.assert_allclose(
+        pullback_metric(packet9_chart, xis),
+        np.stack([pullback_metric(packet9_chart, xi) for xi in xis]),
+        rtol=0.0, atol=1e-10)
 
 
 def test_spatial_metric_boost_graph_value(boost_chart):
@@ -176,6 +182,31 @@ def test_spatial_metric_boost_graph_value(boost_chart):
     g = data["noise_factor"]
     np.testing.assert_allclose(g @ g.T, data["inverse"], atol=1e-12)
     assert data["sqrt_det"] == pytest.approx(0.8, abs=1e-10)
+
+
+def test_chart_spatial_patch_plane_wave_identity(boost_chart):
+    # in chart coordinates the 0.6c wave's slice is Euclidean, while the
+    # base-coordinate graph metric is diag(0.64, 1, 1)
+    pts = np.random.default_rng(40).uniform(-1.0, 1.0, size=(2, 6, 3))
+    patch = chart_spatial_patch(boost_chart)
+    np.testing.assert_allclose(patch.metric(pts),
+                               np.broadcast_to(np.eye(3), (2, 6, 3, 3)),
+                               rtol=0.0, atol=1e-12)
+    assert patch.sqrt_det(pts[0, 0]) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(MetricPatch.from_chart(boost_chart).metric(
+        pts[0, 0]), np.diag([0.64, 1.0, 1.0]), atol=1e-12)
+
+
+def test_chart_spatial_patch_matches_pointwise_congruence(packet9_chart):
+    pts = np.random.default_rng(41).uniform(-1.0, 1.0, size=(7, 3))
+    e_inv = packet9_chart.frame_matrix_inv
+    surface = packet9_chart.surface
+    single = np.stack([
+        e_inv.T @ surface.metric(packet9_chart.base_origin + e_inv @ q) @ e_inv
+        for q in pts
+    ])
+    np.testing.assert_allclose(chart_spatial_patch(packet9_chart).metric(pts),
+                               single, rtol=0.0, atol=1e-12)
 
 
 def test_chart_patch_flatness(packet9_chart):
