@@ -31,18 +31,14 @@ Jacobians and the pushforward take (..., 4) arrays. For a constant-gradient
 (plane-wave) field the flow field is constant, RK4 is exact, and the chart
 is the closed-form Lorentz boost into the rest frame.
 
-``Worldline`` and ``integrate_curve`` integrate one congruence curve in its
-proper-time parameter with adaptive dense output; the chart does not use
-them.
+Level-set heights that Newton leaves unconverged and custom time gauges
+are inverted by ``bracketed_roots``, one batched Chandrupatla iteration
+over an array of brackets.
 """
 
-import bisect
-import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .constants import raise_index
 from .errors import (
@@ -67,6 +63,7 @@ DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
 FLOW_STEPS = 4  # RK4 steps of a first attempt; rejected rows double them
 MAX_FLOW_STEPS = 1024
+ROOT_MAX_ITER = 200  # bracketed-root evaluations per row
 
 
 def _contravariant(field):
@@ -77,185 +74,68 @@ def _contravariant(field):
     raise TypeError("expected a FourVectorField")
 
 
-def _domain_exit_event(domain, margin=0.0):
-    lo = domain.lo_array + margin
-    hi = domain.hi_array - margin
-
-    def event(t, state):
-        x = state[:4]
-        return float(min(np.min(x - lo), np.min(hi - x)))
-
-    event.terminal = True
-    event.direction = -1
-    return event
-
-
 # ---------------------------------------------------------------------------
-# integral curves
+# bracketed roots
 
 
-class Worldline:
-    """An integral curve of the congruence with dense output.
+def bracketed_roots(func, lo, hi, xtol, max_iter=ROOT_MAX_ITER):
+    """Roots of a batch of scalar functions, one per bracket [lo, hi].
 
-    The curve parameter tau satisfies dx/dtau = V^mu(x); the arc
-    coordinate lambda accumulates integral sqrt(-dx_mu dx^mu), so for a
-    unit-norm four-velocity lambda = c tau. Segments are integrated on
-    demand in both directions; the phase is checked to decrease strictly
-    along the curve at every accepted solver step. Growth and segment
-    lookup hold one lock, so concurrent callers may share a curve.
+    ``func(x, rows)`` returns the values at x (k,) of the functions of the
+    listed rows (k,) of the batch; ``lo``, ``hi`` and ``xtol`` broadcast to
+    the batch (n,). Every bracket must hold a sign change, and an endpoint
+    where its function vanishes is returned as it is. All open rows take
+    one step of Chandrupatla's method together (Adv. Eng. Software 28:145,
+    1997): inverse quadratic interpolation where it is safe, bisection
+    otherwise, never leaving the bracket. A row closes once its bracket is
+    narrower than xtol + 4 eps |x| or its function vanishes, and returns the
+    bracket end with the smaller residual. RootFailure names the first row
+    still open after max_iter evaluations.
     """
-
-    def __init__(self, velocity, x0, domain=None, phase=None,
-                 rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
-        self.velocity = _contravariant(velocity)
-        self.x0 = as_coords(x0, "inertial").astype(float)
-        self.domain = domain
-        self.phase = phase
-        self.rtol = rtol
-        self.atol = atol
-        self.samples = [(0.0, SpacetimePoint(tuple(self.x0)))]
-        self._segments = []  # (lo, hi, OdeSolution), sorted by lo
-        self._starts = []
-        self._cover = [0.0, 0.0]
-        self._edge_state = {
-            1: np.concatenate([self.x0, [0.0]]),
-            -1: np.concatenate([self.x0, [0.0]]),
-        }
-        self._exit_tau = {1: None, -1: None}
-        # reentrant: tau_from_arc grows the curve while reading arcs from it
-        self._lock = threading.RLock()
-
-    def _rhs(self, t, state):
-        v = self.velocity(state[:4])
-        speed = np.sqrt(-np.einsum("i,i->", v, raise_index(v)))
-        return np.concatenate([v, [speed]])
-
-    def _grow(self, direction, length):
-        if self._exit_tau[direction] is not None:
-            raise LeftDomain(
-                "worldline leaves the field domain at tau = "
-                f"{self._exit_tau[direction]:.6g}"
-            )
-        t0 = self._cover[1] if direction > 0 else self._cover[0]
-        t1 = t0 + direction * length
-        events = []
-        if self.domain is not None:
-            events.append(_domain_exit_event(self.domain))
-        sol = solve_ivp(
-            self._rhs, (t0, t1), self._edge_state[direction],
-            method="RK45", dense_output=True, rtol=self.rtol,
-            atol=self.atol, events=events or None,
-        )
-        if sol.status == -1:
-            raise StepFailure(f"curve integration failed: {sol.message}")
-        reached = sol.t[-1]
-        lo, hi = (t0, reached) if direction > 0 else (reached, t0)
-        if hi > lo:
-            idx = bisect.bisect_left(self._starts, lo)
-            self._segments.insert(idx, (lo, hi, sol.sol))
-            self._starts.insert(idx, lo)
-            for t, y in zip(sol.t, sol.y.T):
-                if t != t0:
-                    self.samples.append((float(t), SpacetimePoint(tuple(y[:4]))))
-            self.samples.sort(key=lambda s: s[0])
-        self._edge_state[direction] = sol.y[:, -1]
-        if direction > 0:
-            self._cover[1] = reached
-        else:
-            self._cover[0] = reached
-        if sol.status == 1:  # domain-exit event fired
-            self._exit_tau[direction] = reached
-        if self.phase is not None and len(sol.t) > 1:
-            s = self.phase(sol.y[:4].T)
-            ds = np.diff(s) * direction
-            if np.any(ds >= 0):
-                raise HypothesesFailed(
-                    "phase is not strictly decreasing along the curve; the "
-                    "field violates the chart hypotheses"
-                )
-
-    def ensure(self, tau):
-        """Extend integration so tau lies inside the covered span."""
-        with self._lock:
-            guard = 0
-            while tau > self._cover[1]:
-                self._grow(1, max(1.0, 1.1 * (tau - self._cover[1])))
-                guard += 1
-                if guard > 64:
-                    raise RootFailure("worldline extension did not reach tau")
-            guard = 0
-            while tau < self._cover[0]:
-                self._grow(-1, max(1.0, 1.1 * (self._cover[0] - tau)))
-                guard += 1
-                if guard > 64:
-                    raise RootFailure("worldline extension did not reach tau")
-
-    def _state(self, tau):
-        with self._lock:
-            self.ensure(tau)
-            if not self._segments:
-                return np.concatenate([self.x0, [0.0]])
-            idx = max(bisect.bisect_right(self._starts, tau) - 1, 0)
-            lo, hi, sol = self._segments[idx]
-        if tau > hi + 1e-12 or tau < lo - 1e-12:
-            if tau == 0.0:
-                return np.concatenate([self.x0, [0.0]])
-            raise RootFailure(f"tau = {tau:.6g} outside integrated segments")
-        return sol(np.clip(tau, lo, hi))
-
-    def point(self, tau):
-        """Event on the curve at parameter tau."""
-        return self._state(tau)[:4]
-
-    def arc(self, tau):
-        """Arc coordinate lambda (c times proper time) at parameter tau."""
-        return float(self._state(tau)[4])
-
-    def tau_from_arc(self, lam):
-        """Invert the strictly increasing arc map by bracketed root-finding."""
-        if lam == 0.0:
-            return 0.0
-        with self._lock:
-            guard = 0
-            while self.arc(self._cover[1]) < lam:
-                self._grow(1, max(1.0, lam - self.arc(self._cover[1])))
-                guard += 1
-                if guard > 64:
-                    raise RootFailure("arc target not reached")
-            while self.arc(self._cover[0]) > lam:
-                self._grow(-1, max(1.0, self.arc(self._cover[0]) - lam))
-                guard += 1
-                if guard > 64:
-                    raise RootFailure("arc target not reached")
-            lo, hi = self._cover
-        return brentq(
-            lambda t: self.arc(t) - lam, lo, hi,
-            xtol=1e-13 * (1.0 + abs(lam)), rtol=8.9e-16,
-        )
-
-    @property
-    def span(self):
-        with self._lock:
-            return tuple(self._cover)
-
-
-def integrate_curve(velocity, x0, tau_span, domain=None, phase=None,
-                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
-    """Integrate the congruence curve through x0 over tau_span.
-
-    Returns a Worldline covering at least [min(tau_span), max(tau_span)]
-    (it can be extended later through ``ensure``). The four-velocity may be
-    given in either variance; covariant input is raised with the flat
-    metric first.
-    """
-    wl = Worldline(velocity, x0, domain=domain, phase=phase,
-                   rtol=rtol, atol=atol)
-    lo, hi = float(min(tau_span)), float(max(tau_span))
-    if hi > 0:
-        wl.ensure(hi)
-    if lo < 0:
-        wl.ensure(lo)
-    return wl
+    x1, x2, xtol = (np.array(v, dtype=float).reshape(-1) for v in
+                    np.broadcast_arrays(lo, hi, xtol))
+    live = np.arange(x1.size)
+    f1, f2 = func(x1, live), func(x2, live)
+    if np.any(np.sign(f1) * np.sign(f2) > 0):
+        n = int(np.argmax(np.sign(f1) * np.sign(f2) > 0))
+        raise NoBracket(f"[{x1[n]:.17g}, {x2[n]:.17g}] holds no sign change")
+    roots = np.empty(x1.size)
+    x3, f3 = x2, f2
+    t = np.full(x1.size, 0.5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(max_iter + 1):
+            first = np.abs(f1) <= np.abs(f2)
+            best = np.where(first, x1, x2)
+            tl = (0.5 * xtol + 2.0 * np.finfo(float).eps * np.abs(best)) \
+                / np.abs(x2 - x1)
+            done = (tl > 0.5) | (np.where(first, f1, f2) == 0.0)
+            roots[live[done]] = best[done]
+            keep = ~done
+            live, x1, x2, x3, f1, f2, f3, xtol, t, tl = (
+                v[keep] for v in (live, x1, x2, x3, f1, f2, f3, xtol, t, tl))
+            if not live.size:
+                return roots
+            if it == max_iter:
+                break
+            xt = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
+            ft = func(xt, live)
+            # the new point replaces the bracket end of its own sign
+            same = np.sign(ft) == np.sign(f1)
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x1, f1 = xt, ft
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            t = np.where(
+                iqi,
+                f1 / (f2 - f1) * f3 / (f2 - f3)
+                + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2),
+                0.5)
+    raise RootFailure(
+        f"root in [{min(x1[0], x2[0]):.17g}, {max(x1[0], x2[0]):.17g}] "
+        f"not resolved to {xtol[0]:.3g} in {max_iter} iterations"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +217,9 @@ def solve_height(surface, q, guess=None):
 
     A damped, trust-capped Newton runs on the whole batch, dropping points
     as they converge; points it leaves unconverged (or converged outside
-    the domain's x0 range) fall back one by one to bracket expansion and
-    ``brentq``. The phase is strictly monotone in x0 wherever the
-    hypotheses hold, so each root is unique. Residual tolerance is 1e-10
+    the domain's x0 range) fall back together to bracket expansion and one
+    ``bracketed_roots`` call. The phase is strictly monotone in x0 wherever
+    the hypotheses hold, so each root is unique. Residual tolerance is 1e-10
     times the phase scale. Returns (...) heights, a float for one point.
     ZeroSlope and NoBracket name the offending base point.
     """
@@ -383,36 +263,46 @@ def solve_height(surface, q, guess=None):
         # keep Newton inside a sane trust region
         cap = 0.5 * (1.0 + np.abs(t[live]))
         t[live] = t[live] + np.clip(-r / slope, -cap, cap)
-    for n in np.flatnonzero(~done):
-        t[n] = _bracket_height(surface, rows[n], start[n], tmin, tmax)
+    rest = np.flatnonzero(~done)
+    if rest.size:
+        t[rest] = _bracket_heights(surface, rows[rest], start[rest], tmin,
+                                   tmax)
     return float(t[0]) if q.ndim == 1 else t.reshape(q.shape[:-1])
 
 
-def _bracket_height(surface, q, x0, tmin, tmax):
-    """Height at one base point by bracket expansion from x0 and brentq."""
+def _bracket_heights(surface, q, x0, tmin, tmax):
+    """Heights at base points (n, 3) by bracket expansion about x0 (n,).
 
-    def f(t):
-        return float(surface.bundle.phase(np.concatenate([[t], q]))) \
-            - surface.level
+    Every bracket widens in both directions, doubling its step, until it
+    holds a sign change or fills [tmin, tmax]; one bracketed root call then
+    solves all of them. NoBracket names the first base point whose bracket
+    fills the range, or has no sign change after 60 doublings.
+    """
 
-    lo = hi = x0
+    def f(t, rows):
+        x = np.concatenate([t[:, None], q[rows]], axis=1)
+        return surface.bundle.phase(x) - surface.level
+
+    lo = np.clip(x0, tmin, tmax)
+    hi = lo.copy()
+    open_ = np.arange(len(q))
+    stuck = np.zeros(len(q), dtype=bool)
     width = 0.5
     for _ in range(60):
-        lo = max(lo - width, tmin)
-        hi = min(hi + width, tmax)
-        flo, fhi = f(lo), f(hi)
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
-        if flo * fhi <= 0.0:
-            return brentq(f, lo, hi, xtol=1e-14 * (1.0 + abs(x0)))
-        if lo == tmin and hi == tmax:
+        lo[open_] = np.maximum(lo[open_] - width, tmin)
+        hi[open_] = np.minimum(hi[open_] + width, tmax)
+        found = f(lo[open_], open_) * f(hi[open_], open_) <= 0.0
+        full = (lo[open_] == tmin) & (hi[open_] == tmax)
+        stuck[open_[full & ~found]] = True
+        open_ = open_[~(found | full)]
+        if not open_.size:
             break
         width *= 2.0
-    raise NoBracket(
-        f"no sign change of S - level found for base point {q.tolist()}"
-    )
+    stuck[open_] = True
+    if np.any(stuck):
+        raise NoBracket("no sign change of S - level found for base point "
+                        f"{q[np.argmax(stuck)].tolist()}")
+    return bracketed_roots(f, lo, hi, 1e-14 * (1.0 + np.abs(x0)))
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +316,7 @@ class TimeConvention:
     g00 = -1. A custom gauge supplies ``metric_time_time`` (the negative
     g00(xi0) component) together with ``arc_primitive``, the primitive
     lambda(xi0) = integral_0^xi0 sqrt(-g00(s)) ds, which must be strictly
-    increasing and vanish at 0.
+    increasing, vanish at 0 and take arrays of times.
     """
 
     def __init__(self, name="proper_time", metric_time_time=None,
@@ -457,36 +347,39 @@ class TimeConvention:
         """Arc coordinate at chart time xi0 (a float or an array)."""
         if self._primitive is None:
             return _float_or_array(xi0)
-        return _map_values(self._primitive, xi0)
+        return _float_or_array(self._arc(np.asarray(xi0, dtype=float)))
 
     def time_from_lambda(self, lam):
         """Chart time at arc coordinate lam (a float or an array)."""
         if self._primitive is None:
             return _float_or_array(lam)
-        return _map_values(self._invert_primitive, lam)
+        lam = np.asarray(lam, dtype=float)
+        return _float_or_array(
+            self._invert_primitive(lam.reshape(-1)).reshape(lam.shape))
+
+    def _arc(self, xi0):
+        return np.array(np.broadcast_to(
+            np.asarray(self._primitive(xi0), dtype=float), xi0.shape))
 
     def _invert_primitive(self, lam):
-        lo, hi = -1.0, 1.0
+        """Chart times (n,) at arcs (n,), from brackets [-2^k, 2^k] widened
+        as a batch until they hold the arc, then one bracketed root call."""
+        half = np.ones(lam.size)
+        open_ = np.arange(lam.size)
         for _ in range(200):
-            if self._primitive(lo) <= lam <= self._primitive(hi):
-                return brentq(
-                    lambda t: self._primitive(t) - lam, lo, hi,
-                    xtol=1e-13 * (1.0 + abs(lam)),
-                )
-            lo *= 2.0
-            hi *= 2.0
+            inside = ((self._arc(-half[open_]) <= lam[open_])
+                      & (lam[open_] <= self._arc(half[open_])))
+            open_ = open_[~inside]
+            if not open_.size:
+                return bracketed_roots(
+                    lambda t, rows: self._arc(t) - lam[rows], -half, half,
+                    1e-13 * (1.0 + np.abs(lam)))
+            half[open_] *= 2.0
         raise RootFailure("time gauge primitive could not be inverted")
 
 
 def _float_or_array(values):
     out = np.asarray(values, dtype=float)
-    return float(out) if out.ndim == 0 else out
-
-
-def _map_values(func, values):
-    """A pointwise scalar function applied over a float or an array."""
-    out = np.vectorize(lambda v: float(func(float(v))), otypes=[float])(
-        np.asarray(values, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 

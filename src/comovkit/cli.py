@@ -904,12 +904,9 @@ def _jsonable(obj):
 
 
 def _versions():
-    import scipy
-
     return {
         "comovkit": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": sys.version.split()[0],
     }
 

@@ -199,6 +199,8 @@ def simulate(drift, patch, config):
     root_nudt = np.sqrt(config.nu * config.dt)
     constant_metric = getattr(patch, "is_constant", False)
     g_const = patch.noise_factor(np.zeros(3)) if constant_metric else None
+    unit_noise = constant_metric and np.array_equal(g_const, np.eye(3))
+    radius2 = config.explosion_radius ** 2
 
     def run_chunk(chunk_index, lo, hi):
         count = hi - lo
@@ -209,23 +211,27 @@ def simulate(drift, patch, config):
         pre = np.empty((count, n_snaps, 3))
         post = np.empty((count, n_snaps, 3))
         clipped = np.zeros(count, dtype=bool)
+        z, step, qn = (np.empty((count, 3)) for _ in range(3))
         for k in range(steps):
-            z = rng.standard_normal((count, 3))
+            rng.standard_normal(out=z)
             beta = np.asarray(drift(q), dtype=float)
+            np.multiply(beta, config.dt, out=step)
             if constant_metric:
-                step = beta * config.dt + root_nudt * z @ g_const.T
+                z *= root_nudt
+                step += z if unit_noise else z @ g_const.T
             else:
-                step = beta * config.dt + root_nudt * np.einsum(
+                step += root_nudt * np.einsum(
                     "nij,nj->ni", patch.noise_factor(q), z
                 )
-            qn = q + step
+            np.add(q, step, out=qn)
             if config.clip_box is not None:
                 outside = ~config.clip_box.contains(qn)
                 if np.any(outside):
                     qn[outside] = q[outside]
                     clipped |= outside
-            worst = float(np.max(np.einsum("ni,ni->n", qn, qn)))
-            if worst > config.explosion_radius ** 2:
+            # |q|^2 <= 3 max|q_i|^2 screens out the exact norm on most steps
+            if 3.0 * max(qn.max(), -qn.min()) ** 2 > radius2 and float(
+                    np.max(np.einsum("ni,ni->n", qn, qn))) > radius2:
                 raise Explosion(
                     f"path norm exceeded {config.explosion_radius:g} at "
                     f"step {k}"
@@ -234,7 +240,7 @@ def simulate(drift, patch, config):
             if m is not None:
                 pre[:, m] = q
                 post[:, m] = qn
-            q = qn
+            q, qn = qn, q
         return pre, post, clipped
 
     ranges = _chunk_ranges(config.n_paths, config.chunk_size)

@@ -652,9 +652,10 @@ class PacketBundle(FieldBundle):
         return self.constants.hbar * self._branch_phase(x)
 
     def _phase_gradient(self, x):
-        a = self._amp(x)
-        da = self._amp_mu(x)
-        return self.constants.hbar * (da / a[..., None]).imag
+        # Im(d_mu a / a) with d_mu a = i (e @ kappas): one exponential
+        e = np.exp(1j * self._mode_phases(x)) * self.weights
+        return self.constants.hbar * (
+            (e @ self.kappas) / e.sum(axis=-1)[..., None]).real
 
     def _phase_hessian(self, x):
         a = self._amp(x)

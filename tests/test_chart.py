@@ -7,17 +7,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from comovkit.chart import (
+    DEFAULT_ATOL,
+    DEFAULT_RTOL,
     FLOW_STEPS,
     ComovingChart,
     FlowStats,
     ReferenceSurface,
     TimeConvention,
+    _arc_rhs,
+    _integrate,
+    _phase_flow,
     boost_to_rest_frame,
+    bracketed_roots,
     chart_diagnostics,
     flow_to_level,
-    integrate_curve,
     solve_height,
 )
 from comovkit.constants import PhysicalConstants
@@ -26,6 +32,7 @@ from comovkit.errors import (
     LeftDomain,
     NoBracket,
     OutOfDomain,
+    RootFailure,
     StepFailure,
     ZeroSlope,
 )
@@ -39,72 +46,39 @@ from comovkit.fields import (
 )
 
 
-def test_integrate_curve_rest_field(rest_chart):
-    wl = integrate_curve(
-        four_velocity_contravariant(rest_chart.bundle), np.zeros(4), (0.0, 1.0)
-    )
-    np.testing.assert_allclose(wl.point(1.0), [1.0, 0.0, 0.0, 0.0], atol=1e-10)
-    assert wl.arc(1.0) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_integrate_curve_boost_line(boost_wave):
+def test_arc_flow_boost_line(boost_wave):
     # straight line with slope v/c = 0.6 and unit arc rate
-    wl = integrate_curve(
-        four_velocity_contravariant(boost_wave), np.zeros(4), (-2.0, 2.0)
-    )
-    for tau in (-1.5, -0.3, 0.7, 2.0):
-        np.testing.assert_allclose(
-            wl.point(tau), tau * np.array([1.25, 0.75, 0.0, 0.0]), atol=1e-8
-        )
-        assert wl.arc(tau) == pytest.approx(tau, abs=1e-8)
-    pt = wl.point(2.0)
-    assert pt[1] / pt[0] == pytest.approx(0.6, abs=1e-9)
+    arcs = np.array([-1.5, -0.3, 0.7, 2.0])
+    pts = _integrate(_arc_rhs(boost_wave), np.zeros((4, 4)), arcs,
+                     boost_wave.domain, DEFAULT_RTOL, DEFAULT_ATOL, None)
+    np.testing.assert_allclose(pts, arcs[:, None] * [1.25, 0.75, 0.0, 0.0],
+                               atol=1e-8)
+    assert np.all(pts[:, 1] / pts[:, 0] == pytest.approx(0.6, abs=1e-9))
+    # the Minkowski length of each chord is its arc
+    np.testing.assert_allclose(np.sqrt(pts[:, 0] ** 2 - pts[:, 1] ** 2),
+                               np.abs(arcs), atol=1e-8)
+    # the phase flow's arc state advances at the same unit rate
+    level = boost_wave.phase(pts)
+    ends = _phase_flow(boost_wave, np.zeros((4, 4)), level, DEFAULT_RTOL,
+                       DEFAULT_ATOL, None)
+    np.testing.assert_allclose(ends[:, :4], pts, atol=1e-8)
+    np.testing.assert_allclose(ends[:, 4], arcs, atol=1e-8)
 
 
-def test_integrate_curve_packet_residual(packet9):
-    # re-evaluation oracle: the dense-output curve satisfies the ODE
-    wl = integrate_curve(
-        four_velocity_contravariant(packet9), np.zeros(4), (0.0, 2.0),
-        domain=packet9.domain, phase=packet9.phase,
-    )
-    vfield = four_velocity_contravariant(packet9)
+def test_arc_flow_packet_residual(packet9):
+    # re-evaluation oracle: the flowed curve satisfies dx/dlambda = V/|V|
     h = 1e-5
-    for tau in np.linspace(0.1, 1.9, 7):
-        deriv = (wl.point(tau + h) - wl.point(tau - h)) / (2 * h)
-        np.testing.assert_allclose(deriv, vfield(wl.point(tau)), atol=1e-6)
-
-
-def test_worldline_monotone_phase_and_anchor(packet9):
-    wl = integrate_curve(
-        four_velocity_contravariant(packet9), np.zeros(4), (-1.0, 1.0),
-        domain=packet9.domain, phase=packet9.phase,
-    )
-    np.testing.assert_allclose(wl.point(0.0), np.zeros(4), atol=1e-12)
-    taus = np.array([t for t, _ in sorted(wl.samples)])
-    pts = np.array([p.array for _, p in sorted(wl.samples)])
-    s = packet9.phase(pts)
-    assert np.all(np.diff(s) < 0)
-    assert np.all(np.diff(taus) > 0)
-
-
-def test_worldline_left_domain(packet9):
-    wl = integrate_curve(
-        four_velocity_contravariant(packet9), np.zeros(4), (0.0, 0.0),
-        domain=packet9.domain,
-    )
-    with pytest.raises(LeftDomain):
-        wl.ensure(100.0)
-    # coverage stops at the domain boundary, near x0 = 4
-    assert wl.span[1] == pytest.approx(4.0, rel=0.05)
-
-
-def test_worldline_rejects_phase_not_decreasing(rest_chart):
-    # S = +x0 grows along the rest congruence, against the hypotheses
-    with pytest.raises(HypothesesFailed, match="strictly decreasing"):
-        integrate_curve(
-            four_velocity_contravariant(rest_chart.bundle), np.zeros(4),
-            (0.0, 1.0), phase=lambda x: np.asarray(x)[..., 0],
-        )
+    arcs = np.linspace(0.1, 1.9, 7)
+    spans = np.concatenate([arcs + h, arcs - h, arcs])
+    pts = _integrate(_arc_rhs(packet9), np.zeros((len(spans), 4)), spans,
+                     packet9.domain, DEFAULT_RTOL, DEFAULT_ATOL, None)
+    plus, minus, mid = np.split(pts, 3)
+    v = four_velocity_contravariant(packet9)(mid)
+    unit = v / np.sqrt(v[:, :1] ** 2 - np.sum(v[:, 1:] ** 2, axis=1,
+                                             keepdims=True))
+    np.testing.assert_allclose((plus - minus) / (2 * h), unit, atol=1e-6)
+    # the phase falls strictly along the curve
+    assert np.all(np.diff(packet9.phase(mid)) < 0)
 
 
 def test_solve_height_rest_and_boost(rest_chart, boost_chart):
@@ -235,6 +209,101 @@ def test_batched_solve_height_no_bracket_names_point():
         solve_height(surface, qs)
     np.testing.assert_allclose(solve_height(surface, qs[[0, 2]]),
                                [0.06, -0.18], atol=1e-12)
+
+
+def _row_family(func, params):
+    """func(x, p) over a batch, one parameter per row."""
+    return lambda x, rows: func(x, params[rows])
+
+
+@pytest.mark.parametrize("case", ["cubic", "exp", "arctan"])
+def test_bracketed_roots_match_brentq(case):
+    # scipy's brentq is an independent oracle; the old callers used
+    # xtol = 1e-14 (1 + |x0|) and 1e-13 (1 + |lam|)
+    rng = np.random.default_rng(41)
+    func, params, lo, hi, exact = {
+        "cubic": (lambda x, c: x ** 3 - c, rng.uniform(-8.0, 8.0, 40),
+                  -3.0, 3.0, np.cbrt),
+        "exp": (lambda x, c: np.exp(x) - c, rng.uniform(0.1, 10.0, 40),
+                -5.0, 5.0, np.log),
+        "arctan": (lambda x, c: np.arctan(x) - c, rng.uniform(-1.2, 1.2, 40),
+                   -30.0, 30.0, np.tan),
+    }[case]
+    xtol = 1e-13
+    roots = bracketed_roots(_row_family(func, params),
+                            np.full(params.shape, lo), hi, xtol)
+    oracle = np.array([brentq(lambda x, c=c: func(x, c), lo, hi, xtol=xtol)
+                       for c in params])
+    np.testing.assert_allclose(roots, oracle, rtol=0.0, atol=xtol)
+    np.testing.assert_allclose(roots, exact(params), rtol=0.0, atol=xtol)
+
+
+def test_bracketed_roots_endpoints_and_failures():
+    # roots on the lower end, on the upper end, inside, and in a bracket
+    # given high end first
+    c = np.array([-1.0, 2.0, 0.25, 0.5])
+    lo = np.array([-1.0, -1.0, -1.0, 2.0])
+    hi = np.array([2.0, 2.0, 2.0, -1.0])
+    roots = bracketed_roots(lambda x, rows: x - c[rows], lo, hi, 1e-14)
+    assert roots[0] == -1.0 and roots[1] == 2.0
+    np.testing.assert_allclose(roots[2:], [0.25, 0.5], rtol=0.0, atol=1e-14)
+    with pytest.raises(RootFailure, match="3 iterations"):
+        bracketed_roots(lambda x, rows: np.exp(x) - 2.0, [0.0, -1.0], 1.0,
+                        1e-14, max_iter=3)
+    with pytest.raises(NoBracket, match="no sign change"):
+        bracketed_roots(lambda x, rows: x - 5.0, [0.0, 0.0], [6.0, 1.0], 1e-14)
+
+
+def test_custom_nonlinear_time_gauge(packet9):
+    # lambda = sinh(xi0), so g00 = -cosh^2 and xi0 = arcsinh(lambda)
+    tc = TimeConvention(name="sinh",
+                        metric_time_time=lambda t: -np.cosh(t) ** 2,
+                        arc_primitive=np.sinh)
+    lams = np.linspace(-3.0, 40.0, 12).reshape(3, 4)
+    times = tc.time_from_lambda(lams)
+    assert times.shape == (3, 4)
+    np.testing.assert_array_equal(
+        times, np.reshape([tc.time_from_lambda(v) for v in lams.ravel()],
+                          (3, 4)))
+    assert isinstance(tc.time_from_lambda(0.5), float)
+    np.testing.assert_allclose(times, np.arcsinh(lams), rtol=0.0,
+                               atol=1e-13 * (1.0 + np.abs(lams)).max())
+    assert tc.time_from_lambda(0.0) == 0.0
+    chart = ComovingChart(packet9, origin=np.zeros(4), time_convention=tc)
+    default = ComovingChart(packet9, origin=np.zeros(4))
+    x = np.random.default_rng(42).uniform(-1.5, 1.5, size=(6, 4))
+    xi = chart.forward_map(x)
+    xi_d = default.forward_map(x)
+    np.testing.assert_allclose(xi[:, 0], np.arcsinh(xi_d[:, 0]), atol=1e-12)
+    np.testing.assert_allclose(xi[:, 1:], xi_d[:, 1:], atol=1e-12)
+    np.testing.assert_allclose(chart.inverse_map(xi), x, atol=1e-7)
+
+
+def test_solve_height_bracket_fallback_batch(monkeypatch):
+    # from a guess of 1e12 the trust-capped Newton only halves its distance
+    # per iteration, so every point falls back to the batched bracket
+    import comovkit.chart as chart_module
+
+    bundle = make_plane_wave([0.75, 0.0, 0.0],
+                             domain=Box((-1.0,) * 4, (1.0,) * 4))
+    surface = ReferenceSurface(bundle, np.zeros(4))
+    batches = []
+    fallback = chart_module._bracket_heights
+
+    def spy(surface, q, *args):
+        batches.append(len(q))
+        return fallback(surface, q, *args)
+
+    monkeypatch.setattr(chart_module, "_bracket_heights", spy)
+    qs = np.random.default_rng(43).uniform(-1.0, 1.0, size=(7, 3))
+    heights = solve_height(surface, qs, guess=1e12)
+    assert batches == [7]
+    np.testing.assert_allclose(heights, 0.6 * qs[:, 0], rtol=0.0, atol=1e-12)
+    single = [solve_height(surface, q, guess=1e12) for q in qs]
+    np.testing.assert_allclose(heights, single, rtol=0.0, atol=1e-14)
+    bad = np.vstack([qs[:3], [[1.9, 0.0, 0.0]], qs[3:]])
+    with pytest.raises(NoBracket, match=r"\[1\.9, 0\.0, 0\.0\]"):
+        solve_height(surface, bad, guess=1e12)
 
 
 def test_inverse_map_threads_match_serial(packet9):
@@ -451,6 +520,14 @@ def test_flow_left_domain_names_point():
     with pytest.raises(LeftDomain, match=r"\[-0\.9, 0\.95, 0\.0, 0\.0\]"):
         chart.forward_map(np.array([[0.1, 0.2, 0.0, 0.0],
                                     [-0.9, 0.95, 0.0, 0.0]]))
+
+
+def test_flow_rejects_spacelike_gradient_names_point():
+    # S = x1 has a spacelike gradient, against the chart hypotheses
+    bundle = _FlatPhaseBundle(PhysicalConstants(), Box((-1.0,) * 4, (1.0,) * 4))
+    with pytest.raises(HypothesesFailed,
+                       match=r"not timelike at \[0\.1, 0\.2, 0\.0, 0\.0\]"):
+        flow_to_level(bundle, np.array([[0.1, 0.2, 0.0, 0.0]]), 0.5)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.3, 0.6, 0.9])

@@ -87,17 +87,16 @@ def test_snapshot_schedule_dense_when_requested():
 
 # --- exactness of the update rule -------------------------------------------
 
-def _manual_replay(config, q0, steps):
+def _manual_replay(config, q0, steps, g=np.eye(3), drift=ou_drift):
     """Mirror the simulator's arithmetic draw for draw."""
     seq = np.random.SeedSequence(entropy=config.master_seed, spawn_key=(0, 0))
     rng = np.random.Generator(np.random.Philox(seq))
-    g = np.linalg.cholesky(np.eye(3))
     root = np.sqrt(config.nu * config.dt)
     q = np.tile(np.asarray(q0, dtype=float), (config.n_paths, 1))
     draws, pres, posts = [], [], []
     for _ in range(steps):
         z = rng.standard_normal((config.n_paths, 3))
-        beta = np.asarray(ou_drift(q), dtype=float)
+        beta = np.asarray(drift(q), dtype=float)
         step = beta * config.dt + root * z @ g.T
         qn = q + step
         draws.append(z)
@@ -118,6 +117,24 @@ def test_single_steps_bit_exact():
                    patch, config)
     _, pres, posts = _manual_replay(config, q0, config.n_steps)
     assert ens.n_snapshots == config.n_steps
+    for m in range(ens.n_snapshots):
+        assert np.array_equal(ens.pre[:, m], pres[m])
+        assert np.array_equal(ens.post[:, m], posts[m])
+
+
+def test_constant_metric_steps_bit_exact():
+    # a non-identity constant noise factor keeps the matrix product
+    q0 = (1.0, 0.0, 0.0)
+    config = DiffusionConfig(
+        dt=0.05, horizon=0.5, n_paths=8, master_seed=78, nu=0.25,
+        initial=("point", q0), burn_in_fraction=0.0, n_snapshots=100,
+    )
+    patch = MetricPatch.constant([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1],
+                                  [0.0, 0.1, 0.5]])
+    ens = simulate(drift_from_fields(ou_drift, patch, config.nu),
+                   patch, config)
+    _, pres, posts = _manual_replay(config, q0, config.n_steps,
+                                    g=patch.noise_factor(np.zeros(3)))
     for m in range(ens.n_snapshots):
         assert np.array_equal(ens.pre[:, m], pres[m])
         assert np.array_equal(ens.post[:, m], posts[m])
@@ -230,6 +247,22 @@ def test_explosion_raises():
     patch = MetricPatch.euclidean()
     with pytest.raises(Explosion):
         simulate(lambda q: 50.0 * q, patch, config)
+
+
+def test_explosion_step_matches_exact_norm():
+    # from |q| = 7 < 10 the cheap max-abs screen (3 * 49 > 100) trips on
+    # every step, but only the exact norm decides when Explosion is raised
+    q0 = (7.0, 0.0, 0.0)
+    config = DiffusionConfig(dt=0.05, horizon=1.0, n_paths=4, master_seed=5,
+                             nu=0.25, initial=("point", q0),
+                             explosion_radius=10.0)
+    _, _, posts = _manual_replay(config, q0, config.n_steps,
+                                 drift=lambda q: q)
+    norms = [np.max(np.linalg.norm(p, axis=1)) for p in posts]
+    first = next(k for k, n in enumerate(norms) if n > 10.0)
+    assert first > 0
+    with pytest.raises(Explosion, match=f"at step {first}$"):
+        simulate(lambda q: q, MetricPatch.euclidean(), config)
 
 
 def test_clip_box_freezes_and_flags():

@@ -215,14 +215,26 @@ def test_branch_lattice_too_large_is_typed(constants):
         bundle.phase(np.zeros(4))
 
 
-def test_import_does_not_load_the_interpolator():
-    src = str(Path(comovkit.__file__).resolve().parents[1])
-    code = ("import sys, comovkit, comovkit.cli; "
-            "print('scipy.interpolate' in sys.modules)")
+def test_import_does_not_load_the_interpolator(tmp_path):
+    # scipy is not a runtime dependency: neither the import nor a full
+    # packet_9mode run may load any part of it
+    src = Path(comovkit.__file__).resolve().parents[1]
+    scenario = src.parent / "scenarios" / "packet_9mode.json"
+    code = (
+        "import json, sys, comovkit, comovkit.cli\n"
+        "print('scipy' in sys.modules)\n"
+        f"s = json.load(open({str(scenario)!r}))\n"
+        "assert s['analyses'] == ['hypotheses', 'chart_diag', "
+        "'geometry_diag', 'classify']\n"
+        "r = comovkit.cli.run(comovkit.cli.validate(s), "
+        f"out_dir={str(tmp_path)!r})\n"
+        "assert r['error'] is None and 'scipy' not in r['versions']\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=120, check=True,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.split("\n")[:2] == ["False", "[]"]
 
 
 def test_packet_phase_gradient_consistent_with_values(packet9):
