@@ -55,6 +55,7 @@ from .fields import (
     FourVectorField,
     SpacetimePoint,
     as_coords,
+    central_gradient,
     check_theorem_hypotheses,
     four_velocity_contravariant,
 )
@@ -64,6 +65,7 @@ DEFAULT_ATOL = 1e-11
 FLOW_STEPS = 4  # RK4 steps of a first attempt; rejected rows double them
 MAX_FLOW_STEPS = 1024
 ROOT_MAX_ITER = 200  # bracketed-root evaluations per row
+JACOBIAN_STEP = 1e-3  # central-difference step of the map Jacobians
 
 
 def _contravariant(field):
@@ -316,7 +318,7 @@ class TimeConvention:
     g00 = -1. A custom gauge supplies ``metric_time_time`` (the negative
     g00(xi0) component) together with ``arc_primitive``, the primitive
     lambda(xi0) = integral_0^xi0 sqrt(-g00(s)) ds, which must be strictly
-    increasing, vanish at 0 and take arrays of times.
+    increasing and vanish at 0. Both take arrays of times.
     """
 
     def __init__(self, name="proper_time", metric_time_time=None,
@@ -336,12 +338,16 @@ class TimeConvention:
         return self._g00 is None
 
     def g00(self, xi0):
+        """Time-time metric component at chart time xi0 (a float or an
+        array); raises ValueError unless every value is negative."""
         if self._g00 is None:
-            return -1.0
-        val = float(self._g00(xi0))
-        if val >= 0.0:
+            return _float_or_array(np.full(np.shape(xi0), -1.0))
+        xi0 = np.asarray(xi0, dtype=float)
+        val = np.array(np.broadcast_to(
+            np.asarray(self._g00(xi0), dtype=float), xi0.shape))
+        if not np.all(val < 0.0):
             raise ValueError("g00 must be negative for a timelike coordinate")
-        return val
+        return _float_or_array(val)
 
     def lambda_from_time(self, xi0):
         """Arc coordinate at chart time xi0 (a float or an array)."""
@@ -630,11 +636,12 @@ class ComovingChart:
         return SpacetimePoint(tuple(x), frame="inertial") if wrap else x
 
     # --- derivatives ---------------------------------------------------------
-    def jacobian(self, x, step=1e-3, stats=None):
+    def jacobian(self, x, stats=None):
         """d xi / d x (..., 4, 4) by central differences of the forward map."""
         x = as_coords(x, "inertial")
-        jac = _central_jacobian(
-            lambda p: self.forward_map(p, stats=stats), x, step)
+        jac = np.swapaxes(central_gradient(
+            lambda p: self.forward_map(p, stats=stats), x, JACOBIAN_STEP),
+            -1, -2)
         singular = np.abs(np.linalg.det(jac)) < 1e-12
         if np.any(singular):
             n = int(np.argmax(singular.reshape(-1)))
@@ -642,26 +649,18 @@ class ComovingChart:
                               f"{x.reshape(-1, 4)[n].tolist()}")
         return jac
 
-    def inverse_jacobian(self, xi, step=1e-3, stats=None):
+    def inverse_jacobian(self, xi, stats=None):
         """d x / d xi (..., 4, 4) by central differences of the inverse map."""
-        return _central_jacobian(
+        return np.swapaxes(central_gradient(
             lambda p: self.inverse_map(p, stats=stats),
-            as_coords(xi, "comoving"), step)
+            as_coords(xi, "comoving"), JACOBIAN_STEP), -1, -2)
 
-    def pushforward(self, field, x, step=1e-3, stats=None):
+    def pushforward(self, field, x, stats=None):
         """Contravariant components of a vector field in chart coordinates."""
         x = as_coords(x, "inertial")
         vec = _contravariant(field)(x)
-        return np.einsum("...mn,...n->...m",
-                         self.jacobian(x, step=step, stats=stats), vec)
-
-
-def _central_jacobian(func, x, step):
-    """jac[..., mu, nu] = d func^mu / d x^nu from one call on 8 shifts each."""
-    shifts = step * np.eye(4)  # row nu displaces axis nu
-    x = x[..., None, :]
-    f = func(np.concatenate([x + shifts, x - shifts], axis=-2))
-    return np.swapaxes((f[..., :4, :] - f[..., 4:, :]) / (2.0 * step), -1, -2)
+        return np.einsum("...mn,...n->...m", self.jacobian(x, stats=stats),
+                         vec)
 
 
 # module-level operation aliases matching the library's functional API
@@ -673,12 +672,12 @@ def inverse_map(chart, xi):
     return chart.inverse_map(xi)
 
 
-def jacobian(chart, x, step=1e-3):
-    return chart.jacobian(x, step=step)
+def jacobian(chart, x):
+    return chart.jacobian(x)
 
 
-def pushforward(chart, field, x, step=1e-3):
-    return chart.pushforward(field, x, step=step)
+def pushforward(chart, field, x):
+    return chart.pushforward(field, x)
 
 
 # ---------------------------------------------------------------------------

@@ -822,7 +822,7 @@ def _run_classify(ctx):
     modulus_max = max(s.modulus_residual for s in samples)
     cross_max = max(s.cross_check for s in samples)
     j0_min = min(s.j[0] for s in samples)
-    div_max = max(abs(current_divergence(bundle, x)) for x in pts[:5])
+    div_max = float(np.max(np.abs(current_divergence(bundle, pts[:5]))))
 
     unanimous = len(classes) == 1 and classes[0] != "indeterminate"
     result = {

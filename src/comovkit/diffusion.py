@@ -391,23 +391,48 @@ class DriftEstimate:
         return out
 
 
+def batch_of_path(n_paths, n_batches):
+    """Path-batch index per path: contiguous batches of ceil(n / n_batches)
+    paths, the last one also taking any remainder."""
+    size = max(1, int(np.ceil(n_paths / n_batches)))
+    return np.minimum(np.arange(n_paths) // size, n_batches - 1)
+
+
+def batch_mean_se(values):
+    """Mean over path batches and its standard error, per bin.
+
+    ``values`` is (n_batches, k) or (n_batches, k, d); a batch counts in a
+    bin when its (first) component there is finite. Returns (mean, se,
+    n_eff): the NaN-mean over counting batches, nanstd(ddof=1) /
+    sqrt(n_eff), infinite where fewer than two batches count, and n_eff.
+    """
+    finite = np.isfinite(values if values.ndim == 2 else values[..., 0])
+    n_eff = finite.sum(axis=0)
+    extra = (1,) * (values.ndim - 2)
+    masked = np.where(finite.reshape(finite.shape + extra), values, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mean = np.nanmean(masked, axis=0)
+        spread = np.nanstd(masked, axis=0, ddof=1)
+    n = n_eff.reshape(n_eff.shape + extra)
+    se = np.where(n >= 2, spread / np.sqrt(np.maximum(n, 1)), np.inf)
+    return mean, se, n_eff
+
+
 def _binned_drift(ensemble, bins, condition_on, min_count, n_batches):
     """Bin (post - pre)/dt by either the pre or the post state.
 
     Standard errors come from the spread of per-path-batch means, which is
     insensitive to correlation between snapshots of the same path.
     """
-    n = ensemble.n_paths
     values = (ensemble.post - ensemble.pre) / ensemble.dt
     anchor = ensemble.pre if condition_on == "pre" else ensemble.post
     k = bins.n_bins
 
     flat_vals = values.reshape(-1, 3)
     flat_bins = bins.flat_index(anchor.reshape(-1, 3))
-    batch_of_path = np.minimum(
-        np.arange(n) // max(1, int(np.ceil(n / n_batches))), n_batches - 1
-    )
-    flat_batch = np.repeat(batch_of_path, ensemble.n_snapshots)
+    flat_batch = np.repeat(batch_of_path(ensemble.n_paths, n_batches),
+                           ensemble.n_snapshots)
 
     keep = flat_bins >= 0
     fb = flat_bins[keep]
@@ -440,14 +465,7 @@ def _binned_drift(ensemble, bins, condition_on, min_count, n_batches):
         bsums, bcount[..., None],
         out=np.full((n_batches, k, 3), np.nan), where=bcount[..., None] > 0,
     )
-    nb_eff = np.sum(bcount > 0, axis=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        spread = np.nanstd(bmeans, axis=0, ddof=1)
-    se = np.where(
-        nb_eff[:, None] >= 2, spread / np.sqrt(np.maximum(nb_eff, 1))[:, None],
-        np.inf,
-    )
+    _, se, nb_eff = batch_mean_se(bmeans)
 
     valid = (count >= min_count) & (nb_eff >= 2)
     if not np.any(valid):
@@ -469,17 +487,7 @@ def combine_drift_estimates(first, second, coeff_first, coeff_second):
     batch and its spread across batches gives the standard error.
     """
     combo = coeff_first * first.batch_mean + coeff_second * second.batch_mean
-    finite = np.isfinite(combo[..., 0])
-    n_eff = finite.sum(axis=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        mean = np.nanmean(combo, axis=0)
-        spread = np.nanstd(combo, axis=0, ddof=1)
-    se = np.where(
-        n_eff[:, None] >= 2,
-        spread / np.sqrt(np.maximum(n_eff, 1))[:, None],
-        np.inf,
-    )
+    mean, se, n_eff = batch_mean_se(combo)
     valid = first.valid & second.valid & (n_eff >= 2)
     return mean, se, valid
 
@@ -498,11 +506,8 @@ def backward_drift_estimate(ensemble, bins, min_count=200,
 
 def variance_report(ensemble, n_batches=DEFAULT_BATCHES):
     """Per-snapshot, per-axis ensemble variance with path-batch SEs."""
-    n = ensemble.n_paths
     states = ensemble.pre
-    batch = np.minimum(
-        np.arange(n) // max(1, int(np.ceil(n / n_batches))), n_batches - 1
-    )
+    batch = batch_of_path(ensemble.n_paths, n_batches)
     var = states.var(axis=0, ddof=1)
     bvars = np.stack([
         states[batch == b].var(axis=0, ddof=1) for b in range(n_batches)

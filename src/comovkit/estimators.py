@@ -13,7 +13,6 @@ is dishonest in both directions. Linear combinations are always formed
 batchwise via ``combine_drift_estimates``.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -22,6 +21,8 @@ import numpy as np
 from .diffusion import (
     DEFAULT_BATCHES,
     backward_drift_estimate,
+    batch_mean_se,
+    batch_of_path,
     combine_drift_estimates,
     forward_drift_estimate,
 )
@@ -30,6 +31,7 @@ from .errors import (
     InsufficientSamples,
     QuadratureDivergence,
 )
+from .fields import central_gradient
 
 DEFAULT_ORDER = 32
 
@@ -64,11 +66,6 @@ def _sqrt_sigma_per_bin(bins, patch):
     return patch.sqrt_det(bins.centers())
 
 
-def _batch_of_path(n_paths, n_batches):
-    size = max(1, int(np.ceil(n_paths / n_batches)))
-    return np.minimum(np.arange(n_paths) // size, n_batches - 1)
-
-
 def estimate_density(ensemble, bins, patch, n_batches=DEFAULT_BATCHES):
     """Histogram density with respect to the invariant measure.
 
@@ -92,7 +89,7 @@ def estimate_density(ensemble, bins, patch, n_batches=DEFAULT_BATCHES):
     est = count / (total * vol * root_sig)
 
     batch = np.repeat(
-        _batch_of_path(ensemble.n_paths, n_batches), ensemble.n_snapshots
+        batch_of_path(ensemble.n_paths, n_batches), ensemble.n_snapshots
     )[keep]
     bcount = np.bincount(batch * k + fb, minlength=n_batches * k).reshape(
         n_batches, k
@@ -191,17 +188,7 @@ def continuity_residual(rho_values, velocity_values, bins, patch,
             divergence(rho_batch[b], velocity_batch[b])
             for b in range(rho_batch.shape[0])
         ])
-        finite = np.isfinite(bres)
-        n_eff = finite.sum(axis=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            se = np.where(
-                n_eff >= 2,
-                np.nanstd(np.where(finite, bres, np.nan), axis=0, ddof=1)
-                / np.sqrt(np.maximum(n_eff, 1)),
-                np.inf,
-            )
-        count = n_eff
+        _, se, count = batch_mean_se(bres)
     return BinnedField(
         bins=bins, estimate=resid, se=se, count=count, batch_estimate=bres,
         meta={"stationary": True, "time_term_dropped": True},
@@ -250,17 +237,7 @@ def osmotic_identity_report(ensemble, bins, patch, nu, min_count=500,
                 )
                 for b in range(u_batch.shape[0])
             ])
-        finite = np.isfinite(diff_batch[..., 0])
-        n_eff = finite.sum(axis=0)
-        masked = np.where(finite[..., None], diff_batch, np.nan)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            diff = np.nanmean(masked, axis=0)
-            spread = np.nanstd(masked, axis=0, ddof=1)
-        diff_se = np.where(
-            n_eff[:, None] >= 2,
-            spread / np.sqrt(np.maximum(n_eff, 1))[:, None], np.inf,
-        )
+        diff, diff_se, n_eff = batch_mean_se(diff_batch)
         valid = fwd.valid & bwd.valid & (n_eff >= max(2, n_batches // 4))
         count = np.minimum(fwd.count, bwd.count)
     if not getattr(patch, "is_constant", False):
@@ -329,15 +306,10 @@ def _metric_tables(patch, pts):
 def _grad_log(density, pts, grad_log_density, box):
     if grad_log_density is not None:
         return np.asarray(grad_log_density(pts), dtype=float)
-    h = 1e-5 * float(np.min(box.extent))
-    out = np.empty_like(pts)
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        out[:, i] = (
-            np.log(density(pts + e)) - np.log(density(pts - e))
-        ) / (2 * h)
-    return out
+    # the density takes (n, 3) rows: the stencil's (n, 6, 3) go in flat
+    return central_gradient(
+        lambda p: np.log(density(p.reshape(-1, 3))).reshape(p.shape[:-1]),
+        pts, 1e-5 * float(np.min(box.extent)))
 
 
 def _shell_mask(box, pts, margin=0.1):
@@ -436,7 +408,7 @@ def energy_report(density, patch, constants, box, delta=1.0,
     # time factor: quadrature of sqrt(-g00(xi0)); cancels between the
     # numerator and the ptilde normalization but is assembled literally
     t_nodes, t_w = _gl_axis(time_order, -delta, delta)
-    g00 = np.array([patch.g00(t) for t in t_nodes], dtype=float)
+    g00 = np.asarray(patch.g00(t_nodes), dtype=float)
     time_factor = float(np.sum(t_w * np.sqrt(-g00)))
 
     # direct route: raise the log-gradient, then lower with sigma

@@ -24,6 +24,13 @@ four-velocity. ``check_theorem_hypotheses`` scans a lattice for the three
 conditions the chart construction needs: nonvanishing time component of the
 phase gradient, closedness of its derivative (symmetric second derivatives),
 and timelike character.
+
+``central_gradient`` and ``central_hessian`` are the package's one
+finite-difference stencil: every derivative of a function that the package
+does not know in closed form (the finite-difference view of a bundle,
+chart Jacobians, sigma and Christoffel derivatives, the covariant and
+wave-operator checks) is one stacked call of that function on the shifted
+points.
 """
 
 from dataclasses import dataclass, field
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import PhysicalConstants, raise_index
-from .errors import BranchUnavailable, DensityZero, NodeInDomain, OutOfDomain
+from .errors import BranchUnavailable, DensityZero, NodeInDomain
 
 DENSITY_FLOOR = 1e-12
 
@@ -132,106 +139,62 @@ def default_plane_wave_box(half_width=1e6):
 
 
 # ---------------------------------------------------------------------------
-# scalar fields and differentiation
+# the central-difference stencil
 
 
-class ScalarField:
-    """A scalar function on spacetime with optional analytic derivatives.
+def central_gradient(func, x, h):
+    """Central-difference gradient of ``func`` at points x (..., n).
 
-    ``gradient`` and ``hessian``, when absent, are filled in by central
-    finite differences of ``value`` with step ``fd_step``.
+    One call of ``func`` on the (..., 2n, n) shifted points x + h e_mu
+    (rows 0..n-1) and x - h e_mu (rows n..2n-1); ``func`` maps (..., n)
+    points to values (..., *v). Returns (..., n, *v) with the derivative
+    axis right after the batch axes:
+
+        d_mu f = (f(x + h e_mu) - f(x - h e_mu)) / (2 h)
     """
-
-    def __init__(self, value, gradient=None, hessian=None, domain=None,
-                 smoothness_order=2, fd_step=1e-3, name=""):
-        self._value = value
-        self._gradient = gradient
-        self._hessian = hessian
-        self.domain = domain
-        self.smoothness_order = smoothness_order
-        self.fd_step = fd_step
-        self.name = name
-
-    @property
-    def derivative_mode(self):
-        return "analytic" if self._gradient is not None else "fd"
-
-    def value(self, x):
-        return self._value(np.asarray(x, dtype=float))
-
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        if self._gradient is not None:
-            return self._gradient(x)
-        return _fd_gradient(self._value, x, self.fd_step)
-
-    def hessian(self, x):
-        x = np.asarray(x, dtype=float)
-        if self._hessian is not None:
-            return self._hessian(x)
-        return _fd_hessian(self._value, x, self.fd_step)
-
-
-def _fd_gradient(f, x, h):
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape, dtype=float)
-    for mu in range(x.shape[-1]):
-        e = np.zeros(x.shape[-1])
-        e[mu] = h
-        out[..., mu] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return out
-
-
-def _fd_hessian(f, x, h):
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    out = np.empty(x.shape[:-1] + (n, n), dtype=float)
-    f0 = f(x)
-    for mu in range(n):
-        emu = np.zeros(n)
-        emu[mu] = h
-        out[..., mu, mu] = (f(x + emu) - 2.0 * f0 + f(x - emu)) / h ** 2
-        for nu in range(mu + 1, n):
-            enu = np.zeros(n)
-            enu[nu] = h
-            mixed = (
-                f(x + emu + enu) - f(x + emu - enu)
-                - f(x - emu + enu) + f(x - emu - enu)
-            ) / (4.0 * h ** 2)
-            out[..., mu, nu] = mixed
-            out[..., nu, mu] = mixed
-    return out
+    shifts = h * np.eye(n)  # row mu displaces axis mu
+    f = np.asarray(func(x[..., None, :] + np.concatenate([shifts, -shifts])))
+    plus, minus = np.split(f, 2, axis=x.ndim - 1)
+    return (plus - minus) / (2.0 * h)
 
 
-def differentiate(fld, point, multi_index, step=None):
-    """Partial derivative of a scalar field at a point.
+def central_hessian(func, x, h):
+    """Value, gradient and Hessian of ``func`` at points x (..., n).
 
-    ``multi_index`` is a tuple of axis indices: ``()`` returns the value,
-    ``(mu,)`` a first derivative, ``(mu, nu)`` a second derivative. The
-    order must not exceed the field's smoothness order, and the point must
-    sit inside the field domain with a margin of twice the FD step.
+    One call of ``func`` on (..., 1 + 2n^2, n) points: the centre, the 2n
+    axis shifts x +- h e_mu and the 2n(n-1) diagonal corners
+    x +- h e_mu +- h e_nu (mu < nu). Returns f(x) (..., *v), the gradient
+    (..., n, *v) and the Hessian (..., n, n, *v), derivative axes right
+    after the batch axes. The gradient is the quotient of
+    ``central_gradient``; the Hessian takes
+
+        d_mu d_mu f = (f(x + h e_mu) - 2 f(x) + f(x - h e_mu)) / h^2
+        d_mu d_nu f = (f(x + h e_mu + h e_nu) - f(x + h e_mu - h e_nu)
+                       - f(x - h e_mu + h e_nu) + f(x - h e_mu - h e_nu))
+                      / (4 h^2)
     """
-    if not isinstance(fld, ScalarField):
-        fld = ScalarField(fld, fd_step=step or 1e-3)
-    order = len(multi_index)
-    if order > fld.smoothness_order:
-        raise ValueError(
-            f"derivative order {order} exceeds smoothness order {fld.smoothness_order}"
-        )
-    x = as_coords(point)
-    h = step or fld.fd_step
-    if fld.domain is not None and not np.all(fld.domain.contains(x, margin=2.0 * h)):
-        raise OutOfDomain(
-            f"point {np.asarray(x).tolist()} is not interior to the field domain "
-            f"with margin {2.0 * h:g}"
-        )
-    if order == 0:
-        return fld.value(x)
-    if order == 1:
-        return fld.gradient(x)[..., multi_index[0]]
-    if order == 2:
-        return fld.hessian(x)[..., multi_index[0], multi_index[1]]
-    raise ValueError("only derivatives up to order 2 are supported")
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    shifts = h * np.eye(n)
+    mu, nu = np.triu_indices(n, 1)
+    a, b = shifts[mu], shifts[nu]
+    # corners of each pair in the order (+,+), (+,-), (-,+), (-,-)
+    corners = np.stack([a + b, a - b, -a + b, -a - b], axis=1)
+    offsets = np.concatenate([np.zeros((1, n)), shifts, -shifts,
+                              corners.reshape(-1, n)])
+    batch = x.ndim - 1
+    f = np.moveaxis(np.asarray(func(x[..., None, :] + offsets)), batch, 0)
+    f0, plus, minus = f[0], f[1:n + 1], f[n + 1:2 * n + 1]
+    c = f[2 * n + 1:].reshape((len(mu), 4) + f0.shape)
+    hess = np.empty((n, n) + f0.shape, dtype=np.result_type(f, float))
+    hess[np.arange(n), np.arange(n)] = (plus - 2.0 * f0 + minus) / h ** 2
+    mixed = (c[:, 0] - c[:, 1] - c[:, 2] + c[:, 3]) / (4.0 * h ** 2)
+    hess[mu, nu] = mixed
+    hess[nu, mu] = mixed
+    return (f0, np.moveaxis((plus - minus) / (2.0 * h), 0, batch),
+            np.moveaxis(hess, (0, 1), (batch, batch + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +255,10 @@ class FieldBundle:
     same bundle (``with_fd_derivatives``) exercises the generic fallback.
     """
 
-    def __init__(self, constants, domain, smoothness_order=np.inf,
-                 derivative_mode="analytic", fd_step=1e-3):
+    def __init__(self, constants, domain, derivative_mode="analytic",
+                 fd_step=1e-3):
         self.constants = constants
         self.domain = domain
-        self.smoothness_order = smoothness_order
         self.derivative_mode = derivative_mode
         self.fd_step = fd_step
 
@@ -330,25 +292,25 @@ class FieldBundle:
         x = as_coords(x)
         if self.derivative_mode == "analytic":
             return self._density_gradient(x)
-        return _fd_gradient(self._density, x, self.fd_step)
+        return central_gradient(self._density, x, self.fd_step)
 
     def density_hessian(self, x):
         x = as_coords(x)
         if self.derivative_mode == "analytic":
             return self._density_hessian(x)
-        return _fd_hessian(self._density, x, self.fd_step)
+        return central_hessian(self._density, x, self.fd_step)[2]
 
     def phase_gradient(self, x):
         x = as_coords(x)
         if self.derivative_mode == "analytic":
             return self._phase_gradient(x)
-        return _fd_gradient(self._phase, x, self.fd_step)
+        return central_gradient(self._phase, x, self.fd_step)
 
     def phase_hessian(self, x):
         x = as_coords(x)
         if self.derivative_mode == "analytic":
             return self._phase_hessian(x)
-        return _fd_hessian(self._phase, x, self.fd_step)
+        return central_hessian(self._phase, x, self.fd_step)[2]
 
     def amplitude(self, x):
         """Complex field sqrt(p) * exp(i S / hbar)."""
@@ -366,18 +328,6 @@ class FieldBundle:
         amp = self.amplitude(x)
         log_grad = dp / (2.0 * p[..., None]) + 1j * ds / self.constants.hbar
         return amp[..., None] * log_grad
-
-    def density_field(self):
-        grad = self._density_gradient if self.derivative_mode == "analytic" else None
-        hess = self._density_hessian if self.derivative_mode == "analytic" else None
-        return ScalarField(self._density, grad, hess, self.domain,
-                           self.smoothness_order, self.fd_step, name="density")
-
-    def phase_field(self):
-        grad = self._phase_gradient if self.derivative_mode == "analytic" else None
-        hess = self._phase_hessian if self.derivative_mode == "analytic" else None
-        return ScalarField(self._phase, grad, hess, self.domain,
-                           self.smoothness_order, self.fd_step, name="phase")
 
     def with_fd_derivatives(self, step):
         """A view of this bundle whose derivatives come from central FD."""
@@ -403,7 +353,6 @@ class ConjugateBundle(FieldBundle):
 
     def __init__(self, base):
         super().__init__(base.constants, base.domain,
-                         smoothness_order=base.smoothness_order,
                          derivative_mode=base.derivative_mode,
                          fd_step=base.fd_step)
         self.base = base

@@ -16,10 +16,14 @@ stacked over the leading axes, e.g. (..., 3, 3) for the metric; the
 ``sigma`` callables they wrap stay pointwise, except for the chart-surface
 patches of ``MetricPatch.from_chart`` (base coordinates q) and
 ``chart_spatial_patch`` (chart coordinates xi), whose metric is one batched
-height solve per call. ``riemann``, ``ricci_scalar`` and
-``pullback_metric`` take batches as well, and ``flatness_report``,
-``curvature_budget`` and ``geometry_diagnostics`` evaluate their lattices
-in one stacked call. The covariant-derivative helpers take one point.
+height solve per call. ``riemann``, ``ricci_scalar``, ``pullback_metric``
+and the covariant-derivative helpers take batches as well (the covector
+fields ``u`` they differentiate map (..., 3) points to (..., 3)
+components), and ``flatness_report``, ``curvature_budget`` and
+``geometry_diagnostics`` evaluate their lattices in one stacked call.
+Every finite difference here is the package's central-difference
+stencil, ``fields.central_gradient``: one stacked call of the
+differentiated function on the shifted points.
 
 All index layouts are explicit: Gamma[i, j, k] = Gamma^i_{jk},
 riemann[i, k, l, m] = R^i_{klm}, sigma derivative D[i, j, k] =
@@ -28,10 +32,13 @@ d_i sigma_{jk}.
 
 import numpy as np
 
+from .chart import TimeConvention
 from .constants import ETA
 from .errors import NotSpacelike
+from .fields import central_gradient
 
 DEFAULT_H = 1e-2
+FD_STEP = 1e-3  # sigma and covector derivative step when none is given
 
 
 class MetricPatch:
@@ -39,8 +46,9 @@ class MetricPatch:
 
     ``sigma`` maps one 3-point to a symmetric (3, 3) matrix. Derivatives
     come from ``sigma_gradient`` when supplied (one 3-point to D[i, j, k] =
-    d_i sigma_jk), otherwise from central differences with ``fd_step``.
-    ``g00`` is the time-block function of xi0 (defaults to -1).
+    d_i sigma_jk), otherwise from central differences with step FD_STEP.
+    ``g00`` is the time-block function of xi0, taking floats or arrays
+    (defaults to the proper-time gauge, -1).
 
     Every method takes points of shape (..., 3) and returns results stacked
     over the leading axes: ``metric``, ``inverse`` and ``noise_factor``
@@ -50,12 +58,11 @@ class MetricPatch:
     evaluated point by point; the factorizations run stacked.
     """
 
-    def __init__(self, sigma, g00=None, sigma_gradient=None, fd_step=1e-3,
-                 name="", is_constant=False):
+    def __init__(self, sigma, g00=None, sigma_gradient=None, name="",
+                 is_constant=False):
         self._sigma = sigma
         self._dsigma = sigma_gradient
-        self.g00 = g00 if g00 is not None else (lambda xi0: -1.0)
-        self.fd_step = fd_step
+        self.g00 = g00 if g00 is not None else TimeConvention().g00
         self.name = name
         # constant metrics let the simulator hoist the noise factor out of
         # the step loop and drop the (identically zero) drift correction
@@ -109,10 +116,7 @@ class MetricPatch:
             rows = q.reshape(-1, 3)
             d = np.array([self._dsigma(p) for p in rows], dtype=float)
             return d.reshape(q.shape[:-1] + (3, 3, 3))
-        h = h or self.fd_step
-        shifts = h * np.eye(3)  # row i displaces axis i
-        q = q[..., None, :]
-        return (self.metric(q + shifts) - self.metric(q - shifts)) / (2.0 * h)
+        return central_gradient(self.metric, q, h or FD_STEP)
 
     def _christoffel(self, inv, q, h):
         d = self.sigma_derivatives(q, h=h)
@@ -152,15 +156,14 @@ class MetricPatch:
         )
 
     @classmethod
-    def from_chart(cls, chart, fd_step=1e-3):
+    def from_chart(cls, chart):
         """Graph-coordinate surface metric of the chart's origin level set.
 
         Spatial points are the base coordinates q; the chart's linear frame
         normalization is a constant reparametrization that leaves all
         curvature quantities unchanged.
         """
-        return _SurfacePatch(chart.surface, chart.time_convention.g00,
-                             fd_step)
+        return _SurfacePatch(chart.surface, chart.time_convention.g00)
 
 
 class _SurfacePatch(MetricPatch):
@@ -171,9 +174,8 @@ class _SurfacePatch(MetricPatch):
     the base coordinates q.
     """
 
-    def __init__(self, surface, g00, fd_step, frame=None,
-                 name="chart_surface"):
-        super().__init__(None, g00=g00, fd_step=fd_step, name=name)
+    def __init__(self, surface, g00, frame=None, name="chart_surface"):
+        super().__init__(None, g00=g00, name=name)
         self.surface = surface
         self.frame = frame
 
@@ -195,7 +197,7 @@ def chart_spatial_patch(chart):
     proper-time gauge). This is the metric that pairs with densities of xi
     such as ``slice_density``.
     """
-    return _SurfacePatch(chart.surface, chart.time_convention.g00, 1e-3,
+    return _SurfacePatch(chart.surface, chart.time_convention.g00,
                          frame=(chart.base_origin, chart.frame_matrix_inv),
                          name="chart-slice")
 
@@ -249,12 +251,12 @@ def unit_sphere_patch(analytic_derivatives=True):
 # chart-level metric evaluations
 
 
-def pullback_metric(chart, xi, step=1e-3):
+def pullback_metric(chart, xi):
     """g_munu(xi) = eta_ab (dx^a/dxi^mu)(dx^b/dxi^nu) via the FD Jacobian.
 
     Takes (..., 4) and returns (..., 4, 4) from one inverse-map call.
     """
-    a = chart.inverse_jacobian(xi, step=step)
+    a = chart.inverse_jacobian(xi)
     return np.swapaxes(a, -1, -2) @ ETA @ a
 
 
@@ -276,16 +278,13 @@ def spatial_metric(chart, q):
 def riemann(patch, q, h=DEFAULT_H):
     """R^i_{klm} at points (..., 3) from FD of the Christoffel field.
 
-    The centre and its six axis neighbours go to ``christoffel`` as one
-    stacked batch; the result is (..., 3, 3, 3, 3).
+    Seven Christoffel rows per point: the centre, and its six axis
+    neighbours as one stencil batch; the result is (..., 3, 3, 3, 3).
     """
-    q = np.asarray(q, dtype=float)[..., None, :]
-    shifts = h * np.eye(3)  # row l displaces axis l
-    gam = patch.christoffel(
-        np.concatenate([q, q + shifts, q - shifts], axis=-2), h=h)
-    gamma = gam[..., 0, :, :, :]
+    q = np.asarray(q, dtype=float)
+    gamma = patch.christoffel(q, h=h)
     # dgamma[..., l, i, k, m] = d_l Gamma^i_km
-    dgamma = (gam[..., 1:4, :, :, :] - gam[..., 4:7, :, :, :]) / (2.0 * h)
+    dgamma = central_gradient(lambda p: patch.christoffel(p, h=h), q, h)
     quad = np.einsum("...ial,...akm->...iklm", gamma, gamma)
     return (
         np.moveaxis(dgamma, -4, -2)  # d_l Gamma^i_km -> [i,k,l,m]
@@ -350,49 +349,43 @@ def flatness_report(patch, points, h=DEFAULT_H, budget=None):
 
 
 def covariant_derivative_covector(patch, u, q, h=None):
-    """C[j, k] = d_j u_k - Gamma^l_{jk} u_l for covariant components u_k."""
+    """C[..., j, k] = d_j u_k - Gamma^l_{jk} u_l at points q (..., 3).
+
+    ``u`` maps points (..., 3) to covariant components (..., 3).
+    """
     q = np.asarray(q, dtype=float)
-    h = h or patch.fd_step
-    du = np.empty((3, 3))
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
-        du[j] = (np.asarray(u(q + e)) - np.asarray(u(q - e))) / (2.0 * h)
+    h = h or FD_STEP
     gamma = patch.christoffel(q, h=h)
-    return du - np.einsum("ljk,l->jk", gamma, np.asarray(u(q)))
+    return central_gradient(u, q, h) - np.einsum("...ljk,...l->...jk",
+                                                 gamma, u(q))
 
 
 def laplace_beltrami(patch, u, q, h=None):
     """(Delta u)_k = sigma^{ij} (nabla_i nabla_j u)_k for a covector field.
 
-    Metric compatibility of the computed Christoffel symbols is assumed
-    (it holds to FD accuracy), so the operator is the trace of the second
-    covariant derivative.
+    Takes points (..., 3) and returns (..., 3). Metric compatibility of the
+    computed Christoffel symbols is assumed (it holds to FD accuracy), so
+    the operator is the trace of the second covariant derivative.
     """
     q = np.asarray(q, dtype=float)
-    h = h or patch.fd_step
+    h = h or FD_STEP
     gamma = patch.christoffel(q, h=h)
     c0 = covariant_derivative_covector(patch, u, q, h=h)
-    dc = np.empty((3, 3, 3))  # dc[i, j, k] = d_i C_jk
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        dc[i] = (
-            covariant_derivative_covector(patch, u, q + e, h=h)
-            - covariant_derivative_covector(patch, u, q - e, h=h)
-        ) / (2.0 * h)
+    # dc[..., i, j, k] = d_i C_jk
+    dc = central_gradient(
+        lambda p: covariant_derivative_covector(patch, u, p, h=h), q, h)
     t = (
         dc
-        - np.einsum("mij,mk->ijk", gamma, c0)
-        - np.einsum("mik,jm->ijk", gamma, c0)
+        - np.einsum("...mij,...mk->...ijk", gamma, c0)
+        - np.einsum("...mik,...jm->...ijk", gamma, c0)
     )
-    return np.einsum("ij,ijk->k", patch.inverse(q), t)
+    return np.einsum("...ij,...ijk->...k", patch.inverse(q), t)
 
 
 def metric_compatibility_residual(patch, q, h=None):
     """max |nabla_i sigma_jk|; should vanish to FD accuracy."""
     q = np.asarray(q, dtype=float)
-    h = h or patch.fd_step
+    h = h or FD_STEP
     d = patch.sigma_derivatives(q, h=h)
     gamma = patch.christoffel(q, h=h)
     sig = patch.metric(q)
@@ -409,7 +402,7 @@ def metric_compatibility_residual(patch, q, h=None):
 
 
 def geometry_diagnostics(chart, half_width=1.0, n_per_axis=3, xi0=0.0,
-                         h=DEFAULT_H, jac_step=1e-3):
+                         h=DEFAULT_H):
     """Lattice summary of metric blocks and curvature for one chart."""
     axes = [np.linspace(-half_width, half_width, n_per_axis)] * 3
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -419,7 +412,7 @@ def geometry_diagnostics(chart, half_width=1.0, n_per_axis=3, xi0=0.0,
 
     xi = np.concatenate([np.full((len(spatial), 1), float(xi0)), spatial],
                         axis=1)
-    g = pullback_metric(chart, xi, step=jac_step)
+    g = pullback_metric(chart, xi)
     max_g0i = float(np.max(np.abs(g[:, 0, 1:])))
     max_g00_dev = float(np.max(np.abs(
         g[:, 0, 0] - chart.time_convention.g00(xi0))))

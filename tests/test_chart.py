@@ -421,6 +421,50 @@ def test_jacobian_nonsingular_on_packet(packet9_chart):
         5, 1, 4, 4)
 
 
+def test_jacobians_make_one_map_call(packet9):
+    chart = ComovingChart(packet9, origin=np.zeros(4))
+    shapes = {"forward_map": [], "inverse_map": []}
+    for name, calls in shapes.items():
+        def counted(x, stats=None, _map=getattr(chart, name), _calls=calls):
+            _calls.append(np.shape(x))
+            return _map(x, stats=stats)
+        setattr(chart, name, counted)
+    pts = np.random.default_rng(29).uniform(-1.0, 1.0, size=(5, 4))
+    jac = chart.jacobian(pts)
+    inv = chart.inverse_jacobian(pts)
+    chart.pushforward(four_velocity_contravariant(packet9), pts)
+    assert shapes == {"forward_map": [(5, 8, 4), (5, 8, 4)],
+                      "inverse_map": [(5, 8, 4)]}
+    # d xi / d x and d x / d xi are inverse matrices
+    back = chart.forward_map(pts)
+    np.testing.assert_allclose(chart.inverse_jacobian(back) @ jac,
+                               np.broadcast_to(np.eye(4), jac.shape),
+                               atol=1e-5)
+    assert inv.shape == (5, 4, 4)
+
+
+def test_time_gauge_g00_takes_arrays():
+    tc = TimeConvention(name="sinh",
+                        metric_time_time=lambda t: -np.cosh(t) ** 2,
+                        arc_primitive=np.sinh)
+    times = np.array([0.1, 0.2])
+    np.testing.assert_array_equal(tc.g00(times),
+                                  [tc.g00(0.1), tc.g00(0.2)])
+    assert isinstance(tc.g00(0.1), float)
+    assert tc.g00(np.zeros((2, 3))).shape == (2, 3)
+    proper = TimeConvention()
+    assert proper.g00(0.3) == -1.0
+    np.testing.assert_array_equal(proper.g00(times), [-1.0, -1.0])
+    # the sign is checked on every value, not only the first
+    flips = TimeConvention(name="flips",
+                           metric_time_time=lambda t: np.where(t > 0.15, 1.0,
+                                                               -1.0),
+                           arc_primitive=lambda t: t)
+    assert flips.g00(0.1) == -1.0
+    with pytest.raises(ValueError):
+        flips.g00(times)
+
+
 def test_pushforward_kills_spatial_components(boost_chart, packet9_chart):
     v = four_velocity_contravariant(boost_chart.bundle)
     out = boost_chart.pushforward(v, np.array([0.5, 0.2, -0.1, 0.3]))

@@ -9,6 +9,8 @@ from comovkit.diffusion import (
     BinSpec,
     DiffusionConfig,
     backward_drift_estimate,
+    batch_mean_se,
+    batch_of_path,
     combine_drift_estimates,
     drift_from_fields,
     forward_drift_estimate,
@@ -427,3 +429,35 @@ def test_bin_spec_indexing_and_centers():
 def test_bin_spec_rejects_bad_box():
     with pytest.raises(ConfigInvalid):
         BinSpec((0.0, 0.0, 0.0), (0.0, 1.0, 1.0), (2, 2, 2))
+
+
+def test_batch_of_path_layout():
+    np.testing.assert_array_equal(batch_of_path(10, 4),
+                                  [0, 0, 0, 1, 1, 1, 2, 2, 2, 3])
+    # fewer paths than batches: one path per batch, the rest stay empty
+    np.testing.assert_array_equal(batch_of_path(3, 32), [0, 1, 2])
+    np.testing.assert_array_equal(batch_of_path(7, 1), np.zeros(7))
+
+
+def test_batch_mean_se_skips_missing_batches():
+    nan, inf = np.nan, np.inf
+    # (batches, bins): bins 0 and 1 have three batches each (an inf counts
+    # as missing, like a NaN), bin 2 only one
+    values = np.array([[1.0, 2.0, nan],
+                       [2.0, inf, 5.0],
+                       [4.0, 4.0, nan],
+                       [nan, 7.0, nan]])
+    mean, se, n_eff = batch_mean_se(values)
+    np.testing.assert_array_equal(n_eff, [3, 3, 1])
+    np.testing.assert_allclose(mean, [7.0 / 3.0, 13.0 / 3.0, 5.0])
+    np.testing.assert_allclose(
+        se[:2], [np.std([1.0, 2.0, 4.0], ddof=1) / np.sqrt(3.0),
+                 np.std([2.0, 4.0, 7.0], ddof=1) / np.sqrt(3.0)])
+    assert se[2] == inf
+    # vector values: a batch counts when its first component is finite
+    vec = np.stack([values, 2.0 * values], axis=-1)
+    vmean, vse, vn = batch_mean_se(vec)
+    np.testing.assert_array_equal(vn, n_eff)
+    np.testing.assert_array_equal(vmean[:, 0], mean)
+    np.testing.assert_array_equal(vse[:, 0], se)
+    np.testing.assert_allclose(vse[:2, 1], 2.0 * se[:2])

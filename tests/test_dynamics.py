@@ -22,7 +22,7 @@ from comovkit.dynamics import (
 )
 from comovkit.errors import ZeroJ0
 from comovkit.fields import four_velocity_contravariant, make_plane_wave
-from comovkit.geometry import MetricPatch
+from comovkit.geometry import MetricPatch, chart_spatial_patch
 
 
 def sample_events(rng, n, half=2.0):
@@ -104,8 +104,8 @@ def test_comoving_matches_inertial_for_packet(packet9, packet9_chart):
 
 def test_motion_residual_zero_velocity(constants):
     patch = MetricPatch.euclidean()
-    res = motion_residual(lambda q: np.zeros(3), patch, [0.3, -0.2, 0.5],
-                          constants)
+    res = motion_residual(lambda q: np.zeros(np.shape(q)), patch,
+                          [0.3, -0.2, 0.5], constants)
     assert np.all(res == 0.0)
 
 
@@ -115,8 +115,9 @@ def test_motion_residual_log_linear_density(constants):
     a = np.array([0.4, -0.3, 0.2])
     u_const = constants.nu * a
 
-    res = motion_residual(lambda q: u_const, MetricPatch.euclidean(),
-                          [0.1, 0.7, -0.4], constants)
+    res = motion_residual(lambda q: np.broadcast_to(u_const, np.shape(q)),
+                          MetricPatch.euclidean(), [0.1, 0.7, -0.4],
+                          constants)
     assert np.max(np.abs(res)) < 1e-12
 
 
@@ -124,7 +125,8 @@ def test_motion_residual_scale_factor_independence(constants):
     # m -> gamma m with u -> u / gamma rescales both terms by 1 / gamma^2,
     # so the residual test cannot depend on the time-dilation factor
     def u(q):
-        return 0.1 * np.array([np.sin(q[0]), q[1] ** 2, q[2]])
+        return 0.1 * np.stack([np.sin(q[..., 0]), q[..., 1] ** 2, q[..., 2]],
+                              axis=-1)
 
     patch = MetricPatch.euclidean()
     q = np.array([0.5, -0.3, 0.8])
@@ -220,6 +222,46 @@ def test_current_conservation_packet(packet9):
     rng = np.random.default_rng(16)
     for x in sample_events(rng, 5):
         assert abs(current_divergence(packet9, x)) < 1e-8
+
+
+def test_current_divergence_takes_batches(packet9):
+    events = sample_events(np.random.default_rng(17), 6).reshape(2, 3, 4)
+    div = current_divergence(packet9, events)
+    assert div.shape == (2, 3)
+    assert isinstance(current_divergence(packet9, events[0, 0]), float)
+    np.testing.assert_allclose(
+        div.ravel(), [current_divergence(packet9, x)
+                      for x in events.reshape(-1, 4)], rtol=0, atol=1e-12)
+    assert np.max(np.abs(div)) < 1e-8
+
+
+def test_comoving_kg_residual_one_inverse_map(packet9, packet9_chart):
+    calls = []
+
+    class Counted:
+        time_convention = packet9_chart.time_convention
+
+        def inverse_map(self, xi):
+            calls.append(np.shape(xi))
+            return packet9_chart.inverse_map(xi)
+
+    xi = np.array([0.1, 0.2, -0.3, 0.4])
+    patch = chart_spatial_patch(packet9_chart)
+    res = comoving_kg_residual(packet9, Counted(), xi, patch=patch)
+    assert calls == [(33, 4)]
+    assert res == comoving_kg_residual(packet9, packet9_chart, xi)
+
+
+def test_motion_residual_takes_batches(constants):
+    def u(q):
+        return 0.1 * np.stack([np.sin(q[..., 0]), q[..., 1] ** 2, q[..., 2]],
+                              axis=-1)
+
+    patch = MetricPatch.euclidean()
+    pts = np.random.default_rng(18).uniform(-1.0, 1.0, size=(4, 3))
+    batched = motion_residual(u, patch, pts, constants)
+    single = np.stack([motion_residual(u, patch, q, constants) for q in pts])
+    np.testing.assert_allclose(batched, single, rtol=1e-13, atol=1e-15)
 
 
 def test_comoving_current_structure(packet9, packet9_chart):

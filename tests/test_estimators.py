@@ -215,6 +215,22 @@ def test_expectation_u2_gaussian_closed_form():
     assert abs(fd["value"] - expected) < 1e-5 * expected
 
 
+def test_expectation_u2_fd_log_gradient_is_one_density_call():
+    patch = MetricPatch.euclidean()
+    box = Box((-7.0, -7.0, -7.0), (7.0, 7.0, 7.0))
+    calls = []
+
+    def density(pts):
+        calls.append(np.shape(pts))
+        return gauss_density(pts)
+
+    out = expectation_u2(density, patch, box, NU, order=8)
+    # the quadrature nodes, then the whole 6-point stencil of every node
+    assert calls == [(512, 3), (6 * 512, 3)]
+    np.testing.assert_allclose(out["grad"], gauss_grad_log(out["points"]),
+                               rtol=0, atol=1e-8)
+
+
 def test_expectation_u2_constant_density_is_zero():
     patch = MetricPatch.euclidean()
     box = Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))

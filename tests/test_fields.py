@@ -14,15 +14,15 @@ from comovkit.errors import (
     BranchUnavailable,
     DensityZero,
     NodeInDomain,
-    OutOfDomain,
 )
 from comovkit.fields import (
     Box,
     PacketBundle,
     SpacetimePoint,
+    central_gradient,
+    central_hessian,
     check_theorem_hypotheses,
     congruence_speed,
-    differentiate,
     four_velocity,
     make_packet,
     make_plane_wave,
@@ -289,18 +289,108 @@ def test_osmotic_velocity_matches_richardson_fd(packet9):
     np.testing.assert_allclose(u, 0.5 * ref, atol=1e-8)
 
 
-def test_differentiate_orders_and_domain(packet9):
-    fld = packet9.density_field()
-    pt = np.array([0.1, 0.2, 0.3, 0.4])
-    assert differentiate(fld, pt, ()) == pytest.approx(packet9.density(pt))
-    assert differentiate(fld, pt, (1,)) == pytest.approx(
-        packet9.density_gradient(pt)[1]
-    )
-    assert differentiate(fld, pt, (1, 2)) == pytest.approx(
-        packet9.density_hessian(pt)[1, 2]
-    )
-    with pytest.raises(OutOfDomain):
-        differentiate(fld, np.array([0.0, 5.0, 0.0, 0.0]), (1,))
+# ---------------------------------------------------------------------------
+# the central-difference stencil
+
+QUAD_A = np.array([
+    [2.0, 0.3, -0.5, 0.1],
+    [0.3, -1.0, 0.7, 0.2],
+    [-0.5, 0.7, 0.4, -0.6],
+    [0.1, 0.2, -0.6, 1.5],
+])
+QUAD_B = np.array([0.4, -1.2, 0.9, 0.3])
+
+
+def _quadratic(x):
+    # values (..., 2): a quadratic and a second, rescaled one
+    f = 1.5 + x @ QUAD_B + 0.5 * np.einsum("...i,ij,...j->...", x, QUAD_A, x)
+    return np.stack([f, -3.0 * f], axis=-1)
+
+
+def _wavy(x):
+    # an elementwise field, so batched and per-row calls agree to the bit
+    f = (np.sin(x[..., 0] * x[..., 1])
+         + np.exp(0.3 * x[..., 2]) * x[..., 3] ** 3)
+    return np.stack([f, np.cos(x[..., 3] - x[..., 1])], axis=-1)
+
+
+def test_stencil_is_exact_on_quadratics():
+    x = np.random.default_rng(5).uniform(-2.0, 2.0, (7, 4))
+    grad = QUAD_B + x @ QUAD_A
+    want_g = np.stack([grad, -3.0 * grad], axis=-1)
+    want_h = np.broadcast_to(np.stack([QUAD_A, -3.0 * QUAD_A], axis=-1),
+                             (7, 4, 4, 2))
+    for h in (0.5, 1e-2):
+        # round-off of a difference quotient: a few ulps of f over h^order
+        ulps = 64.0 * np.finfo(float).eps * np.max(np.abs(_quadratic(x)))
+        g = central_gradient(_quadratic, x, h)
+        assert g.shape == (7, 4, 2)
+        np.testing.assert_allclose(g, want_g, rtol=0, atol=ulps / h)
+        f0, g2, hess = central_hessian(_quadratic, x, h)
+        assert hess.shape == (7, 4, 4, 2)
+        np.testing.assert_array_equal(f0, _quadratic(x))
+        np.testing.assert_array_equal(g2, g)
+        np.testing.assert_allclose(hess, want_h, rtol=0, atol=ulps / h ** 2)
+
+
+@pytest.mark.parametrize("shape", [(4,), (5, 4), (2, 3, 4)])
+def test_stencil_batches_equal_per_row_calls(shape):
+    x = np.random.default_rng(6).uniform(-1.0, 1.0, shape)
+    rows = x.reshape(-1, 4)
+    grad = central_gradient(_wavy, x, 1e-3)
+    f0, g2, hess = central_hessian(_wavy, x, 1e-3)
+    assert grad.shape == shape[:-1] + (4, 2)
+    assert hess.shape == shape[:-1] + (4, 4, 2)
+    one = [central_hessian(_wavy, r, 1e-3) for r in rows]
+    np.testing.assert_array_equal(
+        grad, np.stack([central_gradient(_wavy, r, 1e-3) for r in rows])
+        .reshape(grad.shape))
+    for got, k in ((f0, 0), (g2, 1), (hess, 2)):
+        np.testing.assert_array_equal(
+            got, np.stack([o[k] for o in one]).reshape(got.shape))
+    np.testing.assert_array_equal(g2, grad)
+    np.testing.assert_array_equal(hess, np.swapaxes(hess, -2, -3))
+
+
+def test_stencil_scalar_values_and_other_dimensions():
+    # scalar-valued functions of 1-d and 3-d points
+    assert central_gradient(lambda p: p[..., 0] ** 2, np.array([3.0]),
+                            0.5) == pytest.approx([6.0], abs=1e-12)
+    q = np.array([0.2, -0.4, 0.9])
+    _, g, hess = central_hessian(lambda p: p[..., 0] * p[..., 1] * p[..., 2],
+                                 q, 1e-2)
+    np.testing.assert_allclose(g, [q[1] * q[2], q[0] * q[2], q[0] * q[1]],
+                               atol=1e-12)
+    np.testing.assert_allclose(
+        hess, [[0.0, q[2], q[1]], [q[2], 0.0, q[0]], [q[1], q[0], 0.0]],
+        atol=1e-10)
+
+
+class _Counting:
+    """Wraps a function of points, recording the shape of each call."""
+
+    def __init__(self, func):
+        self.func = func
+        self.shapes = []
+
+    def __call__(self, x):
+        self.shapes.append(np.shape(x))
+        return self.func(x)
+
+
+@pytest.mark.parametrize("method,rows", [
+    ("density_gradient", 8), ("density_hessian", 33),
+    ("phase_gradient", 8), ("phase_hessian", 33),
+])
+def test_fd_view_makes_one_call_per_derivative(packet9, method, rows):
+    view = packet9.with_fd_derivatives(1e-3)
+    name = "_density" if method.startswith("density") else "_phase"
+    counter = _Counting(getattr(view, name))
+    setattr(view, name, counter)
+    pts = np.random.default_rng(7).uniform(-1.0, 1.0, (6, 4))
+    out = getattr(view, method)(pts)
+    assert counter.shapes == [(6, rows, 4)]
+    np.testing.assert_allclose(out, getattr(packet9, method)(pts), atol=1e-5)
 
 
 def test_frame_mismatch_rejected(boost_wave):

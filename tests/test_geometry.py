@@ -121,12 +121,14 @@ def test_laplace_beltrami_flat_cases():
 
 
 def _cartesian_field(x):
-    # covariant components of a smooth covector field in Cartesian coords
-    return np.array([
-        x[0] ** 2 - x[1] * x[2],
-        np.sin(x[0]) + x[2] ** 2,
-        x[0] * x[1] * x[2],
-    ])
+    # covariant components of a smooth covector field in Cartesian coords,
+    # at points (..., 3)
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    return np.stack([
+        x0 ** 2 - x1 * x2,
+        np.sin(x0) + x2 ** 2,
+        x0 * x1 * x2,
+    ], axis=-1)
 
 
 def test_laplace_beltrami_coordinate_invariance():
@@ -135,25 +137,71 @@ def test_laplace_beltrami_coordinate_invariance():
     r, th, z = q_pol
 
     def to_cart(p):
-        return np.array([p[0] * np.cos(p[1]), p[0] * np.sin(p[1]), p[2]])
+        return np.stack([p[..., 0] * np.cos(p[..., 1]),
+                         p[..., 0] * np.sin(p[..., 1]), p[..., 2]], axis=-1)
 
-    def jac(p):  # dx^a / dq^i
-        rr, tt = p[0], p[1]
-        return np.array([
-            [np.cos(tt), -rr * np.sin(tt), 0.0],
-            [np.sin(tt), rr * np.cos(tt), 0.0],
-            [0.0, 0.0, 1.0],
-        ])
+    def jac(p):  # dx^a / dq^i at points (..., 3)
+        rr, tt = p[..., 0], p[..., 1]
+        zero, one = np.zeros_like(rr), np.ones_like(rr)
+        return np.stack([
+            np.stack([np.cos(tt), -rr * np.sin(tt), zero], axis=-1),
+            np.stack([np.sin(tt), rr * np.cos(tt), zero], axis=-1),
+            np.stack([zero, zero, one], axis=-1),
+        ], axis=-2)
 
     def u_polar(p):
         # covariant pullback: u'_i = (dx^a/dq^i) u_a
-        return jac(p).T @ _cartesian_field(to_cart(p))
+        return np.einsum("...ai,...a->...i", jac(p),
+                         _cartesian_field(to_cart(p)))
 
     lap_pol = laplace_beltrami(polar_flat_patch(), u_polar, q_pol, h=1e-3)
     lap_cart = laplace_beltrami(
         MetricPatch.euclidean(), _cartesian_field, to_cart(q_pol), h=1e-3
     )
     np.testing.assert_allclose(lap_pol, jac(q_pol).T @ lap_cart, atol=1e-4)
+
+
+def _polar_covector(p):
+    # a smooth covector field in polar coordinates, at points (..., 3)
+    return np.stack([np.sin(p[..., 1]) * p[..., 0], p[..., 2] ** 2,
+                     p[..., 0] * p[..., 1]], axis=-1)
+
+
+def test_covariant_helpers_take_batches():
+    patch = polar_flat_patch(analytic_derivatives=False)
+    pts = np.random.default_rng(31).uniform([0.5, -1.0, -1.0], [2.0, 1.0, 1.0],
+                                            size=(2, 3, 3))
+    for helper, tail in ((covariant_derivative_covector, (3, 3)),
+                         (laplace_beltrami, (3,))):
+        batched = helper(patch, _polar_covector, pts, h=1e-3)
+        assert batched.shape == (2, 3) + tail
+        single = np.stack([helper(patch, _polar_covector, q, h=1e-3)
+                           for q in pts.reshape(-1, 3)])
+        np.testing.assert_allclose(batched.reshape(single.shape), single,
+                                   rtol=1e-13, atol=1e-13)
+
+
+def test_derivatives_make_one_stencil_call():
+    patch = polar_flat_patch(analytic_derivatives=False)
+    calls = {"metric": [], "christoffel": []}
+    metric, christoffel = patch.metric, patch.christoffel
+
+    def counted_metric(q):
+        calls["metric"].append(np.shape(q))
+        return metric(q)
+
+    def counted_christoffel(q, h=None):
+        calls["christoffel"].append(np.shape(q))
+        return christoffel(q, h=h)
+
+    patch.metric = counted_metric
+    pts = np.array([[0.7, 0.1, 0.0], [1.9, -2.0, 1.0]])
+    patch.sigma_derivatives(pts)
+    assert calls["metric"] == [(2, 6, 3)]
+    # riemann: seven Christoffel rows per point, the centre and six neighbours
+    patch.christoffel = counted_christoffel
+    riemann(patch, pts)
+    assert calls["christoffel"] == [(2, 3), (2, 6, 3)]
 
 
 def test_pullback_metric_boost_is_isometry(boost_chart):
