@@ -817,11 +817,11 @@ def _run_classify(ctx):
     rng = np.random.default_rng(ctx.seed + 1)
     pts = rng.uniform(-half, half, size=(n_points, 4))
 
-    samples = [four_current(bundle, x, budget=budget) for x in pts]
-    classes = sorted({s.classification for s in samples})
-    modulus_max = max(s.modulus_residual for s in samples)
-    cross_max = max(s.cross_check for s in samples)
-    j0_min = min(s.j[0] for s in samples)
+    sample = four_current(bundle, pts, budget=budget)
+    classes = sorted(set(sample.classification.tolist()))
+    modulus_max = float(np.max(sample.modulus_residual))
+    cross_max = float(np.max(sample.cross_check))
+    j0_min = float(np.min(sample.j[:, 0]))
     div_max = float(np.max(np.abs(current_divergence(bundle, pts[:5]))))
 
     unanimous = len(classes) == 1 and classes[0] != "indeterminate"
@@ -923,7 +923,8 @@ def run(scenario, out_dir=None, seed=None, threads=None):
     error stops the analysis sequence but still writes the partial report
     with an error record; property failures never raise.  The record's
     ``kind`` is ``domain`` for a ComovkitError and ``internal``, with the
-    traceback, for any other exception.
+    traceback, for any other exception.  ``analysis_wall_s`` maps every
+    analysis that ran, the failed one included, to its wall time in seconds.
     """
     start = time.time()
     out = Path(out_dir or scenario.output or ("runs/" + scenario.name))
@@ -941,9 +942,11 @@ def run(scenario, out_dir=None, seed=None, threads=None):
         "analyses": {},
         "properties": [],
         "data_files": ctx.data_files,
+        "analysis_wall_s": {},
         "error": None,
     }
     for analysis in scenario.analyses:
+        tick = time.perf_counter()
         try:
             result, rows = _RUNNERS[analysis](ctx)
         except ComovkitError as err:
@@ -953,6 +956,8 @@ def run(scenario, out_dir=None, seed=None, threads=None):
             report["error"] = _error_record(analysis, "internal", err)
             report["error"]["traceback"] = traceback.format_exc()
             break
+        finally:
+            report["analysis_wall_s"][analysis] = time.perf_counter() - tick
         report["analyses"][analysis] = result
         report["properties"].extend(rows)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import boost_to_rest_frame
+from .chart import _float_or_array, boost_to_rest_frame
 from .constants import ETA, minkowski_norm_squared, natural_units, raise_index
 from .errors import ZeroJ0
 from .fields import Box, central_gradient, central_hessian, make_packet
@@ -61,30 +61,32 @@ def _eta_trace(m):
 
 
 def wave_operator(bundle, x):
-    """phi, d_mu phi, and eta^{mu nu} d_mu d_nu phi at an event.
+    """phi, d_mu phi, and eta^{mu nu} d_mu d_nu phi at events (..., 4).
 
-    Assembled from density and phase derivatives, so analytic bundles give
-    the operator to roundoff while FD bundles inherit the bundle's step
-    budget.  Only eta-traces of second derivatives are formed; the full
-    hessian of sqrt(p) is never materialized.
+    Returns (...), (..., 4) and (...) complex arrays; one (4,) event gives
+    scalars and a (4,) gradient.  Assembled from density and phase
+    derivatives, so analytic bundles give the operator to roundoff while FD
+    bundles inherit the bundle's step budget.  Only eta-traces of second
+    derivatives are formed; the full hessian of sqrt(p) is never
+    materialized.
     """
     x = np.asarray(x, dtype=float)
     hbar = bundle.constants.hbar
-    p = float(bundle.density(x))
+    p = np.asarray(bundle.density(x))
     dp = bundle.density_gradient(x)
     hp = bundle.density_hessian(x)
-    s = float(bundle.phase(x))
+    s = np.asarray(bundle.phase(x))
     ds = bundle.phase_gradient(x)
     hs = bundle.phase_hessian(x)
 
     amp = np.sqrt(p)
-    da = dp / (2.0 * amp)
+    da = dp / (2.0 * amp[..., None])
     tr_ha = (_eta_trace(hp) / (2.0 * amp)
              - minkowski_norm_squared(dp) / (4.0 * amp ** 3))
 
     factor = np.exp(1j * s / hbar)
     phi = amp * factor
-    dphi = (da + 1j * amp * ds / hbar) * factor
+    dphi = (da + 1j * amp[..., None] * ds / hbar) * factor[..., None]
     box_phi = factor * (
         tr_ha
         + 1j * (2.0 * minkowski_norm_squared(da, raise_index(ds))
@@ -95,17 +97,18 @@ def wave_operator(bundle, x):
 
 
 def kg_residual(bundle, x):
-    """Normalized flat-space wave-equation residual at an event.
+    """Normalized flat-space wave-equation residual at events (..., 4).
 
     |[box - (mc/hbar)^2] phi| / ((mc/hbar)^2 |phi|).  Zero to roundoff for
     any superposition of on-shell modes with analytic derivatives; a mode
     with a deliberately wrong frequency leaves |omega^2 - omega_c^2| / c^2
-    (in units of the mass term) standing.
+    (in units of the mass term) standing.  Returns (...), a float for one
+    event.
     """
     kc = bundle.constants.compton_wavenumber
     phi, _, box_phi = wave_operator(bundle, x)
-    residual = box_phi - kc ** 2 * phi
-    return float(abs(residual) / (kc ** 2 * abs(phi)))
+    return _float_or_array(np.abs(box_phi - kc ** 2 * phi)
+                           / (kc ** 2 * np.abs(phi)))
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +119,12 @@ def comoving_kg_residual(bundle, chart, xi, h=1e-2, patch=None):
     """Normalized curved-metric wave residual of the pulled-back field.
 
     phi_tilde(xi) = phi(Phi^-1(xi)) is evaluated honestly through the chart
-    inverse map (one batched call on the 33-point Hessian stencil).  The
-    operator uses
-    the block metric diag(g00(xi0), sigma_ij(xi_sp)) whose off-diagonal and
-    time-block structure the chart diagnostics certify separately:
+    inverse map: one call on the 33-point Hessian stencils of all chart
+    points xi (..., 4), and one slice-metric call for their inverse metrics
+    and Christoffel symbols.  Returns (...), a float for one point.  The
+    operator uses the block metric diag(g00(xi0), sigma_ij(xi_sp)) whose
+    off-diagonal and time-block structure the chart diagnostics certify
+    separately:
 
         g^{00} d0^2 phi + sigma^{ij} (d_i d_j - Gamma^k_ij d_k) phi
             - (mc/hbar)^2 phi
@@ -135,15 +140,15 @@ def comoving_kg_residual(bundle, chart, xi, h=1e-2, patch=None):
     f0, grad, hess = central_hessian(
         lambda p: bundle.amplitude(chart.inverse_map(p)), xi, h)
 
-    q = xi[1:]
+    q = xi[..., 1:]
     inv = patch.inverse(q)
     gamma = patch.christoffel(q)
-    lb = np.einsum("ij,ij->", inv, hess[1:, 1:]) - np.einsum(
-        "ij,kij,k->", inv, gamma, grad[1:]
+    lb = np.einsum("...ij,...ij->...", inv, hess[..., 1:, 1:]) - np.einsum(
+        "...ij,...kij,...k->...", inv, gamma, grad[..., 1:]
     )
-    g00 = patch.g00(xi[0])
-    residual = hess[0, 0] / g00 + lb - kc ** 2 * f0
-    return float(abs(residual) / (kc ** 2 * abs(f0)))
+    g00 = patch.g00(xi[..., 0])
+    residual = hess[..., 0, 0] / g00 + lb - kc ** 2 * f0
+    return _float_or_array(np.abs(residual) / (kc ** 2 * np.abs(f0)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +231,19 @@ def covariant_residuals(bundle, chart, xi, h=1e-2, patch=None):
 # four-current and classification
 
 
+_CLASSES = ("one_particle", "specular", "indeterminate")
+
+
 @dataclass(frozen=True)
 class CurrentSample:
-    """Conserved current at one event, with its classification.
+    """Conserved current at events (...), with its classification.
 
-    ``j`` is contravariant (J^0, J^i); ``invariant`` is J_mu J^mu;
-    ``modulus_residual`` is |J_mu J^mu + (mcp)^2| / (mcp)^2 and
+    ``j`` is contravariant (J^0, J^i), (..., 4); ``invariant`` is
+    J_mu J^mu; ``modulus_residual`` is |J_mu J^mu + (mcp)^2| / (mcp)^2 and
     ``cross_check`` the relative disagreement between the (p, S) and
-    complex-field routes to the same current.
+    complex-field routes to the same current.  For one event the per-event
+    fields are floats and ``classification`` a str; for a batch they are
+    (...) arrays.
     """
 
     x: np.ndarray
@@ -247,14 +257,15 @@ class CurrentSample:
     budget: float
 
     def __post_init__(self):
-        if self.classification not in ("one_particle", "specular", "indeterminate"):
+        cls = np.asarray(self.classification)
+        if not np.all(np.isin(cls, _CLASSES)):
             raise ValueError("unknown classification %r" % (self.classification,))
-        if self.classification != "indeterminate" and self.invariant > 0.0:
+        if np.any((cls != "indeterminate") & (np.asarray(self.invariant) > 0.0)):
             raise ValueError("classified current must be causal (J.J <= 0)")
 
 
 def four_current(bundle, x, budget=1e-9):
-    """Conserved current J_mu = p d_mu S at an event, classified by J^0.
+    """Conserved current J_mu = p d_mu S at events (..., 4), classified by J^0.
 
     The current is computed twice: from (p, S) directly and through the
     complex field as hbar Im(conj(phi) grad phi); the relative disagreement
@@ -270,38 +281,34 @@ def four_current(bundle, x, budget=1e-9):
     c = bundle.constants.c
 
     p, j = _current(bundle, x)
-    p = float(p)
     j_cov = raise_index(j)
 
     phi, dphi, _ = wave_operator(bundle, x)
-    j_complex = hbar * np.imag(np.conj(phi) * dphi)
+    j_complex = hbar * np.imag(np.conj(phi)[..., None] * dphi)
 
     scale_j = m * c * p
-    cross = float(np.max(np.abs(j_cov - j_complex)) / scale_j)
+    cross = np.max(np.abs(j_cov - j_complex), axis=-1) / scale_j
 
-    jj = float(j_cov @ j)
+    jj = np.einsum("...i,...i->...", j_cov, j)
     scale = scale_j ** 2
-    modulus_residual = abs(jj + scale) / scale
+    modulus_residual = np.abs(jj + scale) / scale
 
     tol = 10.0 * budget
-    if modulus_residual >= tol:
-        classification = "indeterminate"
-    elif j[0] >= tol * scale_j:
-        classification = "one_particle"
-    elif j[0] <= -tol * scale_j:
-        classification = "specular"
-    else:
-        classification = "indeterminate"
+    classification = np.select(
+        [modulus_residual >= tol, j[..., 0] >= tol * scale_j,
+         j[..., 0] <= -tol * scale_j],
+        ["indeterminate", "one_particle", "specular"], "indeterminate")
 
     return CurrentSample(
         x=x,
         j=j,
         j_cov=j_cov,
-        invariant=jj,
-        density=p,
-        classification=classification,
-        modulus_residual=float(modulus_residual),
-        cross_check=cross,
+        invariant=_float_or_array(jj),
+        density=_float_or_array(p),
+        classification=(str(classification) if classification.ndim == 0
+                        else classification),
+        modulus_residual=_float_or_array(modulus_residual),
+        cross_check=_float_or_array(cross),
         budget=float(budget),
     )
 
@@ -319,8 +326,7 @@ def current_divergence(bundle, x, h=1e-3):
     every event; returns (...), a float for one event.
     """
     grad = central_gradient(lambda y: _current(bundle, y)[1], x, h)
-    div = np.trace(grad, axis1=-2, axis2=-1)
-    return float(div) if div.ndim == 0 else div
+    return _float_or_array(np.trace(grad, axis1=-2, axis2=-1))
 
 
 def comoving_current(bundle, chart, xi):

@@ -29,8 +29,8 @@ class NodeInDomain(ComovkitError):
 class BranchUnavailable(ComovkitError):
     """The phase has no certified single-valued branch on the domain.
 
-    Raised when no mode dominates the superposition, or when the branch
-    lattice the certificate needs would be too large.
+    Raised when no mode dominates the superposition (no weight above the
+    sum of the others).
     """
 
 

@@ -10,13 +10,14 @@ Two constructive families are provided:
   The density is the squared modulus of the superposition, and the phase is
   the continuously unwrapped argument.
 
-For superpositions the phase *value* needs a branch choice: the argument is
-accumulated along axis sweeps from the domain corner on a lattice sized by a
-rigorous phase-rate bound, and every value combines the exact local argument
-with the whole turn count picked by the unwrapped argument at the nearest
-lattice node (branch selection only), so S keeps the smoothness of the
-underlying field. The lattice spacing keeps that node within pi/4 of the
-true argument, so the turn count is exact.
+For superpositions the phase *value* needs a branch choice. A dominant mode
+j0 (weight above the sum of the others) settles it in closed form: the
+argument is theta_j0 plus the principal argument of the superposition
+relative to that mode, which never leaves (-pi/2, pi/2), plus one whole-turn
+count fixed at construction so that S at the domain's lower corner is the
+principal argument there. S is then single valued and as smooth as the
+field on all of space; a superposition without a dominant mode raises
+BranchUnavailable when a phase value is asked for.
 
 The gradient of the phase divided by the mass is the current four-velocity
 field; the half-log-gradient of the density scaled by hbar/2m is the osmotic
@@ -427,8 +428,21 @@ class PlaneWaveBundle(FieldBundle):
 class PacketBundle(FieldBundle):
     """Positive-weight superposition of dispersion-relation modes.
 
-    Derivatives of p and S are computed from the complex mode sum (exact,
-    no unwrapping needed); phase *values* use a cached lattice branch.
+    Every evaluation takes one exponential per mode, e_j = w_j exp(i
+    theta_j), and p, S and their derivatives are exact sums over e. The
+    carrier wave vector kappa_j0 cancels from the derivatives of p and from
+    the phase Hessian, so those sums run over kappa_j - kappa_j0, which keeps
+    their round-off at the scale of the modulation, not of the carrier. With a
+    dominant mode j0 (weight above the sum of the others), phi = w_j0
+    exp(i theta_j0) (1 + R) with |R| < 1 everywhere, so arg(1 + R) stays on
+    the principal branch and the phase is single valued in closed form:
+
+        S / hbar = theta_j0 + angle(sum_j w_j exp(i (theta_j - theta_j0)))
+                   + 2 pi n0
+
+    The whole-turn count n0, fixed at construction, anchors S(domain.lo) at
+    the principal angle(phi(lo)); a single mode keeps S = hbar theta_0. The
+    bundle holds no lazily built state.
     """
 
     def __init__(self, wavevectors, weights, constants, domain,
@@ -450,10 +464,19 @@ class PacketBundle(FieldBundle):
         self.kappas = np.concatenate(
             [(-self.omegas / constants.c)[:, None], self.wavevectors], axis=1
         )
+        # carrier-relative wave vectors and their flattened outer products
+        self._dkappas = self.kappas - self.kappas[self.dominant_index]
+        self._dkappa_outer = np.einsum(
+            "jm,jn->jmn", self._dkappas, self._dkappas).reshape(-1, 16)
         self.floor = (
             float(floor) if floor is not None else 1e-6 * float(self.weights.sum())
         )
-        self._phase_cache = None
+        self._n0 = 0.0
+        if self.weights.size > 1 and self.dominance_margin > 0:
+            lo = self.domain.lo_array
+            self._n0 = float(np.round(
+                (np.angle(self._amp(lo)) - self._branch_angle(lo)) / (2.0 * np.pi)
+            ))
         if not _skip_node_check:
             self._check_for_nodes()
 
@@ -474,16 +497,19 @@ class PacketBundle(FieldBundle):
     def _amp(self, x):
         return np.exp(1j * self._mode_phases(x)) @ self.weights
 
-    def _amp_mu(self, x):
-        th = self._mode_phases(x)
-        return np.einsum(
-            "...j,jm->...m", np.exp(1j * th) * self.weights, 1j * self.kappas
-        )
+    def _modes(self, x):
+        """e_j = w_j exp(i theta_j) at events (..., 4), as (..., n_modes)."""
+        return np.exp(1j * self._mode_phases(x)) * self.weights
 
-    def _amp_munu(self, x):
+    def _modes_outer(self, e):
+        """sum_j e_j dkappa_j,mu dkappa_j,nu, as (..., 4, 4)."""
+        return (e @ self._dkappa_outer).reshape(e.shape[:-1] + (4, 4))
+
+    def _branch_angle(self, x):
+        """theta_j0 + angle(sum_j w_j exp(i (theta_j - theta_j0))) at (..., 4)."""
         th = self._mode_phases(x)
-        kk = -np.einsum("jm,jn->jmn", self.kappas, self.kappas)
-        return np.einsum("...j,jmn->...mn", np.exp(1j * th) * self.weights, kk)
+        th0 = th[..., self.dominant_index]
+        return th0 + np.angle(np.exp(1j * (th - th0[..., None])) @ self.weights)
 
     # --- node detection ---------------------------------------------------
     def _check_for_nodes(self):
@@ -511,108 +537,52 @@ class PacketBundle(FieldBundle):
                 "inside the domain"
             )
 
-    # --- phase branch cache -------------------------------------------------
-    def _phase_rate_bound(self):
-        """Rigorous bound on |grad arg phi|.
-
-        Writing phi = w0 exp(i theta0) (1 + R), R = sum_{j!=0} (wj/w0)
-        exp(i (theta_j - theta0)), the argument deviates from the carrier by
-        arg(1+R), whose gradient is bounded through the dominance margin.
-        """
-        j0 = self.dominant_index
-        margin = self.dominance_margin
-        if margin <= 0:
-            raise BranchUnavailable(
-                "phase values need a dominant mode (weight above the sum of "
-                "the others); this superposition has no single-valued branch "
-                "certificate"
-            )
-        dk = np.linalg.norm(self.kappas - self.kappas[j0], axis=1)
-        rest = np.arange(self.weights.size) != j0
-        s1 = float(self.weights[rest] @ dk[rest])
-        return float(np.linalg.norm(self.kappas[j0])) + s1 / margin
-
-    def _build_phase_cache(self):
-        """Unwrapped lattice argument with its corner and node steps.
-
-        With spacing <= pi / (4 rate1), any event lies within half the 4-d
-        cell diagonal, i.e. one spacing, of its nearest node, so the node's
-        argument is within pi/4 of the true one: rounding the difference to
-        whole turns picks the branch exactly. The same bound keeps adjacent
-        nodes within pi/4 of each other, which the unwrapping needs.
-        """
-        spacing = np.pi / (4.0 * self._phase_rate_bound())
-        extent = self.domain.extent
-        shape = np.maximum((extent / spacing).astype(int) + 2, 2)
-        if np.prod(shape.astype(float)) > 4e7:
-            raise BranchUnavailable(
-                "phase branch cache would need "
-                f"{np.prod(shape.astype(float)):.2e} lattice nodes; shrink the "
-                "domain or the mode spread"
-            )
-        pts, _ = self.domain.grid(shape)
-        raw = np.angle(self._amp(pts)).reshape(tuple(shape))
-        # grow a coherent branch corner-outward, one axis at a time
-        raw[:, 0, 0, 0] = np.unwrap(raw[:, 0, 0, 0])
-        raw[:, :, 0, 0] = np.unwrap(raw[:, :, 0, 0], axis=1)
-        raw[:, :, :, 0] = np.unwrap(raw[:, :, :, 0], axis=2)
-        raw = np.unwrap(raw, axis=3)
-        return raw, self.domain.lo_array, extent / (shape - 1)
-
-    def _branch_phase(self, x):
-        if self._phase_cache is None:
-            self._phase_cache = self._build_phase_cache()
-        lattice, lo, step = self._phase_cache
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x[None] if single else x.reshape(-1, 4)
-        local = np.angle(self._amp(pts))
-        # nearest node, clipped to the lattice for events just outside it
-        idx = np.clip(np.rint((pts - lo) / step).astype(np.intp), 0,
-                      np.array(lattice.shape) - 1)
-        approx = lattice[idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3]]
-        turns = np.round((approx - local) / (2.0 * np.pi))
-        out = local + 2.0 * np.pi * turns
-        return out[0] if single else out.reshape(x.shape[:-1])
-
     # --- bundle interface ---------------------------------------------------
     def _density(self, x):
         a = self._amp(x)
         return (a * a.conj()).real
 
     def _density_gradient(self, x):
-        a = self._amp(x)
-        da = self._amp_mu(x)
-        return 2.0 * (a.conj()[..., None] * da).real
+        # d_mu p = 2 Re(conj(a) d_mu a) with d_mu a -> i (e @ dkappas)
+        e = self._modes(x)
+        a = e.sum(axis=-1)
+        return -2.0 * (a.conj()[..., None] * (e @ self._dkappas)).imag
 
     def _density_hessian(self, x):
-        da = self._amp_mu(x)
-        dda = self._amp_munu(x)
-        a = self._amp(x)
+        # 2 Re(conj(d_mu a) d_nu a + conj(a) d_mu d_nu a) with
+        # d_mu a -> i q and d_mu d_nu a -> -sum_j e_j dkappa_j,mu dkappa_j,nu
+        e = self._modes(x)
+        a = e.sum(axis=-1)
+        q = e @ self._dkappas
         return 2.0 * (
-            np.einsum("...m,...n->...mn", da.conj(), da)
-            + a.conj()[..., None, None] * dda
+            np.einsum("...m,...n->...mn", q.conj(), q)
+            - a.conj()[..., None, None] * self._modes_outer(e)
         ).real
 
     def _phase(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.weights.size == 1:
-            return self.constants.hbar * self._mode_phases(x)[..., 0]
-        return self.constants.hbar * self._branch_phase(x)
+        if self.dominance_margin <= 0:
+            raise BranchUnavailable(
+                "phase values need a dominant mode (weight above the sum of "
+                "the others); this superposition has no single-valued branch "
+                "certificate"
+            )
+        return self.constants.hbar * (self._branch_angle(x)
+                                      + 2.0 * np.pi * self._n0)
 
     def _phase_gradient(self, x):
         # Im(d_mu a / a) with d_mu a = i (e @ kappas): one exponential
-        e = np.exp(1j * self._mode_phases(x)) * self.weights
+        e = self._modes(x)
         return self.constants.hbar * (
             (e @ self.kappas) / e.sum(axis=-1)[..., None]).real
 
     def _phase_hessian(self, x):
-        a = self._amp(x)
-        da = self._amp_mu(x)
-        dda = self._amp_munu(x)
-        la = da / a[..., None]
+        # Im(d_mu d_nu a / a - (d_mu a / a)(d_nu a / a)), d_mu a / a -> i g
+        e = self._modes(x)
+        a = e.sum(axis=-1)[..., None]
+        g = (e @ self._dkappas) / a
         return self.constants.hbar * (
-            dda / a[..., None, None] - np.einsum("...m,...n->...mn", la, la)
+            np.einsum("...m,...n->...mn", g, g)
+            - self._modes_outer(e) / a[..., None]
         ).imag
 
 

@@ -332,6 +332,34 @@ def test_run_records_internal_error(tmp_path, monkeypatch, capsys):
     assert "injected fault" in capsys.readouterr().err
 
 
+def test_run_records_analysis_wall_times(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(bundle, x, **kwargs):
+        calls.append(np.shape(x))
+        return real(bundle, x, **kwargs)
+
+    real = cli.four_current
+    monkeypatch.setattr(cli, "four_current", counted)
+    run(validate(plane_wave_doc()), out_dir=tmp_path / "ok")
+    saved = json.loads((tmp_path / "ok" / "report.json").read_text())
+    wall = saved["analysis_wall_s"]
+    assert list(wall) == ["chart_diag", "classify"]
+    assert all(t > 0.0 for t in wall.values())
+    assert sum(wall.values()) <= saved["wall_clock_s"]
+    # classify makes one current call on all of its events
+    assert calls == [(6, 4)]
+
+    def broken(ctx):
+        raise RuntimeError("injected fault")
+
+    # the failed analysis keeps its time
+    monkeypatch.setitem(cli._RUNNERS, "classify", broken)
+    report = run(validate(plane_wave_doc()), out_dir=tmp_path / "failed")
+    assert list(report["analysis_wall_s"]) == ["chart_diag", "classify"]
+    assert "classify" not in report["analyses"]
+
+
 def test_run_gaussian_diffusion_properties(tmp_path):
     scenario = validate(write_scenario(tmp_path, gaussian_doc()))
     report = run(scenario, out_dir=tmp_path / "out", threads=2)

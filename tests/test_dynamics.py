@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from comovkit.constants import PhysicalConstants
 from comovkit.dynamics import (
     BoostMatrix,
+    CurrentSample,
     boost_equivalence_check,
     comoving_current,
     comoving_kg_residual,
@@ -250,6 +251,78 @@ def test_comoving_kg_residual_one_inverse_map(packet9, packet9_chart):
     res = comoving_kg_residual(packet9, Counted(), xi, patch=patch)
     assert calls == [(33, 4)]
     assert res == comoving_kg_residual(packet9, packet9_chart, xi)
+
+
+def test_wave_operator_and_current_take_batches(packet9):
+    events = sample_events(np.random.default_rng(19), 6).reshape(2, 3, 4)
+    rows = events.reshape(-1, 4)
+    phi, dphi, box_phi = wave_operator(packet9, events)
+    assert phi.shape == box_phi.shape == (2, 3) and dphi.shape == (2, 3, 4)
+    one = [wave_operator(packet9, x) for x in rows]
+    for got, k in ((phi, 0), (dphi, 1), (box_phi, 2)):
+        np.testing.assert_allclose(
+            got.reshape((6,) + got.shape[2:]), np.stack([o[k] for o in one]),
+            rtol=1e-13, atol=0)
+    np.testing.assert_allclose(
+        kg_residual(packet9, events).ravel(),
+        [kg_residual(packet9, x) for x in rows], rtol=0, atol=1e-15)
+
+    batch = four_current(packet9, events, budget=2e-4)
+    singles = [four_current(packet9, x, budget=2e-4) for x in rows]
+    assert isinstance(singles[0].classification, str)
+    assert isinstance(singles[0].modulus_residual, float)
+    assert batch.classification.shape == (2, 3)
+    assert batch.classification.ravel().tolist() == [
+        s.classification for s in singles]
+    # each field to the round-off of its largest entry
+    for name in ("j", "j_cov", "invariant", "density", "modulus_residual",
+                 "cross_check"):
+        want = np.reshape([getattr(s, name) for s in singles], (6, -1))
+        np.testing.assert_allclose(
+            np.reshape(getattr(batch, name), (6, -1)), want, rtol=0,
+            atol=1e-14 * np.max(np.abs(want)) + 1e-15)
+
+
+def test_current_sample_checks_every_event():
+    j = np.zeros((2, 4))
+    with pytest.raises(ValueError, match="classification"):
+        CurrentSample(np.zeros((2, 4)), j, j, np.zeros(2), np.ones(2),
+                      np.array(["one_particle", "bogus"]), np.zeros(2),
+                      np.zeros(2), 1e-9)
+    with pytest.raises(ValueError, match="causal"):
+        CurrentSample(np.zeros((2, 4)), j, j, np.array([-1.0, 1.0]),
+                      np.ones(2), np.array(["indeterminate", "specular"]),
+                      np.zeros(2), np.zeros(2), 1e-9)
+
+
+def test_comoving_kg_residual_takes_batches(packet9, packet9_chart):
+    calls = []
+    patch = chart_spatial_patch(packet9_chart)
+
+    class Counted:
+        time_convention = packet9_chart.time_convention
+
+        def inverse_map(self, xi):
+            calls.append(np.shape(xi))
+            return packet9_chart.inverse_map(xi)
+
+    class CountedPatch:
+        def __getattr__(self, name):
+            if name in ("inverse", "christoffel"):
+                calls.append(name)
+            return getattr(patch, name)
+
+    xi = np.column_stack([
+        np.linspace(-0.4, 0.4, 5), np.linspace(-0.8, 0.8, 5),
+        np.linspace(0.6, -0.6, 5), np.linspace(-0.3, 0.9, 5),
+    ])
+    res = comoving_kg_residual(packet9, Counted(), xi, patch=CountedPatch())
+    assert calls == [(5, 33, 4), "inverse", "christoffel"]
+    assert res.shape == (5,)
+    one = [comoving_kg_residual(packet9, packet9_chart, p, patch=patch)
+           for p in xi]
+    np.testing.assert_allclose(res, one, rtol=0, atol=1e-9)
+    assert np.max(res) < 1e-3
 
 
 def test_motion_residual_takes_batches(constants):

@@ -1,5 +1,6 @@
 """Field bundles: dispersion, derivatives, phase branches, hypotheses."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import comovkit
 from comovkit.constants import PhysicalConstants
@@ -148,23 +151,34 @@ def test_packet_phase_branch_continuity(packet9):
     assert np.ptp(ref) > 2.0 * np.pi
 
 
-def _interpolated_branch_phase(bundle, pts):
-    """Phase values with the branch picked by trilinear interpolation.
+def _lattice_branch_phase(bundle, pts):
+    """Phase values with the branch read off an unwrapped lattice.
 
-    The reference for the nearest-node lookup: the same unwrapped lattice,
-    read through scipy's linear interpolator (linear extrapolation outside).
+    The oracle for the closed form: the principal argument at every event
+    plus the whole turns that bring it nearest to the argument unwrapped
+    corner-outward, one axis at a time, at the nearest node of a lattice
+    (clipped for events just outside it). The spacing pi / (4 rate), with
+    rate a bound on |grad arg phi| through the dominance margin, keeps that
+    node within pi/4 of the true argument, so the turn count is exact.
     """
-    from scipy.interpolate import RegularGridInterpolator
-
-    bundle.phase(bundle.domain.lo_array)  # builds the branch lattice
-    lattice = bundle._phase_cache[0]
+    w, kap = bundle.weights, bundle.kappas
+    j0 = int(np.argmax(w))
+    margin = w[j0] - (w.sum() - w[j0])
+    rate = (np.linalg.norm(kap[j0])
+            + w @ np.linalg.norm(kap - kap[j0], axis=1) / margin)
     dom = bundle.domain
-    axes = [np.linspace(dom.lo[i], dom.hi[i], lattice.shape[i])
-            for i in range(4)]
-    interp = RegularGridInterpolator(axes, lattice, method="linear",
-                                     bounds_error=False, fill_value=None)
+    shape = np.maximum((dom.extent / (np.pi / (4.0 * rate))).astype(int) + 2, 2)
+    nodes, _ = dom.grid(shape)
+    raw = np.angle(bundle._amp(nodes)).reshape(tuple(shape))
+    raw[:, 0, 0, 0] = np.unwrap(raw[:, 0, 0, 0])
+    raw[:, :, 0, 0] = np.unwrap(raw[:, :, 0, 0], axis=1)
+    raw[:, :, :, 0] = np.unwrap(raw[:, :, :, 0], axis=2)
+    raw = np.unwrap(raw, axis=3)
+    step = dom.extent / (shape - 1)
+    idx = np.clip(np.rint((pts - dom.lo_array) / step).astype(np.intp), 0,
+                  shape - 1)
     local = np.angle(bundle._amp(pts))
-    turns = np.round((interp(pts) - local) / (2.0 * np.pi))
+    turns = np.round((raw[tuple(idx.T)] - local) / (2.0 * np.pi))
     return bundle.constants.hbar * (local + 2.0 * np.pi * turns)
 
 
@@ -180,7 +194,7 @@ def _face_events(rng, domain, n_per_face, offset):
     return np.concatenate(out)
 
 
-def test_nearest_node_branch_matches_interpolated_branch(packet9, constants):
+def test_closed_form_branch_matches_lattice_oracle(packet9, constants):
     # a moving carrier, so the branch depends on every coordinate
     wide = make_packet(
         [[0.6, 0.3, -0.4], [0.9, -0.1, 0.2], [0.2, 0.5, -0.1]],
@@ -192,11 +206,14 @@ def test_nearest_node_branch_matches_interpolated_branch(packet9, constants):
         inside = rng.uniform(dom.lo_array, dom.hi_array, size=(20000, 4))
         outside = _face_events(rng, dom, 250, 3e-3)
         for pts in (inside, outside):
-            np.testing.assert_array_equal(
-                bundle.phase(pts), _interpolated_branch_phase(bundle, pts))
+            want = _lattice_branch_phase(bundle, pts)
+            # the values wrap through several branches
+            assert np.ptp(want) > 2.0 * np.pi
+            np.testing.assert_allclose(bundle.phase(pts), want,
+                                       rtol=0, atol=1e-14)
         # single events take the same path
-        assert bundle.phase(inside[0]) == _interpolated_branch_phase(
-            bundle, inside[:1])[0]
+        assert bundle.phase(inside[0]) == pytest.approx(
+            _lattice_branch_phase(bundle, inside[:1])[0], rel=0, abs=1e-14)
 
 
 def test_branch_without_dominant_mode_is_typed(constants):
@@ -208,11 +225,87 @@ def test_branch_without_dominant_mode_is_typed(constants):
         bundle.phase(np.zeros(4))
 
 
-def test_branch_lattice_too_large_is_typed(constants):
+def test_huge_box_phase_differences_match_gradient(constants):
+    # a box no branch lattice could cover: values need no lattice, and
+    # their central differences are the analytic gradient
     bundle = make_packet([[0.0, 0.0, 0.0], [0.05, 0.0, 0.0]], [2.0, 0.2],
                          Box((-1e3,) * 4, (1e3,) * 4), constants)
-    with pytest.raises(BranchUnavailable, match="lattice nodes"):
-        bundle.phase(np.zeros(4))
+    pts = np.random.default_rng(32).uniform(-1e3, 1e3, size=(200, 4))
+    assert np.max(np.abs(bundle.phase(pts))) > 100.0
+    np.testing.assert_allclose(
+        central_gradient(bundle.phase, pts, 1e-3),
+        bundle.phase_gradient(pts), rtol=0, atol=1e-8)
+    lo = bundle.domain.lo_array
+    assert bundle.phase(lo) == pytest.approx(
+        np.angle(bundle.amplitude(lo) / np.sqrt(bundle.density(lo))),
+        rel=0, abs=1e-12)
+
+
+@st.composite
+def _random_dominant_packets(draw):
+    """A carrier with |k| <= 1 and weight 1, plus 1-5 side modes within 0.5
+    of it whose weights sum to at most 0.8, on a box of half-width 0.5-5
+    about a centre within 3 of the origin; with 4 events in the box."""
+    unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    vec = st.tuples(unit, unit, unit)
+    n_side = draw(st.integers(1, 5))
+    carrier = np.array(draw(vec))
+    carrier /= max(1.0, float(np.linalg.norm(carrier)))
+    side = np.array(draw(st.lists(vec, min_size=n_side, max_size=n_side)))
+    side *= 0.5 / np.maximum(np.linalg.norm(side, axis=1, keepdims=True), 1.0)
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n_side,
+                               max_size=n_side)))
+    w *= min(1.0, 0.8 / w.sum())
+    centre = 3.0 * np.array(draw(st.tuples(unit, unit, unit, unit)))
+    half = draw(st.floats(0.5, 5.0))
+    bundle = make_packet(np.vstack([carrier, carrier + side]),
+                         np.concatenate([[1.0], w]),
+                         Box(centre - half, centre + half))
+    frac = st.floats(0.0, 1.0)
+    pts = centre - half + 2.0 * half * np.array(draw(st.lists(
+        st.tuples(frac, frac, frac, frac), min_size=4, max_size=4)))
+    return bundle, pts
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_random_dominant_packets())
+def test_closed_form_phase_properties(case):
+    bundle, pts = case
+    hbar = bundle.constants.hbar
+    principal = np.angle(bundle.amplitude(pts) / np.sqrt(bundle.density(pts)))
+    turns = (bundle.phase(pts) - hbar * principal) / (2.0 * np.pi * hbar)
+    np.testing.assert_allclose(turns, np.round(turns), rtol=0, atol=1e-12)
+    # the anchor: S(lo) is the principal argument there
+    lo = bundle.domain.lo_array
+    assert bundle.phase(lo) == pytest.approx(
+        hbar * np.angle(bundle._amp(lo)), rel=0, abs=1e-12)
+    # one-exponential Hessians against differences of the gradients
+    for grad, hess in ((bundle.phase_gradient, bundle.phase_hessian),
+                       (bundle.density_gradient, bundle.density_hessian)):
+        want = central_gradient(grad, pts, 1e-4)
+        got = hess(pts)
+        np.testing.assert_allclose(got, np.swapaxes(got, -1, -2),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-6 * (1.0 + np.max(np.abs(want))))
+
+
+def test_first_phase_call_allocates_little():
+    # the phase needs no lattice: a fresh packet_9mode bundle's first
+    # value stays under 1 MB of allocations
+    import tracemalloc
+
+    spec = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                       / "packet_9mode.json").read_text())["field"]
+    bundle = make_packet(spec["wavevectors"], spec["weights"],
+                         Box(spec["domain"]["lo"], spec["domain"]["hi"]))
+    tracemalloc.start()
+    try:
+        bundle.phase(np.array([0.3, -0.2, 0.1, 0.4]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_import_does_not_load_the_interpolator(tmp_path):
