@@ -16,9 +16,12 @@ stacked over the leading axes, e.g. (..., 3, 3) for the metric; the
 ``sigma`` callables they wrap stay pointwise, except for the chart-surface
 patches of ``MetricPatch.from_chart`` (base coordinates q) and
 ``chart_spatial_patch`` (chart coordinates xi), whose metric is one batched
-height solve per call. ``riemann``, ``ricci_scalar``, ``pullback_metric``
-and the covariant-derivative helpers take batches as well (the covector
-fields ``u`` they differentiate map (..., 3) points to (..., 3)
+height solve per call. Each patch remembers, per thread, the factorization
+of the last batch of points it saw, so the drift correction and the noise
+factor of one Euler-Maruyama step share one evaluation of sigma.
+``riemann``, ``ricci_scalar``, ``pullback_metric``, the covariant-derivative
+helpers and ``metric_compatibility_residual`` take batches as well (the
+covector fields ``u`` they differentiate map (..., 3) points to (..., 3)
 components), and ``flatness_report``, ``curvature_budget`` and
 ``geometry_diagnostics`` evaluate their lattices in one stacked call.
 Every finite difference here is the package's central-difference
@@ -30,6 +33,8 @@ riemann[i, k, l, m] = R^i_{klm}, sigma derivative D[i, j, k] =
 d_i sigma_{jk}.
 """
 
+import threading
+
 import numpy as np
 
 from .chart import TimeConvention
@@ -39,6 +44,23 @@ from .fields import central_gradient
 
 DEFAULT_H = 1e-2
 FD_STEP = 1e-3  # sigma and covector derivative step when none is given
+
+
+def _stack_rows(func, name, q, shape):
+    """Stack the pointwise ``func`` over the rows of q into (..., *shape).
+
+    Raises ValueError naming ``func`` when a point gives another shape.
+    """
+    rows = q.reshape(-1, 3)
+    vals = [func(p) for p in rows]
+    wrong = f"{name} must evaluate to a {shape} array at every point"
+    try:
+        out = np.array(vals, dtype=float)
+    except ValueError as err:  # points gave different shapes
+        raise ValueError(wrong) from err
+    if len(rows) and out.shape[1:] != shape:
+        raise ValueError(f"{wrong}; got {out.shape[1:]}")
+    return out.reshape(q.shape[:-1] + shape)
 
 
 class MetricPatch:
@@ -55,7 +77,16 @@ class MetricPatch:
     give (..., 3, 3), ``sqrt_det`` gives (...) (a float for one point),
     ``sigma_derivatives`` and ``christoffel`` give (..., 3, 3, 3) and
     ``christoffel_contraction`` gives (..., 3). The two callables are
-    evaluated point by point; the factorizations run stacked.
+    evaluated point by point, and every point must give the same shape;
+    the factorizations run stacked.
+
+    ``factors`` (and with it ``inverse``, ``sqrt_det``, ``noise_factor``,
+    ``christoffel`` and ``christoffel_contraction``) keeps the result for
+    the last batch of points in a one-entry memo per thread, keyed by the
+    shape and the raw bytes of the points. A drift correction followed by
+    the noise factor at the same points therefore evaluates and factorizes
+    sigma once. The memo assumes ``sigma`` is a pure function of the point,
+    and it hands out read-only arrays.
     """
 
     def __init__(self, sigma, g00=None, sigma_gradient=None, name="",
@@ -67,23 +98,27 @@ class MetricPatch:
         # constant metrics let the simulator hoist the noise factor out of
         # the step loop and drop the (identically zero) drift correction
         self.is_constant = is_constant
+        # (key, factors) of the last factorization, one entry per thread
+        self._last = threading.local()
 
     # --- metric data ---------------------------------------------------------
     def metric(self, q):
         q = np.asarray(q, dtype=float)
-        rows = q.reshape(-1, 3)
-        sig = np.array([self._sigma(p) for p in rows], dtype=float)
-        if len(rows) and sig.shape != (len(rows), 3, 3):
-            raise ValueError("sigma must evaluate to a 3x3 matrix")
-        return sig.reshape(q.shape[:-1] + (3, 3))
+        return _stack_rows(self._sigma, "sigma", q, (3, 3))
 
     def factors(self, q):
         """sigma, sigma^{-1} and sqrt|sigma| from one stacked eigh.
 
-        Raises NotSpacelike naming the first point where sigma is not
-        positive definite.
+        Repeated calls at the same points (same shape and bytes) on one
+        thread return the same read-only arrays without evaluating sigma
+        again. Raises NotSpacelike naming the first point where sigma is
+        not positive definite; a failed factorization is not remembered.
         """
         q = np.asarray(q, dtype=float)
+        key = (q.shape, q.tobytes())
+        last = self._last
+        if getattr(last, "key", None) == key:
+            return last.value
         sig = self.metric(q)
         w, v = np.linalg.eigh(sig)
         bad = (w[..., 0] <= 0.0).reshape(-1)
@@ -96,7 +131,14 @@ class MetricPatch:
             )
         inv = (v / w[..., None, :]) @ np.swapaxes(v, -1, -2)
         root = np.sqrt(np.prod(w, axis=-1))
-        return sig, inv, (float(root) if root.ndim == 0 else root)
+        if root.ndim == 0:
+            root = float(root)
+        else:
+            root.flags.writeable = False
+        sig.flags.writeable = inv.flags.writeable = False
+        last.key = key
+        last.value = (sig, inv, root)
+        return last.value
 
     def inverse(self, q):
         return self.factors(q)[1]
@@ -113,9 +155,7 @@ class MetricPatch:
         """D[..., i, j, k] = d sigma_jk / d q^i."""
         q = np.asarray(q, dtype=float)
         if self._dsigma is not None:
-            rows = q.reshape(-1, 3)
-            d = np.array([self._dsigma(p) for p in rows], dtype=float)
-            return d.reshape(q.shape[:-1] + (3, 3, 3))
+            return _stack_rows(self._dsigma, "sigma_gradient", q, (3, 3, 3))
         return central_gradient(self.metric, q, h or FD_STEP)
 
     def _christoffel(self, inv, q, h):
@@ -383,7 +423,10 @@ def laplace_beltrami(patch, u, q, h=None):
 
 
 def metric_compatibility_residual(patch, q, h=None):
-    """max |nabla_i sigma_jk|; should vanish to FD accuracy."""
+    """max |nabla_i sigma_jk| over points (..., 3).
+
+    Vanishes to FD accuracy for the patch's own Christoffel symbols.
+    """
     q = np.asarray(q, dtype=float)
     h = h or FD_STEP
     d = patch.sigma_derivatives(q, h=h)
@@ -391,8 +434,8 @@ def metric_compatibility_residual(patch, q, h=None):
     sig = patch.metric(q)
     nabla = (
         d
-        - np.einsum("lij,lk->ijk", gamma, sig)
-        - np.einsum("lik,jl->ijk", gamma, sig)
+        - np.einsum("...lij,...lk->...ijk", gamma, sig)
+        - np.einsum("...lik,...jl->...ijk", gamma, sig)
     )
     return float(np.max(np.abs(nabla)))
 

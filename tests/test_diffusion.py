@@ -209,6 +209,33 @@ def test_curved_metric_step_matches_pointwise_replay():
     np.testing.assert_allclose(ens.post[:, 3], expected, rtol=0, atol=1e-14)
 
 
+def test_curved_step_evaluates_metric_once_per_row():
+    # the drift correction and the noise factor of a step share one
+    # evaluation of sigma and one of its gradient per path
+    polar = polar_flat_patch()
+    calls = {"sigma": 0, "sigma_gradient": 0}
+
+    def counted(name, func):
+        def wrapped(q):
+            calls[name] += 1
+            return func(q)
+        return wrapped
+
+    patch = MetricPatch(counted("sigma", polar.metric),
+                        sigma_gradient=counted("sigma_gradient",
+                                               polar.sigma_derivatives))
+    config = DiffusionConfig(dt=0.01, horizon=0.2, n_paths=24, master_seed=7,
+                             initial=("point", (1.5, 0.2, -0.1)),
+                             burn_in_fraction=0.0, n_snapshots=5,
+                             chunk_size=8)
+    drift = drift_from_fields(lambda q: np.zeros_like(q), patch, 1.0)
+    ens = simulate(drift, patch, config)
+    assert calls == {"sigma": 24 * 20, "sigma_gradient": 24 * 20}
+    reference = simulate(drift_from_fields(lambda q: np.zeros_like(q), polar,
+                                           1.0), polar, config)
+    assert ens.post.tobytes() == reference.post.tobytes()
+
+
 def test_density_initialization_stalls_with_typed_error():
     # a box where the gaussian weight underflows: no proposal is accepted
     config = DiffusionConfig(

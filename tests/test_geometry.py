@@ -1,5 +1,8 @@
 """Geometry: metric patches, curvature, budgets, Laplace-Beltrami."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +112,142 @@ def test_metric_compatibility():
     assert metric_compatibility_residual(polar_flat_patch(), q) < 1e-10
     fd_patch = polar_flat_patch(analytic_derivatives=False)
     assert metric_compatibility_residual(fd_patch, q) < 1e-5
+
+
+def test_metric_compatibility_takes_batches():
+    pts = np.random.default_rng(5).uniform([0.5, -1.0, -1.0],
+                                           [2.0, 1.0, 1.0], size=(2, 4, 3))
+    for patch in (polar_flat_patch(), unit_sphere_patch(),
+                  polar_flat_patch(analytic_derivatives=False)):
+        batched = metric_compatibility_residual(patch, pts)
+        single = [metric_compatibility_residual(patch, q)
+                  for q in pts.reshape(-1, 3)]
+        assert batched == max(single)
+
+
+def _counting_polar_patch():
+    """polar_flat_patch with a log of the batches its sigma evaluates."""
+    base = polar_flat_patch()
+    seen = []
+
+    def sigma(q):
+        seen.append(q.tolist())
+        return base.metric(q)
+
+    return MetricPatch(sigma, sigma_gradient=base.sigma_derivatives), seen
+
+
+def test_pointwise_callables_are_shape_checked():
+    pts = np.array([[0.7, 0.1, 0.0], [1.9, -2.0, 1.0]])
+    square = MetricPatch(lambda q: np.eye(2))
+    with pytest.raises(ValueError, match=r"sigma must evaluate to a \(3, 3\)"):
+        square.metric(pts)
+    # one point of a different shape is refused, not broadcast
+    ragged = MetricPatch(lambda q: np.eye(3) if q[0] < 1.0 else 1.0)
+    with pytest.raises(ValueError, match="sigma must evaluate"):
+        ragged.inverse(pts)
+    flat_gradient = MetricPatch(lambda q: np.eye(3),
+                                sigma_gradient=lambda q: np.eye(3))
+    with pytest.raises(ValueError,
+                       match=r"sigma_gradient must evaluate to a \(3, 3, 3\)"):
+        flat_gradient.christoffel(pts)
+
+
+def test_factors_memo_follows_buffer_contents():
+    patch, seen = _counting_polar_patch()
+    q = np.array([[0.7, 0.1, 0.0], [1.9, -2.0, 1.0]])
+    first = patch.factors(q)
+    assert patch.factors(q) is first
+    np.testing.assert_array_equal(patch.noise_factor(q),
+                                  np.linalg.cholesky(first[1]))
+    assert len(seen) == 2
+    # a buffer overwritten in place is a new key
+    q[1, 0] = 1.1
+    sig, inv, root = patch.factors(q)
+    assert len(seen) == 4
+    np.testing.assert_array_equal(root, q[:, 0])
+    # the same values in another array and another layout hit the memo
+    assert patch.factors(np.array(q.tolist()))[1] is inv
+    assert patch.factors(np.asfortranarray(q))[1] is inv
+    # a different shape over the same bytes does not
+    patch.factors(q.reshape(1, 2, 3))
+    assert len(seen) == 6
+
+
+def test_factors_memo_keeps_signed_zeros_apart():
+    patch, seen = _counting_polar_patch()
+    patch.factors(np.array([1.0, 0.0, 0.0]))
+    patch.factors(np.array([1.0, -0.0, 0.0]))
+    assert seen == [[1.0, 0.0, 0.0], [1.0, -0.0, 0.0]]
+    assert [np.copysign(1.0, row[1]) for row in seen] == [1.0, -1.0]
+
+
+def test_factors_are_read_only():
+    patch = polar_flat_patch()
+    pts = np.array([[0.7, 0.1, 0.0], [1.9, -2.0, 1.0]])
+    for value in (patch.factors(pts), patch.factors(pts[0])):
+        sig, inv, _ = value
+        for a in (sig, inv, patch.inverse(pts)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[..., 0, 0] = 0.0
+    root = patch.sqrt_det(pts)
+    with pytest.raises(ValueError, match="read-only"):
+        root[0] = 0.0
+    assert isinstance(patch.sqrt_det(pts[0]), float)
+    np.testing.assert_array_equal(patch.inverse(pts)[:, 0, 0], 1.0)
+
+
+def test_factors_memo_is_per_thread():
+    # threads alternate their own point sets on one patch; each must get
+    # its own factors back and factorize only once
+    patch, seen = _counting_polar_patch()
+    n_threads, rounds = 4, 50
+    sets = [np.array([[0.5 + t, 0.1 * t, 0.0], [1.0, -float(t), 2.0]])
+            for t in range(n_threads)]
+    expected = [polar_flat_patch().factors(p) for p in sets]
+    turn = threading.Barrier(n_threads, timeout=30)
+    wrong, finished = [], []
+
+    def work(t):
+        for _ in range(rounds):
+            turn.wait()
+            sig, inv, root = patch.factors(sets[t])
+            if not (np.array_equal(sig, expected[t][0])
+                    and np.array_equal(inv, expected[t][1])
+                    and np.array_equal(root, expected[t][2])):
+                wrong.append(t)
+        finished.append(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,))
+                   for t in range(n_threads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert sorted(finished) == list(range(n_threads))
+    assert wrong == []
+    assert len(seen) == 2 * n_threads
+
+
+def test_not_spacelike_raises_on_every_call():
+    calls = []
+
+    def sigma(q):
+        calls.append(1)
+        return np.diag([1.0, q[0], 1.0])
+
+    patch = MetricPatch(sigma, name="signed")
+    pts = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
+    for _ in range(3):
+        with pytest.raises(NotSpacelike, match=r"\[-0.5, 0.0, 0.0\]"):
+            patch.noise_factor(pts)
+    assert len(calls) == 6
 
 
 def test_laplace_beltrami_flat_cases():
