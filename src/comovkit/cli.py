@@ -541,10 +541,13 @@ class _RunContext:
     def save_array(self, name, array):
         path = self.out_dir / ("%s.npy" % name)
         np.save(path, np.ascontiguousarray(array))
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest = hashlib.sha256()
+        with path.open("rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
         self.data_files[name] = {
             "path": path.name,
-            "sha256": digest,
+            "sha256": digest.hexdigest(),
             "bytes": path.stat().st_size,
         }
 

@@ -14,7 +14,10 @@ rebuilds any single draw from scratch for verification.
 Full trajectories at the acceptance scale would need tens of gigabytes,
 so ensembles store (state, next state) pairs at a strided set of
 post-burn-in steps plus the final step: everything the drift and density
-estimators condition on, at a few hundred megabytes.
+estimators condition on. Peak memory is those two arrays plus a few
+O(n_samples) columns: chunks write into one preallocated ensemble, the
+binned estimators form one component column at a time, and the specular
+ensemble is a read-only view of its source.
 """
 
 import warnings
@@ -201,6 +204,10 @@ def simulate(drift, patch, config):
     g_const = patch.noise_factor(np.zeros(3)) if constant_metric else None
     unit_noise = constant_metric and np.array_equal(g_const, np.eye(3))
     radius2 = config.explosion_radius ** 2
+    # every chunk writes its own [lo:hi] rows of one preallocated ensemble
+    pre = np.empty((config.n_paths, n_snaps, 3))
+    post = np.empty((config.n_paths, n_snaps, 3))
+    clipped = np.zeros(config.n_paths, dtype=bool)
 
     def run_chunk(chunk_index, lo, hi):
         count = hi - lo
@@ -208,9 +215,7 @@ def simulate(drift, patch, config):
         q = _sample_initial(
             config, _init_stream(config.master_seed, chunk_index), count
         )
-        pre = np.empty((count, n_snaps, 3))
-        post = np.empty((count, n_snaps, 3))
-        clipped = np.zeros(count, dtype=bool)
+        pre_rows, post_rows, flags = pre[lo:hi], post[lo:hi], clipped[lo:hi]
         z, step, qn = (np.empty((count, 3)) for _ in range(3))
         for k in range(steps):
             rng.standard_normal(out=z)
@@ -228,7 +233,7 @@ def simulate(drift, patch, config):
                 outside = ~config.clip_box.contains(qn)
                 if np.any(outside):
                     qn[outside] = q[outside]
-                    clipped |= outside
+                    flags |= outside
             # |q|^2 <= 3 max|q_i|^2 screens out the exact norm on most steps
             if 3.0 * max(qn.max(), -qn.min()) ** 2 > radius2 and float(
                     np.max(np.einsum("ni,ni->n", qn, qn))) > radius2:
@@ -238,28 +243,23 @@ def simulate(drift, patch, config):
                 )
             m = snap_index.get(k)
             if m is not None:
-                pre[:, m] = q
-                post[:, m] = qn
+                pre_rows[:, m] = q
+                post_rows[:, m] = qn
             q, qn = qn, q
-        return pre, post, clipped
 
     ranges = _chunk_ranges(config.n_paths, config.chunk_size)
-    results = [None] * len(ranges)
     if config.n_threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
             futures = [
                 pool.submit(run_chunk, ci, lo, hi)
                 for ci, (lo, hi) in enumerate(ranges)
             ]
-            for ci, fut in enumerate(futures):
-                results[ci] = fut.result()
+            for fut in futures:
+                fut.result()
     else:
         for ci, (lo, hi) in enumerate(ranges):
-            results[ci] = run_chunk(ci, lo, hi)
+            run_chunk(ci, lo, hi)
 
-    pre = np.concatenate([r[0] for r in results], axis=0)
-    post = np.concatenate([r[1] for r in results], axis=0)
-    clipped = np.concatenate([r[2] for r in results], axis=0)
     times = np.asarray(snap_steps, dtype=float) * config.dt
     return PathEnsemble(
         times=times, pre=pre, post=post, dt=config.dt, nu=config.nu,
@@ -285,21 +285,28 @@ def recompute_noise(config, path, step):
     return z[row]
 
 
+def _read_only(view):
+    view.flags.writeable = False
+    return view
+
+
 def specular_reverse(ensemble):
     """Time-reversed ensemble: q'(t') = q(-t'), pairs swapped and reordered.
 
     An exact involution on the stored arrays; the reversed time stamps lie
-    in [-horizon, 0].
+    in [-horizon, 0]. ``pre``, ``post`` and ``clipped`` are read-only views
+    sharing memory with the source ensemble; only ``times`` is a new array.
     """
     direction = "specular" if ensemble.direction == "forward" else "forward"
+    clipped = ensemble.clipped
     return PathEnsemble(
         times=(-(ensemble.times + ensemble.dt))[::-1].copy(),
-        pre=ensemble.post[:, ::-1].copy(),
-        post=ensemble.pre[:, ::-1].copy(),
+        pre=_read_only(ensemble.post[:, ::-1]),
+        post=_read_only(ensemble.pre[:, ::-1]),
         dt=ensemble.dt,
         nu=ensemble.nu,
         direction=direction,
-        clipped=None if ensemble.clipped is None else ensemble.clipped.copy(),
+        clipped=None if clipped is None else _read_only(clipped[:]),
         master_seed=ensemble.master_seed,
         chunk_size=ensemble.chunk_size,
         meta=dict(ensemble.meta),
@@ -342,18 +349,28 @@ class BinSpec:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def flat_index(self, points):
-        """Flat bin index per point; -1 for points outside the box."""
+        """Flat (C-order) bin index per point of a (..., 3) array; -1 for
+        points outside the half-open box [lo, hi).
+
+        The index is built one axis at a time, so no (..., 3) temporary
+        exists.
+        """
         points = np.asarray(points, dtype=float)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        shape = np.asarray(self.shape)
-        frac = (points - lo) / (hi - lo)
-        inside = np.all((frac >= 0.0) & (frac < 1.0), axis=-1)
-        idx3 = np.clip((frac * shape).astype(int), 0, shape - 1)
-        flat = np.ravel_multi_index(
-            tuple(idx3[..., i] for i in range(3)), self.shape
-        )
-        return np.where(inside, flat, -1)
+        flat = np.zeros(points.shape[:-1], dtype=np.intp)
+        inside = np.ones(points.shape[:-1], dtype=bool)
+        for i, n in enumerate(self.shape):
+            frac = points[..., i] - self.lo[i]
+            frac /= self.hi[i] - self.lo[i]
+            inside &= frac >= 0.0
+            inside &= frac < 1.0
+            frac *= n
+            idx = frac.astype(np.intp)
+            del frac
+            flat *= n
+            flat += np.clip(idx, 0, n - 1)
+            del idx
+        flat[~inside] = -1
+        return flat
 
 
 @dataclass
@@ -419,48 +436,65 @@ def batch_mean_se(values):
     return mean, se, n_eff
 
 
+def _sample_bins(bins, anchor, n_batches):
+    """Bin and (path batch, bin) cell of every sample, in sample order.
+
+    ``anchor`` is (n_paths, n_snapshots, 3); both results are flat
+    (n_paths * n_snapshots,) index columns. Out-of-box samples go to an
+    overflow bin k = ``bins.n_bins`` and cells have k + 1 slots per batch,
+    so the first k entries of a ``bincount`` (per batch, for cells) see
+    exactly the in-box samples, each bin in the original sample order.
+    """
+    k = bins.n_bins
+    flat = bins.flat_index(anchor)
+    flat[flat < 0] = k
+    batch = batch_of_path(anchor.shape[0], n_batches)
+    cell = flat + (k + 1) * batch[:, None]
+    return flat.reshape(-1), cell.reshape(-1)
+
+
+def _increment(ensemble, d):
+    """(post - pre)[..., d] / dt as one flat (n_samples,) column."""
+    col = ensemble.post[..., d] - ensemble.pre[..., d]
+    col /= ensemble.dt
+    return col.reshape(-1)
+
+
 def _binned_drift(ensemble, bins, condition_on, min_count, n_batches):
     """Bin (post - pre)/dt by either the pre or the post state.
 
     Standard errors come from the spread of per-path-batch means, which is
     insensitive to correlation between snapshots of the same path.
     """
-    values = (ensemble.post - ensemble.pre) / ensemble.dt
     anchor = ensemble.pre if condition_on == "pre" else ensemble.post
     k = bins.n_bins
+    fb, cell = _sample_bins(bins, anchor, n_batches)
 
-    flat_vals = values.reshape(-1, 3)
-    flat_bins = bins.flat_index(anchor.reshape(-1, 3))
-    flat_batch = np.repeat(batch_of_path(ensemble.n_paths, n_batches),
-                           ensemble.n_snapshots)
-
-    keep = flat_bins >= 0
-    fb = flat_bins[keep]
-    fv = flat_vals[keep]
-    fg = flat_batch[keep]
-
-    fa = anchor.reshape(-1, 3)[keep]
-    count = np.bincount(fb, minlength=k).astype(int)
+    count = np.bincount(fb, minlength=k + 1)[:k].astype(int)
     sums = np.stack([
-        np.bincount(fb, weights=fv[:, d], minlength=k) for d in range(3)
-    ], axis=-1)
+        np.bincount(fb, weights=_increment(ensemble, d), minlength=k + 1)
+        for d in range(3)
+    ], axis=-1)[:k]
     overall = np.divide(
         sums, count[:, None], out=np.zeros((k, 3)), where=count[:, None] > 0
     )
     anchor_sums = np.stack([
-        np.bincount(fb, weights=fa[:, d], minlength=k) for d in range(3)
-    ], axis=-1)
+        np.bincount(fb, weights=anchor[..., d].reshape(-1), minlength=k + 1)
+        for d in range(3)
+    ], axis=-1)[:k]
     anchor_mean = np.divide(
         anchor_sums, count[:, None],
         out=np.full((k, 3), np.nan), where=count[:, None] > 0,
     )
+    del fb
 
-    cell = fg * k + fb
-    bcount = np.bincount(cell, minlength=n_batches * k).reshape(n_batches, k)
+    n_cells = n_batches * (k + 1)
+    bcount = np.bincount(cell, minlength=n_cells).reshape(
+        n_batches, k + 1)[:, :k]
     bsums = np.stack([
-        np.bincount(cell, weights=fv[:, d], minlength=n_batches * k)
+        np.bincount(cell, weights=_increment(ensemble, d), minlength=n_cells)
         for d in range(3)
-    ], axis=-1).reshape(n_batches, k, 3)
+    ], axis=-1).reshape(n_batches, k + 1, 3)[:, :k]
     bmeans = np.divide(
         bsums, bcount[..., None],
         out=np.full((n_batches, k, 3), np.nan), where=bcount[..., None] > 0,

@@ -20,9 +20,9 @@ import numpy as np
 
 from .diffusion import (
     DEFAULT_BATCHES,
+    _sample_bins,
     backward_drift_estimate,
     batch_mean_se,
-    batch_of_path,
     combine_drift_estimates,
     forward_drift_estimate,
 )
@@ -74,26 +74,20 @@ def estimate_density(ensemble, bins, patch, n_batches=DEFAULT_BATCHES):
     the result is normalized to sum(rho sqrt|sigma| vol) = 1 over the
     lattice.
     """
-    states = ensemble.pre.reshape(-1, 3)
-    flat = bins.flat_index(states)
-    keep = flat >= 0
-    fb = flat[keep]
     k = bins.n_bins
+    fb, cell = _sample_bins(bins, ensemble.pre, n_batches)
     _, vol = _bin_volume(bins)
     root_sig = _sqrt_sigma_per_bin(bins, patch)
 
-    count = np.bincount(fb, minlength=k).astype(int)
+    count = np.bincount(fb, minlength=k + 1)[:k].astype(int)
     total = int(count.sum())
     if total == 0:
         raise InsufficientSamples("no ensemble states inside the bin lattice")
     est = count / (total * vol * root_sig)
 
-    batch = np.repeat(
-        batch_of_path(ensemble.n_paths, n_batches), ensemble.n_snapshots
-    )[keep]
-    bcount = np.bincount(batch * k + fb, minlength=n_batches * k).reshape(
-        n_batches, k
-    )
+    bcount = np.bincount(cell, minlength=n_batches * (k + 1)).reshape(
+        n_batches, k + 1
+    )[:, :k]
     btot = bcount.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         best = bcount / (btot * vol * root_sig)

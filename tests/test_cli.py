@@ -1,5 +1,6 @@
 """Scenario validation, run orchestration, exit codes, and plot extraction."""
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -393,6 +394,21 @@ def test_run_seed_determinism_across_threads(tmp_path):
         assert a == b
         assert rep1["data_files"][key]["sha256"] \
             == rep2["data_files"][key]["sha256"]
+
+
+def test_run_data_file_digests_match_disk(tmp_path):
+    # digests are taken in blocks; paths_pre spans several of them
+    doc = gaussian_doc(analyses=["simulate", "estimate"])
+    doc["diffusion"]["horizon"] = 0.5
+    scenario = validate(write_scenario(tmp_path, doc))
+    report = run(scenario, out_dir=tmp_path / "out")
+    assert report["error"] is None
+    assert report["data_files"]["paths_pre"]["bytes"] > 2 << 20
+    assert len(report["data_files"]) == 8
+    for entry in report["data_files"].values():
+        path = tmp_path / "out" / entry["path"]
+        assert entry["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert entry["bytes"] == path.stat().st_size
 
 
 def test_run_seed_override_changes_data(tmp_path):

@@ -1,9 +1,13 @@
 """Simulator, reproducibility, drift estimators, specular reversal."""
 
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comovkit.diffusion import (
     BinSpec,
@@ -25,6 +29,7 @@ from comovkit.errors import (
     InsufficientSamples,
     SamplerStalled,
 )
+from comovkit.estimators import estimate_density
 from comovkit.fields import Box
 from comovkit.geometry import MetricPatch, polar_flat_patch
 
@@ -174,6 +179,38 @@ def test_thread_count_does_not_change_results():
     threaded = simulate(drift, patch, DiffusionConfig(**base, n_threads=4))
     assert serial.pre.tobytes() == threaded.pre.tobytes()
     assert serial.post.tobytes() == threaded.post.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(chunk_size=st.integers(8, 40), full_chunks=st.integers(2, 3),
+       short=st.integers(1, 39), seed=st.integers(0, 2**32 - 1))
+def test_threads_fill_shared_ensemble_identically(chunk_size, full_chunks,
+                                                  short, seed):
+    # every chunk writes its own rows of one preallocated ensemble: a short
+    # last chunk and clip flags set from worker threads must land exactly
+    # where the serial run puts them
+    short = 1 + (short - 1) % (chunk_size - 1)  # 1 .. chunk_size - 1
+    box = Box((-0.6, -0.6, -0.6), (0.6, 0.6, 0.6))
+    base = dict(dt=0.01, horizon=0.15, master_seed=seed,
+                n_paths=full_chunks * chunk_size + short,
+                initial=("density", lambda q: np.ones(len(q)), box, 1.0),
+                burn_in_fraction=0.0, n_snapshots=5, chunk_size=chunk_size,
+                clip_box=box)
+    patch = MetricPatch.euclidean()
+    drift = drift_from_fields(ou_drift, patch, 1.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the workers' writes finely
+    try:
+        runs = [simulate(drift, patch, DiffusionConfig(**base, n_threads=n))
+                for n in (1, 2, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    serial = runs[0]
+    assert serial.clipped.any()
+    for threaded in runs[1:]:
+        assert serial.pre.tobytes() == threaded.pre.tobytes()
+        assert serial.post.tobytes() == threaded.post.tobytes()
+        assert serial.clipped.tobytes() == threaded.clipped.tobytes()
 
 
 def test_curved_metric_threads_do_not_change_results():
@@ -386,6 +423,20 @@ def test_specular_reverse_is_exact_involution(ou_ensemble):
     assert np.array_equal(back.post, ou_ensemble.post)
 
 
+def test_specular_reverse_is_a_read_only_view(ou_ensemble):
+    rev = specular_reverse(ou_ensemble)
+    assert np.shares_memory(rev.pre, ou_ensemble.post)
+    assert np.shares_memory(rev.post, ou_ensemble.pre)
+    for array in (rev.pre, rev.post, rev.clipped):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    back = specular_reverse(rev)
+    assert np.array_equal(back.pre, ou_ensemble.pre)
+    assert np.array_equal(back.post, ou_ensemble.post)
+    # the source stays writable
+    assert ou_ensemble.pre.flags.writeable
+
+
 def test_specular_forward_drift_equals_osmotic_velocity(ou_ensemble):
     # reversing the stationary ensemble flips the current contribution
     # (zero here) and keeps the osmotic part: forward drift of the
@@ -453,6 +504,31 @@ def test_bin_spec_indexing_and_centers():
     assert idx.tolist() == [0, 4, 3, -1]
 
 
+def test_flat_index_edges_and_batched_shape():
+    bins = BinSpec((-1.0, 0.0, 2.0), (1.0, 3.0, 5.0), (2, 3, 4))
+    lo, hi = np.array(bins.lo), np.array(bins.hi)
+    shape = np.array(bins.shape)
+    # the box is half open: lo is bin 0, hi on any one axis is outside and
+    # a point just below it is in that axis' last bin
+    assert bins.flat_index(lo) == 0
+    for i in range(3):
+        point = lo.copy()
+        point[i] = hi[i]
+        assert bins.flat_index(point) == -1
+        point[i] = hi[i] - 1e-9
+        last = np.ravel_multi_index(tuple(np.where(np.arange(3) == i,
+                                                   shape - 1, 0)), bins.shape)
+        assert bins.flat_index(point) == last
+    rng = np.random.default_rng(11)
+    points = rng.uniform(-2.0, 6.0, size=(7, 5, 3))
+    batched = bins.flat_index(points)
+    assert batched.shape == (7, 5)
+    assert np.array_equal(batched.reshape(-1),
+                          bins.flat_index(points.reshape(-1, 3)))
+    assert np.array_equal(batched.reshape(-1),
+                          _reference_flat_index(bins, points.reshape(-1, 3)))
+
+
 def test_bin_spec_rejects_bad_box():
     with pytest.raises(ConfigInvalid):
         BinSpec((0.0, 0.0, 0.0), (0.0, 1.0, 1.0), (2, 2, 2))
@@ -488,3 +564,192 @@ def test_batch_mean_se_skips_missing_batches():
     np.testing.assert_array_equal(vmean[:, 0], mean)
     np.testing.assert_array_equal(vse[:, 0], se)
     np.testing.assert_allclose(vse[:2, 1], 2.0 * se[:2])
+
+
+# --- binning exactness and memory ---------------------------------------------
+#
+# The estimators bin with an overflow slot instead of masking and copying
+# the in-box samples. The references below are the keep-and-copy versions
+# they replaced; every output must agree bit for bit.
+
+
+def _reference_flat_index(bins, points):
+    points = np.asarray(points, dtype=float)
+    lo = np.asarray(bins.lo)
+    hi = np.asarray(bins.hi)
+    shape = np.asarray(bins.shape)
+    frac = (points - lo) / (hi - lo)
+    inside = np.all((frac >= 0.0) & (frac < 1.0), axis=-1)
+    idx3 = np.clip((frac * shape).astype(int), 0, shape - 1)
+    flat = np.ravel_multi_index(
+        tuple(idx3[..., i] for i in range(3)), bins.shape
+    )
+    return np.where(inside, flat, -1)
+
+
+def _reference_binned_drift(ensemble, bins, condition_on, n_batches):
+    values = (ensemble.post - ensemble.pre) / ensemble.dt
+    anchor = ensemble.pre if condition_on == "pre" else ensemble.post
+    k = bins.n_bins
+    flat_vals = values.reshape(-1, 3)
+    flat_bins = _reference_flat_index(bins, anchor.reshape(-1, 3))
+    flat_batch = np.repeat(batch_of_path(ensemble.n_paths, n_batches),
+                           ensemble.n_snapshots)
+    keep = flat_bins >= 0
+    fb = flat_bins[keep]
+    fv = flat_vals[keep]
+    fg = flat_batch[keep]
+    fa = anchor.reshape(-1, 3)[keep]
+    count = np.bincount(fb, minlength=k).astype(int)
+    sums = np.stack([
+        np.bincount(fb, weights=fv[:, d], minlength=k) for d in range(3)
+    ], axis=-1)
+    overall = np.divide(
+        sums, count[:, None], out=np.zeros((k, 3)), where=count[:, None] > 0
+    )
+    anchor_sums = np.stack([
+        np.bincount(fb, weights=fa[:, d], minlength=k) for d in range(3)
+    ], axis=-1)
+    anchor_mean = np.divide(
+        anchor_sums, count[:, None],
+        out=np.full((k, 3), np.nan), where=count[:, None] > 0,
+    )
+    cell = fg * k + fb
+    bcount = np.bincount(cell, minlength=n_batches * k).reshape(n_batches, k)
+    bsums = np.stack([
+        np.bincount(cell, weights=fv[:, d], minlength=n_batches * k)
+        for d in range(3)
+    ], axis=-1).reshape(n_batches, k, 3)
+    bmeans = np.divide(
+        bsums, bcount[..., None],
+        out=np.full((n_batches, k, 3), np.nan), where=bcount[..., None] > 0,
+    )
+    _, se, _ = batch_mean_se(bmeans)
+    return {"count": count, "mean": overall, "anchor_mean": anchor_mean,
+            "batch_mean": bmeans, "batch_count": bcount, "se": se}
+
+
+def _reference_density(ensemble, bins, patch, n_batches):
+    flat = _reference_flat_index(bins, ensemble.pre.reshape(-1, 3))
+    keep = flat >= 0
+    fb = flat[keep]
+    k = bins.n_bins
+    vol = float(np.prod((np.asarray(bins.hi) - np.asarray(bins.lo))
+                        / np.asarray(bins.shape)))
+    root_sig = patch.sqrt_det(bins.centers())
+    count = np.bincount(fb, minlength=k).astype(int)
+    total = int(count.sum())
+    est = count / (total * vol * root_sig)
+    batch = np.repeat(
+        batch_of_path(ensemble.n_paths, n_batches), ensemble.n_snapshots
+    )[keep]
+    bcount = np.bincount(batch * k + fb, minlength=n_batches * k).reshape(
+        n_batches, k
+    )
+    btot = bcount.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        best = bcount / (btot * vol * root_sig)
+    n_eff = np.sum(btot[:, 0] > 0)
+    se = best.std(axis=0, ddof=1) / np.sqrt(n_eff)
+    se = np.where(count >= 2, se, np.inf)
+    return {"estimate": est, "se": se, "count": count, "batch_estimate": best}
+
+
+# a 1.8-sigma cube leaves about a fifth of the stationary samples outside
+EXACT_BINS = BinSpec((-1.8, -1.8, -1.8), (1.8, 1.8, 1.8), (4, 4, 4))
+
+
+@pytest.fixture(scope="module")
+def exact_ensemble():
+    config = DiffusionConfig(
+        dt=0.01, horizon=0.2, n_paths=3000, master_seed=4242, nu=NU,
+        initial=("density", gauss_weight,
+                 Box((-4.0, -4.0, -4.0), (4.0, 4.0, 4.0)), 1.0),
+        burn_in_fraction=0.0, n_snapshots=12, chunk_size=1024,
+    )
+    patch = MetricPatch.euclidean()
+    return simulate(drift_from_fields(ou_drift, patch, NU), patch, config)
+
+
+def test_overflow_binning_matches_keep_and_copy(exact_ensemble):
+    outside = np.mean(EXACT_BINS.flat_index(exact_ensemble.pre) < 0)
+    assert 0.15 < outside < 0.25
+    rev = specular_reverse(exact_ensemble)
+    patch = MetricPatch.constant(np.diag([0.64, 1.0, 1.5]))
+    for ens in (exact_ensemble, rev):
+        for condition_on, estimate in (("pre", forward_drift_estimate),
+                                       ("post", backward_drift_estimate)):
+            got = estimate(ens, EXACT_BINS, min_count=50, n_batches=7)
+            want = _reference_binned_drift(ens, EXACT_BINS, condition_on, 7)
+            for name, value in want.items():
+                assert np.array_equal(getattr(got, name), value,
+                                      equal_nan=True), (condition_on, name)
+        got = estimate_density(ens, EXACT_BINS, patch, n_batches=7)
+        want = _reference_density(ens, EXACT_BINS, patch, 7)
+        for name, value in want.items():
+            assert np.array_equal(getattr(got, name), value,
+                                  equal_nan=True), name
+
+
+def _traced_peak(call):
+    """(result, peak traced bytes during the call); numpy reports its
+    buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture(scope="module")
+def traced_simulation():
+    # 8 192 paths x 24 snapshots in four chunks on two threads; the
+    # ceilings below are multiples of one pair array's size
+    config = DiffusionConfig(
+        dt=2e-3, horizon=0.2, n_paths=8192, master_seed=5, nu=NU,
+        initial=("density", gauss_weight,
+                 Box((-4.0, -4.0, -4.0), (4.0, 4.0, 4.0)), 1.0),
+        burn_in_fraction=0.0, n_snapshots=24, chunk_size=2048, n_threads=2,
+    )
+    patch = MetricPatch.euclidean()
+    drift = drift_from_fields(ou_drift, patch, NU)
+    ensemble, peak = _traced_peak(lambda: simulate(drift, patch, config))
+    return ensemble, peak / ensemble.pre.nbytes
+
+
+def test_simulate_allocates_the_ensemble_once(traced_simulation):
+    # pre and post (2.0) plus the chunks' work buffers, no concatenated copy
+    ensemble, ratio = traced_simulation
+    assert ensemble.pre.shape == (8192, 24, 3)
+    assert ratio <= 2.5
+
+
+# the binned estimators hold an index, a cell and one component column
+# (each a third of pre.nbytes) plus indexing temporaries, never an
+# (n_samples, 3) copy
+ALLOC_BINS = BinSpec((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5), (4, 4, 4))
+
+
+def test_drift_estimate_allocates_columns_not_copies(traced_simulation):
+    ensemble, _ = traced_simulation
+    est, peak = _traced_peak(
+        lambda: forward_drift_estimate(ensemble, ALLOC_BINS, min_count=10))
+    assert np.any(est.valid)
+    assert peak / ensemble.pre.nbytes <= 2.0
+
+
+def test_density_estimate_allocates_columns_not_copies(traced_simulation):
+    ensemble, _ = traced_simulation
+    density, peak = _traced_peak(lambda: estimate_density(
+        ensemble, ALLOC_BINS, MetricPatch.euclidean()))
+    assert density.meta["total_inside"] > 0
+    assert peak / ensemble.pre.nbytes <= 2.0
+
+
+def test_specular_reverse_allocates_no_ensemble(traced_simulation):
+    ensemble, _ = traced_simulation
+    rev, peak = _traced_peak(lambda: specular_reverse(ensemble))
+    assert rev.n_paths == ensemble.n_paths
+    assert peak / ensemble.pre.nbytes <= 0.01
