@@ -739,11 +739,7 @@ def _run_specular(ctx):
 
     reverse = specular_reverse(ensemble)
     double = specular_reverse(reverse)
-    involution = (
-        np.array_equal(double.pre, ensemble.pre)
-        and np.array_equal(double.post, ensemble.post)
-        and np.array_equal(double.times, ensemble.times)
-    )
+    involution = double.same_pairs(ensemble)
 
     # the reversed ensemble drifts forward at +u: compare the binned
     # forward drift against the analytic osmotic velocity at the anchors

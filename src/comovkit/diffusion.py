@@ -14,10 +14,13 @@ rebuilds any single draw from scratch for verification.
 Full trajectories at the acceptance scale would need tens of gigabytes,
 so ensembles store (state, next state) pairs at a strided set of
 post-burn-in steps plus the final step: everything the drift and density
-estimators condition on. Peak memory is those two arrays plus a few
-O(n_samples) columns: chunks write into one preallocated ensemble, the
-binned estimators form one component column at a time, and the specular
-ensemble is a read-only view of its source.
+estimators condition on. Peak memory is those two arrays plus O(block)
+work per pass: chunks write into one preallocated ensemble, every pass
+over a simulated ensemble (rejection sampling, binning, the variance
+report, the specular involution check) walks it in fixed blocks of about
+``BLOCK_SAMPLES`` samples, and the specular ensemble is a read-only view
+of its source. Sums run in sample order from 0.0 whatever the block
+boundaries, so results equal whole-array ones bit for bit.
 """
 
 import warnings
@@ -38,6 +41,8 @@ DEFAULT_CHUNK = 16384
 DEFAULT_BATCHES = 32
 # proposals the rejection sampler may spend without a single acceptance
 PROPOSAL_BUDGET = 1 << 20
+# samples (3-vectors) per block of a pass over an ensemble or a proposal batch
+BLOCK_SAMPLES = 1 << 14
 
 
 @dataclass
@@ -120,6 +125,22 @@ class PathEnsemble:
     def final_states(self):
         return self.post[:, -1]
 
+    def same_pairs(self, other):
+        """Whether ``times``, ``pre`` and ``post`` equal ``other``'s element
+        for element; compared in path blocks, so no ensemble-sized
+        temporary forms."""
+        if not (np.array_equal(self.times, other.times)
+                and self.pre.shape == other.pre.shape
+                and self.post.shape == other.post.shape):
+            return False
+        return all(
+            np.array_equal(mine[lo:hi], theirs[lo:hi])
+            for lo, hi in _chunk_ranges(self.n_paths,
+                                        _block_paths(self.n_snapshots))
+            for mine, theirs in ((self.pre, other.pre),
+                                 (self.post, other.post))
+        )
+
 
 def _noise_stream(master_seed, chunk_index):
     seq = np.random.SeedSequence(entropy=master_seed,
@@ -136,6 +157,11 @@ def _init_stream(master_seed, chunk_index):
 def _chunk_ranges(n_paths, chunk_size):
     return [(lo, min(lo + chunk_size, n_paths))
             for lo in range(0, n_paths, chunk_size)]
+
+
+def _block_paths(n_snapshots):
+    """Paths per block: about BLOCK_SAMPLES samples, at least one path."""
+    return max(1, BLOCK_SAMPLES // max(n_snapshots, 1))
 
 
 def _sample_initial(config, rng, count):
@@ -160,11 +186,16 @@ def _sample_initial(config, rng, count):
                 )
             m = max(4 * (count - have), 1024)
             prop = rng.uniform(lo, hi, size=(m, 3))
-            accept = rng.uniform(0.0, sup, size=m) < weight(prop)
-            took = prop[accept]
-            take = min(len(took), count - have)
-            out[have:have + take] = took[:take]
-            have += take
+            level = rng.uniform(0.0, sup, size=m)
+            # weight is evaluated per row block; acceptances keep their order
+            for i in range(0, m, BLOCK_SAMPLES):
+                rows = prop[i:i + BLOCK_SAMPLES]
+                took = rows[level[i:i + BLOCK_SAMPLES] < weight(rows)]
+                take = min(len(took), count - have)
+                out[have:have + take] = took[:take]
+                have += take
+                if have == count:
+                    break
             proposed += m
         return out
     raise ConfigInvalid(f"unknown initial sampler '{kind}'")
@@ -408,11 +439,24 @@ class DriftEstimate:
         return out
 
 
-def batch_of_path(n_paths, n_batches):
-    """Path-batch index per path: contiguous batches of ceil(n / n_batches)
-    paths, the last one also taking any remainder."""
+def _batch_edges(n_paths, n_batches):
+    """First path of each path batch, then n_paths: contiguous batches of
+    ceil(n / n_batches) paths, the last one also taking any remainder."""
     size = max(1, int(np.ceil(n_paths / n_batches)))
-    return np.minimum(np.arange(n_paths) // size, n_batches - 1)
+    edges = np.minimum(np.arange(n_batches + 1) * size, n_paths)
+    edges[-1] = n_paths
+    return edges
+
+
+def _batches_in(edges, lo, hi):
+    """Path-batch index of each path lo..hi-1."""
+    per_batch = np.diff(np.clip(edges, lo, hi))
+    return np.repeat(np.arange(len(per_batch)), per_batch)
+
+
+def batch_of_path(n_paths, n_batches):
+    """Path-batch index per path (see ``_batch_edges`` for the layout)."""
+    return _batches_in(_batch_edges(n_paths, n_batches), 0, n_paths)
 
 
 def batch_mean_se(values):
@@ -436,28 +480,52 @@ def batch_mean_se(values):
     return mean, se, n_eff
 
 
-def _sample_bins(bins, anchor, n_batches):
-    """Bin and (path batch, bin) cell of every sample, in sample order.
+def _bin_totals(bins, anchor, n_batches, ensemble=None):
+    """Counts, and with ``ensemble`` sums, per bin and per (batch, bin) cell.
 
-    ``anchor`` is (n_paths, n_snapshots, 3); both results are flat
-    (n_paths * n_snapshots,) index columns. Out-of-box samples go to an
-    overflow bin k = ``bins.n_bins`` and cells have k + 1 slots per batch,
-    so the first k entries of a ``bincount`` (per batch, for cells) see
-    exactly the in-box samples, each bin in the original sample order.
+    Walks ``anchor`` (n_paths, n_snapshots, 3) in path blocks. Out-of-box
+    samples go to an overflow bin k = ``bins.n_bins`` and cells have k + 1
+    slots per path batch; the overflow slots are dropped at the end.
+    Returns (count (k,), cell count (n_batches, k)); with ``ensemble`` also
+    the sums of the increments (post - pre)/dt per bin (k, 3) and per cell
+    (n_batches, k, 3) and of the anchor per bin (k, 3). ``np.add.at`` adds
+    the weights in sample order starting from 0.0, as one ``np.bincount``
+    over the whole ensemble does, so no sum depends on the block size.
     """
     k = bins.n_bins
-    flat = bins.flat_index(anchor)
-    flat[flat < 0] = k
-    batch = batch_of_path(anchor.shape[0], n_batches)
-    cell = flat + (k + 1) * batch[:, None]
-    return flat.reshape(-1), cell.reshape(-1)
-
-
-def _increment(ensemble, d):
-    """(post - pre)[..., d] / dt as one flat (n_samples,) column."""
-    col = ensemble.post[..., d] - ensemble.pre[..., d]
-    col /= ensemble.dt
-    return col.reshape(-1)
+    n_cells = n_batches * (k + 1)
+    edges = _batch_edges(anchor.shape[0], n_batches)
+    count = np.zeros(k + 1, dtype=np.intp)
+    cell_count = np.zeros(n_cells, dtype=np.intp)
+    sums = np.zeros((3, k + 1))
+    cell_sums = np.zeros((3, n_cells))
+    anchor_sums = np.zeros((3, k + 1))
+    for lo, hi in _chunk_ranges(anchor.shape[0],
+                                _block_paths(anchor.shape[1])):
+        flat = bins.flat_index(anchor[lo:hi])
+        flat[flat < 0] = k
+        batch = _batches_in(edges, lo, hi)
+        cell = (flat + (k + 1) * batch[:, None]).reshape(-1)
+        flat = flat.reshape(-1)
+        count += np.bincount(flat, minlength=k + 1)
+        cell_count += np.bincount(cell, minlength=n_cells)
+        if ensemble is None:
+            continue
+        for d in range(3):
+            rate = ensemble.post[lo:hi, :, d] - ensemble.pre[lo:hi, :, d]
+            rate /= ensemble.dt
+            rate = rate.reshape(-1)
+            np.add.at(sums[d], flat, rate)
+            np.add.at(cell_sums[d], cell, rate)
+            np.add.at(anchor_sums[d], flat, anchor[lo:hi, :, d].reshape(-1))
+    counts = count[:k], cell_count.reshape(n_batches, k + 1)[:, :k]
+    if ensemble is None:
+        return counts
+    return counts + (
+        sums[:, :k].T,
+        cell_sums.reshape(3, n_batches, k + 1)[:, :, :k].transpose(1, 2, 0),
+        anchor_sums[:, :k].T,
+    )
 
 
 def _binned_drift(ensemble, bins, condition_on, min_count, n_batches):
@@ -468,33 +536,15 @@ def _binned_drift(ensemble, bins, condition_on, min_count, n_batches):
     """
     anchor = ensemble.pre if condition_on == "pre" else ensemble.post
     k = bins.n_bins
-    fb, cell = _sample_bins(bins, anchor, n_batches)
-
-    count = np.bincount(fb, minlength=k + 1)[:k].astype(int)
-    sums = np.stack([
-        np.bincount(fb, weights=_increment(ensemble, d), minlength=k + 1)
-        for d in range(3)
-    ], axis=-1)[:k]
+    count, bcount, sums, bsums, anchor_sums = _bin_totals(
+        bins, anchor, n_batches, ensemble)
     overall = np.divide(
         sums, count[:, None], out=np.zeros((k, 3)), where=count[:, None] > 0
     )
-    anchor_sums = np.stack([
-        np.bincount(fb, weights=anchor[..., d].reshape(-1), minlength=k + 1)
-        for d in range(3)
-    ], axis=-1)[:k]
     anchor_mean = np.divide(
         anchor_sums, count[:, None],
         out=np.full((k, 3), np.nan), where=count[:, None] > 0,
     )
-    del fb
-
-    n_cells = n_batches * (k + 1)
-    bcount = np.bincount(cell, minlength=n_cells).reshape(
-        n_batches, k + 1)[:, :k]
-    bsums = np.stack([
-        np.bincount(cell, weights=_increment(ensemble, d), minlength=n_cells)
-        for d in range(3)
-    ], axis=-1).reshape(n_batches, k + 1, 3)[:, :k]
     bmeans = np.divide(
         bsums, bcount[..., None],
         out=np.full((n_batches, k, 3), np.nan), where=bcount[..., None] > 0,
@@ -539,20 +589,54 @@ def backward_drift_estimate(ensemble, bins, min_count=200,
 
 
 def variance_report(ensemble, n_batches=DEFAULT_BATCHES):
-    """Per-snapshot, per-axis ensemble variance with path-batch SEs."""
+    """Per-snapshot, per-axis ensemble variance with path-batch SEs.
+
+    Reads ``pre`` in path blocks that never straddle a path batch. Row sums
+    and then squared deviations are added block after block in path order,
+    each block as one sum over a buffer whose first row carries the running
+    total, which is the order ``var(axis=0, ddof=1)`` adds them in: the
+    values equal the whole-array ones bit for bit. Raises
+    InsufficientSamples unless at least two path batches hold two or more
+    paths, the least a batch standard error needs.
+    """
     states = ensemble.pre
-    batch = batch_of_path(ensemble.n_paths, n_batches)
-    var = states.var(axis=0, ddof=1)
-    bvars = np.stack([
-        states[batch == b].var(axis=0, ddof=1) for b in range(n_batches)
-        if np.sum(batch == b) > 1
-    ])
-    if len(bvars) >= 2:
-        se = bvars.std(axis=0, ddof=1) / np.sqrt(len(bvars))
-    else:
-        se = np.full_like(var, np.inf)
+    edges = _batch_edges(ensemble.n_paths, n_batches)
+    size = np.diff(edges)
+    if np.count_nonzero(size > 1) < 2:
+        raise InsufficientSamples(
+            f"{ensemble.n_paths} paths give fewer than two of {n_batches} "
+            "path batches two or more paths; the variance standard error "
+            "needs two"
+        )
+    step = _block_paths(ensemble.n_snapshots)
+    blocks = [(b, lo, min(lo + step, edges[b + 1]))
+              for b in range(n_batches)
+              for lo in range(edges[b], edges[b + 1], step)]
+    # slot b sums batch b; slot n_batches sums every path
+    count = np.append(size, ensemble.n_paths)[:, None, None]
+    buf = np.empty((step + 1,) + states.shape[1:])
+
+    def slot_sums(center=None):
+        """Per slot: sum of rows, or of squared deviations from center."""
+        total = np.zeros((n_batches + 1,) + states.shape[1:])
+        for b, lo, hi in blocks:
+            rows = buf[1:hi - lo + 1]
+            if center is None:
+                rows[...] = states[lo:hi]
+            for slot in (b, n_batches):
+                if center is not None:
+                    np.subtract(states[lo:hi], center[slot], out=rows)
+                    rows *= rows
+                buf[0] = total[slot]
+                total[slot] = buf[:hi - lo + 1].sum(axis=0)
+        return total
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = slot_sums() / count
+        var = slot_sums(mean) / (count - 1)
+    bvars = var[:n_batches][size > 1]
     return {
         "times": ensemble.times.copy(),
-        "variance": var,
-        "se": se,
+        "variance": var[n_batches],
+        "se": bvars.std(axis=0, ddof=1) / np.sqrt(len(bvars)),
     }

@@ -20,7 +20,7 @@ import numpy as np
 
 from .diffusion import (
     DEFAULT_BATCHES,
-    _sample_bins,
+    _bin_totals,
     backward_drift_estimate,
     batch_mean_se,
     combine_drift_estimates,
@@ -75,19 +75,15 @@ def estimate_density(ensemble, bins, patch, n_batches=DEFAULT_BATCHES):
     lattice.
     """
     k = bins.n_bins
-    fb, cell = _sample_bins(bins, ensemble.pre, n_batches)
+    count, bcount = _bin_totals(bins, ensemble.pre, n_batches)
     _, vol = _bin_volume(bins)
     root_sig = _sqrt_sigma_per_bin(bins, patch)
 
-    count = np.bincount(fb, minlength=k + 1)[:k].astype(int)
     total = int(count.sum())
     if total == 0:
         raise InsufficientSamples("no ensemble states inside the bin lattice")
     est = count / (total * vol * root_sig)
 
-    bcount = np.bincount(cell, minlength=n_batches * (k + 1)).reshape(
-        n_batches, k + 1
-    )[:, :k]
     btot = bcount.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         best = bcount / (btot * vol * root_sig)

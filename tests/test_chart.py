@@ -632,6 +632,26 @@ def test_packet_chart_invariants(case):
                                rtol=0.0, atol=1e-10)
 
 
+@settings(max_examples=15, deadline=None)
+@given(case=_dominant_packets(), fd=st.booleans())
+def test_conjugation_is_an_involution_on_packets(case, fd):
+    # conjugation negates the phase and keeps the density, exactly, in
+    # either derivative mode; conjugating twice gives the bundle back
+    bundle, pts = case
+    if fd:
+        bundle = bundle.with_fd_derivatives(1e-3)
+    conj = bundle.conjugate()
+    assert conj.conjugate() is bundle
+    assert conj.derivative_mode == bundle.derivative_mode
+    for name in ("phase", "phase_gradient", "phase_hessian"):
+        np.testing.assert_array_equal(getattr(conj, name)(pts),
+                                      -getattr(bundle, name)(pts))
+    for name in ("density", "density_gradient", "density_hessian"):
+        np.testing.assert_array_equal(getattr(conj, name)(pts),
+                                      getattr(bundle, name)(pts))
+    assert conj.phase_hessian(pts).shape == (len(pts), 4, 4)
+
+
 def test_chart_diagnostics_report(boost_chart):
     report = chart_diagnostics(boost_chart, n_samples=10, seed=3)
     # rows of one accepted attempt each: 10 events and 10 origin copies

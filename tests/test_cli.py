@@ -313,6 +313,24 @@ def test_run_exit_three_on_stalled_initial_sampler(tmp_path):
     assert "[20.0, 20.0, 20.0]" in report["error"]["message"]
 
 
+def test_run_exit_three_on_too_few_paths_for_variance(tmp_path):
+    # 20 paths in 32 path batches leave every batch with one path: the
+    # variance has no standard error, which is a typed domain error, not
+    # a passing z of 0 over an infinite SE
+    doc = gaussian_doc(analyses=["simulate"])
+    doc["diffusion"].update(n_paths=20, chunk_size=20, horizon=0.1)
+    path = write_scenario(tmp_path, doc)
+    assert main(["validate", path]) == 0
+    code = main(["run", path, "--out", str(tmp_path / "out")])
+    assert code == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error"]["analysis"] == "simulate"
+    assert report["error"]["kind"] == "domain"
+    assert report["error"]["type"] == "InsufficientSamples"
+    assert report["properties"] == []
+    assert "paths_pre" in report["data_files"]
+
+
 def test_run_records_internal_error(tmp_path, monkeypatch, capsys):
     def broken(ctx):
         raise RuntimeError("injected fault")

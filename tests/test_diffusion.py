@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from comovkit import diffusion
 from comovkit.diffusion import (
     BinSpec,
     DiffusionConfig,
@@ -288,6 +289,44 @@ def test_density_initialization_stalls_with_typed_error():
     message = str(err.value)
     assert "accepted 0 of" in message
     assert "[20.0, 20.0, 20.0]" in message and "[24.0, 24.0, 24.0]" in message
+
+
+def _reference_sample_initial(config, rng, count):
+    """The whole-batch rejection sampler: weight over every proposal."""
+    _, weight, box, sup = config.initial
+    out = np.empty((count, 3))
+    have = 0
+    while have < count:
+        m = max(4 * (count - have), 1024)
+        prop = rng.uniform(box.lo_array, box.hi_array, size=(m, 3))
+        took = prop[rng.uniform(0.0, sup, size=m) < weight(prop)]
+        take = min(len(took), count - have)
+        out[have:have + take] = took[:take]
+        have += take
+    return out
+
+
+@pytest.mark.parametrize("block", [None, 1000])
+@pytest.mark.parametrize("sup", [1.0, 2.0])
+def test_blocked_sampler_matches_whole_batch(monkeypatch, block, sup):
+    # sup 1 accepts about 3 % of the gaussian proposals, so batches shrink
+    # over many rounds; a flat weight under sup 2 accepts half, so the
+    # sampler fills up inside the first proposal batch and stops there
+    if block is not None:
+        monkeypatch.setattr(diffusion, "BLOCK_SAMPLES", block)
+    weight = gauss_weight if sup == 1.0 else (
+        lambda q: np.ones(len(q)))
+    config = DiffusionConfig(
+        dt=0.01, horizon=0.1, n_paths=5000, master_seed=3, nu=NU,
+        initial=("density", weight,
+                 Box((-4.0, -4.0, -4.0), (4.0, 4.0, 4.0)), sup),
+    )
+    assert 4 * config.n_paths > diffusion.BLOCK_SAMPLES
+    got = diffusion._sample_initial(
+        config, diffusion._init_stream(config.master_seed, 0), 5000)
+    want = _reference_sample_initial(
+        config, diffusion._init_stream(config.master_seed, 0), 5000)
+    assert np.array_equal(got, want)
 
 
 def test_density_initialization_matches_target():
@@ -726,9 +765,8 @@ def test_simulate_allocates_the_ensemble_once(traced_simulation):
     assert ratio <= 2.5
 
 
-# the binned estimators hold an index, a cell and one component column
-# (each a third of pre.nbytes) plus indexing temporaries, never an
-# (n_samples, 3) copy
+# the binned estimators hold a block's index, cell and component columns,
+# never an (n_samples, 3) copy
 ALLOC_BINS = BinSpec((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5), (4, 4, 4))
 
 
@@ -753,3 +791,140 @@ def test_specular_reverse_allocates_no_ensemble(traced_simulation):
     rev, peak = _traced_peak(lambda: specular_reverse(ensemble))
     assert rev.n_paths == ensemble.n_paths
     assert peak / ensemble.pre.nbytes <= 0.01
+
+
+# --- fixed path blocks ------------------------------------------------------
+#
+# Every pass over an ensemble walks it in blocks of about BLOCK_SAMPLES
+# samples and sums in sample order, so results must not depend on where
+# the block boundaries fall, and the work memory must not grow with
+# n_paths.
+
+
+def _synthetic_ensemble(n_paths, n_snapshots, seed):
+    """Unit gaussian states and small increments; a 1.8-sigma cube leaves
+    about a fifth of them outside EXACT_BINS. A power-of-two dt keeps the
+    twice-reversed time stamps exact."""
+    rng = np.random.default_rng(seed)
+    pre = rng.normal(size=(n_paths, n_snapshots, 3))
+    post = pre + 0.1 * rng.normal(size=pre.shape)
+    dt = 2.0 ** -6
+    return diffusion.PathEnsemble(
+        times=dt * np.arange(n_snapshots), pre=pre, post=post, dt=dt,
+        nu=NU, clipped=np.zeros(n_paths, dtype=bool))
+
+
+def _reference_variance(ensemble, n_batches):
+    states = ensemble.pre
+    batch = batch_of_path(ensemble.n_paths, n_batches)
+    bvars = np.stack([
+        states[batch == b].var(axis=0, ddof=1) for b in range(n_batches)
+        if np.sum(batch == b) > 1
+    ])
+    return {"variance": states.var(axis=0, ddof=1),
+            "se": bvars.std(axis=0, ddof=1) / np.sqrt(len(bvars))}
+
+
+@pytest.mark.parametrize("block", [None, 120])
+def test_block_boundaries_leave_passes_exact(monkeypatch, block):
+    # the shipped block size over three full blocks and a ragged one, and
+    # ten-path blocks that path batches straddle
+    if block is not None:
+        monkeypatch.setattr(diffusion, "BLOCK_SAMPLES", block)
+    n_snapshots, n_paths = 12, 4501
+    per_block = diffusion._block_paths(n_snapshots)
+    assert n_paths // per_block >= 3 and n_paths % per_block
+    ensemble = _synthetic_ensemble(n_paths, n_snapshots, seed=17)
+    patch = MetricPatch.constant(np.diag([0.64, 1.0, 1.5]))
+    for ens in (ensemble, specular_reverse(ensemble)):
+        for condition_on, estimate in (("pre", forward_drift_estimate),
+                                       ("post", backward_drift_estimate)):
+            got = estimate(ens, EXACT_BINS, min_count=50, n_batches=7)
+            want = _reference_binned_drift(ens, EXACT_BINS, condition_on, 7)
+            for name, value in want.items():
+                assert np.array_equal(getattr(got, name), value,
+                                      equal_nan=True), (condition_on, name)
+        got = estimate_density(ens, EXACT_BINS, patch, n_batches=7)
+        want = _reference_density(ens, EXACT_BINS, patch, 7)
+        for name, value in want.items():
+            assert np.array_equal(getattr(got, name), value,
+                                  equal_nan=True), name
+        report = variance_report(ens, n_batches=7)
+        for name, value in _reference_variance(ens, 7).items():
+            assert np.array_equal(report[name], value), name
+
+
+def test_variance_report_needs_two_filled_batches():
+    # 20 paths in 32 batches: every batch holds at most one path
+    with pytest.raises(InsufficientSamples, match="two or more paths"):
+        variance_report(_synthetic_ensemble(20, 3, seed=1))
+    # 40 paths: twenty batches of two
+    report = variance_report(_synthetic_ensemble(40, 3, seed=1))
+    assert np.all(np.isfinite(report["se"]))
+
+
+def test_same_pairs_finds_any_difference():
+    n_snapshots = 12
+    n_paths = 2 * diffusion._block_paths(n_snapshots) + 5
+    ensemble = _synthetic_ensemble(n_paths, n_snapshots, seed=2)
+    double = specular_reverse(specular_reverse(ensemble))
+    assert double.same_pairs(ensemble)
+    for name, index in (("pre", (n_paths - 1, 11, 2)), ("post", (0, 0, 0)),
+                        ("times", (3,))):
+        changed = _synthetic_ensemble(n_paths, n_snapshots, seed=2)
+        getattr(changed, name)[index] += 1e-12
+        assert not changed.same_pairs(ensemble), name
+    assert not _synthetic_ensemble(n_paths - 1, n_snapshots, seed=2) \
+        .same_pairs(ensemble)
+
+
+# one float column of a block, the unit of the work-memory bounds below
+BLOCK_COLUMN = 8 * diffusion.BLOCK_SAMPLES
+N_BLOCK_PATHS = 8192
+
+
+@pytest.fixture(scope="module")
+def block_ensembles():
+    """N and 4N paths of 24 snapshots: pre.nbytes is 36 and 144 columns."""
+    return [_synthetic_ensemble(n, 24, seed=n)
+            for n in (N_BLOCK_PATHS, 4 * N_BLOCK_PATHS)]
+
+
+def _work_peaks(ensembles, call):
+    return [_traced_peak(lambda: call(ens))[1] for ens in ensembles]
+
+
+def _assert_block_bounded(peaks, columns):
+    small, large = peaks
+    assert max(peaks) <= columns * BLOCK_COLUMN, [p / BLOCK_COLUMN
+                                                   for p in peaks]
+    # four times the paths: the same blocks, only more of them
+    assert large - small <= BLOCK_COLUMN / 4, (small, large)
+
+
+def test_variance_report_memory_is_one_block(block_ensembles):
+    # a block of pre (three columns) plus per-batch accumulators
+    _assert_block_bounded(
+        _work_peaks(block_ensembles, variance_report), 5)
+
+
+def test_drift_estimate_memory_is_one_block(block_ensembles):
+    # flat_index work, the bin, cell, increment and anchor columns
+    _assert_block_bounded(_work_peaks(
+        block_ensembles,
+        lambda ens: forward_drift_estimate(ens, ALLOC_BINS, min_count=10)), 8)
+
+
+def test_density_estimate_memory_is_one_block(block_ensembles):
+    _assert_block_bounded(_work_peaks(
+        block_ensembles,
+        lambda ens: estimate_density(ens, ALLOC_BINS,
+                                     MetricPatch.euclidean())), 8)
+
+
+def test_involution_check_memory_is_one_block(block_ensembles):
+    # a block's boolean comparison: three eighths of a column
+    _assert_block_bounded(_work_peaks(
+        block_ensembles,
+        lambda ens: specular_reverse(specular_reverse(ens)).same_pairs(ens)),
+        1)
