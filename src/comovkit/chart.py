@@ -22,20 +22,25 @@ coordinates. A point x is assigned
 
 The inverse map flows the origin in its arc parameter, dx / d lambda =
 V / |V|, to find the target level, lifts the base point onto the origin
-level and flows it there. Every flow is one fixed-step classical RK4 over
-the whole batch (Hairer, Norsett & Wanner, *Solving ODEs I*, II.1). Its
-embedded third-order companion, which reuses the next step's first stage,
-gives each row an error estimate; rows above the chart tolerance are rerun
-with twice the steps, up to a cap that raises StepFailure. Both maps, the
-Jacobians and the pushforward take (..., 4) arrays. For a constant-gradient
-(plane-wave) field the flow field is constant, RK4 is exact, and the chart
-is the closed-form Lorentz boost into the rest frame.
+level and flows it there. Every flow is classical RK4 over the whole
+batch (Hairer, Norsett & Wanner, *Solving ODEs I*, II.1), first with one
+step over each row's span. Its embedded third-order companion, which reuses
+the next step's first stage, gives each row an error estimate that falls
+like n^-3 in the step count n; the rows above the chart tolerance are rerun
+together at the count their largest estimate predicts (ibid. II.4), at
+least twice the last, up to a cap that raises StepFailure. The domain is
+checked at step ends, so a curve that leaves it and comes back within one
+step is not caught. Both maps, the Jacobians and the pushforward take
+(..., 4) arrays. For a constant-gradient (plane-wave) field the flow field
+is constant, RK4 is exact, and the chart is the closed-form Lorentz boost
+into the rest frame.
 
 Level-set heights that Newton leaves unconverged and custom time gauges
 are inverted by ``bracketed_roots``, one batched Chandrupatla iteration
 over an array of brackets.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +67,9 @@ from .fields import (
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
-FLOW_STEPS = 4  # RK4 steps of a first attempt; rejected rows double them
+FLOW_STEPS = 1  # RK4 steps of a row's first attempt, over its whole span
 MAX_FLOW_STEPS = 1024
+REFINE_SAFETY = 1.0 / 0.9  # margin on the step count predicted for a rerun
 ROOT_MAX_ITER = 200  # bracketed-root evaluations per row
 JACOBIAN_STEP = 1e-3  # central-difference step of the map Jacobians
 
@@ -400,15 +406,21 @@ class FlowStats:
     ``steps`` counts RK4 steps summed over rows, ``rhs_evaluations`` the
     phase-gradient rows evaluated (4 per step plus 1 per attempt), and
     ``max_error_estimate`` is the largest accepted per-row error estimate.
-    Rejected attempts count in the work but not in the estimate.
+    ``attempts`` counts batched RK4 runs and ``rejected_rows`` the rows
+    they rejected, each time it rejected them. Rejected attempts count in
+    the work but not in the estimate.
     """
 
     steps: int = 0
     rhs_evaluations: int = 0
     max_error_estimate: float = 0.0
+    attempts: int = 0
+    rejected_rows: int = 0
 
     def to_dict(self):
         return {
+            "flow_attempts": int(self.attempts),
+            "flow_rejected_rows": int(self.rejected_rows),
             "flow_steps": int(self.steps),
             "flow_rhs_evaluations": int(self.rhs_evaluations),
             "max_step_error_estimate": float(self.max_error_estimate),
@@ -461,8 +473,9 @@ def _rk4(rhs, start, span, n_steps, domain):
     Returns the end states and, per row, the summed local error estimate
     h |f(y_new) - k4| / 6: the gap to the embedded third-order solution
     (k1 + 2 k2 + 2 k3 + f(y_new)) h / 6, whose last stage is the next
-    step's first. Raises LeftDomain naming the start event of a row whose
-    step ends outside the domain.
+    step's first. The sum falls like n_steps^-3. The domain is checked at
+    step ends only (stage points may lie outside it): LeftDomain names the
+    start event of a row whose step ends outside the domain.
     """
     h = (span / n_steps)[:, None]
     lo, hi = domain.lo_array, domain.hi_array
@@ -489,24 +502,24 @@ def _rk4(rhs, start, span, n_steps, domain):
 def _integrate(rhs, start, span, domain, rtol, atol, stats):
     """Flow every row of start over its span, refining rejected rows.
 
-    A row is accepted when its error estimate is at most atol + rtol times
-    its largest end component; the others are rerun from their start with
-    twice the steps, and a row still rejected at MAX_FLOW_STEPS raises
-    StepFailure naming its start event. Rows with a zero span stay at
-    their start, which is exactly where a flow would leave them.
+    Every row first takes FLOW_STEPS RK4 steps over its whole span. A row
+    is accepted when its error estimate is at most atol + rtol times its
+    largest end component; the others are rerun together from their start
+    at the step count ``_refined_steps`` predicts from their estimates, and
+    a row still rejected at MAX_FLOW_STEPS raises StepFailure naming its
+    start event. Rows with a zero span stay at their start, which is
+    exactly where a flow would leave them.
     """
     out = np.array(start, dtype=float)
     live = np.flatnonzero(span)
     n_steps = FLOW_STEPS
     while live.size:
-        if n_steps > MAX_FLOW_STEPS:
-            raise StepFailure(
-                f"flow from {start[live[0], :4].tolist()} misses its "
-                f"tolerance with {MAX_FLOW_STEPS} RK4 steps"
-            )
         y, err = _rk4(rhs, start[live], span[live], n_steps, domain)
-        ok = err <= atol + rtol * np.max(np.abs(y), axis=1)
+        tol = atol + rtol * np.max(np.abs(y), axis=1)
+        ok = err <= tol
         if stats is not None:
+            stats.attempts += 1
+            stats.rejected_rows += int(live.size - np.count_nonzero(ok))
             stats.steps += live.size * n_steps
             stats.rhs_evaluations += live.size * (4 * n_steps + 1)
             if np.any(ok):
@@ -514,8 +527,30 @@ def _integrate(rhs, start, span, domain, rtol, atol, stats):
                                                float(np.max(err[ok])))
         out[live[ok]] = y[ok]
         live = live[~ok]
-        n_steps *= 2
+        if not live.size:
+            break
+        if n_steps >= MAX_FLOW_STEPS:
+            raise StepFailure(
+                f"flow from {start[live[0], :4].tolist()} misses its "
+                f"tolerance with {MAX_FLOW_STEPS} RK4 steps"
+            )
+        n_steps = _refined_steps(n_steps, err[~ok], tol[~ok])
     return out
+
+
+def _refined_steps(n_steps, err, tol):
+    """Step count for rows rejected at n_steps with estimates err > tol.
+
+    The summed estimate falls like n^-3, so each row needs about
+    n_steps (err / tol)^(1/3) steps; the largest such count over the rows,
+    times REFINE_SAFETY and rounded up to a power of two, is kept within
+    [2 n_steps, MAX_FLOW_STEPS] so that all rows rerun in one batch.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        need = REFINE_SAFETY * n_steps * np.max(err / tol) ** (1.0 / 3.0)
+    if not need < MAX_FLOW_STEPS:  # also a zero tolerance or a NaN
+        return MAX_FLOW_STEPS
+    return max(2 ** math.ceil(math.log2(need)), 2 * n_steps)
 
 
 def _phase_flow(bundle, start, span, rtol, atol, stats):

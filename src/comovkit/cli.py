@@ -414,11 +414,34 @@ def _check_cross_fields(raw):
                             pointers=[ptr for ptr, _ in errors])
 
 
+def _read_json(path, what):
+    """Parsed JSON of the UTF-8 file at path; ConfigInvalid names the path
+    (``what`` is the kind of file) when it cannot be read or parsed."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigInvalid("%s file not found: %s" % (what, path))
+    except json.JSONDecodeError as err:
+        raise ConfigInvalid("%s is not valid JSON: %s" % (what, err))
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigInvalid("cannot read %s %s: %s" % (what, path, err))
+
+
+def _make_dir(path):
+    """Create the output directory path; ConfigInvalid when it cannot be."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigInvalid("cannot create output directory %s: %s"
+                            % (path, err))
+
+
 def validate(source):
     """Parse and validate a scenario file (path or dict). No execution.
 
     Raises ConfigInvalid with JSON-pointer paths on any schema violation or
-    failed cross-field check; returns a Scenario otherwise.
+    failed cross-field check, and naming the path when the file cannot be
+    read or parsed; returns a Scenario otherwise.
     """
     import jsonschema
 
@@ -426,12 +449,7 @@ def validate(source):
         raw, path = source, ""
     else:
         path = str(source)
-        try:
-            raw = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigInvalid("scenario file not found: %s" % path)
-        except json.JSONDecodeError as err:
-            raise ConfigInvalid("scenario is not valid JSON: %s" % err)
+        raw = _read_json(path, "scenario")
 
     validator = jsonschema.Draft7Validator(SCENARIO_SCHEMA)
     schema_errors = sorted(validator.iter_errors(raw),
@@ -924,10 +942,12 @@ def run(scenario, out_dir=None, seed=None, threads=None):
     ``kind`` is ``domain`` for a ComovkitError and ``internal``, with the
     traceback, for any other exception.  ``analysis_wall_s`` maps every
     analysis that ran, the failed one included, to its wall time in seconds.
+    ConfigInvalid, before any analysis, means the output directory cannot
+    be created.
     """
     start = time.time()
     out = Path(out_dir or scenario.output or ("runs/" + scenario.name))
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     run_seed = scenario.seed if seed is None else int(seed)
     ctx = _RunContext(scenario, run_seed, threads, out)
 
@@ -976,13 +996,15 @@ def emit_plotdata(report_source, out_dir=None):
     """Write per-figure CSV tables from a report; returns written paths.
 
     An empty report (no analyses) writes nothing and warns on stderr.
+    ConfigInvalid names a report that cannot be read or an output
+    directory that cannot be created.
     """
     if isinstance(report_source, dict):
         report = report_source
         base = Path(out_dir or ".")
     else:
         path = Path(report_source)
-        report = json.loads(path.read_text())
+        report = _read_json(path, "report")
         base = Path(out_dir or path.parent)
     analyses = report.get("analyses", {})
     if not analyses:
@@ -990,7 +1012,7 @@ def emit_plotdata(report_source, out_dir=None):
               file=sys.stderr)
         return []
 
-    base.mkdir(parents=True, exist_ok=True)
+    _make_dir(base)
     written = []
     if "nonrel" in analyses:
         study = analyses["nonrel"]
@@ -1055,12 +1077,11 @@ def main(argv=None):
 
     if args.command == "run":
         try:
-            scenario = validate(args.scenario)
+            report = run(validate(args.scenario), out_dir=args.out,
+                         seed=args.seed, threads=args.threads)
         except ConfigInvalid as err:
             print("invalid: %s" % err, file=sys.stderr)
             return 2
-        report = run(scenario, out_dir=args.out, seed=args.seed,
-                     threads=args.threads)
         for row in report["properties"]:
             print("%-4s %s/%s = %.6g (%s %.6g)" % (
                 "PASS" if row["pass"] else "FAIL", row["analysis"],
@@ -1076,8 +1097,8 @@ def main(argv=None):
     if args.command == "plotdata":
         try:
             written = emit_plotdata(args.report, out_dir=args.out)
-        except (FileNotFoundError, json.JSONDecodeError) as err:
-            print("cannot read report: %s" % err, file=sys.stderr)
+        except ConfigInvalid as err:
+            print("invalid: %s" % err, file=sys.stderr)
             return 2
         for path in written:
             print(path)

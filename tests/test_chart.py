@@ -13,6 +13,7 @@ from comovkit.chart import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     FLOW_STEPS,
+    MAX_FLOW_STEPS,
     ComovingChart,
     FlowStats,
     ReferenceSurface,
@@ -20,6 +21,9 @@ from comovkit.chart import (
     _arc_rhs,
     _integrate,
     _phase_flow,
+    _phase_rhs,
+    _refined_steps,
+    _rk4,
     boost_to_rest_frame,
     bracketed_roots,
     chart_diagnostics,
@@ -547,6 +551,68 @@ def test_flow_refines_rows_above_tolerance():
     assert np.max(np.abs(y0 - y1)) <= coarse.max_error_estimate
 
 
+def test_flow_counters_count_rejected_rows(packet9_chart):
+    # the default tolerance takes every packet row at its first step; a
+    # tight one rejects rows and reruns them at the predicted count
+    report = chart_diagnostics(packet9_chart, n_samples=10, seed=3)
+    assert report["flow_rejected_rows"] == 0
+    assert report["flow_attempts"] == 4  # forward, arcs, lifts, Jacobian
+    assert report["flow_rhs_evaluations"] == \
+        (4 * FLOW_STEPS + 1) * report["flow_steps"] // FLOW_STEPS
+    tight = ComovingChart(_moving_packet(), origin=np.zeros(4), rtol=1e-14,
+                          atol=0.0, validate=False)
+    report = chart_diagnostics(tight, n_samples=10, seed=3)
+    assert report["flow_rejected_rows"] > 0
+    assert report["flow_attempts"] > 4
+
+
+def test_refinement_beats_doubling_at_tight_tolerance():
+    # rows rejected at one step are rerun at the count their estimates
+    # predict, in fewer batched RHS calls than doubling from one step
+    bundle = _moving_packet()
+    pts = np.random.default_rng(31).uniform(-2.0, 2.0, size=(20, 4))
+    states = np.concatenate([pts, np.zeros((20, 1))], axis=1)
+    span = float(bundle.phase(np.zeros(4))) - bundle.phase(pts)
+    rhs = _phase_rhs(bundle)
+    calls = []
+
+    def counted(y):
+        calls.append(len(y))
+        return rhs(y)
+
+    stats = FlowStats()
+    y = _integrate(counted, states, span, bundle.domain, 1e-14, 0.0, stats)
+    assert stats.rejected_rows > 0
+    # the doubling schedule: rejected rows rerun with 2, 4, 8, ... steps
+    doubling = []
+    live = np.arange(len(states))
+    while live.size:
+        n = 2 ** len(doubling)
+        trial, err = _rk4(rhs, states[live], span[live], n, bundle.domain)
+        doubling.append(4 * n + 1)
+        live = live[err > 1e-14 * np.max(np.abs(trial), axis=1)]
+    assert len(calls) < sum(doubling)
+    assert stats.attempts < len(doubling)
+    # every row still meets its tolerance against a fine fixed-step flow
+    tol = 1e-14 * np.max(np.abs(y), axis=1)
+    assert stats.max_error_estimate <= np.max(tol)
+    ref = _rk4(rhs, states, span, 512, bundle.domain)[0]
+    assert np.all(np.max(np.abs(y - ref), axis=1) <= tol)
+
+
+def test_refined_steps_prediction():
+    # n (err / tol)^(1/3) with a safety margin, up to a power of two, at
+    # least twice the last count and at most the cap
+    assert _refined_steps(1, np.array([2.0, 9.0]), np.ones(2)) == 4
+    assert _refined_steps(1, np.array([700.0]), np.ones(1)) == 16
+    assert _refined_steps(8, np.array([1.001]), np.ones(1)) == 16
+    assert _refined_steps(256, np.array([1e6]), np.ones(1)) == MAX_FLOW_STEPS
+    assert _refined_steps(1, np.array([1e-20]), np.zeros(1)) \
+        == MAX_FLOW_STEPS
+    assert _refined_steps(1, np.array([np.nan]), np.ones(1)) \
+        == MAX_FLOW_STEPS
+
+
 def test_flow_step_failure_names_point(packet9):
     # a zero tolerance rejects every nonzero estimate up to the step cap
     chart = ComovingChart(packet9, origin=np.zeros(4), rtol=0.0, atol=0.0,
@@ -591,14 +657,14 @@ def test_plane_wave_maps_equal_boost(constants, beta):
 
 
 @st.composite
-def _dominant_packets(draw):
-    """A carrier at rest (weight 2) and 2-8 side modes with |k| <= 0.05,
+def _dominant_packets(draw, k_max=0.05):
+    """A carrier at rest (weight 2) and 2-8 side modes with |k| <= k_max,
     side weights summing to at most 1.5, on [-4, 4]^4; with 3 events."""
     n_side = draw(st.integers(2, 8))
     unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
     ks = np.array(draw(st.lists(st.tuples(unit, unit, unit), min_size=n_side,
                                 max_size=n_side)))
-    ks *= 0.05 / np.maximum(np.linalg.norm(ks, axis=1, keepdims=True), 1.0)
+    ks *= k_max / np.maximum(np.linalg.norm(ks, axis=1, keepdims=True), 1.0)
     w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n_side,
                                max_size=n_side)))
     w *= min(1.0, 1.5 / w.sum())
@@ -630,6 +696,23 @@ def test_packet_chart_invariants(case):
     np.testing.assert_allclose(back, np.stack([chart.inverse_map(v)
                                                for v in xi]),
                                rtol=0.0, atol=1e-10)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.one_of(_dominant_packets(), _dominant_packets(k_max=0.2)))
+def test_accepted_flows_meet_tolerance(case):
+    # every row the phase flow accepts (events to the origin leaf and the
+    # origin out to theirs) lies within its tolerance of a 512-step flow
+    bundle, pts = case
+    s_x, level = bundle.phase(pts), float(bundle.phase(np.zeros(4)))
+    start = np.concatenate([pts, np.zeros((3, 4))])
+    span = np.concatenate([level - s_x, s_x - level])
+    y = _phase_flow(bundle, start, span, DEFAULT_RTOL, DEFAULT_ATOL, None)
+    ref = _rk4(_phase_rhs(bundle),
+               np.concatenate([start, np.zeros((6, 1))], axis=1), span, 512,
+               bundle.domain)[0]
+    tol = DEFAULT_ATOL + DEFAULT_RTOL * np.max(np.abs(y), axis=1)
+    assert np.all(np.max(np.abs(y - ref), axis=1) <= tol)
 
 
 @settings(max_examples=15, deadline=None)

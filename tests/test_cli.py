@@ -213,6 +213,9 @@ def test_run_packet_reports_flow_counters(tmp_path):
     assert all(np.isfinite([steps, evaluations, estimate]))
     assert 0 < steps < evaluations
     assert 0.0 <= estimate <= 1e-9
+    # every flow row is accepted at its first attempt
+    assert diag["flow_rejected_rows"] == 0
+    assert diag["flow_attempts"] > 0
 
 
 def test_run_exit_one_names_failed_hypothesis(tmp_path, capsys):
@@ -494,3 +497,73 @@ def test_plotdata_cli_roundtrip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "energy.csv" in out
     assert main(["plotdata", str(tmp_path / "missing.json")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# unusable paths: one typed line and exit 2, never a traceback
+
+
+def _assert_one_invalid_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_scenario_directory_exits_two(tmp_path, capsys, command):
+    assert main([command, str(tmp_path)]) == 2
+    _assert_one_invalid_line(capsys, "cannot read scenario", "directory")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_utf8_scenario_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+    assert main([command, str(path)]) == 2
+    _assert_one_invalid_line(capsys, "cannot read scenario", "utf-8")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unreadable_scenario_exits_two(tmp_path, capsys, monkeypatch,
+                                       command):
+    # a permission-denied read, raised directly so the test also holds
+    # for a user who may read any file
+    path = tmp_path / "locked.json"
+    path.write_text(json.dumps(gaussian_doc()))
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    assert main([command, str(path)]) == 2
+    _assert_one_invalid_line(capsys, "cannot read scenario",
+                             "Permission denied")
+
+
+def test_run_out_existing_file_exits_two(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    scenario = str(SCENARIOS / "plane_wave_boost.json")
+    assert main(["run", scenario, "--out", str(out)]) == 2
+    _assert_one_invalid_line(capsys, "cannot create output directory",
+                             str(out))
+    assert out.read_text() == "not a directory"
+
+
+def test_plotdata_directory_exits_two(tmp_path, capsys):
+    assert main(["plotdata", str(tmp_path)]) == 2
+    _assert_one_invalid_line(capsys, "cannot read report", "directory")
+    assert not list(tmp_path.iterdir())
+
+
+def test_plotdata_out_existing_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"analyses": {"energy": {
+        "mu_direct": -0.5, "mu_identity": -0.5, "e_u2": 0.0}}}))
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    assert main(["plotdata", str(path), "--out", str(out)]) == 2
+    _assert_one_invalid_line(capsys, "cannot create output directory")
+    assert out.read_text() == "not a directory"
