@@ -25,22 +25,21 @@ V / |V|, to find the target level, lifts the base point onto the origin
 level and flows it there. Every flow is classical RK4 over the whole
 batch (Hairer, Norsett & Wanner, *Solving ODEs I*, II.1), first with one
 step over each row's span. Its embedded third-order companion, which reuses
-the next step's first stage, gives each row an error estimate that falls
-like n^-3 in the step count n; the rows above the chart tolerance are rerun
-together at the count their largest estimate predicts (ibid. II.4), at
-least twice the last, up to a cap that raises StepFailure. The domain is
-checked at step ends, so a curve that leaves it and comes back within one
-step is not caught. Both maps, the Jacobians and the pushforward take
-(..., 4) arrays. For a constant-gradient (plane-wave) field the flow field
-is constant, RK4 is exact, and the chart is the closed-form Lorentz boost
-into the rest frame.
+the next step's first stage, gives each row an error estimate. Rows above
+the chart tolerance, rows with a step end outside the domain and rows whose
+flow field turned NaN at a stage are rerun with twice the steps, up to a
+cap at which they raise StepFailure, LeftDomain or HypothesesFailed. The
+domain is checked at step ends, so a curve that leaves it and comes back
+within one step of the accepted count is not caught. Both maps, the
+Jacobians and the pushforward take (..., 4) arrays. For a constant-gradient
+(plane-wave) field the flow field is constant, RK4 is exact, and the chart
+is the closed-form Lorentz boost into the rest frame.
 
 Level-set heights that Newton leaves unconverged and custom time gauges
 are inverted by ``bracketed_roots``, one batched Chandrupatla iteration
 over an array of brackets.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +68,6 @@ DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
 FLOW_STEPS = 1  # RK4 steps of a row's first attempt, over its whole span
 MAX_FLOW_STEPS = 1024
-REFINE_SAFETY = 1.0 / 0.9  # margin on the step count predicted for a rerun
 ROOT_MAX_ITER = 200  # bracketed-root evaluations per row
 JACOBIAN_STEP = 1e-3  # central-difference step of the map Jacobians
 
@@ -407,7 +405,8 @@ class FlowStats:
     phase-gradient rows evaluated (4 per step plus 1 per attempt), and
     ``max_error_estimate`` is the largest accepted per-row error estimate.
     ``attempts`` counts batched RK4 runs and ``rejected_rows`` the rows
-    they rejected, each time it rejected them. Rejected attempts count in
+    they rejected (above tolerance, outside the domain or with a NaN flow
+    field), each time it rejected them. Rejected attempts count in
     the work but not in the estimate.
     """
 
@@ -430,20 +429,13 @@ class FlowStats:
 def _flow_field(bundle, x):
     """Contravariant phase gradient and dS . dS at events (n, 4).
 
-    Raises HypothesesFailed naming the first event where the gradient is not
-    timelike.
+    dS . dS is NaN where the gradient is not timelike, so the flow fields
+    built from it are NaN there too.
     """
     grad = bundle.phase_gradient(x)
     up = raise_index(grad)
     norm = np.einsum("ni,ni->n", grad, up)
-    bad = norm >= 0.0
-    if np.any(bad):
-        n = int(np.argmax(bad))
-        raise HypothesesFailed(
-            f"the phase gradient is not timelike at {x[n].tolist()}; the "
-            "field violates the chart hypotheses"
-        )
-    return up, norm
+    return up, np.where(norm < 0.0, norm, np.nan)
 
 
 def _phase_rhs(bundle):
@@ -470,33 +462,37 @@ def _arc_rhs(bundle):
 def _rk4(rhs, start, span, n_steps, domain):
     """n_steps classical RK4 steps from start over span (one per row).
 
-    Returns the end states and, per row, the summed local error estimate
-    h |f(y_new) - k4| / 6: the gap to the embedded third-order solution
+    Returns the end states; per row, the summed local error estimate
+    h |f(y_new) - k4| / 6, the gap to the embedded third-order solution
     (k1 + 2 k2 + 2 k3 + f(y_new)) h / 6, whose last stage is the next
-    step's first. The sum falls like n_steps^-3. The domain is checked at
-    step ends only (stage points may lie outside it): LeftDomain names the
-    start event of a row whose step ends outside the domain.
+    step's first; and per row whether a step end lies outside the domain.
+    The domain is checked at step ends only (stage points may lie outside
+    it). A stage where the flow field is NaN (the phase gradient is not
+    timelike) leaves the row's estimate NaN, so no tolerance accepts it;
+    at a start event it raises HypothesesFailed naming that event.
     """
     h = (span / n_steps)[:, None]
     lo, hi = domain.lo_array, domain.hi_array
     y = start
     k1 = rhs(y)
+    bad = np.any(np.isnan(k1), axis=1)
+    if np.any(bad):
+        n = int(np.argmax(bad))
+        raise HypothesesFailed(
+            f"the phase gradient is not timelike at {start[n, :4].tolist()}; "
+            "the field violates the chart hypotheses"
+        )
     err = np.zeros(len(y))
+    outside = np.zeros(len(y), dtype=bool)
     for _ in range(n_steps):
         k2 = rhs(y + 0.5 * h * k1)
         k3 = rhs(y + 0.5 * h * k2)
         k4 = rhs(y + h * k3)
         y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        outside = np.any((y[:, :4] < lo) | (y[:, :4] > hi), axis=1)
-        if np.any(outside):
-            n = int(np.argmax(outside))
-            raise LeftDomain(
-                f"congruence curve from {start[n, :4].tolist()} exits the "
-                "field domain before reaching its target"
-            )
+        outside |= np.any((y[:, :4] < lo) | (y[:, :4] > hi), axis=1)
         k1 = rhs(y)
         err += np.max(np.abs(h * (k1 - k4)), axis=1) / 6.0
-    return y, err
+    return y, err, outside
 
 
 def _integrate(rhs, start, span, domain, rtol, atol, stats):
@@ -504,19 +500,20 @@ def _integrate(rhs, start, span, domain, rtol, atol, stats):
 
     Every row first takes FLOW_STEPS RK4 steps over its whole span. A row
     is accepted when its error estimate is at most atol + rtol times its
-    largest end component; the others are rerun together from their start
-    at the step count ``_refined_steps`` predicts from their estimates, and
-    a row still rejected at MAX_FLOW_STEPS raises StepFailure naming its
-    start event. Rows with a zero span stay at their start, which is
-    exactly where a flow would leave them.
+    largest end component and no step end left the domain; the others are
+    rerun together from their start with twice the steps. A row still
+    rejected at the last count within MAX_FLOW_STEPS raises, naming its
+    start event: LeftDomain if a step end left the domain, HypothesesFailed
+    if its flow field was NaN, and StepFailure otherwise. Rows with a zero
+    span stay at their start, which is exactly where a flow would leave
+    them.
     """
     out = np.array(start, dtype=float)
     live = np.flatnonzero(span)
     n_steps = FLOW_STEPS
     while live.size:
-        y, err = _rk4(rhs, start[live], span[live], n_steps, domain)
-        tol = atol + rtol * np.max(np.abs(y), axis=1)
-        ok = err <= tol
+        y, err, outside = _rk4(rhs, start[live], span[live], n_steps, domain)
+        ok = (err <= atol + rtol * np.max(np.abs(y), axis=1)) & ~outside
         if stats is not None:
             stats.attempts += 1
             stats.rejected_rows += int(live.size - np.count_nonzero(ok))
@@ -525,32 +522,24 @@ def _integrate(rhs, start, span, domain, rtol, atol, stats):
             if np.any(ok):
                 stats.max_error_estimate = max(stats.max_error_estimate,
                                                float(np.max(err[ok])))
+        if 2 * n_steps > MAX_FLOW_STEPS and not np.all(ok):
+            n = int(np.argmax(outside if np.any(outside) else ~ok))
+            at = start[live[n], :4].tolist()
+            if outside[n]:
+                raise LeftDomain(f"congruence curve from {at} exits the "
+                                 "field domain before reaching its target")
+            if np.isnan(err[n]):
+                raise HypothesesFailed(
+                    "the phase gradient is not timelike along the congruence "
+                    f"curve from {at}; the field violates the chart "
+                    "hypotheses"
+                )
+            raise StepFailure(f"flow from {at} misses its tolerance with "
+                              f"{n_steps} RK4 steps")
         out[live[ok]] = y[ok]
         live = live[~ok]
-        if not live.size:
-            break
-        if n_steps >= MAX_FLOW_STEPS:
-            raise StepFailure(
-                f"flow from {start[live[0], :4].tolist()} misses its "
-                f"tolerance with {MAX_FLOW_STEPS} RK4 steps"
-            )
-        n_steps = _refined_steps(n_steps, err[~ok], tol[~ok])
+        n_steps *= 2
     return out
-
-
-def _refined_steps(n_steps, err, tol):
-    """Step count for rows rejected at n_steps with estimates err > tol.
-
-    The summed estimate falls like n^-3, so each row needs about
-    n_steps (err / tol)^(1/3) steps; the largest such count over the rows,
-    times REFINE_SAFETY and rounded up to a power of two, is kept within
-    [2 n_steps, MAX_FLOW_STEPS] so that all rows rerun in one batch.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        need = REFINE_SAFETY * n_steps * np.max(err / tol) ** (1.0 / 3.0)
-    if not need < MAX_FLOW_STEPS:  # also a zero tolerance or a NaN
-        return MAX_FLOW_STEPS
-    return max(2 ** math.ceil(math.log2(need)), 2 * n_steps)
 
 
 def _phase_flow(bundle, start, span, rtol, atol, stats):
@@ -744,8 +733,9 @@ def boost_to_rest_frame(velocity3, c=1.0):
 def chart_diagnostics(chart, n_samples=40, seed=0, window=None):
     """Round-trip, orthogonality, pushforward and flow-work statistics.
 
-    The result is JSON-able; ``flow_steps``, ``flow_rhs_evaluations`` and
-    ``max_step_error_estimate`` are the FlowStats of its map calls.
+    The result is JSON-able; ``flow_attempts``, ``flow_rejected_rows``,
+    ``flow_steps``, ``flow_rhs_evaluations`` and ``max_step_error_estimate``
+    are the FlowStats counters of its map calls.
     """
     rng = np.random.default_rng(seed)
     dom = chart.bundle.domain

@@ -13,7 +13,6 @@ from comovkit.chart import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     FLOW_STEPS,
-    MAX_FLOW_STEPS,
     ComovingChart,
     FlowStats,
     ReferenceSurface,
@@ -22,7 +21,6 @@ from comovkit.chart import (
     _integrate,
     _phase_flow,
     _phase_rhs,
-    _refined_steps,
     _rk4,
     boost_to_rest_frame,
     bracketed_roots,
@@ -141,6 +139,20 @@ class _FlatPhaseBundle(FieldBundle):
 
     def _phase_hessian(self, x):
         return np.zeros(np.asarray(x).shape + (4,))
+
+
+class _ParabolicPhaseBundle(FieldBundle):
+    """S = x1^2 / 2 - x0, whose gradient is timelike only where |x1| < 1."""
+
+    def _phase(self, x):
+        x = np.asarray(x)
+        return 0.5 * x[..., 1] ** 2 - x[..., 0]
+
+    def _phase_gradient(self, x):
+        g = np.zeros(np.asarray(x).shape)
+        g[..., 0] = -1.0
+        g[..., 1] = np.asarray(x)[..., 1]
+        return g
 
 
 def test_solve_height_zero_slope():
@@ -526,12 +538,12 @@ def test_flow_to_level_matches_phase(packet9):
     assert flow_to_level(packet9, pts, target).shape == (2, 3, 4)
 
 
-def _moving_packet():
-    """Carrier at 0.6c with six side modes at bandwidth 0.2."""
+def _moving_packet(hi=(5.0,) * 4):
+    """Carrier at 0.6c with six side modes at bandwidth 0.2, on [-5, hi]."""
     side = 0.2 * np.vstack([np.eye(3), -np.eye(3)])
     wavevectors = np.vstack([[0.75, 0.0, 0.0], [0.75, 0.0, 0.0] + side])
     weights = np.array([2.0] + [0.25] * 6)
-    return make_packet(wavevectors, weights, Box((-5.0,) * 4, (5.0,) * 4))
+    return make_packet(wavevectors, weights, Box((-5.0,) * 4, hi))
 
 
 def test_flow_refines_rows_above_tolerance():
@@ -553,7 +565,7 @@ def test_flow_refines_rows_above_tolerance():
 
 def test_flow_counters_count_rejected_rows(packet9_chart):
     # the default tolerance takes every packet row at its first step; a
-    # tight one rejects rows and reruns them at the predicted count
+    # tight one rejects rows and reruns them with more steps
     report = chart_diagnostics(packet9_chart, n_samples=10, seed=3)
     assert report["flow_rejected_rows"] == 0
     assert report["flow_attempts"] == 4  # forward, arcs, lifts, Jacobian
@@ -566,51 +578,51 @@ def test_flow_counters_count_rejected_rows(packet9_chart):
     assert report["flow_attempts"] > 4
 
 
-def test_refinement_beats_doubling_at_tight_tolerance():
-    # rows rejected at one step are rerun at the count their estimates
-    # predict, in fewer batched RHS calls than doubling from one step
-    bundle = _moving_packet()
-    pts = np.random.default_rng(31).uniform(-2.0, 2.0, size=(20, 4))
-    states = np.concatenate([pts, np.zeros((20, 1))], axis=1)
-    span = float(bundle.phase(np.zeros(4))) - bundle.phase(pts)
-    rhs = _phase_rhs(bundle)
-    calls = []
-
-    def counted(y):
-        calls.append(len(y))
-        return rhs(y)
-
+def test_flow_reruns_rows_that_overshoot_the_domain():
+    # this curve ends 1e-9 below the box's time edge; its one-step end,
+    # whose estimate meets the tolerance, overshoots by 2.7e-9 and lies
+    # past the edge, so the row is rerun rather than failed. With the edge
+    # 1e-9 below the curve's end it does fail.
+    start = np.array([[-4.5, -1.0, 2.0, -1.0, 0.0]])
+    span = np.array([-7.0])
+    rhs = _phase_rhs(_moving_packet())
+    ref = _rk4(rhs, start, span, 512, _moving_packet().domain)[0]
+    near = _moving_packet(hi=(ref[0, 0] + 1e-9, 5.0, 5.0, 5.0))
+    assert _rk4(rhs, start, span, 1, near.domain)[2][0]
     stats = FlowStats()
-    y = _integrate(counted, states, span, bundle.domain, 1e-14, 0.0, stats)
+    level = near.phase(start[:, :4]) + span
+    end = flow_to_level(near, start[:, :4], level, stats=stats)
+    assert stats.rejected_rows == 1
+    assert near.domain.contains(end[0])
+    np.testing.assert_allclose(end, ref[:, :4], rtol=0.0, atol=1e-9)
+    past = _moving_packet(hi=(ref[0, 0] - 1e-9, 5.0, 5.0, 5.0))
+    with pytest.raises(LeftDomain, match=r"\[-4\.5, -1\.0, 2\.0, -1\.0\]"):
+        flow_to_level(past, start[:, :4], level)
+
+
+def test_flow_reruns_rows_with_a_spacelike_stage():
+    # along S = x1^2 / 2 - x0 the curve from x1 = 0.5 decays toward x1 = 0
+    # as S rises, keeping x1^2 / 2 - ln x1 - S fixed; one RK4 step over a
+    # span of 2 puts stages where |x1| > 1 and the gradient is spacelike,
+    # so the row is rerun rather than failed. As S falls the curve turns
+    # null at x1 = 1, a span of 3/8 - ln 2 = -0.318 away.
+    bundle = _ParabolicPhaseBundle(PhysicalConstants(),
+                                   Box((-5.0,) * 4, (5.0,) * 4))
+    start = np.array([[0.0, 0.5, 0.0, 0.0]])
+    states = np.concatenate([start, np.zeros((1, 1))], axis=1)
+    assert np.isnan(_rk4(_phase_rhs(bundle), states, np.array([2.0]), 1,
+                         bundle.domain)[1][0])
+    stats = FlowStats()
+    level = bundle.phase(start) + 2.0
+    end = flow_to_level(bundle, start, level, stats=stats)
     assert stats.rejected_rows > 0
-    # the doubling schedule: rejected rows rerun with 2, 4, 8, ... steps
-    doubling = []
-    live = np.arange(len(states))
-    while live.size:
-        n = 2 ** len(doubling)
-        trial, err = _rk4(rhs, states[live], span[live], n, bundle.domain)
-        doubling.append(4 * n + 1)
-        live = live[err > 1e-14 * np.max(np.abs(trial), axis=1)]
-    assert len(calls) < sum(doubling)
-    assert stats.attempts < len(doubling)
-    # every row still meets its tolerance against a fine fixed-step flow
-    tol = 1e-14 * np.max(np.abs(y), axis=1)
-    assert stats.max_error_estimate <= np.max(tol)
-    ref = _rk4(rhs, states, span, 512, bundle.domain)[0]
-    assert np.all(np.max(np.abs(y - ref), axis=1) <= tol)
-
-
-def test_refined_steps_prediction():
-    # n (err / tol)^(1/3) with a safety margin, up to a power of two, at
-    # least twice the last count and at most the cap
-    assert _refined_steps(1, np.array([2.0, 9.0]), np.ones(2)) == 4
-    assert _refined_steps(1, np.array([700.0]), np.ones(1)) == 16
-    assert _refined_steps(8, np.array([1.001]), np.ones(1)) == 16
-    assert _refined_steps(256, np.array([1e6]), np.ones(1)) == MAX_FLOW_STEPS
-    assert _refined_steps(1, np.array([1e-20]), np.zeros(1)) \
-        == MAX_FLOW_STEPS
-    assert _refined_steps(1, np.array([np.nan]), np.ones(1)) \
-        == MAX_FLOW_STEPS
+    np.testing.assert_allclose(bundle.phase(end), level, rtol=0.0, atol=1e-9)
+    x1 = end[0, 1]
+    assert x1 ** 2 / 2 - np.log(x1) - level[0] == pytest.approx(
+        0.125 + np.log(2.0) - bundle.phase(start)[0], abs=1e-8)
+    with pytest.raises(HypothesesFailed, match=r"along the congruence curve "
+                       r"from \[0\.0, 0\.5, 0\.0, 0\.0\]"):
+        flow_to_level(bundle, start, bundle.phase(start) - 0.4)
 
 
 def test_flow_step_failure_names_point(packet9):
