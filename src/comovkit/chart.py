@@ -687,23 +687,6 @@ class ComovingChart:
                          vec)
 
 
-# module-level operation aliases matching the library's functional API
-def forward_map(chart, x):
-    return chart.forward_map(x)
-
-
-def inverse_map(chart, xi):
-    return chart.inverse_map(xi)
-
-
-def jacobian(chart, x):
-    return chart.jacobian(x)
-
-
-def pushforward(chart, field, x):
-    return chart.pushforward(field, x)
-
-
 # ---------------------------------------------------------------------------
 # closed-form boost reference
 

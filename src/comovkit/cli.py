@@ -1,14 +1,16 @@
 """Command line front end: validated scenario files, reproducible runs.
 
 A scenario is one JSON document describing the physical constants, the
-field under study, and which analyses to execute.  ``validate`` checks the
-document against the published schema plus cross-field constraints without
-running anything; ``run`` executes the requested analyses in dependency
-order, writes deterministic data files plus a ``report.json``, and exits
+field under study, and which analyses to execute; ``_TABLE`` declares what
+each analysis reads and runs.  ``validate`` checks the document against the
+published schema plus cross-field constraints without running anything;
+``run`` executes the requested analyses in the table's order, writes
+deterministic data files plus a ``report.json``, and exits
 
     0  every checked property passed
     1  at least one property failed its tolerance
-    2  the scenario file is invalid
+    2  the scenario file is invalid, a path is unusable, or the seed or
+       thread count given to ``run`` is out of range
     3  a hard runtime error interrupted the run (partial report written)
 
 Data files are plain ``.npy`` arrays written with fixed names; rerunning
@@ -62,412 +64,6 @@ from .geometry import MetricPatch, chart_spatial_patch, geometry_diagnostics
 
 
 # ---------------------------------------------------------------------------
-# scenario schema
-
-
-def _vector(n):
-    return {
-        "type": "array",
-        "items": {"type": "number"},
-        "minItems": n,
-        "maxItems": n,
-    }
-
-
-def _box(n):
-    return {
-        "type": "object",
-        "properties": {"lo": _vector(n), "hi": _vector(n)},
-        "required": ["lo", "hi"],
-        "additionalProperties": False,
-    }
-
-
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-
-ANALYSES = (
-    "hypotheses",
-    "chart_diag",
-    "geometry_diag",
-    "simulate",
-    "estimate",
-    "specular",
-    "energy",
-    "classify",
-    "nonrel",
-)
-
-SCENARIO_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "properties": {
-        "name": {"type": "string", "minLength": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "output": {"type": "string"},
-        "constants": {
-            "type": "object",
-            "properties": {
-                "hbar": _POSITIVE,
-                "mass": _POSITIVE,
-                "c": _POSITIVE,
-            },
-            "required": ["hbar", "mass", "c"],
-            "additionalProperties": False,
-        },
-        "field": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "properties": {
-                        "type": {"const": "plane_wave"},
-                        "k": _vector(3),
-                        "frequency": {"type": ["number", "null"]},
-                        "domain": _box(4),
-                    },
-                    "required": ["type", "k"],
-                    "additionalProperties": False,
-                },
-                {
-                    "type": "object",
-                    "properties": {
-                        "type": {"const": "packet"},
-                        "wavevectors": {
-                            "type": "array",
-                            "items": _vector(3),
-                            "minItems": 1,
-                        },
-                        "weights": {
-                            "type": "array",
-                            "items": _POSITIVE,
-                            "minItems": 1,
-                        },
-                        "domain": _box(4),
-                    },
-                    "required": ["type", "wavevectors", "weights", "domain"],
-                    "additionalProperties": False,
-                },
-                {
-                    "type": "object",
-                    "properties": {
-                        "type": {"const": "gaussian"},
-                        "sigma": _POSITIVE,
-                        "box": _box(3),
-                    },
-                    "required": ["type", "sigma", "box"],
-                    "additionalProperties": False,
-                },
-            ]
-        },
-        "chart": {
-            "type": "object",
-            "properties": {
-                "origin": _vector(4),
-                "round_trip_tol": _POSITIVE,
-                "pushforward_tol": _POSITIVE,
-                "boost_tol": _POSITIVE,
-                "n_samples": {"type": "integer", "minimum": 1},
-            },
-            "required": ["origin"],
-            "additionalProperties": False,
-        },
-        "lattices": {
-            "type": "object",
-            "properties": {
-                "verification": {
-                    "type": "object",
-                    "properties": {
-                        "half_width": _POSITIVE,
-                        "n_per_axis": {"type": "integer", "minimum": 2},
-                        "xi0": {"type": "number"},
-                    },
-                    "additionalProperties": False,
-                },
-                "hypothesis_shape": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 2},
-                    "minItems": 4,
-                    "maxItems": 4,
-                },
-            },
-            "additionalProperties": False,
-        },
-        "diffusion": {
-            "type": "object",
-            "properties": {
-                "dt": _POSITIVE,
-                "horizon": _POSITIVE,
-                "n_paths": {"type": "integer", "minimum": 1},
-                "burn_in_fraction": {
-                    "type": "number",
-                    "minimum": 0,
-                    "exclusiveMaximum": 1,
-                },
-                "n_snapshots": {"type": "integer", "minimum": 2},
-                "chunk_size": {"type": "integer", "minimum": 1},
-                "initial": {
-                    "oneOf": [
-                        {
-                            "type": "object",
-                            "properties": {
-                                "kind": {"const": "point"},
-                                "at": _vector(3),
-                            },
-                            "required": ["kind", "at"],
-                            "additionalProperties": False,
-                        },
-                        {
-                            "type": "object",
-                            "properties": {"kind": {"const": "density"}},
-                            "required": ["kind"],
-                            "additionalProperties": False,
-                        },
-                    ]
-                },
-                "bins": {
-                    "type": "object",
-                    "properties": {
-                        "lo": _vector(3),
-                        "hi": _vector(3),
-                        "shape": {
-                            "type": "array",
-                            "items": {"type": "integer", "minimum": 1},
-                            "minItems": 3,
-                            "maxItems": 3,
-                        },
-                    },
-                    "required": ["lo", "hi", "shape"],
-                    "additionalProperties": False,
-                },
-                "min_count": {"type": "integer", "minimum": 2},
-            },
-            "required": ["dt", "horizon", "n_paths", "bins"],
-            "additionalProperties": False,
-        },
-        "energy": {
-            "type": "object",
-            "properties": {
-                "box": _box(3),
-                "order": {"type": "integer", "minimum": 2},
-                "time_order": {"type": "integer", "minimum": 2},
-                "delta": _POSITIVE,
-            },
-            "required": ["box"],
-            "additionalProperties": False,
-        },
-        "classify": {
-            "type": "object",
-            "properties": {
-                "budget": _POSITIVE,
-                "divergence_budget": _POSITIVE,
-                "n_points": {"type": "integer", "minimum": 1},
-                "half_width": _POSITIVE,
-            },
-            "additionalProperties": False,
-        },
-        "nonrel": {
-            "type": "object",
-            "properties": {
-                "epsilons": {
-                    "type": "array",
-                    "items": _POSITIVE,
-                    "minItems": 2,
-                },
-                "n_per_axis": {"type": "integer", "minimum": 2},
-                "sample_width": _POSITIVE,
-            },
-            "required": ["epsilons"],
-            "additionalProperties": False,
-        },
-        "analyses": {
-            "type": "array",
-            "items": {"enum": list(ANALYSES)},
-            "minItems": 1,
-            "uniqueItems": True,
-        },
-    },
-    "required": ["name", "constants", "analyses"],
-    "additionalProperties": False,
-}
-
-# analyses that need each section; checked after the schema so messages can
-# carry JSON-pointer paths
-_NEEDS_FIELD = {"hypotheses", "chart_diag", "geometry_diag", "simulate",
-                "estimate", "specular", "energy", "classify"}
-_NEEDS_BUNDLE = {"hypotheses", "chart_diag", "geometry_diag", "classify"}
-_NEEDS_CHART = {"chart_diag", "geometry_diag"}
-_NEEDS_DIFFUSION = {"simulate", "estimate", "specular"}
-
-
-@dataclass
-class Scenario:
-    """Parsed scenario file: validated raw document plus typed accessors."""
-
-    raw: dict
-    path: str = ""
-
-    @property
-    def name(self):
-        return self.raw["name"]
-
-    @property
-    def seed(self):
-        return int(self.raw.get("seed", 0))
-
-    @property
-    def output(self):
-        return self.raw.get("output")
-
-    @property
-    def analyses(self):
-        return [a for a in ANALYSES if a in self.raw["analyses"]]
-
-    @property
-    def constants(self):
-        c = self.raw["constants"]
-        return PhysicalConstants(c["hbar"], c["mass"], c["c"])
-
-    def section(self, key, default=None):
-        return self.raw.get(key, default if default is not None else {})
-
-
-def _pointer(parts):
-    return "/" + "/".join(str(p) for p in parts)
-
-
-def _check_cross_fields(raw):
-    errors = []
-    analyses = set(raw["analyses"])
-    field_spec = raw.get("field")
-    field_type = field_spec["type"] if field_spec else None
-
-    if analyses & _NEEDS_FIELD and field_spec is None:
-        errors.append(("/analyses", "these analyses need a field section: %s"
-                       % sorted(analyses & _NEEDS_FIELD)))
-    if analyses & _NEEDS_BUNDLE and field_type == "gaussian":
-        errors.append(("/analyses",
-                       "analyses %s need a wave field, not a gaussian density"
-                       % sorted(analyses & _NEEDS_BUNDLE)))
-    if analyses & _NEEDS_DIFFUSION and field_type not in (None, "gaussian"):
-        errors.append(("/analyses",
-                       "diffusion analyses run on the gaussian density fixture"))
-    if analyses & _NEEDS_CHART and "chart" not in raw:
-        errors.append(("/analyses", "chart analyses need a chart section"))
-    if "energy" in analyses:
-        if "energy" not in raw:
-            errors.append(("/analyses", "energy analysis needs an energy section"))
-        if field_type == "plane_wave" and "chart" not in raw:
-            errors.append(("/analyses",
-                           "plane-wave energy uses the chart slice density; "
-                           "add a chart section"))
-        if field_type == "packet":
-            errors.append(("/analyses",
-                           "energy analysis supports gaussian and plane_wave "
-                           "fields only"))
-    if "nonrel" in analyses and "nonrel" not in raw:
-        errors.append(("/analyses", "nonrel analysis needs a nonrel section"))
-    if ("estimate" in analyses or "specular" in analyses) \
-            and "simulate" not in analyses:
-        errors.append(("/analyses",
-                       "estimate and specular consume the simulated ensemble; "
-                       "add 'simulate'"))
-    if analyses & _NEEDS_DIFFUSION and "diffusion" not in raw:
-        errors.append(("/analyses", "diffusion analyses need a diffusion section"))
-
-    diff = raw.get("diffusion")
-    if diff is not None:
-        if diff["horizon"] < 10.0 * diff["dt"]:
-            errors.append(("/diffusion/dt",
-                           "horizon %g must cover at least 10 steps of dt %g"
-                           % (diff["horizon"], diff["dt"])))
-        bins = diff["bins"]
-        if np.any(np.asarray(bins["hi"]) <= np.asarray(bins["lo"])):
-            errors.append(("/diffusion/bins", "bin box must have hi > lo"))
-        elif field_type == "gaussian":
-            box = raw["field"]["box"]
-            inside = np.all(np.asarray(bins["lo"]) >= np.asarray(box["lo"])) \
-                and np.all(np.asarray(bins["hi"]) <= np.asarray(box["hi"]))
-            if not inside:
-                errors.append(
-                    ("/diffusion/bins",
-                     "bin box [%s, %s] must lie inside the field box [%s, %s]"
-                     % (bins["lo"], bins["hi"], box["lo"], box["hi"])))
-
-    if field_type == "packet":
-        nw = len(field_spec["wavevectors"])
-        if len(field_spec["weights"]) != nw:
-            errors.append(("/field/weights",
-                           "%d weights for %d wavevectors"
-                           % (len(field_spec["weights"]), nw)))
-
-    if "chart" in raw and field_spec is not None and "domain" in field_spec:
-        origin = np.asarray(raw["chart"]["origin"])
-        dom = field_spec["domain"]
-        if np.any(origin < np.asarray(dom["lo"])) \
-                or np.any(origin > np.asarray(dom["hi"])):
-            errors.append(("/chart/origin",
-                           "origin %s lies outside the field domain [%s, %s]"
-                           % (origin.tolist(), dom["lo"], dom["hi"])))
-
-    if errors:
-        lines = ["%s: %s" % (ptr, msg) for ptr, msg in errors]
-        raise ConfigInvalid("invalid scenario:\n  " + "\n  ".join(lines),
-                            pointers=[ptr for ptr, _ in errors])
-
-
-def _read_json(path, what):
-    """Parsed JSON of the UTF-8 file at path; ConfigInvalid names the path
-    (``what`` is the kind of file) when it cannot be read or parsed."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigInvalid("%s file not found: %s" % (what, path))
-    except json.JSONDecodeError as err:
-        raise ConfigInvalid("%s is not valid JSON: %s" % (what, err))
-    except (OSError, UnicodeDecodeError) as err:
-        raise ConfigInvalid("cannot read %s %s: %s" % (what, path, err))
-
-
-def _make_dir(path):
-    """Create the output directory path; ConfigInvalid when it cannot be."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise ConfigInvalid("cannot create output directory %s: %s"
-                            % (path, err))
-
-
-def validate(source):
-    """Parse and validate a scenario file (path or dict). No execution.
-
-    Raises ConfigInvalid with JSON-pointer paths on any schema violation or
-    failed cross-field check, and naming the path when the file cannot be
-    read or parsed; returns a Scenario otherwise.
-    """
-    import jsonschema
-
-    if isinstance(source, dict):
-        raw, path = source, ""
-    else:
-        path = str(source)
-        raw = _read_json(path, "scenario")
-
-    validator = jsonschema.Draft7Validator(SCENARIO_SCHEMA)
-    schema_errors = sorted(validator.iter_errors(raw),
-                           key=lambda e: list(e.absolute_path))
-    if schema_errors:
-        lines = []
-        pointers = []
-        for err in schema_errors:
-            ptr = _pointer(err.absolute_path)
-            pointers.append(ptr)
-            lines.append("%s: %s" % (ptr, err.message))
-        raise ConfigInvalid("invalid scenario:\n  " + "\n  ".join(lines),
-                            pointers=pointers)
-    _check_cross_fields(raw)
-    return Scenario(raw=raw, path=path)
-
-
-# ---------------------------------------------------------------------------
 # gaussian density fixture
 
 
@@ -506,7 +102,7 @@ class _RunContext:
     def __init__(self, scenario, seed, threads, out_dir):
         self.scenario = scenario
         self.seed = seed
-        self.threads = max(1, int(threads or 1))
+        self.threads = threads
         self.out_dir = Path(out_dir)
         self.constants = scenario.constants
         self._bundle = None
@@ -889,17 +485,416 @@ def _run_nonrel(ctx):
     return result, rows
 
 
-_RUNNERS = {
-    "hypotheses": _run_hypotheses,
-    "chart_diag": _run_chart_diag,
-    "geometry_diag": _run_geometry_diag,
-    "simulate": _run_simulate,
-    "estimate": _run_estimate,
-    "specular": _run_specular,
-    "energy": _run_energy,
-    "classify": _run_classify,
-    "nonrel": _run_nonrel,
+# ---------------------------------------------------------------------------
+# analysis table
+
+
+@dataclass(frozen=True)
+class _Analysis:
+    """One analysis: the scenario sections it reads, the field types it runs
+    on (none when it reads no field), the analyses whose output it consumes,
+    and its runner. Its place in ``_TABLE`` is its place in the run order."""
+
+    name: str
+    runner: object
+    sections: tuple
+    fields: tuple = ()
+    consumes: tuple = ()
+
+
+_WAVES = ("plane_wave", "packet")  # the field types with a wave bundle
+_DIFFUSION = ("field", "diffusion")  # the sections diffusion analyses read
+
+_TABLE = (
+    _Analysis("hypotheses", _run_hypotheses, ("field",), _WAVES),
+    _Analysis("chart_diag", _run_chart_diag, ("field", "chart"), _WAVES),
+    _Analysis("geometry_diag", _run_geometry_diag, ("field", "chart"), _WAVES),
+    _Analysis("simulate", _run_simulate, _DIFFUSION, ("gaussian",)),
+    _Analysis("estimate", _run_estimate, _DIFFUSION, ("gaussian",),
+              ("simulate",)),
+    _Analysis("specular", _run_specular, _DIFFUSION, ("gaussian",),
+              ("simulate",)),
+    _Analysis("energy", _run_energy, ("field", "energy"),
+              ("gaussian", "plane_wave")),
+    _Analysis("classify", _run_classify, ("field",), _WAVES),
+    _Analysis("nonrel", _run_nonrel, ("nonrel",)),
+)
+
+ANALYSES = tuple(a.name for a in _TABLE)
+
+# ``run`` looks each runner up here at call time
+_RUNNERS = {a.name: a.runner for a in _TABLE}
+
+
+# ---------------------------------------------------------------------------
+# scenario schema
+
+
+def _vector(n):
+    return {
+        "type": "array",
+        "items": {"type": "number"},
+        "minItems": n,
+        "maxItems": n,
+    }
+
+
+def _box(n):
+    return {
+        "type": "object",
+        "properties": {"lo": _vector(n), "hi": _vector(n)},
+        "required": ["lo", "hi"],
+        "additionalProperties": False,
+    }
+
+
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+
+SCENARIO_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "type": "object",
+    "properties": {
+        "name": {"type": "string", "minLength": 1},
+        "seed": {"type": "integer", "minimum": 0},
+        "output": {"type": "string"},
+        "constants": {
+            "type": "object",
+            "properties": {
+                "hbar": _POSITIVE,
+                "mass": _POSITIVE,
+                "c": _POSITIVE,
+            },
+            "required": ["hbar", "mass", "c"],
+            "additionalProperties": False,
+        },
+        "field": {
+            "oneOf": [
+                {
+                    "type": "object",
+                    "properties": {
+                        "type": {"const": "plane_wave"},
+                        "k": _vector(3),
+                        "frequency": {"type": ["number", "null"]},
+                        "domain": _box(4),
+                    },
+                    "required": ["type", "k"],
+                    "additionalProperties": False,
+                },
+                {
+                    "type": "object",
+                    "properties": {
+                        "type": {"const": "packet"},
+                        "wavevectors": {
+                            "type": "array",
+                            "items": _vector(3),
+                            "minItems": 1,
+                        },
+                        "weights": {
+                            "type": "array",
+                            "items": _POSITIVE,
+                            "minItems": 1,
+                        },
+                        "domain": _box(4),
+                    },
+                    "required": ["type", "wavevectors", "weights", "domain"],
+                    "additionalProperties": False,
+                },
+                {
+                    "type": "object",
+                    "properties": {
+                        "type": {"const": "gaussian"},
+                        "sigma": _POSITIVE,
+                        "box": _box(3),
+                    },
+                    "required": ["type", "sigma", "box"],
+                    "additionalProperties": False,
+                },
+            ]
+        },
+        "chart": {
+            "type": "object",
+            "properties": {
+                "origin": _vector(4),
+                "round_trip_tol": _POSITIVE,
+                "pushforward_tol": _POSITIVE,
+                "boost_tol": _POSITIVE,
+                "n_samples": {"type": "integer", "minimum": 1},
+            },
+            "required": ["origin"],
+            "additionalProperties": False,
+        },
+        "lattices": {
+            "type": "object",
+            "properties": {
+                "verification": {
+                    "type": "object",
+                    "properties": {
+                        "half_width": _POSITIVE,
+                        "n_per_axis": {"type": "integer", "minimum": 2},
+                        "xi0": {"type": "number"},
+                    },
+                    "additionalProperties": False,
+                },
+                "hypothesis_shape": {
+                    "type": "array",
+                    "items": {"type": "integer", "minimum": 2},
+                    "minItems": 4,
+                    "maxItems": 4,
+                },
+            },
+            "additionalProperties": False,
+        },
+        "diffusion": {
+            "type": "object",
+            "properties": {
+                "dt": _POSITIVE,
+                "horizon": _POSITIVE,
+                "n_paths": {"type": "integer", "minimum": 1},
+                "burn_in_fraction": {
+                    "type": "number",
+                    "minimum": 0,
+                    "exclusiveMaximum": 1,
+                },
+                "n_snapshots": {"type": "integer", "minimum": 2},
+                "chunk_size": {"type": "integer", "minimum": 1},
+                "initial": {
+                    "oneOf": [
+                        {
+                            "type": "object",
+                            "properties": {
+                                "kind": {"const": "point"},
+                                "at": _vector(3),
+                            },
+                            "required": ["kind", "at"],
+                            "additionalProperties": False,
+                        },
+                        {
+                            "type": "object",
+                            "properties": {"kind": {"const": "density"}},
+                            "required": ["kind"],
+                            "additionalProperties": False,
+                        },
+                    ]
+                },
+                "bins": {
+                    "type": "object",
+                    "properties": {
+                        "lo": _vector(3),
+                        "hi": _vector(3),
+                        "shape": {
+                            "type": "array",
+                            "items": {"type": "integer", "minimum": 1},
+                            "minItems": 3,
+                            "maxItems": 3,
+                        },
+                    },
+                    "required": ["lo", "hi", "shape"],
+                    "additionalProperties": False,
+                },
+                "min_count": {"type": "integer", "minimum": 2},
+            },
+            "required": ["dt", "horizon", "n_paths", "bins"],
+            "additionalProperties": False,
+        },
+        "energy": {
+            "type": "object",
+            "properties": {
+                "box": _box(3),
+                "order": {"type": "integer", "minimum": 2},
+                "time_order": {"type": "integer", "minimum": 2},
+                "delta": _POSITIVE,
+            },
+            "required": ["box"],
+            "additionalProperties": False,
+        },
+        "classify": {
+            "type": "object",
+            "properties": {
+                "budget": _POSITIVE,
+                "divergence_budget": _POSITIVE,
+                "n_points": {"type": "integer", "minimum": 1},
+                "half_width": _POSITIVE,
+            },
+            "additionalProperties": False,
+        },
+        "nonrel": {
+            "type": "object",
+            "properties": {
+                "epsilons": {
+                    "type": "array",
+                    "items": _POSITIVE,
+                    "minItems": 2,
+                },
+                "n_per_axis": {"type": "integer", "minimum": 2},
+                "sample_width": _POSITIVE,
+            },
+            "required": ["epsilons"],
+            "additionalProperties": False,
+        },
+        "analyses": {
+            "type": "array",
+            "items": {"enum": list(ANALYSES)},
+            "minItems": 1,
+            "uniqueItems": True,
+        },
+    },
+    "required": ["name", "constants", "analyses"],
+    "additionalProperties": False,
 }
+
+
+@dataclass
+class Scenario:
+    """Parsed scenario file: validated raw document plus typed accessors."""
+
+    raw: dict
+    path: str = ""
+
+    @property
+    def name(self):
+        return self.raw["name"]
+
+    @property
+    def seed(self):
+        return int(self.raw.get("seed", 0))
+
+    @property
+    def output(self):
+        return self.raw.get("output")
+
+    @property
+    def analyses(self):
+        return [a for a in ANALYSES if a in self.raw["analyses"]]
+
+    @property
+    def constants(self):
+        c = self.raw["constants"]
+        return PhysicalConstants(c["hbar"], c["mass"], c["c"])
+
+    def section(self, key):
+        return self.raw.get(key, {})
+
+
+def _pointer(parts):
+    return "/" + "/".join(str(p) for p in parts)
+
+
+def _check_cross_fields(raw):
+    field_spec = raw.get("field", {})
+    field_type = field_spec.get("type")
+    requested = set(raw["analyses"])
+    lacking = {}  # what a requested analysis lacks -> the analyses lacking it
+    for analysis in _TABLE:
+        if analysis.name not in requested:
+            continue
+        sections = analysis.sections
+        if analysis.name == "energy" and field_type == "plane_wave":
+            sections += ("chart",)  # it integrates the chart slice density
+        lack = ["need the %s section" % sec for sec in sections
+                if sec not in raw]
+        if field_type and analysis.fields \
+                and field_type not in analysis.fields:
+            lack.append("do not run on a %s field" % field_type)
+        lack += ["consume the output of %r; add it" % name
+                 for name in analysis.consumes if name not in requested]
+        for what in lack:
+            lacking.setdefault(what, []).append(analysis.name)
+    errors = [("/analyses", "analyses %s %s" % (names, what))
+              for what, names in lacking.items()]
+
+    diff = raw.get("diffusion")
+    if diff is not None:
+        if diff["horizon"] < 10.0 * diff["dt"]:
+            errors.append(("/diffusion/dt",
+                           "horizon %g must cover at least 10 steps of dt %g"
+                           % (diff["horizon"], diff["dt"])))
+        bins = diff["bins"]
+        if np.any(np.asarray(bins["hi"]) <= np.asarray(bins["lo"])):
+            errors.append(("/diffusion/bins", "bin box must have hi > lo"))
+        elif field_type == "gaussian":
+            box = field_spec["box"]
+            inside = np.all(np.asarray(bins["lo"]) >= np.asarray(box["lo"])) \
+                and np.all(np.asarray(bins["hi"]) <= np.asarray(box["hi"]))
+            if not inside:
+                errors.append(
+                    ("/diffusion/bins",
+                     "bin box [%s, %s] must lie inside the field box [%s, %s]"
+                     % (bins["lo"], bins["hi"], box["lo"], box["hi"])))
+
+    if field_type == "packet":
+        nw = len(field_spec["wavevectors"])
+        if len(field_spec["weights"]) != nw:
+            errors.append(("/field/weights",
+                           "%d weights for %d wavevectors"
+                           % (len(field_spec["weights"]), nw)))
+
+    if "chart" in raw and "domain" in field_spec:
+        origin = np.asarray(raw["chart"]["origin"])
+        dom = field_spec["domain"]
+        if np.any(origin < np.asarray(dom["lo"])) \
+                or np.any(origin > np.asarray(dom["hi"])):
+            errors.append(("/chart/origin",
+                           "origin %s lies outside the field domain [%s, %s]"
+                           % (origin.tolist(), dom["lo"], dom["hi"])))
+
+    if errors:
+        lines = ["%s: %s" % (ptr, msg) for ptr, msg in errors]
+        raise ConfigInvalid("invalid scenario:\n  " + "\n  ".join(lines),
+                            pointers=[ptr for ptr, _ in errors])
+
+
+def _read_json(path, what):
+    """Parsed JSON of the UTF-8 file at path; ConfigInvalid names the path
+    (``what`` is the kind of file) when it cannot be read or parsed."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigInvalid("%s file not found: %s" % (what, path))
+    except json.JSONDecodeError as err:
+        raise ConfigInvalid("%s is not valid JSON: %s" % (what, err))
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigInvalid("cannot read %s %s: %s" % (what, path, err))
+
+
+def _make_dir(path):
+    """Create the output directory path; ConfigInvalid when it cannot be."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigInvalid("cannot create output directory %s: %s"
+                            % (path, err))
+
+
+def validate(source):
+    """Parse and validate a scenario file (path or dict). No execution.
+
+    Raises ConfigInvalid with JSON-pointer paths on any schema violation or
+    failed cross-field check, and naming the path when the file cannot be
+    read or parsed; returns a Scenario otherwise.
+    """
+    import jsonschema
+
+    if isinstance(source, dict):
+        raw, path = source, ""
+    else:
+        path = str(source)
+        raw = _read_json(path, "scenario")
+
+    validator = jsonschema.Draft7Validator(SCENARIO_SCHEMA)
+    schema_errors = sorted(validator.iter_errors(raw),
+                           key=lambda e: list(e.absolute_path))
+    if schema_errors:
+        lines = []
+        pointers = []
+        for err in schema_errors:
+            ptr = _pointer(err.absolute_path)
+            pointers.append(ptr)
+            lines.append("%s: %s" % (ptr, err.message))
+        raise ConfigInvalid("invalid scenario:\n  " + "\n  ".join(lines),
+                            pointers=pointers)
+    _check_cross_fields(raw)
+    return Scenario(raw=raw, path=path)
+
 
 
 # ---------------------------------------------------------------------------
@@ -942,13 +937,19 @@ def run(scenario, out_dir=None, seed=None, threads=None):
     ``kind`` is ``domain`` for a ComovkitError and ``internal``, with the
     traceback, for any other exception.  ``analysis_wall_s`` maps every
     analysis that ran, the failed one included, to its wall time in seconds.
-    ConfigInvalid, before any analysis, means the output directory cannot
-    be created.
+    ``threads=None`` means one simulation thread.  ConfigInvalid, before
+    any analysis, means a negative seed or fewer than one thread (both
+    checked before the output directory is created) or an output directory
+    that cannot be created.
     """
     start = time.time()
+    run_seed = scenario.seed if seed is None else int(seed)
+    threads = 1 if threads is None else int(threads)
+    if run_seed < 0 or threads < 1:
+        raise ConfigInvalid("seed must be >= 0 and threads >= 1; got seed %d,"
+                            " threads %d" % (run_seed, threads))
     out = Path(out_dir or scenario.output or ("runs/" + scenario.name))
     _make_dir(out)
-    run_seed = scenario.seed if seed is None else int(seed)
     ctx = _RunContext(scenario, run_seed, threads, out)
 
     report = {

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from comovkit.chart import ComovingChart, boost_to_rest_frame, forward_map, jacobian
+from comovkit.chart import ComovingChart, boost_to_rest_frame
 from comovkit.cli import run as cli_run
 from comovkit.cli import validate as cli_validate
 from comovkit.constants import PhysicalConstants
@@ -169,10 +169,10 @@ def test_01_boost_chart_equivalence(constants):
         vel = four_velocity_contravariant(bundle)
         pts = rng.uniform(-2.0, 2.0, size=(100, 4))
         for x in pts:
-            xi = forward_map(chart, x)
+            xi = chart.forward_map(x)
             worst_phi = max(worst_phi, float(np.max(np.abs(xi - lam @ x))))
         for x in pts[:25]:
-            push = jacobian(chart, x) @ vel(x)
+            push = chart.jacobian(x) @ vel(x)
             worst_push = max(worst_push, float(np.max(np.abs(push[1:]))))
     elapsed = time.time() - start
     record(

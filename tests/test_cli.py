@@ -66,6 +66,32 @@ def plane_wave_doc(**overrides):
     return doc
 
 
+def packet_doc(**overrides):
+    doc = {
+        "name": "packet-small",
+        "constants": {"hbar": 1.0, "mass": 1.0, "c": 1.0},
+        "field": {
+            "type": "packet",
+            "wavevectors": [[0.0, 0.0, 0.0], [0.05, 0.0, 0.0]],
+            "weights": [2.0, 1.0],
+            "domain": {"lo": [-1.0] * 4, "hi": [1.0] * 4},
+        },
+        "chart": {"origin": [0.0, 0.0, 0.0, 0.0]},
+        "analyses": ["hypotheses"],
+    }
+    doc.update(overrides)
+    return doc
+
+
+def without(doc, *keys):
+    for key in keys:
+        del doc[key]
+    return doc
+
+
+ENERGY = {"box": {"lo": [-1.0] * 3, "hi": [1.0] * 3}}
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -158,6 +184,98 @@ def test_validate_rejects_chart_analysis_without_chart(tmp_path):
     with pytest.raises(ConfigInvalid) as err:
         validate(write_scenario(tmp_path, doc))
     assert "/analyses" in err.value.pointers
+
+
+# (document, pointer, a fragment the message must hold): one per rule that
+# ties the analyses to the document's sections, field type and each other
+CROSS_FIELD_RULES = {
+    "energy_on_packet": (
+        lambda: packet_doc(analyses=["energy"], energy=ENERGY),
+        "/analyses", "energy"),
+    "plane_wave_energy_without_chart": (
+        lambda: without(plane_wave_doc(analyses=["energy"], energy=ENERGY),
+                        "chart"),
+        "/analyses", "energy"),
+    "energy_without_section": (
+        lambda: gaussian_doc(analyses=["energy"]), "/analyses", "energy"),
+    "nonrel_without_section": (
+        lambda: plane_wave_doc(analyses=["nonrel"]), "/analyses", "nonrel"),
+    "diffusion_without_section": (
+        lambda: without(gaussian_doc(analyses=["simulate"]), "diffusion"),
+        "/analyses", "simulate"),
+    "simulate_on_wave_field": (
+        lambda: plane_wave_doc(analyses=["simulate"],
+                               diffusion=gaussian_doc()["diffusion"]),
+        "/analyses", "simulate"),
+    "wave_analysis_on_gaussian": (
+        lambda: gaussian_doc(analyses=["classify"]), "/analyses", "classify"),
+    "chart_analysis_without_chart": (
+        lambda: without(plane_wave_doc(analyses=["geometry_diag"]), "chart"),
+        "/analyses", "geometry_diag"),
+    "specular_without_simulate": (
+        lambda: gaussian_doc(analyses=["specular"]), "/analyses", "specular"),
+    "missing_field": (
+        lambda: without(plane_wave_doc(analyses=["hypotheses"]), "field"),
+        "/analyses", "hypotheses"),
+    "chart_origin_outside_domain": (
+        lambda: packet_doc(chart={"origin": [0.0, 0.0, 1.5, 0.0]}),
+        "/chart/origin", "[0.0, 0.0, 1.5, 0.0]"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(CROSS_FIELD_RULES))
+def test_validate_rejects_each_cross_field_rule(rule):
+    make, pointer, fragment = CROSS_FIELD_RULES[rule]
+    with pytest.raises(ConfigInvalid) as err:
+        validate(make())
+    assert err.value.pointers == [pointer]
+    assert fragment in str(err.value)
+
+
+# the smallest valid content of each section an analysis can need
+MINIMAL_SECTIONS = {
+    "chart": {"origin": [0.0, 0.0, 0.0, 0.0]},
+    "diffusion": {
+        "dt": 0.01, "horizon": 1.0, "n_paths": 10,
+        "bins": {"lo": [-1.0] * 3, "hi": [1.0] * 3, "shape": [2, 2, 2]},
+    },
+    "energy": ENERGY,
+    "nonrel": {"epsilons": [0.1, 0.05]},
+}
+MINIMAL_FIELDS = {
+    "plane_wave": plane_wave_doc()["field"],
+    "packet": packet_doc()["field"],
+    "gaussian": gaussian_doc()["field"],
+}
+
+
+@pytest.mark.parametrize("analysis, field_type", [
+    (a.name, field_type)
+    for a in cli._TABLE for field_type in a.fields or [None]])
+def test_validate_accepts_each_analysis_with_its_declared_needs(analysis,
+                                                                field_type):
+    table = {a.name: a for a in cli._TABLE}
+    names = [analysis, *table[analysis].consumes]
+    doc = {"name": "minimal", "constants": {"hbar": 1.0, "mass": 1.0, "c": 1.0},
+           "analyses": names}
+    for section in {s for name in names for s in table[name].sections}:
+        doc[section] = MINIMAL_FIELDS[field_type] if section == "field" \
+            else MINIMAL_SECTIONS[section]
+    if analysis == "energy" and field_type == "plane_wave":
+        doc["chart"] = MINIMAL_SECTIONS["chart"]  # the one rule off the table
+    assert validate(doc).analyses == [a for a in cli.ANALYSES if a in names]
+
+
+def test_analysis_table_is_consistent():
+    order = list(cli.ANALYSES)
+    for analysis in cli._TABLE:
+        # an analysis runs on field types exactly when it reads the field
+        assert bool(analysis.fields) == ("field" in analysis.sections)
+        for consumed in analysis.consumes:
+            assert order.index(consumed) < order.index(analysis.name)
+    assert cli.SCENARIO_SCHEMA["properties"]["analyses"]["items"]["enum"] \
+        == order
+    assert list(cli._RUNNERS) == order
 
 
 def test_validate_rejects_non_json(tmp_path):
@@ -540,6 +658,23 @@ def test_unreadable_scenario_exits_two(tmp_path, capsys, monkeypatch,
     assert main([command, str(path)]) == 2
     _assert_one_invalid_line(capsys, "cannot read scenario",
                              "Permission denied")
+
+
+def test_run_negative_seed_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_scenario(tmp_path, plane_wave_doc())
+    assert main(["run", path, "--seed", "-5", "--out", str(out)]) == 2
+    _assert_one_invalid_line(capsys, "seed -5")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_run_threads_below_one_exits_two(tmp_path, capsys, threads):
+    out = tmp_path / "out"
+    path = write_scenario(tmp_path, plane_wave_doc())
+    assert main(["run", path, "--threads", threads, "--out", str(out)]) == 2
+    _assert_one_invalid_line(capsys, "threads " + threads)
+    assert not out.exists()
 
 
 def test_run_out_existing_file_exits_two(tmp_path, capsys):
