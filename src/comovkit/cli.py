@@ -88,8 +88,15 @@ class GaussianFixture:
         return np.exp(-0.5 * np.sum(q * q, axis=-1) / self.sigma ** 2)
 
     def osmotic(self, nu):
+        """Osmotic velocity u(q) = (nu/2) grad ln rho = -nu q / (2 sigma^2).
+
+        The flat Euler-Maruyama step calls it once per step, so it is one
+        multiply by a constant folded in advance.
+        """
+        scale = -0.5 * nu / self.sigma ** 2
+
         def u(q):
-            return 0.5 * nu * self.grad_log_density(q)
+            return np.multiply(q, scale)
 
         return u
 

@@ -7,9 +7,11 @@ the invariant (vector) drift by subtracting the Christoffel contraction.
 Reproducibility contract: the noise draw consumed by (path, step) is a
 pure function of the master seed, the path's chunk (paths are grouped in
 fixed-size chunks set by the config, never by the executor), and the step
-index. Chunks evaluate on independent counter-based streams, so any
-thread count produces bit-identical ensembles; ``recompute_noise``
-rebuilds any single draw from scratch for verification.
+index. Each chunk draws from its own SFC64 stream, seeded by a
+``SeedSequence`` spawned from the master seed with the chunk index as its
+key, so any thread count produces bit-identical ensembles;
+``recompute_noise`` rebuilds any single draw from scratch for
+verification.
 
 Full trajectories at the acceptance scale would need tens of gigabytes,
 so ensembles store (state, next state) pairs at a strided set of
@@ -145,13 +147,13 @@ class PathEnsemble:
 def _noise_stream(master_seed, chunk_index):
     seq = np.random.SeedSequence(entropy=master_seed,
                                  spawn_key=(chunk_index, 0))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _init_stream(master_seed, chunk_index):
     seq = np.random.SeedSequence(entropy=master_seed,
                                  spawn_key=(chunk_index, 1))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _chunk_ranges(n_paths, chunk_size):

@@ -1,7 +1,9 @@
-"""Shared fixtures: canonical field bundles reused across the test suite."""
+"""Shared fixtures: canonical field bundles reused across the test suite,
+and the family thresholds every Monte Carlo assertion uses."""
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from comovkit.constants import PhysicalConstants
 from comovkit.fields import Box, make_packet, make_plane_wave
@@ -24,6 +26,75 @@ PACKET9_WAVEVECTORS = np.array(
     ]
 )
 PACKET9_WEIGHTS = np.array([2.0, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.15, 0.15])
+
+# false-alarm rate per seed of each statistical family check, stated before
+# the ensembles are drawn: a correct estimator fails a given check on at
+# most one master seed in a thousand
+FALSE_ALARM = 1e-3
+
+
+def t_limit(family, dof, rate):
+    """Per-comparison two-sided limit on |t| for a family of ``family`` t
+    statistics with ``dof`` degrees of freedom (``np.inf`` for z scores).
+
+    A correct estimator exceeds it anywhere in the family with probability
+    at most ``rate`` per seed. This is the Bonferroni limit, which holds
+    however the family's members are correlated.
+    """
+    return float(stats.t.isf(0.5 * rate / family, dof))
+
+
+def family_check(t, dof, profile):
+    """Test a family of two-sided t statistics for a bias at FALSE_ALARM.
+
+    The rate is split in three equal parts, one per statistic:
+
+    - the largest |t|, against ``t_limit``: a bias in a few members;
+    - the sum of squared normal scores (each |t| mapped to the normal
+      score with the same tail probability), against chi-square with one
+      degree of freedom per member, exact for independent members (binned
+      estimates over disjoint samples nearly are): a bias spread over many
+      members in any pattern;
+    - the pooled t along ``profile``, the pattern in which a stated bias
+      moves the members, ``profile . t / |profile|``, against the limit of
+      a single member: a bias in that pattern, as ``test_04``'s pooled z
+      does for a constant offset. The limit is exact for a profile on one
+      member and conservative for a spread one.
+
+    The max-|t| limit grows with the family size; the two pooled
+    statistics keep a small bias spread over many members detectable.
+    Returns a dict with the three statistics, their limits and ``reject``.
+    """
+    t = np.ravel(np.asarray(t, dtype=float))
+    profile = np.ravel(np.asarray(profile, dtype=float))
+    part = FALSE_ALARM / 3.0
+    z = stats.norm.isf(stats.t.sf(np.abs(t), dof))
+    out = {
+        "family": t.size,
+        "dof": dof,
+        "rate": FALSE_ALARM,
+        "max_t": float(np.max(np.abs(t))),
+        "t_limit": t_limit(t.size, dof, part),
+        "chi2": float(np.sum(z * z)),
+        "chi2_limit": float(stats.chi2.isf(part, t.size)),
+        "pooled_t": float(abs(profile @ t) / np.linalg.norm(profile)),
+        "pooled_limit": t_limit(1, dof, part),
+    }
+    out["reject"] = (out["max_t"] > out["t_limit"]
+                     or out["chi2"] > out["chi2_limit"]
+                     or out["pooled_t"] > out["pooled_limit"])
+    return out
+
+
+def family_checks(t, biased, dof):
+    """``family_check`` of a family at the truth, ``t``, and under its
+    power-control bias, ``biased``, both pooled along ``biased - t``.
+
+    A correct estimator passes the first; the second must reject.
+    """
+    profile = np.ravel(biased) - np.ravel(t)
+    return family_check(t, dof, profile), family_check(biased, dof, profile)
+
 
 NEAR_STANDING_WAVEVECTORS = np.array([[0.75, 0.0, 0.0], [-0.9, 0.0, 0.0]])
 NEAR_STANDING_WEIGHTS = np.array([1.0, 0.98])

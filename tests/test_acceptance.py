@@ -258,6 +258,16 @@ def test_04_stationary_kinematics(stationary_run, constants):
     z_anti = pooled_z(anti_mean, anti_se, usable)
 
     elapsed = run["elapsed_s"] + (time.time() - start)
+    # False-alarm rate per seed of this published family form, for a
+    # correct simulator (scipy.stats; the limits are the contract and stay):
+    # - variance: max of 3 per-axis |t_31| <= 3, 1 - (1 - 5.3e-3)^3 = 1.6e-2;
+    # - osmotic fraction >= 0.95: a bin fails (some axis |t_31| > 3) with
+    #   probability 1.6e-2, and more than 5 % of the 208 usable bins fail
+    #   with probability 5.3e-4 (binomial);
+    # - antisymmetry: max of 3 per-axis pooled |z| <= 3, 8.1e-3 (normal;
+    #   the pooled SE is built from 31-dof weights, which makes it slightly
+    #   higher).
+    # Together about 2.4e-2: one seed in about 40 fails a correct simulator.
     record(
         "stationary_kinematics",
         z_var <= 3.0 and osmotic["fraction"] >= 0.95 and z_anti <= 3.0
@@ -294,6 +304,10 @@ def test_05_specular_reversal(stationary_run, constants):
     frac = float(np.mean(
         np.all(np.abs(diff[usable]) <= 3.0 * fwd.se[usable], axis=-1)
     ))
+    # False-alarm rate per seed for a correct simulator: the pooled max of
+    # 3 per-axis |z| <= 3 gives 8.1e-3 (normal), and the fraction of the
+    # 208 usable bins with every axis |t_31| <= 3 falls below 0.95 with
+    # probability 5.3e-4 (binomial); together about 8.6e-3.
     record(
         "specular_reversal",
         involution and z_pool <= 3.0 and frac >= 0.95,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from comovkit import diffusion
 from comovkit.diffusion import (
@@ -33,10 +34,26 @@ from comovkit.errors import (
 from comovkit.estimators import estimate_density
 from comovkit.fields import Box
 from comovkit.geometry import MetricPatch, polar_flat_patch
+from conftest import family_checks
 
 SIGMA_RHO = 1.0
 NU = 1.0
 THETA = NU / (2.0 * SIGMA_RHO**2)
+OU_SEED = 20260816
+# standard errors come from 32 path batches, so each t has 31 dof
+BATCH_DOF = 31
+# drift families bin the ensemble in five slabs along the first axis
+SLABS = BinSpec((-2, -4, -4), (2, 4, 4), (5, 1, 1))
+
+# Power controls: a known bias that each family check must reject on its
+# own fixture. Each is about twice the bias the check detects on nine
+# seeds in ten, simulated from the fixture's standard errors.
+VARIANCE_BIAS = 0.06  # stationary variance target scaled by 1 + delta
+STATIONARITY_BIAS = 0.08  # halfway variance scaled by 1 + delta
+DRIFT_BIAS = 1.0  # drift target scaled by 1 + delta
+ANTISYMMETRY_BIAS = 1.6  # forward + backward target shifted by delta u
+DISCRETE_VARIANCE_BIAS = 0.06  # Euler-chain variance scaled by 1 + delta
+INITIAL_VARIANCE_BIAS = 0.04  # truncated-gaussian variance scaled likewise
 
 
 def ou_drift(q):
@@ -47,17 +64,56 @@ def gauss_weight(q):
     return np.exp(-0.5 * np.sum(q**2, axis=-1) / SIGMA_RHO**2)
 
 
-@pytest.fixture(scope="module")
-def ou_ensemble():
+def simulate_ou(seed):
     """Stationary ensemble for the Gaussian density fixture."""
     config = DiffusionConfig(
-        dt=2e-3, horizon=4.0, n_paths=20000, master_seed=20260816, nu=NU,
+        dt=2e-3, horizon=4.0, n_paths=20000, master_seed=seed, nu=NU,
         initial=("density", gauss_weight,
                  Box((-4.0, -4.0, -4.0), (4.0, 4.0, 4.0)), 1.0),
         n_snapshots=24, chunk_size=16384, n_threads=2,
     )
     patch = MetricPatch.euclidean()
     return simulate(drift_from_fields(ou_drift, patch, NU), patch, config)
+
+
+@pytest.fixture(scope="module")
+def ou_ensemble():
+    return simulate_ou(OU_SEED)
+
+
+def variance_t(report, delta=0.0):
+    """Per-axis t of the final snapshot's variance against (1 + delta)
+    times the stationary variance."""
+    target = (1.0 + delta) * SIGMA_RHO**2
+    return (report["variance"][-1] - target) / report["se"][-1]
+
+
+def stationarity_t(report, delta=0.0):
+    """Per-axis two-sample t of the halfway snapshot's variance, scaled by
+    1 + delta, against the final one's.
+
+    The two snapshots share their paths; their positive correlation makes
+    the independent-sample SE (``hypot``) conservative.
+    """
+    mid = np.argmin(np.abs(report["times"] - 0.5 * report["times"][-1]))
+    pooled = np.hypot(report["se"][mid], report["se"][-1])
+    return ((1.0 + delta) * report["variance"][mid]
+            - report["variance"][-1]) / pooled
+
+
+def drift_t(est, slope, delta=0.0):
+    """Per-bin, per-axis t of a drift estimate against (1 + delta) slope q,
+    at the per-bin sample mean, where the affine target is exact."""
+    target = (1.0 + delta) * slope * est.eval_points()
+    return ((est.mean - target) / est.se)[est.valid]
+
+
+def antisymmetry_t(fwd, bwd, delta=0.0):
+    """Per-bin, per-axis t of forward plus backward drift, formed per path
+    batch, against delta times the osmotic velocity u = -theta q."""
+    mean, se, valid = combine_drift_estimates(fwd, bwd, 1.0, 1.0)
+    anchor = 0.5 * (fwd.eval_points() + bwd.eval_points())
+    return ((mean - delta * -THETA * anchor) / se)[valid]
 
 
 # --- configuration ----------------------------------------------------------
@@ -97,8 +153,7 @@ def test_snapshot_schedule_dense_when_requested():
 
 def _manual_replay(config, q0, steps, g=np.eye(3), drift=ou_drift):
     """Mirror the simulator's arithmetic draw for draw."""
-    seq = np.random.SeedSequence(entropy=config.master_seed, spawn_key=(0, 0))
-    rng = np.random.Generator(np.random.Philox(seq))
+    rng = diffusion._noise_stream(config.master_seed, 0)
     root = np.sqrt(config.nu * config.dt)
     q = np.tile(np.asarray(q0, dtype=float), (config.n_paths, 1))
     draws, pres, posts = [], [], []
@@ -329,18 +384,44 @@ def test_blocked_sampler_matches_whole_batch(monkeypatch, block, sup):
     assert np.array_equal(got, want)
 
 
-def test_density_initialization_matches_target():
+def initial_t(init, delta=0.0):
+    """Per-axis z of an initial sample's mean against 0 and of its variance
+    against (1 + delta) times that of the sampled law.
+
+    The sampler draws independent states from the unit gaussian truncated
+    to the box [-4, 4]^3, whose axes are independent truncated normals;
+    the SEs are the independent-sample ones.
+    """
+    law = stats.truncnorm(-4.0, 4.0)
+    n = len(init)
+    mean_z = init.mean(axis=0) / np.sqrt(law.var() / n)
+    var_se = np.sqrt((law.moment(4) - law.var() ** 2) / n)
+    var_z = (init.var(axis=0, ddof=1) - (1.0 + delta) * law.var()) / var_se
+    return np.concatenate([mean_z, var_z])
+
+
+def initial_states(seed):
+    """Initial states of 40 000 paths from the density sampler."""
     config = DiffusionConfig(
-        dt=0.01, horizon=0.1, n_paths=40000, master_seed=13, nu=NU,
+        dt=0.01, horizon=0.1, n_paths=40000, master_seed=seed, nu=NU,
         initial=("density", gauss_weight,
                  Box((-4.0, -4.0, -4.0), (4.0, 4.0, 4.0)), 1.0),
         burn_in_fraction=0.0, n_snapshots=100,
     )
     patch = MetricPatch.euclidean()
     ens = simulate(drift_from_fields(ou_drift, patch, NU), patch, config)
-    init = ens.pre[:, 0]
-    assert np.all(np.abs(init.mean(axis=0)) < 0.02)
-    assert np.all(np.abs(init.var(axis=0) - SIGMA_RHO**2) < 0.03)
+    return ens.pre[:, 0]
+
+
+def test_density_initialization_matches_target():
+    init = initial_states(13)
+    # family: per-axis z of the mean and of the variance (6 members; 39 999
+    # dof, taken as normal) at FALSE_ALARM per seed
+    # power control: the variance target scaled by the known bias
+    truth, biased = family_checks(
+        initial_t(init), initial_t(init, INITIAL_VARIANCE_BIAS), np.inf)
+    assert not truth["reject"], truth
+    assert biased["reject"], biased
 
 
 # --- guard rails -------------------------------------------------------------
@@ -406,40 +487,51 @@ def test_drift_correction_polar_closed_form():
 
 def test_stationary_variance_matches_density(ou_ensemble):
     report = variance_report(ou_ensemble)
-    var_last = report["variance"][-1]
-    se_last = report["se"][-1]
-    assert np.all(np.abs(var_last - SIGMA_RHO**2) < 3.5 * se_last)
-    # two-sample stationarity: halfway snapshot vs final
-    mid = np.argmin(np.abs(report["times"] - 0.5 * report["times"][-1]))
-    pooled = np.hypot(report["se"][mid], se_last)
-    assert np.all(
-        np.abs(report["variance"][mid] - var_last) < 3.5 * pooled
-    )
+    # two families of per-axis t, 3 members and 31 dof each, each at
+    # FALSE_ALARM per seed: the final variance against the stationary
+    # law, and two-sample stationarity (halfway snapshot vs final)
+    for name, t_of, bias in (("variance", variance_t, VARIANCE_BIAS),
+                             ("stationarity", stationarity_t,
+                              STATIONARITY_BIAS)):
+        # power control: the known scaling of the variance is rejected
+        truth, biased = family_checks(t_of(report), t_of(report, bias),
+                                      BATCH_DOF)
+        assert not truth["reject"], (name, truth)
+        assert biased["reject"], (name, biased)
 
 
 def test_forward_drift_matches_osmotic_velocity(ou_ensemble):
-    bins = BinSpec((-2, -4, -4), (2, 4, 4), (5, 1, 1))
-    est = forward_drift_estimate(ou_ensemble, bins, min_count=2000)
+    est = forward_drift_estimate(ou_ensemble, SLABS, min_count=2000)
     assert np.sum(est.valid) >= 4
-    target = -THETA * est.centers
-    err = np.abs(est.mean - target)[est.valid]
-    assert np.all(err < 4.0 * est.se[est.valid])
+    # family: per-bin, per-axis t, 31 dof, over 3 x the valid slabs (15),
+    # at FALSE_ALARM per seed; power control: a drift of twice the osmotic
+    # velocity is rejected
+    truth, biased = family_checks(drift_t(est, -THETA),
+                                  drift_t(est, -THETA, DRIFT_BIAS), BATCH_DOF)
+    assert not truth["reject"], truth
+    assert biased["reject"], biased
 
 
 def test_backward_drift_is_minus_forward(ou_ensemble):
-    bins = BinSpec((-2, -4, -4), (2, 4, 4), (5, 1, 1))
-    fwd = forward_drift_estimate(ou_ensemble, bins, min_count=2000)
-    bwd = backward_drift_estimate(ou_ensemble, bins, min_count=2000)
-    both = fwd.valid & bwd.valid
-    assert np.sum(both) >= 4
-    target = THETA * bwd.centers
-    err_direct = np.abs(bwd.mean - target)[both]
-    assert np.all(err_direct < 4.0 * bwd.se[both])
-    # paired combination: the two estimates share increments, so the sum
-    # must be formed batchwise for an honest error bar
-    mean, se, valid = combine_drift_estimates(fwd, bwd, 1.0, 1.0)
-    assert np.sum(valid) >= 4
-    assert np.all(np.abs(mean[valid]) < 4.0 * se[valid])
+    fwd = forward_drift_estimate(ou_ensemble, SLABS, min_count=2000)
+    bwd = backward_drift_estimate(ou_ensemble, SLABS, min_count=2000)
+    assert np.sum(fwd.valid & bwd.valid) >= 4
+    # two families of per-bin, per-axis t, 31 dof, over 3 x the valid
+    # slabs (15), each at FALSE_ALARM per seed: the backward drift against
+    # +theta q, and the paired sum (the two estimates share increments, so
+    # the sum is formed batchwise for an honest error bar) against zero
+    families = (
+        ("backward", lambda delta: drift_t(bwd, THETA, delta), DRIFT_BIAS),
+        ("antisymmetry", lambda delta: antisymmetry_t(fwd, bwd, delta),
+         ANTISYMMETRY_BIAS),
+    )
+    for name, t_of, bias in families:
+        t = t_of(0.0)
+        assert t.size >= 12, name
+        # power control: the target moved by the known bias is rejected
+        truth, biased = family_checks(t, t_of(bias), BATCH_DOF)
+        assert not truth["reject"], (name, truth)
+        assert biased["reject"], (name, biased)
 
 
 def test_insufficient_samples_raises(ou_ensemble):
@@ -481,11 +573,14 @@ def test_specular_forward_drift_equals_osmotic_velocity(ou_ensemble):
     # (zero here) and keeps the osmotic part: forward drift of the
     # reversed paths is u itself
     rev = specular_reverse(ou_ensemble)
-    bins = BinSpec((-2, -4, -4), (2, 4, 4), (5, 1, 1))
-    est = forward_drift_estimate(rev, bins, min_count=2000)
-    target = -THETA * est.centers
-    err = np.abs(est.mean - target)[est.valid]
-    assert np.all(err < 4.0 * est.se[est.valid])
+    est = forward_drift_estimate(rev, SLABS, min_count=2000)
+    # family: per-bin, per-axis t, 31 dof, over 3 x the valid slabs (15),
+    # at FALSE_ALARM per seed; power control: a drift of twice the osmotic
+    # velocity is rejected
+    truth, biased = family_checks(drift_t(est, -THETA),
+                                  drift_t(est, -THETA, DRIFT_BIAS), BATCH_DOF)
+    assert not truth["reject"], truth
+    assert biased["reject"], biased
 
 
 # --- weak order ----------------------------------------------------------------
@@ -496,20 +591,41 @@ def _discrete_point_variance(theta, nu, dt, steps):
     return nu * dt * (1.0 - a2**steps) / (1.0 - a2)
 
 
-def test_monte_carlo_matches_discrete_theory():
-    dt = 4e-3
+def simulate_from_origin(seed):
+    """Final states of 20 000 Euler chains of the OU drift from the origin,
+    with their step size and step count."""
     config = DiffusionConfig(
-        dt=dt, horizon=2.0, n_paths=20000, master_seed=31, nu=NU,
+        dt=4e-3, horizon=2.0, n_paths=20000, master_seed=seed, nu=NU,
         initial=("point", (0.0, 0.0, 0.0)), burn_in_fraction=0.0,
         n_snapshots=1,
     )
     patch = MetricPatch.euclidean()
     ens = simulate(drift_from_fields(ou_drift, patch, NU), patch, config)
-    final = ens.final_states()
-    expected = _discrete_point_variance(THETA, NU, dt, config.n_steps)
-    sample = final.var(axis=0, ddof=1)
-    se = expected * np.sqrt(2.0 / (config.n_paths - 1))
-    assert np.all(np.abs(sample - expected) < 4.0 * se)
+    return ens.final_states(), config.dt, config.n_steps
+
+
+def discrete_variance_t(final, dt, steps, delta=0.0):
+    """Per-axis z of the sample variance of independent final states
+    against (1 + delta) times the Euler chain's exact variance.
+
+    The states are independent gaussians, so the SE is the exact
+    sqrt(2 / (n - 1)) times the chain's variance.
+    """
+    expected = _discrete_point_variance(THETA, NU, dt, steps)
+    se = expected * np.sqrt(2.0 / (len(final) - 1))
+    return (final.var(axis=0, ddof=1) - (1.0 + delta) * expected) / se
+
+
+def test_monte_carlo_matches_discrete_theory():
+    final, dt, steps = simulate_from_origin(31)
+    # family: per-axis z (3 members; n - 1 = 19 999 dof, taken as normal)
+    # at FALSE_ALARM per seed
+    # power control: the chain's variance scaled by the known bias
+    truth, biased = family_checks(
+        discrete_variance_t(final, dt, steps),
+        discrete_variance_t(final, dt, steps, DISCRETE_VARIANCE_BIAS), np.inf)
+    assert not truth["reject"], truth
+    assert biased["reject"], biased
 
 
 def test_scheme_weak_error_slope_is_one():

@@ -28,11 +28,23 @@ from comovkit.estimators import (
 )
 from comovkit.fields import Box
 from comovkit.geometry import MetricPatch
+from conftest import family_checks
 
 SIGMA_RHO = 1.0
 NU = 1.0
 THETA = NU / (2.0 * SIGMA_RHO**2)
 CONSTANTS = natural_units()
+OU_SEED = 41
+OU_BINS = BinSpec((-2.4, -2.4, -2.4), (2.4, 2.4, 2.4), (6, 6, 6))
+# standard errors come from 32 path batches, so each per-bin t has 31 dof
+BATCH_DOF = 31
+
+# Power controls: a known bias that each family check must reject on its
+# own fixture. Each is about twice the bias the check detects on nine
+# seeds in ten, simulated from the fixture's standard errors.
+DENSITY_WIDTH_BIAS = 0.015  # stationary gaussian width scaled by 1 + delta
+CURRENT_BIAS = 0.5  # current target shifted by delta times u
+OSMOTIC_BIAS = 0.15  # osmotic target u scaled by 1 + delta
 
 
 def ou_drift(q):
@@ -63,10 +75,10 @@ def gauss_bin_average(bins, scale=1.0):
     return np.einsum("i,j,k->ijk", m[0], m[1], m[2]).ravel()
 
 
-@pytest.fixture(scope="module")
-def ou_ensemble():
+def simulate_ou(seed):
+    """Stationary OU ensemble of the gaussian fixture: 20 000 paths."""
     config = DiffusionConfig(
-        dt=2e-3, horizon=4.0, n_paths=20000, master_seed=41, nu=NU,
+        dt=2e-3, horizon=4.0, n_paths=20000, master_seed=seed, nu=NU,
         initial=("density", lambda q: gauss_density(q),
                  Box((-4.0, -4.0, -4.0), (4.0, 4.0, 4.0)), 1.0),
         n_snapshots=24, chunk_size=16384, n_threads=2,
@@ -76,8 +88,45 @@ def ou_ensemble():
 
 
 @pytest.fixture(scope="module")
+def ou_ensemble():
+    return simulate_ou(OU_SEED)
+
+
+def density_t(est, bins, width=1.0, min_count=500, root_sig=1.0):
+    """Per-bin t of a density estimate against the exact bin-averaged law
+    of a centred gaussian of the given width, divided by the constant
+    volume factor ``root_sig``, over bins holding at least ``min_count``
+    samples.
+
+    The histogram estimates the bin average, and the lattice misses a
+    little tail mass, so the target is renormalized over the lattice as
+    the estimate is.
+    """
+    target = gauss_bin_average(bins, scale=width)
+    target = target / np.sum(target * est.meta["volume"]) / root_sig
+    good = est.count >= min_count
+    return ((est.estimate - target) / est.se)[good]
+
+
+def current_t(vel, delta=0.0):
+    """Per-bin, per-axis t of the current velocity against delta * u.
+
+    u is the osmotic velocity -theta q at the per-bin sample mean, where
+    the conditional expectation of the affine target is exact.
+    """
+    target = delta * -THETA * vel.anchor
+    return ((vel.current - target) / vel.current_se)[vel.valid]
+
+
+def osmotic_t(vel, delta=0.0):
+    """Per-bin, per-axis t of the osmotic velocity against (1 + delta) u."""
+    target = (1.0 + delta) * -THETA * vel.anchor
+    return ((vel.osmotic - target) / vel.osmotic_se)[vel.valid]
+
+
+@pytest.fixture(scope="module")
 def ou_bins():
-    return BinSpec((-2.4, -2.4, -2.4), (2.4, 2.4, 2.4), (6, 6, 6))
+    return OU_BINS
 
 
 # --- density -------------------------------------------------------------------
@@ -85,15 +134,15 @@ def ou_bins():
 def test_density_matches_stationary_law(ou_ensemble, ou_bins):
     patch = MetricPatch.euclidean()
     est = estimate_density(ou_ensemble, ou_bins, patch)
-    # the histogram estimates the bin average, so compare against the
-    # exact bin-averaged stationary law (the lattice misses a little
-    # tail mass, so allow its renormalization factor)
-    target = gauss_bin_average(ou_bins)
-    target = target / np.sum(target * est.meta["volume"])
-    good = est.count >= 500
-    assert np.sum(good) >= 30
-    err = np.abs(est.estimate - target)[good]
-    assert np.all(err < 4.0 * est.se[good])
+    # family: per-bin t, 31 dof, over the bins with >= 500 samples (about
+    # 158 of 216), at FALSE_ALARM per seed
+    t = density_t(est, ou_bins)
+    assert t.size >= 30
+    # power control: the law of a gaussian 1.5 % wider is rejected
+    truth, wide = family_checks(
+        t, density_t(est, ou_bins, 1.0 + DENSITY_WIDTH_BIAS), BATCH_DOF)
+    assert not truth["reject"], truth
+    assert wide["reject"], wide
 
 
 def test_density_normalizes_with_invariant_measure(ou_ensemble, ou_bins):
@@ -105,26 +154,35 @@ def test_density_normalizes_with_invariant_measure(ou_ensemble, ou_bins):
     assert abs(mass - 1.0) < 1e-9
 
 
-def test_density_uses_volume_factor():
-    # coordinate samples ~ N(0, 1); with sqrt|sigma| = 0.8 the invariant
-    # density is the coordinate pdf divided by 0.8
-    rng = np.random.default_rng(7)
+def volume_factor_estimate(seed):
+    """Density estimate of 200 000 independent N(0, 1) coordinate samples
+    under sqrt|sigma| = 0.8, with its bins; the invariant density is the
+    coordinate pdf divided by 0.8."""
+    rng = np.random.default_rng(seed)
     states = rng.standard_normal((200000, 1, 3))
     ens = PathEnsemble(times=np.zeros(1), pre=states, post=states,
                        dt=1e-3, nu=1.0)
     patch = MetricPatch.constant(np.diag([0.64, 1.0, 1.0]))
     bins = BinSpec((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0), (4, 4, 4))
-    est = estimate_density(ens, bins, patch)
+    return estimate_density(ens, bins, patch), bins
+
+
+def test_density_uses_volume_factor():
+    est, bins = volume_factor_estimate(7)
     root_sig = 0.8
     vol = est.meta["volume"]
     mass = float(np.sum(est.estimate * root_sig * vol))
     assert abs(mass - 1.0) < 1e-9
-    coord_target = gauss_bin_average(bins)
-    coord_target = coord_target / np.sum(coord_target * vol)
-    target = coord_target / root_sig
-    good = est.count >= 1000
-    err = np.abs(est.estimate - target)[good]
-    assert np.all(err < 4.0 * est.se[good])
+    # family: per-bin t, 31 dof (32 path batches), over the bins with
+    # >= 1000 samples (56 of 64), at FALSE_ALARM per seed; the samples come
+    # from their own generator, not from the simulator's streams
+    # power control: the coordinate pdf, without the volume factor (a
+    # 25 % bias, far above the 1.2 % this family detects)
+    truth, bare = family_checks(
+        density_t(est, bins, min_count=1000, root_sig=root_sig),
+        density_t(est, bins, min_count=1000), BATCH_DOF)
+    assert not truth["reject"], truth
+    assert bare["reject"], bare
 
 
 # --- velocities ------------------------------------------------------------------
@@ -134,13 +192,14 @@ def test_velocities_recover_current_and_osmotic(ou_ensemble, ou_bins):
     bwd = backward_drift_estimate(ou_ensemble, ou_bins, min_count=500)
     vel = velocities_from_drifts(fwd, bwd)
     assert np.sum(vel.valid) >= 30
-    cur = np.abs(vel.current)[vel.valid]
-    assert np.all(cur < 4.0 * vel.current_se[vel.valid])
-    # evaluate the affine target at the per-bin sample mean, where the
-    # conditional expectation is exact
-    target = -THETA * vel.anchor
-    err = np.abs(vel.osmotic - target)[vel.valid]
-    assert np.all(err < 4.0 * vel.osmotic_se[vel.valid])
+    # two families, each per-bin, per-axis t with 31 dof over 3 x the
+    # valid bins (about 474), each at FALSE_ALARM per seed
+    for name, t_of, bias in (("current", current_t, CURRENT_BIAS),
+                             ("osmotic", osmotic_t, OSMOTIC_BIAS)):
+        # power control: the target moved by the known bias is rejected
+        truth, biased = family_checks(t_of(vel), t_of(vel, bias), BATCH_DOF)
+        assert not truth["reject"], (name, truth)
+        assert biased["reject"], (name, biased)
 
 
 def test_equal_drifts_mean_zero_osmotic(ou_ensemble, ou_bins):
@@ -154,8 +213,13 @@ def test_specular_ensemble_keeps_zero_current(ou_ensemble, ou_bins):
     fwd = forward_drift_estimate(rev, ou_bins, min_count=500)
     bwd = backward_drift_estimate(rev, ou_bins, min_count=500)
     vel = velocities_from_drifts(fwd, bwd)
-    cur = np.abs(vel.current)[vel.valid]
-    assert np.all(cur < 4.0 * vel.current_se[vel.valid])
+    # family: per-bin, per-axis t of the current, 31 dof, over 3 x the
+    # valid bins (about 474), at FALSE_ALARM per seed
+    # power control: a current of CURRENT_BIAS times u is rejected
+    truth, biased = family_checks(current_t(vel),
+                                  current_t(vel, CURRENT_BIAS), BATCH_DOF)
+    assert not truth["reject"], truth
+    assert biased["reject"], biased
 
 
 # --- continuity -------------------------------------------------------------------
@@ -199,6 +263,9 @@ def test_continuity_residual_consistent_with_zero(ou_ensemble, ou_bins):
     finite = np.isfinite(res.se) & (res.count >= 16)
     assert np.sum(finite) >= 20
     z = np.abs(res.estimate[finite]) / res.se[finite]
+    # literal: per-bin |t| (31 dof) exceeds 3.5 with probability 1.4e-3,
+    # so more than 5 % of the 215 finite bins do so with probability
+    # 4e-14 per seed (binomial), far below FALSE_ALARM
     assert np.mean(z <= 3.5) >= 0.95
 
 
@@ -375,6 +442,11 @@ def test_osmotic_identity_closed_form_target(ou_ensemble, ou_bins):
         grad_log_density=gauss_grad_log,
     )
     assert rep["n_bins"] >= 30
+    # literal: the report's own gate (each axis |t| <= 3 in 95 % of the
+    # bins). A bin fails with probability 1 - (1 - P(|t_31| > 3))^3 =
+    # 0.016, so a correct estimator reads below 0.95 over 158 bins with
+    # probability 3.8e-3 per seed (binomial); the tighter family check of
+    # the same osmotic velocity is test_velocities_recover_current_and_osmotic
     assert rep["fraction"] >= 0.95
     # the drift estimates it conditions on come back for reuse
     for key, estimate in (("forward", forward_drift_estimate),
@@ -390,4 +462,7 @@ def test_osmotic_identity_estimated_target(ou_ensemble, ou_bins):
     rep = osmotic_identity_report(ou_ensemble, ou_bins, patch, NU,
                                   min_count=500)
     assert rep["n_bins"] >= 30
+    # literal: with the lattice-difference target a bin also carries the
+    # difference's truncation error; from sampling alone, more than 10 %
+    # of 158 bins fail with probability 6e-9 per seed (binomial, as above)
     assert rep["fraction"] >= 0.90
