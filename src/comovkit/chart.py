@@ -154,7 +154,8 @@ class ReferenceSurface:
     Every method takes base points q of shape (..., 3) and returns results
     stacked over the leading axes: ``height`` gives (...) (a float for one
     point), ``embed`` (..., 4), ``height_gradient`` (..., 3), ``metric``
-    (..., 3, 3) and ``orthogonality_residual`` (...) (a float for one point).
+    (..., 3, 3), ``metric_gradient`` (..., 3, 3, 3) and
+    ``orthogonality_residual`` (...) (a float for one point).
     """
 
     def __init__(self, bundle, origin, slope_floor=None):
@@ -176,9 +177,8 @@ class ReferenceSurface:
         return np.concatenate([np.asarray(self.height(q))[..., None], q],
                               axis=-1)
 
-    def _slope_at(self, x):
-        """Phase gradient at surface events x and df/dq_i = -S_i / S_0."""
-        grad = self.bundle.phase_gradient(x)
+    def _slope(self, x, grad):
+        """df/dq_i = -S_i / S_0 from the phase gradient at surface events x."""
         flat = np.abs(grad[..., 0]) < self.slope_floor
         if np.any(flat):
             n = int(np.argmax(flat.reshape(-1)))
@@ -186,11 +186,12 @@ class ReferenceSurface:
                 f"|dS/dx0| = {abs(grad.reshape(-1, 4)[n, 0]):.3e} below floor "
                 f"at {x.reshape(-1, 4)[n].tolist()}"
             )
-        return grad, -grad[..., 1:] / grad[..., :1]
+        return -grad[..., 1:] / grad[..., :1]
 
     def height_gradient(self, q):
         """df/dq_i = -S_i / S_0 at the surface point (implicit function)."""
-        return self._slope_at(self.embed(q))[1]
+        x = self.embed(q)
+        return self._slope(x, self.bundle.phase_gradient(x))
 
     def metric(self, q):
         """Induced surface metric sigma_ij = delta_ij - f_i f_j."""
@@ -206,12 +207,35 @@ class ReferenceSurface:
             )
         return np.eye(3) - f[..., :, None] * f[..., None, :]
 
+    def metric_gradient(self, q):
+        """D[..., k, i, j] = d_k sigma_ij in closed form, from one height
+        solve and one field evaluation at the surface events.
+
+        Differentiating S(f(q), q) = level twice gives the height Hessian
+
+            f_ik = -(S_ik + S_i0 f_k + S_0k f_i + S_00 f_i f_k) / S_0,
+
+        and sigma_ij = delta_ij - f_i f_j gives
+        d_k sigma_ij = -(f_ik f_j + f_i f_jk).
+        """
+        x = self.embed(q)
+        _, grad, hess = self.bundle.density_and_phase_derivatives(x)
+        f = self._slope(x, grad)
+        mixed = hess[..., 1:, :1] * f[..., None, :]  # S_i0 f_k
+        fik = -(hess[..., 1:, 1:] + mixed + np.swapaxes(mixed, -1, -2)
+                + hess[..., :1, :1] * f[..., :, None] * f[..., None, :]
+                ) / grad[..., :1, None]
+        term = fik[..., :, :, None] * f[..., None, None, :]  # f_ki f_j
+        return -(term + np.swapaxes(term, -1, -2))
+
     def orthogonality_residual(self, q):
         """max_i |eta(V, t_i)| for the tangent basis t_i = (f_i, e_i).
 
         Zero in exact arithmetic; measures height-solver error only.
         """
-        grad, f = self._slope_at(self.embed(q))
+        x = self.embed(q)
+        grad = self.bundle.phase_gradient(x)
+        f = self._slope(x, grad)
         vcov = grad / self.bundle.constants.mass
         # covariant pairing with tangents: V_0 f_i + V_i
         resid = np.max(np.abs(vcov[..., :1] * f + vcov[..., 1:]), axis=-1)
@@ -579,11 +603,18 @@ class ComovingChart:
     ``inverse_map``, ``jacobian``, ``inverse_jacobian`` and ``pushforward``
     take one event (4,) or a batch (..., 4), and each makes one batched
     map call; pass a FlowStats as ``stats`` to count their flow work.
+
+    With ``validate`` the chart refuses, with HypothesesFailed, a field
+    whose hypotheses report fails. That report is ``hypothesis_report``
+    when one is given (a caller that has already scanned the bundle hands
+    its report over), and otherwise a ``check_theorem_hypotheses`` scan of
+    the default lattice. The report is kept as ``hypothesis_report``;
+    without ``validate`` that is the given report, or None.
     """
 
     def __init__(self, bundle, origin=None, time_convention=None,
                  rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, validate=True,
-                 hypothesis_box=None):
+                 hypothesis_report=None):
         self.bundle = bundle
         if origin is None:
             origin = 0.5 * (bundle.domain.lo_array + bundle.domain.hi_array)
@@ -593,16 +624,14 @@ class ComovingChart:
         self.time_convention = time_convention or TimeConvention()
         self.rtol = rtol
         self.atol = atol
-        if validate:
-            report = check_theorem_hypotheses(bundle, box=hypothesis_box)
-            if not report.passed:
-                raise HypothesesFailed(
-                    "field fails the chart hypotheses: "
-                    + ", ".join(report.violated)
-                )
-            self.hypothesis_report = report
-        else:
-            self.hypothesis_report = None
+        if validate and hypothesis_report is None:
+            hypothesis_report = check_theorem_hypotheses(bundle)
+        if validate and not hypothesis_report.passed:
+            raise HypothesesFailed(
+                "field fails the chart hypotheses: "
+                + ", ".join(hypothesis_report.violated)
+            )
+        self.hypothesis_report = hypothesis_report
 
         self.surface = ReferenceSurface(bundle, self.origin)
         self.base_origin = self.origin[1:].copy()

@@ -23,6 +23,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 import traceback
@@ -59,7 +60,13 @@ from .estimators import (
     slice_density,
     velocities_from_drifts,
 )
-from .fields import Box, check_theorem_hypotheses, make_packet, make_plane_wave
+from .fields import (
+    HYPOTHESIS_SHAPE,
+    Box,
+    check_theorem_hypotheses,
+    make_packet,
+    make_plane_wave,
+)
 from .geometry import MetricPatch, chart_spatial_patch, geometry_diagnostics
 
 
@@ -113,6 +120,7 @@ class _RunContext:
         self.out_dir = Path(out_dir)
         self.constants = scenario.constants
         self._bundle = None
+        self._hypotheses = {}  # lattice shape -> HypothesisReport
         self._chart = None
         self._ensemble = None
         self.data_files = {}
@@ -137,10 +145,21 @@ class _RunContext:
                     "field type %r has no wave bundle" % spec["type"])
         return self._bundle
 
+    def hypotheses(self, shape):
+        """The bundle's hypotheses report on the lattice ``shape``, scanned
+        once per run however many analyses read it."""
+        shape = tuple(shape)
+        if shape not in self._hypotheses:
+            self._hypotheses[shape] = check_theorem_hypotheses(
+                self.bundle(), shape=shape)
+        return self._hypotheses[shape]
+
     def chart(self):
         if self._chart is None:
             origin = self.scenario.raw["chart"]["origin"]
-            self._chart = ComovingChart(self.bundle(), origin=origin)
+            self._chart = ComovingChart(
+                self.bundle(), origin=origin,
+                hypothesis_report=self.hypotheses(HYPOTHESIS_SHAPE))
         return self._chart
 
     def gaussian(self):
@@ -204,10 +223,8 @@ def _fraction_row(analysis, name, value, threshold):
 
 def _run_hypotheses(ctx):
     lat = ctx.scenario.section("lattices")
-    shape = tuple(lat.get("hypothesis_shape", (7, 7, 7, 7)))
-    report = check_theorem_hypotheses(ctx.bundle(), shape=shape)
+    report = ctx.hypotheses(lat.get("hypothesis_shape", HYPOTHESIS_SHAPE))
     result = report.to_dict()
-    result["violated"] = list(report.violated)
     rows = [_row("hypotheses", "hypotheses_satisfied",
                  len(report.violated), 0, "<=", not report.violated)]
     return result, rows
@@ -917,7 +934,7 @@ def _jsonable(obj):
         return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
 

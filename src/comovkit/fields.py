@@ -26,12 +26,17 @@ conditions the chart construction needs: nonvanishing time component of the
 phase gradient, closedness of its derivative (symmetric second derivatives),
 and timelike character.
 
+``density_and_phase_derivatives`` returns density, phase gradient and
+phase Hessian together; a packet takes all three from one exponential per
+mode, which is what the hypothesis scan and the slice-metric derivatives
+of the chart surface read.
+
 ``central_gradient`` and ``central_hessian`` are the package's one
 finite-difference stencil: every derivative of a function that the package
 does not know in closed form (the finite-difference view of a bundle,
-chart Jacobians, sigma and Christoffel derivatives, the covariant and
-wave-operator checks) is one stacked call of that function on the shifted
-points.
+chart Jacobians, sigma derivatives of patches without a closed form,
+Christoffel derivatives, the covariant and wave-operator checks) is one
+stacked call of that function on the shifted points.
 """
 
 from dataclasses import dataclass, field
@@ -313,6 +318,17 @@ class FieldBundle:
             return self._phase_hessian(x)
         return central_hessian(self._phase, x, self.fd_step)[2]
 
+    def density_and_phase_derivatives(self, x):
+        """Density (...), phase gradient (..., 4) and phase Hessian
+        (..., 4, 4) at events x (..., 4).
+
+        This default composes the public accessors; a bundle that can take
+        all three from one evaluation of its field overrides it with values
+        equal to theirs.
+        """
+        x = as_coords(x)
+        return self.density(x), self.phase_gradient(x), self.phase_hessian(x)
+
     def amplitude(self, x):
         """Complex field sqrt(p) * exp(i S / hbar)."""
         x = as_coords(x)
@@ -494,12 +510,16 @@ class PacketBundle(FieldBundle):
     def _mode_phases(self, x):
         return np.asarray(x) @ self.kappas.T  # (..., n_modes)
 
+    def _unit_modes(self, x):
+        """exp(i theta_j) at events (..., 4), as (..., n_modes)."""
+        return np.exp(1j * self._mode_phases(x))
+
     def _amp(self, x):
-        return np.exp(1j * self._mode_phases(x)) @ self.weights
+        return self._unit_modes(x) @ self.weights
 
     def _modes(self, x):
         """e_j = w_j exp(i theta_j) at events (..., 4), as (..., n_modes)."""
-        return np.exp(1j * self._mode_phases(x)) * self.weights
+        return self._unit_modes(x) * self.weights
 
     def _modes_outer(self, e):
         """sum_j e_j dkappa_j,mu dkappa_j,nu, as (..., 4, 4)."""
@@ -538,9 +558,26 @@ class PacketBundle(FieldBundle):
             )
 
     # --- bundle interface ---------------------------------------------------
+    @staticmethod
+    def _density_of(amp):
+        return (amp * amp.conj()).real
+
+    def _gradient_of(self, e, a):
+        """Phase gradient from the modes e (..., n_modes) and their sum a
+        (..., 1): Im(d_mu a / a) with d_mu a = i (e @ kappas)."""
+        return self.constants.hbar * ((e @ self.kappas) / a).real
+
+    def _hessian_of(self, e, a):
+        """Phase Hessian from the modes e and their sum a (..., 1):
+        Im(d_mu d_nu a / a - (d_mu a / a)(d_nu a / a)), d_mu a / a -> i g."""
+        g = (e @ self._dkappas) / a
+        return self.constants.hbar * (
+            np.einsum("...m,...n->...mn", g, g)
+            - self._modes_outer(e) / a[..., None]
+        ).imag
+
     def _density(self, x):
-        a = self._amp(x)
-        return (a * a.conj()).real
+        return self._density_of(self._amp(x))
 
     def _density_gradient(self, x):
         # d_mu p = 2 Re(conj(a) d_mu a) with d_mu a -> i (e @ dkappas)
@@ -570,20 +607,24 @@ class PacketBundle(FieldBundle):
                                       + 2.0 * np.pi * self._n0)
 
     def _phase_gradient(self, x):
-        # Im(d_mu a / a) with d_mu a = i (e @ kappas): one exponential
         e = self._modes(x)
-        return self.constants.hbar * (
-            (e @ self.kappas) / e.sum(axis=-1)[..., None]).real
+        return self._gradient_of(e, e.sum(axis=-1)[..., None])
 
     def _phase_hessian(self, x):
-        # Im(d_mu d_nu a / a - (d_mu a / a)(d_nu a / a)), d_mu a / a -> i g
         e = self._modes(x)
+        return self._hessian_of(e, e.sum(axis=-1)[..., None])
+
+    def density_and_phase_derivatives(self, x):
+        """Density, phase gradient and phase Hessian from one exponential
+        per mode, equal bit for bit to ``density``, ``phase_gradient`` and
+        ``phase_hessian``; the finite-difference view keeps the default."""
+        if self.derivative_mode != "analytic":
+            return super().density_and_phase_derivatives(x)
+        u = self._unit_modes(as_coords(x))
+        e = u * self.weights
         a = e.sum(axis=-1)[..., None]
-        g = (e @ self._dkappas) / a
-        return self.constants.hbar * (
-            np.einsum("...m,...n->...mn", g, g)
-            - self._modes_outer(e) / a[..., None]
-        ).imag
+        return (self._density_of(u @ self.weights), self._gradient_of(e, a),
+                self._hessian_of(e, a))
 
 
 def make_plane_wave(k, constants=None, domain=None, frequency=None):
@@ -693,12 +734,17 @@ class HypothesisReport:
         }
 
 
-def check_theorem_hypotheses(bundle, box=None, shape=(7, 7, 7, 7),
+HYPOTHESIS_SHAPE = (7, 7, 7, 7)  # the default hypotheses lattice
+
+
+def check_theorem_hypotheses(bundle, box=None, shape=HYPOTHESIS_SHAPE,
                              v0_floor=None, closedness_tol=None):
     """Scan a lattice for the three chart-construction hypotheses.
 
-    Returns a HypothesisReport; ``violated`` holds labels "(i)", "(ii)",
-    "(iii)" for every failed condition, in that order.
+    Density, phase gradient and phase Hessian come from one
+    ``density_and_phase_derivatives`` call on the lattice. Returns a
+    HypothesisReport; ``violated`` holds labels "(i)", "(ii)", "(iii)" for
+    every failed condition, in that order.
     """
     c = bundle.constants.c
     if box is None:
@@ -710,10 +756,10 @@ def check_theorem_hypotheses(bundle, box=None, shape=(7, 7, 7, 7),
         box = Box(mid - half, mid + half)
     pts, _ = box.grid(shape)
 
-    v = bundle.phase_gradient(pts) / bundle.constants.mass
+    density, grad, hess = bundle.density_and_phase_derivatives(pts)
+    v = grad / bundle.constants.mass
     v0 = v[..., 0]
     vv = np.einsum("...i,...i->...", v, raise_index(v))
-    hess = bundle.phase_hessian(pts)
     closedness = np.max(np.abs(hess - np.swapaxes(hess, -1, -2)), axis=(-1, -2))
 
     if v0_floor is None:
@@ -743,7 +789,7 @@ def check_theorem_hypotheses(bundle, box=None, shape=(7, 7, 7, 7),
         v0_sign_change=sign_change,
         max_closedness=max_closed,
         timelike_fraction=timelike,
-        min_density=float(np.min(bundle.density(pts))),
+        min_density=float(np.min(density)),
         v0_floor=float(v0_floor),
         closedness_tol=float(closedness_tol),
         lattice_shape=tuple(int(s) for s in shape),

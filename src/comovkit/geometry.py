@@ -5,18 +5,23 @@ coordinate only; -1 in the proper-time gauge) and a spatial 3-metric
 sigma on the level surface. A ``MetricPatch`` packages sigma together
 with everything downstream code needs: inverse, volume factor, noise
 factor G with G G^T = sigma^{-1}, Christoffel symbols, and their
-contraction. Curvature comes from finite differences of the Christoffel
-field; the error budget C h^2 is calibrated against a flat metric written
-in polar coordinates, where every nonzero Riemann component is pure
-numerical error. A unit-sphere patch provides the negative control that
-must fail the flatness gate.
+contraction. Curvature comes from one central difference of the
+Christoffel field; the error budget C h^2 is calibrated against a flat
+metric written in polar coordinates, where every nonzero Riemann component
+is pure numerical error. A unit-sphere patch provides the negative control
+that must fail the flatness gate.
 
 ``MetricPatch`` methods take points of shape (..., 3) and return results
 stacked over the leading axes, e.g. (..., 3, 3) for the metric; the
 ``sigma`` callables they wrap stay pointwise, except for the chart-surface
 patches of ``MetricPatch.from_chart`` (base coordinates q) and
 ``chart_spatial_patch`` (chart coordinates xi), whose metric is one batched
-height solve per call. Each patch remembers, per thread, the factorization
+height solve per call. Their sigma derivatives are in closed form too: the
+slice is the level set of the phase, so implicit differentiation of the
+height function turns the phase gradient and Hessian at the surface events
+into d sigma (``ReferenceSurface.metric_gradient``), and their Riemann
+tensor takes a single finite difference, of the Christoffel field. Each
+patch remembers, per thread, the factorization
 of the last batch of points it saw, so the drift correction and the noise
 factor of one Euler-Maruyama step share one evaluation of sigma.
 ``riemann``, ``ricci_scalar``, ``pullback_metric``, the covariant-derivative
@@ -24,9 +29,10 @@ helpers and ``metric_compatibility_residual`` take batches as well (the
 covector fields ``u`` they differentiate map (..., 3) points to (..., 3)
 components), and ``flatness_report``, ``curvature_budget`` and
 ``geometry_diagnostics`` evaluate their lattices in one stacked call.
-Every finite difference here is the package's central-difference
-stencil, ``fields.central_gradient``: one stacked call of the
-differentiated function on the shifted points.
+Every finite difference here (sigma derivatives of a patch without a
+``sigma_gradient``, Christoffel derivatives, covector derivatives) is the
+package's central-difference stencil, ``fields.central_gradient``: one
+stacked call of the differentiated function on the shifted points.
 
 All index layouts are explicit: Gamma[i, j, k] = Gamma^i_{jk},
 riemann[i, k, l, m] = R^i_{klm}, sigma derivative D[i, j, k] =
@@ -211,7 +217,8 @@ class _SurfacePatch(MetricPatch):
 
     With a ``frame`` (q0, E0^-1) the points are chart coordinates xi and
     the metric is E0^-T sigma_q(q0 + E0^-1 xi) E0^-1; without one they are
-    the base coordinates q.
+    the base coordinates q. Sigma derivatives are the surface's closed-form
+    ``metric_gradient``, carried through the same congruence for xi.
     """
 
     def __init__(self, surface, g00, frame=None, name="chart_surface"):
@@ -225,6 +232,18 @@ class _SurfacePatch(MetricPatch):
         base, e_inv = self.frame
         sig = self.surface.metric(base + np.asarray(q, dtype=float) @ e_inv.T)
         return e_inv.T @ sig @ e_inv
+
+    def sigma_derivatives(self, q, h=None):
+        """D[..., i, j, k] = d sigma_jk / d q^i in closed form; ``h`` is
+        not used."""
+        if self.frame is None:
+            return self.surface.metric_gradient(q)
+        base, e_inv = self.frame
+        d = self.surface.metric_gradient(
+            base + np.asarray(q, dtype=float) @ e_inv.T)
+        # d/dxi_a (E^T sigma E)_bc = E_ma E_jb E_kc d_m sigma_jk
+        return np.einsum("...mjk,ma,jb,kc->...abc", d, e_inv, e_inv, e_inv,
+                         optimize=True)
 
 
 def chart_spatial_patch(chart):
@@ -461,7 +480,8 @@ def geometry_diagnostics(chart, half_width=1.0, n_per_axis=3, xi0=0.0,
         g[:, 0, 0] - chart.time_convention.g00(xi0))))
 
     base_pts = chart.base_origin + spatial @ chart.frame_matrix_inv.T
-    eig_records = np.linalg.eigvalsh(patch.metric(base_pts)).tolist()
+    # the factorization memo hands the same sigma to the curvature below
+    eig_records = np.linalg.eigvalsh(patch.factors(base_pts)[0]).tolist()
     flat = flatness_report(patch, base_pts, h=h, budget=budget)
     return {
         "xi0": float(xi0),

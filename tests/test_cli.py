@@ -11,6 +11,7 @@ import pytest
 from comovkit import cli
 from comovkit.cli import emit_plotdata, main, run, validate
 from comovkit.errors import ConfigInvalid
+from comovkit.fields import HYPOTHESIS_SHAPE, check_theorem_hypotheses
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -413,6 +414,43 @@ def test_run_exit_three_on_failed_chart_hypotheses(tmp_path, capsys):
     assert report["error"]["kind"] == "domain"
     assert "hypotheses" in report["analyses"]
     assert "chart_diag" in capsys.readouterr().err
+
+
+def test_run_scans_each_hypotheses_lattice_once(tmp_path, monkeypatch):
+    from comovkit import chart as chart_module
+
+    scanned = []
+
+    def counting(bundle, *args, **kwargs):
+        report = check_theorem_hypotheses(bundle, *args, **kwargs)
+        scanned.append(report.lattice_shape)
+        return report
+
+    monkeypatch.setattr(cli, "check_theorem_hypotheses", counting)
+    monkeypatch.setattr(chart_module, "check_theorem_hypotheses", counting)
+
+    # the hypotheses analysis and the chart read the same default lattice
+    doc = packet_doc(analyses=["hypotheses", "chart_diag"],
+                     chart={"origin": [0.0, 0.0, 0.0, 0.0], "n_samples": 4})
+    report = run(validate(doc), out_dir=tmp_path / "packet")
+    assert report["error"] is None
+    assert scanned == [HYPOTHESIS_SHAPE]
+    assert report["analyses"]["chart_diag"]["hypothesis_report"] \
+        == report["analyses"]["hypotheses"]
+
+    # the shipped negative control scans its own lattice, then the chart's
+    # default one, which fails and ends the run with a typed error
+    scanned.clear()
+    doc = json.loads((SCENARIOS / "near_standing_wave.json").read_text())
+    doc["analyses"].append("chart_diag")
+    doc["chart"] = {"origin": [0.0, 0.0, 0.0, 0.0]}
+    report = run(validate(doc), out_dir=tmp_path / "near")
+    assert scanned == [tuple(doc["lattices"]["hypothesis_shape"]),
+                       HYPOTHESIS_SHAPE]
+    assert report["error"]["analysis"] == "chart_diag"
+    assert report["error"]["kind"] == "domain"
+    assert report["error"]["type"] == "HypothesesFailed"
+    assert (tmp_path / "near" / "report.json").is_file()
 
 
 def test_run_exit_three_on_stalled_initial_sampler(tmp_path):

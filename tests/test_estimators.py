@@ -209,17 +209,25 @@ def test_equal_drifts_mean_zero_osmotic(ou_ensemble, ou_bins):
 
 
 def test_specular_ensemble_keeps_zero_current(ou_ensemble, ou_bins):
-    rev = specular_reverse(ou_ensemble)
-    fwd = forward_drift_estimate(rev, ou_bins, min_count=500)
-    bwd = backward_drift_estimate(rev, ou_bins, min_count=500)
+    # reversal swaps the forward and backward drift estimates bin by bin
+    # and flips their sign, so the reversed ensemble's current is minus the
+    # forward one, up to the rounding of the two half sums; that the
+    # forward current vanishes is the family check of
+    # test_velocities_recover_current_and_osmotic
+    fwd = forward_drift_estimate(ou_ensemble, ou_bins, min_count=500)
+    bwd = backward_drift_estimate(ou_ensemble, ou_bins, min_count=500)
     vel = velocities_from_drifts(fwd, bwd)
-    # family: per-bin, per-axis t of the current, 31 dof, over 3 x the
-    # valid bins (about 474), at FALSE_ALARM per seed
-    # power control: a current of CURRENT_BIAS times u is rejected
-    truth, biased = family_checks(current_t(vel),
-                                  current_t(vel, CURRENT_BIAS), BATCH_DOF)
-    assert not truth["reject"], truth
-    assert biased["reject"], biased
+    rev = specular_reverse(ou_ensemble)
+    rev_vel = velocities_from_drifts(
+        forward_drift_estimate(rev, ou_bins, min_count=500),
+        backward_drift_estimate(rev, ou_bins, min_count=500))
+    np.testing.assert_array_equal(rev_vel.valid, vel.valid)
+    assert np.sum(vel.valid) >= 30
+    drift_scale = max(np.max(np.abs(fwd.mean[fwd.valid])),
+                      np.max(np.abs(bwd.mean[bwd.valid])))
+    np.testing.assert_allclose(
+        rev_vel.current[vel.valid], -vel.current[vel.valid], rtol=0.0,
+        atol=4.0 * np.finfo(float).eps * drift_scale)
 
 
 # --- continuity -------------------------------------------------------------------

@@ -537,6 +537,27 @@ def test_hypotheses_detect_vanishing_v0(near_standing, constants):
     assert not report.passed
 
 
+@pytest.mark.parametrize("kind", ["packet", "plane_wave", "conjugate",
+                                  "packet_fd"])
+def test_one_evaluation_equals_public_accessors(kind, packet9, boost_wave):
+    bundle = {
+        "packet": packet9,
+        "plane_wave": boost_wave,
+        "conjugate": packet9.conjugate(),
+        "packet_fd": packet9.with_fd_derivatives(1e-3),
+    }[kind]
+    pts = np.random.default_rng(12).uniform(-2.0, 2.0, size=(3, 5, 4))
+    density, grad, hess = bundle.density_and_phase_derivatives(pts)
+    assert grad.shape == (3, 5, 4) and hess.shape == (3, 5, 4, 4)
+    np.testing.assert_array_equal(density, bundle.density(pts))
+    np.testing.assert_array_equal(grad, bundle.phase_gradient(pts))
+    np.testing.assert_array_equal(hess, bundle.phase_hessian(pts))
+    # one event keeps the unstacked shapes
+    one = bundle.density_and_phase_derivatives(pts[1, 2])
+    assert np.shape(one[0]) == () and one[1].shape == (4,)
+    assert one[2].shape == (4, 4)
+
+
 def test_hypotheses_closedness_zero_in_fd_mode(boost_wave):
     # central differences of a linear phase are symmetric by construction
     view = boost_wave.with_fd_derivatives(1e-3)

@@ -1,15 +1,21 @@
 """Geometry: metric patches, curvature, budgets, Laplace-Beltrami."""
 
+import json
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from comovkit.chart import ComovingChart
 from comovkit.errors import NotSpacelike
+from comovkit.fields import Box, central_gradient, make_packet
 from comovkit.geometry import (
+    DEFAULT_H,
+    FD_STEP,
     MetricPatch,
     chart_spatial_patch,
     covariant_derivative_covector,
@@ -25,6 +31,8 @@ from comovkit.geometry import (
     spatial_metric,
     unit_sphere_patch,
 )
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -529,3 +537,108 @@ def test_batched_riemann_chart_patch(packet9_chart):
         batched, np.stack([riemann(patch, p) for p in pts]),
         rtol=0.0, atol=1e-12)
     assert np.max(np.abs(batched)) < 1e-3
+
+
+# --- closed-form slice derivatives and the Gauss equation ---------------------
+
+# a common wavevector added to every mode: the packet moves at about 0.5c
+# and its slice tilts (|grad f| up to 0.35), which brings every term of the
+# implicit height Hessian into play; at rest the S_00 f_i f_k term is
+# below the stencil error
+MOVING = (0.4, -0.3, 0.2)
+
+
+def _shipped_packet_chart(constants, scale=1.0, carrier=(0.0, 0.0, 0.0)):
+    """Chart of the shipped packet_9mode field, wavevectors times scale
+    plus carrier.
+
+    Its side modes are not paired at +-k, so the origin leaf is curved;
+    the symmetric test packet's leaf through the origin is the flat x0 = 0.
+    """
+    spec = json.loads((SCENARIOS / "packet_9mode.json").read_text())["field"]
+    bundle = make_packet(scale * np.asarray(spec["wavevectors"]) + carrier,
+                         spec["weights"],
+                         Box(spec["domain"]["lo"], spec["domain"]["hi"]),
+                         constants)
+    return ComovingChart(bundle, origin=np.zeros(4))
+
+
+def _richardson_bound(fd, h):
+    """Twice the Richardson estimate of the O(h^2) error of a central
+    difference at step h: the error is (4/3)(fd(h) - fd(h/2)) up to
+    O(h^4), and the factor two covers that remainder."""
+    return 2.0 * (4.0 / 3.0) * float(np.max(np.abs(fd(h) - fd(0.5 * h))))
+
+
+@pytest.mark.parametrize("carrier", [(0.0, 0.0, 0.0), MOVING])
+@pytest.mark.parametrize("coords", ["base", "chart"])
+def test_surface_sigma_derivatives_match_central_differences(constants,
+                                                             coords, carrier):
+    chart = _shipped_packet_chart(constants, carrier=carrier)
+    patch = (MetricPatch.from_chart(chart) if coords == "base"
+             else chart_spatial_patch(chart))
+    q = np.random.default_rng(50).uniform(-1.0, 1.0, size=(6, 3))
+    exact = patch.sigma_derivatives(q)
+    assert exact.shape == (6, 3, 3, 3)
+    # symmetric in j, k up to the round-off of the congruence E^T D E
+    np.testing.assert_allclose(
+        exact, np.swapaxes(exact, -1, -2), rtol=0.0,
+        atol=8.0 * np.finfo(float).eps * float(np.max(np.abs(exact))))
+
+    def fd(h):
+        return central_gradient(patch.metric, q, h)
+
+    # round-off of the stencil: sigma entries of order one, divided by 2h
+    roundoff = 8.0 * np.finfo(float).eps / FD_STEP
+    tol = _richardson_bound(fd, FD_STEP) + roundoff
+    err = float(np.max(np.abs(exact - fd(FD_STEP))))
+    assert err <= tol, (err, tol)
+    # the bound is far below the derivatives it checks
+    assert tol < 1e-3 * float(np.max(np.abs(exact)))
+
+
+def _gauss_riemann(chart, q, sign=-1.0):
+    """R_jklm = sign (K_jl K_km - K_jm K_kl) of the origin level set.
+
+    The level set is the graph x0 = f(q) with f_i = -S_i / S_0 and, from
+    differentiating S(f(q), q) = const twice, f_ik = -(S_ik + S_i0 f_k +
+    S_0k f_i + S_00 f_i f_k) / S_0; its second fundamental form is
+    K_ij = f_ij / sqrt(1 - |f|^2). The Gauss equation of a spacelike
+    hypersurface in Minkowski space takes sign = -1 (O'Neill,
+    Semi-Riemannian Geometry, 1983, ch. 4).
+    """
+    x = chart.surface.embed(q)
+    s1 = chart.bundle.phase_gradient(x)
+    s2 = chart.bundle.phase_hessian(x)
+    f = -s1[:, 1:] / s1[:, :1]
+    fik = -(s2[:, 1:, 1:] + s2[:, 1:, :1] * f[:, None, :]
+            + f[:, :, None] * s2[:, :1, 1:]
+            + s2[:, :1, :1] * f[:, :, None] * f[:, None, :]) / s1[:, :1, None]
+    k = fik / np.sqrt(1.0 - np.sum(f * f, axis=-1))[:, None, None]
+    return sign * (np.einsum("njl,nkm->njklm", k, k)
+                   - np.einsum("njm,nkl->njklm", k, k))
+
+
+@pytest.mark.parametrize("scale, carrier", [(1.0, (0.0, 0.0, 0.0)),
+                                            (4.0, (0.0, 0.0, 0.0)),
+                                            (1.0, MOVING)])
+def test_chart_slice_riemann_obeys_gauss_equation(constants, scale, carrier):
+    chart = _shipped_packet_chart(constants, scale, carrier)
+    patch = MetricPatch.from_chart(chart)
+    q = np.random.default_rng(51).uniform(-1.0, 1.0, size=(5, 3))
+
+    def lowered(h):
+        return np.einsum("nji,niklm->njklm", patch.metric(q),
+                         riemann(patch, q, h=h))
+
+    gauss = _gauss_riemann(chart, q)
+    scale_r = float(np.max(np.abs(gauss)))
+    tol = _richardson_bound(lowered, DEFAULT_H)
+    err = float(np.max(np.abs(lowered(DEFAULT_H) - gauss)))
+    assert err <= tol, (err, tol)
+    assert tol < 1e-2 * scale_r
+    # known-failure control: the Riemannian sign misses by about 2 |R|
+    wrong = float(np.max(np.abs(lowered(DEFAULT_H)
+                                - _gauss_riemann(chart, q, sign=1.0))))
+    assert wrong > 1.9 * scale_r
+    assert wrong > 100.0 * tol

@@ -50,10 +50,6 @@ def seed_families(seed):
     vel = velocities_from_drifts(
         forward_drift_estimate(ou, bins, min_count=500),
         backward_drift_estimate(ou, bins, min_count=500))
-    rev = specular_reverse(ou)
-    rev_vel = velocities_from_drifts(
-        forward_drift_estimate(rev, bins, min_count=500),
-        backward_drift_estimate(rev, bins, min_count=500))
     volume, volume_bins = est.volume_factor_estimate(seed)
 
     ou2 = dif.simulate_ou(seed)
@@ -78,8 +74,6 @@ def seed_families(seed):
          est.current_t(vel, est.CURRENT_BIAS)),
         ("estimators.osmotic", bdof, est.osmotic_t(vel),
          est.osmotic_t(vel, est.OSMOTIC_BIAS)),
-        ("estimators.specular_current", bdof, est.current_t(rev_vel),
-         est.current_t(rev_vel, est.CURRENT_BIAS)),
         ("diffusion.variance", bdof, dif.variance_t(report),
          dif.variance_t(report, dif.VARIANCE_BIAS)),
         ("diffusion.stationarity", bdof, dif.stationarity_t(report),
