@@ -31,9 +31,11 @@ flow field turned NaN at a stage are rerun with twice the steps, up to a
 cap at which they raise StepFailure, LeftDomain or HypothesesFailed. The
 domain is checked at step ends, so a curve that leaves it and comes back
 within one step of the accepted count is not caught. Both maps, the
-Jacobians and the pushforward take (..., 4) arrays. For a constant-gradient
-(plane-wave) field the flow field is constant, RK4 is exact, and the chart
-is the closed-form Lorentz boost into the rest frame.
+Jacobians and the pushforward take plain (..., 4) arrays of events; the
+pushforward also takes the contravariant inertial components (..., 4) of
+the vectors it maps. For a constant-gradient (plane-wave) field the flow
+field is constant, RK4 is exact, and the chart is the closed-form Lorentz
+boost into the rest frame.
 
 Level-set heights that Newton leaves unconverged and custom time gauges
 are inverted by ``bracketed_roots``, one batched Chandrupatla iteration
@@ -56,12 +58,10 @@ from .errors import (
     ZeroSlope,
 )
 from .fields import (
-    FourVectorField,
-    SpacetimePoint,
     as_coords,
     central_gradient,
     check_theorem_hypotheses,
-    four_velocity_contravariant,
+    four_velocity,
 )
 
 DEFAULT_RTOL = 1e-9
@@ -70,14 +70,6 @@ FLOW_STEPS = 1  # RK4 steps of a row's first attempt, over its whole span
 MAX_FLOW_STEPS = 1024
 ROOT_MAX_ITER = 200  # bracketed-root evaluations per row
 JACOBIAN_STEP = 1e-3  # central-difference step of the map Jacobians
-
-
-def _contravariant(field):
-    if isinstance(field, FourVectorField):
-        if field.variance == "covariant":
-            field = field.with_flipped_index()
-        return field
-    raise TypeError("expected a FourVectorField")
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +152,7 @@ class ReferenceSurface:
 
     def __init__(self, bundle, origin, slope_floor=None):
         self.bundle = bundle
-        self.origin = as_coords(origin, "inertial").astype(float)
+        self.origin = as_coords(origin).astype(float)
         self.level = float(bundle.phase(self.origin))
         self.scale = max(1.0, abs(self.level))
         self.slope_floor = (
@@ -618,7 +610,7 @@ class ComovingChart:
         self.bundle = bundle
         if origin is None:
             origin = 0.5 * (bundle.domain.lo_array + bundle.domain.hi_array)
-        self.origin = as_coords(origin, "inertial").astype(float)
+        self.origin = as_coords(origin).astype(float)
         if not bundle.domain.contains(self.origin):
             raise OutOfDomain("chart origin must lie inside the field domain")
         self.time_convention = time_convention or TimeConvention()
@@ -647,8 +639,7 @@ class ComovingChart:
     # --- maps ---------------------------------------------------------------
     def forward_map(self, x, stats=None):
         """Inertial events (..., 4) -> comoving coordinates (xi0, ..., xi3)."""
-        wrap = isinstance(x, SpacetimePoint)
-        x = as_coords(x, "inertial")
+        x = as_coords(x)
         rows = x.reshape(-1, 4)
         outside = ~self.bundle.domain.contains(rows)
         if np.any(outside):
@@ -667,13 +658,11 @@ class ComovingChart:
         xi0 = self.time_convention.time_from_lambda(end[n:, 4])
         xi_sp = (end[:n, 1:4] - self.base_origin) @ self.frame_matrix.T
         xi = np.concatenate([xi0[:, None], xi_sp], axis=1)
-        xi = xi.reshape(x.shape)
-        return SpacetimePoint(tuple(xi), frame="comoving") if wrap else xi
+        return xi.reshape(x.shape)
 
     def inverse_map(self, xi, stats=None):
         """Comoving coordinates (..., 4) -> inertial events."""
-        wrap = isinstance(xi, SpacetimePoint)
-        xi = as_coords(xi, "comoving")
+        xi = as_coords(xi)
         rows = xi.reshape(-1, 4)
         lam = self.time_convention.lambda_from_time(rows[:, 0])
         # the reference curve in its arc parameter, once per distinct time
@@ -684,14 +673,13 @@ class ComovingChart:
         s_target = self.bundle.phase(ref)[which]
         lift = self.surface.embed(
             self.base_origin + rows[:, 1:] @ self.frame_matrix_inv.T)
-        x = flow_to_level(self.bundle, lift, s_target, rtol=self.rtol,
-                          atol=self.atol, stats=stats).reshape(xi.shape)
-        return SpacetimePoint(tuple(x), frame="inertial") if wrap else x
+        return flow_to_level(self.bundle, lift, s_target, rtol=self.rtol,
+                             atol=self.atol, stats=stats).reshape(xi.shape)
 
     # --- derivatives ---------------------------------------------------------
     def jacobian(self, x, stats=None):
         """d xi / d x (..., 4, 4) by central differences of the forward map."""
-        x = as_coords(x, "inertial")
+        x = as_coords(x)
         jac = np.swapaxes(central_gradient(
             lambda p: self.forward_map(p, stats=stats), x, JACOBIAN_STEP),
             -1, -2)
@@ -706,12 +694,11 @@ class ComovingChart:
         """d x / d xi (..., 4, 4) by central differences of the inverse map."""
         return np.swapaxes(central_gradient(
             lambda p: self.inverse_map(p, stats=stats),
-            as_coords(xi, "comoving"), JACOBIAN_STEP), -1, -2)
+            as_coords(xi), JACOBIAN_STEP), -1, -2)
 
-    def pushforward(self, field, x, stats=None):
-        """Contravariant components of a vector field in chart coordinates."""
-        x = as_coords(x, "inertial")
-        vec = _contravariant(field)(x)
+    def pushforward(self, vec, x, stats=None):
+        """Chart components (..., 4) of the vectors with contravariant
+        inertial components vec (..., 4) at events x (..., 4)."""
         return np.einsum("...mn,...n->...m", self.jacobian(x, stats=stats),
                          vec)
 
@@ -761,8 +748,8 @@ def chart_diagnostics(chart, n_samples=40, seed=0, window=None):
     stats = FlowStats()
     back = chart.inverse_map(chart.forward_map(pts, stats=stats), stats=stats)
     rt = np.max(np.abs(back - pts), axis=1)
-    push = chart.pushforward(four_velocity_contravariant(chart.bundle), pts,
-                             stats=stats)
+    push = chart.pushforward(raise_index(four_velocity(chart.bundle, pts)),
+                             pts, stats=stats)
     spatial_resid = np.max(np.abs(push[:, 1:]), axis=1) / np.abs(push[:, 0])
     ortho = chart.surface.orthogonality_residual(
         rng.uniform(lo[1:], hi[1:], size=(10, 3)))

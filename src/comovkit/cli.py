@@ -933,7 +933,7 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        return _jsonable(obj.item())
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj

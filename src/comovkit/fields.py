@@ -19,9 +19,13 @@ principal argument there. S is then single valued and as smooth as the
 field on all of space; a superposition without a dominant mode raises
 BranchUnavailable when a phase value is asked for.
 
-The gradient of the phase divided by the mass is the current four-velocity
-field; the half-log-gradient of the density scaled by hbar/2m is the osmotic
-four-velocity. ``check_theorem_hypotheses`` scans a lattice for the three
+Events and four-vectors are plain arrays: every accessor takes events
+(..., 4) and returns its values stacked over the same leading axes. The
+gradient of the phase divided by the mass is the current four-velocity
+(``four_velocity``); the half-log-gradient of the density scaled by hbar/2m
+is the osmotic four-velocity (``osmotic_four_velocity``). Both return
+covariant components; ``constants.raise_index`` gives the contravariant
+ones. ``check_theorem_hypotheses`` scans a lattice for the three
 conditions the chart construction needs: nonvanishing time component of the
 phase gradient, closedness of its derivative (symmetric second derivatives),
 and timelike character.
@@ -50,43 +54,13 @@ DENSITY_FLOOR = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# points, boxes, lattices
+# events, boxes, lattices
 
 
-@dataclass(frozen=True)
-class SpacetimePoint:
-    """A frame-tagged event. Coordinates are (x0, x1, x2, x3)."""
-
-    coords: tuple
-    frame: str = "inertial"
-
-    def __post_init__(self):
-        arr = np.asarray(self.coords, dtype=float)
-        if arr.shape != (4,) or not np.all(np.isfinite(arr)):
-            raise ValueError("SpacetimePoint needs 4 finite coordinates")
-        object.__setattr__(self, "coords", tuple(arr))
-        if self.frame not in ("inertial", "comoving"):
-            raise ValueError("frame must be 'inertial' or 'comoving'")
-
-    @property
-    def array(self):
-        return np.asarray(self.coords, dtype=float)
-
-
-def as_coords(point, frame="inertial"):
-    """Coerce a SpacetimePoint or array-like to a (..., 4) float array.
-
-    SpacetimePoint inputs must carry the expected frame tag; mixing frames
-    is a hard error rather than a silent reinterpretation.
-    """
-    if isinstance(point, SpacetimePoint):
-        if point.frame != frame:
-            raise ValueError(
-                f"point is tagged '{point.frame}' but a '{frame}' point is required"
-            )
-        return point.array
+def as_coords(point):
+    """Coerce an array-like to a (..., 4) float array of events."""
     arr = np.asarray(point, dtype=float)
-    if arr.shape[-1] != 4:
+    if arr.shape[-1:] != (4,):
         raise ValueError("expected coordinates with trailing dimension 4")
     return arr
 
@@ -138,10 +112,6 @@ class Box:
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1), axes
-
-
-def default_plane_wave_box(half_width=1e6):
-    return Box((-half_width,) * 4, (half_width,) * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -201,52 +171,6 @@ def central_hessian(func, x, h):
     hess[nu, mu] = mixed
     return (f0, np.moveaxis((plus - minus) / (2.0 * h), 0, batch),
             np.moveaxis(hess, (0, 1), (batch, batch + 1)))
-
-
-# ---------------------------------------------------------------------------
-# four-vector fields
-
-
-class FourVectorField:
-    """A four-component vector field with explicit variance and frame tags.
-
-    Index raising/lowering with the constant Minkowski metric is only
-    meaningful for inertial-frame fields; comoving-frame fields need the
-    chart metric and refuse the operation here.
-    """
-
-    def __init__(self, components, variance, frame="inertial", name=""):
-        if variance not in ("covariant", "contravariant"):
-            raise ValueError("variance must be 'covariant' or 'contravariant'")
-        if frame not in ("inertial", "comoving"):
-            raise ValueError("frame must be 'inertial' or 'comoving'")
-        self._components = components
-        self.variance = variance
-        self.frame = frame
-        self.name = name
-
-    def __call__(self, x):
-        return self._components(np.asarray(x, dtype=float))
-
-    def with_flipped_index(self):
-        """Raise a covariant field / lower a contravariant one with eta."""
-        if self.frame != "inertial":
-            raise ValueError(
-                "index raising with the flat metric is only valid in the inertial frame"
-            )
-        other = "contravariant" if self.variance == "covariant" else "covariant"
-        return FourVectorField(
-            lambda x: raise_index(self._components(x)),
-            variance=other,
-            frame=self.frame,
-            name=self.name,
-        )
-
-    def minkowski_norm_squared(self, x):
-        if self.frame != "inertial":
-            raise ValueError("flat norm is only defined for inertial-frame fields")
-        comp = self(x)
-        return np.einsum("...i,...i->...", comp, raise_index(comp))
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +558,7 @@ def make_plane_wave(k, constants=None, domain=None, frequency=None):
     domain is a very large box; pass a Box to restrict it.
     """
     constants = constants or PhysicalConstants()
-    domain = domain or default_plane_wave_box()
+    domain = domain or Box((-1e6,) * 4, (1e6,) * 4)
     return PlaneWaveBundle(k, constants, domain, frequency=frequency)
 
 
@@ -655,39 +579,20 @@ def make_packet(wavevectors, weights, domain, constants=None, floor=None):
 # derived velocity fields
 
 
-def four_velocity(bundle):
-    """Covariant current four-velocity V_mu = (partial_mu S) / m."""
-    m = bundle.constants.mass
-
-    def comp(x):
-        return bundle.phase_gradient(x) / m
-
-    return FourVectorField(comp, "covariant", "inertial", name="four_velocity")
+def four_velocity(bundle, x):
+    """Covariant current four-velocity V_mu = (partial_mu S) / m at events
+    x (..., 4), as (..., 4)."""
+    return bundle.phase_gradient(x) / bundle.constants.mass
 
 
-def four_velocity_contravariant(bundle):
-    return four_velocity(bundle).with_flipped_index()
-
-
-def congruence_speed(bundle, x):
-    """sqrt(-V_mu V^mu): c for on-shell plane waves, near c for packets."""
-    v = four_velocity(bundle)(x)
-    return np.sqrt(-np.einsum("...i,...i->...", v, raise_index(v)))
-
-
-def osmotic_four_velocity(bundle, floor=DENSITY_FLOOR):
-    """Covariant osmotic four-velocity U_mu = (hbar/2m) partial_mu ln p."""
+def osmotic_four_velocity(bundle, x, floor=DENSITY_FLOOR):
+    """Covariant osmotic four-velocity U_mu = (hbar/2m) partial_mu ln p at
+    events x (..., 4), as (..., 4)."""
     scale = bundle.constants.hbar / (2.0 * bundle.constants.mass)
-
-    def comp(x):
-        p = bundle.density(x)
-        if np.any(p < floor):
-            raise DensityZero(
-                f"density fell below the positivity floor {floor:g}"
-            )
-        return scale * bundle.density_gradient(x) / np.asarray(p)[..., None]
-
-    return FourVectorField(comp, "covariant", "inertial", name="osmotic_four_velocity")
+    p = bundle.density(x)
+    if np.any(p < floor):
+        raise DensityZero(f"density fell below the positivity floor {floor:g}")
+    return scale * bundle.density_gradient(x) / np.asarray(p)[..., None]
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,12 @@ height solve per call. Their sigma derivatives are in closed form too: the
 slice is the level set of the phase, so implicit differentiation of the
 height function turns the phase gradient and Hessian at the surface events
 into d sigma (``ReferenceSurface.metric_gradient``), and their Riemann
-tensor takes a single finite difference, of the Christoffel field. Each
-patch remembers, per thread, the factorization
-of the last batch of points it saw, so the drift correction and the noise
-factor of one Euler-Maruyama step share one evaluation of sigma.
+tensor takes a single finite difference, of the Christoffel field. The
+graph metric of a chart's origin slice, its inverse, volume factor and
+noise factor are the methods of ``MetricPatch.from_chart(chart)``. Each
+patch remembers, per thread, the factorization of the last batch of points
+it saw, so the drift correction and the noise factor of one Euler-Maruyama
+step share one evaluation of sigma.
 ``riemann``, ``ricci_scalar``, ``pullback_metric``, the covariant-derivative
 helpers and ``metric_compatibility_residual`` take batches as well (the
 covector fields ``u`` they differentiate map (..., 3) points to (..., 3)
@@ -317,17 +319,6 @@ def pullback_metric(chart, xi):
     """
     a = chart.inverse_jacobian(xi)
     return np.swapaxes(a, -1, -2) @ ETA @ a
-
-
-def spatial_metric(chart, q):
-    """sigma, inverse, volume factor, and noise factor at base point q."""
-    sig, inv, root = MetricPatch.from_chart(chart).factors(q)
-    return {
-        "sigma": sig,
-        "inverse": inv,
-        "sqrt_det": root,
-        "noise_factor": np.linalg.cholesky(inv),
-    }
 
 
 # ---------------------------------------------------------------------------

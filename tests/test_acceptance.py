@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from comovkit.chart import ComovingChart, boost_to_rest_frame
+from comovkit.cli import GaussianFixture
 from comovkit.cli import run as cli_run
 from comovkit.cli import validate as cli_validate
-from comovkit.constants import PhysicalConstants
+from comovkit.constants import PhysicalConstants, raise_index
 from comovkit.diffusion import (
     BinSpec,
     DiffusionConfig,
@@ -35,7 +36,7 @@ from comovkit.dynamics import (
     nonrel_limit_study,
 )
 from comovkit.estimators import energy_report, osmotic_identity_report, slice_density
-from comovkit.fields import Box, four_velocity_contravariant, make_plane_wave
+from comovkit.fields import Box, four_velocity, make_plane_wave
 from comovkit.geometry import (
     MetricPatch,
     flatness_report,
@@ -87,33 +88,14 @@ def packet_geometry(constants):
     return diag
 
 
-class GaussianTarget:
-    """Unit-variance gaussian invariant density with analytic derivatives."""
-
-    sigma = 1.0
-    box = Box((-4.0, -4.0, -4.0), (4.0, 4.0, 4.0))
-
-    def density(self, q):
-        q = np.asarray(q, dtype=float)
-        return np.exp(-0.5 * np.sum(q * q, axis=-1) / self.sigma ** 2) \
-            / (2.0 * np.pi * self.sigma ** 2) ** 1.5
-
-    def weight(self, q):
-        # unnormalized density for rejection sampling, sup = 1
-        q = np.asarray(q, dtype=float)
-        return np.exp(-0.5 * np.sum(q * q, axis=-1) / self.sigma ** 2)
-
-    def grad_log_density(self, q):
-        return -np.asarray(q, dtype=float) / self.sigma ** 2
-
-    def osmotic(self, nu):
-        return lambda q: 0.5 * nu * self.grad_log_density(q)
+# the unit-variance gaussian invariant density of the gaussian scenarios
+UNIT_GAUSSIAN = GaussianFixture(1.0, Box((-4.0,) * 3, (4.0,) * 3))
 
 
 @pytest.fixture(scope="module")
 def stationary_run(constants):
     """Full-scale stationary ensemble: 1e5 paths, dt 1e-3, horizon 10."""
-    target = GaussianTarget()
+    target = UNIT_GAUSSIAN
     patch = MetricPatch.euclidean()
     config = DiffusionConfig(
         dt=1e-3,
@@ -166,13 +148,12 @@ def test_01_boost_chart_equivalence(constants):
         bundle = make_plane_wave([k, 0.0, 0.0], constants)
         chart = ComovingChart(bundle, origin=np.zeros(4))
         lam = boost_to_rest_frame([v, 0.0, 0.0], c=c)
-        vel = four_velocity_contravariant(bundle)
         pts = rng.uniform(-2.0, 2.0, size=(100, 4))
         for x in pts:
             xi = chart.forward_map(x)
             worst_phi = max(worst_phi, float(np.max(np.abs(xi - lam @ x))))
         for x in pts[:25]:
-            push = chart.jacobian(x) @ vel(x)
+            push = chart.jacobian(x) @ raise_index(four_velocity(bundle, x))
             worst_push = max(worst_push, float(np.max(np.abs(push[1:]))))
     elapsed = time.time() - start
     record(
@@ -359,7 +340,7 @@ def test_06_current_identities(constants, boost_wave, packet9):
 
 
 def test_07_energy_two_route(constants, boost_wave, boost_chart):
-    target = GaussianTarget()
+    target = UNIT_GAUSSIAN
     rest = constants.mass * constants.c ** 2
     box = Box((-7.0, -7.0, -7.0), (7.0, 7.0, 7.0))
     rep = energy_report(

@@ -28,7 +28,7 @@ from comovkit.chart import (
     flow_to_level,
     solve_height,
 )
-from comovkit.constants import PhysicalConstants
+from comovkit.constants import PhysicalConstants, raise_index
 from comovkit.errors import (
     HypothesesFailed,
     LeftDomain,
@@ -41,8 +41,7 @@ from comovkit.errors import (
 from comovkit.fields import (
     Box,
     FieldBundle,
-    SpacetimePoint,
-    four_velocity_contravariant,
+    four_velocity,
     make_packet,
     make_plane_wave,
 )
@@ -75,7 +74,7 @@ def test_arc_flow_packet_residual(packet9):
     pts = _integrate(_arc_rhs(packet9), np.zeros((len(spans), 4)), spans,
                      packet9.domain, DEFAULT_RTOL, DEFAULT_ATOL, None)
     plus, minus, mid = np.split(pts, 3)
-    v = four_velocity_contravariant(packet9)(mid)
+    v = raise_index(four_velocity(packet9, mid))
     unit = v / np.sqrt(v[:, :1] ** 2 - np.sum(v[:, 1:] ** 2, axis=1,
                                              keepdims=True))
     np.testing.assert_allclose((plus - minus) / (2 * h), unit, atol=1e-6)
@@ -388,15 +387,13 @@ def test_forward_map_sends_origin_to_zero(boost_chart, packet9_chart):
     )
 
 
-def test_maps_keep_spacetime_point_tags(packet9_chart):
-    x = SpacetimePoint((0.4, -0.3, 0.2, 0.5))
+def test_one_event_round_trip(packet9_chart):
+    x = np.array([0.4, -0.3, 0.2, 0.5])
     xi = packet9_chart.forward_map(x)
-    assert isinstance(xi, SpacetimePoint) and xi.frame == "comoving"
+    assert xi.shape == (4,)
     back = packet9_chart.inverse_map(xi)
-    assert isinstance(back, SpacetimePoint) and back.frame == "inertial"
-    np.testing.assert_allclose(back.array, x.array, rtol=0.0, atol=1e-12)
-    with pytest.raises(ValueError, match="comoving"):
-        packet9_chart.forward_map(xi)
+    assert back.shape == (4,)
+    np.testing.assert_allclose(back, x, rtol=0.0, atol=1e-12)
 
 
 def test_round_trip_packet(packet9_chart):
@@ -448,7 +445,7 @@ def test_jacobians_make_one_map_call(packet9):
     pts = np.random.default_rng(29).uniform(-1.0, 1.0, size=(5, 4))
     jac = chart.jacobian(pts)
     inv = chart.inverse_jacobian(pts)
-    chart.pushforward(four_velocity_contravariant(packet9), pts)
+    chart.pushforward(raise_index(four_velocity(packet9, pts)), pts)
     assert shapes == {"forward_map": [(5, 8, 4), (5, 8, 4)],
                       "inverse_map": [(5, 8, 4)]}
     # d xi / d x and d x / d xi are inverse matrices
@@ -482,16 +479,34 @@ def test_time_gauge_g00_takes_arrays():
 
 
 def test_pushforward_kills_spatial_components(boost_chart, packet9_chart):
-    v = four_velocity_contravariant(boost_chart.bundle)
-    out = boost_chart.pushforward(v, np.array([0.5, 0.2, -0.1, 0.3]))
+    x = np.array([0.5, 0.2, -0.1, 0.3])
+    out = boost_chart.pushforward(
+        raise_index(four_velocity(boost_chart.bundle, x)), x)
     assert out[0] == pytest.approx(1.0, abs=1e-5)
     np.testing.assert_allclose(out[1:], 0.0, atol=1e-5)
 
-    vp = four_velocity_contravariant(packet9_chart.bundle)
+    packet = packet9_chart.bundle
     rng = np.random.default_rng(29)
     for x in rng.uniform(-1.0, 1.0, size=(4, 4)):
-        outp = packet9_chart.pushforward(vp, x)
+        outp = packet9_chart.pushforward(raise_index(four_velocity(packet, x)),
+                                         x)
         assert np.max(np.abs(outp[1:])) / outp[0] < 1e-4
+
+
+def test_pushforward_takes_any_batch_shape(packet9_chart):
+    # one event (4,), a (5, 4) batch and a (2, 3, 4) batch give the rows of
+    # one (6, 4) call bit for bit
+    pts = np.random.default_rng(30).uniform(-1.0, 1.0, size=(6, 4))
+    vec = raise_index(four_velocity(packet9_chart.bundle, pts))
+    rows = packet9_chart.pushforward(vec, pts)
+    one = np.stack([packet9_chart.pushforward(v, x) for v, x in zip(vec, pts)])
+    assert one.shape == (6, 4)
+    np.testing.assert_array_equal(one, rows)
+    np.testing.assert_array_equal(
+        packet9_chart.pushforward(vec[:5], pts[:5]), rows[:5])
+    np.testing.assert_array_equal(
+        packet9_chart.pushforward(vec.reshape(2, 3, 4), pts.reshape(2, 3, 4)),
+        rows.reshape(2, 3, 4))
 
 
 def test_forward_map_rejects_outside_domain(packet9_chart):

@@ -538,6 +538,14 @@ def test_run_records_analysis_wall_times(tmp_path, monkeypatch):
     assert "classify" not in report["analyses"]
 
 
+def test_report_writes_non_finite_numbers_as_strings():
+    # numpy scalars and Python floats alike: a bare NaN token is not JSON
+    out = cli._jsonable({"a": np.float64("nan"), "b": np.float32("inf"),
+                         "c": float("nan")})
+    assert json.loads(json.dumps(out, allow_nan=False)) == {
+        "a": "nan", "b": "inf", "c": "nan"}
+
+
 def test_run_gaussian_diffusion_properties(tmp_path):
     scenario = validate(write_scenario(tmp_path, gaussian_doc()))
     report = run(scenario, out_dir=tmp_path / "out", threads=2)

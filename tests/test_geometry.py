@@ -28,7 +28,6 @@ from comovkit.geometry import (
     pullback_metric,
     ricci_scalar,
     riemann,
-    spatial_metric,
     unit_sphere_patch,
 )
 
@@ -370,13 +369,13 @@ def test_pullback_metric_packet_block_structure(packet9_chart):
 
 
 def test_spatial_metric_boost_graph_value(boost_chart):
-    data = spatial_metric(boost_chart, np.array([0.7, -0.3, 0.2]))
-    np.testing.assert_allclose(
-        data["sigma"], np.diag([0.64, 1.0, 1.0]), atol=1e-10
-    )
-    g = data["noise_factor"]
-    np.testing.assert_allclose(g @ g.T, data["inverse"], atol=1e-12)
-    assert data["sqrt_det"] == pytest.approx(0.8, abs=1e-10)
+    patch = MetricPatch.from_chart(boost_chart)
+    q = np.array([0.7, -0.3, 0.2])
+    sigma, inverse, sqrt_det = patch.factors(q)
+    np.testing.assert_allclose(sigma, np.diag([0.64, 1.0, 1.0]), atol=1e-10)
+    g = patch.noise_factor(q)
+    np.testing.assert_allclose(g @ g.T, inverse, atol=1e-12)
+    assert sqrt_det == pytest.approx(0.8, abs=1e-10)
 
 
 def test_chart_spatial_patch_plane_wave_identity(boost_chart):
