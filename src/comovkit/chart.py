@@ -146,8 +146,9 @@ class ReferenceSurface:
     Every method takes base points q of shape (..., 3) and returns results
     stacked over the leading axes: ``height`` gives (...) (a float for one
     point), ``embed`` (..., 4), ``height_gradient`` (..., 3), ``metric``
-    (..., 3, 3), ``metric_gradient`` (..., 3, 3, 3) and
-    ``orthogonality_residual`` (...) (a float for one point).
+    (..., 3, 3), ``metric_and_gradient`` the metric and its gradient
+    (..., 3, 3, 3), and ``orthogonality_residual`` (...) (a float for one
+    point).
     """
 
     def __init__(self, bundle, origin, slope_floor=None):
@@ -187,7 +188,12 @@ class ReferenceSurface:
 
     def metric(self, q):
         """Induced surface metric sigma_ij = delta_ij - f_i f_j."""
-        f = self.height_gradient(q)
+        return self._metric_of(q, self.height_gradient(q))
+
+    @staticmethod
+    def _metric_of(q, f):
+        """sigma = 1 - f f from the height gradient f at base points q;
+        NotSpacelike names the first point where |f| >= 1."""
         ff = np.einsum("...i,...i->...", f, f)
         bad = (1.0 - ff <= 0.0).reshape(-1)
         if np.any(bad):
@@ -199,9 +205,10 @@ class ReferenceSurface:
             )
         return np.eye(3) - f[..., :, None] * f[..., None, :]
 
-    def metric_gradient(self, q):
-        """D[..., k, i, j] = d_k sigma_ij in closed form, from one height
-        solve and one field evaluation at the surface events.
+    def metric_and_gradient(self, q):
+        """sigma (..., 3, 3), as ``metric`` gives it, and D[..., k, i, j] =
+        d_k sigma_ij in closed form, from one height solve and one field
+        evaluation at the surface events.
 
         Differentiating S(f(q), q) = level twice gives the height Hessian
 
@@ -218,7 +225,7 @@ class ReferenceSurface:
                 + hess[..., :1, :1] * f[..., :, None] * f[..., None, :]
                 ) / grad[..., :1, None]
         term = fik[..., :, :, None] * f[..., None, None, :]  # f_ki f_j
-        return -(term + np.swapaxes(term, -1, -2))
+        return self._metric_of(q, f), -(term + np.swapaxes(term, -1, -2))
 
     def orthogonality_residual(self, q):
         """max_i |eta(V, t_i)| for the tangent basis t_i = (f_i, e_i).

@@ -31,9 +31,11 @@ phase gradient, closedness of its derivative (symmetric second derivatives),
 and timelike character.
 
 ``density_and_phase_derivatives`` returns density, phase gradient and
-phase Hessian together; a packet takes all three from one exponential per
-mode, which is what the hypothesis scan and the slice-metric derivatives
-of the chart surface read.
+phase Hessian together; a packet takes all three from one set of real mode
+sums on the phases relative to its carrier mode (see ``PacketBundle``),
+which is what the hypothesis scan and the slice-metric derivatives of the
+chart surface read. The hypothesis scan evaluates its lattice in blocks of
+HYPOTHESIS_BLOCK events.
 
 ``central_gradient`` and ``central_hessian`` are the package's one
 finite-difference stencil: every derivative of a function that the package
@@ -368,21 +370,24 @@ class PlaneWaveBundle(FieldBundle):
 class PacketBundle(FieldBundle):
     """Positive-weight superposition of dispersion-relation modes.
 
-    Every evaluation takes one exponential per mode, e_j = w_j exp(i
-    theta_j), and p, S and their derivatives are exact sums over e. The
-    carrier wave vector kappa_j0 cancels from the derivatives of p and from
-    the phase Hessian, so those sums run over kappa_j - kappa_j0, which keeps
-    their round-off at the scale of the modulation, not of the carrier. With a
-    dominant mode j0 (weight above the sum of the others), phi = w_j0
-    exp(i theta_j0) (1 + R) with |R| < 1 everywhere, so arg(1 + R) stays on
-    the principal branch and the phase is single valued in closed form:
+    With j0 the dominant mode (largest weight), the field is exp(i
+    theta_j0) R with R = sum_j w_j exp(i dtheta_j) on the relative phases
+    dtheta_j = (kappa_j - kappa_j0) . x. The factor exp(i theta_j0)
+    has unit modulus and cancels from every derivative of p and from the
+    phase Hessian, so every evaluation is real arithmetic on c_j = w_j cos
+    dtheta_j and s_j = w_j sin dtheta_j: R = A + iB with A = sum c and
+    B = sum s, and the derivatives of R are sums of c and s against
+    dkappa_j and dkappa_j x dkappa_j. The round-off of these sums is at the
+    scale of the modulation, not of the carrier. With a dominant mode
+    (weight above the sum of the others) |R - w_j0| < w_j0 everywhere, so
+    arg R stays on the principal branch and the phase is single valued in
+    closed form:
 
-        S / hbar = theta_j0 + angle(sum_j w_j exp(i (theta_j - theta_j0)))
-                   + 2 pi n0
+        S / hbar = theta_j0 + atan2(B, A) + 2 pi n0
 
     The whole-turn count n0, fixed at construction, anchors S(domain.lo) at
-    the principal angle(phi(lo)); a single mode keeps S = hbar theta_0. The
-    bundle holds no lazily built state.
+    the principal argument of the field there; a single mode keeps S = hbar
+    theta_0. The bundle holds no lazily built state.
     """
 
     def __init__(self, wavevectors, weights, constants, domain,
@@ -404,19 +409,20 @@ class PacketBundle(FieldBundle):
         self.kappas = np.concatenate(
             [(-self.omegas / constants.c)[:, None], self.wavevectors], axis=1
         )
-        # carrier-relative wave vectors and their flattened outer products
-        self._dkappas = self.kappas - self.kappas[self.dominant_index]
-        self._dkappa_outer = np.einsum(
-            "jm,jn->jmn", self._dkappas, self._dkappas).reshape(-1, 16)
+        # carrier-relative wave vectors; the weighted columns (1, dkappa)
+        # and dkappa x dkappa that ``_mode_sums`` takes cos and sin to
+        dk = self._dkappas = self.kappas - self.kappas[self.dominant_index]
+        w = self.weights[:, None]
+        self._first_sums = w * np.concatenate([np.ones_like(w), dk], axis=1)
+        self._second_sums = w * np.einsum("jm,jn->jmn", dk, dk).reshape(-1, 16)
         self.floor = (
             float(floor) if floor is not None else 1e-6 * float(self.weights.sum())
         )
         self._n0 = 0.0
         if self.weights.size > 1 and self.dominance_margin > 0:
-            lo = self.domain.lo_array
-            self._n0 = float(np.round(
-                (np.angle(self._amp(lo)) - self._branch_angle(lo)) / (2.0 * np.pi)
-            ))
+            # the whole turns that bring S(lo) / hbar to its principal value
+            self._n0 = -float(np.round(
+                self._branch_angle(self.domain.lo_array) / (2.0 * np.pi)))
         if not _skip_node_check:
             self._check_for_nodes()
 
@@ -431,29 +437,55 @@ class PacketBundle(FieldBundle):
         j0 = self.dominant_index
         return float(self.weights[j0] - (self.weights.sum() - self.weights[j0]))
 
-    def _mode_phases(self, x):
-        return np.asarray(x) @ self.kappas.T  # (..., n_modes)
+    def _mode_sums(self, x, order):
+        """Real mode sums of R = sum_j w_j exp(i dtheta_j) at events (..., 4).
 
-    def _unit_modes(self, x):
-        """exp(i theta_j) at events (..., 4), as (..., n_modes)."""
-        return np.exp(1j * self._mode_phases(x))
+        With c_j = w_j cos dtheta_j and s_j = w_j sin dtheta_j, returns
+        A = sum c and B = sum s (...) and P = c . dkappa and Q = s . dkappa
+        (..., 4); with ``order`` 2 also Mc = c . (dkappa x dkappa) and Ms
+        likewise (..., 4, 4). So R = A + iB, d R = i (P + iQ) and
+        d d R = -(Mc + i Ms). The cos and sin rows go through each product
+        together, and A, B, P, Q come from the same product at every order,
+        so every accessor rounds them alike.
+        """
+        dth = np.asarray(x) @ self._dkappas.T
+        lead, n = dth.shape[:-1], dth.shape[-1]
+        cs = np.empty((2,) + dth.shape)
+        np.cos(dth, out=cs[0])
+        np.sin(dth, out=cs[1])
+        cs = cs.reshape(-1, n)
+        first = (cs @ self._first_sums).reshape((2,) + lead + (5,))
+        sums = [first[0, ..., 0], first[1, ..., 0],
+                first[0, ..., 1:], first[1, ..., 1:]]
+        if order == 2:
+            second = (cs @ self._second_sums).reshape((2,) + lead + (4, 4))
+            sums += [second[0], second[1]]
+        return sums
 
-    def _amp(self, x):
-        return self._unit_modes(x) @ self.weights
+    @staticmethod
+    def _arg_gradient(a, b, p, q):
+        """d arg R = Im(d R / R) = (A P + B Q) / |R|^2, as (..., 4)."""
+        a, b = a[..., None], b[..., None]
+        return (a * p + b * q) / (a * a + b * b)
 
-    def _modes(self, x):
-        """e_j = w_j exp(i theta_j) at events (..., 4), as (..., n_modes)."""
-        return self._unit_modes(x) * self.weights
+    def _gradient_of(self, gr):
+        return self.constants.hbar * (self.kappas[self.dominant_index] + gr)
 
-    def _modes_outer(self, e):
-        """sum_j e_j dkappa_j,mu dkappa_j,nu, as (..., 4, 4)."""
-        return (e @ self._dkappa_outer).reshape(e.shape[:-1] + (4, 4))
+    def _hessian_of(self, a, b, p, q, mc, ms, gr):
+        """hbar Im(dd R / R - (d R / R)(d R / R)) from the sums and
+        gr = d arg R, with -Re(d R / R) = gi = (A Q - B P) / |R|^2."""
+        rho = (a * a + b * b)[..., None]
+        gi = (a[..., None] * q - b[..., None] * p) / rho
+        outer = gr[..., :, None] * gi[..., None, :]
+        a, b = a[..., None, None], b[..., None, None]
+        return self.constants.hbar * (outer + np.swapaxes(outer, -1, -2)
+                                      - (a * ms - b * mc) / rho[..., None])
 
     def _branch_angle(self, x):
-        """theta_j0 + angle(sum_j w_j exp(i (theta_j - theta_j0))) at (..., 4)."""
-        th = self._mode_phases(x)
-        th0 = th[..., self.dominant_index]
-        return th0 + np.angle(np.exp(1j * (th - th0[..., None])) @ self.weights)
+        """theta_j0 + atan2(B, A) at events (..., 4)."""
+        a, b = self._mode_sums(x, 1)[:2]
+        theta0 = np.asarray(x) @ self.kappas[self.dominant_index]
+        return theta0 + np.arctan2(b, a)
 
     # --- node detection ---------------------------------------------------
     def _check_for_nodes(self):
@@ -467,7 +499,7 @@ class PacketBundle(FieldBundle):
             np.maximum((extent * lip / np.pi).astype(int) + 2, 5), 40
         )
         pts, _ = self.domain.grid(shape)
-        mod = np.abs(self._amp(pts))
+        mod = np.sqrt(self._density(pts))
         spacing = float(np.max(extent / (shape - 1)))
         # half the cell diagonal bounds the distance to the nearest sample
         reach = 0.5 * spacing * 2.0
@@ -482,43 +514,21 @@ class PacketBundle(FieldBundle):
             )
 
     # --- bundle interface ---------------------------------------------------
-    @staticmethod
-    def _density_of(amp):
-        return (amp * amp.conj()).real
-
-    def _gradient_of(self, e, a):
-        """Phase gradient from the modes e (..., n_modes) and their sum a
-        (..., 1): Im(d_mu a / a) with d_mu a = i (e @ kappas)."""
-        return self.constants.hbar * ((e @ self.kappas) / a).real
-
-    def _hessian_of(self, e, a):
-        """Phase Hessian from the modes e and their sum a (..., 1):
-        Im(d_mu d_nu a / a - (d_mu a / a)(d_nu a / a)), d_mu a / a -> i g."""
-        g = (e @ self._dkappas) / a
-        return self.constants.hbar * (
-            np.einsum("...m,...n->...mn", g, g)
-            - self._modes_outer(e) / a[..., None]
-        ).imag
-
     def _density(self, x):
-        return self._density_of(self._amp(x))
+        a, b = self._mode_sums(x, 1)[:2]
+        return a * a + b * b
 
     def _density_gradient(self, x):
-        # d_mu p = 2 Re(conj(a) d_mu a) with d_mu a -> i (e @ dkappas)
-        e = self._modes(x)
-        a = e.sum(axis=-1)
-        return -2.0 * (a.conj()[..., None] * (e @ self._dkappas)).imag
+        # d p = 2 Re(conj(R) d R)
+        a, b, p, q = self._mode_sums(x, 1)
+        return 2.0 * (b[..., None] * p - a[..., None] * q)
 
     def _density_hessian(self, x):
-        # 2 Re(conj(d_mu a) d_nu a + conj(a) d_mu d_nu a) with
-        # d_mu a -> i q and d_mu d_nu a -> -sum_j e_j dkappa_j,mu dkappa_j,nu
-        e = self._modes(x)
-        a = e.sum(axis=-1)
-        q = e @ self._dkappas
-        return 2.0 * (
-            np.einsum("...m,...n->...mn", q.conj(), q)
-            - a.conj()[..., None, None] * self._modes_outer(e)
-        ).real
+        # dd p = 2 Re(conj(d R) d R + conj(R) dd R)
+        a, b, p, q, mc, ms = self._mode_sums(x, 2)
+        a, b = a[..., None, None], b[..., None, None]
+        return 2.0 * (p[..., :, None] * p[..., None, :]
+                      + q[..., :, None] * q[..., None, :] - a * mc - b * ms)
 
     def _phase(self, x):
         if self.dominance_margin <= 0:
@@ -531,24 +541,23 @@ class PacketBundle(FieldBundle):
                                       + 2.0 * np.pi * self._n0)
 
     def _phase_gradient(self, x):
-        e = self._modes(x)
-        return self._gradient_of(e, e.sum(axis=-1)[..., None])
+        return self._gradient_of(self._arg_gradient(*self._mode_sums(x, 1)))
 
     def _phase_hessian(self, x):
-        e = self._modes(x)
-        return self._hessian_of(e, e.sum(axis=-1)[..., None])
+        sums = self._mode_sums(x, 2)
+        return self._hessian_of(*sums, self._arg_gradient(*sums[:4]))
 
     def density_and_phase_derivatives(self, x):
-        """Density, phase gradient and phase Hessian from one exponential
-        per mode, equal bit for bit to ``density``, ``phase_gradient`` and
+        """Density, phase gradient and phase Hessian from one set of mode
+        sums, equal bit for bit to ``density``, ``phase_gradient`` and
         ``phase_hessian``; the finite-difference view keeps the default."""
         if self.derivative_mode != "analytic":
             return super().density_and_phase_derivatives(x)
-        u = self._unit_modes(as_coords(x))
-        e = u * self.weights
-        a = e.sum(axis=-1)[..., None]
-        return (self._density_of(u @ self.weights), self._gradient_of(e, a),
-                self._hessian_of(e, a))
+        sums = self._mode_sums(as_coords(x), 2)
+        a, b = sums[:2]
+        gr = self._arg_gradient(*sums[:4])
+        return (a * a + b * b, self._gradient_of(gr),
+                self._hessian_of(*sums, gr))
 
 
 def make_plane_wave(k, constants=None, domain=None, frequency=None):
@@ -640,16 +649,21 @@ class HypothesisReport:
 
 
 HYPOTHESIS_SHAPE = (7, 7, 7, 7)  # the default hypotheses lattice
+# lattice events per field evaluation of a hypotheses scan: the scan's
+# temporaries grow with the events of one evaluation, not with the lattice
+HYPOTHESIS_BLOCK = 1024
 
 
 def check_theorem_hypotheses(bundle, box=None, shape=HYPOTHESIS_SHAPE,
                              v0_floor=None, closedness_tol=None):
     """Scan a lattice for the three chart-construction hypotheses.
 
-    Density, phase gradient and phase Hessian come from one
-    ``density_and_phase_derivatives`` call on the lattice. Returns a
-    HypothesisReport; ``violated`` holds labels "(i)", "(ii)", "(iii)" for
-    every failed condition, in that order.
+    Density, phase gradient and phase Hessian come from
+    ``density_and_phase_derivatives`` calls on consecutive blocks of
+    HYPOTHESIS_BLOCK lattice events; the reductions over blocks equal those
+    over one whole-lattice call. Returns a HypothesisReport; ``violated``
+    holds labels "(i)", "(ii)", "(iii)" for every failed condition, in that
+    order.
     """
     c = bundle.constants.c
     if box is None:
@@ -661,25 +675,39 @@ def check_theorem_hypotheses(bundle, box=None, shape=HYPOTHESIS_SHAPE,
         box = Box(mid - half, mid + half)
     pts, _ = box.grid(shape)
 
-    density, grad, hess = bundle.density_and_phase_derivatives(pts)
-    v = grad / bundle.constants.mass
-    v0 = v[..., 0]
-    vv = np.einsum("...i,...i->...", v, raise_index(v))
-    closedness = np.max(np.abs(hess - np.swapaxes(hess, -1, -2)), axis=(-1, -2))
+    min_density = min_abs_v0 = np.inf
+    max_v0, min_v0 = -np.inf, np.inf
+    max_closed = max_hess = 0.0
+    n_timelike = 0
+    argmin = 0
+    for start in range(0, len(pts), HYPOTHESIS_BLOCK):
+        density, grad, hess = bundle.density_and_phase_derivatives(
+            pts[start:start + HYPOTHESIS_BLOCK])
+        v = grad / bundle.constants.mass
+        v0 = v[:, 0]
+        abs_v0 = np.abs(v0)
+        n = int(np.argmin(abs_v0))
+        # strict: the first minimum over the lattice, as one argmin finds it
+        if abs_v0[n] < min_abs_v0:
+            min_abs_v0, argmin = float(abs_v0[n]), start + n
+        max_v0 = max(max_v0, float(np.max(v0)))
+        min_v0 = min(min_v0, float(np.min(v0)))
+        vv = np.einsum("...i,...i->...", v, raise_index(v))
+        n_timelike += int(np.count_nonzero(vv < 0.0))
+        max_closed = max(max_closed, float(np.max(
+            np.abs(hess - np.swapaxes(hess, -1, -2)))))
+        max_hess = max(max_hess, float(np.max(np.abs(hess))))
+        min_density = min(min_density, float(np.min(density)))
 
     if v0_floor is None:
         v0_floor = 1e-8 * c
     if closedness_tol is None:
-        scale = float(np.max(np.abs(hess))) + 1e-300
-        closedness_tol = 1e-10 * scale + 1e-14
+        closedness_tol = 1e-10 * (max_hess + 1e-300) + 1e-14
 
-    min_abs_v0 = float(np.min(np.abs(v0)))
     # a sign change proves a zero of V_0 between lattice points even when
     # no sample lands near it
-    sign_change = bool((np.max(v0) > 0.0) and (np.min(v0) < 0.0))
-    max_closed = float(np.max(closedness))
-    timelike = float(np.mean(vv < 0.0))
-    argmin = pts[int(np.argmin(np.abs(v0)))]
+    sign_change = bool((max_v0 > 0.0) and (min_v0 < 0.0))
+    timelike = n_timelike / len(pts)
 
     violated = []
     if min_abs_v0 <= v0_floor or sign_change:
@@ -694,10 +722,10 @@ def check_theorem_hypotheses(bundle, box=None, shape=HYPOTHESIS_SHAPE,
         v0_sign_change=sign_change,
         max_closedness=max_closed,
         timelike_fraction=timelike,
-        min_density=float(np.min(density)),
+        min_density=min_density,
         v0_floor=float(v0_floor),
         closedness_tol=float(closedness_tol),
         lattice_shape=tuple(int(s) for s in shape),
-        argmin_v0=tuple(float(t) for t in argmin),
+        argmin_v0=tuple(float(t) for t in pts[argmin]),
         violated=violated,
     )

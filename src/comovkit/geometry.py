@@ -19,10 +19,12 @@ patches of ``MetricPatch.from_chart`` (base coordinates q) and
 height solve per call. Their sigma derivatives are in closed form too: the
 slice is the level set of the phase, so implicit differentiation of the
 height function turns the phase gradient and Hessian at the surface events
-into d sigma (``ReferenceSurface.metric_gradient``), and their Riemann
-tensor takes a single finite difference, of the Christoffel field. The
-graph metric of a chart's origin slice, its inverse, volume factor and
-noise factor are the methods of ``MetricPatch.from_chart(chart)``. Each
+into d sigma (``ReferenceSurface.metric_and_gradient``), their
+Christoffel symbols take sigma and d sigma from one height solve per
+batch, and their Riemann tensor takes a single finite difference, of the
+Christoffel field. The graph metric of a chart's origin slice, its
+inverse, volume factor and noise factor are the methods of
+``MetricPatch.from_chart(chart)``. Each
 patch remembers, per thread, the factorization of the last batch of points
 it saw, so the drift correction and the noise factor of one Euler-Maruyama
 step share one evaluation of sigma.
@@ -123,11 +125,14 @@ class MetricPatch:
         not positive definite; a failed factorization is not remembered.
         """
         q = np.asarray(q, dtype=float)
-        key = (q.shape, q.tobytes())
         last = self._last
-        if getattr(last, "key", None) == key:
+        if getattr(last, "key", None) == (q.shape, q.tobytes()):
             return last.value
-        sig = self.metric(q)
+        return self._factorize(q, self.metric(q))
+
+    def _factorize(self, q, sig):
+        """Factor sigma (..., 3, 3) at the points q (..., 3) and remember
+        the result as the last batch of this thread."""
         w, v = np.linalg.eigh(sig)
         bad = (w[..., 0] <= 0.0).reshape(-1)
         if np.any(bad):
@@ -144,7 +149,8 @@ class MetricPatch:
         else:
             root.flags.writeable = False
         sig.flags.writeable = inv.flags.writeable = False
-        last.key = key
+        last = self._last
+        last.key = (q.shape, q.tobytes())
         last.value = (sig, inv, root)
         return last.value
 
@@ -166,8 +172,12 @@ class MetricPatch:
             return _stack_rows(self._dsigma, "sigma_gradient", q, (3, 3, 3))
         return central_gradient(self.metric, q, h or FD_STEP)
 
-    def _christoffel(self, inv, q, h):
-        d = self.sigma_derivatives(q, h=h)
+    def _inverse_and_derivatives(self, q, h):
+        """sigma^{-1} (..., 3, 3) and D (..., 3, 3, 3) at points q."""
+        return self.inverse(q), self.sigma_derivatives(q, h=h)
+
+    @staticmethod
+    def _christoffel(inv, d):
         # term[..., l, j, k]
         term = (
             np.swapaxes(d, -3, -2)     # d_j sigma_lk -> [l, j, k]
@@ -178,14 +188,12 @@ class MetricPatch:
 
     def christoffel(self, q, h=None):
         """Gamma[i, j, k] = 1/2 sigma^{il} (d_j s_lk + d_k s_lj - d_l s_jk)."""
-        return self._christoffel(self.inverse(q), q, h)
+        return self._christoffel(*self._inverse_and_derivatives(q, h))
 
     def christoffel_contraction(self, q, h=None):
         """sigma^{jk} Gamma^i_{jk}: the curvature correction in drifts."""
-        inv = self.inverse(q)
-        return np.einsum(
-            "...jk,...ijk->...i", inv, self._christoffel(inv, q, h)
-        )
+        inv, d = self._inverse_and_derivatives(q, h)
+        return np.einsum("...jk,...ijk->...i", inv, self._christoffel(inv, d))
 
     # --- constructors ---------------------------------------------------------
     @classmethod
@@ -220,7 +228,9 @@ class _SurfacePatch(MetricPatch):
     With a ``frame`` (q0, E0^-1) the points are chart coordinates xi and
     the metric is E0^-T sigma_q(q0 + E0^-1 xi) E0^-1; without one they are
     the base coordinates q. Sigma derivatives are the surface's closed-form
-    ``metric_gradient``, carried through the same congruence for xi.
+    ``metric_and_gradient``, carried through the same congruence for xi;
+    the Christoffel symbols take sigma and its derivatives from that one
+    height solve per batch.
     """
 
     def __init__(self, surface, g00, frame=None, name="chart_surface"):
@@ -228,24 +238,39 @@ class _SurfacePatch(MetricPatch):
         self.surface = surface
         self.frame = frame
 
+    def _base(self, q):
+        """Base coordinates of the points q."""
+        q = np.asarray(q, dtype=float)
+        return q if self.frame is None else self.frame[0] + q @ self.frame[1].T
+
     def metric(self, q):
+        sig = self.surface.metric(self._base(q))
         if self.frame is None:
-            return self.surface.metric(q)
-        base, e_inv = self.frame
-        sig = self.surface.metric(base + np.asarray(q, dtype=float) @ e_inv.T)
+            return sig
+        e_inv = self.frame[1]
         return e_inv.T @ sig @ e_inv
+
+    def _metric_and_derivatives(self, q):
+        """sigma and D[..., i, j, k] = d sigma_jk / d q^i in closed form,
+        from one height solve of the batch."""
+        sig, d = self.surface.metric_and_gradient(self._base(q))
+        if self.frame is None:
+            return sig, d
+        e_inv = self.frame[1]
+        # d/dxi_a (E^T sigma E)_bc = E_ma E_jb E_kc d_m sigma_jk
+        return e_inv.T @ sig @ e_inv, np.einsum(
+            "...mjk,ma,jb,kc->...abc", d, e_inv, e_inv, e_inv, optimize=True)
 
     def sigma_derivatives(self, q, h=None):
         """D[..., i, j, k] = d sigma_jk / d q^i in closed form; ``h`` is
         not used."""
-        if self.frame is None:
-            return self.surface.metric_gradient(q)
-        base, e_inv = self.frame
-        d = self.surface.metric_gradient(
-            base + np.asarray(q, dtype=float) @ e_inv.T)
-        # d/dxi_a (E^T sigma E)_bc = E_ma E_jb E_kc d_m sigma_jk
-        return np.einsum("...mjk,ma,jb,kc->...abc", d, e_inv, e_inv, e_inv,
-                         optimize=True)
+        return self._metric_and_derivatives(q)[1]
+
+    def _inverse_and_derivatives(self, q, h):
+        # sigma and its derivatives share one height solve; the
+        # factorization is remembered as ``factors`` would remember it
+        sig, d = self._metric_and_derivatives(q)
+        return self._factorize(np.asarray(q, dtype=float), sig)[1], d
 
 
 def chart_spatial_patch(chart):
@@ -471,7 +496,6 @@ def geometry_diagnostics(chart, half_width=1.0, n_per_axis=3, xi0=0.0,
         g[:, 0, 0] - chart.time_convention.g00(xi0))))
 
     base_pts = chart.base_origin + spatial @ chart.frame_matrix_inv.T
-    # the factorization memo hands the same sigma to the curvature below
     eig_records = np.linalg.eigvalsh(patch.factors(base_pts)[0]).tolist()
     flat = flatness_report(patch, base_pts, h=h, budget=budget)
     return {

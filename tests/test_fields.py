@@ -19,6 +19,7 @@ from comovkit.errors import (
     NodeInDomain,
 )
 from comovkit.fields import (
+    HYPOTHESIS_BLOCK,
     Box,
     PacketBundle,
     central_gradient,
@@ -33,6 +34,12 @@ from comovkit.fields import (
 
 def random_points(rng, n, half=2.0):
     return rng.uniform(-half, half, size=(n, 4))
+
+
+def _mode_sum(bundle, x):
+    """The field sum_j w_j exp(i kappa_j . x) at events (..., 4), longhand:
+    an oracle that shares nothing with the bundle's relative-phase kernel."""
+    return np.exp(1j * (np.asarray(x) @ bundle.kappas.T)) @ bundle.weights
 
 
 def test_plane_wave_dispersion(boost_wave):
@@ -139,7 +146,7 @@ def test_packet_phase_branch_continuity(packet9):
     end = np.array([3.5, 2.8, -3.1, 1.7])
     ts = np.linspace(0.0, 1.0, 6000)
     seg = start + ts[:, None] * (end - start)
-    ref = np.unwrap(np.angle(packet9._amp(seg)))
+    ref = np.unwrap(np.angle(_mode_sum(packet9, seg)))
     impl = packet9.phase(seg) / packet9.constants.hbar
     # anchored at the corner on branch zero
     assert impl[0] == pytest.approx(ref[0], abs=1e-9)
@@ -166,7 +173,7 @@ def _lattice_branch_phase(bundle, pts):
     dom = bundle.domain
     shape = np.maximum((dom.extent / (np.pi / (4.0 * rate))).astype(int) + 2, 2)
     nodes, _ = dom.grid(shape)
-    raw = np.angle(bundle._amp(nodes)).reshape(tuple(shape))
+    raw = np.angle(_mode_sum(bundle, nodes)).reshape(tuple(shape))
     raw[:, 0, 0, 0] = np.unwrap(raw[:, 0, 0, 0])
     raw[:, :, 0, 0] = np.unwrap(raw[:, :, 0, 0], axis=1)
     raw[:, :, :, 0] = np.unwrap(raw[:, :, :, 0], axis=2)
@@ -174,7 +181,7 @@ def _lattice_branch_phase(bundle, pts):
     step = dom.extent / (shape - 1)
     idx = np.clip(np.rint((pts - dom.lo_array) / step).astype(np.intp), 0,
                   shape - 1)
-    local = np.angle(bundle._amp(pts))
+    local = np.angle(_mode_sum(bundle, pts))
     turns = np.round((raw[tuple(idx.T)] - local) / (2.0 * np.pi))
     return bundle.constants.hbar * (local + 2.0 * np.pi * turns)
 
@@ -275,7 +282,7 @@ def test_closed_form_phase_properties(case):
     # the anchor: S(lo) is the principal argument there
     lo = bundle.domain.lo_array
     assert bundle.phase(lo) == pytest.approx(
-        hbar * np.angle(bundle._amp(lo)), rel=0, abs=1e-12)
+        hbar * np.angle(_mode_sum(bundle, lo)), rel=0, abs=1e-12)
     # one-exponential Hessians against differences of the gradients
     for grad, hess in ((bundle.phase_gradient, bundle.phase_hessian),
                        (bundle.density_gradient, bundle.density_hessian)):
@@ -492,9 +499,8 @@ def test_events_need_four_coordinates(boost_wave, x):
 @pytest.mark.parametrize("velocity", [four_velocity, osmotic_four_velocity])
 def test_velocity_fields_take_any_batch_shape(packet9, velocity):
     # a (5, 4) and a (2, 3, 4) batch give the rows of one (6, 4) call bit
-    # for bit; one event (4,) goes through numpy's vector-matrix kernel,
-    # which rounds the mode phases differently, so it agrees to a few ulp
-    # (measured: up to 2.6 eps of the largest component)
+    # for bit; one event (4,) goes through numpy's vector-matrix kernels,
+    # so it agrees to a few ulp (see test_one_event_agrees_with_its_batch_row)
     pts = np.random.default_rng(15).uniform(-1.0, 1.0, size=(6, 4))
     rows = velocity(packet9, pts)
     np.testing.assert_array_equal(velocity(packet9, pts[:5]), rows[:5])
@@ -504,6 +510,35 @@ def test_velocity_fields_take_any_batch_shape(packet9, velocity):
     assert one.shape == (6, 4)
     np.testing.assert_allclose(
         one, rows, rtol=0.0, atol=8 * np.finfo(float).eps * np.abs(rows).max())
+
+
+# one event (4,) and a one-row batch (1, 4) take numpy's vector-matrix
+# kernel for the relative phases where more rows take the matrix kernel,
+# which rounds them differently: the most either differed from its row of
+# a (6, 4) batch over 3 000 random packet_9mode batches, in eps of the
+# batch's largest component, was 0.83 (phase), 1.0 (phase gradient: a
+# last-bit change of the modulation flips the rounding of the carrier sum),
+# 20 (phase Hessian, whose terms cancel), 1.3 (density) and 2.5 (density
+# gradient). The bounds below are about twice those. Taking the phases
+# with np.einsum agrees bit for bit but added about 1 us (7-10 %) to every
+# call on 1 to 8 events (2-core x86-64, OpenBLAS 0.3.31).
+SINGLE_EVENT_EPS = {"phase": 2.0, "phase_gradient": 2.0,
+                    "phase_hessian": 40.0, "density": 3.0,
+                    "density_gradient": 5.0}
+
+
+@pytest.mark.parametrize("accessor", sorted(SINGLE_EVENT_EPS))
+def test_one_event_agrees_with_its_batch_row(packet9, accessor):
+    f = getattr(packet9, accessor)
+    rng = np.random.default_rng(16)
+    for pts in rng.uniform(-4.0, 4.0, size=(50, 6, 4)):
+        rows = f(pts)
+        atol = (SINGLE_EVENT_EPS[accessor] * np.finfo(float).eps
+                * np.abs(rows).max())
+        for x, row in zip(pts, rows):
+            for one in (f(x), f(x[None])[0]):
+                assert np.shape(one) == row.shape
+                np.testing.assert_allclose(one, row, rtol=0.0, atol=atol)
 
 
 def test_hypotheses_pass_for_plane_wave(boost_wave):
@@ -545,6 +580,36 @@ def test_hypotheses_detect_vanishing_v0(near_standing, constants):
     assert "(i)" in report.violated
     assert report.v0_sign_change
     assert not report.passed
+
+
+def test_blocked_scan_equals_whole_lattice_reductions(packet9, constants):
+    # 4 347 events: four full blocks and a remainder of 251
+    shape = (3, 161, 3, 3)
+    assert np.prod(shape) % HYPOTHESIS_BLOCK
+    report = check_theorem_hypotheses(packet9, shape=shape)
+    # the default window of packet9's box is the box itself
+    pts, _ = packet9.domain.grid(shape)
+    density, grad, hess = packet9.density_and_phase_derivatives(pts)
+    v = grad / constants.mass
+    v0 = v[:, 0]
+    n = int(np.argmin(np.abs(v0)))
+    # the minimum is attained exactly in later blocks too, and the report
+    # keeps the first event, as one argmin does
+    ties = np.flatnonzero(np.abs(v0) == np.abs(v0)[n])
+    assert np.max(ties) >= HYPOTHESIS_BLOCK
+    assert report.min_abs_v0 == np.abs(v0)[n]
+    assert report.argmin_v0 == tuple(pts[n])
+    assert report.v0_sign_change == bool(v0.max() > 0.0 > v0.min())
+    assert report.max_closedness == np.max(
+        np.abs(hess - np.swapaxes(hess, -1, -2)))
+    assert report.timelike_fraction == np.mean(
+        np.einsum("ni,ni->n", v, raise_index(v)) < 0.0)
+    assert report.min_density == density.min()
+    assert report.closedness_tol == (1e-10 * (np.abs(hess).max() + 1e-300)
+                                     + 1e-14)
+    assert report.v0_floor == 1e-8 * constants.c
+    assert report.lattice_shape == shape
+    assert report.passed
 
 
 @pytest.mark.parametrize("kind", ["packet", "plane_wave", "conjugate",

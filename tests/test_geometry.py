@@ -538,6 +538,37 @@ def test_batched_riemann_chart_patch(packet9_chart):
     assert np.max(np.abs(batched)) < 1e-3
 
 
+@pytest.mark.parametrize("coords", ["base", "chart"])
+def test_chart_patch_solves_each_batch_once(packet9_chart, coords,
+                                            monkeypatch):
+    # sigma and its closed-form derivatives share one height solve: the
+    # 125 centres and the 750 stencil neighbours of a 5^3 lattice
+    import comovkit.chart as chart_module
+
+    rows = []
+    solve = chart_module.solve_height
+
+    def counted(surface, q, guess=None):
+        rows.append(int(np.prod(np.shape(q)[:-1])))
+        return solve(surface, q, guess=guess)
+
+    monkeypatch.setattr(chart_module, "solve_height", counted)
+    patch = (MetricPatch.from_chart(packet9_chart) if coords == "base"
+             else chart_spatial_patch(packet9_chart))
+    ax = np.linspace(-1.0, 1.0, 5)
+    q = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
+    riemann(patch, q.reshape(-1, 3))
+    assert rows == [125, 750]
+    # the shared solve's sigma is the one ``metric`` gives
+    np.testing.assert_array_equal(patch._metric_and_derivatives(q)[0],
+                                  patch.metric(q))
+    # a drift correction and the noise factor at the same points
+    rows.clear()
+    patch.christoffel_contraction(q[0])
+    patch.noise_factor(q[0])
+    assert rows == [25]
+
+
 # --- closed-form slice derivatives and the Gauss equation ---------------------
 
 # a common wavevector added to every mode: the packet moves at about 0.5c
