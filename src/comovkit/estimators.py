@@ -32,6 +32,7 @@ from .errors import (
     QuadratureDivergence,
 )
 from .fields import central_gradient
+from .geometry import _row_blocks
 
 DEFAULT_ORDER = 32
 
@@ -317,6 +318,17 @@ def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER,
     normalized over the quadrature box. Raises QuadratureDivergence when
     the outer shell of the box carries more than ``tail_tol`` of the
     integrand, i.e. the box truncates the tails.
+
+    The density and its log gradient are evaluated on all nodes at once;
+    the metric tables are built and used in one pass over blocks of
+    ``geometry.ROW_BLOCK`` nodes, which keeps only per-node columns. The
+    returned dict holds ``value``, ``normalization``, ``tail_fraction``
+    and ``order``, and per node: ``points`` (n, 3), ``grad`` (n, 3), the
+    log gradient, ``weights``, the quadrature weight times rho
+    sqrt|sigma|, ``sqrt_det``, sqrt|sigma|, ``quad_form``, grad .
+    sigma^{-1} . grad, and ``u_sigma_u``, u . sigma . u with
+    u = (nu/2) sigma^{-1} grad, the squared osmotic velocity of the
+    direct energy route.
     """
     pts, wts = _tensor_nodes(box, order)
     rho = np.asarray(density(pts), dtype=float)
@@ -328,12 +340,22 @@ def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER,
         raise QuadratureDivergence(
             "density not above the floor on quadrature nodes"
         )
-    sig, inv, root = _metric_tables(patch, pts)
-    norm_weight = wts * rho * root
+    grad = _grad_log(density, pts, grad_log_density, box)
+    root = np.empty(len(pts))
+    quad_form = np.empty(len(pts))
+    u_sigma_u = np.empty(len(pts))
+    for block in _row_blocks(len(pts)):
+        sig, inv, root[block] = _metric_tables(patch, pts[block])
+        g = grad[block]
+        quad_form[block] = np.einsum("ni,nij,nj->n", g, inv, g)
+        u_up = 0.5 * nu * np.einsum("nij,nj->ni", inv, g)
+        u_sigma_u[block] = np.einsum("ni,nij,nj->n", u_up, sig, u_up)
+    # wts * rho * root in the weights' own column: one column less held
+    norm_weight = wts
+    norm_weight *= rho
+    norm_weight *= root
     normalization = float(np.sum(norm_weight))
 
-    grad = _grad_log(density, pts, grad_log_density, box)
-    quad_form = np.einsum("ni,nij,nj->n", grad, inv, grad)
     contrib = 0.25 * nu**2 * quad_form * norm_weight
     total = float(np.sum(contrib))
     if total > 0.0:
@@ -353,8 +375,9 @@ def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER,
         "grad": grad,
         "points": pts,
         "weights": norm_weight,
-        "metric": sig,
-        "inverse_metric": inv,
+        "sqrt_det": root,
+        "quad_form": quad_form,
+        "u_sigma_u": u_sigma_u,
     }
 
 
@@ -401,14 +424,9 @@ def energy_report(density, patch, constants, box, delta=1.0,
     g00 = np.asarray(patch.g00(t_nodes), dtype=float)
     time_factor = float(np.sum(t_w * np.sqrt(-g00)))
 
-    # direct route: raise the log-gradient, then lower with sigma
-    grad = u2["grad"]
-    inv = u2["inverse_metric"]
-    u_up = 0.5 * constants.nu * np.einsum("nij,nj->ni", inv, grad)
-    uu = np.einsum("ni,nij,nj->n", u_up, u2["metric"], u_up)
-    w = u2["weights"]
+    # direct route: u.sigma.u with u the raised log-gradient
     numerator = time_factor * float(
-        np.sum(w * (-0.5 * c2 + 0.5 * uu))
+        np.sum(u2["weights"] * (-0.5 * c2 + 0.5 * u2["u_sigma_u"]))
     )
     denominator = time_factor * u2["normalization"]
     mu_direct = constants.mass * numerator / denominator

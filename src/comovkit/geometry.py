@@ -33,6 +33,12 @@ helpers and ``metric_compatibility_residual`` take batches as well (the
 covector fields ``u`` they differentiate map (..., 3) points to (..., 3)
 components), and ``flatness_report``, ``curvature_budget`` and
 ``geometry_diagnostics`` evaluate their lattices in one stacked call.
+Every ``MetricPatch`` table (sigma and sigma-gradient rows, the
+factorization, the Christoffel algebra) is built point by point in blocks
+of ``ROW_BLOCK`` (512) rows into preallocated arrays, as is the energy
+quadrature of ``estimators.expectation_u2``: the work arrays stay the
+size of one block whatever the batch, and every row equals the
+whole-batch value bit for bit.
 Every finite difference here (sigma derivatives of a patch without a
 ``sigma_gradient``, Christoffel derivatives, covector derivatives) is the
 package's central-difference stencil, ``fields.central_gradient``: one
@@ -54,22 +60,35 @@ from .fields import central_gradient
 
 DEFAULT_H = 1e-2
 FD_STEP = 1e-3  # sigma and covector derivative step when none is given
+# rows per block of every MetricPatch table and of the energy quadrature:
+# work arrays stay O(ROW_BLOCK) whatever the batch, and each row's values
+# do not depend on where the blocks split the batch
+ROW_BLOCK = 512
+
+
+def _row_blocks(n):
+    """Slices of ROW_BLOCK consecutive rows covering rows 0 to n - 1."""
+    return (slice(lo, lo + ROW_BLOCK) for lo in range(0, n, ROW_BLOCK))
 
 
 def _stack_rows(func, name, q, shape):
-    """Stack the pointwise ``func`` over the rows of q into (..., *shape).
+    """Stack the pointwise ``func`` over the rows of q into (..., *shape),
+    filling one preallocated array ROW_BLOCK rows at a time.
 
     Raises ValueError naming ``func`` when a point gives another shape.
     """
     rows = q.reshape(-1, 3)
-    vals = [func(p) for p in rows]
+    out = np.empty((len(rows),) + shape)
     wrong = f"{name} must evaluate to a {shape} array at every point"
-    try:
-        out = np.array(vals, dtype=float)
-    except ValueError as err:  # points gave different shapes
-        raise ValueError(wrong) from err
-    if len(rows) and out.shape[1:] != shape:
-        raise ValueError(f"{wrong}; got {out.shape[1:]}")
+    for block in _row_blocks(len(rows)):
+        vals = [func(p) for p in rows[block]]
+        try:
+            vals = np.array(vals, dtype=float)
+        except ValueError as err:  # points gave different shapes
+            raise ValueError(wrong) from err
+        if vals.shape[1:] != shape:
+            raise ValueError(f"{wrong}; got {vals.shape[1:]}")
+        out[block] = vals
     return out.reshape(q.shape[:-1] + shape)
 
 
@@ -87,8 +106,10 @@ class MetricPatch:
     give (..., 3, 3), ``sqrt_det`` gives (...) (a float for one point),
     ``sigma_derivatives`` and ``christoffel`` give (..., 3, 3, 3) and
     ``christoffel_contraction`` gives (..., 3). The two callables are
-    evaluated point by point, and every point must give the same shape;
-    the factorizations run stacked.
+    evaluated point by point in blocks of ROW_BLOCK (512) rows, and every
+    point must give the same shape; each block is factorized in one
+    stacked eigh and its Christoffel algebra runs stacked, into
+    preallocated arrays for the whole batch.
 
     ``factors`` (and with it ``inverse``, ``sqrt_det``, ``noise_factor``,
     ``christoffel`` and ``christoffel_contraction``) keeps the result for
@@ -117,7 +138,8 @@ class MetricPatch:
         return _stack_rows(self._sigma, "sigma", q, (3, 3))
 
     def factors(self, q):
-        """sigma, sigma^{-1} and sqrt|sigma| from one stacked eigh.
+        """sigma, sigma^{-1} and sqrt|sigma| from one stacked eigh per
+        block of ROW_BLOCK rows.
 
         Repeated calls at the same points (same shape and bytes) on one
         thread return the same read-only arrays without evaluating sigma
@@ -132,18 +154,25 @@ class MetricPatch:
 
     def _factorize(self, q, sig):
         """Factor sigma (..., 3, 3) at the points q (..., 3) and remember
-        the result as the last batch of this thread."""
-        w, v = np.linalg.eigh(sig)
-        bad = (w[..., 0] <= 0.0).reshape(-1)
-        if np.any(bad):
-            n = int(np.argmax(bad))
-            raise NotSpacelike(
-                "spatial metric not positive-definite at "
-                f"{q.reshape(-1, 3)[n].tolist()}: "
-                f"eigenvalues {w.reshape(-1, 3)[n].tolist()}"
-            )
-        inv = (v / w[..., None, :]) @ np.swapaxes(v, -1, -2)
-        root = np.sqrt(np.prod(w, axis=-1))
+        the result as the last batch of this thread. Each block of
+        ROW_BLOCK rows has its own eigh."""
+        rows = sig.reshape(-1, 3, 3)
+        inv = np.empty_like(rows)
+        root = np.empty(len(rows))
+        for block in _row_blocks(len(rows)):
+            w, v = np.linalg.eigh(rows[block])
+            bad = w[:, 0] <= 0.0
+            if np.any(bad):
+                n = block.start + int(np.argmax(bad))
+                raise NotSpacelike(
+                    "spatial metric not positive-definite at "
+                    f"{q.reshape(-1, 3)[n].tolist()}: "
+                    f"eigenvalues {w[n - block.start].tolist()}"
+                )
+            inv[block] = (v / w[:, None, :]) @ np.swapaxes(v, -1, -2)
+            root[block] = np.sqrt(np.prod(w, axis=-1))
+        inv = inv.reshape(sig.shape)
+        root = root.reshape(sig.shape[:-2])
         if root.ndim == 0:
             root = float(root)
         else:
@@ -186,14 +215,28 @@ class MetricPatch:
         )
         return 0.5 * np.einsum("...il,...ljk->...ijk", inv, term)
 
+    @classmethod
+    def _contraction(cls, inv, d):
+        return np.einsum("...jk,...ijk->...i", inv, cls._christoffel(inv, d))
+
+    def _by_blocks(self, q, h, algebra, shape):
+        """``algebra(inv, d)`` on each block of ROW_BLOCK rows, stacked
+        into (..., *shape)."""
+        inv, d = self._inverse_and_derivatives(q, h)
+        lead = d.shape[:-3]
+        inv, d = inv.reshape(-1, 3, 3), d.reshape(-1, 3, 3, 3)
+        out = np.empty((len(d),) + shape)
+        for block in _row_blocks(len(d)):
+            out[block] = algebra(inv[block], d[block])
+        return out.reshape(lead + shape)
+
     def christoffel(self, q, h=None):
         """Gamma[i, j, k] = 1/2 sigma^{il} (d_j s_lk + d_k s_lj - d_l s_jk)."""
-        return self._christoffel(*self._inverse_and_derivatives(q, h))
+        return self._by_blocks(q, h, self._christoffel, (3, 3, 3))
 
     def christoffel_contraction(self, q, h=None):
         """sigma^{jk} Gamma^i_{jk}: the curvature correction in drifts."""
-        inv, d = self._inverse_and_derivatives(q, h)
-        return np.einsum("...jk,...ijk->...i", inv, self._christoffel(inv, d))
+        return self._by_blocks(q, h, self._contraction, (3,))
 
     # --- constructors ---------------------------------------------------------
     @classmethod
@@ -353,13 +396,14 @@ def pullback_metric(chart, xi):
 def riemann(patch, q, h=DEFAULT_H):
     """R^i_{klm} at points (..., 3) from FD of the Christoffel field.
 
-    Seven Christoffel rows per point: the centre, and its six axis
-    neighbours as one stencil batch; the result is (..., 3, 3, 3, 3).
+    Seven Christoffel rows per point: the six axis neighbours as one
+    stencil batch, then the centre, so the patch's memo is left holding
+    the factorization at q; the result is (..., 3, 3, 3, 3).
     """
     q = np.asarray(q, dtype=float)
-    gamma = patch.christoffel(q, h=h)
     # dgamma[..., l, i, k, m] = d_l Gamma^i_km
     dgamma = central_gradient(lambda p: patch.christoffel(p, h=h), q, h)
+    gamma = patch.christoffel(q, h=h)
     quad = np.einsum("...ial,...akm->...iklm", gamma, gamma)
     return (
         np.moveaxis(dgamma, -4, -2)  # d_l Gamma^i_km -> [i,k,l,m]
@@ -496,8 +540,9 @@ def geometry_diagnostics(chart, half_width=1.0, n_per_axis=3, xi0=0.0,
         g[:, 0, 0] - chart.time_convention.g00(xi0))))
 
     base_pts = chart.base_origin + spatial @ chart.frame_matrix_inv.T
-    eig_records = np.linalg.eigvalsh(patch.factors(base_pts)[0]).tolist()
     flat = flatness_report(patch, base_pts, h=h, budget=budget)
+    # the curvature's centre rows left sigma at base_pts in the memo
+    eig_records = np.linalg.eigvalsh(patch.factors(base_pts)[0]).tolist()
     return {
         "xi0": float(xi0),
         "lattice_half_width": float(half_width),

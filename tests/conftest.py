@@ -1,5 +1,8 @@
 """Shared fixtures: canonical field bundles reused across the test suite,
-and the family thresholds every Monte Carlo assertion uses."""
+the family thresholds every Monte Carlo assertion uses, and the
+tracemalloc peak the memory gates read."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +97,18 @@ def family_checks(t, biased, dof):
     """
     profile = np.ravel(biased) - np.ravel(t)
     return family_check(t, dof, profile), family_check(biased, dof, profile)
+
+
+def traced_peak(call):
+    """(result, peak traced bytes during the call); numpy reports its
+    buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 NEAR_STANDING_WAVEVECTORS = np.array([[0.75, 0.0, 0.0], [-0.9, 0.0, 0.0]])

@@ -2,7 +2,6 @@
 
 import sys
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from comovkit.errors import (
 from comovkit.estimators import estimate_density
 from comovkit.fields import Box
 from comovkit.geometry import MetricPatch, polar_flat_patch
-from conftest import family_checks
+from conftest import family_checks, traced_peak
 
 SIGMA_RHO = 1.0
 NU = 1.0
@@ -860,18 +859,6 @@ def test_overflow_binning_matches_keep_and_copy(exact_ensemble):
                                   equal_nan=True), name
 
 
-def _traced_peak(call):
-    """(result, peak traced bytes during the call); numpy reports its
-    buffers to tracemalloc."""
-    tracemalloc.start()
-    try:
-        result = call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 @pytest.fixture(scope="module")
 def traced_simulation():
     # 8 192 paths x 24 snapshots in four chunks on two threads; the
@@ -884,7 +871,7 @@ def traced_simulation():
     )
     patch = MetricPatch.euclidean()
     drift = drift_from_fields(ou_drift, patch, NU)
-    ensemble, peak = _traced_peak(lambda: simulate(drift, patch, config))
+    ensemble, peak = traced_peak(lambda: simulate(drift, patch, config))
     return ensemble, peak / ensemble.pre.nbytes
 
 
@@ -902,7 +889,7 @@ ALLOC_BINS = BinSpec((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5), (4, 4, 4))
 
 def test_drift_estimate_allocates_columns_not_copies(traced_simulation):
     ensemble, _ = traced_simulation
-    est, peak = _traced_peak(
+    est, peak = traced_peak(
         lambda: forward_drift_estimate(ensemble, ALLOC_BINS, min_count=10))
     assert np.any(est.valid)
     assert peak / ensemble.pre.nbytes <= 2.0
@@ -910,7 +897,7 @@ def test_drift_estimate_allocates_columns_not_copies(traced_simulation):
 
 def test_density_estimate_allocates_columns_not_copies(traced_simulation):
     ensemble, _ = traced_simulation
-    density, peak = _traced_peak(lambda: estimate_density(
+    density, peak = traced_peak(lambda: estimate_density(
         ensemble, ALLOC_BINS, MetricPatch.euclidean()))
     assert density.meta["total_inside"] > 0
     assert peak / ensemble.pre.nbytes <= 2.0
@@ -918,7 +905,7 @@ def test_density_estimate_allocates_columns_not_copies(traced_simulation):
 
 def test_specular_reverse_allocates_no_ensemble(traced_simulation):
     ensemble, _ = traced_simulation
-    rev, peak = _traced_peak(lambda: specular_reverse(ensemble))
+    rev, peak = traced_peak(lambda: specular_reverse(ensemble))
     assert rev.n_paths == ensemble.n_paths
     assert peak / ensemble.pre.nbytes <= 0.01
 
@@ -1021,7 +1008,7 @@ def block_ensembles():
 
 
 def _work_peaks(ensembles, call):
-    return [_traced_peak(lambda: call(ens))[1] for ens in ensembles]
+    return [traced_peak(lambda: call(ens))[1] for ens in ensembles]
 
 
 def _assert_block_bounded(peaks, columns):

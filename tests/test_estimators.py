@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from comovkit import geometry
 from comovkit.constants import natural_units
 from comovkit.diffusion import (
     BinSpec,
@@ -27,8 +28,8 @@ from comovkit.estimators import (
     velocities_from_drifts,
 )
 from comovkit.fields import Box
-from comovkit.geometry import MetricPatch
-from conftest import family_checks
+from comovkit.geometry import ROW_BLOCK, MetricPatch
+from conftest import family_checks, traced_peak
 
 SIGMA_RHO = 1.0
 NU = 1.0
@@ -399,6 +400,44 @@ def test_energy_on_plane_wave_slice(boost_chart):
     scale = CONSTANTS.mass * CONSTANTS.c**2
     assert abs(rep.mu_direct + 0.5 * scale) < 1e-10 * scale
     assert abs(rep.mu_direct - rep.mu_identity) < 1e-10 * scale
+
+
+def _wavy_patch():
+    """A pointwise, non-constant metric: the quadrature builds its tables
+    row by row, as for any patch without ``is_constant``."""
+    return MetricPatch(
+        lambda q: np.diag([1.0, 1.0 + 0.5 * np.sin(q[0]) ** 2, 1.0]),
+        name="wavy")
+
+
+def _wavy_energy(order):
+    return energy_report(gauss_density, _wavy_patch(), CONSTANTS,
+                         Box((-7.0, -7.0, -7.0), (7.0, 7.0, 7.0)),
+                         order=order, grad_log_density=gauss_grad_log)
+
+
+def test_energy_report_holds_columns_and_one_block():
+    # order 40: 64 000 nodes. Held per node at the peak: the nodes and the
+    # log gradient (three float64 columns each), the weights (normalized
+    # in place), rho, sqrt|sigma|, the quadratic form, u.sigma.u, the
+    # integrand and one temporary (13 columns, 104 B), and the shell
+    # mask's boolean columns (9 B); the rest is one block's work, under
+    # 1 kB a row. Whole-batch (n, 3, 3) metric tables peak at about 353 B
+    # a node.
+    order = 40
+    rep, peak = traced_peak(lambda: _wavy_energy(order))
+    scale = CONSTANTS.mass * CONSTANTS.c**2
+    assert abs(rep.mu_direct - rep.mu_identity) < 1e-12 * scale
+    assert peak <= (13 * 8 + 9) * order**3 + 1024 * ROW_BLOCK
+
+
+@pytest.mark.parametrize("block", [7, 1 << 20])
+def test_energy_report_does_not_depend_on_the_row_block(block, monkeypatch):
+    # order 9: 729 nodes, a block and a part at the default size; every
+    # sum runs over whole columns, so the split cannot move a value
+    want = _wavy_energy(9)
+    monkeypatch.setattr(geometry, "ROW_BLOCK", block)
+    assert _wavy_energy(9) == want
 
 
 # --- action -----------------------------------------------------------------------

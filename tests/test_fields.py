@@ -30,6 +30,7 @@ from comovkit.fields import (
     make_plane_wave,
     osmotic_four_velocity,
 )
+from conftest import traced_peak
 
 
 def random_points(rng, n, half=2.0):
@@ -297,18 +298,12 @@ def test_closed_form_phase_properties(case):
 def test_first_phase_call_allocates_little():
     # the phase needs no lattice: a fresh packet_9mode bundle's first
     # value stays under 1 MB of allocations
-    import tracemalloc
-
     spec = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
                        / "packet_9mode.json").read_text())["field"]
     bundle = make_packet(spec["wavevectors"], spec["weights"],
                          Box(spec["domain"]["lo"], spec["domain"]["hi"]))
-    tracemalloc.start()
-    try:
-        bundle.phase(np.array([0.3, -0.2, 0.1, 0.4]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(
+        lambda: bundle.phase(np.array([0.3, -0.2, 0.1, 0.4])))
     assert peak < 1_000_000
 
 

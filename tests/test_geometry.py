@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from comovkit.chart import ComovingChart
 from comovkit.errors import NotSpacelike
 from comovkit.fields import Box, central_gradient, make_packet
+from conftest import traced_peak
 from comovkit.geometry import (
     DEFAULT_H,
     FD_STEP,
+    ROW_BLOCK,
     MetricPatch,
     chart_spatial_patch,
     covariant_derivative_covector,
@@ -344,10 +346,11 @@ def test_derivatives_make_one_stencil_call():
     pts = np.array([[0.7, 0.1, 0.0], [1.9, -2.0, 1.0]])
     patch.sigma_derivatives(pts)
     assert calls["metric"] == [(2, 6, 3)]
-    # riemann: seven Christoffel rows per point, the centre and six neighbours
+    # riemann: seven Christoffel rows per point, the six neighbours and
+    # then the centre, whose factorization the memo keeps
     patch.christoffel = counted_christoffel
     riemann(patch, pts)
-    assert calls["christoffel"] == [(2, 3), (2, 6, 3)]
+    assert calls["christoffel"] == [(2, 6, 3), (2, 3)]
 
 
 def test_pullback_metric_boost_is_isometry(boost_chart):
@@ -538,11 +541,9 @@ def test_batched_riemann_chart_patch(packet9_chart):
     assert np.max(np.abs(batched)) < 1e-3
 
 
-@pytest.mark.parametrize("coords", ["base", "chart"])
-def test_chart_patch_solves_each_batch_once(packet9_chart, coords,
-                                            monkeypatch):
-    # sigma and its closed-form derivatives share one height solve: the
-    # 125 centres and the 750 stencil neighbours of a 5^3 lattice
+@pytest.fixture
+def height_rows(monkeypatch):
+    """The row count of every ``chart.solve_height`` call, in call order."""
     import comovkit.chart as chart_module
 
     rows = []
@@ -553,12 +554,21 @@ def test_chart_patch_solves_each_batch_once(packet9_chart, coords,
         return solve(surface, q, guess=guess)
 
     monkeypatch.setattr(chart_module, "solve_height", counted)
+    return rows
+
+
+@pytest.mark.parametrize("coords", ["base", "chart"])
+def test_chart_patch_solves_each_batch_once(packet9_chart, coords,
+                                            height_rows):
+    # sigma and its closed-form derivatives share one height solve: the
+    # 750 stencil neighbours and then the 125 centres of a 5^3 lattice
+    rows = height_rows
     patch = (MetricPatch.from_chart(packet9_chart) if coords == "base"
              else chart_spatial_patch(packet9_chart))
     ax = np.linspace(-1.0, 1.0, 5)
     q = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
     riemann(patch, q.reshape(-1, 3))
-    assert rows == [125, 750]
+    assert rows == [750, 125]
     # the shared solve's sigma is the one ``metric`` gives
     np.testing.assert_array_equal(patch._metric_and_derivatives(q)[0],
                                   patch.metric(q))
@@ -567,6 +577,162 @@ def test_chart_patch_solves_each_batch_once(packet9_chart, coords,
     patch.christoffel_contraction(q[0])
     patch.noise_factor(q[0])
     assert rows == [25]
+
+
+def test_geometry_diagnostics_solves_the_lattice_once(packet9_chart,
+                                                      height_rows):
+    # the pullback Jacobian's 216 rows, the curvature stencil's 162
+    # neighbours, then the 27 centres, whose factorization the sigma
+    # eigenvalues read back from the memo instead of solving them again
+    geometry_diagnostics(packet9_chart)
+    assert height_rows == [216, 162, 27]
+    assert sum(height_rows) == 405
+
+
+# --- fixed row blocks ---------------------------------------------------------
+#
+# Every MetricPatch table is built ROW_BLOCK rows at a time. Each row must
+# equal the whole-batch algebra bit for bit wherever the block edges fall,
+# and errors must name the same row as a whole-batch evaluation would.
+
+SHEAR = 0.7
+EDGE_SIZES = (1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+              2 * ROW_BLOCK + 1)
+# one block's pointwise rows, eigh and work arrays stay under 1 kB a row
+BLOCK_WORK = 1024 * ROW_BLOCK
+
+
+def _shear_sigma(q):
+    # flat space in sheared coordinates, with a z-dependent third axis
+    c = SHEAR * np.cos(q[1])
+    return np.array([[1.0, c, 0.0], [c, 1.0 + c * c, 0.0],
+                     [0.0, 0.0, 1.0 + 0.1 * np.sin(q[2])]])
+
+
+def _shear_dsigma(q):
+    d = np.zeros((3, 3, 3))
+    c, dc = SHEAR * np.cos(q[1]), -SHEAR * np.sin(q[1])
+    d[1, 0, 1] = d[1, 1, 0] = dc
+    d[1, 1, 1] = 2.0 * c * dc
+    d[2, 2, 2] = 0.1 * np.cos(q[2])
+    return d
+
+
+BLOCK_PATCHES = {
+    "analytic": lambda: MetricPatch(_shear_sigma,
+                                    sigma_gradient=_shear_dsigma),
+    "fd": lambda: MetricPatch(_shear_sigma),
+}
+
+
+def _stacked_shear_sigma(p):
+    rows = [_shear_sigma(r) for r in p.reshape(-1, 3)]
+    return np.array(rows).reshape(p.shape[:-1] + (3, 3))
+
+
+def _whole_batch(name, q):
+    """Every table of the rows q from one stacked eigh and whole-batch
+    algebra."""
+    sig = _stacked_shear_sigma(q)
+    w, v = np.linalg.eigh(sig)
+    inv = (v / w[..., None, :]) @ np.swapaxes(v, -1, -2)
+    if name == "analytic":
+        d = np.array([_shear_dsigma(r) for r in q])
+    else:
+        d = central_gradient(_stacked_shear_sigma, q, FD_STEP)
+    term = np.swapaxes(d, -3, -2) + np.moveaxis(d, -3, -1) - d
+    gamma = 0.5 * np.einsum("...il,...ljk->...ijk", inv, term)
+    return {
+        "metric": sig,
+        "inverse": inv,
+        "sqrt_det": np.sqrt(np.prod(w, axis=-1)),
+        "noise_factor": np.linalg.cholesky(inv),
+        "sigma_derivatives": d,
+        "christoffel": gamma,
+        "christoffel_contraction": np.einsum("...jk,...ijk->...i", inv,
+                                             gamma),
+    }
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_PATCHES))
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_block_edges_match_whole_batch(name, n):
+    q = np.random.default_rng(n).uniform(-2.0, 2.0, size=(n, 3))
+    patch = BLOCK_PATCHES[name]()
+    want = _whole_batch(name, q)
+    sig, inv, root = patch.factors(q)
+    assert _same_bits(sig, want["metric"])
+    assert _same_bits(inv, want["inverse"])
+    assert _same_bits(root, want["sqrt_det"])
+    for method, ref in want.items():
+        assert _same_bits(getattr(patch, method)(q), ref), method
+
+
+def test_not_spacelike_names_the_first_bad_row_of_a_later_block():
+    patch = MetricPatch(lambda q: np.diag([1.0, q[0], 1.0]), name="signed")
+    pts = np.random.default_rng(9).uniform(0.1, 2.0,
+                                           size=(2 * ROW_BLOCK + 1, 3))
+    first = ROW_BLOCK + 3
+    pts[[first, 2 * ROW_BLOCK], 0] = [-0.5, -0.25]
+    for method in ("inverse", "sqrt_det", "christoffel",
+                   "christoffel_contraction"):
+        with pytest.raises(NotSpacelike) as err:
+            getattr(patch, method)(pts)
+        assert str(pts[first].tolist()) in str(err.value)
+        assert "eigenvalues [-0.5, 1.0, 1.0]" in str(err.value)
+
+
+def test_wrong_shape_in_a_later_block_is_refused():
+    pts = np.zeros((2 * ROW_BLOCK + 1, 3))
+    pts[ROW_BLOCK + 5, 0] = 1.0
+
+    def sigma(q):
+        return np.eye(3) if q[0] < 0.5 else np.eye(2)
+
+    # one row of another shape inside the second block
+    with pytest.raises(ValueError, match="sigma must evaluate"):
+        MetricPatch(sigma).metric(pts)
+    # the last block, one row, all of another shape
+    pts[ROW_BLOCK + 5, 0] = 0.0
+    pts[-1, 0] = 1.0
+    with pytest.raises(ValueError, match=r"got \(2, 2\)"):
+        MetricPatch(sigma).factors(pts)
+    gradient = MetricPatch(
+        lambda q: np.eye(3),
+        sigma_gradient=lambda q: np.zeros((3, 3, 3)) if q[0] < 0.5 else 0.0)
+    with pytest.raises(ValueError, match="sigma_gradient must evaluate"):
+        gradient.christoffel(pts)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_PATCHES))
+def test_empty_batch_gives_empty_tables(name):
+    patch = BLOCK_PATCHES[name]()
+    q = np.empty((0, 3))
+    sig, inv, root = patch.factors(q)
+    assert sig.shape == inv.shape == (0, 3, 3)
+    assert root.shape == (0,)
+    assert patch.noise_factor(q).shape == (0, 3, 3)
+    assert patch.sigma_derivatives(q).shape == (0, 3, 3, 3)
+    assert patch.christoffel(q).shape == (0, 3, 3, 3)
+    assert patch.christoffel_contraction(q).shape == (0, 3)
+    assert isinstance(patch.sqrt_det(np.array([0.3, -0.2, 0.1])), float)
+
+
+def test_factors_hold_their_tables_and_one_block():
+    # held per row: sigma and sigma^-1 (72 B each), sqrt|sigma| (8 B) and
+    # the memo's key bytes (24 B); everything else is one block's work.
+    # A whole-batch factorization peaks at about 313 B a row.
+    n = 1 << 16
+    q = np.random.default_rng(11).uniform(-2.0, 2.0, size=(n, 3))
+    patch = BLOCK_PATCHES["analytic"]()
+    (sig, _, _), peak = traced_peak(lambda: patch.factors(q))
+    assert sig.shape == (n, 3, 3)
+    assert peak <= (72 + 72 + 8 + 24) * n + BLOCK_WORK
 
 
 # --- closed-form slice derivatives and the Gauss equation ---------------------
