@@ -24,6 +24,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import sys
 import time
 import traceback
@@ -803,6 +804,118 @@ def _pointer(parts):
     return "/" + "/".join(str(p) for p in parts)
 
 
+# The JSON Schema draft-07 keywords that _schema_errors checks: all that
+# SCENARIO_SCHEMA uses ("$schema" only names the draft).
+_SCHEMA_KEYWORDS = frozenset({
+    "type", "properties", "required", "additionalProperties", "items",
+    "minItems", "maxItems", "uniqueItems", "minimum", "exclusiveMinimum",
+    "exclusiveMaximum", "minLength", "const", "enum", "oneOf"})
+_SCHEMA_TYPES = {"object": dict, "array": list, "string": str,
+                 "boolean": bool, "null": type(None)}
+
+
+def _is_type(value, name):
+    """Draft-07 types: a boolean is no number, and 1.0 is an integer."""
+    if name not in ("number", "integer"):
+        return isinstance(value, _SCHEMA_TYPES[name])
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+        return False
+    return name == "number" or isinstance(value, int) \
+        or (isinstance(value, float) and value.is_integer())
+
+
+def _json_equal(a, b):
+    """JSON equality: a boolean equals only itself (not 1 or 0), and arrays
+    and objects compare member by member."""
+    if a is b:
+        return True
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() \
+            and all(_json_equal(v, b[k]) for k, v in a.items())
+    if isinstance(a, bool) or isinstance(b, bool):
+        return False
+    return a == b
+
+
+def _schema_errors(schema, value, path=()):
+    """Yield (path, message) for each way ``value`` breaks ``schema``.
+
+    Checks the keywords in _SCHEMA_KEYWORDS as draft-07 defines them and
+    in jsonschema's wording, each keyword on its own: ``-0.5`` against an
+    integer with a minimum of 0 breaks both. ``path`` is the tuple of keys
+    and indices from the document root; a ``oneOf`` is one error at its
+    container, whatever its branches say.
+    """
+    for key, rule in schema.items():
+        if key == "type":
+            names = [rule] if isinstance(rule, str) else rule
+            if not any(_is_type(value, name) for name in names):
+                yield path, "%r is not of type %s" % (
+                    value, ", ".join(map(repr, names)))
+        elif key == "const":
+            if not _json_equal(value, rule):
+                yield path, "%r was expected" % (rule,)
+        elif key == "enum":
+            if not any(_json_equal(each, value) for each in rule):
+                yield path, "%r is not one of %r" % (value, rule)
+        elif key == "oneOf":
+            valid = [sub for sub in rule
+                     if next(_schema_errors(sub, value), None) is None]
+            if not valid:
+                yield path, ("%r is not valid under any of the given schemas"
+                             % (value,))
+            elif len(valid) > 1:
+                yield path, "%r is valid under each of %s" % (
+                    value, ", ".join(map(repr, valid[1:] + valid[:1])))
+        elif isinstance(value, dict):
+            if key == "properties":
+                for name, sub in rule.items():
+                    if name in value:
+                        yield from _schema_errors(sub, value[name],
+                                                  path + (name,))
+            elif key == "required":
+                for name in rule:
+                    if name not in value:
+                        yield path, "%r is a required property" % (name,)
+            elif key == "additionalProperties" and rule is False:
+                known = schema.get("properties", {})
+                extra = sorted((k for k in value if k not in known), key=str)
+                if extra:
+                    yield path, ("Additional properties are not allowed "
+                                 "(%s %s unexpected)" % (
+                                     ", ".join(map(repr, extra)),
+                                     "was" if len(extra) == 1 else "were"))
+        elif isinstance(value, list):
+            if key == "items":
+                for index, item in enumerate(value):
+                    yield from _schema_errors(rule, item, path + (index,))
+            elif key == "minItems" and len(value) < rule:
+                yield path, "%r %s" % (value, "should be non-empty"
+                                       if rule == 1 else "is too short")
+            elif key == "maxItems" and len(value) > rule:
+                yield path, "%r %s" % (value, "is expected to be empty"
+                                       if rule == 0 else "is too long")
+            elif key == "uniqueItems" and rule and any(
+                    _json_equal(a, b)
+                    for i, a in enumerate(value) for b in value[:i]):
+                yield path, "%r has non-unique elements" % (value,)
+        elif _is_type(value, "number"):
+            if key == "minimum" and value < rule:
+                yield path, "%r is less than the minimum of %r" % (value, rule)
+            elif key == "exclusiveMinimum" and value <= rule:
+                yield path, ("%r is less than or equal to the minimum of %r"
+                             % (value, rule))
+            elif key == "exclusiveMaximum" and value >= rule:
+                yield path, ("%r is greater than or equal to the maximum of "
+                             "%r" % (value, rule))
+        elif isinstance(value, str):
+            if key == "minLength" and len(value) < rule:
+                yield path, "%r %s" % (value, "should be non-empty"
+                                       if rule == 1 else "is too short")
+
+
 def _check_cross_fields(raw):
     field_spec = raw.get("field", {})
     field_type = field_spec.get("type")
@@ -892,30 +1005,24 @@ def _make_dir(path):
 def validate(source):
     """Parse and validate a scenario file (path or dict). No execution.
 
-    Raises ConfigInvalid with JSON-pointer paths on any schema violation or
-    failed cross-field check, and naming the path when the file cannot be
-    read or parsed; returns a Scenario otherwise.
+    The document is checked against ``SCENARIO_SCHEMA`` by
+    ``_schema_errors``, then by the cross-field checks. Raises
+    ConfigInvalid with JSON-pointer paths (the root is ``/``; schema
+    errors sorted by path) on any violation, and naming the path when the
+    file cannot be read or parsed; returns a Scenario otherwise.
     """
-    import jsonschema
-
     if isinstance(source, dict):
         raw, path = source, ""
     else:
         path = str(source)
         raw = _read_json(path, "scenario")
 
-    validator = jsonschema.Draft7Validator(SCENARIO_SCHEMA)
-    schema_errors = sorted(validator.iter_errors(raw),
-                           key=lambda e: list(e.absolute_path))
+    schema_errors = sorted(_schema_errors(SCENARIO_SCHEMA, raw),
+                           key=lambda err: err[0])
     if schema_errors:
-        lines = []
-        pointers = []
-        for err in schema_errors:
-            ptr = _pointer(err.absolute_path)
-            pointers.append(ptr)
-            lines.append("%s: %s" % (ptr, err.message))
+        lines = ["%s: %s" % (_pointer(at), msg) for at, msg in schema_errors]
         raise ConfigInvalid("invalid scenario:\n  " + "\n  ".join(lines),
-                            pointers=pointers)
+                            pointers=[_pointer(at) for at, _ in schema_errors])
     _check_cross_fields(raw)
     return Scenario(raw=raw, path=path)
 

@@ -36,7 +36,6 @@ from .geometry import (
 
 __all__ = [
     "CurrentSample",
-    "BoostMatrix",
     "wave_operator",
     "kg_residual",
     "comoving_kg_residual",
@@ -374,38 +373,6 @@ def reconstruct_kinematics(bundle, x):
 # closed-form boost comparison
 
 
-@dataclass(frozen=True)
-class BoostMatrix:
-    """A Lorentz boost with its inverse and generating velocity.
-
-    Construction validates the Minkowski form to 1e-12 and the speed bound;
-    use ``from_velocity`` rather than assembling entries by hand.
-    """
-
-    matrix: np.ndarray
-    inverse: np.ndarray
-    velocity: np.ndarray
-
-    def __post_init__(self):
-        dev = float(np.max(np.abs(self.matrix.T @ ETA @ self.matrix - ETA)))
-        if dev > 1e-12:
-            raise ValueError("matrix does not preserve the Minkowski form")
-        rt = float(np.max(np.abs(self.matrix @ self.inverse - np.eye(4))))
-        if rt > 1e-12:
-            raise ValueError("inverse does not invert the boost")
-
-    @classmethod
-    def from_velocity(cls, velocity, c=1.0):
-        v = np.asarray(velocity, dtype=float)
-        if v @ v >= c * c:
-            raise ValueError("boost speed must be below c")
-        return cls(
-            matrix=boost_to_rest_frame(v, c),
-            inverse=boost_to_rest_frame(-v, c),
-            velocity=v,
-        )
-
-
 def boost_equivalence_check(bundle, chart, x):
     """Compare the chart Jacobian at x with the closed-form rest-frame boost.
 
@@ -417,13 +384,13 @@ def boost_equivalence_check(bundle, chart, x):
     """
     x = np.asarray(x, dtype=float)
     v, _ = reconstruct_kinematics(bundle, x)
-    boost = BoostMatrix.from_velocity(v, bundle.constants.c)
+    boost = boost_to_rest_frame(v, bundle.constants.c)
     jac = chart.jacobian(x)
     return {
         "jacobian": jac,
         "boost": boost,
         "velocity": v,
-        "max_deviation": float(np.max(np.abs(jac - boost.matrix))),
+        "max_deviation": float(np.max(np.abs(jac - boost))),
     }
 
 

@@ -297,10 +297,20 @@ def _metric_tables(patch, pts):
 def _grad_log(density, pts, grad_log_density, box):
     if grad_log_density is not None:
         return np.asarray(grad_log_density(pts), dtype=float)
-    # the density takes (n, 3) rows: the stencil's (n, 6, 3) go in flat
-    return central_gradient(
-        lambda p: np.log(density(p.reshape(-1, 3))).reshape(p.shape[:-1]),
-        pts, 1e-5 * float(np.min(box.extent)))
+
+    def log_density(p):
+        # the density takes (m, 3) rows: the stencil's (m, 6, 3) go in flat
+        return np.log(density(p.reshape(-1, 3))).reshape(p.shape[:-1])
+
+    # the stencil runs over blocks of ROW_BLOCK nodes; a lone last node
+    # joins the block before it, as a one-row batch may round differently
+    blocks = list(_row_blocks(max(len(pts) - 1, 1)))
+    blocks[-1] = slice(blocks[-1].start, len(pts))
+    h = 1e-5 * float(np.min(box.extent))
+    grad = np.empty(pts.shape)
+    for block in blocks:
+        grad[block] = central_gradient(log_density, pts[block], h)
+    return grad
 
 
 def _shell_mask(box, pts, margin=0.1):
@@ -319,16 +329,16 @@ def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER,
     the outer shell of the box carries more than ``tail_tol`` of the
     integrand, i.e. the box truncates the tails.
 
-    The density and its log gradient are evaluated on all nodes at once;
-    the metric tables are built and used in one pass over blocks of
-    ``geometry.ROW_BLOCK`` nodes, which keeps only per-node columns. The
-    returned dict holds ``value``, ``normalization``, ``tail_fraction``
-    and ``order``, and per node: ``points`` (n, 3), ``grad`` (n, 3), the
-    log gradient, ``weights``, the quadrature weight times rho
-    sqrt|sigma|, ``sqrt_det``, sqrt|sigma|, ``quad_form``, grad .
-    sigma^{-1} . grad, and ``u_sigma_u``, u . sigma . u with
-    u = (nu/2) sigma^{-1} grad, the squared osmotic velocity of the
-    direct energy route.
+    The density is evaluated on all nodes at once; its finite-difference
+    log gradient (when ``grad_log_density`` is not given) and the metric
+    tables are built in blocks of ``geometry.ROW_BLOCK`` nodes, which
+    keeps only per-node columns. The returned dict holds ``value``,
+    ``normalization``, ``tail_fraction`` and ``order``, and per node:
+    ``points`` (n, 3), ``grad`` (n, 3), the log gradient, ``weights``,
+    the quadrature weight times rho sqrt|sigma|, ``sqrt_det``,
+    sqrt|sigma|, ``quad_form``, grad . sigma^{-1} . grad, and
+    ``u_sigma_u``, u . sigma . u with u = (nu/2) sigma^{-1} grad, the
+    squared osmotic velocity of the direct energy route.
     """
     pts, wts = _tensor_nodes(box, order)
     rho = np.asarray(density(pts), dtype=float)

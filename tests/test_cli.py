@@ -1,5 +1,6 @@
 """Scenario validation, run orchestration, exit codes, and plot extraction."""
 
+import copy
 import hashlib
 import json
 import time
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comovkit import cli
 from comovkit.cli import emit_plotdata, main, run, validate
@@ -298,6 +301,158 @@ def test_validate_cli_exit_codes(tmp_path, capsys):
     assert main(["validate", bad]) == 2
     err = capsys.readouterr().err
     assert "invalid" in err
+
+
+def test_validate_reports_each_broken_keyword_on_its_own():
+    doc = plane_wave_doc(seed=-0.5)
+    with pytest.raises(ConfigInvalid) as err:
+        validate(doc)
+    assert err.value.pointers == ["/seed", "/seed"]
+    assert "-0.5 is not of type 'integer'" in str(err.value)
+    assert "-0.5 is less than the minimum of 0" in str(err.value)
+    assert validate(plane_wave_doc(seed=7.0)).seed == 7  # 7.0 is an integer
+
+
+# ---------------------------------------------------------------------------
+# the schema walker against jsonschema, which serves only as the oracle
+
+# the documents the differential tests edit: the shipped scenarios and the
+# builders' documents
+SCHEMA_DOCS = [json.loads(p.read_text())
+               for p in sorted(SCENARIOS.glob("*.json"))] \
+    + [gaussian_doc(), plane_wave_doc(), packet_doc()]
+
+# values the edits put in: every JSON type, numbers on both sides of each
+# bound in the schema (1.0 is an integer, a boolean is no number), a const
+# value, short and long arrays ([1, True] holds no repeat: a boolean equals
+# only a boolean) and objects
+VALUE_POOL = (None, True, False, 0, -1, 1.0, -0.5, 1e9, "", "packet", [],
+              [1, True], [0.0, 0.0, 0.0], [0.5] * 40, {}, {"kind": "density"})
+
+
+def _paths(value, path=()):
+    """The path (tuple of keys and indices) of every value inside value."""
+    if isinstance(value, dict):
+        members = value.items()
+    elif isinstance(value, list):
+        members = enumerate(value)
+    else:
+        members = ()
+    for key, member in members:
+        yield path + (key,)
+        yield from _paths(member, path + (key,))
+
+
+def _edit(doc, path, kind, value):
+    """doc after one edit at path, made in place: "replace" puts value
+    there, "delete" removes the key or item, "add" gives an object an
+    unknown key holding value or appends value to an array. At the root
+    (path ()) only "add" on an object edits; anything else returns value."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    target = parent[path[-1]] if path else doc
+    if kind == "add" and isinstance(target, dict):
+        target["frobnicate"] = value
+    elif kind == "add" and isinstance(target, list):
+        target.append(value)
+    elif not path:
+        return value
+    elif kind == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _assert_walker_matches_oracle(doc):
+    """The walker's errors are jsonschema's, pointers and messages, and
+    validate raises their pointers sorted by path; returns how many."""
+    import jsonschema
+
+    want = [(tuple(e.absolute_path), e.message) for e in
+            jsonschema.Draft7Validator(cli.SCENARIO_SCHEMA).iter_errors(doc)]
+    got = cli._schema_errors(cli.SCENARIO_SCHEMA, doc)
+    assert sorted((cli._pointer(at), msg) for at, msg in got) \
+        == sorted((cli._pointer(at), msg) for at, msg in want), doc
+    if want and isinstance(doc, dict):
+        with pytest.raises(ConfigInvalid) as err:
+            validate(doc)
+        assert err.value.pointers == [
+            cli._pointer(at) for at, _ in sorted(want, key=lambda e: e[0])]
+    return len(want)
+
+
+def test_schema_walker_matches_jsonschema_on_each_single_edit():
+    # every place in the documents (array indices folded), in the first
+    # document that has it, is replaced by each pool value, deleted, and
+    # given an unknown key or an appended item (a repeated analysis)
+    first = {}
+    for doc in SCHEMA_DOCS:
+        for path in _paths(doc):
+            place = tuple("*" if isinstance(k, int) else k for k in path)
+            first.setdefault(place, (doc, path))
+    first[()] = (SCHEMA_DOCS[0], ())
+    n_invalid = 0
+    for doc, path in first.values():
+        edits = [("replace", v) for v in VALUE_POOL] \
+            + [("delete", None), ("add", "simulate")]
+        for kind, value in edits:
+            edited = _edit(copy.deepcopy(doc), path, kind,
+                           copy.deepcopy(value))
+            n_invalid += bool(_assert_walker_matches_oracle(edited))
+    assert n_invalid > 1000
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_schema_walker_matches_jsonschema_on_edited_documents(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(SCHEMA_DOCS)))
+    for _ in range(data.draw(st.integers(1, 4))):
+        path = data.draw(st.sampled_from([()] + list(_paths(doc))))
+        kind = data.draw(st.sampled_from(("replace", "delete", "add")))
+        target = doc
+        for key in path:
+            target = target[key]
+        # an appended item may repeat one already there (uniqueItems)
+        pool = VALUE_POOL + (tuple(target) if isinstance(target, list) else ())
+        value = copy.deepcopy(data.draw(st.sampled_from(pool)))
+        doc = _edit(doc, path, kind, value)
+    _assert_walker_matches_oracle(doc)
+
+
+def _schema_rules(schema):
+    """(keyword, value) for every keyword of schema and of every schema
+    nested in it, through properties and any schema-valued keyword."""
+    for key, rule in schema.items():
+        yield key, rule
+        if key == "properties":
+            subs = list(rule.values())
+        elif key in ("const", "enum"):
+            subs = []  # literal JSON values, not schemas
+        elif isinstance(rule, dict):
+            subs = [rule]
+        elif isinstance(rule, list):
+            subs = [sub for sub in rule if isinstance(sub, dict)]
+        else:
+            subs = []
+        for sub in subs:
+            yield from _schema_rules(sub)
+
+
+def test_schema_walker_handles_every_keyword_the_schema_uses():
+    rules = list(_schema_rules(cli.SCENARIO_SCHEMA))
+    used = {key for key, _ in rules} - {"$schema"}
+    assert used <= cli._SCHEMA_KEYWORDS, sorted(used - cli._SCHEMA_KEYWORDS)
+    # and only in the forms it checks
+    types = set(cli._SCHEMA_TYPES) | {"number", "integer"}
+    for key, rule in rules:
+        if key == "additionalProperties":
+            assert rule is False
+        elif key == "items":
+            assert isinstance(rule, dict)
+        elif key == "type":
+            assert set([rule] if isinstance(rule, str) else rule) <= types
 
 
 # ---------------------------------------------------------------------------

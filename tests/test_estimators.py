@@ -301,7 +301,8 @@ def test_expectation_u2_fd_log_gradient_is_one_density_call():
         return gauss_density(pts)
 
     out = expectation_u2(density, patch, box, NU, order=8)
-    # the quadrature nodes, then the whole 6-point stencil of every node
+    # the quadrature nodes, then the 6-point stencil of every node: 512
+    # nodes are one block of ROW_BLOCK
     assert calls == [(512, 3), (6 * 512, 3)]
     np.testing.assert_allclose(out["grad"], gauss_grad_log(out["points"]),
                                rtol=0, atol=1e-8)
@@ -429,6 +430,40 @@ def test_energy_report_holds_columns_and_one_block():
     scale = CONSTANTS.mass * CONSTANTS.c**2
     assert abs(rep.mu_direct - rep.mu_identity) < 1e-12 * scale
     assert peak <= (13 * 8 + 9) * order**3 + 1024 * ROW_BLOCK
+
+
+def test_log_gradient_stencil_holds_one_block():
+    # order 32: 32 768 nodes. Without grad_log_density the log gradient's
+    # stencil runs one block of ROW_BLOCK nodes at a time, so the peak holds
+    # the same 13 columns and shell mask as with an analytic gradient
+    # (see above) plus one block's stencil rows and density work, under
+    # 1 kB a node. The whole-batch stencil peaks at about 376 B a node.
+    order = 32
+    box = Box((-7.0, -7.0, -7.0), (7.0, 7.0, 7.0))
+    rep, peak = traced_peak(lambda: expectation_u2(
+        gauss_density, MetricPatch.euclidean(), box, NU, order=order))
+    assert abs(rep["value"] - 0.75) < 1e-9  # 3 (nu/2)^2 / sigma^2
+    assert peak <= (13 * 8 + 9) * order**3 + 1024 * ROW_BLOCK
+
+
+@pytest.mark.parametrize("block", [7, 1 << 20])
+def test_log_gradient_does_not_depend_on_the_row_block(block, monkeypatch):
+    # order 8: 512 nodes, 73 blocks of 7 and a lone node that joins the
+    # last block, so every stencil call takes two nodes (12 rows) or more
+    box = Box((-7.0, -7.0, -7.0), (7.0, 7.0, 7.0))
+    want = expectation_u2(gauss_density, MetricPatch.euclidean(), box, NU,
+                          order=8)
+    rows = []
+
+    def density(pts):
+        rows.append(len(pts))
+        return gauss_density(pts)
+
+    monkeypatch.setattr(geometry, "ROW_BLOCK", block)
+    got = expectation_u2(density, MetricPatch.euclidean(), box, NU, order=8)
+    assert min(rows[1:]) >= 12 and sum(rows[1:]) == 6 * 512
+    assert got["grad"].tobytes() == want["grad"].tobytes()
+    assert got["value"] == want["value"]
 
 
 @pytest.mark.parametrize("block", [7, 1 << 20])

@@ -308,25 +308,27 @@ def test_first_phase_call_allocates_little():
 
 
 def test_import_does_not_load_the_interpolator(tmp_path):
-    # scipy is not a runtime dependency: neither the import nor a full
-    # packet_9mode run may load any part of it
+    # scipy and jsonschema are not runtime dependencies: neither the import
+    # nor validating and running packet_9mode may load any part of them
     src = Path(comovkit.__file__).resolve().parents[1]
     scenario = src.parent / "scenarios" / "packet_9mode.json"
+    test_only = ("scipy", "jsonschema")
     code = (
         "import json, sys, comovkit, comovkit.cli\n"
-        "print('scipy' in sys.modules)\n"
+        f"print([m for m in {test_only!r} if m in sys.modules])\n"
         f"s = json.load(open({str(scenario)!r}))\n"
         "assert s['analyses'] == ['hypotheses', 'chart_diag', "
         "'geometry_diag', 'classify']\n"
         "r = comovkit.cli.run(comovkit.cli.validate(s), "
         f"out_dir={str(tmp_path)!r})\n"
         "assert r['error'] is None and 'scipy' not in r['versions']\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules "
+        f"if m.split('.')[0] in {test_only!r}))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=120, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src)))
-    assert out.stdout.split("\n")[:2] == ["False", "[]"]
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
 def test_packet_phase_gradient_consistent_with_values(packet9):
