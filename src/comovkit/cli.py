@@ -319,6 +319,7 @@ def _run_simulate(ctx):
         "final_variance_se": var["se"][-1].tolist(),
         "target_variance": sigma_sq,
         "threads": ctx.threads,
+        "initial_acceptance": dict(ensemble.meta["initial_acceptance"]),
     }
     rows = [_max_row("simulate", "stationary_variance_z", z_final, 3.0)]
     return result, rows
@@ -354,7 +355,7 @@ def _run_estimate(ctx):
     result = {
         "n_bins": int(bins.n_bins),
         "usable_bins": int(np.sum(usable)),
-        "min_count": int(min_count),
+        "min_count": min_count,
         "osmotic_identity_fraction": osmotic["fraction"],
         "osmotic_usable_bins": int(osmotic["n_bins"]),
         "drift_antisymmetry_fraction": anti_fraction,
@@ -465,7 +466,7 @@ def _run_classify(ctx):
     unanimous = len(classes) == 1 and classes[0] != "indeterminate"
     result = {
         "classes": classes,
-        "n_points": int(n_points),
+        "n_points": n_points,
         "modulus_residual_max": modulus_max,
         "cross_check_max": cross_max,
         "j0_min": j0_min,
@@ -781,7 +782,7 @@ class Scenario:
 
     @property
     def seed(self):
-        return int(self.raw.get("seed", 0))
+        return self.raw.get("seed", 0)
 
     @property
     def output(self):
@@ -916,6 +917,24 @@ def _schema_errors(schema, value, path=()):
                                        if rule == 1 else "is too short")
 
 
+def _with_integers(schema, value):
+    """A copy of ``value``, valid under ``schema``, with every number that
+    ``schema`` types ``integer`` as an int: draft-07 admits 1.0 there."""
+    if schema.get("type") == "integer":
+        return int(value)
+    if "oneOf" in schema:
+        branch = next(sub for sub in schema["oneOf"]
+                      if next(_schema_errors(sub, value), None) is None)
+        return _with_integers(branch, value)
+    if isinstance(value, dict) and "properties" in schema:
+        known = schema["properties"]
+        return {key: _with_integers(known[key], item) if key in known
+                else item for key, item in value.items()}
+    if isinstance(value, list) and "items" in schema:
+        return [_with_integers(schema["items"], item) for item in value]
+    return value
+
+
 def _check_cross_fields(raw):
     field_spec = raw.get("field", {})
     field_type = field_spec.get("type")
@@ -1009,7 +1028,9 @@ def validate(source):
     ``_schema_errors``, then by the cross-field checks. Raises
     ConfigInvalid with JSON-pointer paths (the root is ``/``; schema
     errors sorted by path) on any violation, and naming the path when the
-    file cannot be read or parsed; returns a Scenario otherwise.
+    file cannot be read or parsed; returns a Scenario otherwise, whose
+    ``raw`` is a copy of the document with every schema-integer field an
+    int (``2048.0`` reads as ``2048``).
     """
     if isinstance(source, dict):
         raw, path = source, ""
@@ -1023,6 +1044,7 @@ def validate(source):
         lines = ["%s: %s" % (_pointer(at), msg) for at, msg in schema_errors]
         raise ConfigInvalid("invalid scenario:\n  " + "\n  ".join(lines),
                             pointers=[_pointer(at) for at, _ in schema_errors])
+    raw = _with_integers(SCENARIO_SCHEMA, raw)
     _check_cross_fields(raw)
     return Scenario(raw=raw, path=path)
 

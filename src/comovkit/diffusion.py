@@ -17,14 +17,20 @@ Full trajectories at the acceptance scale would need tens of gigabytes,
 so ensembles store (state, next state) pairs at a strided set of
 post-burn-in steps plus the final step: everything the drift and density
 estimators condition on. Peak memory is those two arrays plus O(block)
-work per pass: chunks write into one preallocated ensemble, every pass
-over a simulated ensemble (rejection sampling, binning, the variance
-report, the specular involution check) walks it in fixed blocks of about
-``BLOCK_SAMPLES`` samples, and the specular ensemble is a read-only view
-of its source. Sums run in sample order from 0.0 whatever the block
-boundaries, so results equal whole-array ones bit for bit.
+work per stage: chunks write into one preallocated ensemble; the
+rejection sampler draws each batch's proposals and levels one block of
+``BLOCK_SAMPLES`` at a time, with the values and the stream position of
+a whole-batch draw; a chunk's constant-metric Euler-Maruyama step holds
+four chunk-sized arrays (state, noise, next state and the drift's
+result), a curved one also its per-row noise factors; every pass
+over a simulated ensemble (binning, the variance report, the specular
+involution check) walks it in fixed blocks of about ``BLOCK_SAMPLES``
+samples, and the specular ensemble is a read-only view of its source.
+Sums run in sample order from 0.0 whatever the block boundaries, so
+results equal whole-array ones bit for bit.
 """
 
+import copy
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -167,18 +173,29 @@ def _block_paths(n_snapshots):
 
 
 def _sample_initial(config, rng, count):
+    """``count`` initial states, the proposals drawn and the proposals
+    accepted (both 0 for a point start).
+
+    The rejection sampler draws a batch of m proposals (3m uniforms) and
+    then their m levels from ``rng``, one BLOCK_SAMPLES block at a time:
+    the levels come from a copy of the stream moved past the batch's
+    proposals, and when the batch ends, filled early or not, ``rng`` takes
+    over the copy's state moved past the levels not yet drawn. So the
+    states, and the stream afterwards, equal those of drawing the whole
+    batch at once. Acceptances count every proposal below its level, the
+    surplus of the block that fills ``out`` included.
+    """
     kind = config.initial[0]
     if kind == "point":
         q0 = np.asarray(config.initial[1], dtype=float)
-        return np.tile(q0, (count, 1))
+        return np.tile(q0, (count, 1)), 0, 0
     if kind == "density":
         # rejection sampling proportional to weight(q) inside a box
         _, weight, box, sup = config.initial
         lo = box.lo_array
         hi = box.hi_array
         out = np.empty((count, 3))
-        have = 0
-        proposed = 0
+        have = proposed = accepted = 0
         while have < count:
             if have == 0 and proposed >= PROPOSAL_BUDGET:
                 raise SamplerStalled(
@@ -187,19 +204,23 @@ def _sample_initial(config, rng, count):
                     "initial density vanishes there"
                 )
             m = max(4 * (count - have), 1024)
-            prop = rng.uniform(lo, hi, size=(m, 3))
-            level = rng.uniform(0.0, sup, size=m)
-            # weight is evaluated per row block; acceptances keep their order
-            for i in range(0, m, BLOCK_SAMPLES):
-                rows = prop[i:i + BLOCK_SAMPLES]
-                took = rows[level[i:i + BLOCK_SAMPLES] < weight(rows)]
+            levels = copy.deepcopy(rng)
+            levels.bit_generator.random_raw(3 * m, output=False)
+            drawn = 0
+            while drawn < m and have < count:
+                size = min(BLOCK_SAMPLES, m - drawn)
+                rows = rng.uniform(lo, hi, size=(size, 3))
+                level = levels.uniform(0.0, sup, size=size)
+                took = rows[level < weight(rows)]
                 take = min(len(took), count - have)
                 out[have:have + take] = took[:take]
                 have += take
-                if have == count:
-                    break
-            proposed += m
-        return out
+                drawn += size
+                accepted += len(took)
+            levels.bit_generator.random_raw(m - drawn, output=False)
+            rng.bit_generator.state = levels.bit_generator.state
+            proposed += drawn
+        return out, proposed, accepted
     raise ConfigInvalid(f"unknown initial sampler '{kind}'")
 
 
@@ -226,7 +247,9 @@ def simulate(drift, patch, config):
     ``drift`` maps (n, 3) states to (n, 3) coordinate drifts (already
     including any Christoffel correction; see ``drift_from_fields``).
     Raises Explosion when any path norm exceeds the configured radius;
-    paths leaving ``clip_box`` freeze in place and are flagged.
+    paths leaving ``clip_box`` freeze in place and are flagged. The
+    ensemble's ``meta["initial_acceptance"]`` holds the initial sampler's
+    ``proposed`` and ``accepted`` counts summed over the chunks.
     """
     steps = config.n_steps
     snap_steps = config.snapshot_steps()
@@ -243,25 +266,27 @@ def simulate(drift, patch, config):
     clipped = np.zeros(config.n_paths, dtype=bool)
 
     def run_chunk(chunk_index, lo, hi):
+        """Fill rows lo..hi-1; returns the sampler's (proposed, accepted)."""
         count = hi - lo
         rng = _noise_stream(config.master_seed, chunk_index)
-        q = _sample_initial(
+        q, proposed, accepted = _sample_initial(
             config, _init_stream(config.master_seed, chunk_index), count
         )
         pre_rows, post_rows, flags = pre[lo:hi], post[lo:hi], clipped[lo:hi]
-        z, step, qn = (np.empty((count, 3)) for _ in range(3))
+        z, qn = np.empty((count, 3)), np.empty((count, 3))
         for k in range(steps):
             rng.standard_normal(out=z)
-            beta = np.asarray(drift(q), dtype=float)
-            np.multiply(beta, config.dt, out=step)
+            # qn = (beta dt + noise) + q, summed in place; the drift's
+            # array is released before the noise term forms
+            np.multiply(np.asarray(drift(q), dtype=float), config.dt, out=qn)
             if constant_metric:
                 z *= root_nudt
-                step += z if unit_noise else z @ g_const.T
+                qn += z if unit_noise else z @ g_const.T
             else:
-                step += root_nudt * np.einsum(
+                qn += root_nudt * np.einsum(
                     "nij,nj->ni", patch.noise_factor(q), z
                 )
-            np.add(q, step, out=qn)
+            qn += q
             if config.clip_box is not None:
                 outside = ~config.clip_box.contains(qn)
                 if np.any(outside):
@@ -279,6 +304,7 @@ def simulate(drift, patch, config):
                 pre_rows[:, m] = q
                 post_rows[:, m] = qn
             q, qn = qn, q
+        return proposed, accepted
 
     ranges = _chunk_ranges(config.n_paths, config.chunk_size)
     if config.n_threads > 1 and len(ranges) > 1:
@@ -287,18 +313,19 @@ def simulate(drift, patch, config):
                 pool.submit(run_chunk, ci, lo, hi)
                 for ci, (lo, hi) in enumerate(ranges)
             ]
-            for fut in futures:
-                fut.result()
+            counts = [fut.result() for fut in futures]
     else:
-        for ci, (lo, hi) in enumerate(ranges):
-            run_chunk(ci, lo, hi)
+        counts = [run_chunk(ci, lo, hi) for ci, (lo, hi) in enumerate(ranges)]
+    proposed, accepted = map(sum, zip(*counts))  # summed in chunk order
 
     times = np.asarray(snap_steps, dtype=float) * config.dt
     return PathEnsemble(
         times=times, pre=pre, post=post, dt=config.dt, nu=config.nu,
         direction="forward", clipped=clipped,
         master_seed=config.master_seed, chunk_size=config.chunk_size,
-        meta={"n_steps": steps, "horizon": config.horizon},
+        meta={"n_steps": steps, "horizon": config.horizon,
+              "initial_acceptance": {"proposed": proposed,
+                                     "accepted": accepted}},
     )
 
 

@@ -270,22 +270,36 @@ def _gl_axis(order, lo, hi):
     return half * x + 0.5 * (hi + lo), half * w
 
 
-def _tensor_nodes(box, order):
-    axes = [
-        _gl_axis(order, box.lo[i], box.hi[i]) for i in range(3)
-    ]
-    mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    wts = np.einsum(
+def _gl_axes(box, order):
+    return [_gl_axis(order, box.lo[i], box.hi[i]) for i in range(3)]
+
+
+def _tensor_weights(axes):
+    return np.einsum(
         "i,j,k->ijk", axes[0][1], axes[1][1], axes[2][1]
     ).ravel()
-    return pts, wts
+
+
+def _grid_points(axes, rows):
+    """Nodes ``rows`` (a slice) of the C-order tensor grid of ``axes``."""
+    index = np.unravel_index(np.arange(rows.start, rows.stop),
+                             tuple(len(x) for x, _ in axes))
+    return np.stack([x[i] for (x, _), i in zip(axes, index)], axis=-1)
+
+
+def _tensor_nodes(box, order):
+    axes = _gl_axes(box, order)
+    wts = _tensor_weights(axes)
+    return _grid_points(axes, slice(0, len(wts))), wts
 
 
 def _metric_tables(patch, pts):
-    """sigma, sigma^{-1} and sqrt|sigma| on the nodes (one value if constant)."""
+    """sigma, sigma^{-1} and sqrt|sigma| on the nodes (one value if constant).
+
+    A constant patch is factored at the origin, whatever the nodes, so
+    ``factors`` remembers one factorization for every block."""
     if getattr(patch, "is_constant", False):
-        sig, inv, root = patch.factors(pts[0])
+        sig, inv, root = patch.factors(np.zeros(3))
         return (
             np.broadcast_to(sig, (len(pts), 3, 3)),
             np.broadcast_to(inv, (len(pts), 3, 3)),
@@ -294,7 +308,10 @@ def _metric_tables(patch, pts):
     return patch.factors(pts)
 
 
-def _grad_log(density, pts, grad_log_density, box):
+def _grad_log(density, pts, grad_log_density, h):
+    """Log gradient of the density on the (m, 3) nodes: ``grad_log_density``
+    when given, else central differences of step ``h`` from one density
+    call over the 6 m stencil rows."""
     if grad_log_density is not None:
         return np.asarray(grad_log_density(pts), dtype=float)
 
@@ -302,15 +319,7 @@ def _grad_log(density, pts, grad_log_density, box):
         # the density takes (m, 3) rows: the stencil's (m, 6, 3) go in flat
         return np.log(density(p.reshape(-1, 3))).reshape(p.shape[:-1])
 
-    # the stencil runs over blocks of ROW_BLOCK nodes; a lone last node
-    # joins the block before it, as a one-row batch may round differently
-    blocks = list(_row_blocks(max(len(pts) - 1, 1)))
-    blocks[-1] = slice(blocks[-1].start, len(pts))
-    h = 1e-5 * float(np.min(box.extent))
-    grad = np.empty(pts.shape)
-    for block in blocks:
-        grad[block] = central_gradient(log_density, pts[block], h)
-    return grad
+    return central_gradient(log_density, pts, h)
 
 
 def _shell_mask(box, pts, margin=0.1):
@@ -326,50 +335,60 @@ def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER,
 
     The expectation uses the invariant measure rho sqrt|sigma| d^3 q,
     normalized over the quadrature box. Raises QuadratureDivergence when
-    the outer shell of the box carries more than ``tail_tol`` of the
+    the density is not above ``floor`` (default 0) on a node, or when the
+    outer shell of the box carries more than ``tail_tol`` of the
     integrand, i.e. the box truncates the tails.
 
-    The density is evaluated on all nodes at once; its finite-difference
-    log gradient (when ``grad_log_density`` is not given) and the metric
-    tables are built in blocks of ``geometry.ROW_BLOCK`` nodes, which
-    keeps only per-node columns. The returned dict holds ``value``,
-    ``normalization``, ``tail_fraction`` and ``order``, and per node:
-    ``points`` (n, 3), ``grad`` (n, 3), the log gradient, ``weights``,
-    the quadrature weight times rho sqrt|sigma|, ``sqrt_det``,
-    sqrt|sigma|, ``quad_form``, grad . sigma^{-1} . grad, and
-    ``u_sigma_u``, u . sigma . u with u = (nu/2) sigma^{-1} grad, the
-    squared osmotic velocity of the direct energy route.
+    One pass over blocks of ``geometry.ROW_BLOCK`` nodes (a lone last node
+    joins the block before it, as a one-row batch may round differently)
+    builds each block's nodes from the Gauss-Legendre axes and evaluates
+    the density, its log gradient (finite differences unless
+    ``grad_log_density`` is given), the metric tables and the shell flag
+    there, keeping only per-node columns; every sum is one sum over a
+    whole column. The returned dict holds ``value``, ``normalization``,
+    ``tail_fraction`` and ``order``, and per node: ``weights``, the
+    quadrature weight times rho sqrt|sigma|, ``sqrt_det``, sqrt|sigma|,
+    ``quad_form``, grad . sigma^{-1} . grad, and ``u_sigma_u``,
+    u . sigma . u with u = (nu/2) sigma^{-1} grad, the squared osmotic
+    velocity of the direct energy route.
     """
-    pts, wts = _tensor_nodes(box, order)
-    rho = np.asarray(density(pts), dtype=float)
-    # the log gradient needs strictly positive density on every node;
-    # deep tails are fine, exact zeros are not
     if floor is None:
         floor = 0.0
-    if np.any(rho <= floor):
-        raise QuadratureDivergence(
-            "density not above the floor on quadrature nodes"
-        )
-    grad = _grad_log(density, pts, grad_log_density, box)
-    root = np.empty(len(pts))
-    quad_form = np.empty(len(pts))
-    u_sigma_u = np.empty(len(pts))
-    for block in _row_blocks(len(pts)):
-        sig, inv, root[block] = _metric_tables(patch, pts[block])
-        g = grad[block]
+    axes = _gl_axes(box, order)
+    # quadrature weight, times rho and sqrt|sigma| in place block by block
+    norm_weight = _tensor_weights(axes)
+    n = len(norm_weight)
+    root = np.empty(n)
+    quad_form = np.empty(n)
+    u_sigma_u = np.empty(n)
+    shell = np.empty(n, dtype=bool)
+    h = 1e-5 * float(np.min(box.extent))
+    blocks = list(_row_blocks(max(n - 1, 1)))
+    blocks[-1] = slice(blocks[-1].start, n)
+    for block in blocks:
+        pts = _grid_points(axes, block)
+        rho = np.asarray(density(pts), dtype=float)
+        # the log gradient needs strictly positive density on every node;
+        # deep tails are fine, exact zeros are not
+        if np.any(rho <= floor):
+            raise QuadratureDivergence(
+                "density not above the floor on quadrature nodes"
+            )
+        g = _grad_log(density, pts, grad_log_density, h)
+        sig, inv, root[block] = _metric_tables(patch, pts)
         quad_form[block] = np.einsum("ni,nij,nj->n", g, inv, g)
         u_up = 0.5 * nu * np.einsum("nij,nj->ni", inv, g)
         u_sigma_u[block] = np.einsum("ni,nij,nj->n", u_up, sig, u_up)
-    # wts * rho * root in the weights' own column: one column less held
-    norm_weight = wts
-    norm_weight *= rho
-    norm_weight *= root
+        shell[block] = _shell_mask(box, pts)
+        weight = norm_weight[block]
+        weight *= rho
+        weight *= root[block]
     normalization = float(np.sum(norm_weight))
 
     contrib = 0.25 * nu**2 * quad_form * norm_weight
     total = float(np.sum(contrib))
     if total > 0.0:
-        tail = float(np.sum(contrib[_shell_mask(box, pts)])) / total
+        tail = float(np.sum(contrib[shell])) / total
     else:
         tail = 0.0
     if tail > tail_tol:
@@ -382,8 +401,6 @@ def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER,
         "normalization": normalization,
         "tail_fraction": tail,
         "order": order,
-        "grad": grad,
-        "points": pts,
         "weights": norm_weight,
         "sqrt_det": root,
         "quad_form": quad_form,
@@ -490,7 +507,7 @@ def stochastic_action(density, patch, interval, constants, box,
     )
     e_b2 = 0.0
     if current_sq is not None:
-        pts = u2["points"]
+        pts, _ = _tensor_nodes(box, order)
         e_b2 = float(
             np.sum(u2["weights"] * np.asarray(current_sq(pts), dtype=float))
         ) / u2["normalization"]

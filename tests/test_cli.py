@@ -455,6 +455,81 @@ def test_schema_walker_handles_every_keyword_the_schema_uses():
             assert set([rule] if isinstance(rule, str) else rule) <= types
 
 
+# documents that set every integer field of the schema between them, and
+# the places of those fields ("*" for each array item)
+INTEGER_DOCS = {
+    "gaussian": (
+        gaussian_doc(
+            analyses=["simulate", "estimate", "specular", "energy"],
+            energy={"box": {"lo": [-7.0] * 3, "hi": [7.0] * 3},
+                    "order": 8, "time_order": 4}),
+        [("seed",), ("diffusion", "n_paths"), ("diffusion", "n_snapshots"),
+         ("diffusion", "chunk_size"), ("diffusion", "bins", "shape", "*"),
+         ("diffusion", "min_count"), ("energy", "order"),
+         ("energy", "time_order")]),
+    "plane_wave": (
+        plane_wave_doc(
+            chart={"origin": [0.0] * 4, "n_samples": 4},
+            lattices={"verification": {"n_per_axis": 2},
+                      "hypothesis_shape": [3, 3, 3, 3]},
+            classify={"n_points": 3},
+            nonrel={"epsilons": [0.1, 0.05], "n_per_axis": 2},
+            analyses=["hypotheses", "chart_diag", "geometry_diag",
+                      "classify", "nonrel"]),
+        [("chart", "n_samples"), ("lattices", "verification", "n_per_axis"),
+         ("lattices", "hypothesis_shape", "*"), ("classify", "n_points"),
+         ("nonrel", "n_per_axis")]),
+}
+INTEGER_DOCS["gaussian"][0]["diffusion"].update(
+    n_paths=3000, horizon=0.5, chunk_size=1024)
+
+
+def _floated(doc, places):
+    """A copy of doc with the integer at each place written as x.0."""
+    doc = copy.deepcopy(doc)
+    for place in places:
+        parent = doc
+        for key in place[:-1]:
+            parent = parent[key]
+        keys = range(len(parent)) if place[-1] == "*" else [place[-1]]
+        for key in keys:
+            assert type(parent[key]) is int
+            parent[key] = float(parent[key])
+    return doc
+
+
+def test_integer_places_cover_the_schema():
+    places = [place for _, places in INTEGER_DOCS.values()
+              for place in places]
+    n_integer = sum(key == "type" and rule == "integer"
+                    for key, rule in _schema_rules(cli.SCENARIO_SCHEMA))
+    assert len(set(places)) == len(places) == n_integer
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_DOCS))
+def test_integer_fields_written_as_floats_run_the_same(tmp_path, name):
+    # draft-07 counts 2048.0 as an integer: validate hands it back as 2048,
+    # so the run, its report and its data files are those of 2048
+    doc, places = INTEGER_DOCS[name]
+    floated = _floated(doc, places)
+    want = json.dumps(doc, sort_keys=True)
+    # 2048.0 == 2048 in Python: documents and reports compare as JSON text
+    assert json.dumps(floated, sort_keys=True) != want
+    reports = []
+    for tag, source in (("int", doc), ("float", floated)):
+        scenario = validate(source)
+        assert json.dumps(scenario.raw, sort_keys=True) == want
+        report = run(scenario, out_dir=tmp_path / tag)
+        assert report["error"] is None, report["error"]
+        saved = json.loads((tmp_path / tag / "report.json").read_text())
+        for key in ("started", "wall_clock_s", "analysis_wall_s"):
+            del saved[key]
+        reports.append(json.dumps(saved, sort_keys=True))
+    assert reports[0] == reports[1]
+    if name == "gaussian":  # the data files' digests are compared too
+        assert '"sha256"' in reports[0]
+
+
 # ---------------------------------------------------------------------------
 # run orchestration
 
@@ -728,6 +803,10 @@ def test_run_seed_determinism_across_threads(tmp_path):
     scenario = validate(write_scenario(tmp_path, doc))
     rep1 = run(scenario, out_dir=tmp_path / "a", threads=1)
     rep2 = run(scenario, out_dir=tmp_path / "b", threads=4)
+    # the rejection sampler's counts, summed over the five chunks
+    counts = rep1["analyses"]["simulate"]["initial_acceptance"]
+    assert counts == rep2["analyses"]["simulate"]["initial_acceptance"]
+    assert 5000 <= counts["accepted"] < counts["proposed"]
     for key in ("paths_times", "paths_pre", "paths_post"):
         a = (tmp_path / "a" / rep1["data_files"][key]["path"]).read_bytes()
         b = (tmp_path / "b" / rep2["data_files"][key]["path"]).read_bytes()

@@ -374,6 +374,27 @@ def _reference_sample_initial(config, rng, count):
     return out
 
 
+def _sampler_runs(config, count):
+    """(states, proposed, stream state) of the blocked sampler, then
+    (states, stream state) of the whole-batch reference, each drawing from
+    a fresh chunk-0 initial stream."""
+    rng = diffusion._init_stream(config.master_seed, 0)
+    got, proposed, _ = diffusion._sample_initial(config, rng, count)
+    ref = diffusion._init_stream(config.master_seed, 0)
+    want = _reference_sample_initial(config, ref, count)
+    return (got, proposed, _stream_state(rng)), (want, _stream_state(ref))
+
+
+def _stream_state(rng):
+    state = rng.bit_generator.state
+    return (state["state"]["state"].tolist(), state["has_uint32"],
+            state["uinteger"])
+
+
+def _flat_weight(q):
+    return np.ones(len(q))
+
+
 @pytest.mark.parametrize("block", [None, 1000])
 @pytest.mark.parametrize("sup", [1.0, 2.0])
 def test_blocked_sampler_matches_whole_batch(monkeypatch, block, sup):
@@ -382,19 +403,178 @@ def test_blocked_sampler_matches_whole_batch(monkeypatch, block, sup):
     # sampler fills up inside the first proposal batch and stops there
     if block is not None:
         monkeypatch.setattr(diffusion, "BLOCK_SAMPLES", block)
-    weight = gauss_weight if sup == 1.0 else (
-        lambda q: np.ones(len(q)))
+    weight = gauss_weight if sup == 1.0 else _flat_weight
     config = DiffusionConfig(
         dt=0.01, horizon=0.1, n_paths=5000, master_seed=3, nu=NU,
         initial=("density", weight,
                  Box((-4.0, -4.0, -4.0), (4.0, 4.0, 4.0)), sup),
     )
     assert 4 * config.n_paths > diffusion.BLOCK_SAMPLES
-    got = diffusion._sample_initial(
-        config, diffusion._init_stream(config.master_seed, 0), 5000)
-    want = _reference_sample_initial(
-        config, diffusion._init_stream(config.master_seed, 0), 5000)
+    (got, _, got_stream), (want, want_stream) = _sampler_runs(config, 5000)
     assert np.array_equal(got, want)
+    assert got_stream == want_stream
+
+
+# (weight, sup, count) of each way a sampler batch can end
+SAMPLER_CASES = {
+    # every proposal accepted: the first batch's one block fills the states
+    "one_batch": (_flat_weight, 1.0, 300),
+    # half accepted: 20 000 proposals, filled inside the first of two blocks
+    "break_mid_batch": (_flat_weight, 2.0, 5000),
+    # about 3 % accepted: batches shrink over many rounds
+    "several_batches": (gauss_weight, 1.0, 1000),
+}
+
+
+@pytest.mark.parametrize("case, block", [
+    ("one_batch", None), ("one_batch", 7), ("break_mid_batch", 7),
+    ("several_batches", 7)])
+def test_blocked_sampler_keeps_states_and_stream(monkeypatch, case, block):
+    # the blocked sampler against the whole-batch reference, beyond the
+    # cases above: the same states, and the stream left where the whole
+    # batch leaves it, however the batch ends and with seven-row blocks
+    if block is not None:
+        monkeypatch.setattr(diffusion, "BLOCK_SAMPLES", block)
+    weight, sup, count = SAMPLER_CASES[case]
+    config = DiffusionConfig(
+        dt=0.01, horizon=0.1, n_paths=count, master_seed=11, nu=NU,
+        initial=("density", weight,
+                 Box((-4.0, -4.0, -4.0), (4.0, 4.0, 4.0)), sup))
+    (got, proposed, got_stream), (want, want_stream) = _sampler_runs(
+        config, count)
+    assert np.array_equal(got, want)
+    assert got_stream == want_stream
+    if case == "several_batches":
+        assert proposed > 4 * count
+    elif block == 7:
+        # the batch's blocks left undrawn are not counted as proposed
+        assert proposed < 4 * count
+
+
+def test_sampler_counts_proposals_and_acceptances():
+    box = Box((-4.0, -4.0, -4.0), (4.0, 4.0, 4.0))
+    point = DiffusionConfig(dt=0.01, horizon=0.1, n_paths=4, master_seed=1)
+    assert diffusion._sample_initial(point, None, 4)[1:] == (0, 0)
+    # a flat weight under sup 1 accepts every proposal of the one block
+    flat = DiffusionConfig(dt=0.01, horizon=0.1, n_paths=300, master_seed=1,
+                           initial=("density", _flat_weight, box, 1.0))
+    _, proposed, accepted = diffusion._sample_initial(
+        flat, diffusion._init_stream(1, 0), 300)
+    assert proposed == accepted == 1200
+
+
+def test_initial_acceptance_does_not_depend_on_threads():
+    # four chunks, each with its own sampler counts, summed in chunk order
+    base = dict(dt=0.01, horizon=0.1, n_paths=1000, master_seed=21,
+                initial=("density", gauss_weight,
+                         Box((-4.0, -4.0, -4.0), (4.0, 4.0, 4.0)), 1.0),
+                burn_in_fraction=0.0, n_snapshots=2, chunk_size=250)
+    patch = MetricPatch.euclidean()
+    drift = drift_from_fields(ou_drift, patch, NU)
+    counts = [simulate(drift, patch, DiffusionConfig(**base, n_threads=n))
+              .meta["initial_acceptance"] for n in (1, 2, 3)]
+    assert counts[0] == counts[1] == counts[2]
+    chunks = [diffusion._sample_initial(
+        DiffusionConfig(**base), diffusion._init_stream(21, ci), 250)[1:]
+        for ci in range(4)]
+    assert counts[0] == {"proposed": sum(c[0] for c in chunks),
+                         "accepted": sum(c[1] for c in chunks)}
+    assert 0 < counts[0]["accepted"] < counts[0]["proposed"]
+
+
+def _reference_simulate(drift, patch, config):
+    """Serial Euler-Maruyama with a step buffer: step = beta dt, plus the
+    noise term, then qn = q + step; returns (pre, post, clipped)."""
+    snaps = config.snapshot_steps()
+    pre = np.empty((config.n_paths, len(snaps), 3))
+    post = np.empty_like(pre)
+    clipped = np.zeros(config.n_paths, dtype=bool)
+    root = np.sqrt(config.nu * config.dt)
+    constant = getattr(patch, "is_constant", False)
+    g = patch.noise_factor(np.zeros(3)) if constant else None
+    ranges = diffusion._chunk_ranges(config.n_paths, config.chunk_size)
+    for ci, (lo, hi) in enumerate(ranges):
+        rng = diffusion._noise_stream(config.master_seed, ci)
+        if config.initial[0] == "point":
+            q = np.tile(np.asarray(config.initial[1], dtype=float),
+                        (hi - lo, 1))
+        else:
+            q = _reference_sample_initial(
+                config, diffusion._init_stream(config.master_seed, ci),
+                hi - lo)
+        for k in range(config.n_steps):
+            z = rng.standard_normal((hi - lo, 3))
+            step = np.asarray(drift(q), dtype=float) * config.dt
+            if not constant:
+                step += root * np.einsum("nij,nj->ni",
+                                         patch.noise_factor(q), z)
+            elif np.array_equal(g, np.eye(3)):
+                step += z * root
+            else:
+                step += (z * root) @ g.T
+            qn = q + step
+            if config.clip_box is not None:
+                outside = ~config.clip_box.contains(qn)
+                qn[outside] = q[outside]
+                clipped[lo:hi] |= outside
+            if np.max(np.einsum("ni,ni->n", qn, qn)) \
+                    > config.explosion_radius ** 2:
+                raise Explosion(f"path norm exceeded "
+                                f"{config.explosion_radius:g} at step {k}")
+            if k in snaps:
+                pre[lo:hi, snaps.index(k)] = q
+                post[lo:hi, snaps.index(k)] = qn
+            q = qn
+    return pre, post, clipped
+
+
+def _sheared_constant_patch():
+    return MetricPatch.constant([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1],
+                                 [0.0, 0.1, 0.5]])
+
+
+# (patch, drift field, initial, clip box, explosion radius) per update path
+STEP_CASES = {
+    "unit_noise": (MetricPatch.euclidean, ou_drift, "density", None, 1e6),
+    "constant_metric": (_sheared_constant_patch, ou_drift, "density", None,
+                        1e6),
+    "curved_patch": (polar_flat_patch, np.zeros_like,
+                     ("point", (1.5, 0.2, -0.1)), None, 1e6),
+    "clip_box": (MetricPatch.euclidean, lambda q: 5.0 * q,
+                 ("point", (1.0, 0.0, 0.0)),
+                 Box((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0)), 1e6),
+    "explosion": (MetricPatch.euclidean, lambda q: q,
+                  ("point", (7.0, 0.0, 0.0)), None, 10.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_step_matches_step_buffer_reference(case):
+    # the in-place step against the step-buffer loop, over three chunks on
+    # two threads: the same ensemble bit for bit, or the same Explosion
+    make_patch, field, initial, clip, radius = STEP_CASES[case]
+    patch = make_patch()
+    if initial == "density":
+        initial = ("density", gauss_weight,
+                   Box((-4.0, -4.0, -4.0), (4.0, 4.0, 4.0)), 1.0)
+    config = DiffusionConfig(
+        dt=0.05, horizon=1.0, n_paths=150, master_seed=8, nu=0.5,
+        initial=initial, burn_in_fraction=0.0, n_snapshots=7, chunk_size=64,
+        n_threads=2, clip_box=clip, explosion_radius=radius)
+    drift = drift_from_fields(field, patch, config.nu)
+    try:
+        want = _reference_simulate(drift, patch, config)
+    except Explosion as err:
+        assert case == "explosion"
+        with pytest.raises(Explosion, match=f"^{err}$"):
+            simulate(drift, patch, config)
+        return
+    got = simulate(drift, patch, config)
+    assert case != "explosion"
+    assert got.pre.tobytes() == want[0].tobytes()
+    assert got.post.tobytes() == want[1].tobytes()
+    assert got.clipped.tobytes() == want[2].tobytes()
+    assert want[2].any() == (case == "clip_box")
 
 
 def initial_t(init, delta=0.0):
@@ -1045,3 +1225,52 @@ def test_involution_check_memory_is_one_block(block_ensembles):
         block_ensembles,
         lambda ens: specular_reverse(specular_reverse(ens)).same_pairs(ens)),
         1)
+
+
+# the rejection sampler's work beyond its output, in block columns: a
+# block's proposals (three columns) and levels (one), and while the
+# gaussian weight runs, its squares (three) and row sums (one); then the
+# accepted rows (at most three) and the boolean mask
+SAMPLER_COLUMNS = 9
+
+
+def test_sampler_memory_is_one_block():
+    # 4 096 states take one block of proposals, 65 536 some 140 blocks
+    box = Box((-4.0, -4.0, -4.0), (4.0, 4.0, 4.0))
+    peaks = []
+    for count in (4096, 65536):
+        config = DiffusionConfig(dt=0.01, horizon=0.1, n_paths=count,
+                                 master_seed=3, nu=NU,
+                                 initial=("density", gauss_weight, box, 1.0))
+        rng = diffusion._init_stream(3, 0)
+        (out, _, _), peak = traced_peak(
+            lambda: diffusion._sample_initial(config, rng, count))
+        peaks.append(peak - out.nbytes)
+    _assert_block_bounded(peaks, SAMPLER_COLUMNS)
+
+
+@pytest.mark.parametrize("kind", ["point", "density"])
+def test_simulate_work_is_the_step_or_one_sampler_block(kind):
+    # one thread, two chunks of 8 192 paths. Beyond pre, post and the clip
+    # flags, the step loop holds four chunk arrays (the state, the noise,
+    # the next state and the drift's result) and a density sampler before
+    # it its output (one) plus one block's work; a quarter chunk array of
+    # slack. A step buffer, or a drift result kept across the next drift
+    # call, adds a chunk array each; a whole-batch sampler holds 16 / 3
+    # chunk arrays of proposals and levels
+    chunk = 8192
+    box = Box((-4.0, -4.0, -4.0), (4.0, 4.0, 4.0))
+    initial = ("point", (0.0, 0.0, 0.0)) if kind == "point" \
+        else ("density", gauss_weight, box, 1.0)
+    config = DiffusionConfig(
+        dt=2e-3, horizon=0.2, n_paths=2 * chunk, master_seed=5, nu=NU,
+        initial=initial, burn_in_fraction=0.0, n_snapshots=24,
+        chunk_size=chunk, n_threads=1)
+    patch = MetricPatch.euclidean()
+    drift = drift_from_fields(ou_drift, patch, NU)
+    ens, peak = traced_peak(lambda: simulate(drift, patch, config))
+    work = peak - ens.pre.nbytes - ens.post.nbytes - ens.clipped.nbytes
+    chunk_array = 3 * 8 * chunk
+    bound = 4 * chunk_array if kind == "point" else max(
+        4 * chunk_array, chunk_array + SAMPLER_COLUMNS * BLOCK_COLUMN)
+    assert work <= bound + chunk_array / 4, work / chunk_array

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from comovkit import geometry
+from comovkit import estimators, geometry
 from comovkit.constants import natural_units
 from comovkit.diffusion import (
     BinSpec,
@@ -18,6 +18,9 @@ from comovkit.diffusion import (
 from comovkit.errors import ImaginaryAction, QuadratureDivergence
 from comovkit.estimators import (
     EnergyReport,
+    _grad_log,
+    _metric_tables,
+    _tensor_nodes,
     continuity_residual,
     energy_report,
     estimate_density,
@@ -291,6 +294,11 @@ def test_expectation_u2_gaussian_closed_form():
     assert abs(fd["value"] - expected) < 1e-5 * expected
 
 
+def _stencil_step(box):
+    """The finite-difference step ``expectation_u2`` takes on ``box``."""
+    return 1e-5 * float(np.min(box.extent))
+
+
 def test_expectation_u2_fd_log_gradient_is_one_density_call():
     patch = MetricPatch.euclidean()
     box = Box((-7.0, -7.0, -7.0), (7.0, 7.0, 7.0))
@@ -301,11 +309,16 @@ def test_expectation_u2_fd_log_gradient_is_one_density_call():
         return gauss_density(pts)
 
     out = expectation_u2(density, patch, box, NU, order=8)
-    # the quadrature nodes, then the 6-point stencil of every node: 512
-    # nodes are one block of ROW_BLOCK
+    # per block of ROW_BLOCK nodes, the nodes and then the 6-point stencil
+    # of every node: 512 nodes are one block
     assert calls == [(512, 3), (6 * 512, 3)]
-    np.testing.assert_allclose(out["grad"], gauss_grad_log(out["points"]),
-                               rtol=0, atol=1e-8)
+    pts, _ = _tensor_nodes(box, 8)
+    grad = _grad_log(gauss_density, pts, None, _stencil_step(box))
+    np.testing.assert_allclose(grad, gauss_grad_log(pts), rtol=0, atol=1e-8)
+    # the quadrature's quadratic form is that gradient's, bit for bit
+    _, inv, _ = _metric_tables(patch, pts)
+    assert out["quad_form"].tobytes() \
+        == np.einsum("ni,nij,nj->n", grad, inv, grad).tobytes()
 
 
 def test_expectation_u2_constant_density_is_zero():
@@ -417,52 +430,67 @@ def _wavy_energy(order):
                          order=order, grad_log_density=gauss_grad_log)
 
 
+# Held per node at the quadrature's peak: the weights (normalized in
+# place), sqrt|sigma|, the quadratic form, u.sigma.u, the integrand and one
+# temporary (six float64 columns, 48 B), and the shell flags (1 B); the
+# nodes, the density, the log gradient and the metric tables live one
+# block of ROW_BLOCK nodes at a time, under 1 kB a node.
+QUADRATURE_COLUMN_BYTES = 6 * 8 + 1
+
+
 def test_energy_report_holds_columns_and_one_block():
-    # order 40: 64 000 nodes. Held per node at the peak: the nodes and the
-    # log gradient (three float64 columns each), the weights (normalized
-    # in place), rho, sqrt|sigma|, the quadratic form, u.sigma.u, the
-    # integrand and one temporary (13 columns, 104 B), and the shell
-    # mask's boolean columns (9 B); the rest is one block's work, under
-    # 1 kB a row. Whole-batch (n, 3, 3) metric tables peak at about 353 B
-    # a node.
+    # order 40: 64 000 nodes. Node and gradient columns held for the whole
+    # quadrature add 48 B a node; whole-batch (n, 3, 3) metric tables peak
+    # at about 353 B a node.
     order = 40
     rep, peak = traced_peak(lambda: _wavy_energy(order))
     scale = CONSTANTS.mass * CONSTANTS.c**2
     assert abs(rep.mu_direct - rep.mu_identity) < 1e-12 * scale
-    assert peak <= (13 * 8 + 9) * order**3 + 1024 * ROW_BLOCK
+    assert peak <= QUADRATURE_COLUMN_BYTES * order**3 + 1024 * ROW_BLOCK
 
 
 def test_log_gradient_stencil_holds_one_block():
     # order 32: 32 768 nodes. Without grad_log_density the log gradient's
-    # stencil runs one block of ROW_BLOCK nodes at a time, so the peak holds
-    # the same 13 columns and shell mask as with an analytic gradient
-    # (see above) plus one block's stencil rows and density work, under
-    # 1 kB a node. The whole-batch stencil peaks at about 376 B a node.
+    # stencil runs with its block, so the peak holds the same columns as
+    # with an analytic gradient (see above) plus one block's stencil rows
+    # and density work. The whole-batch stencil peaks at about 376 B a
+    # node, whole-quadrature node and gradient columns at 106 B.
     order = 32
     box = Box((-7.0, -7.0, -7.0), (7.0, 7.0, 7.0))
     rep, peak = traced_peak(lambda: expectation_u2(
         gauss_density, MetricPatch.euclidean(), box, NU, order=order))
     assert abs(rep["value"] - 0.75) < 1e-9  # 3 (nu/2)^2 / sigma^2
-    assert peak <= (13 * 8 + 9) * order**3 + 1024 * ROW_BLOCK
+    assert peak <= QUADRATURE_COLUMN_BYTES * order**3 + 1024 * ROW_BLOCK
 
 
 @pytest.mark.parametrize("block", [7, 1 << 20])
 def test_log_gradient_does_not_depend_on_the_row_block(block, monkeypatch):
     # order 8: 512 nodes, 73 blocks of 7 and a lone node that joins the
-    # last block, so every stencil call takes two nodes (12 rows) or more
+    # last block, so every density call takes two nodes (12 stencil rows)
+    # or more; the blocks' gradients are those of one call on all nodes
     box = Box((-7.0, -7.0, -7.0), (7.0, 7.0, 7.0))
+    pts, _ = _tensor_nodes(box, 8)
+    want_grad = _grad_log(gauss_density, pts, None, _stencil_step(box))
     want = expectation_u2(gauss_density, MetricPatch.euclidean(), box, NU,
                           order=8)
-    rows = []
+    rows, nodes, grads = [], [], []
 
-    def density(pts):
-        rows.append(len(pts))
-        return gauss_density(pts)
+    def density(p):
+        rows.append(len(p))
+        return gauss_density(p)
+
+    def recorded(density, p, grad_log_density, h):
+        nodes.append(p)
+        grads.append(_grad_log(density, p, grad_log_density, h))
+        return grads[-1]
 
     monkeypatch.setattr(geometry, "ROW_BLOCK", block)
+    monkeypatch.setattr(estimators, "_grad_log", recorded)
     got = expectation_u2(density, MetricPatch.euclidean(), box, NU, order=8)
-    assert min(rows[1:]) >= 12 and sum(rows[1:]) == 6 * 512
-    assert got["grad"].tobytes() == want["grad"].tobytes()
+    assert len(grads) == (73 if block == 7 else 1)
+    assert min(rows) >= 2 and sum(rows) == 7 * 512
+    assert np.concatenate(nodes).tobytes() == pts.tobytes()
+    assert np.concatenate(grads).tobytes() == want_grad.tobytes()
     assert got["value"] == want["value"]
 
 
