@@ -357,16 +357,20 @@ def comoving_current(bundle, chart, xi):
 def reconstruct_kinematics(bundle, x):
     """Three-velocity and density carried by the current: v^i = c J^i / J^0.
 
-    Raises ZeroJ0 when the time component is too small to divide by (the
+    Takes events (..., 4) and returns v (..., 3) and the density (...), a
+    float for one event. Raises ZeroJ0, naming the first such event, when
+    the time component is too small to divide by at any event (the
     classification would be indeterminate there anyway).
     """
     sample = four_current(bundle, x)
     c = bundle.constants.c
-    scale = bundle.constants.mass * c * sample.density
-    if scale <= 0.0 or abs(sample.j[0]) < 1e-12 * scale:
-        raise ZeroJ0("current time component vanishes; velocity undefined")
-    v = c * sample.j[1:] / sample.j[0]
-    return v, sample.density
+    j0 = sample.j[..., 0]
+    scale = bundle.constants.mass * c * np.asarray(sample.density)
+    small = (scale <= 0.0) | (np.abs(j0) < 1e-12 * scale)
+    if np.any(small):
+        raise ZeroJ0("current time component vanishes at %s; velocity "
+                     "undefined" % sample.x[small][0].tolist())
+    return c * sample.j[..., 1:] / j0[..., None], sample.density
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,15 @@ def _grid_points(axes, rows):
     return np.stack([x[i] for (x, _), i in zip(axes, index)], axis=-1)
 
 
+def _node_blocks(n):
+    """Slices of ``geometry.ROW_BLOCK`` nodes covering nodes 0 to n - 1; a
+    lone last node joins the block before it, as a one-row batch may round
+    differently."""
+    blocks = list(_row_blocks(max(n - 1, 1)))
+    blocks[-1] = slice(blocks[-1].start, n)
+    return blocks
+
+
 def _tensor_nodes(box, order):
     axes = _gl_axes(box, order)
     wts = _tensor_weights(axes)
@@ -339,8 +348,7 @@ def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER,
     outer shell of the box carries more than ``tail_tol`` of the
     integrand, i.e. the box truncates the tails.
 
-    One pass over blocks of ``geometry.ROW_BLOCK`` nodes (a lone last node
-    joins the block before it, as a one-row batch may round differently)
+    One pass over the ``_node_blocks`` of ``geometry.ROW_BLOCK`` nodes
     builds each block's nodes from the Gauss-Legendre axes and evaluates
     the density, its log gradient (finite differences unless
     ``grad_log_density`` is given), the metric tables and the shell flag
@@ -363,9 +371,7 @@ def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER,
     u_sigma_u = np.empty(n)
     shell = np.empty(n, dtype=bool)
     h = 1e-5 * float(np.min(box.extent))
-    blocks = list(_row_blocks(max(n - 1, 1)))
-    blocks[-1] = slice(blocks[-1].start, n)
-    for block in blocks:
+    for block in _node_blocks(n):
         pts = _grid_points(axes, block)
         rho = np.asarray(density(pts), dtype=float)
         # the log gradient needs strictly positive density on every node;
@@ -498,7 +504,9 @@ def stochastic_action(density, patch, interval, constants, box,
     A = -mc^2 (t_b - t_a) sqrt(1 - (E{beta^2} - E{u^2})/c^2). The
     current-velocity magnitude defaults to zero (the stationary,
     gradient-congruence case), making the integrand time independent.
-    Raises ImaginaryAction when the argument of the root is not positive.
+    A given ``current_sq`` is evaluated on the node blocks of the osmotic
+    term, into one column with one weighted sum over it. Raises
+    ImaginaryAction when the argument of the root is not positive.
     """
     t_a, t_b = float(interval[0]), float(interval[1])
     u2 = expectation_u2(
@@ -507,10 +515,12 @@ def stochastic_action(density, patch, interval, constants, box,
     )
     e_b2 = 0.0
     if current_sq is not None:
-        pts, _ = _tensor_nodes(box, order)
-        e_b2 = float(
-            np.sum(u2["weights"] * np.asarray(current_sq(pts), dtype=float))
-        ) / u2["normalization"]
+        axes = _gl_axes(box, order)
+        beta2 = np.empty(len(u2["weights"]))
+        for block in _node_blocks(len(beta2)):
+            beta2[block] = current_sq(_grid_points(axes, block))
+        beta2 *= u2["weights"]
+        e_b2 = float(np.sum(beta2)) / u2["normalization"]
     argument = 1.0 - (e_b2 - u2["value"]) / constants.c**2
     if argument <= 0.0:
         raise ImaginaryAction(

@@ -2,13 +2,15 @@
 
 A *field bundle* packages a positive density p(x) and a phase S(x) on a
 declared box domain, together with analytic first and second derivatives.
-Two constructive families are provided:
+One constructive family is provided, ``PacketBundle``: a finite
+positive-weight superposition of modes exp(i kappa_j . x) on the mass
+shell. The density is the squared modulus of the superposition, and the
+phase is the continuously unwrapped argument.
 
-* ``make_plane_wave`` - a single mode with the relativistic dispersion
-  relation, p identically 1 and a globally linear phase;
-* ``make_packet`` - a finite positive-weight superposition of such modes.
-  The density is the squared modulus of the superposition, and the phase is
-  the continuously unwrapped argument.
+* ``make_packet`` builds a superposition over a required box domain;
+* ``make_plane_wave`` builds the one-mode packet, with p identically 1 and
+  a globally linear phase; its optional frequency override (detuned and
+  negative-frequency controls) sets the mode's frequency.
 
 For superpositions the phase *value* needs a branch choice. A dominant mode
 j0 (weight above the sum of the others) settles it in closed form: the
@@ -39,10 +41,12 @@ HYPOTHESIS_BLOCK events.
 
 ``central_gradient`` and ``central_hessian`` are the package's one
 finite-difference stencil: every derivative of a function that the package
-does not know in closed form (the finite-difference view of a bundle,
-chart Jacobians, sigma derivatives of patches without a closed form,
-Christoffel derivatives, the covariant and wave-operator checks) is one
-stacked call of that function on the shifted points.
+does not know in closed form (chart Jacobians, sigma derivatives of patches
+without a closed form, Christoffel derivatives, the covariant and
+wave-operator checks) is one stacked call of that function on the shifted
+points. Bundles carry analytic derivatives only; the finite-difference view
+of a bundle, which takes its derivatives from this stencil on the bundle's
+density and phase, lives with the tests (``tests/conftest.py``).
 """
 
 from dataclasses import dataclass, field
@@ -182,17 +186,13 @@ def central_hessian(func, x, h):
 class FieldBundle:
     """Density + phase pair with analytic derivatives on a box domain.
 
-    Subclasses implement `_density*` and `_phase*`; the public accessors
-    route through the derivative mode so a finite-difference view of the
-    same bundle (``with_fd_derivatives``) exercises the generic fallback.
+    Subclasses implement `_density*` and `_phase*` on (..., 4) float
+    events; the public accessors coerce the events and call them.
     """
 
-    def __init__(self, constants, domain, derivative_mode="analytic",
-                 fd_step=1e-3):
+    def __init__(self, constants, domain):
         self.constants = constants
         self.domain = domain
-        self.derivative_mode = derivative_mode
-        self.fd_step = fd_step
 
     # subclass interface -----------------------------------------------------
     def _density(self, x):
@@ -221,28 +221,16 @@ class FieldBundle:
         return self._phase(as_coords(x))
 
     def density_gradient(self, x):
-        x = as_coords(x)
-        if self.derivative_mode == "analytic":
-            return self._density_gradient(x)
-        return central_gradient(self._density, x, self.fd_step)
+        return self._density_gradient(as_coords(x))
 
     def density_hessian(self, x):
-        x = as_coords(x)
-        if self.derivative_mode == "analytic":
-            return self._density_hessian(x)
-        return central_hessian(self._density, x, self.fd_step)[2]
+        return self._density_hessian(as_coords(x))
 
     def phase_gradient(self, x):
-        x = as_coords(x)
-        if self.derivative_mode == "analytic":
-            return self._phase_gradient(x)
-        return central_gradient(self._phase, x, self.fd_step)
+        return self._phase_gradient(as_coords(x))
 
     def phase_hessian(self, x):
-        x = as_coords(x)
-        if self.derivative_mode == "analytic":
-            return self._phase_hessian(x)
-        return central_hessian(self._phase, x, self.fd_step)[2]
+        return self._phase_hessian(as_coords(x))
 
     def density_and_phase_derivatives(self, x):
         """Density (...), phase gradient (..., 4) and phase Hessian
@@ -272,15 +260,6 @@ class FieldBundle:
         log_grad = dp / (2.0 * p[..., None]) + 1j * ds / self.constants.hbar
         return amp[..., None] * log_grad
 
-    def with_fd_derivatives(self, step):
-        """A view of this bundle whose derivatives come from central FD."""
-        import copy
-
-        view = copy.copy(self)
-        view.derivative_mode = "fd"
-        view.fd_step = step
-        return view
-
     def conjugate(self):
         """Phase-conjugated view of this bundle: same p, S -> -S."""
         return ConjugateBundle(self)
@@ -295,9 +274,7 @@ class ConjugateBundle(FieldBundle):
     """
 
     def __init__(self, base):
-        super().__init__(base.constants, base.domain,
-                         derivative_mode=base.derivative_mode,
-                         fd_step=base.fd_step)
+        super().__init__(base.constants, base.domain)
         self.base = base
 
     def conjugate(self):
@@ -322,53 +299,13 @@ class ConjugateBundle(FieldBundle):
         return -self.base._phase_hessian(x)
 
 
-class PlaneWaveBundle(FieldBundle):
-    """Single-mode bundle: p = 1 and S = hbar (k.x - omega t).
-
-    omega defaults to the relativistic dispersion value; passing
-    ``frequency`` overrides it (used for detuned negative controls).
-    """
-
-    def __init__(self, k, constants, domain, frequency=None):
-        super().__init__(constants, domain)
-        self.k = np.asarray(k, dtype=float)
-        kc = constants.compton_wavenumber
-        self.omega = (
-            float(frequency)
-            if frequency is not None
-            else constants.c * np.sqrt(self.k @ self.k + kc ** 2)
-        )
-        # covariant phase wave-vector: partial_mu S / hbar
-        self.kappa = np.concatenate(([-self.omega / constants.c], self.k))
-
-    @property
-    def velocity(self):
-        """Three-velocity c^2 k / omega of the phase congruence."""
-        return self.constants.c ** 2 * self.k / self.omega
-
-    def _density(self, x):
-        return np.ones(np.asarray(x).shape[:-1])
-
-    def _density_gradient(self, x):
-        return np.zeros(np.asarray(x).shape)
-
-    def _density_hessian(self, x):
-        return np.zeros(np.asarray(x).shape + (4,))
-
-    def _phase(self, x):
-        return self.constants.hbar * (np.asarray(x) @ self.kappa)
-
-    def _phase_gradient(self, x):
-        return np.broadcast_to(
-            self.constants.hbar * self.kappa, np.asarray(x).shape
-        ).copy()
-
-    def _phase_hessian(self, x):
-        return np.zeros(np.asarray(x).shape + (4,))
-
-
 class PacketBundle(FieldBundle):
-    """Positive-weight superposition of dispersion-relation modes.
+    """Positive-weight superposition of modes exp(i kappa_j . x).
+
+    Mode j has the covariant wave four-vector kappa_j = (-omega_j / c, k_j)
+    with omega_j on the mass shell c sqrt(k_j^2 + k_c^2) unless
+    ``frequencies`` sets it (detuned and negative-frequency controls). A
+    plane wave is the one-mode packet: p = 1 and S = hbar kappa_0 . x.
 
     With j0 the dominant mode (largest weight), the field is exp(i
     theta_j0) R with R = sum_j w_j exp(i dtheta_j) on the relative phases
@@ -391,7 +328,7 @@ class PacketBundle(FieldBundle):
     """
 
     def __init__(self, wavevectors, weights, constants, domain,
-                 floor=None, _skip_node_check=False):
+                 floor=None, frequencies=None, _skip_node_check=False):
         super().__init__(constants, domain)
         self.wavevectors = np.atleast_2d(np.asarray(wavevectors, dtype=float))
         self.weights = np.asarray(weights, dtype=float)
@@ -401,17 +338,25 @@ class PacketBundle(FieldBundle):
             raise ValueError("mode weights must be positive")
         if self.weights.size < 1:
             raise ValueError("at least one mode is required")
-        kc = constants.compton_wavenumber
-        self.omegas = constants.c * np.sqrt(
-            np.einsum("jm,jm->j", self.wavevectors, self.wavevectors) + kc ** 2
-        )
+        if frequencies is None:
+            kc = constants.compton_wavenumber
+            frequencies = constants.c * np.sqrt(np.einsum(
+                "jm,jm->j", self.wavevectors, self.wavevectors) + kc ** 2)
+        self.omegas = np.asarray(frequencies, dtype=float)
+        if self.omegas.shape != self.weights.shape:
+            raise ValueError("frequencies must be (n_modes,) matching weights")
         # covariant per-mode wave four-vectors (rows: partial_mu theta_j)
         self.kappas = np.concatenate(
             [(-self.omegas / constants.c)[:, None], self.wavevectors], axis=1
         )
+        j0 = self.dominant_index = int(np.argmax(self.weights))
+        # w0 - sum of the other weights; positive means globally node-free
+        self.dominance_margin = float(
+            self.weights[j0] - (self.weights.sum() - self.weights[j0]))
+        self._carrier = self.kappas[j0]
         # carrier-relative wave vectors; the weighted columns (1, dkappa)
         # and dkappa x dkappa that ``_mode_sums`` takes cos and sin to
-        dk = self._dkappas = self.kappas - self.kappas[self.dominant_index]
+        dk = self._dkappas = self.kappas - self._carrier
         w = self.weights[:, None]
         self._first_sums = w * np.concatenate([np.ones_like(w), dk], axis=1)
         self._second_sums = w * np.einsum("jm,jn->jmn", dk, dk).reshape(-1, 16)
@@ -426,17 +371,7 @@ class PacketBundle(FieldBundle):
         if not _skip_node_check:
             self._check_for_nodes()
 
-    # --- mode bookkeeping -------------------------------------------------
-    @property
-    def dominant_index(self):
-        return int(np.argmax(self.weights))
-
-    @property
-    def dominance_margin(self):
-        """w0 - sum of the other weights; positive means globally node-free."""
-        j0 = self.dominant_index
-        return float(self.weights[j0] - (self.weights.sum() - self.weights[j0]))
-
+    # --- mode sums ----------------------------------------------------------
     def _mode_sums(self, x, order):
         """Real mode sums of R = sum_j w_j exp(i dtheta_j) at events (..., 4).
 
@@ -469,7 +404,7 @@ class PacketBundle(FieldBundle):
         return (a * p + b * q) / (a * a + b * b)
 
     def _gradient_of(self, gr):
-        return self.constants.hbar * (self.kappas[self.dominant_index] + gr)
+        return self.constants.hbar * (self._carrier + gr)
 
     def _hessian_of(self, a, b, p, q, mc, ms, gr):
         """hbar Im(dd R / R - (d R / R)(d R / R)) from the sums and
@@ -484,7 +419,7 @@ class PacketBundle(FieldBundle):
     def _branch_angle(self, x):
         """theta_j0 + atan2(B, A) at events (..., 4)."""
         a, b = self._mode_sums(x, 1)[:2]
-        theta0 = np.asarray(x) @ self.kappas[self.dominant_index]
+        theta0 = np.asarray(x) @ self._carrier
         return theta0 + np.arctan2(b, a)
 
     # --- node detection ---------------------------------------------------
@@ -550,9 +485,7 @@ class PacketBundle(FieldBundle):
     def density_and_phase_derivatives(self, x):
         """Density, phase gradient and phase Hessian from one set of mode
         sums, equal bit for bit to ``density``, ``phase_gradient`` and
-        ``phase_hessian``; the finite-difference view keeps the default."""
-        if self.derivative_mode != "analytic":
-            return super().density_and_phase_derivatives(x)
+        ``phase_hessian``."""
         sums = self._mode_sums(as_coords(x), 2)
         a, b = sums[:2]
         gr = self._arg_gradient(*sums[:4])
@@ -561,14 +494,17 @@ class PacketBundle(FieldBundle):
 
 
 def make_plane_wave(k, constants=None, domain=None, frequency=None):
-    """Plane-wave bundle with dispersion-relation frequency.
+    """Plane wave of wavevector k: the one-mode ``PacketBundle``.
 
-    Plane waves are globally analytic with unit density, so the default
-    domain is a very large box; pass a Box to restrict it.
+    The frequency is on the mass shell unless ``frequency`` sets it (used
+    for detuned and negative-frequency controls). Plane waves are globally
+    analytic with unit density, so the default domain is a very large box;
+    pass a Box to restrict it.
     """
     constants = constants or PhysicalConstants()
     domain = domain or Box((-1e6,) * 4, (1e6,) * 4)
-    return PlaneWaveBundle(k, constants, domain, frequency=frequency)
+    return PacketBundle([k], [1.0], constants, domain, frequencies=(
+        None if frequency is None else [frequency]))
 
 
 def make_packet(wavevectors, weights, domain, constants=None, floor=None):

@@ -1,6 +1,6 @@
 """Shared fixtures: canonical field bundles reused across the test suite,
-the family thresholds every Monte Carlo assertion uses, and the
-tracemalloc peak the memory gates read."""
+the finite-difference view of a bundle, the family thresholds every Monte
+Carlo assertion uses, and the tracemalloc peak the memory gates read."""
 
 import tracemalloc
 
@@ -9,7 +9,14 @@ import pytest
 from scipy import stats
 
 from comovkit.constants import PhysicalConstants
-from comovkit.fields import Box, make_packet, make_plane_wave
+from comovkit.fields import (
+    Box,
+    FieldBundle,
+    central_gradient,
+    central_hessian,
+    make_packet,
+    make_plane_wave,
+)
 
 # nine-mode packet: dominant carrier at rest plus a narrow shell of side
 # modes, weights sum to 3.5 with dominance margin 0.5; the 0.05 bandwidth
@@ -109,6 +116,39 @@ def traced_peak(call):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+class FiniteDifferenceView(FieldBundle):
+    """A bundle's density and phase with central-difference derivatives.
+
+    Every derivative is one ``central_gradient`` or ``central_hessian``
+    call of step ``step`` on this view's ``_density`` or ``_phase``, which
+    are the base bundle's; it checks the analytic derivatives and runs
+    the package's generic code on a bundle without them.
+    """
+
+    def __init__(self, base, step):
+        super().__init__(base.constants, base.domain)
+        self.base = base
+        self.step = step
+
+    def _density(self, x):
+        return self.base._density(x)
+
+    def _phase(self, x):
+        return self.base._phase(x)
+
+    def _density_gradient(self, x):
+        return central_gradient(self._density, x, self.step)
+
+    def _density_hessian(self, x):
+        return central_hessian(self._density, x, self.step)[2]
+
+    def _phase_gradient(self, x):
+        return central_gradient(self._phase, x, self.step)
+
+    def _phase_hessian(self, x):
+        return central_hessian(self._phase, x, self.step)[2]
 
 
 NEAR_STANDING_WAVEVECTORS = np.array([[0.75, 0.0, 0.0], [-0.9, 0.0, 0.0]])

@@ -551,6 +551,24 @@ def test_run_plane_wave_passes(tmp_path):
     assert saved["versions"]["comovkit"]
 
 
+def test_run_detuned_plane_wave_fails_only_the_modulus_rows(tmp_path):
+    # field.frequency sets the plane wave's frequency off the mass shell:
+    # omega = 1.5 for k = 0.75 leaves |J.J + (mcp)^2| / (mcp)^2 =
+    # omega^2 - k^2 - kc^2 = 0.6875, and the classification follows the
+    # failed identity; every other row of the scenario still passes
+    doc = json.loads((SCENARIOS / "plane_wave_boost.json").read_text())
+    doc["field"]["frequency"] = 1.5
+    out = tmp_path / "out"
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"] is None
+    failed = {(row["analysis"], row["name"]): row["value"]
+              for row in report["properties"] if not row["pass"]}
+    assert failed == {("classify", "classification_unanimous"): 1.0,
+                      ("classify", "modulus_identity_max"): 0.6875}
+    assert len(report["properties"]) > len(failed)
+
+
 def test_run_packet_reports_flow_counters(tmp_path):
     scenario = validate(str(SCENARIOS / "packet_9mode.json"))
     run(scenario, out_dir=tmp_path / "out")

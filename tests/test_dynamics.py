@@ -1,5 +1,7 @@
 """Wave-equation residuals, current classification, and the limit audit."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -24,6 +26,7 @@ from comovkit.dynamics import (
 from comovkit.errors import ZeroJ0
 from comovkit.fields import four_velocity, make_plane_wave
 from comovkit.geometry import MetricPatch, chart_spatial_patch
+from conftest import FiniteDifferenceView
 
 
 def sample_events(rng, n, half=2.0):
@@ -49,7 +52,7 @@ def test_kg_residual_packet_is_roundoff(packet9):
 
 
 def test_kg_residual_fd_mode_within_step_budget(packet9):
-    fd = packet9.with_fd_derivatives(1e-3)
+    fd = FiniteDifferenceView(packet9, 1e-3)
     rng = np.random.default_rng(13)
     for x in sample_events(rng, 5):
         assert kg_residual(fd, x) < 1e-4
@@ -360,6 +363,13 @@ def test_reconstruct_kinematics_boosted(boost_wave):
     # feeding v back through the contravariant four-velocity closes the loop
     vv = raise_index(four_velocity(boost_wave, x))
     assert np.allclose(boost_wave.constants.c * vv[1:] / vv[0], v, atol=1e-12)
+    # a (2, 3) batch gives (2, 3, 3) velocities and (2, 3) densities, the
+    # one-event values at every event
+    batch = np.random.default_rng(5).uniform(-2.0, 2.0, (2, 3, 4))
+    vb, pb = reconstruct_kinematics(boost_wave, batch)
+    assert vb.shape == (2, 3, 3) and pb.shape == (2, 3)
+    np.testing.assert_array_equal(vb, np.broadcast_to(v, vb.shape))
+    np.testing.assert_array_equal(pb, 1.0)
 
 
 def test_reconstruct_kinematics_zero_j0(near_standing):
@@ -372,6 +382,13 @@ def test_reconstruct_kinematics_zero_j0(near_standing):
     root = brentq(j0, -1.95, -1.90, xtol=1e-15)
     with pytest.raises(ZeroJ0):
         reconstruct_kinematics(near_standing, [0.0, root, 0.0, 0.0])
+    # one such event fails a whole batch, and the error names it
+    batch = np.array([[0.0, 0.2, 0.0, 0.0], [0.0, root, 0.0, 0.0],
+                      [0.0, -0.5, 0.0, 0.0]])
+    with pytest.raises(ZeroJ0, match=re.escape(repr(root))):
+        reconstruct_kinematics(near_standing, batch)
+    v, _ = reconstruct_kinematics(near_standing, batch[[0, 2]])
+    assert v.shape == (2, 3)
     sample = four_current(near_standing, [0.0, root, 0.0, 0.0])
     assert sample.classification == "indeterminate"
 

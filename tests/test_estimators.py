@@ -532,6 +532,31 @@ def test_action_gaussian_closed_form():
     assert val == shifted
 
 
+def test_action_current_term_holds_columns_and_one_block():
+    # order 32: 32 768 nodes. The current term takes its nodes block by
+    # block, as the osmotic term does, into one column: the peak stays
+    # within the quadrature's. The whole (n, 3) node array with its index
+    # arrays peaks at about 112 B a node. The value is that of one
+    # current_sq call on all nodes, bit for bit.
+    order = 32
+    box = Box((-7.0, -7.0, -7.0), (7.0, 7.0, 7.0))
+    patch = MetricPatch.euclidean()
+
+    def current_sq(pts):
+        return 0.01 * (pts[:, 0] ** 2 + pts[:, 1] ** 2 + pts[:, 2] ** 2)
+
+    val, peak = traced_peak(lambda: stochastic_action(
+        gauss_density, patch, (0.0, 1.0), CONSTANTS, box, order=order,
+        grad_log_density=gauss_grad_log, current_sq=current_sq))
+    assert peak <= QUADRATURE_COLUMN_BYTES * order**3 + 1024 * ROW_BLOCK
+    u2 = expectation_u2(gauss_density, patch, box, NU, order=order,
+                        grad_log_density=gauss_grad_log)
+    pts, _ = _tensor_nodes(box, order)
+    e_b2 = float(np.sum(u2["weights"] * current_sq(pts))) / u2["normalization"]
+    assert val == -CONSTANTS.mass * CONSTANTS.c**2 * float(
+        np.sqrt(1.0 - (e_b2 - u2["value"]) / CONSTANTS.c**2))
+
+
 def test_action_imaginary_raises():
     patch = MetricPatch.euclidean()
     box = Box((-7.0, -7.0, -7.0), (7.0, 7.0, 7.0))

@@ -1,9 +1,12 @@
 """Every exported name resolves, so a deletion cannot leave a stale export;
-the package imports exactly the runtime dependencies pyproject.toml names."""
+the package imports exactly the runtime dependencies pyproject.toml names;
+every Python example in README.md runs, so it cannot call a deleted name."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,3 +40,21 @@ def test_imports_match_the_declared_runtime_dependencies():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"comovkit"}
     assert third_party == declared == {"numpy"}
+
+
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
+                           (ROOT / "README.md").read_text(),
+                           flags=re.MULTILINE | re.DOTALL)
+
+
+@pytest.mark.parametrize("block", range(len(README_BLOCKS)))
+def test_readme_python_examples_run(block, tmp_path):
+    # each fenced python block on its own, against src/, in a fresh process
+    # from an empty directory
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-c", README_BLOCKS[block]], cwd=tmp_path,
+                   env=env, check=True, timeout=300)
+
+
+def test_readme_has_python_examples():
+    assert README_BLOCKS

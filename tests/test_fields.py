@@ -30,7 +30,7 @@ from comovkit.fields import (
     make_plane_wave,
     osmotic_four_velocity,
 )
-from conftest import traced_peak
+from conftest import FiniteDifferenceView, traced_peak
 
 
 def random_points(rng, n, half=2.0):
@@ -43,9 +43,30 @@ def _mode_sum(bundle, x):
     return np.exp(1j * (np.asarray(x) @ bundle.kappas.T)) @ bundle.weights
 
 
-def test_plane_wave_dispersion(boost_wave):
-    assert boost_wave.omega == pytest.approx(1.25, abs=1e-15)
-    np.testing.assert_allclose(boost_wave.velocity, [0.6, 0.0, 0.0], atol=1e-15)
+@pytest.mark.parametrize("frequency", [None, 1.5, -1.25])
+def test_plane_wave_closed_form(constants, frequency):
+    # the one-mode packet against p = 1 and S = hbar (k.x - omega t), with
+    # omega on the mass shell, c sqrt(k^2 + kc^2) = 1.25, unless overridden
+    k = np.array([0.75, 0.0, 0.0])
+    omega = 1.25 if frequency is None else frequency
+    wave = make_plane_wave(k, constants, frequency=frequency)
+    kappa = np.array([-omega / constants.c, *k])
+    np.testing.assert_array_equal(wave.kappas, [kappa])
+    # the congruence moves at c^2 k / omega
+    np.testing.assert_allclose(
+        -constants.c * wave.kappas[0, 1:] / wave.kappas[0, 0],
+        constants.c ** 2 * k / omega, rtol=1e-15)
+    pts = random_points(np.random.default_rng(18), 200, half=50.0)
+    hbar = constants.hbar
+    np.testing.assert_allclose(
+        wave.phase(pts), hbar * (pts[:, 1:] @ k - omega * pts[:, 0]),
+        rtol=1e-14, atol=1e-13)
+    np.testing.assert_array_equal(wave.density(pts), 1.0)
+    np.testing.assert_array_equal(
+        wave.phase_gradient(pts), np.broadcast_to(hbar * kappa, pts.shape))
+    for hessian in (wave.phase_hessian, wave.density_hessian):
+        np.testing.assert_array_equal(hessian(pts), 0.0)
+    np.testing.assert_array_equal(wave.density_gradient(pts), 0.0)
 
 
 def test_plane_wave_phase_gradient_constant(boost_wave):
@@ -356,8 +377,7 @@ def test_fd_derivatives_converge_at_second_order(packet9):
     exact = packet9.density_gradient(pt)
     errs = []
     for h in (0.08, 0.04, 0.02):
-        view = packet9.with_fd_derivatives(h)
-        assert view.derivative_mode == "fd"
+        view = FiniteDifferenceView(packet9, h)
         errs.append(np.max(np.abs(view.density_gradient(pt) - exact)))
     rate = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
     assert rate[0] == pytest.approx(2.0, abs=0.2)
@@ -477,7 +497,7 @@ class _Counting:
     ("phase_gradient", 8), ("phase_hessian", 33),
 ])
 def test_fd_view_makes_one_call_per_derivative(packet9, method, rows):
-    view = packet9.with_fd_derivatives(1e-3)
+    view = FiniteDifferenceView(packet9, 1e-3)
     name = "_density" if method.startswith("density") else "_phase"
     counter = _Counting(getattr(view, name))
     setattr(view, name, counter)
@@ -616,7 +636,7 @@ def test_one_evaluation_equals_public_accessors(kind, packet9, boost_wave):
         "packet": packet9,
         "plane_wave": boost_wave,
         "conjugate": packet9.conjugate(),
-        "packet_fd": packet9.with_fd_derivatives(1e-3),
+        "packet_fd": FiniteDifferenceView(packet9, 1e-3),
     }[kind]
     pts = np.random.default_rng(12).uniform(-2.0, 2.0, size=(3, 5, 4))
     density, grad, hess = bundle.density_and_phase_derivatives(pts)
@@ -632,7 +652,7 @@ def test_one_evaluation_equals_public_accessors(kind, packet9, boost_wave):
 
 def test_hypotheses_closedness_zero_in_fd_mode(boost_wave):
     # central differences of a linear phase are symmetric by construction
-    view = boost_wave.with_fd_derivatives(1e-3)
+    view = FiniteDifferenceView(boost_wave, 1e-3)
     report = check_theorem_hypotheses(view, shape=(4, 4, 4, 4))
     assert report.max_closedness < report.closedness_tol
 
