@@ -2,9 +2,11 @@
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 SWEEP = Path(__file__).resolve().parents[1] / "tools" / "false_alarm_sweep.py"
+GOLDEN = SWEEP.with_name("golden.py")
 
 
 def test_false_alarm_sweep_reads_existing_test_helpers():
@@ -27,3 +29,26 @@ def test_false_alarm_sweep_reads_existing_test_helpers():
     missing = sorted(f"{module}.{name}" for module, name in used
                      if not hasattr(importlib.import_module(module), name))
     assert not missing
+
+
+def test_golden_update_names_and_rewrites_a_changed_pin(tmp_path,
+                                                        monkeypatch, capsys):
+    # a pin edited by hand is reported as changed, with its old and new
+    # value, and --update writes the run's value back
+    spec = importlib.util.spec_from_file_location("golden", GOLDEN)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    pinned = golden.load("nonrel_family")
+    key = "analyses.nonrel.slope"
+    true_value = pinned["values"][key]
+    pinned["values"][key] = true_value + 1.0
+    monkeypatch.setattr(golden, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(golden, "SCENARIOS", ("nonrel_family",))
+    golden.write("nonrel_family", pinned)
+    assert golden.main([]) == 1
+    line = f"nonrel_family: values.{key}: {true_value + 1.0!r} -> {true_value!r}"
+    assert line in capsys.readouterr().out.splitlines()
+    assert golden.main(["--update"]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+    assert golden.load("nonrel_family")["values"][key] == true_value
+    assert golden.main([]) == 0
