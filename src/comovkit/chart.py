@@ -58,6 +58,7 @@ from .errors import (
     ZeroSlope,
 )
 from .fields import (
+    _rows_times,
     as_coords,
     central_gradient,
     check_theorem_hypotheses,
@@ -360,10 +361,6 @@ class TimeConvention:
         self._g00 = metric_time_time
         self._primitive = arc_primitive
 
-    @property
-    def is_proper_time(self):
-        return self._g00 is None
-
     def g00(self, xi0):
         """Time-time metric component at chart time xi0 (a float or an
         array); raises ValueError unless every value is negative."""
@@ -663,7 +660,8 @@ class ComovingChart:
                           np.concatenate([level - s_x, s_x - level]),
                           self.rtol, self.atol, stats)
         xi0 = self.time_convention.time_from_lambda(end[n:, 4])
-        xi_sp = (end[:n, 1:4] - self.base_origin) @ self.frame_matrix.T
+        xi_sp = _rows_times(end[:n, 1:4] - self.base_origin,
+                            self.frame_matrix.T)
         xi = np.concatenate([xi0[:, None], xi_sp], axis=1)
         return xi.reshape(x.shape)
 
@@ -679,7 +677,8 @@ class ComovingChart:
                          self.bundle.domain, self.rtol, self.atol, stats)
         s_target = self.bundle.phase(ref)[which]
         lift = self.surface.embed(
-            self.base_origin + rows[:, 1:] @ self.frame_matrix_inv.T)
+            self.base_origin + _rows_times(rows[:, 1:],
+                                           self.frame_matrix_inv.T))
         return flow_to_level(self.bundle, lift, s_target, rtol=self.rtol,
                              atol=self.atol, stats=stats).reshape(xi.shape)
 

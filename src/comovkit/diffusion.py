@@ -231,7 +231,7 @@ def drift_from_fields(u, patch, nu):
     constant metrics the correction vanishes identically and the drift is
     u itself.
     """
-    if getattr(patch, "is_constant", False):
+    if patch.is_constant:
         return u
 
     def beta(q):
@@ -256,7 +256,7 @@ def simulate(drift, patch, config):
     snap_index = {k: m for m, k in enumerate(snap_steps)}
     n_snaps = len(snap_steps)
     root_nudt = np.sqrt(config.nu * config.dt)
-    constant_metric = getattr(patch, "is_constant", False)
+    constant_metric = patch.is_constant
     g_const = patch.noise_factor(np.zeros(3)) if constant_metric else None
     unit_noise = constant_metric and np.array_equal(g_const, np.eye(3))
     radius2 = config.explosion_radius ** 2
@@ -663,9 +663,8 @@ def variance_report(ensemble, n_batches=DEFAULT_BATCHES):
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = slot_sums() / count
         var = slot_sums(mean) / (count - 1)
-    bvars = var[:n_batches][size > 1]
     return {
         "times": ensemble.times.copy(),
         "variance": var[n_batches],
-        "se": bvars.std(axis=0, ddof=1) / np.sqrt(len(bvars)),
+        "se": batch_mean_se(var[:n_batches][size > 1])[1],
     }

@@ -75,7 +75,6 @@ def estimate_density(ensemble, bins, patch, n_batches=DEFAULT_BATCHES):
     the result is normalized to sum(rho sqrt|sigma| vol) = 1 over the
     lattice.
     """
-    k = bins.n_bins
     count, bcount = _bin_totals(bins, ensemble.pre, n_batches)
     _, vol = _bin_volume(bins)
     root_sig = _sqrt_sigma_per_bin(bins, patch)
@@ -88,13 +87,9 @@ def estimate_density(ensemble, bins, patch, n_batches=DEFAULT_BATCHES):
     btot = bcount.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         best = bcount / (btot * vol * root_sig)
-    n_eff = np.sum(btot[:, 0] > 0)
-    se = (
-        best.std(axis=0, ddof=1) / np.sqrt(n_eff)
-        if n_eff >= 2
-        else np.full(k, np.inf)
-    )
-    se = np.where(count >= 2, se, np.inf)
+    # a batch with no state inside the lattice has no estimate (NaN rows)
+    # and does not count
+    se = np.where(count >= 2, batch_mean_se(best)[1], np.inf)
     return BinnedField(
         bins=bins, estimate=est, se=se, count=count, batch_estimate=best,
         meta={"total_inside": total, "volume": vol},
@@ -126,7 +121,7 @@ def velocities_from_drifts(fwd, bwd, patch=None, nu=None):
     osm_mean, osm_se, osm_valid = combine_drift_estimates(fwd, bwd, 0.5, -0.5)
     centers = fwd.centers
     anchor = 0.5 * (fwd.eval_points() + bwd.eval_points())
-    if patch is not None and not getattr(patch, "is_constant", False):
+    if patch is not None and not patch.is_constant:
         if nu is None:
             raise ValueError("nu is required for the metric correction")
         osm_mean = osm_mean + 0.5 * nu * patch.christoffel_contraction(anchor)
@@ -231,7 +226,7 @@ def osmotic_identity_report(ensemble, bins, patch, nu, min_count=500,
         diff, diff_se, n_eff = batch_mean_se(diff_batch)
         valid = fwd.valid & bwd.valid & (n_eff >= max(2, n_batches // 4))
         count = np.minimum(fwd.count, bwd.count)
-    if not getattr(patch, "is_constant", False):
+    if not patch.is_constant:
         # deterministic metric correction turning the drift combination
         # into the invariant osmotic velocity
         diff = diff + 0.5 * nu * patch.christoffel_contraction(anchor)
@@ -287,15 +282,6 @@ def _grid_points(axes, rows):
     return np.stack([x[i] for (x, _), i in zip(axes, index)], axis=-1)
 
 
-def _node_blocks(n):
-    """Slices of ``geometry.ROW_BLOCK`` nodes covering nodes 0 to n - 1; a
-    lone last node joins the block before it, as a one-row batch may round
-    differently."""
-    blocks = list(_row_blocks(max(n - 1, 1)))
-    blocks[-1] = slice(blocks[-1].start, n)
-    return blocks
-
-
 def _tensor_nodes(box, order):
     axes = _gl_axes(box, order)
     wts = _tensor_weights(axes)
@@ -307,7 +293,7 @@ def _metric_tables(patch, pts):
 
     A constant patch is factored at the origin, whatever the nodes, so
     ``factors`` remembers one factorization for every block."""
-    if getattr(patch, "is_constant", False):
+    if patch.is_constant:
         sig, inv, root = patch.factors(np.zeros(3))
         return (
             np.broadcast_to(sig, (len(pts), 3, 3)),
@@ -348,12 +334,12 @@ def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER,
     outer shell of the box carries more than ``tail_tol`` of the
     integrand, i.e. the box truncates the tails.
 
-    One pass over the ``_node_blocks`` of ``geometry.ROW_BLOCK`` nodes
-    builds each block's nodes from the Gauss-Legendre axes and evaluates
-    the density, its log gradient (finite differences unless
+    One pass over blocks of ``geometry.ROW_BLOCK`` nodes, the last maybe a
+    single node, builds each block's nodes from the Gauss-Legendre axes and
+    evaluates the density, its log gradient (finite differences unless
     ``grad_log_density`` is given), the metric tables and the shell flag
-    there, keeping only per-node columns; every sum is one sum over a
-    whole column. The returned dict holds ``value``, ``normalization``,
+    there, keeping only per-node columns, which do not depend on the
+    blocks; every sum is one sum over a whole column. The returned dict holds ``value``, ``normalization``,
     ``tail_fraction`` and ``order``, and per node: ``weights``, the
     quadrature weight times rho sqrt|sigma|, ``sqrt_det``, sqrt|sigma|,
     ``quad_form``, grad . sigma^{-1} . grad, and ``u_sigma_u``,
@@ -371,7 +357,7 @@ def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER,
     u_sigma_u = np.empty(n)
     shell = np.empty(n, dtype=bool)
     h = 1e-5 * float(np.min(box.extent))
-    for block in _node_blocks(n):
+    for block in _row_blocks(n):
         pts = _grid_points(axes, block)
         rho = np.asarray(density(pts), dtype=float)
         # the log gradient needs strictly positive density on every node;
@@ -517,7 +503,7 @@ def stochastic_action(density, patch, interval, constants, box,
     if current_sq is not None:
         axes = _gl_axes(box, order)
         beta2 = np.empty(len(u2["weights"]))
-        for block in _node_blocks(len(beta2)):
+        for block in _row_blocks(len(beta2)):
             beta2[block] = current_sq(_grid_points(axes, block))
         beta2 *= u2["weights"]
         e_b2 = float(np.sum(beta2)) / u2["normalization"]

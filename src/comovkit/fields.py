@@ -22,7 +22,9 @@ field on all of space; a superposition without a dominant mode raises
 BranchUnavailable when a phase value is asked for.
 
 Events and four-vectors are plain arrays: every accessor takes events
-(..., 4) and returns its values stacked over the same leading axes. The
+(..., 4) and returns its values stacked over the same leading axes, and a
+row's values do not depend on the rows that share its call, one event
+included (``_rows_times``). The
 gradient of the phase divided by the mass is the current four-velocity
 (``four_velocity``); the half-log-gradient of the density scaled by hbar/2m
 is the osmotic four-velocity (``osmotic_four_velocity``). Both return
@@ -69,6 +71,16 @@ def as_coords(point):
     if arr.shape[-1:] != (4,):
         raise ValueError("expected coordinates with trailing dimension 4")
     return arr
+
+
+def _rows_times(x, matrix):
+    """Rows x (..., k) times a constant (k, m) matrix or (k,) vector as a
+    product over two rows or more: numpy sends a one-row product to a
+    vector-matrix kernel that rounds otherwise, so a lone row goes in twice
+    and keeps the first result, and no row depends on its batch."""
+    rows = np.reshape(x, (-1, np.shape(x)[-1])).astype(float, copy=False)
+    out = (np.concatenate([rows, rows]) if len(rows) == 1 else rows) @ matrix
+    return out[:len(rows)].reshape(np.shape(x)[:-1] + out.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -383,7 +395,7 @@ class PacketBundle(FieldBundle):
         together, and A, B, P, Q come from the same product at every order,
         so every accessor rounds them alike.
         """
-        dth = np.asarray(x) @ self._dkappas.T
+        dth = _rows_times(x, self._dkappas.T)
         lead, n = dth.shape[:-1], dth.shape[-1]
         cs = np.empty((2,) + dth.shape)
         np.cos(dth, out=cs[0])
@@ -419,8 +431,7 @@ class PacketBundle(FieldBundle):
     def _branch_angle(self, x):
         """theta_j0 + atan2(B, A) at events (..., 4)."""
         a, b = self._mode_sums(x, 1)[:2]
-        theta0 = np.asarray(x) @ self._carrier
-        return theta0 + np.arctan2(b, a)
+        return _rows_times(x, self._carrier) + np.arctan2(b, a)
 
     # --- node detection ---------------------------------------------------
     def _check_for_nodes(self):

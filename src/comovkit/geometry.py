@@ -56,7 +56,7 @@ import numpy as np
 from .chart import TimeConvention
 from .constants import ETA
 from .errors import NotSpacelike
-from .fields import central_gradient
+from .fields import _rows_times, central_gradient
 
 DEFAULT_H = 1e-2
 FD_STEP = 1e-3  # sigma and covector derivative step when none is given
@@ -68,7 +68,8 @@ ROW_BLOCK = 512
 
 def _row_blocks(n):
     """Slices of ROW_BLOCK consecutive rows covering rows 0 to n - 1."""
-    return (slice(lo, lo + ROW_BLOCK) for lo in range(0, n, ROW_BLOCK))
+    return (slice(lo, min(lo + ROW_BLOCK, n))
+            for lo in range(0, n, ROW_BLOCK))
 
 
 def _stack_rows(func, name, q, shape):
@@ -120,15 +121,15 @@ class MetricPatch:
     and it hands out read-only arrays.
     """
 
-    def __init__(self, sigma, g00=None, sigma_gradient=None, name="",
-                 is_constant=False):
+    # True only for ``euclidean`` and ``constant``: the noise factor is then
+    # hoisted out of the step loop and the zero drift correction dropped
+    is_constant = False
+
+    def __init__(self, sigma, g00=None, sigma_gradient=None, name=""):
         self._sigma = sigma
         self._dsigma = sigma_gradient
         self.g00 = g00 if g00 is not None else TimeConvention().g00
         self.name = name
-        # constant metrics let the simulator hoist the noise factor out of
-        # the step loop and drop the (identically zero) drift correction
-        self.is_constant = is_constant
         # (key, factors) of the last factorization, one entry per thread
         self._last = threading.local()
 
@@ -241,17 +242,16 @@ class MetricPatch:
     # --- constructors ---------------------------------------------------------
     @classmethod
     def euclidean(cls):
-        return cls(lambda q: np.eye(3), name="euclidean", is_constant=True)
+        return _ConstantPatch(lambda q: np.eye(3), name="euclidean")
 
     @classmethod
     def constant(cls, sigma_matrix, g00=None):
         mat = np.asarray(sigma_matrix, dtype=float)
-        return cls(
+        return _ConstantPatch(
             lambda q: mat.copy(),
             g00=g00,
             sigma_gradient=lambda q: np.zeros((3, 3, 3)),
             name="constant",
-            is_constant=True,
         )
 
     @classmethod
@@ -263,6 +263,12 @@ class MetricPatch:
         curvature quantities unchanged.
         """
         return _SurfacePatch(chart.surface, chart.time_convention.g00)
+
+
+class _ConstantPatch(MetricPatch):
+    """The patches of ``MetricPatch.euclidean`` and ``.constant``."""
+
+    is_constant = True
 
 
 class _SurfacePatch(MetricPatch):
@@ -284,7 +290,9 @@ class _SurfacePatch(MetricPatch):
     def _base(self, q):
         """Base coordinates of the points q."""
         q = np.asarray(q, dtype=float)
-        return q if self.frame is None else self.frame[0] + q @ self.frame[1].T
+        if self.frame is None:
+            return q
+        return self.frame[0] + _rows_times(q, self.frame[1].T)
 
     def metric(self, q):
         sig = self.surface.metric(self._base(q))

@@ -45,6 +45,7 @@ from comovkit.fields import (
     make_packet,
     make_plane_wave,
 )
+from comovkit.geometry import chart_spatial_patch
 from conftest import FiniteDifferenceView
 
 
@@ -691,9 +692,10 @@ def test_plane_wave_maps_equal_boost(constants, beta):
 
 
 @st.composite
-def _dominant_packets(draw, k_max=0.05):
+def _dominant_packets(draw, k_max=0.05, n_events=3):
     """A carrier at rest (weight 2) and 2-8 side modes with |k| <= k_max,
-    side weights summing to at most 1.5, on [-4, 4]^4; with 3 events."""
+    side weights summing to at most 1.5, on [-4, 4]^4; with ``n_events``
+    events in [-1.5, 1.5]^4."""
     n_side = draw(st.integers(2, 8))
     unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
     ks = np.array(draw(st.lists(st.tuples(unit, unit, unit), min_size=n_side,
@@ -707,7 +709,7 @@ def _dominant_packets(draw, k_max=0.05):
                          Box((-4.0,) * 4, (4.0,) * 4))
     coord = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
     pts = np.array(draw(st.lists(st.tuples(coord, coord, coord, coord),
-                                 min_size=3, max_size=3)))
+                                 min_size=n_events, max_size=n_events)))
     return bundle, pts
 
 
@@ -730,6 +732,47 @@ def test_packet_chart_invariants(case):
     np.testing.assert_allclose(back, np.stack([chart.inverse_map(v)
                                                for v in xi]),
                                rtol=0.0, atol=1e-10)
+
+
+def _batch_axis_first(values):
+    """A result, or each part of a tuple of results, as arrays."""
+    return [np.asarray(v) for v in
+            (values if isinstance(values, tuple) else (values,))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_dominant_packets(n_events=5), data=st.data())
+def test_a_row_does_not_depend_on_its_batch(case, data):
+    # a subset of a batch in any order, and each event alone as (4,) and
+    # as (1, 4), gives its rows of the whole batch bit for bit: through
+    # every bundle accessor, both chart maps and the slice metric
+    bundle, pts = case
+    chart = ComovingChart(bundle, origin=np.zeros(4))
+    patch = chart_spatial_patch(chart)
+    xi = chart.forward_map(pts)
+    funcs = {name: (getattr(bundle, name), pts) for name in (
+        "density", "density_gradient", "density_hessian", "phase",
+        "phase_gradient", "phase_hessian", "density_and_phase_derivatives")}
+    funcs.update(forward_map=(chart.forward_map, pts),
+                 inverse_map=(chart.inverse_map, xi))
+    funcs.update({name: (getattr(patch, name), xi[:, 1:]) for name in (
+        "metric", "sigma_derivatives", "christoffel")})
+    order = data.draw(st.permutations(range(len(pts))))
+    subset = order[:data.draw(st.integers(1, len(pts)))]
+    differ = {}
+    for name, (func, batch) in funcs.items():
+        whole = _batch_axis_first(func(batch))
+        calls = [(subset, batch[subset])]
+        calls += [(i, batch[i]) for i in range(len(batch))]
+        calls += [([i], batch[i][None]) for i in range(len(batch))]
+        for rows, part in calls:
+            for got, want in zip(_batch_axis_first(func(part)), whole):
+                if not np.array_equal(got, want[rows]):
+                    differ.setdefault(name, (rows, np.max(np.abs(
+                        got - want[rows]))))
+    assert not differ, "rows differ from their batch rows: " + ", ".join(
+        f"{name} (rows {rows}, by {gap:.3g})"
+        for name, (rows, gap) in differ.items())
 
 
 @settings(max_examples=20, deadline=None)

@@ -490,7 +490,7 @@ def _reference_simulate(drift, patch, config):
     post = np.empty_like(pre)
     clipped = np.zeros(config.n_paths, dtype=bool)
     root = np.sqrt(config.nu * config.dt)
-    constant = getattr(patch, "is_constant", False)
+    constant = patch.is_constant
     g = patch.noise_factor(np.zeros(3)) if constant else None
     ranges = diffusion._chunk_ranges(config.n_paths, config.chunk_size)
     for ci, (lo, hi) in enumerate(ranges):

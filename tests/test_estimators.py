@@ -189,6 +189,24 @@ def test_density_uses_volume_factor():
     assert bare["reject"], bare
 
 
+def test_density_se_skips_a_path_batch_without_states_inside():
+    # 64 paths make 32 path batches of two; the first batch stays outside
+    # the bin box, so it has no density estimate, and every bin's SE comes
+    # from the other 31 batches instead of turning NaN
+    rng = np.random.default_rng(5)
+    states = rng.uniform(-1.0, 1.0, size=(64, 4, 3))
+    states[:2] = 5.0
+    ens = PathEnsemble(times=np.arange(4.0), pre=states, post=states,
+                       dt=1e-3, nu=1.0)
+    bins = BinSpec((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), (2, 2, 2))
+    est = estimate_density(ens, bins, MetricPatch.euclidean())
+    assert np.all(est.count >= 2)
+    assert np.all(np.isnan(est.batch_estimate[0]))
+    rest = est.batch_estimate[1:]
+    np.testing.assert_array_equal(
+        est.se, rest.std(axis=0, ddof=1) / np.sqrt(len(rest)))
+
+
 # --- velocities ------------------------------------------------------------------
 
 def test_velocities_recover_current_and_osmotic(ou_ensemble, ou_bins):
@@ -465,9 +483,9 @@ def test_log_gradient_stencil_holds_one_block():
 
 @pytest.mark.parametrize("block", [7, 1 << 20])
 def test_log_gradient_does_not_depend_on_the_row_block(block, monkeypatch):
-    # order 8: 512 nodes, 73 blocks of 7 and a lone node that joins the
-    # last block, so every density call takes two nodes (12 stencil rows)
-    # or more; the blocks' gradients are those of one call on all nodes
+    # order 8: 512 nodes, 73 blocks of 7 and a lone node in a block of its
+    # own, whose density calls take one node and its 6 stencil rows; the
+    # blocks' gradients and node columns are those of one call on all nodes
     box = Box((-7.0, -7.0, -7.0), (7.0, 7.0, 7.0))
     pts, _ = _tensor_nodes(box, 8)
     want_grad = _grad_log(gauss_density, pts, None, _stencil_step(box))
@@ -487,10 +505,13 @@ def test_log_gradient_does_not_depend_on_the_row_block(block, monkeypatch):
     monkeypatch.setattr(geometry, "ROW_BLOCK", block)
     monkeypatch.setattr(estimators, "_grad_log", recorded)
     got = expectation_u2(density, MetricPatch.euclidean(), box, NU, order=8)
-    assert len(grads) == (73 if block == 7 else 1)
-    assert min(rows) >= 2 and sum(rows) == 7 * 512
+    assert len(grads) == (74 if block == 7 else 1)
+    assert rows[-2:] == ([1, 6] if block == 7 else [512, 6 * 512])
+    assert sum(rows) == 7 * 512
     assert np.concatenate(nodes).tobytes() == pts.tobytes()
     assert np.concatenate(grads).tobytes() == want_grad.tobytes()
+    for column in ("weights", "sqrt_det", "quad_form", "u_sigma_u"):
+        assert got[column].tobytes() == want[column].tobytes()
     assert got["value"] == want["value"]
 
 

@@ -48,6 +48,17 @@ def test_patch_factors_roundtrip():
     assert patch.sqrt_det(q) == pytest.approx(0.8, abs=1e-14)
 
 
+def test_constancy_follows_from_the_constructor():
+    # only euclidean() and constant() build constant patches: a varying
+    # sigma cannot be declared constant and so lose its drift correction
+    assert MetricPatch.euclidean().is_constant
+    assert MetricPatch.constant(np.diag([0.64, 1.0, 1.0])).is_constant
+    assert not MetricPatch(lambda q: np.eye(3)).is_constant
+    assert not polar_flat_patch().is_constant
+    with pytest.raises(TypeError):
+        MetricPatch(polar_flat_patch().metric, is_constant=True)
+
+
 def test_patch_rejects_non_spacelike():
     patch = MetricPatch.constant(np.diag([1.0, -0.2, 1.0]))
     with pytest.raises(NotSpacelike):

@@ -46,7 +46,8 @@ def test_golden_update_names_and_rewrites_a_changed_pin(tmp_path,
     monkeypatch.setattr(golden, "SCENARIOS", ("nonrel_family",))
     golden.write("nonrel_family", pinned)
     assert golden.main([]) == 1
-    line = f"nonrel_family: values.{key}: {true_value + 1.0!r} -> {true_value!r}"
+    line = (f"nonrel_family: values.{key}: {true_value + 1.0!r} -> "
+            f"{true_value!r}")
     assert line in capsys.readouterr().out.splitlines()
     assert golden.main(["--update"]) == 0
     assert line in capsys.readouterr().out.splitlines()

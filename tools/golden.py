@@ -1,7 +1,7 @@
 """Pin the report values and data digests of the fast shipped scenarios.
 
-    PYTHONPATH=src python3 tools/golden.py            # compare, exit 1 on a change
-    PYTHONPATH=src python3 tools/golden.py --update   # rewrite the pins
+    python3 tools/golden.py            # exit 1 on a change
+    python3 tools/golden.py --update   # rewrite the pins
 
 Each scenario in SCENARIOS runs in process into a temporary directory. Its
 ``report.json`` is flattened to dotted keys (``analyses.chart_diag.
