@@ -666,5 +666,5 @@ def variance_report(ensemble, n_batches=DEFAULT_BATCHES):
     return {
         "times": ensemble.times.copy(),
         "variance": var[n_batches],
-        "se": batch_mean_se(var[:n_batches][size > 1])[1],
+        "se": batch_mean_se(var[:n_batches])[1],
     }

@@ -87,8 +87,7 @@ def estimate_density(ensemble, bins, patch, n_batches=DEFAULT_BATCHES):
     btot = bcount.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         best = bcount / (btot * vol * root_sig)
-    # a batch with no state inside the lattice has no estimate (NaN rows)
-    # and does not count
+    # a batch with no state inside the lattice (NaN row) does not count
     se = np.where(count >= 2, batch_mean_se(best)[1], np.inf)
     return BinnedField(
         bins=bins, estimate=est, se=se, count=count, batch_estimate=best,
@@ -339,12 +338,12 @@ def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER,
     evaluates the density, its log gradient (finite differences unless
     ``grad_log_density`` is given), the metric tables and the shell flag
     there, keeping only per-node columns, which do not depend on the
-    blocks; every sum is one sum over a whole column. The returned dict holds ``value``, ``normalization``,
-    ``tail_fraction`` and ``order``, and per node: ``weights``, the
-    quadrature weight times rho sqrt|sigma|, ``sqrt_det``, sqrt|sigma|,
-    ``quad_form``, grad . sigma^{-1} . grad, and ``u_sigma_u``,
-    u . sigma . u with u = (nu/2) sigma^{-1} grad, the squared osmotic
-    velocity of the direct energy route.
+    blocks; every sum is one sum over a whole column. The returned dict
+    holds ``value``, ``normalization``, ``tail_fraction`` and ``order``,
+    and per node: ``weights``, the quadrature weight times rho sqrt|sigma|,
+    ``sqrt_det``, sqrt|sigma|, ``quad_form``, grad . sigma^{-1} . grad, and
+    ``u_sigma_u``, u . sigma . u with u = (nu/2) sigma^{-1} grad, the
+    squared osmotic velocity of the direct energy route.
     """
     if floor is None:
         floor = 0.0

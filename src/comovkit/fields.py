@@ -74,13 +74,15 @@ def as_coords(point):
 
 
 def _rows_times(x, matrix):
-    """Rows x (..., k) times a constant (k, m) matrix or (k,) vector as a
-    product over two rows or more: numpy sends a one-row product to a
-    vector-matrix kernel that rounds otherwise, so a lone row goes in twice
-    and keeps the first result, and no row depends on its batch."""
-    rows = np.reshape(x, (-1, np.shape(x)[-1])).astype(float, copy=False)
-    out = (np.concatenate([rows, rows]) if len(rows) == 1 else rows) @ matrix
-    return out[:len(rows)].reshape(np.shape(x)[:-1] + out.shape[1:])
+    """Rows x (..., k) times a constant (k, m) matrix or (k,) vector, over
+    two rows or more: numpy's one-row kernel rounds otherwise, so a lone row
+    goes in twice and keeps the first result; no row depends on its batch."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2 and len(x) > 1:
+        return x @ matrix
+    rows = x.reshape(-1, x.shape[-1])
+    out = (np.concatenate((rows, rows)) if len(rows) == 1 else rows) @ matrix
+    return out[:len(rows)].reshape(x.shape[:-1] + out.shape[1:])
 
 
 @dataclass(frozen=True)

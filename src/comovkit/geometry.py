@@ -121,9 +121,7 @@ class MetricPatch:
     and it hands out read-only arrays.
     """
 
-    # True only for ``euclidean`` and ``constant``: the noise factor is then
-    # hoisted out of the step loop and the zero drift correction dropped
-    is_constant = False
+    is_constant = False  # see _ConstantPatch
 
     def __init__(self, sigma, g00=None, sigma_gradient=None, name=""):
         self._sigma = sigma
@@ -266,7 +264,8 @@ class MetricPatch:
 
 
 class _ConstantPatch(MetricPatch):
-    """The patches of ``MetricPatch.euclidean`` and ``.constant``."""
+    """The patches of ``euclidean`` and ``constant``: ``simulate`` hoists
+    their noise factor and the estimators drop their zero drift term."""
 
     is_constant = True
 
