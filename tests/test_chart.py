@@ -734,7 +734,7 @@ def test_packet_chart_invariants(case):
                                rtol=0.0, atol=1e-10)
 
 
-def _batch_axis_first(values):
+def _as_parts(values):
     """A result, or each part of a tuple of results, as arrays."""
     return [np.asarray(v) for v in
             (values if isinstance(values, tuple) else (values,))]
@@ -761,12 +761,12 @@ def test_a_row_does_not_depend_on_its_batch(case, data):
     subset = order[:data.draw(st.integers(1, len(pts)))]
     differ = {}
     for name, (func, batch) in funcs.items():
-        whole = _batch_axis_first(func(batch))
+        whole = _as_parts(func(batch))
         calls = [(subset, batch[subset])]
         calls += [(i, batch[i]) for i in range(len(batch))]
         calls += [([i], batch[i][None]) for i in range(len(batch))]
         for rows, part in calls:
-            for got, want in zip(_batch_axis_first(func(part)), whole):
+            for got, want in zip(_as_parts(func(part)), whole):
                 if not np.array_equal(got, want[rows]):
                     differ.setdefault(name, (rows, np.max(np.abs(
                         got - want[rows]))))

@@ -509,11 +509,9 @@ def test_velocity_fields_take_any_batch_shape(packet9, velocity):
     np.testing.assert_array_equal(one, rows)
 
 
-ACCESSORS = ("density", "density_gradient", "density_hessian", "phase",
-             "phase_gradient", "phase_hessian")
-
-
-@pytest.mark.parametrize("accessor", ACCESSORS)
+@pytest.mark.parametrize("accessor", [
+    "density", "density_gradient", "density_hessian", "phase",
+    "phase_gradient", "phase_hessian"])
 def test_one_event_agrees_with_its_batch_row(packet9, accessor):
     # one event (4,) and a one-row batch (1, 4) round like their row of a
     # batch: the relative phases of a lone row are taken as a two-row
