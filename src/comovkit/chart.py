@@ -152,16 +152,12 @@ class ReferenceSurface:
     point).
     """
 
-    def __init__(self, bundle, origin, slope_floor=None):
+    def __init__(self, bundle, origin):
         self.bundle = bundle
         self.origin = as_coords(origin).astype(float)
         self.level = float(bundle.phase(self.origin))
         self.scale = max(1.0, abs(self.level))
-        self.slope_floor = (
-            slope_floor
-            if slope_floor is not None
-            else 1e-10 * bundle.constants.mass * bundle.constants.c
-        )
+        self.slope_floor = 1e-10 * bundle.constants.mass * bundle.constants.c
 
     def height(self, q, guess=None):
         return solve_height(self, q, guess=guess)
@@ -735,7 +731,7 @@ def boost_to_rest_frame(velocity3, c=1.0):
     return out
 
 
-def chart_diagnostics(chart, n_samples=40, seed=0, window=None):
+def chart_diagnostics(chart, n_samples=40, seed=0):
     """Round-trip, orthogonality, pushforward and flow-work statistics.
 
     The result is JSON-able; ``flow_attempts``, ``flow_rejected_rows``,
@@ -744,12 +740,9 @@ def chart_diagnostics(chart, n_samples=40, seed=0, window=None):
     """
     rng = np.random.default_rng(seed)
     dom = chart.bundle.domain
-    if window is None:
-        half = np.minimum(dom.extent / 2.0, 2.0) * 0.7
-        mid = 0.5 * (dom.lo_array + dom.hi_array)
-        lo, hi = mid - half, mid + half
-    else:
-        lo, hi = window.lo_array, window.hi_array
+    half = np.minimum(dom.extent / 2.0, 2.0) * 0.7
+    mid = 0.5 * (dom.lo_array + dom.hi_array)
+    lo, hi = mid - half, mid + half
     pts = rng.uniform(lo, hi, size=(n_samples, 4))
     stats = FlowStats()
     back = chart.inverse_map(chart.forward_map(pts, stats=stats), stats=stats)

@@ -28,7 +28,7 @@ import numbers
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -959,15 +959,26 @@ def _check_cross_fields(raw):
               for what, names in lacking.items()]
 
     diff = raw.get("diffusion")
+    boxes = {"/field/box": field_spec.get("box"),
+             "/field/domain": field_spec.get("domain"),
+             "/energy/box": raw.get("energy", {}).get("box"),
+             "/diffusion/bins": raw.get("diffusion", {}).get("bins")}
+    empty = set()  # pointers of the boxes with no interior
+    for ptr, box in boxes.items():
+        if box is not None \
+                and np.any(np.asarray(box["hi"]) <= np.asarray(box["lo"])):
+            empty.add(ptr)
+            errors.append((ptr, "box [%s, %s] must have hi > lo on every axis"
+                           % (box["lo"], box["hi"])))
+
     if diff is not None:
         if diff["horizon"] < 10.0 * diff["dt"]:
             errors.append(("/diffusion/dt",
                            "horizon %g must cover at least 10 steps of dt %g"
                            % (diff["horizon"], diff["dt"])))
         bins = diff["bins"]
-        if np.any(np.asarray(bins["hi"]) <= np.asarray(bins["lo"])):
-            errors.append(("/diffusion/bins", "bin box must have hi > lo"))
-        elif field_type == "gaussian":
+        if field_type == "gaussian" \
+                and not empty & {"/diffusion/bins", "/field/box"}:
             box = field_spec["box"]
             inside = np.all(np.asarray(bins["lo"]) >= np.asarray(box["lo"])) \
                 and np.all(np.asarray(bins["hi"]) <= np.asarray(box["hi"]))
@@ -984,7 +995,8 @@ def _check_cross_fields(raw):
                            "%d weights for %d wavevectors"
                            % (len(field_spec["weights"]), nw)))
 
-    if "chart" in raw and "domain" in field_spec:
+    if "chart" in raw and "domain" in field_spec \
+            and "/field/domain" not in empty:
         origin = np.asarray(raw["chart"]["origin"])
         dom = field_spec["domain"]
         if np.any(origin < np.asarray(dom["lo"])) \

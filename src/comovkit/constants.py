@@ -44,11 +44,6 @@ class PhysicalConstants:
         """m c / hbar, the inverse reduced Compton wavelength."""
         return self.mass * self.c / self.hbar
 
-    @property
-    def rest_frequency(self):
-        """m c^2 / hbar, the angular frequency of the rest-frame phase."""
-        return self.mass * self.c ** 2 / self.hbar
-
 
 def natural_units():
     """Constants with hbar = m = c = 1."""

@@ -12,9 +12,8 @@ by point, the relations the rest of the package takes as given:
   (one-particle vs specular) that phase conjugation exchanges;
 * the current reconstructs the kinematics (v, p) that seeded the chart, and
   the chart Jacobian collapses to the closed-form Lorentz boost of that v;
-* the stationary osmotic balance holds on slices, and the full relativistic
-  evolution collapses to diffusion-pressure hydrodynamics at quadratic rate
-  in the velocity scale.
+* the full relativistic evolution collapses to diffusion-pressure
+  hydrodynamics at quadratic rate in the velocity scale.
 
 Residuals are normalized where a natural scale exists (the mass term for the
 wave equation, mcp for currents) so budgets are dimensionless.
@@ -28,19 +27,13 @@ from .chart import _float_or_array, boost_to_rest_frame
 from .constants import ETA, minkowski_norm_squared, natural_units, raise_index
 from .errors import ZeroJ0
 from .fields import Box, central_gradient, central_hessian, make_packet
-from .geometry import (
-    chart_spatial_patch,
-    covariant_derivative_covector,
-    laplace_beltrami,
-)
+from .geometry import chart_spatial_patch
 
 __all__ = [
     "CurrentSample",
     "wave_operator",
     "kg_residual",
     "comoving_kg_residual",
-    "motion_residual",
-    "covariant_residuals",
     "four_current",
     "current_divergence",
     "comoving_current",
@@ -148,82 +141,6 @@ def comoving_kg_residual(bundle, chart, xi, h=1e-2, patch=None):
     g00 = patch.g00(xi[..., 0])
     residual = hess[..., 0, 0] / g00 + lb - kc ** 2 * f0
     return _float_or_array(np.abs(residual) / (kc ** 2 * np.abs(f0)))
-
-
-# ---------------------------------------------------------------------------
-# stationary osmotic balance on slices
-
-
-def motion_residual(u, patch, q, constants, h=None):
-    """Covariant residual of the stationary balance for the osmotic field.
-
-        (hbar^2 / 2m) (Lap u)_k + hbar (u^j nabla_j u)_k
-
-    ``u`` maps slice points (..., 3) to covariant components u_k (..., 3),
-    and the residual is (..., 3).  Constant fields (log-linear density) and
-    u = 0 satisfy the balance identically; both terms scale by the same
-    positive constant under m -> gamma m together with u -> u / gamma, so
-    the residual test is gauge-factor independent.
-    """
-    q = np.asarray(q, dtype=float)
-    hbar = constants.hbar
-    m = constants.mass
-    lap = laplace_beltrami(patch, u, q, h=h)
-    cov = covariant_derivative_covector(patch, u, q, h=h)
-    u_up = np.einsum("...ij,...j->...i", patch.inverse(q), u(q))
-    advect = np.einsum("...j,...jk->...k", u_up, cov)
-    return (hbar ** 2 / (2.0 * m)) * lap + hbar * advect
-
-
-def covariant_residuals(bundle, chart, xi, h=1e-2, patch=None):
-    """(motion four-vector, continuity scalar) in chart coordinates.
-
-    The congruence field is U~^mu = (0, u^i) on slices and the transport
-    field V~^mu = (c / sqrt(-g00), 0, 0, 0).  Continuity is the covariant
-    divergence of p~ V~; with a time-independent slice metric it reduces to
-    c d0(p~) / sqrt(-g00), which vanishes identically because the pulled
-    back density is constant along the congruence (current conservation).
-    The motion part applies the stationary balance to the slice osmotic
-    field built from the pulled-back density.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if patch is None:
-        patch = chart_spatial_patch(chart)
-    nu = bundle.constants.nu
-
-    # motion_residual nests two central differences around u_cov, so u_cov
-    # is needed on the 5^3 lattice of step h around xi, and the densities
-    # its own central difference reads on the 7^3 lattice: one inverse map
-    # covers them and the time pair
-    reach = np.arange(-3, 4)
-    cube = np.stack(np.meshgrid(reach, reach, reach, indexing="ij"),
-                    axis=-1).reshape(-1, 3)
-    stencil = np.concatenate([
-        xi + h * np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]),
-        xi + h * np.concatenate([np.zeros((len(cube), 1)), cube], axis=1),
-    ])
-    rho = bundle.density(chart.inverse_map(stencil))
-    log_rho = np.log(rho[2:]).reshape(7, 7, 7)
-    inner = (slice(1, -1),) * 3
-    u_lattice = (0.25 * nu / h) * np.stack([
-        (np.roll(log_rho, -1, axis=i) - np.roll(log_rho, 1, axis=i))[inner]
-        for i in range(3)
-    ], axis=-1)
-
-    g00 = patch.g00(xi[0])
-    continuity = (
-        bundle.constants.c * (rho[0] - rho[1]) / (2.0 * h) / np.sqrt(-g00)
-    )
-
-    def u_cov(q_xi):
-        node = np.rint((q_xi - xi[1:]) / h).astype(int) + 2
-        if np.any(node < 0) or np.any(node > 4):
-            raise ValueError("u_cov evaluated outside the density lattice")
-        return u_lattice[node[..., 0], node[..., 1], node[..., 2]]
-
-    spatial = motion_residual(u_cov, patch, xi[1:], bundle.constants, h=h)
-    motion = np.concatenate([[0.0], spatial])
-    return motion, float(continuity)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Statistics and quadrature on the spatial slice.
 
-Ensemble side: binned density with the invariant-measure weight, current
-and osmotic velocities recovered from forward/backward drifts, and the
-covariant continuity residual. Analytic side: tensor-product
-Gauss-Legendre expectations of the squared osmotic velocity, the
-two-route energy functional, and the stochastic action.
+Ensemble side: binned density with the invariant-measure weight, and
+current and osmotic velocities recovered from forward/backward drifts.
+Analytic side: tensor-product Gauss-Legendre expectations of the squared
+osmotic velocity, the two-route energy functional, and the stochastic
+action.
 
 All ensemble standard errors come from per-path batches (32 by default):
 increments of one path are autocorrelated in time, and forward/backward
@@ -52,19 +52,12 @@ class BinnedField:
     batch_estimate: np.ndarray = None
     meta: dict = field(default_factory=dict)
 
-    def lattice(self):
-        return self.estimate.reshape(self.bins.shape)
-
 
 def _bin_volume(bins):
     widths = (np.asarray(bins.hi) - np.asarray(bins.lo)) / np.asarray(
         bins.shape
     )
     return widths, float(np.prod(widths))
-
-
-def _sqrt_sigma_per_bin(bins, patch):
-    return patch.sqrt_det(bins.centers())
 
 
 def estimate_density(ensemble, bins, patch, n_batches=DEFAULT_BATCHES):
@@ -77,7 +70,7 @@ def estimate_density(ensemble, bins, patch, n_batches=DEFAULT_BATCHES):
     """
     count, bcount = _bin_totals(bins, ensemble.pre, n_batches)
     _, vol = _bin_volume(bins)
-    root_sig = _sqrt_sigma_per_bin(bins, patch)
+    root_sig = patch.sqrt_det(bins.centers())
 
     total = int(count.sum())
     if total == 0:
@@ -144,40 +137,6 @@ def _lattice_gradient(values, bins):
         else:
             grads.append(np.gradient(arr, widths[axis], axis=axis))
     return np.stack([g.reshape(-1) for g in grads], axis=-1)
-
-
-def continuity_residual(rho_values, velocity_values, bins, patch,
-                        rho_batch=None, velocity_batch=None):
-    """Covariant divergence (1/sqrt|sigma|) d_i(sqrt|sigma| rho v^i) per bin.
-
-    For a stationary ensemble the time derivative term is dropped; the
-    result notes that in its meta. Batch arrays, when given, yield
-    per-batch residuals and an SE across batches.
-    """
-    root_sig = _sqrt_sigma_per_bin(bins, patch)
-
-    def divergence(rho, vel):
-        flux = root_sig[:, None] * rho[:, None] * vel
-        parts = [
-            _lattice_gradient(flux[:, i], bins)[:, i] for i in range(3)
-        ]
-        return (parts[0] + parts[1] + parts[2]) / root_sig
-
-    resid = divergence(np.asarray(rho_values, dtype=float),
-                       np.asarray(velocity_values, dtype=float))
-    bres = None
-    se = np.full(bins.n_bins, np.inf)
-    count = np.zeros(bins.n_bins, dtype=int)
-    if rho_batch is not None and velocity_batch is not None:
-        bres = np.stack([
-            divergence(rho_batch[b], velocity_batch[b])
-            for b in range(rho_batch.shape[0])
-        ])
-        _, se, count = batch_mean_se(bres)
-    return BinnedField(
-        bins=bins, estimate=resid, se=se, count=count, batch_estimate=bres,
-        meta={"stationary": True, "time_term_dropped": True},
-    )
 
 
 def osmotic_identity_report(ensemble, bins, patch, nu, min_count=500,

@@ -435,17 +435,17 @@ _BUDGET_PROBES = np.array([
 ])
 
 
-def curvature_budget(h=DEFAULT_H, safety=10.0):
+def curvature_budget(h=DEFAULT_H):
     """FD curvature error budget C h^2, calibrated on the polar fixture.
 
     The polar patch is exactly flat, so the largest Riemann component it
     produces through the same FD pipeline (sigma derivatives included)
-    measures the method error; the budget is that residual times a safety
-    factor, floored at a roundoff allowance.
+    measures the method error; the budget is ten times that residual,
+    floored at a roundoff allowance.
     """
     patch = polar_flat_patch(analytic_derivatives=False)
     resid = float(np.max(np.abs(riemann(patch, _BUDGET_PROBES, h=h))))
-    return safety * max(resid, 1e-12)
+    return 10.0 * max(resid, 1e-12)
 
 
 def flatness_report(patch, points, h=DEFAULT_H, budget=None):

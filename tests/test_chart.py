@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -691,6 +691,14 @@ def test_plane_wave_maps_equal_boost(constants, beta):
                                rtol=0.0, atol=1e-10)
 
 
+# Properties over _dominant_packets shrink a failure but skip the explain
+# phase: its 1 700 or so reruns of the shrunk example (up to 0.5 s each, as
+# every event goes through the chart maps one by one) took 4.5 of the 5
+# minutes a failure needed to report, where a passing run takes 1 s.
+_PACKET_PROPERTY = settings(
+    deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+
+
 @st.composite
 def _dominant_packets(draw, k_max=0.05, n_events=3):
     """A carrier at rest (weight 2) and 2-8 side modes with |k| <= k_max,
@@ -713,7 +721,7 @@ def _dominant_packets(draw, k_max=0.05, n_events=3):
     return bundle, pts
 
 
-@settings(max_examples=15, deadline=None)
+@settings(_PACKET_PROPERTY, max_examples=15)
 @given(case=_dominant_packets())
 def test_packet_chart_invariants(case):
     bundle, pts = case
@@ -740,7 +748,7 @@ def _as_parts(values):
             (values if isinstance(values, tuple) else (values,))]
 
 
-@settings(max_examples=25, deadline=None)
+@settings(_PACKET_PROPERTY, max_examples=25)
 @given(case=_dominant_packets(n_events=5), data=st.data())
 def test_a_row_does_not_depend_on_its_batch(case, data):
     # a subset of a batch in any order, and each event alone as (4,) and
@@ -775,7 +783,7 @@ def test_a_row_does_not_depend_on_its_batch(case, data):
         for name, (rows, gap) in differ.items())
 
 
-@settings(max_examples=20, deadline=None)
+@settings(_PACKET_PROPERTY, max_examples=20)
 @given(case=st.one_of(_dominant_packets(), _dominant_packets(k_max=0.2)))
 def test_accepted_flows_meet_tolerance(case):
     # every row the phase flow accepts (events to the origin leaf and the
@@ -792,7 +800,7 @@ def test_accepted_flows_meet_tolerance(case):
     assert np.all(np.max(np.abs(y - ref), axis=1) <= tol)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(_PACKET_PROPERTY, max_examples=15)
 @given(case=_dominant_packets(), fd=st.booleans())
 def test_conjugation_is_an_involution_on_packets(case, fd):
     # conjugation negates the phase and keeps the density, exactly, with

@@ -17,6 +17,7 @@ from comovkit.errors import ConfigInvalid
 from comovkit.fields import HYPOTHESIS_SHAPE, check_theorem_hypotheses
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+GAUSS_SMALL = Path(__file__).with_name("gauss_small.json")
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -26,32 +27,8 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
 
 
 def gaussian_doc(**overrides):
-    doc = {
-        "name": "gauss-small",
-        "seed": 20260816,
-        "constants": {"hbar": 1.0, "mass": 1.0, "c": 1.0},
-        "field": {
-            "type": "gaussian",
-            "sigma": 1.0,
-            "box": {"lo": [-4.0, -4.0, -4.0], "hi": [4.0, 4.0, 4.0]},
-        },
-        "diffusion": {
-            "dt": 0.002,
-            "horizon": 2.0,
-            "n_paths": 20000,
-            "burn_in_fraction": 0.2,
-            "n_snapshots": 12,
-            "chunk_size": 4096,
-            "initial": {"kind": "density"},
-            "bins": {
-                "lo": [-2.0, -2.0, -2.0],
-                "hi": [2.0, 2.0, 2.0],
-                "shape": [4, 4, 4],
-            },
-            "min_count": 300,
-        },
-        "analyses": ["simulate", "estimate", "specular"],
-    }
+    """The small gaussian document, also pinned by tools/golden.py."""
+    doc = json.loads(GAUSS_SMALL.read_text())
     doc.update(overrides)
     return doc
 
@@ -225,6 +202,40 @@ CROSS_FIELD_RULES = {
         lambda: packet_doc(chart={"origin": [0.0, 0.0, 1.5, 0.0]}),
         "/chart/origin", "[0.0, 0.0, 1.5, 0.0]"),
 }
+
+
+# (document with a box of no interior, its pointer): an inverted or
+# zero-extent box would pass validate and fail in run with a traceback
+EMPTY_BOXES = {
+    "field_box": (lambda: gaussian_doc(field={
+        "type": "gaussian", "sigma": 1.0,
+        "box": {"lo": [-4.0, 0.0, -4.0], "hi": [4.0, 0.0, 4.0]}}),
+        "/field/box"),
+    "field_domain": (lambda: packet_doc(field={
+        **packet_doc()["field"],
+        "domain": {"lo": [-1.0, 1.0, -1.0, -1.0],
+                   "hi": [1.0, -1.0, 1.0, 1.0]}}),
+        "/field/domain"),
+    "energy_box": (lambda: {
+        **json.loads((SCENARIOS / "plane_wave_boost.json").read_text()),
+        "energy": {"box": {"lo": [1.0, -1.0, -1.0], "hi": [-1.0, 1.0, 1.0]}}},
+        "/energy/box"),
+    "diffusion_bins": (lambda: gaussian_doc(diffusion={
+        **gaussian_doc()["diffusion"],
+        "bins": {"lo": [-2.0, 2.0, -2.0], "hi": [2.0, -2.0, 2.0],
+                 "shape": [4, 4, 4]}}),
+        "/diffusion/bins"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_BOXES))
+def test_validate_rejects_a_box_with_no_interior(case, tmp_path, capsys):
+    make, pointer = EMPTY_BOXES[case]
+    with pytest.raises(ConfigInvalid) as err:
+        validate(make())
+    assert err.value.pointers == [pointer]
+    assert main(["validate", write_scenario(tmp_path, make())]) == 2
+    assert f"{pointer}: box [" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rule", sorted(CROSS_FIELD_RULES))

@@ -7,17 +7,15 @@ import pytest
 from scipy.optimize import brentq
 
 from comovkit.chart import boost_to_rest_frame
-from comovkit.constants import ETA, PhysicalConstants, raise_index
+from comovkit.constants import ETA, raise_index
 from comovkit.dynamics import (
     CurrentSample,
     boost_equivalence_check,
     comoving_current,
     comoving_kg_residual,
-    covariant_residuals,
     current_divergence,
     four_current,
     kg_residual,
-    motion_residual,
     nonrel_limit_study,
     nonrel_packet_family,
     reconstruct_kinematics,
@@ -25,7 +23,7 @@ from comovkit.dynamics import (
 )
 from comovkit.errors import ZeroJ0
 from comovkit.fields import four_velocity, make_plane_wave
-from comovkit.geometry import MetricPatch, chart_spatial_patch
+from comovkit.geometry import chart_spatial_patch
 from conftest import FiniteDifferenceView
 
 
@@ -103,63 +101,27 @@ def test_comoving_matches_inertial_for_packet(packet9, packet9_chart):
 
 
 # ---------------------------------------------------------------------------
-# stationary osmotic balance
+# pulled-back density
 
 
-def test_motion_residual_zero_velocity(constants):
-    patch = MetricPatch.euclidean()
-    res = motion_residual(lambda q: np.zeros(np.shape(q)), patch,
-                          [0.3, -0.2, 0.5], constants)
-    assert np.all(res == 0.0)
+def test_pulled_back_plane_wave_density_is_exact(boost_wave, boost_chart):
+    # unit density pulls back to unit density at every event of a stencil
+    # around xi, with no chart error
+    steps = np.random.default_rng(19).integers(-3, 4, size=(50, 4))
+    xi = np.array([0.3, 0.2, -0.1, 0.4]) + 1e-2 * steps
+    assert np.all(boost_wave.density(boost_chart.inverse_map(xi)) == 1.0)
 
 
-def test_motion_residual_log_linear_density(constants):
-    # sqrt(rho) ~ exp(a . q) gives a constant osmotic covector; both terms
-    # of the balance vanish identically
-    a = np.array([0.4, -0.3, 0.2])
-    u_const = constants.nu * a
-
-    res = motion_residual(lambda q: np.broadcast_to(u_const, np.shape(q)),
-                          MetricPatch.euclidean(), [0.1, 0.7, -0.4],
-                          constants)
-    assert np.max(np.abs(res)) < 1e-12
-
-
-def test_motion_residual_scale_factor_independence(constants):
-    # m -> gamma m with u -> u / gamma rescales both terms by 1 / gamma^2,
-    # so the residual test cannot depend on the time-dilation factor
-    def u(q):
-        return 0.1 * np.stack([np.sin(q[..., 0]), q[..., 1] ** 2, q[..., 2]],
-                              axis=-1)
-
-    patch = MetricPatch.euclidean()
-    q = np.array([0.5, -0.3, 0.8])
-    gamma = 0.7
-    scaled = PhysicalConstants(constants.hbar, gamma * constants.mass,
-                               constants.c)
-    res = motion_residual(u, patch, q, constants)
-    res_scaled = motion_residual(lambda p: u(p) / gamma, patch, q, scaled)
-    assert np.allclose(res_scaled, res / gamma ** 2, rtol=1e-10, atol=1e-14)
-
-
-def test_covariant_residuals_plane_wave_exact(boost_wave, boost_chart):
-    # unit density pulls back to unit density: every difference in the
-    # stencils is exactly zero
-    motion, continuity = covariant_residuals(
-        boost_wave, boost_chart, [0.3, 0.2, -0.1, 0.4]
-    )
-    assert np.all(motion == 0.0)
-    assert continuity == 0.0
-
-
-def test_covariant_residuals_packet_stationary(packet9, packet9_chart):
-    motion, continuity = covariant_residuals(
-        packet9, packet9_chart, [0.2, 0.3, -0.2, 0.1]
-    )
+def test_pulled_back_packet_density_is_stationary(packet9, packet9_chart):
     # the pulled-back density is time independent (current conservation),
-    # so the continuity stencil sees only chart solver noise
-    assert abs(continuity) < 1e-5
-    assert np.max(np.abs(motion)) < 1e-3
+    # so the continuity stencil c d0(p~) / sqrt(-g00) sees only chart
+    # solver noise
+    xi, h = np.array([0.2, 0.3, -0.2, 0.1]), 1e-2
+    pair = xi + h * np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
+    rho = packet9.density(packet9_chart.inverse_map(pair))
+    g00 = chart_spatial_patch(packet9_chart).g00(xi[0])
+    continuity = packet9.constants.c * (rho[0] - rho[1]) / (2.0 * h)
+    assert abs(continuity / np.sqrt(-g00)) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +288,6 @@ def test_comoving_kg_residual_takes_batches(packet9, packet9_chart):
            for p in xi]
     np.testing.assert_allclose(res, one, rtol=0, atol=1e-9)
     assert np.max(res) < 1e-3
-
-
-def test_motion_residual_takes_batches(constants):
-    def u(q):
-        return 0.1 * np.stack([np.sin(q[..., 0]), q[..., 1] ** 2, q[..., 2]],
-                              axis=-1)
-
-    patch = MetricPatch.euclidean()
-    pts = np.random.default_rng(18).uniform(-1.0, 1.0, size=(4, 3))
-    batched = motion_residual(u, patch, pts, constants)
-    single = np.stack([motion_residual(u, patch, q, constants) for q in pts])
-    np.testing.assert_allclose(batched, single, rtol=1e-13, atol=1e-15)
 
 
 def test_comoving_current_structure(packet9, packet9_chart):

@@ -19,9 +19,9 @@ from comovkit.errors import ImaginaryAction, QuadratureDivergence
 from comovkit.estimators import (
     EnergyReport,
     _grad_log,
+    _lattice_gradient,
     _metric_tables,
     _tensor_nodes,
-    continuity_residual,
     energy_report,
     estimate_density,
     expectation_u2,
@@ -252,51 +252,20 @@ def test_specular_ensemble_keeps_zero_current(ou_ensemble, ou_bins):
         atol=4.0 * np.finfo(float).eps * drift_scale)
 
 
-# --- continuity -------------------------------------------------------------------
+# --- lattice gradient --------------------------------------------------------
 
-def test_continuity_zero_velocity_is_exact():
-    bins = BinSpec((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0), (8, 8, 8))
-    patch = MetricPatch.euclidean()
-    rho = gauss_density(bins.centers())
-    vel = np.zeros((bins.n_bins, 3))
-    res = continuity_residual(rho, vel, bins, patch)
-    assert np.all(res.estimate == 0.0)
-    assert res.meta["stationary"]
-
-
-def test_continuity_matches_closed_form_divergence():
+def test_lattice_gradient_matches_closed_form_divergence():
     # rho = exp(-q^2/2), v = a q: div(rho v) = a rho (3 - q^2)
     a = 0.3
     bins = BinSpec((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0), (16, 16, 16))
-    patch = MetricPatch.euclidean()
     centers = bins.centers()
     rho = gauss_density(centers)
-    vel = a * centers
-    res = continuity_residual(rho, vel, bins, patch)
+    flux = rho[:, None] * a * centers
+    div = sum(_lattice_gradient(flux[:, i], bins)[:, i] for i in range(3))
     expected = a * rho * (3.0 - np.sum(centers**2, axis=-1))
-    lattice_err = np.abs(res.estimate - expected).reshape(bins.shape)
+    lattice_err = np.abs(div - expected).reshape(bins.shape)
     interior = lattice_err[1:-1, 1:-1, 1:-1]
     assert np.max(interior) < 0.05
-
-
-def test_continuity_residual_consistent_with_zero(ou_ensemble, ou_bins):
-    patch = MetricPatch.euclidean()
-    density = estimate_density(ou_ensemble, ou_bins, patch)
-    fwd = forward_drift_estimate(ou_ensemble, ou_bins, min_count=500)
-    bwd = backward_drift_estimate(ou_ensemble, ou_bins, min_count=500)
-    cur_batch = 0.5 * (fwd.batch_mean + bwd.batch_mean)
-    vel = velocities_from_drifts(fwd, bwd)
-    res = continuity_residual(
-        density.estimate, vel.current, ou_bins, patch,
-        rho_batch=density.batch_estimate, velocity_batch=cur_batch,
-    )
-    finite = np.isfinite(res.se) & (res.count >= 16)
-    assert np.sum(finite) >= 20
-    z = np.abs(res.estimate[finite]) / res.se[finite]
-    # literal: per-bin |t| (31 dof) exceeds 3.5 with probability 1.4e-3,
-    # so more than 5 % of the 215 finite bins do so with probability
-    # 4e-14 per seed (binomial), far below FALSE_ALARM
-    assert np.mean(z <= 3.5) >= 0.95
 
 
 # --- quadrature expectations -------------------------------------------------------

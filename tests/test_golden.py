@@ -1,5 +1,6 @@
-"""The fast shipped scenarios reproduce their pinned report values and data
-digests exactly (``tests/golden``, written by ``tools/golden.py``)."""
+"""The fast shipped scenarios and the small gaussian document reproduce
+their pinned report values and data digests exactly (``tests/golden``,
+written by ``tools/golden.py``)."""
 
 import importlib.util
 from pathlib import Path

@@ -43,7 +43,8 @@ def test_golden_update_names_and_rewrites_a_changed_pin(tmp_path,
     true_value = pinned["values"][key]
     pinned["values"][key] = true_value + 1.0
     monkeypatch.setattr(golden, "GOLDEN_DIR", tmp_path)
-    monkeypatch.setattr(golden, "SCENARIOS", ("nonrel_family",))
+    monkeypatch.setattr(golden, "SCENARIOS", {
+        "nonrel_family": golden.SCENARIOS["nonrel_family"]})
     golden.write("nonrel_family", pinned)
     assert golden.main([]) == 1
     line = (f"nonrel_family: values.{key}: {true_value + 1.0!r} -> "

@@ -1,17 +1,20 @@
-"""Pin the report values and data digests of the fast shipped scenarios.
+"""Pin the report values and data digests of the fast scenario documents.
 
     python3 tools/golden.py            # exit 1 on a change
     python3 tools/golden.py --update   # rewrite the pins
 
-Each scenario in SCENARIOS runs in process into a temporary directory. Its
-``report.json`` is flattened to dotted keys (``analyses.chart_diag.
-round_trip_max``, list items by index), leaving out the start time, the
-wall times and the versions; floats keep their full ``repr`` precision as
-JSON numbers. The SHA-256 of every data file the run wrote, the numpy
-version and the BLAS go next to them in ``tests/golden/<name>.json``.
-Every changed key is printed with its old and new value, which is the
-record a change of numerics puts in CHANGES.md. ``tests/test_golden.py``
-reruns the same scenarios and fails on the first key that differs.
+SCENARIOS holds the fast shipped scenarios and the small gaussian document
+of the CLI tests (``tests/gauss_small.json``, which runs ``simulate``,
+``estimate`` and ``specular`` in about a second). Each runs in process
+into a temporary directory. Its ``report.json`` is flattened to dotted
+keys (``analyses.chart_diag.round_trip_max``, list items by index),
+leaving out the start time, the wall times and the versions; floats keep
+their full ``repr`` precision as JSON numbers. The SHA-256 of every data
+file the run wrote, the numpy version and the BLAS go next to them in
+``tests/golden/<name>.json``. Every changed key is printed with its old
+and new value, which is the record a change of numerics puts in
+CHANGES.md. ``tests/test_golden.py`` reruns the same documents and fails
+on the first key that differs.
 """
 
 import argparse
@@ -28,8 +31,13 @@ import numpy as np  # noqa: E402
 
 from comovkit import cli  # noqa: E402
 
-SCENARIOS = ("near_standing_wave", "nonrel_family", "packet_9mode",
-             "plane_wave_boost")
+# pin name -> scenario document
+SCENARIOS = {
+    **{name: ROOT / "scenarios" / f"{name}.json" for name in (
+        "near_standing_wave", "nonrel_family", "packet_9mode",
+        "plane_wave_boost")},
+    "gauss_small": ROOT / "tests" / "gauss_small.json",
+}
 GOLDEN_DIR = ROOT / "tests" / "golden"
 # report entries that change from run to run
 UNPINNED = ("started", "wall_clock_s", "analysis_wall_s", "versions")
@@ -56,10 +64,9 @@ def flatten(obj, prefix=""):
 
 
 def snapshot(name, out_dir):
-    """The pinned record of one run of ``scenarios/<name>.json``."""
+    """The pinned record of one run of the document ``SCENARIOS[name]``."""
     out_dir = Path(out_dir)
-    cli.run(cli.validate(ROOT / "scenarios" / f"{name}.json"),
-            out_dir=out_dir)
+    cli.run(cli.validate(SCENARIOS[name]), out_dir=out_dir)
     report = json.loads((out_dir / "report.json").read_text())
     for key in UNPINNED:
         report.pop(key)
