@@ -67,7 +67,8 @@ class RootFailure(ComovkitError):
 
 
 class NotSpacelike(ComovkitError):
-    """The induced surface metric is not positive definite at a point."""
+    """The surface metric is not positive definite at a point, or its inverse
+    has no Cholesky factor there; names the first one (and its minors)."""
 
 
 class SamplerStalled(ComovkitError):

@@ -108,9 +108,9 @@ class MetricPatch:
     ``sigma_derivatives`` and ``christoffel`` give (..., 3, 3, 3) and
     ``christoffel_contraction`` gives (..., 3). The two callables are
     evaluated point by point in blocks of ROW_BLOCK (512) rows, and every
-    point must give the same shape; each block is factorized in one
-    stacked eigh and its Christoffel algebra runs stacked, into
-    preallocated arrays for the whole batch.
+    point must give the same shape; each block is factorized in closed
+    form (``_factorize``; no LAPACK call) and its Christoffel algebra runs
+    stacked, into preallocated arrays for the whole batch.
 
     ``factors`` (and with it ``inverse``, ``sqrt_det``, ``noise_factor``,
     ``christoffel`` and ``christoffel_contraction``) keeps the result for
@@ -137,8 +137,8 @@ class MetricPatch:
         return _stack_rows(self._sigma, "sigma", q, (3, 3))
 
     def factors(self, q):
-        """sigma, sigma^{-1} and sqrt|sigma| from one stacked eigh per
-        block of ROW_BLOCK rows.
+        """sigma, sigma^{-1} and sqrt|sigma| in closed form, block by block
+        of ROW_BLOCK rows (see ``_factorize``).
 
         Repeated calls at the same points (same shape and bytes) on one
         thread return the same read-only arrays without evaluating sigma
@@ -152,24 +152,34 @@ class MetricPatch:
         return self._factorize(q, self.metric(q))
 
     def _factorize(self, q, sig):
-        """Factor sigma (..., 3, 3) at the points q (..., 3) and remember
-        the result as the last batch of this thread. Each block of
-        ROW_BLOCK rows has its own eigh."""
+        """Factor sigma (..., 3, 3) at the points q (..., 3) per ROW_BLOCK
+        rows from its lower triangle (adj / det, sqrt(det), Sylvester's test
+        on the leading minors); remembered as this thread's last batch."""
         rows = sig.reshape(-1, 3, 3)
         inv = np.empty_like(rows)
         root = np.empty(len(rows))
         for block in _row_blocks(len(rows)):
-            w, v = np.linalg.eigh(rows[block])
-            bad = w[:, 0] <= 0.0
+            s, out = rows[block], inv[block]
+            a, b, c = s[:, 0, 0], s[:, 1, 0], s[:, 2, 0]
+            d, e, f = s[:, 1, 1], s[:, 2, 1], s[:, 2, 2]
+            cof = {(0, 0): d * f - e * e, (0, 1): c * e - b * f,
+                   (0, 2): b * e - c * d, (1, 1): a * f - c * c,
+                   (1, 2): b * c - a * e, (2, 2): a * d - b * b}
+            # det from the LDL^T pivots (cofactor expansion: kappa^2 eps)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p2, t = d - b * (b / a), e - c * (b / a)
+                p3 = f - c * (c / a) - t * (t / p2)
+                det = a * p2 * p3
+            bad = ~((a > 0.0) & (p2 > 0.0) & (p3 > 0.0))
             if np.any(bad):
-                n = block.start + int(np.argmax(bad))
+                k = int(np.argmax(bad))
                 raise NotSpacelike(
                     "spatial metric not positive-definite at "
-                    f"{q.reshape(-1, 3)[n].tolist()}: "
-                    f"eigenvalues {w[n - block.start].tolist()}"
-                )
-            inv[block] = (v / w[:, None, :]) @ np.swapaxes(v, -1, -2)
-            root[block] = np.sqrt(np.prod(w, axis=-1))
+                    f"{q.reshape(-1, 3)[block.start + k].tolist()}: leading "
+                    f"minors {[float(m[k]) for m in (a, a * p2, det)]}")
+            for (i, j), x in cof.items():
+                out[:, i, j] = out[:, j, i] = x / det
+            root[block] = np.sqrt(det)
         inv = inv.reshape(sig.shape)
         root = root.reshape(sig.shape[:-2])
         if root.ndim == 0:
@@ -189,8 +199,23 @@ class MetricPatch:
         return self.factors(q)[2]
 
     def noise_factor(self, q):
-        """Lower-triangular G with G G^T = sigma^{-1}."""
-        return np.linalg.cholesky(self.inverse(q))
+        """Lower-triangular G with G G^T = sigma^{-1}: the closed-form
+        Cholesky factor of ``inverse``; NotSpacelike at a pivot <= 0."""
+        inv = self.inverse(q)
+        m = inv.reshape(-1, 3, 3)
+        g = np.zeros_like(m)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            g[:, 0, 0] = np.sqrt(m[:, 0, 0])
+            g[:, 1:, 0] = m[:, 1:, 0] / g[:, :1, 0]
+            g[:, 1, 1] = np.sqrt(m[:, 1, 1] - g[:, 1, 0] ** 2)
+            g[:, 2, 1] = (m[:, 2, 1] - g[:, 2, 0] * g[:, 1, 0]) / g[:, 1, 1]
+            g[:, 2, 2] = np.sqrt(m[:, 2, 2] - g[:, 2, 0] ** 2
+                                 - g[:, 2, 1] ** 2)
+        bad = ~np.all(np.diagonal(g, axis1=1, axis2=2) > 0.0, axis=-1)
+        if np.any(bad):  # a pivot <= 0 leaves a diagonal entry 0 or NaN
+            at = np.reshape(q, (-1, 3))[np.argmax(bad)].tolist()
+            raise NotSpacelike(f"sigma^-1 has no Cholesky factor at {at}")
+        return g.reshape(inv.shape)
 
     # --- derivatives ---------------------------------------------------------
     def sigma_derivatives(self, q, h=None):
@@ -214,9 +239,12 @@ class MetricPatch:
         )
         return 0.5 * np.einsum("...il,...ljk->...ijk", inv, term)
 
-    @classmethod
-    def _contraction(cls, inv, d):
-        return np.einsum("...jk,...ijk->...i", inv, cls._christoffel(inv, d))
+    @staticmethod
+    def _contraction(inv, d):
+        # sigma^{il} (sigma^{jk} d_j s_lk - sigma^{jk} d_l s_jk / 2)
+        v = (np.einsum("...jk,...jlk->...l", inv, d)
+             - 0.5 * np.einsum("...jk,...ljk->...l", inv, d))
+        return np.einsum("...il,...l->...i", inv, v)
 
     def _by_blocks(self, q, h, algebra, shape):
         """``algebra(inv, d)`` on each block of ROW_BLOCK rows, stacked

@@ -17,7 +17,7 @@ from comovkit.chart import ComovingChart, boost_to_rest_frame
 from comovkit.cli import GaussianFixture
 from comovkit.cli import run as cli_run
 from comovkit.cli import validate as cli_validate
-from comovkit.constants import PhysicalConstants, raise_index
+from comovkit.constants import raise_index
 from comovkit.diffusion import (
     BinSpec,
     DiffusionConfig,

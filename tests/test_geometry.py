@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comovkit.chart import ComovingChart
+from comovkit.diffusion import (DiffusionConfig, drift_from_fields,
+                                simulate)
 from comovkit.errors import NotSpacelike
+from comovkit.estimators import expectation_u2
 from comovkit.fields import Box, central_gradient, make_packet
 from conftest import traced_peak
 from comovkit.geometry import (
@@ -609,7 +612,8 @@ def test_geometry_diagnostics_solves_the_lattice_once(packet9_chart,
 SHEAR = 0.7
 EDGE_SIZES = (1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
               2 * ROW_BLOCK + 1)
-# one block's pointwise rows, eigh and work arrays stay under 1 kB a row
+# one block's pointwise rows, cofactors and work arrays stay under 1 kB
+# a row
 BLOCK_WORK = 1024 * ROW_BLOCK
 
 
@@ -641,27 +645,49 @@ def _stacked_shear_sigma(p):
     return np.array(rows).reshape(p.shape[:-1] + (3, 3))
 
 
+def _closed_form_factors(sig):
+    """sigma^-1 (adjugate over det), sqrt|sigma| (det from the LDL^T
+    pivots) and the Cholesky factor of sigma^-1 of every row of sig
+    (..., 3, 3), as whole-batch arithmetic."""
+    a, b, c = sig[..., 0, 0], sig[..., 1, 0], sig[..., 2, 0]
+    d, e, f = sig[..., 1, 1], sig[..., 2, 1], sig[..., 2, 2]
+    c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
+    c11, c12, c22 = a * f - c * c, b * c - a * e, a * d - b * b
+    p2 = d - b * (b / a)
+    t = e - c * (b / a)
+    det = a * p2 * (f - c * (c / a) - t * (t / p2))
+    inv = np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22], axis=-1)
+    inv = (inv / det[..., None]).reshape(sig.shape)
+    g = np.zeros_like(inv)
+    g[..., 0, 0] = np.sqrt(inv[..., 0, 0])
+    g[..., 1:, 0] = inv[..., 1:, 0] / g[..., :1, 0]
+    g[..., 1, 1] = np.sqrt(inv[..., 1, 1] - g[..., 1, 0] ** 2)
+    g[..., 2, 1] = ((inv[..., 2, 1] - g[..., 2, 0] * g[..., 1, 0])
+                    / g[..., 1, 1])
+    g[..., 2, 2] = np.sqrt(inv[..., 2, 2] - g[..., 2, 0] * g[..., 2, 0]
+                           - g[..., 2, 1] * g[..., 2, 1])
+    return inv, np.sqrt(det), g
+
+
 def _whole_batch(name, q):
-    """Every table of the rows q from one stacked eigh and whole-batch
-    algebra."""
+    """Every table of the rows q from whole-batch closed-form algebra."""
     sig = _stacked_shear_sigma(q)
-    w, v = np.linalg.eigh(sig)
-    inv = (v / w[..., None, :]) @ np.swapaxes(v, -1, -2)
+    inv, root, g = _closed_form_factors(sig)
     if name == "analytic":
         d = np.array([_shear_dsigma(r) for r in q])
     else:
         d = central_gradient(_stacked_shear_sigma, q, FD_STEP)
     term = np.swapaxes(d, -3, -2) + np.moveaxis(d, -3, -1) - d
-    gamma = 0.5 * np.einsum("...il,...ljk->...ijk", inv, term)
+    v = (np.einsum("...jk,...jlk->...l", inv, d)
+         - 0.5 * np.einsum("...jk,...ljk->...l", inv, d))
     return {
         "metric": sig,
         "inverse": inv,
-        "sqrt_det": np.sqrt(np.prod(w, axis=-1)),
-        "noise_factor": np.linalg.cholesky(inv),
+        "sqrt_det": root,
+        "noise_factor": g,
         "sigma_derivatives": d,
-        "christoffel": gamma,
-        "christoffel_contraction": np.einsum("...jk,...ijk->...i", inv,
-                                             gamma),
+        "christoffel": 0.5 * np.einsum("...il,...ljk->...ijk", inv, term),
+        "christoffel_contraction": np.einsum("...il,...l->...i", inv, v),
     }
 
 
@@ -690,12 +716,13 @@ def test_not_spacelike_names_the_first_bad_row_of_a_later_block():
                                            size=(2 * ROW_BLOCK + 1, 3))
     first = ROW_BLOCK + 3
     pts[[first, 2 * ROW_BLOCK], 0] = [-0.5, -0.25]
-    for method in ("inverse", "sqrt_det", "christoffel",
+    for method in ("inverse", "sqrt_det", "noise_factor", "christoffel",
                    "christoffel_contraction"):
         with pytest.raises(NotSpacelike) as err:
             getattr(patch, method)(pts)
         assert str(pts[first].tolist()) in str(err.value)
-        assert "eigenvalues [-0.5, 1.0, 1.0]" in str(err.value)
+        # sigma_00, the leading 2 x 2 minor and det
+        assert "leading minors [1.0, -0.5, -0.5]" in str(err.value)
 
 
 def test_wrong_shape_in_a_later_block_is_refused():
@@ -744,6 +771,131 @@ def test_factors_hold_their_tables_and_one_block():
     (sig, _, _), peak = traced_peak(lambda: patch.factors(q))
     assert sig.shape == (n, 3, 3)
     assert peak <= (72 + 72 + 8 + 24) * n + BLOCK_WORK
+
+
+# --- closed-form 3 x 3 algebra against LAPACK ---------------------------------
+#
+# sigma^-1, sqrt|sigma|, the noise factor and the drift contraction are
+# closed-form column arithmetic. The LAPACK routines they replace are the
+# oracles here: each result agrees with its oracle within KAPPA_C kappa eps
+# of the oracle's largest entry, kappa = cond(sigma) up to 1e8.
+
+EPS = np.finfo(float).eps
+KAPPA_C = 32
+# (seed, log10 kappa, log10 scale) of one random symmetric matrix
+_MATRIX = st.tuples(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 8.0),
+                    st.floats(-3.0, 3.0))
+
+
+def _symmetric(seed, log_kappa, log_scale, signs=(1.0, 1.0, 1.0)):
+    """A symmetric matrix in a random frame with eigenvalues signs times
+    10^log_scale (1, 10^-log_kappa, a log-uniform value between)."""
+    rng = np.random.default_rng(seed)
+    rot = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    logs = np.array([0.0, -log_kappa, rng.uniform(-log_kappa, 0.0)])
+    m = (rot * (np.asarray(signs) * 10.0 ** (log_scale + logs))) @ rot.T
+    return 0.5 * (m + m.T)
+
+
+def _table_patch(mats, grads=None):
+    """A patch with sigma = mats[i] and D = grads[i] at the point (i, 0,
+    0), and those points."""
+    patch = MetricPatch(lambda q: mats[int(q[0])], sigma_gradient=(
+        None if grads is None else lambda q: grads[int(q[0])]))
+    q = np.zeros((len(mats), 3))
+    q[:, 0] = np.arange(len(mats))
+    return patch, q
+
+
+def _row_max(x):
+    return np.max(np.abs(x), axis=tuple(range(1, x.ndim)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs=st.lists(_MATRIX, min_size=1, max_size=8))
+def test_closed_form_algebra_matches_lapack(specs):
+    mats = [_symmetric(*spec) for spec in specs]
+    grads = np.array([np.random.default_rng(seed + 1).normal(size=(3, 3, 3))
+                      * 10.0 ** log_scale for seed, _, log_scale in specs])
+    grads += np.swapaxes(grads, -1, -2)
+    patch, q = _table_patch(mats, grads)
+    sig, inv, root = patch.factors(q)
+    w, v = np.linalg.eigh(sig)
+    tol = KAPPA_C * EPS * w[:, -1] / w[:, 0]
+    inv_ref = (v / w[:, None, :]) @ np.swapaxes(v, -1, -2)
+    assert np.all(_row_max(inv - inv_ref) <= tol * _row_max(inv_ref))
+    root_ref = np.sqrt(np.prod(w, axis=-1))
+    assert np.all(np.abs(root - root_ref) <= tol * root_ref)
+    # the Cholesky factor of the patch's own sigma^-1
+    g_ref = np.linalg.cholesky(inv)
+    assert np.all(_row_max(patch.noise_factor(q) - g_ref)
+                  <= tol * _row_max(g_ref))
+    # sigma^{jk} Gamma^i_jk over the Gamma table; its terms are of size
+    # |sigma^-1|^2 |D|
+    term = np.swapaxes(grads, -3, -2) + np.moveaxis(grads, -3, -1) - grads
+    gamma = 0.5 * np.einsum("...il,...ljk->...ijk", inv_ref, term)
+    contr_ref = np.einsum("...jk,...ijk->...i", inv_ref, gamma)
+    assert np.all(_row_max(patch.christoffel_contraction(q) - contr_ref)
+                  <= tol * _row_max(inv_ref) ** 2 * _row_max(grads))
+
+
+_SIGN = st.sampled_from([-1.0, 1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs=st.lists(st.tuples(st.integers(0, 2 ** 32 - 1),
+                                st.floats(0.0, 6.0), st.floats(-3.0, 3.0),
+                                st.tuples(_SIGN, _SIGN, _SIGN)),
+                      min_size=1, max_size=8))
+def test_sylvester_agrees_with_eigenvalue_signs(specs):
+    # every smallest |eigenvalue| is at least 1e-6 of the largest
+    mats = [_symmetric(*spec) for spec in specs]
+    patch, q = _table_patch(mats)
+    definite = [np.linalg.eigvalsh(m)[0] > 0.0 for m in mats]
+    if all(definite):
+        patch.factors(q)
+        return
+    with pytest.raises(NotSpacelike) as err:
+        patch.factors(q)
+    assert f"at {q[definite.index(False)].tolist()}:" in str(err.value)
+
+
+def test_noise_factor_refuses_a_pivot_that_is_not_positive():
+    # sigma is positive definite with det 2^-52, but sigma^-1 rounds to a
+    # matrix whose second Cholesky pivot is 0: a typed error, not NaN rows
+    # or a LinAlgError
+    sigma = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 2.0 ** -52, 0.0],
+                      [0.0, 0.0, 1.0]])
+    patch = MetricPatch(lambda q: sigma)
+    q = np.array([[0.5, 0.0, 0.0], [1.5, 0.0, 0.0]])
+    assert patch.sqrt_det(q[0]) == 2.0 ** -26
+    with pytest.raises(NotSpacelike,
+                       match=r"Cholesky factor at \[0.5, 0.0, 0.0\]"):
+        patch.noise_factor(q)
+
+
+def test_curved_step_and_energy_quadrature_call_no_lapack(monkeypatch):
+    calls = {"eigh": 0, "cholesky": 0}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    patch = BLOCK_PATCHES["analytic"]()
+    config = DiffusionConfig(dt=0.01, horizon=0.1, n_paths=600,
+                             master_seed=5, nu=0.5,
+                             initial=("point", (0.3, 0.2, 0.1)),
+                             burn_in_fraction=0.0, n_snapshots=1)
+    simulate(drift_from_fields(lambda q: -q, patch, 0.5), patch, config)
+    expectation_u2(lambda q: np.exp(-0.5 * np.sum(q * q, axis=-1)), patch,
+                   Box((-6.0,) * 3, (6.0,) * 3), 0.5, order=8)
+    assert calls == {"eigh": 0, "cholesky": 0}
 
 
 # --- closed-form slice derivatives and the Gauss equation ---------------------
