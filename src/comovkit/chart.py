@@ -77,7 +77,7 @@ JACOBIAN_STEP = 1e-3  # central-difference step of the map Jacobians
 # bracketed roots
 
 
-def bracketed_roots(func, lo, hi, xtol, max_iter=ROOT_MAX_ITER):
+def bracketed_roots(func, lo, hi, xtol):
     """Roots of a batch of scalar functions, one per bracket [lo, hi].
 
     ``func(x, rows)`` returns the values at x (k,) of the functions of the
@@ -89,8 +89,9 @@ def bracketed_roots(func, lo, hi, xtol, max_iter=ROOT_MAX_ITER):
     otherwise, never leaving the bracket. A row closes once its bracket is
     narrower than xtol + 4 eps |x| or its function vanishes, and returns the
     bracket end with the smaller residual. RootFailure names the first row
-    still open after max_iter evaluations.
+    still open after ``ROOT_MAX_ITER`` evaluations.
     """
+    max_iter = ROOT_MAX_ITER
     x1, x2, xtol = (np.array(v, dtype=float).reshape(-1) for v in
                     np.broadcast_arrays(lo, hi, xtol))
     live = np.arange(x1.size)

@@ -51,6 +51,8 @@ DEFAULT_BATCHES = 32
 PROPOSAL_BUDGET = 1 << 20
 # samples (3-vectors) per block of a pass over an ensemble or a proposal batch
 BLOCK_SAMPLES = 1 << 14
+# a path whose norm passes this raises Explosion
+EXPLOSION_RADIUS = 1e6
 
 
 @dataclass
@@ -68,7 +70,6 @@ class DiffusionConfig:
     chunk_size: int = DEFAULT_CHUNK
     n_threads: int = 1
     clip_box: Box = None
-    explosion_radius: float = 1e6
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -246,7 +247,7 @@ def simulate(drift, patch, config):
 
     ``drift`` maps (n, 3) states to (n, 3) coordinate drifts (already
     including any Christoffel correction; see ``drift_from_fields``).
-    Raises Explosion when any path norm exceeds the configured radius;
+    Raises Explosion when any path norm exceeds ``EXPLOSION_RADIUS``;
     paths leaving ``clip_box`` freeze in place and are flagged. The
     ensemble's ``meta["initial_acceptance"]`` holds the initial sampler's
     ``proposed`` and ``accepted`` counts summed over the chunks.
@@ -259,7 +260,7 @@ def simulate(drift, patch, config):
     constant_metric = patch.is_constant
     g_const = patch.noise_factor(np.zeros(3)) if constant_metric else None
     unit_noise = constant_metric and np.array_equal(g_const, np.eye(3))
-    radius2 = config.explosion_radius ** 2
+    radius2 = EXPLOSION_RADIUS ** 2
     # every chunk writes its own [lo:hi] rows of one preallocated ensemble
     pre = np.empty((config.n_paths, n_snaps, 3))
     post = np.empty((config.n_paths, n_snaps, 3))
@@ -296,9 +297,7 @@ def simulate(drift, patch, config):
             if 3.0 * max(qn.max(), -qn.min()) ** 2 > radius2 and float(
                     np.max(np.einsum("ni,ni->n", qn, qn))) > radius2:
                 raise Explosion(
-                    f"path norm exceeded {config.explosion_radius:g} at "
-                    f"step {k}"
-                )
+                    f"path norm exceeded {EXPLOSION_RADIUS:g} at step {k}")
             m = snap_index.get(k)
             if m is not None:
                 pre_rows[:, m] = q
@@ -483,11 +482,6 @@ def _batches_in(edges, lo, hi):
     return np.repeat(np.arange(len(per_batch)), per_batch)
 
 
-def batch_of_path(n_paths, n_batches):
-    """Path-batch index per path (see ``_batch_edges`` for the layout)."""
-    return _batches_in(_batch_edges(n_paths, n_batches), 0, n_paths)
-
-
 def batch_mean_se(values):
     """Mean over path batches and its standard error, per bin.
 
@@ -509,8 +503,9 @@ def batch_mean_se(values):
     return mean, se, n_eff
 
 
-def _bin_totals(bins, anchor, n_batches, ensemble=None):
-    """Counts, and with ``ensemble`` sums, per bin and per (batch, bin) cell.
+def _bin_totals(bins, anchor, ensemble=None):
+    """Counts, and with ``ensemble`` sums, per bin and per (batch, bin) cell,
+    over ``DEFAULT_BATCHES`` path batches.
 
     Walks ``anchor`` (n_paths, n_snapshots, 3) in path blocks. Out-of-box
     samples go to an overflow bin k = ``bins.n_bins`` and cells have k + 1
@@ -522,6 +517,7 @@ def _bin_totals(bins, anchor, n_batches, ensemble=None):
     over the whole ensemble does, so no sum depends on the block size.
     """
     k = bins.n_bins
+    n_batches = DEFAULT_BATCHES
     n_cells = n_batches * (k + 1)
     edges = _batch_edges(anchor.shape[0], n_batches)
     count = np.zeros(k + 1, dtype=np.intp)
@@ -557,7 +553,7 @@ def _bin_totals(bins, anchor, n_batches, ensemble=None):
     )
 
 
-def _binned_drift(ensemble, bins, condition_on, min_count, n_batches):
+def _binned_drift(ensemble, bins, condition_on, min_count):
     """Bin (post - pre)/dt by either the pre or the post state.
 
     Standard errors come from the spread of per-path-batch means, which is
@@ -566,7 +562,7 @@ def _binned_drift(ensemble, bins, condition_on, min_count, n_batches):
     anchor = ensemble.pre if condition_on == "pre" else ensemble.post
     k = bins.n_bins
     count, bcount, sums, bsums, anchor_sums = _bin_totals(
-        bins, anchor, n_batches, ensemble)
+        bins, anchor, ensemble)
     overall = np.divide(
         sums, count[:, None], out=np.zeros((k, 3)), where=count[:, None] > 0
     )
@@ -576,7 +572,8 @@ def _binned_drift(ensemble, bins, condition_on, min_count, n_batches):
     )
     bmeans = np.divide(
         bsums, bcount[..., None],
-        out=np.full((n_batches, k, 3), np.nan), where=bcount[..., None] > 0,
+        out=np.full((DEFAULT_BATCHES, k, 3), np.nan),
+        where=bcount[..., None] > 0,
     )
     _, se, nb_eff = batch_mean_se(bmeans)
 
@@ -605,20 +602,19 @@ def combine_drift_estimates(first, second, coeff_first, coeff_second):
     return mean, se, valid
 
 
-def forward_drift_estimate(ensemble, bins, min_count=200,
-                           n_batches=DEFAULT_BATCHES):
+def forward_drift_estimate(ensemble, bins, min_count=200):
     """beta_plus(q) ~= E[q(t+dt) - q(t) | q(t) = q] / dt."""
-    return _binned_drift(ensemble, bins, "pre", min_count, n_batches)
+    return _binned_drift(ensemble, bins, "pre", min_count)
 
 
-def backward_drift_estimate(ensemble, bins, min_count=200,
-                            n_batches=DEFAULT_BATCHES):
+def backward_drift_estimate(ensemble, bins, min_count=200):
     """beta_minus(q) ~= E[q(t) - q(t-dt) | q(t) = q] / dt."""
-    return _binned_drift(ensemble, bins, "post", min_count, n_batches)
+    return _binned_drift(ensemble, bins, "post", min_count)
 
 
-def variance_report(ensemble, n_batches=DEFAULT_BATCHES):
-    """Per-snapshot, per-axis ensemble variance with path-batch SEs.
+def variance_report(ensemble):
+    """Per-snapshot, per-axis ensemble variance with ``DEFAULT_BATCHES``
+    path-batch SEs.
 
     Reads ``pre`` in path blocks that never straddle a path batch. Row sums
     and then squared deviations are added block after block in path order,
@@ -629,6 +625,7 @@ def variance_report(ensemble, n_batches=DEFAULT_BATCHES):
     paths, the least a batch standard error needs.
     """
     states = ensemble.pre
+    n_batches = DEFAULT_BATCHES
     edges = _batch_edges(ensemble.n_paths, n_batches)
     size = np.diff(edges)
     if np.count_nonzero(size > 1) < 2:

@@ -107,7 +107,7 @@ def kg_residual(bundle, x):
 # curved wave operator in chart coordinates
 
 
-def comoving_kg_residual(bundle, chart, xi, h=1e-2, patch=None):
+def comoving_kg_residual(bundle, chart, xi, patch=None):
     """Normalized curved-metric wave residual of the pulled-back field.
 
     phi_tilde(xi) = phi(Phi^-1(xi)) is evaluated honestly through the chart
@@ -121,8 +121,9 @@ def comoving_kg_residual(bundle, chart, xi, h=1e-2, patch=None):
         g^{00} d0^2 phi + sigma^{ij} (d_i d_j - Gamma^k_ij d_k) phi
             - (mc/hbar)^2 phi
 
-    Central differences with step ``h`` give an O(h^2 kc^2) floor on the
-    normalized residual; budgets in callers are calibrated against that.
+    Central differences with step h = 1e-2 give an O(h^2 kc^2) floor on
+    the normalized residual; budgets in callers are calibrated against
+    that.
     """
     xi = np.asarray(xi, dtype=float)
     if patch is None:
@@ -130,7 +131,7 @@ def comoving_kg_residual(bundle, chart, xi, h=1e-2, patch=None):
     kc = bundle.constants.compton_wavenumber
 
     f0, grad, hess = central_hessian(
-        lambda p: bundle.amplitude(chart.inverse_map(p)), xi, h)
+        lambda p: bundle.amplitude(chart.inverse_map(p)), xi, 1e-2)
 
     q = xi[..., 1:]
     inv = patch.inverse(q)
@@ -235,13 +236,14 @@ def _current(bundle, x):
     return p, p[..., None] * raise_index(bundle.phase_gradient(x))
 
 
-def current_divergence(bundle, x, h=1e-3):
-    """Flat divergence d_mu J^mu at events (..., 4) by central differences.
+def current_divergence(bundle, x):
+    """Flat divergence d_mu J^mu at events (..., 4) by central differences
+    of step 1e-3.
 
     The conservation check: one current call on the 8-point stencil of
     every event; returns (...), a float for one event.
     """
-    grad = central_gradient(lambda y: _current(bundle, y)[1], x, h)
+    grad = central_gradient(lambda y: _current(bundle, y)[1], x, 1e-3)
     return _float_or_array(np.trace(grad, axis1=-2, axis2=-1))
 
 
@@ -319,14 +321,15 @@ def boost_equivalence_check(bundle, chart, x):
 # non-relativistic limit audit
 
 
-def nonrel_packet_family(eps, constants=None, width=8.0):
+def nonrel_packet_family(eps, constants=None):
     """Packet whose wavevector scale is ``eps`` in Compton units.
 
     The mode pattern is fixed in envelope units: a rest carrier plus six
     axis modes at |k| = eps k_c with asymmetric weights (so the local
-    velocity does not vanish by symmetry).  The domain scales with the
-    modulation wavelength 1/eps, making the family exactly self-similar:
-    all fields are functions of eps * x up to the carrier phase.
+    velocity does not vanish by symmetry).  The domain, of half-width 8/eps
+    (8 at eps = 0), scales with the modulation wavelength 1/eps, making the
+    family exactly self-similar: all fields are functions of eps * x up to
+    the carrier phase.
     """
     constants = constants or natural_units()
     if eps < 0.0:
@@ -344,20 +347,15 @@ def nonrel_packet_family(eps, constants=None, width=8.0):
     )
     wavevectors = np.vstack([np.zeros(3), scale * directions])
     weights = np.array([2.0, 0.30, 0.20, 0.28, 0.20, 0.26, 0.20])
-    half = width / eps if eps > 0.0 else width
+    half = 8.0 / eps if eps > 0.0 else 8.0
     domain = Box((-half,) * 4, (half,) * 4)
     return make_packet(wavevectors, weights, domain, constants)
 
 
-def nonrel_limit_study(
-    epsilons,
-    constants=None,
-    bundle_factory=None,
-    n_per_axis=4,
-    sample_width=5.0,
-    fd_step=1e-2,
-):
-    """Convergence audit of the non-relativistic limit over a packet family.
+def nonrel_limit_study(epsilons, constants=None, n_per_axis=4,
+                       sample_width=5.0):
+    """Convergence audit of the non-relativistic limit over the
+    ``nonrel_packet_family`` packets.
 
     For each eps the full relativistic spatial evolution
 
@@ -367,7 +365,8 @@ def nonrel_limit_study(
 
         (hbar / 2m) lap u + (u . grad) u
 
-    on a lattice of events scaled with the modulation wavelength; the
+    on a lattice of events scaled with the modulation wavelength, with
+    central differences of step 1e-2 in the same units; the
     discrepancy is normalized by the retained-term magnitude, so it decays
     at the *relative* correction rate (v/c)^2.  Alongside it two groups of
     dropped terms are audited directly:
@@ -382,7 +381,6 @@ def nonrel_limit_study(
     member has all operators identically zero and is excluded from the fit.
     """
     constants = constants or natural_units()
-    factory = bundle_factory or (lambda e: nonrel_packet_family(e, constants))
     c = constants.c
     m = constants.mass
     hbar = constants.hbar
@@ -395,9 +393,9 @@ def nonrel_limit_study(
 
     rows = []
     for eps in epsilons:
-        bundle = factory(eps)
+        bundle = nonrel_packet_family(eps, constants)
         stretch = 1.0 / eps if eps > 0.0 else 1.0
-        h = fd_step * stretch
+        h = 1e-2 * stretch
         q = stretch * hat_points
         x = np.concatenate([np.zeros((len(q), 1)), q], axis=1)
 

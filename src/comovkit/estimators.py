@@ -6,11 +6,11 @@ Analytic side: tensor-product Gauss-Legendre expectations of the squared
 osmotic velocity, the two-route energy functional, and the stochastic
 action.
 
-All ensemble standard errors come from per-path batches (32 by default):
-increments of one path are autocorrelated in time, and forward/backward
-estimates on the same ensemble share their increments, so naive pooling
-is dishonest in both directions. Linear combinations are always formed
-batchwise via ``combine_drift_estimates``.
+All ensemble standard errors come from ``diffusion.DEFAULT_BATCHES`` (32)
+path batches: increments of one path are autocorrelated in time, and
+forward/backward estimates on the same ensemble share their increments,
+so naive pooling is dishonest in both directions. Linear combinations are
+always formed batchwise via ``combine_drift_estimates``.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +19,6 @@ from functools import lru_cache
 import numpy as np
 
 from .diffusion import (
-    DEFAULT_BATCHES,
     _bin_totals,
     backward_drift_estimate,
     batch_mean_se,
@@ -35,6 +34,8 @@ from .fields import central_gradient
 from .geometry import _row_blocks
 
 DEFAULT_ORDER = 32
+# largest share of E{u^2} the quadrature box's outer shell may carry
+TAIL_TOL = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +61,7 @@ def _bin_volume(bins):
     return widths, float(np.prod(widths))
 
 
-def estimate_density(ensemble, bins, patch, n_batches=DEFAULT_BATCHES):
+def estimate_density(ensemble, bins, patch):
     """Histogram density with respect to the invariant measure.
 
     Counts are divided by sqrt|sigma| per bin so the estimate targets the
@@ -68,7 +69,7 @@ def estimate_density(ensemble, bins, patch, n_batches=DEFAULT_BATCHES):
     the result is normalized to sum(rho sqrt|sigma| vol) = 1 over the
     lattice.
     """
-    count, bcount = _bin_totals(bins, ensemble.pre, n_batches)
+    count, bcount = _bin_totals(bins, ensemble.pre)
     _, vol = _bin_volume(bins)
     root_sig = patch.sqrt_det(bins.centers())
 
@@ -102,23 +103,20 @@ class VelocityEstimate:
     count: np.ndarray
 
 
-def velocities_from_drifts(fwd, bwd, patch=None, nu=None):
+def velocities_from_drifts(fwd, bwd):
     """Combine drift estimates into (current, osmotic) velocity fields.
 
-    The invariant drifts differ from the coordinate drifts by the metric
-    contraction term, with opposite signs for the two time directions; the
-    term cancels in the current velocity and adds to the osmotic one.
+    The half sum and half difference of the coordinate drifts, formed per
+    path batch. On a curved patch the invariant osmotic velocity also
+    carries the Christoffel contraction term, which this combination leaves
+    out (``osmotic_identity_report`` adds it); the term cancels from the
+    current velocity.
     """
     cur_mean, cur_se, cur_valid = combine_drift_estimates(fwd, bwd, 0.5, 0.5)
     osm_mean, osm_se, osm_valid = combine_drift_estimates(fwd, bwd, 0.5, -0.5)
-    centers = fwd.centers
-    anchor = 0.5 * (fwd.eval_points() + bwd.eval_points())
-    if patch is not None and not patch.is_constant:
-        if nu is None:
-            raise ValueError("nu is required for the metric correction")
-        osm_mean = osm_mean + 0.5 * nu * patch.christoffel_contraction(anchor)
     return VelocityEstimate(
-        centers=centers, anchor=anchor,
+        centers=fwd.centers,
+        anchor=0.5 * (fwd.eval_points() + bwd.eval_points()),
         current=cur_mean, current_se=cur_se,
         osmotic=osm_mean, osmotic_se=osm_se,
         valid=cur_valid & osm_valid,
@@ -126,64 +124,22 @@ def velocities_from_drifts(fwd, bwd, patch=None, nu=None):
     )
 
 
-def _lattice_gradient(values, bins):
-    """Per-axis central differences on the bin lattice; 0 on singleton axes."""
-    widths, _ = _bin_volume(bins)
-    arr = values.reshape(bins.shape)
-    grads = []
-    for axis in range(3):
-        if bins.shape[axis] < 2:
-            grads.append(np.zeros_like(arr))
-        else:
-            grads.append(np.gradient(arr, widths[axis], axis=axis))
-    return np.stack([g.reshape(-1) for g in grads], axis=-1)
-
-
-def osmotic_identity_report(ensemble, bins, patch, nu, min_count=500,
-                            z=3.0, grad_log_density=None,
-                            n_batches=DEFAULT_BATCHES):
+def osmotic_identity_report(ensemble, bins, patch, nu, grad_log_density,
+                            min_count=500, z=3.0):
     """Fraction of well-sampled bins where binned u matches the log slope.
 
-    Target is (nu/2) sigma^{-1} grad ln rho: from the closed form when
-    ``grad_log_density`` is given, otherwise from central differences of
-    the log of the per-batch density estimate (paired with the velocity
-    batches so the comparison keeps an honest error bar). The forward and
-    backward drift estimates it conditions on are returned under
-    ``forward`` and ``backward``.
+    The target is (nu/2) sigma^{-1} grad ln rho from the closed-form log
+    gradient ``grad_log_density``, evaluated at the bins' sample-mean
+    anchors. The forward and backward drift estimates it conditions on are
+    returned under ``forward`` and ``backward``.
     """
-    fwd = forward_drift_estimate(ensemble, bins, min_count=min_count,
-                                 n_batches=n_batches)
-    bwd = backward_drift_estimate(ensemble, bins, min_count=min_count,
-                                  n_batches=n_batches)
-    centers = fwd.centers
+    fwd = forward_drift_estimate(ensemble, bins, min_count=min_count)
+    bwd = backward_drift_estimate(ensemble, bins, min_count=min_count)
     anchor = 0.5 * (fwd.eval_points() + bwd.eval_points())
-
-    def raise_index(inv, grad):
-        return (inv @ grad[..., None])[..., 0]
-
-    if grad_log_density is not None:
-        u_mean, u_se, valid = combine_drift_estimates(fwd, bwd, 0.5, -0.5)
-        target = 0.5 * nu * raise_index(patch.inverse(anchor),
-                                        grad_log_density(anchor))
-        diff = u_mean - target
-        diff_se = u_se
-        count = np.minimum(fwd.count, bwd.count)
-    else:
-        density = estimate_density(ensemble, bins, patch,
-                                   n_batches=n_batches)
-        u_batch = 0.5 * (fwd.batch_mean - bwd.batch_mean)
-        inv_centers = patch.inverse(centers)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_b = np.log(density.batch_estimate)
-            diff_batch = np.stack([
-                u_batch[b] - 0.5 * nu * raise_index(
-                    inv_centers, _lattice_gradient(log_b[b], bins)
-                )
-                for b in range(u_batch.shape[0])
-            ])
-        diff, diff_se, n_eff = batch_mean_se(diff_batch)
-        valid = fwd.valid & bwd.valid & (n_eff >= max(2, n_batches // 4))
-        count = np.minimum(fwd.count, bwd.count)
+    u_mean, diff_se, valid = combine_drift_estimates(fwd, bwd, 0.5, -0.5)
+    grad = grad_log_density(anchor)[..., None]
+    diff = u_mean - 0.5 * nu * (patch.inverse(anchor) @ grad)[..., 0]
+    count = np.minimum(fwd.count, bwd.count)
     if not patch.is_constant:
         # deterministic metric correction turning the drift combination
         # into the invariant osmotic velocity
@@ -202,7 +158,7 @@ def osmotic_identity_report(ensemble, bins, patch, nu, min_count=500,
         "diff": diff,
         "diff_se": diff_se,
         "usable": usable,
-        "centers": centers,
+        "centers": fwd.centers,
         "forward": fwd,
         "backward": bwd,
     }
@@ -283,14 +239,14 @@ def _shell_mask(box, pts, margin=0.1):
 
 
 def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER,
-                   grad_log_density=None, floor=None, tail_tol=1e-3):
+                   grad_log_density=None):
     """E{u^2} = (nu/2)^2 integral of grad ln rho . sigma^{-1} . grad ln rho.
 
     The expectation uses the invariant measure rho sqrt|sigma| d^3 q,
     normalized over the quadrature box. Raises QuadratureDivergence when
-    the density is not above ``floor`` (default 0) on a node, or when the
-    outer shell of the box carries more than ``tail_tol`` of the
-    integrand, i.e. the box truncates the tails.
+    the density is not positive on a node, or when the outer shell of the
+    box carries more than ``TAIL_TOL`` of the integrand, i.e. the box
+    truncates the tails.
 
     One pass over blocks of ``geometry.ROW_BLOCK`` nodes, the last maybe a
     single node, builds each block's nodes from the Gauss-Legendre axes and
@@ -304,8 +260,6 @@ def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER,
     ``u_sigma_u``, u . sigma . u with u = (nu/2) sigma^{-1} grad, the
     squared osmotic velocity of the direct energy route.
     """
-    if floor is None:
-        floor = 0.0
     axes = _gl_axes(box, order)
     # quadrature weight, times rho and sqrt|sigma| in place block by block
     norm_weight = _tensor_weights(axes)
@@ -320,9 +274,9 @@ def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER,
         rho = np.asarray(density(pts), dtype=float)
         # the log gradient needs strictly positive density on every node;
         # deep tails are fine, exact zeros are not
-        if np.any(rho <= floor):
+        if np.any(rho <= 0.0):
             raise QuadratureDivergence(
-                "density not above the floor on quadrature nodes"
+                "density not positive on quadrature nodes"
             )
         g = _grad_log(density, pts, grad_log_density, h)
         sig, inv, root[block] = _metric_tables(patch, pts)
@@ -341,9 +295,9 @@ def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER,
         tail = float(np.sum(contrib[shell])) / total
     else:
         tail = 0.0
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise QuadratureDivergence(
-            f"outer-shell fraction {tail:.2e} exceeds {tail_tol:.2e}; "
+            f"outer-shell fraction {tail:.2e} exceeds {TAIL_TOL:.2e}; "
             "enlarge the quadrature box"
         )
     return {
@@ -380,7 +334,7 @@ class EnergyReport:
 
 def energy_report(density, patch, constants, box, delta=1.0,
                   order=DEFAULT_ORDER, time_order=16,
-                  grad_log_density=None, tail_tol=1e-3):
+                  grad_log_density=None):
     """Mean energy of the congruence, computed two ways.
 
     Direct route: factored 4-d tensor quadrature of
@@ -393,7 +347,7 @@ def energy_report(density, patch, constants, box, delta=1.0,
     c2 = constants.c**2
     u2 = expectation_u2(
         density, patch, box, constants.nu, order=order,
-        grad_log_density=grad_log_density, tail_tol=tail_tol,
+        grad_log_density=grad_log_density,
     )
     # time factor: quadrature of sqrt(-g00(xi0)); cancels between the
     # numerator and the ptilde normalization but is assembled literally
@@ -423,18 +377,18 @@ def energy_report(density, patch, constants, box, delta=1.0,
     )
 
 
-def slice_density(bundle, chart, xi0=0.0):
-    """Stationary density on a comoving leaf, as a callable of xi space.
+def slice_density(bundle, chart):
+    """Stationary density on the chart's origin leaf, as a callable of xi
+    space.
 
     Evaluates the squared amplitude at the inertial preimage of each
-    spatial point on the xi0 leaf, with one batched inverse map per call.
-    Pair it with a metric in the same chart coordinates
+    spatial point on the xi0 = 0 leaf, with one batched inverse map per
+    call. Pair it with a metric in the same chart coordinates
     (``chart_spatial_patch``).
     """
     def rho(points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        xi = np.concatenate([np.full((len(points), 1), float(xi0)), points],
-                            axis=1)
+        xi = np.concatenate([np.zeros((len(points), 1)), points], axis=1)
         return bundle.density(chart.inverse_map(xi))
 
     return rho
@@ -442,7 +396,7 @@ def slice_density(bundle, chart, xi0=0.0):
 
 def stochastic_action(density, patch, interval, constants, box,
                       order=DEFAULT_ORDER, grad_log_density=None,
-                      current_sq=None, tail_tol=1e-3):
+                      current_sq=None):
     """Action of the congruence over a coordinate-time interval.
 
     A = -mc^2 (t_b - t_a) sqrt(1 - (E{beta^2} - E{u^2})/c^2). The
@@ -455,7 +409,7 @@ def stochastic_action(density, patch, interval, constants, box,
     t_a, t_b = float(interval[0]), float(interval[1])
     u2 = expectation_u2(
         density, patch, box, constants.nu, order=order,
-        grad_log_density=grad_log_density, tail_tol=tail_tol,
+        grad_log_density=grad_log_density,
     )
     e_b2 = 0.0
     if current_sq is not None:

@@ -118,11 +118,9 @@ class Box:
     def extent(self):
         return self.hi_array - self.lo_array
 
-    def contains(self, x, margin=0.0):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        lo = self.lo_array + margin
-        hi = self.hi_array - margin
-        return np.all((x >= lo) & (x <= hi), axis=-1)
+        return np.all((x >= self.lo_array) & (x <= self.hi_array), axis=-1)
 
     def grid(self, shape):
         """Tensor lattice of the given per-axis point counts, as (N, ndim)."""
@@ -264,16 +262,6 @@ class FieldBundle:
             1j * self.phase(x) / self.constants.hbar
         )
 
-    def amplitude_gradient(self, x):
-        """Analytic gradient of the complex field, from p and S derivatives."""
-        x = as_coords(x)
-        p = self.density(x)
-        dp = self.density_gradient(x)
-        ds = self.phase_gradient(x)
-        amp = self.amplitude(x)
-        log_grad = dp / (2.0 * p[..., None]) + 1j * ds / self.constants.hbar
-        return amp[..., None] * log_grad
-
     def conjugate(self):
         """Phase-conjugated view of this bundle: same p, S -> -S."""
         return ConjugateBundle(self)
@@ -342,7 +330,7 @@ class PacketBundle(FieldBundle):
     """
 
     def __init__(self, wavevectors, weights, constants, domain,
-                 floor=None, frequencies=None, _skip_node_check=False):
+                 frequencies=None, _skip_node_check=False):
         super().__init__(constants, domain)
         self.wavevectors = np.atleast_2d(np.asarray(wavevectors, dtype=float))
         self.weights = np.asarray(weights, dtype=float)
@@ -374,9 +362,8 @@ class PacketBundle(FieldBundle):
         w = self.weights[:, None]
         self._first_sums = w * np.concatenate([np.ones_like(w), dk], axis=1)
         self._second_sums = w * np.einsum("jm,jn->jmn", dk, dk).reshape(-1, 16)
-        self.floor = (
-            float(floor) if floor is not None else 1e-6 * float(self.weights.sum())
-        )
+        # the least modulus the node check accepts
+        self.floor = 1e-6 * float(self.weights.sum())
         self._n0 = 0.0
         if self.weights.size > 1 and self.dominance_margin > 0:
             # the whole turns that bring S(lo) / hbar to its principal value
@@ -520,17 +507,18 @@ def make_plane_wave(k, constants=None, domain=None, frequency=None):
         None if frequency is None else [frequency]))
 
 
-def make_packet(wavevectors, weights, domain, constants=None, floor=None):
+def make_packet(wavevectors, weights, domain, constants=None):
     """Superposition bundle over a required box domain.
 
     Raises NodeInDomain when the modulus provably (dominance certificate)
-    cannot stay above the floor, or when a lattice scan finds values below
-    the floor plus the cell Lipschitz reach.
+    cannot stay above the floor (1e-6 times the weight sum), or when a
+    lattice scan finds values below the floor plus the cell Lipschitz
+    reach.
     """
     constants = constants or PhysicalConstants()
     if not isinstance(domain, Box):
         raise ValueError("packet bundles require an explicit Box domain")
-    return PacketBundle(wavevectors, weights, constants, domain, floor=floor)
+    return PacketBundle(wavevectors, weights, constants, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -603,15 +591,17 @@ HYPOTHESIS_SHAPE = (7, 7, 7, 7)  # the default hypotheses lattice
 HYPOTHESIS_BLOCK = 1024
 
 
-def check_theorem_hypotheses(bundle, box=None, shape=HYPOTHESIS_SHAPE,
-                             v0_floor=None, closedness_tol=None):
+def check_theorem_hypotheses(bundle, box=None, shape=HYPOTHESIS_SHAPE):
     """Scan a lattice for the three chart-construction hypotheses.
 
     Density, phase gradient and phase Hessian come from
     ``density_and_phase_derivatives`` calls on consecutive blocks of
     HYPOTHESIS_BLOCK lattice events; the reductions over blocks equal those
-    over one whole-lattice call. Returns a HypothesisReport; ``violated``
-    holds labels "(i)", "(ii)", "(iii)" for every failed condition, in that
+    over one whole-lattice call. Condition (i) fails where |V_0| reaches
+    ``v0_floor`` = 1e-8 c or V_0 changes sign, and (ii) where the Hessian's
+    asymmetry reaches ``closedness_tol`` = 1e-10 max|Hessian| + 1e-14; the
+    report carries both. Returns a HypothesisReport; ``violated`` holds
+    labels "(i)", "(ii)", "(iii)" for every failed condition, in that
     order.
     """
     c = bundle.constants.c
@@ -648,10 +638,8 @@ def check_theorem_hypotheses(bundle, box=None, shape=HYPOTHESIS_SHAPE,
         max_hess = max(max_hess, float(np.max(np.abs(hess))))
         min_density = min(min_density, float(np.min(density)))
 
-    if v0_floor is None:
-        v0_floor = 1e-8 * c
-    if closedness_tol is None:
-        closedness_tol = 1e-10 * (max_hess + 1e-300) + 1e-14
+    v0_floor = 1e-8 * c
+    closedness_tol = 1e-10 * (max_hess + 1e-300) + 1e-14
 
     # a sign change proves a zero of V_0 between lattice points even when
     # no sample lands near it

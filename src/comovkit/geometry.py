@@ -389,7 +389,7 @@ def polar_flat_patch(analytic_derivatives=True):
     )
 
 
-def unit_sphere_patch(analytic_derivatives=True):
+def unit_sphere_patch():
     """Unit 2-sphere times a line, coordinates (theta, phi, z).
 
     sigma = diag(1, sin^2 theta, 1); scalar curvature 2. Serves as the
@@ -404,11 +404,7 @@ def unit_sphere_patch(analytic_derivatives=True):
         d[0, 1, 1] = np.sin(2.0 * q[0])
         return d
 
-    return MetricPatch(
-        sigma,
-        sigma_gradient=dsigma if analytic_derivatives else None,
-        name="unit_sphere",
-    )
+    return MetricPatch(sigma, sigma_gradient=dsigma, name="unit_sphere")
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +444,9 @@ def riemann(patch, q, h=DEFAULT_H):
     )
 
 
-def ricci_scalar(patch, q, h=DEFAULT_H):
+def ricci_scalar(patch, q):
     """sigma^{km} R^i_{kim} at points (...,3); a float for one point."""
-    ricci = np.einsum("...ikim->...km", riemann(patch, q, h=h))
+    ricci = np.einsum("...ikim->...km", riemann(patch, q))
     scalar = np.einsum("...km,...km->...", patch.inverse(q), ricci)
     return float(scalar) if scalar.ndim == 0 else scalar
 
@@ -558,14 +554,13 @@ def metric_compatibility_residual(patch, q, h=None):
 # diagnostics
 
 
-def geometry_diagnostics(chart, half_width=1.0, n_per_axis=3, xi0=0.0,
-                         h=DEFAULT_H):
+def geometry_diagnostics(chart, half_width=1.0, n_per_axis=3, xi0=0.0):
     """Lattice summary of metric blocks and curvature for one chart."""
     axes = [np.linspace(-half_width, half_width, n_per_axis)] * 3
     mesh = np.meshgrid(*axes, indexing="ij")
     spatial = np.stack([m.ravel() for m in mesh], axis=-1)
     patch = MetricPatch.from_chart(chart)
-    budget = curvature_budget(h=h)
+    budget = curvature_budget()
 
     xi = np.concatenate([np.full((len(spatial), 1), float(xi0)), spatial],
                         axis=1)
@@ -575,7 +570,7 @@ def geometry_diagnostics(chart, half_width=1.0, n_per_axis=3, xi0=0.0,
         g[:, 0, 0] - chart.time_convention.g00(xi0))))
 
     base_pts = chart.base_origin + spatial @ chart.frame_matrix_inv.T
-    flat = flatness_report(patch, base_pts, h=h, budget=budget)
+    flat = flatness_report(patch, base_pts, budget=budget)
     # the curvature's centre rows left sigma at base_pts in the memo
     eig_records = np.linalg.eigvalsh(patch.factors(base_pts)[0]).tolist()
     return {

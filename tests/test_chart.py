@@ -255,7 +255,9 @@ def test_bracketed_roots_match_brentq(case):
     np.testing.assert_allclose(roots, exact(params), rtol=0.0, atol=xtol)
 
 
-def test_bracketed_roots_endpoints_and_failures():
+def test_bracketed_roots_endpoints_and_failures(monkeypatch):
+    import comovkit.chart as chart_module
+
     # roots on the lower end, on the upper end, inside, and in a bracket
     # given high end first
     c = np.array([-1.0, 2.0, 0.25, 0.5])
@@ -264,9 +266,10 @@ def test_bracketed_roots_endpoints_and_failures():
     roots = bracketed_roots(lambda x, rows: x - c[rows], lo, hi, 1e-14)
     assert roots[0] == -1.0 and roots[1] == 2.0
     np.testing.assert_allclose(roots[2:], [0.25, 0.5], rtol=0.0, atol=1e-14)
+    monkeypatch.setattr(chart_module, "ROOT_MAX_ITER", 3)
     with pytest.raises(RootFailure, match="3 iterations"):
         bracketed_roots(lambda x, rows: np.exp(x) - 2.0, [0.0, -1.0], 1.0,
-                        1e-14, max_iter=3)
+                        1e-14)
     with pytest.raises(NoBracket, match="no sign change"):
         bracketed_roots(lambda x, rows: x - 5.0, [0.0, 0.0], [6.0, 1.0], 1e-14)
 

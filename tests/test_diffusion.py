@@ -15,7 +15,6 @@ from comovkit.diffusion import (
     DiffusionConfig,
     backward_drift_estimate,
     batch_mean_se,
-    batch_of_path,
     combine_drift_estimates,
     drift_from_fields,
     forward_drift_estimate,
@@ -518,9 +517,9 @@ def _reference_simulate(drift, patch, config):
                 qn[outside] = q[outside]
                 clipped[lo:hi] |= outside
             if np.max(np.einsum("ni,ni->n", qn, qn)) \
-                    > config.explosion_radius ** 2:
+                    > diffusion.EXPLOSION_RADIUS ** 2:
                 raise Explosion(f"path norm exceeded "
-                                f"{config.explosion_radius:g} at step {k}")
+                                f"{diffusion.EXPLOSION_RADIUS:g} at step {k}")
             if k in snaps:
                 pre[lo:hi, snaps.index(k)] = q
                 post[lo:hi, snaps.index(k)] = qn
@@ -549,10 +548,11 @@ STEP_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(STEP_CASES))
-def test_step_matches_step_buffer_reference(case):
+def test_step_matches_step_buffer_reference(monkeypatch, case):
     # the in-place step against the step-buffer loop, over three chunks on
     # two threads: the same ensemble bit for bit, or the same Explosion
     make_patch, field, initial, clip, radius = STEP_CASES[case]
+    monkeypatch.setattr(diffusion, "EXPLOSION_RADIUS", radius)
     patch = make_patch()
     if initial == "density":
         initial = ("density", gauss_weight,
@@ -560,7 +560,7 @@ def test_step_matches_step_buffer_reference(case):
     config = DiffusionConfig(
         dt=0.05, horizon=1.0, n_paths=150, master_seed=8, nu=0.5,
         initial=initial, burn_in_fraction=0.0, n_snapshots=7, chunk_size=64,
-        n_threads=2, clip_box=clip, explosion_radius=radius)
+        n_threads=2, clip_box=clip)
     drift = drift_from_fields(field, patch, config.nu)
     try:
         want = _reference_simulate(drift, patch, config)
@@ -619,22 +619,22 @@ def test_density_initialization_matches_target():
 
 # --- guard rails -------------------------------------------------------------
 
-def test_explosion_raises():
+def test_explosion_raises(monkeypatch):
+    monkeypatch.setattr(diffusion, "EXPLOSION_RADIUS", 10.0)
     config = DiffusionConfig(dt=0.05, horizon=0.5, n_paths=4, master_seed=1,
-                             initial=("point", (1.0, 0.0, 0.0)),
-                             explosion_radius=10.0)
+                             initial=("point", (1.0, 0.0, 0.0)))
     patch = MetricPatch.euclidean()
     with pytest.raises(Explosion):
         simulate(lambda q: 50.0 * q, patch, config)
 
 
-def test_explosion_step_matches_exact_norm():
+def test_explosion_step_matches_exact_norm(monkeypatch):
     # from |q| = 7 < 10 the cheap max-abs screen (3 * 49 > 100) trips on
     # every step, but only the exact norm decides when Explosion is raised
+    monkeypatch.setattr(diffusion, "EXPLOSION_RADIUS", 10.0)
     q0 = (7.0, 0.0, 0.0)
     config = DiffusionConfig(dt=0.05, horizon=1.0, n_paths=4, master_seed=5,
-                             nu=0.25, initial=("point", q0),
-                             explosion_radius=10.0)
+                             nu=0.25, initial=("point", q0))
     _, _, posts = _manual_replay(config, q0, config.n_steps,
                                  drift=lambda q: q)
     norms = [np.max(np.linalg.norm(p, axis=1)) for p in posts]
@@ -883,11 +883,32 @@ def test_bin_spec_rejects_bad_box():
 
 
 def test_batch_of_path_layout():
-    np.testing.assert_array_equal(batch_of_path(10, 4),
+    # contiguous batches of ceil(n / n_batches) paths, the last one ragged
+    edges = diffusion._batch_edges(10, 4)
+    np.testing.assert_array_equal(edges, [0, 3, 6, 9, 10])
+    np.testing.assert_array_equal(diffusion._batches_in(edges, 0, 10),
                                   [0, 0, 0, 1, 1, 1, 2, 2, 2, 3])
+    np.testing.assert_array_equal(diffusion._batches_in(edges, 4, 8),
+                                  [1, 1, 2, 2])
     # fewer paths than batches: one path per batch, the rest stay empty
-    np.testing.assert_array_equal(batch_of_path(3, 32), [0, 1, 2])
-    np.testing.assert_array_equal(batch_of_path(7, 1), np.zeros(7))
+    np.testing.assert_array_equal(diffusion._batch_edges(3, 32),
+                                  [0, 1, 2] + [3] * 30)
+    np.testing.assert_array_equal(diffusion._batch_edges(7, 1), [0, 7])
+
+
+def _batch_of_path(n_paths):
+    """Path-batch index per path, in the estimators' batch layout."""
+    edges = diffusion._batch_edges(n_paths, diffusion.DEFAULT_BATCHES)
+    return np.repeat(np.arange(diffusion.DEFAULT_BATCHES), np.diff(edges))
+
+
+def _ragged_batches(n_paths, size):
+    """Path-batch edges of ``n_paths``, asserted to be batches of ``size``
+    paths with a shorter last one."""
+    edges = diffusion._batch_edges(n_paths, diffusion.DEFAULT_BATCHES)
+    sizes = np.diff(edges)
+    assert np.all(sizes[:-1] == size) and 0 < sizes[-1] < size
+    return edges
 
 
 def test_batch_mean_se_skips_missing_batches():
@@ -935,13 +956,14 @@ def _reference_flat_index(bins, points):
     return np.where(inside, flat, -1)
 
 
-def _reference_binned_drift(ensemble, bins, condition_on, n_batches):
+def _reference_binned_drift(ensemble, bins, condition_on):
+    n_batches = diffusion.DEFAULT_BATCHES
     values = (ensemble.post - ensemble.pre) / ensemble.dt
     anchor = ensemble.pre if condition_on == "pre" else ensemble.post
     k = bins.n_bins
     flat_vals = values.reshape(-1, 3)
     flat_bins = _reference_flat_index(bins, anchor.reshape(-1, 3))
-    flat_batch = np.repeat(batch_of_path(ensemble.n_paths, n_batches),
+    flat_batch = np.repeat(_batch_of_path(ensemble.n_paths),
                            ensemble.n_snapshots)
     keep = flat_bins >= 0
     fb = flat_bins[keep]
@@ -977,7 +999,8 @@ def _reference_binned_drift(ensemble, bins, condition_on, n_batches):
             "batch_mean": bmeans, "batch_count": bcount, "se": se}
 
 
-def _reference_density(ensemble, bins, patch, n_batches):
+def _reference_density(ensemble, bins, patch):
+    n_batches = diffusion.DEFAULT_BATCHES
     flat = _reference_flat_index(bins, ensemble.pre.reshape(-1, 3))
     keep = flat >= 0
     fb = flat[keep]
@@ -989,7 +1012,7 @@ def _reference_density(ensemble, bins, patch, n_batches):
     total = int(count.sum())
     est = count / (total * vol * root_sig)
     batch = np.repeat(
-        batch_of_path(ensemble.n_paths, n_batches), ensemble.n_snapshots
+        _batch_of_path(ensemble.n_paths), ensemble.n_snapshots
     )[keep]
     bcount = np.bincount(batch * k + fb, minlength=n_batches * k).reshape(
         n_batches, k
@@ -1022,18 +1045,19 @@ def exact_ensemble():
 def test_overflow_binning_matches_keep_and_copy(exact_ensemble):
     outside = np.mean(EXACT_BINS.flat_index(exact_ensemble.pre) < 0)
     assert 0.15 < outside < 0.25
+    _ragged_batches(exact_ensemble.n_paths, 94)
     rev = specular_reverse(exact_ensemble)
     patch = MetricPatch.constant(np.diag([0.64, 1.0, 1.5]))
     for ens in (exact_ensemble, rev):
         for condition_on, estimate in (("pre", forward_drift_estimate),
                                        ("post", backward_drift_estimate)):
-            got = estimate(ens, EXACT_BINS, min_count=50, n_batches=7)
-            want = _reference_binned_drift(ens, EXACT_BINS, condition_on, 7)
+            got = estimate(ens, EXACT_BINS, min_count=50)
+            want = _reference_binned_drift(ens, EXACT_BINS, condition_on)
             for name, value in want.items():
                 assert np.array_equal(getattr(got, name), value,
                                       equal_nan=True), (condition_on, name)
-        got = estimate_density(ens, EXACT_BINS, patch, n_batches=7)
-        want = _reference_density(ens, EXACT_BINS, patch, 7)
+        got = estimate_density(ens, EXACT_BINS, patch)
+        want = _reference_density(ens, EXACT_BINS, patch)
         for name, value in want.items():
             assert np.array_equal(getattr(got, name), value,
                                   equal_nan=True), name
@@ -1111,11 +1135,12 @@ def _synthetic_ensemble(n_paths, n_snapshots, seed):
         nu=NU, clipped=np.zeros(n_paths, dtype=bool))
 
 
-def _reference_variance(ensemble, n_batches):
+def _reference_variance(ensemble):
     states = ensemble.pre
-    batch = batch_of_path(ensemble.n_paths, n_batches)
+    batch = _batch_of_path(ensemble.n_paths)
     bvars = np.stack([
-        states[batch == b].var(axis=0, ddof=1) for b in range(n_batches)
+        states[batch == b].var(axis=0, ddof=1)
+        for b in range(diffusion.DEFAULT_BATCHES)
         if np.sum(batch == b) > 1
     ])
     return {"variance": states.var(axis=0, ddof=1),
@@ -1131,23 +1156,26 @@ def test_block_boundaries_leave_passes_exact(monkeypatch, block):
     n_snapshots, n_paths = 12, 4501
     per_block = diffusion._block_paths(n_snapshots)
     assert n_paths // per_block >= 3 and n_paths % per_block
+    edges = _ragged_batches(n_paths, 141)
+    if block is not None:
+        assert per_block == 10 and np.any(edges[1:-1] % per_block)
     ensemble = _synthetic_ensemble(n_paths, n_snapshots, seed=17)
     patch = MetricPatch.constant(np.diag([0.64, 1.0, 1.5]))
     for ens in (ensemble, specular_reverse(ensemble)):
         for condition_on, estimate in (("pre", forward_drift_estimate),
                                        ("post", backward_drift_estimate)):
-            got = estimate(ens, EXACT_BINS, min_count=50, n_batches=7)
-            want = _reference_binned_drift(ens, EXACT_BINS, condition_on, 7)
+            got = estimate(ens, EXACT_BINS, min_count=50)
+            want = _reference_binned_drift(ens, EXACT_BINS, condition_on)
             for name, value in want.items():
                 assert np.array_equal(getattr(got, name), value,
                                       equal_nan=True), (condition_on, name)
-        got = estimate_density(ens, EXACT_BINS, patch, n_batches=7)
-        want = _reference_density(ens, EXACT_BINS, patch, 7)
+        got = estimate_density(ens, EXACT_BINS, patch)
+        want = _reference_density(ens, EXACT_BINS, patch)
         for name, value in want.items():
             assert np.array_equal(getattr(got, name), value,
                                   equal_nan=True), name
-        report = variance_report(ens, n_batches=7)
-        for name, value in _reference_variance(ens, 7).items():
+        report = variance_report(ens)
+        for name, value in _reference_variance(ens).items():
             assert np.array_equal(report[name], value), name
 
 

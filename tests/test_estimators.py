@@ -19,7 +19,6 @@ from comovkit.errors import ImaginaryAction, QuadratureDivergence
 from comovkit.estimators import (
     EnergyReport,
     _grad_log,
-    _lattice_gradient,
     _metric_tables,
     _tensor_nodes,
     energy_report,
@@ -250,22 +249,6 @@ def test_specular_ensemble_keeps_zero_current(ou_ensemble, ou_bins):
     np.testing.assert_allclose(
         rev_vel.current[vel.valid], -vel.current[vel.valid], rtol=0.0,
         atol=4.0 * np.finfo(float).eps * drift_scale)
-
-
-# --- lattice gradient --------------------------------------------------------
-
-def test_lattice_gradient_matches_closed_form_divergence():
-    # rho = exp(-q^2/2), v = a q: div(rho v) = a rho (3 - q^2)
-    a = 0.3
-    bins = BinSpec((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0), (16, 16, 16))
-    centers = bins.centers()
-    rho = gauss_density(centers)
-    flux = rho[:, None] * a * centers
-    div = sum(_lattice_gradient(flux[:, i], bins)[:, i] for i in range(3))
-    expected = a * rho * (3.0 - np.sum(centers**2, axis=-1))
-    lattice_err = np.abs(div - expected).reshape(bins.shape)
-    interior = lattice_err[1:-1, 1:-1, 1:-1]
-    assert np.max(interior) < 0.05
 
 
 # --- quadrature expectations -------------------------------------------------------
@@ -580,14 +563,3 @@ def test_osmotic_identity_closed_form_target(ou_ensemble, ou_bins):
         assert rep[key].direction == alone.direction
         np.testing.assert_array_equal(rep[key].mean, alone.mean)
         np.testing.assert_array_equal(rep[key].batch_mean, alone.batch_mean)
-
-
-def test_osmotic_identity_estimated_target(ou_ensemble, ou_bins):
-    patch = MetricPatch.euclidean()
-    rep = osmotic_identity_report(ou_ensemble, ou_bins, patch, NU,
-                                  min_count=500)
-    assert rep["n_bins"] >= 30
-    # literal: with the lattice-difference target a bin also carries the
-    # difference's truncation error; from sampling alone, more than 10 %
-    # of 158 bins fail with probability 6e-9 per seed (binomial, as above)
-    assert rep["fraction"] >= 0.90
