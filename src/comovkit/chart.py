@@ -14,7 +14,7 @@ coordinates. A point x is assigned
 * time coordinate: the arc coordinate (c times proper time) at which the
   reference curve through the origin crosses the level of x. A copy of the
   origin rides in the same flow out to that level and carries the arc as a
-  fifth state, d lambda / dS = -1 / (m |V|); a TimeConvention may regauge it;
+  fifth state, d lambda / dS = -1 / (m |V|); the chart time is that arc;
 * spatial coordinates: flow x to the origin level and read off the base
   coordinates of the foot point, linearly normalized at the origin so the
   chart is isometric there (the frame matrix is the principal square root of
@@ -37,9 +37,9 @@ the vectors it maps. For a constant-gradient (plane-wave) field the flow
 field is constant, RK4 is exact, and the chart is the closed-form Lorentz
 boost into the rest frame.
 
-Level-set heights that Newton leaves unconverged and custom time gauges
-are inverted by ``bracketed_roots``, one batched Chandrupatla iteration
-over an array of brackets.
+Level-set heights that Newton leaves unconverged are found by
+``bracketed_roots``, one batched Chandrupatla iteration over an array of
+brackets.
 """
 
 from dataclasses import dataclass
@@ -58,6 +58,7 @@ from .errors import (
     ZeroSlope,
 )
 from .fields import (
+    _float_or_array,
     _rows_times,
     as_coords,
     central_gradient,
@@ -235,8 +236,8 @@ class ReferenceSurface:
         f = self._slope(x, grad)
         vcov = grad / self.bundle.constants.mass
         # covariant pairing with tangents: V_0 f_i + V_i
-        resid = np.max(np.abs(vcov[..., :1] * f + vcov[..., 1:]), axis=-1)
-        return float(resid) if resid.ndim == 0 else resid
+        return _float_or_array(
+            np.max(np.abs(vcov[..., :1] * f + vcov[..., 1:]), axis=-1))
 
 
 def solve_height(surface, q, guess=None):
@@ -330,84 +331,6 @@ def _bracket_heights(surface, q, x0, tmin, tmax):
         raise NoBracket("no sign change of S - level found for base point "
                         f"{q[np.argmax(stuck)].tolist()}")
     return bracketed_roots(f, lo, hi, 1e-14 * (1.0 + np.abs(x0)))
-
-
-# ---------------------------------------------------------------------------
-# time gauge
-
-
-class TimeConvention:
-    """Gauge for the chart time coordinate along the reference curve.
-
-    Default ("proper_time"): xi0 equals the arc coordinate lambda, giving
-    g00 = -1. A custom gauge supplies ``metric_time_time`` (the negative
-    g00(xi0) component) together with ``arc_primitive``, the primitive
-    lambda(xi0) = integral_0^xi0 sqrt(-g00(s)) ds, which must be strictly
-    increasing and vanish at 0. Both take arrays of times.
-    """
-
-    def __init__(self, name="proper_time", metric_time_time=None,
-                 arc_primitive=None):
-        custom = metric_time_time is not None or arc_primitive is not None
-        if custom and (metric_time_time is None or arc_primitive is None):
-            raise ValueError(
-                "custom time conventions need both metric_time_time and "
-                "arc_primitive"
-            )
-        self.name = name
-        self._g00 = metric_time_time
-        self._primitive = arc_primitive
-
-    def g00(self, xi0):
-        """Time-time metric component at chart time xi0 (a float or an
-        array); raises ValueError unless every value is negative."""
-        if self._g00 is None:
-            return _float_or_array(np.full(np.shape(xi0), -1.0))
-        xi0 = np.asarray(xi0, dtype=float)
-        val = np.array(np.broadcast_to(
-            np.asarray(self._g00(xi0), dtype=float), xi0.shape))
-        if not np.all(val < 0.0):
-            raise ValueError("g00 must be negative for a timelike coordinate")
-        return _float_or_array(val)
-
-    def lambda_from_time(self, xi0):
-        """Arc coordinate at chart time xi0 (a float or an array)."""
-        if self._primitive is None:
-            return _float_or_array(xi0)
-        return _float_or_array(self._arc(np.asarray(xi0, dtype=float)))
-
-    def time_from_lambda(self, lam):
-        """Chart time at arc coordinate lam (a float or an array)."""
-        if self._primitive is None:
-            return _float_or_array(lam)
-        lam = np.asarray(lam, dtype=float)
-        return _float_or_array(
-            self._invert_primitive(lam.reshape(-1)).reshape(lam.shape))
-
-    def _arc(self, xi0):
-        return np.array(np.broadcast_to(
-            np.asarray(self._primitive(xi0), dtype=float), xi0.shape))
-
-    def _invert_primitive(self, lam):
-        """Chart times (n,) at arcs (n,), from brackets [-2^k, 2^k] widened
-        as a batch until they hold the arc, then one bracketed root call."""
-        half = np.ones(lam.size)
-        open_ = np.arange(lam.size)
-        for _ in range(200):
-            inside = ((self._arc(-half[open_]) <= lam[open_])
-                      & (lam[open_] <= self._arc(half[open_])))
-            open_ = open_[~inside]
-            if not open_.size:
-                return bracketed_roots(
-                    lambda t, rows: self._arc(t) - lam[rows], -half, half,
-                    1e-13 * (1.0 + np.abs(lam)))
-            half[open_] *= 2.0
-        raise RootFailure("time gauge primitive could not be inverted")
-
-
-def _float_or_array(values):
-    out = np.asarray(values, dtype=float)
-    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -605,16 +528,14 @@ class ComovingChart:
     without ``validate`` that is the given report, or None.
     """
 
-    def __init__(self, bundle, origin=None, time_convention=None,
-                 rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, validate=True,
-                 hypothesis_report=None):
+    def __init__(self, bundle, origin=None, rtol=DEFAULT_RTOL,
+                 atol=DEFAULT_ATOL, validate=True, hypothesis_report=None):
         self.bundle = bundle
         if origin is None:
             origin = 0.5 * (bundle.domain.lo_array + bundle.domain.hi_array)
         self.origin = as_coords(origin).astype(float)
         if not bundle.domain.contains(self.origin):
             raise OutOfDomain("chart origin must lie inside the field domain")
-        self.time_convention = time_convention or TimeConvention()
         self.rtol = rtol
         self.atol = atol
         if validate and hypothesis_report is None:
@@ -656,19 +577,17 @@ class ComovingChart:
         end = _phase_flow(self.bundle, start,
                           np.concatenate([level - s_x, s_x - level]),
                           self.rtol, self.atol, stats)
-        xi0 = self.time_convention.time_from_lambda(end[n:, 4])
         xi_sp = _rows_times(end[:n, 1:4] - self.base_origin,
                             self.frame_matrix.T)
-        xi = np.concatenate([xi0[:, None], xi_sp], axis=1)
+        xi = np.concatenate([end[n:, 4:], xi_sp], axis=1)
         return xi.reshape(x.shape)
 
     def inverse_map(self, xi, stats=None):
         """Comoving coordinates (..., 4) -> inertial events."""
         xi = as_coords(xi)
         rows = xi.reshape(-1, 4)
-        lam = self.time_convention.lambda_from_time(rows[:, 0])
         # the reference curve in its arc parameter, once per distinct time
-        arcs, which = np.unique(lam, return_inverse=True)
+        arcs, which = np.unique(rows[:, 0], return_inverse=True)
         ref = _integrate(_arc_rhs(self.bundle),
                          np.broadcast_to(self.origin, (len(arcs), 4)), arcs,
                          self.bundle.domain, self.rtol, self.atol, stats)
@@ -760,7 +679,7 @@ def chart_diagnostics(chart, n_samples=40, seed=0):
     )
     return {
         "origin": chart.origin.tolist(),
-        "time_convention": chart.time_convention.name,
+        "time_convention": "proper_time",
         "round_trip_max": float(rt.max()),
         "round_trip_mean": float(rt.mean()),
         "pushforward_spatial_max": float(spatial_resid.max()),

@@ -23,10 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import _float_or_array, boost_to_rest_frame
+from .chart import boost_to_rest_frame
 from .constants import ETA, minkowski_norm_squared, natural_units, raise_index
 from .errors import ZeroJ0
-from .fields import Box, central_gradient, central_hessian, make_packet
+from .fields import (
+    Box,
+    _float_or_array,
+    central_gradient,
+    central_hessian,
+    make_packet,
+)
 from .geometry import chart_spatial_patch
 
 __all__ = [
@@ -114,11 +120,11 @@ def comoving_kg_residual(bundle, chart, xi, patch=None):
     inverse map: one call on the 33-point Hessian stencils of all chart
     points xi (..., 4), and one slice-metric call for their inverse metrics
     and Christoffel symbols.  Returns (...), a float for one point.  The
-    operator uses the block metric diag(g00(xi0), sigma_ij(xi_sp)) whose
+    operator uses the block metric diag(-1, sigma_ij(xi_sp)) whose
     off-diagonal and time-block structure the chart diagnostics certify
     separately:
 
-        g^{00} d0^2 phi + sigma^{ij} (d_i d_j - Gamma^k_ij d_k) phi
+        -d0^2 phi + sigma^{ij} (d_i d_j - Gamma^k_ij d_k) phi
             - (mc/hbar)^2 phi
 
     Central differences with step h = 1e-2 give an O(h^2 kc^2) floor on
@@ -139,8 +145,7 @@ def comoving_kg_residual(bundle, chart, xi, patch=None):
     lb = np.einsum("...ij,...ij->...", inv, hess[..., 1:, 1:]) - np.einsum(
         "...ij,...kij,...k->...", inv, gamma, grad[..., 1:]
     )
-    g00 = patch.g00(xi[..., 0])
-    residual = hess[..., 0, 0] / g00 + lb - kc ** 2 * f0
+    residual = -hess[..., 0, 0] + lb - kc ** 2 * f0
     return _float_or_array(np.abs(residual) / (kc ** 2 * np.abs(f0)))
 
 
@@ -252,7 +257,7 @@ def comoving_current(bundle, chart, xi):
 
     J~^mu = (d xi^mu / d x^nu) J^nu evaluated at x = Phi^-1(xi).  For the
     comoving congruence the spatial components vanish and the time
-    component equals m c p~ / sqrt(-g00); both are returned alongside the
+    component equals m c p~ (g00 = -1); both are returned alongside the
     measured values so callers can budget the comparison.
     """
     xi = np.asarray(xi, dtype=float)
@@ -260,10 +265,7 @@ def comoving_current(bundle, chart, xi):
     sample = four_current(bundle, x)
     jac = chart.jacobian(x)
     j_tilde = jac @ sample.j
-    g00 = chart.time_convention.g00(float(xi[0]))
-    expected_time = (
-        bundle.constants.mass * bundle.constants.c * sample.density / np.sqrt(-g00)
-    )
+    expected_time = bundle.constants.mass * bundle.constants.c * sample.density
     return {
         "j_tilde": j_tilde,
         "expected_time": float(expected_time),

@@ -342,18 +342,18 @@ def energy_report(density, patch, constants, box, delta=1.0,
     with V.V = -c^2 exactly and U.U the squared osmotic velocity; ptilde
     is normalized over the same slab. Identity route:
     -mc^2/2 + (m/2) E{u^2}. Agreement certifies the assembly and the
-    normalization, and for u = 0 both give -mc^2/2 exactly.
+    normalization, and for u = 0 both give -mc^2/2 exactly. The slab's
+    time factor, the ``time_order``-node Gauss-Legendre weight sum over
+    [-delta, delta] (sqrt(-g00) = 1), scales the numerator and the
+    normalization alike: ``delta`` and ``time_order`` cancel out of
+    ``mu_direct`` up to rounding.
     """
     c2 = constants.c**2
     u2 = expectation_u2(
         density, patch, box, constants.nu, order=order,
         grad_log_density=grad_log_density,
     )
-    # time factor: quadrature of sqrt(-g00(xi0)); cancels between the
-    # numerator and the ptilde normalization but is assembled literally
-    t_nodes, t_w = _gl_axis(time_order, -delta, delta)
-    g00 = np.asarray(patch.g00(t_nodes), dtype=float)
-    time_factor = float(np.sum(t_w * np.sqrt(-g00)))
+    time_factor = float(np.sum(_gl_axis(time_order, -delta, delta)[1]))
 
     # direct route: u.sigma.u with u the raised log-gradient
     numerator = time_factor * float(

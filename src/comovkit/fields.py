@@ -85,6 +85,12 @@ def _rows_times(x, matrix):
     return out[:len(rows)].reshape(x.shape[:-1] + out.shape[1:])
 
 
+def _float_or_array(values):
+    """values as a float when they hold one point's scalar, else an array."""
+    out = np.asarray(values, dtype=float)
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box, any dimension."""

@@ -1,8 +1,8 @@
 """Numerical differential geometry on the chart's spatial slices.
 
-The comoving metric splits into a time block g00 (a function of the time
-coordinate only; -1 in the proper-time gauge) and a spatial 3-metric
-sigma on the level surface. A ``MetricPatch`` packages sigma together
+The comoving metric splits into a time block g00 (-1: the chart time is
+the reference curve's arc) and a spatial 3-metric sigma on the level
+surface. A ``MetricPatch`` packages sigma together
 with everything downstream code needs: inverse, volume factor, noise
 factor G with G G^T = sigma^{-1}, Christoffel symbols, and their
 contraction. Curvature comes from one central difference of the
@@ -53,10 +53,9 @@ import threading
 
 import numpy as np
 
-from .chart import TimeConvention
 from .constants import ETA
 from .errors import NotSpacelike
-from .fields import _rows_times, central_gradient
+from .fields import _float_or_array, _rows_times, central_gradient
 
 DEFAULT_H = 1e-2
 FD_STEP = 1e-3  # sigma and covector derivative step when none is given
@@ -99,8 +98,6 @@ class MetricPatch:
     ``sigma`` maps one 3-point to a symmetric (3, 3) matrix. Derivatives
     come from ``sigma_gradient`` when supplied (one 3-point to D[i, j, k] =
     d_i sigma_jk), otherwise from central differences with step FD_STEP.
-    ``g00`` is the time-block function of xi0, taking floats or arrays
-    (defaults to the proper-time gauge, -1).
 
     Every method takes points of shape (..., 3) and returns results stacked
     over the leading axes: ``metric``, ``inverse`` and ``noise_factor``
@@ -123,10 +120,9 @@ class MetricPatch:
 
     is_constant = False  # see _ConstantPatch
 
-    def __init__(self, sigma, g00=None, sigma_gradient=None, name=""):
+    def __init__(self, sigma, sigma_gradient=None, name=""):
         self._sigma = sigma
         self._dsigma = sigma_gradient
-        self.g00 = g00 if g00 is not None else TimeConvention().g00
         self.name = name
         # (key, factors) of the last factorization, one entry per thread
         self._last = threading.local()
@@ -271,11 +267,10 @@ class MetricPatch:
         return _ConstantPatch(lambda q: np.eye(3), name="euclidean")
 
     @classmethod
-    def constant(cls, sigma_matrix, g00=None):
+    def constant(cls, sigma_matrix):
         mat = np.asarray(sigma_matrix, dtype=float)
         return _ConstantPatch(
             lambda q: mat.copy(),
-            g00=g00,
             sigma_gradient=lambda q: np.zeros((3, 3, 3)),
             name="constant",
         )
@@ -288,7 +283,7 @@ class MetricPatch:
         normalization is a constant reparametrization that leaves all
         curvature quantities unchanged.
         """
-        return _SurfacePatch(chart.surface, chart.time_convention.g00)
+        return _SurfacePatch(chart.surface)
 
 
 class _ConstantPatch(MetricPatch):
@@ -309,8 +304,8 @@ class _SurfacePatch(MetricPatch):
     height solve per batch.
     """
 
-    def __init__(self, surface, g00, frame=None, name="chart_surface"):
-        super().__init__(None, g00=g00, name=name)
+    def __init__(self, surface, frame=None, name="chart_surface"):
+        super().__init__(None, name=name)
         self.surface = surface
         self.frame = frame
 
@@ -356,12 +351,10 @@ def chart_spatial_patch(chart):
 
     The chart's frame normalization is a constant linear map E0, so the
     surface metric transforms by congruence: sigma_xi = E0^-T sigma_q E0^-1
-    evaluated at q = q0 + E0^-1 xi, with one surface call per batch. The
-    time block comes from the chart's time convention (g00 = -1 for the
-    proper-time gauge). This is the metric that pairs with densities of xi
-    such as ``slice_density``.
+    evaluated at q = q0 + E0^-1 xi, with one surface call per batch. It
+    pairs with densities of xi such as ``slice_density``.
     """
-    return _SurfacePatch(chart.surface, chart.time_convention.g00,
+    return _SurfacePatch(chart.surface,
                          frame=(chart.base_origin, chart.frame_matrix_inv),
                          name="chart-slice")
 
@@ -447,8 +440,8 @@ def riemann(patch, q, h=DEFAULT_H):
 def ricci_scalar(patch, q):
     """sigma^{km} R^i_{kim} at points (...,3); a float for one point."""
     ricci = np.einsum("...ikim->...km", riemann(patch, q))
-    scalar = np.einsum("...km,...km->...", patch.inverse(q), ricci)
-    return float(scalar) if scalar.ndim == 0 else scalar
+    return _float_or_array(
+        np.einsum("...km,...km->...", patch.inverse(q), ricci))
 
 
 _BUDGET_PROBES = np.array([
@@ -555,7 +548,7 @@ def metric_compatibility_residual(patch, q, h=None):
 
 
 def geometry_diagnostics(chart, half_width=1.0, n_per_axis=3, xi0=0.0):
-    """Lattice summary of metric blocks and curvature for one chart."""
+    """Lattice summary of max|g0i|, max|g00 + 1|, sigma and curvature."""
     axes = [np.linspace(-half_width, half_width, n_per_axis)] * 3
     mesh = np.meshgrid(*axes, indexing="ij")
     spatial = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -566,8 +559,7 @@ def geometry_diagnostics(chart, half_width=1.0, n_per_axis=3, xi0=0.0):
                         axis=1)
     g = pullback_metric(chart, xi)
     max_g0i = float(np.max(np.abs(g[:, 0, 1:])))
-    max_g00_dev = float(np.max(np.abs(
-        g[:, 0, 0] - chart.time_convention.g00(xi0))))
+    max_g00_dev = float(np.max(np.abs(g[:, 0, 0] + 1.0)))
 
     base_pts = chart.base_origin + spatial @ chart.frame_matrix_inv.T
     flat = flatness_report(patch, base_pts, budget=budget)

@@ -16,7 +16,6 @@ from comovkit.chart import (
     ComovingChart,
     FlowStats,
     ReferenceSurface,
-    TimeConvention,
     _arc_rhs,
     _integrate,
     _phase_flow,
@@ -274,31 +273,6 @@ def test_bracketed_roots_endpoints_and_failures(monkeypatch):
         bracketed_roots(lambda x, rows: x - 5.0, [0.0, 0.0], [6.0, 1.0], 1e-14)
 
 
-def test_custom_nonlinear_time_gauge(packet9):
-    # lambda = sinh(xi0), so g00 = -cosh^2 and xi0 = arcsinh(lambda)
-    tc = TimeConvention(name="sinh",
-                        metric_time_time=lambda t: -np.cosh(t) ** 2,
-                        arc_primitive=np.sinh)
-    lams = np.linspace(-3.0, 40.0, 12).reshape(3, 4)
-    times = tc.time_from_lambda(lams)
-    assert times.shape == (3, 4)
-    np.testing.assert_array_equal(
-        times, np.reshape([tc.time_from_lambda(v) for v in lams.ravel()],
-                          (3, 4)))
-    assert isinstance(tc.time_from_lambda(0.5), float)
-    np.testing.assert_allclose(times, np.arcsinh(lams), rtol=0.0,
-                               atol=1e-13 * (1.0 + np.abs(lams)).max())
-    assert tc.time_from_lambda(0.0) == 0.0
-    chart = ComovingChart(packet9, origin=np.zeros(4), time_convention=tc)
-    default = ComovingChart(packet9, origin=np.zeros(4))
-    x = np.random.default_rng(42).uniform(-1.5, 1.5, size=(6, 4))
-    xi = chart.forward_map(x)
-    xi_d = default.forward_map(x)
-    np.testing.assert_allclose(xi[:, 0], np.arcsinh(xi_d[:, 0]), atol=1e-12)
-    np.testing.assert_allclose(xi[:, 1:], xi_d[:, 1:], atol=1e-12)
-    np.testing.assert_allclose(chart.inverse_map(xi), x, atol=1e-7)
-
-
 def test_solve_height_bracket_fallback_batch(monkeypatch):
     # from a guess of 1e12 the trust-capped Newton only halves its distance
     # per iteration, so every point falls back to the batched bracket
@@ -461,28 +435,6 @@ def test_jacobians_make_one_map_call(packet9):
     assert inv.shape == (5, 4, 4)
 
 
-def test_time_gauge_g00_takes_arrays():
-    tc = TimeConvention(name="sinh",
-                        metric_time_time=lambda t: -np.cosh(t) ** 2,
-                        arc_primitive=np.sinh)
-    times = np.array([0.1, 0.2])
-    np.testing.assert_array_equal(tc.g00(times),
-                                  [tc.g00(0.1), tc.g00(0.2)])
-    assert isinstance(tc.g00(0.1), float)
-    assert tc.g00(np.zeros((2, 3))).shape == (2, 3)
-    proper = TimeConvention()
-    assert proper.g00(0.3) == -1.0
-    np.testing.assert_array_equal(proper.g00(times), [-1.0, -1.0])
-    # the sign is checked on every value, not only the first
-    flips = TimeConvention(name="flips",
-                           metric_time_time=lambda t: np.where(t > 0.15, 1.0,
-                                                               -1.0),
-                           arc_primitive=lambda t: t)
-    assert flips.g00(0.1) == -1.0
-    with pytest.raises(ValueError):
-        flips.g00(times)
-
-
 def test_pushforward_kills_spatial_components(boost_chart, packet9_chart):
     x = np.array([0.5, 0.2, -0.1, 0.3])
     out = boost_chart.pushforward(
@@ -522,24 +474,6 @@ def test_forward_map_rejects_outside_domain(packet9_chart):
 def test_chart_rejects_failing_hypotheses(near_standing):
     with pytest.raises(HypothesesFailed, match="hypotheses"):
         ComovingChart(near_standing, origin=np.zeros(4))
-
-
-def test_custom_time_convention_rescales_time(boost_wave):
-    # g00 = -4 gauge: xi0 = lambda / 2
-    tc = TimeConvention(
-        name="stretched",
-        metric_time_time=lambda t: -4.0,
-        arc_primitive=lambda t: 2.0 * t,
-    )
-    chart = ComovingChart(boost_wave, origin=np.zeros(4), time_convention=tc)
-    default = ComovingChart(boost_wave, origin=np.zeros(4))
-    x = np.array([0.7, 0.4, -0.2, 0.9])
-    xi_c = chart.forward_map(x)
-    xi_d = default.forward_map(x)
-    assert xi_c[0] == pytest.approx(0.5 * xi_d[0], abs=1e-9)
-    np.testing.assert_allclose(xi_c[1:], xi_d[1:], atol=1e-9)
-    np.testing.assert_allclose(chart.inverse_map(xi_c), x, atol=1e-7)
-    assert tc.g00(0.3) == -4.0
 
 
 def test_flow_to_level_matches_phase(packet9):

@@ -352,6 +352,15 @@ def test_energy_two_routes_agree_for_gaussian():
     assert abs(rep.e_u2 - expected_u2) < 1e-8
     assert rep.mu_identity == -0.5 * scale + 0.5 * CONSTANTS.mass * rep.e_u2
     assert abs(rep.gamma_tilde - 1.0 / np.sqrt(1.0 + expected_u2)) < 1e-9
+    # the slab's time factor multiplies the numerator and the normalization
+    # alike, so a shorter slab on fewer time nodes moves mu_direct only by
+    # the rounding of those two products and the quotient (4 eps)
+    short = energy_report(gauss_density, patch, CONSTANTS, box, delta=0.3,
+                          time_order=4, grad_log_density=gauss_grad_log)
+    assert short.normalization == pytest.approx(0.3 * rep.normalization,
+                                                rel=1e-14)
+    assert abs(short.mu_direct - rep.mu_direct) \
+        <= 4.0 * np.finfo(float).eps * abs(rep.mu_direct)
 
 
 def test_energy_constant_density_is_rest_value():

@@ -1,7 +1,9 @@
 """Every exported name resolves, so a deletion cannot leave a stale export;
 every export and every public module-level function or class of the
 package that no code outside tests/ reaches is allowlisted with a reason,
-so dead code cannot come back unnoticed; the package imports
+so dead code cannot come back unnoticed; so is every defaulted parameter
+of a public function or method that no code outside tests/ passes, so an
+option only tests set cannot come back unnoticed; the package imports
 exactly the runtime dependencies pyproject.toml names; every Python example
 in README.md runs, so it cannot call a deleted name."""
 
@@ -85,6 +87,168 @@ def test_unreached_exports_are_allowlisted():
     # deleted or allowlisted with a reason; a reached entry must leave
     assert sorted(_public_names() - _reached_names()) \
         == sorted(UNREACHED_EXPORTS)
+
+
+# defaulted parameters that no code outside tests/ passes, each with its
+# reason to stay; a class's __init__ is written as a call of the class
+UNPASSED_PARAMETERS = {
+    "chart.ComovingChart(atol=)": "flow tolerance; tests tighten it to "
+                                  "force reruns (ROADMAP item 1 adds a "
+                                  "tight-tolerance workload)",
+    "chart.ComovingChart(rtol=)": "flow tolerance; tests tighten it to "
+                                  "force reruns (ROADMAP item 1 adds a "
+                                  "tight-tolerance workload)",
+    "chart.ComovingChart(validate=)": "skips the hypotheses scan of a field "
+                                      "the caller trusts; cli hands over "
+                                      "its report instead",
+    "chart.ComovingChart.inverse_jacobian(stats=)": "the FlowStats hook "
+                                                    "every chart map takes",
+    "chart.ReferenceSurface.height(guess=)": "the Newton start "
+                                             "solve_height takes; passed "
+                                             "nowhere yet (ROADMAP item 9)",
+    "cli.main(argv=)": "the console-script entry point; None reads "
+                       "sys.argv",
+    "dynamics.comoving_kg_residual(patch=)": "reuses one slice patch over "
+                                             "calls; ROADMAP item 15 reaches "
+                                             "it from cli",
+    "estimators.stochastic_action(current_sq=)": "ROADMAP item 3 gates "
+                                                 "stochastic_action",
+    "estimators.stochastic_action(grad_log_density=)": "ROADMAP item 3 "
+                                                       "gates "
+                                                       "stochastic_action",
+    "estimators.stochastic_action(order=)": "ROADMAP item 3 gates "
+                                            "stochastic_action",
+    "fields.PacketBundle(_skip_node_check=)": "builds the bundle with a "
+                                              "node that the DensityZero "
+                                              "test needs",
+    "fields.check_theorem_hypotheses(box=)": "aims the scan at a window; "
+                                             "tests aim it at a V_0 sign "
+                                             "change",
+    "fields.osmotic_four_velocity(floor=)": "documented in README; ROADMAP "
+                                            "item 7 gates the function",
+    "geometry.MetricPatch.christoffel_contraction(h=)": "the step override "
+                                                        "christoffel(h=) "
+                                                        "takes too",
+    "geometry.flatness_report(h=)": "the stencil step riemann and "
+                                    "curvature_budget take",
+    "geometry.laplace_beltrami(h=)": "the step override of the covariant "
+                                     "helpers; ROADMAP item 3 needs the "
+                                     "function",
+    "geometry.metric_compatibility_residual(h=)": "the step override of "
+                                                  "the covariant helpers",
+}
+
+
+def _signature(label, fn, method):
+    """(label, positional names, defaulted names) of a def; a method drops
+    its self or cls unless it is a staticmethod."""
+    args = fn.args
+    names = [a.arg for a in args.posonlyargs + args.args]
+    if method and not any(getattr(d, "id", None) == "staticmethod"
+                          for d in fn.decorator_list):
+        names = names[1:]
+    defaulted = names[len(names) - len(args.defaults):]
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+    return label, names, defaulted
+
+
+def _signatures():
+    """Defaulted parameters of every public module-level function, every
+    public method of a public class and the __init__ of every public class
+    of the package, keyed by the name a call uses: a function's or a
+    method's own name, and for an __init__ the name of its class or of any
+    package class that inherits it. Dataclass fields are not scanned."""
+    classes, sigs, inits = {}, {}, {}
+    for path in sorted((ROOT / "src" / "comovkit").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                sigs.setdefault(node.name, []).append(_signature(
+                    f"{path.stem}.{node.name}", node, method=False))
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if not isinstance(fn, ast.FunctionDef):
+                        continue
+                    label = f"{path.stem}.{node.name}"
+                    if fn.name == "__init__":
+                        inits[node.name] = _signature(label, fn, True)
+                    elif not fn.name.startswith("_"):
+                        sigs.setdefault(fn.name, []).append(_signature(
+                            f"{label}.{fn.name}", fn, method=True))
+    for name in classes:
+        owner = name  # the class whose __init__ a call of ``name`` runs
+        while owner in classes and not any(
+                isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+                for fn in classes[owner].body):
+            bases = classes[owner].bases
+            owner = getattr(bases[0], "id", None) if bases else None
+        if owner in inits:
+            sigs.setdefault(name, []).append(inits[owner])
+    return sigs
+
+
+def _mapping_keys(value, scope):
+    """String keys of the dict literal a ``**value`` call passes: inline, or
+    assigned to its name in the calling function; none when unreadable."""
+    dicts = [value] if isinstance(value, ast.Dict) else [
+        node.value for node in ast.walk(scope)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+        and any(getattr(t, "id", None) == getattr(value, "id", 0)
+                for t in node.targets)]
+    return {k.value for d in dicts for k in d.keys
+            if isinstance(k, ast.Constant)}
+
+
+def _passed_parameters(sigs):
+    """(label, parameter) pairs that a call under src/, perfbench/ or
+    tools/ passes by keyword, by position or in a ``**`` dict literal. A
+    call resolves by name alone, so it counts for every def of that name;
+    a ``*args`` call passes every positional parameter, and
+    ``super().__init__`` is a call of the class's first base."""
+    passed = set()
+
+    def visit(node, cls, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                record(child, cls, scope)
+            visit(child, child if isinstance(child, ast.ClassDef) else cls,
+                  child if isinstance(child, ast.FunctionDef) else scope)
+
+    def record(call, cls, scope):
+        func = call.func
+        name = getattr(func, "id", getattr(func, "attr", None))
+        if name == "__init__" and isinstance(func.value, ast.Call) \
+                and getattr(func.value.func, "id", None) == "super":
+            name = getattr(cls.bases[0], "id", None)
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        for label, names, _ in sigs.get(name, []):
+            passed.update((label, p) for p in
+                          names[:None if starred else len(call.args)])
+            for kw in call.keywords:
+                keys = {kw.arg} if kw.arg else _mapping_keys(kw.value, scope)
+                passed.update((label, key) for key in keys)
+
+    for folder in ("src/comovkit", "perfbench", "tools"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            tree = ast.parse(path.read_text())
+            visit(tree, None, tree)
+    return passed
+
+
+def test_unpassed_parameters_are_allowlisted():
+    # a defaulted parameter that only tests pass fails here until it is
+    # gated, given its one value, deleted or allowlisted with a reason; a
+    # parameter that code outside tests/ starts to pass must leave the list
+    sigs = _signatures()
+    passed = _passed_parameters(sigs)
+    unpassed = {f"{label}({p}=)" for entries in sigs.values()
+                for label, _, defaulted in entries for p in defaulted
+                if (label, p) not in passed}
+    assert sorted(unpassed) == sorted(UNPASSED_PARAMETERS)
 
 
 def test_imports_match_the_declared_runtime_dependencies():
