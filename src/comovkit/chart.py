@@ -42,7 +42,7 @@ Level-set heights that Newton leaves unconverged are found by
 brackets.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -161,8 +161,8 @@ class ReferenceSurface:
         self.scale = max(1.0, abs(self.level))
         self.slope_floor = 1e-10 * bundle.constants.mass * bundle.constants.c
 
-    def height(self, q, guess=None):
-        return solve_height(self, q, guess=guess)
+    def height(self, q):
+        return solve_height(self, q)
 
     def embed(self, q):
         q = np.asarray(q, dtype=float)
@@ -240,7 +240,7 @@ class ReferenceSurface:
             np.max(np.abs(vcov[..., :1] * f + vcov[..., 1:]), axis=-1))
 
 
-def solve_height(surface, q, guess=None):
+def solve_height(surface, q):
     """Solve S(x0, q) = level for x0 at base points q of shape (..., 3).
 
     A damped, trust-capped Newton runs on the whole batch, dropping points
@@ -255,10 +255,7 @@ def solve_height(surface, q, guess=None):
     q = np.asarray(q, dtype=float)
     rows = q.reshape(-1, 3)
     tol = 1e-10 * surface.scale
-    start = np.broadcast_to(
-        np.asarray(surface.origin[0] if guess is None else guess, dtype=float),
-        q.shape[:-1],
-    ).reshape(-1)
+    start = np.full(len(rows), surface.origin[0])
 
     if bundle.domain is not None:
         tmin = bundle.domain.lo[0]
@@ -347,14 +344,15 @@ class FlowStats:
     ``attempts`` counts batched RK4 runs and ``rejected_rows`` the rows
     they rejected (above tolerance, outside the domain or with a NaN flow
     field), each time it rejected them. Rejected attempts count in
-    the work but not in the estimate.
+    the work but not in the estimate. Counters start at zero; the
+    constructor takes none.
     """
 
-    steps: int = 0
-    rhs_evaluations: int = 0
-    max_error_estimate: float = 0.0
-    attempts: int = 0
-    rejected_rows: int = 0
+    steps: int = field(default=0, init=False)
+    rhs_evaluations: int = field(default=0, init=False)
+    max_error_estimate: float = field(default=0.0, init=False)
+    attempts: int = field(default=0, init=False)
+    rejected_rows: int = field(default=0, init=False)
 
     def to_dict(self):
         return {
@@ -612,11 +610,10 @@ class ComovingChart:
                               f"{x.reshape(-1, 4)[n].tolist()}")
         return jac
 
-    def inverse_jacobian(self, xi, stats=None):
+    def inverse_jacobian(self, xi):
         """d x / d xi (..., 4, 4) by central differences of the inverse map."""
         return np.swapaxes(central_gradient(
-            lambda p: self.inverse_map(p, stats=stats),
-            as_coords(xi), JACOBIAN_STEP), -1, -2)
+            self.inverse_map, as_coords(xi), JACOBIAN_STEP), -1, -2)
 
     def pushforward(self, vec, x, stats=None):
         """Chart components (..., 4) of the vectors with contravariant

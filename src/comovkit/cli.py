@@ -28,7 +28,7 @@ import numbers
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -83,9 +83,7 @@ class GaussianFixture:
         self.box = box
 
     def density(self, q):
-        q = np.asarray(q, dtype=float)
-        norm = (2.0 * np.pi * self.sigma ** 2) ** 1.5
-        return np.exp(-0.5 * np.sum(q * q, axis=-1) / self.sigma ** 2) / norm
+        return self.weight(q) / (2.0 * np.pi * self.sigma ** 2) ** 1.5
 
     def grad_log_density(self, q):
         return -np.asarray(q, dtype=float) / self.sigma ** 2
@@ -168,6 +166,18 @@ class _RunContext:
         if spec["type"] != "gaussian":
             raise ConfigInvalid("diffusion fixture needs a gaussian field")
         return GaussianFixture(spec["sigma"], _parse_box(spec["box"]))
+
+    def leaf(self):
+        """(density, grad_log_density, patch) on the field's spatial slice:
+        the gaussian fixture under the Euclidean metric, or a wave bundle's
+        chart origin leaf (``slice_density``) under its slice metric."""
+        if self.scenario.raw["field"]["type"] == "gaussian":
+            fixture = self.gaussian()
+            return (fixture.density, fixture.grad_log_density,
+                    MetricPatch.euclidean())
+        chart = self.chart()
+        return (*slice_density(self.bundle(), chart),
+                chart_spatial_patch(chart))
 
     def bins(self):
         b = self.scenario.raw["diffusion"]["bins"]
@@ -296,7 +306,7 @@ def _diffusion_config(ctx):
 def _run_simulate(ctx):
     fixture = ctx.gaussian()
     config = _diffusion_config(ctx)
-    patch = MetricPatch.euclidean()
+    _, _, patch = ctx.leaf()
     drift = drift_from_fields(fixture.osmotic(ctx.constants.nu), patch,
                               ctx.constants.nu)
     ensemble = simulate(drift, patch, config)
@@ -326,16 +336,15 @@ def _run_simulate(ctx):
 
 
 def _run_estimate(ctx):
-    fixture = ctx.gaussian()
+    _, grad_log_density, patch = ctx.leaf()
     ensemble = ctx.ensemble()
     bins = ctx.bins()
-    patch = MetricPatch.euclidean()
     nu = ctx.constants.nu
     min_count = ctx.scenario.raw["diffusion"].get("min_count", 500)
 
     osmotic = osmotic_identity_report(
         ensemble, bins, patch, nu, min_count=min_count, z=3.0,
-        grad_log_density=fixture.grad_log_density,
+        grad_log_density=grad_log_density,
     )
     fwd, bwd = osmotic["forward"], osmotic["backward"]
     vel = velocities_from_drifts(fwd, bwd)
@@ -410,23 +419,11 @@ def _run_specular(ctx):
 def _run_energy(ctx):
     spec = ctx.scenario.raw["energy"]
     constants = ctx.constants
-    box = _parse_box(spec["box"])
-    field_type = ctx.scenario.raw["field"]["type"]
-    kwargs = {
-        "order": spec.get("order", 32),
-        "time_order": spec.get("time_order", 16),
-        "delta": spec.get("delta", 1.0),
-    }
-    if field_type == "gaussian":
-        fixture = ctx.gaussian()
-        patch = MetricPatch.euclidean()
-        rep = energy_report(fixture.density, patch, constants, box,
-                            grad_log_density=fixture.grad_log_density, **kwargs)
-    else:
-        chart = ctx.chart()
-        density = slice_density(ctx.bundle(), chart)
-        patch = chart_spatial_patch(chart)
-        rep = energy_report(density, patch, constants, box, **kwargs)
+    density, grad_log_density, patch = ctx.leaf()
+    rep = energy_report(
+        density, patch, constants, _parse_box(spec["box"]),
+        order=spec.get("order", 32), time_order=spec.get("time_order", 16),
+        delta=spec.get("delta", 1.0), grad_log_density=grad_log_density)
 
     rest = constants.mass * constants.c ** 2
     delta_routes = abs(rep.mu_direct - rep.mu_identity)
@@ -439,7 +436,7 @@ def _run_energy(ctx):
         "tolerance": 1e-6 * rest,
     }
     rows = [_max_row("energy", "energy_route_delta", delta_routes, 1e-6 * rest)]
-    if field_type == "plane_wave":
+    if ctx.scenario.raw["field"]["type"] == "plane_wave":
         rows.append(_max_row("energy", "rest_energy_delta",
                              abs(rep.mu_direct + 0.5 * rest), 1e-6 * rest))
     return result, rows
@@ -517,31 +514,33 @@ def _run_nonrel(ctx):
 
 @dataclass(frozen=True)
 class _Analysis:
-    """One analysis: the scenario sections it reads, the field types it runs
-    on (none when it reads no field), the analyses whose output it consumes,
-    and its runner. Its place in ``_TABLE`` is its place in the run order."""
+    """One analysis: the sections it reads, the field types it runs on (none
+    when it reads no field), each with the further sections it reads there,
+    the analyses whose output it consumes, and its runner. Its place in
+    ``_TABLE`` is its place in the run order."""
 
     name: str
     runner: object
     sections: tuple
-    fields: tuple = ()
+    fields: dict = field(default_factory=dict)
     consumes: tuple = ()
 
 
-_WAVES = ("plane_wave", "packet")  # the field types with a wave bundle
+_WAVES = {"plane_wave": (), "packet": ()}  # the types with a wave bundle
+_GAUSSIAN = {"gaussian": ()}
 _DIFFUSION = ("field", "diffusion")  # the sections diffusion analyses read
 
 _TABLE = (
     _Analysis("hypotheses", _run_hypotheses, ("field",), _WAVES),
     _Analysis("chart_diag", _run_chart_diag, ("field", "chart"), _WAVES),
     _Analysis("geometry_diag", _run_geometry_diag, ("field", "chart"), _WAVES),
-    _Analysis("simulate", _run_simulate, _DIFFUSION, ("gaussian",)),
-    _Analysis("estimate", _run_estimate, _DIFFUSION, ("gaussian",),
+    _Analysis("simulate", _run_simulate, _DIFFUSION, _GAUSSIAN),
+    _Analysis("estimate", _run_estimate, _DIFFUSION, _GAUSSIAN,
               ("simulate",)),
-    _Analysis("specular", _run_specular, _DIFFUSION, ("gaussian",),
+    _Analysis("specular", _run_specular, _DIFFUSION, _GAUSSIAN,
               ("simulate",)),
     _Analysis("energy", _run_energy, ("field", "energy"),
-              ("gaussian", "plane_wave")),
+              {"gaussian": (), "plane_wave": ("chart",)}),
     _Analysis("classify", _run_classify, ("field",), _WAVES),
     _Analysis("nonrel", _run_nonrel, ("nonrel",)),
 )
@@ -943,9 +942,7 @@ def _check_cross_fields(raw):
     for analysis in _TABLE:
         if analysis.name not in requested:
             continue
-        sections = analysis.sections
-        if analysis.name == "energy" and field_type == "plane_wave":
-            sections += ("chart",)  # it integrates the chart slice density
+        sections = analysis.sections + analysis.fields.get(field_type, ())
         lack = ["need the %s section" % sec for sec in sections
                 if sec not in raw]
         if field_type and analysis.fields \

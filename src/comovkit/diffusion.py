@@ -43,7 +43,7 @@ from .errors import (
     InsufficientSamples,
     SamplerStalled,
 )
-from .fields import Box
+from .fields import Box, _lattice
 
 DEFAULT_CHUNK = 16384
 DEFAULT_BATCHES = 32
@@ -403,9 +403,7 @@ class BinSpec:
             np.linspace(self.lo[i], self.hi[i], self.shape[i] + 1)
             for i in range(3)
         ]
-        mids = [0.5 * (a[1:] + a[:-1]) for a in axes]
-        mesh = np.meshgrid(*mids, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _lattice([0.5 * (a[1:] + a[:-1]) for a in axes])
 
     def flat_index(self, points):
         """Flat (C-order) bin index per point of a (..., 3) array; -1 for

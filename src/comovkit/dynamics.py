@@ -29,6 +29,7 @@ from .errors import ZeroJ0
 from .fields import (
     Box,
     _float_or_array,
+    _lattice,
     central_gradient,
     central_hessian,
     make_packet,
@@ -120,9 +121,10 @@ def comoving_kg_residual(bundle, chart, xi, patch=None):
     inverse map: one call on the 33-point Hessian stencils of all chart
     points xi (..., 4), and one slice-metric call for their inverse metrics
     and Christoffel symbols.  Returns (...), a float for one point.  The
-    operator uses the block metric diag(-1, sigma_ij(xi_sp)) whose
-    off-diagonal and time-block structure the chart diagnostics certify
-    separately:
+    operator uses the block metric diag(-1, sigma_ij(xi_sp)), an
+    approximation: g0i vanishes, but g00 = -1 holds only on the reference
+    curve, and the chart diagnostics bound max|g00 + 1| (acceptance gate
+    02):
 
         -d0^2 phi + sigma^{ij} (d_i d_j - Gamma^k_ij d_k) phi
             - (mc/hbar)^2 phi
@@ -257,8 +259,9 @@ def comoving_current(bundle, chart, xi):
 
     J~^mu = (d xi^mu / d x^nu) J^nu evaluated at x = Phi^-1(xi).  For the
     comoving congruence the spatial components vanish and the time
-    component equals m c p~ (g00 = -1); both are returned alongside the
-    measured values so callers can budget the comparison.
+    component is m c p~ where g00 = -1, on the reference curve only (off
+    it g00 = -(dS.dS)(ref(xi0)) / (dS.dS)(x)); both are returned alongside
+    the measured values so callers can budget the comparison.
     """
     xi = np.asarray(xi, dtype=float)
     x = chart.inverse_map(xi)
@@ -390,8 +393,7 @@ def nonrel_limit_study(epsilons, constants=None, n_per_axis=4,
 
     # lattice in envelope units, offset to dodge the symmetry planes
     axis = np.linspace(-sample_width, sample_width, n_per_axis) + 0.37
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-    hat_points = grid.reshape(-1, 3)
+    hat_points = _lattice([axis] * 3)
 
     rows = []
     for eps in epsilons:

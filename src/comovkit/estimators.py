@@ -4,7 +4,8 @@ Ensemble side: binned density with the invariant-measure weight, and
 current and osmotic velocities recovered from forward/backward drifts.
 Analytic side: tensor-product Gauss-Legendre expectations of the squared
 osmotic velocity, the two-route energy functional, and the stochastic
-action.
+action, each from a density and its closed-form log gradient;
+``slice_density`` gives that pair on a chart's origin leaf.
 
 All ensemble standard errors come from ``diffusion.DEFAULT_BATCHES`` (32)
 path batches: increments of one path are autocorrelated in time, and
@@ -30,8 +31,7 @@ from .errors import (
     InsufficientSamples,
     QuadratureDivergence,
 )
-from .fields import central_gradient
-from .geometry import _row_blocks
+from .fields import _lattice, _row_blocks, _rows_times
 
 DEFAULT_ORDER = 32
 # largest share of E{u^2} the quadrature box's outer shell may carry
@@ -180,26 +180,9 @@ def _gl_axis(order, lo, hi):
 
 
 def _gl_axes(box, order):
-    return [_gl_axis(order, box.lo[i], box.hi[i]) for i in range(3)]
-
-
-def _tensor_weights(axes):
-    return np.einsum(
-        "i,j,k->ijk", axes[0][1], axes[1][1], axes[2][1]
-    ).ravel()
-
-
-def _grid_points(axes, rows):
-    """Nodes ``rows`` (a slice) of the C-order tensor grid of ``axes``."""
-    index = np.unravel_index(np.arange(rows.start, rows.stop),
-                             tuple(len(x) for x, _ in axes))
-    return np.stack([x[i] for (x, _), i in zip(axes, index)], axis=-1)
-
-
-def _tensor_nodes(box, order):
-    axes = _gl_axes(box, order)
-    wts = _tensor_weights(axes)
-    return _grid_points(axes, slice(0, len(wts))), wts
+    """(nodes, weights): the Gauss-Legendre axes of ``box``, three each."""
+    return tuple(zip(*(_gl_axis(order, box.lo[i], box.hi[i])
+                       for i in range(3))))
 
 
 def _metric_tables(patch, pts):
@@ -217,20 +200,6 @@ def _metric_tables(patch, pts):
     return patch.factors(pts)
 
 
-def _grad_log(density, pts, grad_log_density, h):
-    """Log gradient of the density on the (m, 3) nodes: ``grad_log_density``
-    when given, else central differences of step ``h`` from one density
-    call over the 6 m stencil rows."""
-    if grad_log_density is not None:
-        return np.asarray(grad_log_density(pts), dtype=float)
-
-    def log_density(p):
-        # the density takes (m, 3) rows: the stencil's (m, 6, 3) go in flat
-        return np.log(density(p.reshape(-1, 3))).reshape(p.shape[:-1])
-
-    return central_gradient(log_density, pts, h)
-
-
 def _shell_mask(box, pts, margin=0.1):
     lo = box.lo_array
     hi = box.hi_array
@@ -238,8 +207,8 @@ def _shell_mask(box, pts, margin=0.1):
     return np.any((pts < lo + pad) | (pts > hi - pad), axis=-1)
 
 
-def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER,
-                   grad_log_density=None):
+def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER, *,
+                   grad_log_density):
     """E{u^2} = (nu/2)^2 integral of grad ln rho . sigma^{-1} . grad ln rho.
 
     The expectation uses the invariant measure rho sqrt|sigma| d^3 q,
@@ -248,29 +217,28 @@ def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER,
     box carries more than ``TAIL_TOL`` of the integrand, i.e. the box
     truncates the tails.
 
-    One pass over blocks of ``geometry.ROW_BLOCK`` nodes, the last maybe a
+    One pass over blocks of ``fields.ROW_BLOCK`` nodes, the last maybe a
     single node, builds each block's nodes from the Gauss-Legendre axes and
-    evaluates the density, its log gradient (finite differences unless
-    ``grad_log_density`` is given), the metric tables and the shell flag
-    there, keeping only per-node columns, which do not depend on the
-    blocks; every sum is one sum over a whole column. The returned dict
+    evaluates the density, its closed-form log gradient
+    ``grad_log_density``, the metric tables and the shell flag there,
+    keeping only per-node columns, which do not depend on the blocks;
+    every sum is one sum over a whole column. The returned dict
     holds ``value``, ``normalization``, ``tail_fraction`` and ``order``,
     and per node: ``weights``, the quadrature weight times rho sqrt|sigma|,
     ``sqrt_det``, sqrt|sigma|, ``quad_form``, grad . sigma^{-1} . grad, and
     ``u_sigma_u``, u . sigma . u with u = (nu/2) sigma^{-1} grad, the
     squared osmotic velocity of the direct energy route.
     """
-    axes = _gl_axes(box, order)
+    nodes, weights = _gl_axes(box, order)
     # quadrature weight, times rho and sqrt|sigma| in place block by block
-    norm_weight = _tensor_weights(axes)
+    norm_weight = np.einsum("i,j,k->ijk", *weights).ravel()
     n = len(norm_weight)
     root = np.empty(n)
     quad_form = np.empty(n)
     u_sigma_u = np.empty(n)
     shell = np.empty(n, dtype=bool)
-    h = 1e-5 * float(np.min(box.extent))
     for block in _row_blocks(n):
-        pts = _grid_points(axes, block)
+        pts = _lattice(nodes, block)
         rho = np.asarray(density(pts), dtype=float)
         # the log gradient needs strictly positive density on every node;
         # deep tails are fine, exact zeros are not
@@ -278,7 +246,7 @@ def expectation_u2(density, patch, box, nu, order=DEFAULT_ORDER,
             raise QuadratureDivergence(
                 "density not positive on quadrature nodes"
             )
-        g = _grad_log(density, pts, grad_log_density, h)
+        g = np.asarray(grad_log_density(pts), dtype=float)
         sig, inv, root[block] = _metric_tables(patch, pts)
         quad_form[block] = np.einsum("ni,nij,nj->n", g, inv, g)
         u_up = 0.5 * nu * np.einsum("nij,nj->ni", inv, g)
@@ -333,8 +301,7 @@ class EnergyReport:
 
 
 def energy_report(density, patch, constants, box, delta=1.0,
-                  order=DEFAULT_ORDER, time_order=16,
-                  grad_log_density=None):
+                  order=DEFAULT_ORDER, time_order=16, *, grad_log_density):
     """Mean energy of the congruence, computed two ways.
 
     Direct route: factored 4-d tensor quadrature of
@@ -344,9 +311,11 @@ def energy_report(density, patch, constants, box, delta=1.0,
     -mc^2/2 + (m/2) E{u^2}. Agreement certifies the assembly and the
     normalization, and for u = 0 both give -mc^2/2 exactly. The slab's
     time factor, the ``time_order``-node Gauss-Legendre weight sum over
-    [-delta, delta] (sqrt(-g00) = 1), scales the numerator and the
-    normalization alike: ``delta`` and ``time_order`` cancel out of
-    ``mu_direct`` up to rounding.
+    [-delta, delta], scales the numerator and the normalization alike:
+    ``delta`` and ``time_order`` cancel out of ``mu_direct`` up to
+    rounding. It takes sqrt(-g00) = 1, exact on a flat slice and on the
+    chart's reference curve; on a packet chart g00 = -1 is an
+    approximation that acceptance gate 02's max|g00 + 1| bounds.
     """
     c2 = constants.c**2
     u2 = expectation_u2(
@@ -378,25 +347,39 @@ def energy_report(density, patch, constants, box, delta=1.0,
 
 
 def slice_density(bundle, chart):
-    """Stationary density on the chart's origin leaf, as a callable of xi
-    space.
+    """Stationary density on the chart's origin leaf and its log gradient,
+    as the pair of callables ``(rho, grad_log_rho)`` of xi space.
 
-    Evaluates the squared amplitude at the inertial preimage of each
-    spatial point on the xi0 = 0 leaf, with one batched inverse map per
-    call. Pair it with a metric in the same chart coordinates
+    Both read the leaf events x = (f(q), q) at q = q0 + E0^-1 xi with one
+    batched height solve per call. ``rho`` is the squared amplitude p(x);
+    along the leaf d_i p(f(q), q) = d_0 p f_i + d_i p with the height slope
+    f_i = -S_i / S_0, so grad_xi ln rho = ((d_0 p f + d_{1:} p) / p) E0^-1
+    in closed form. Pair them with a metric in the same chart coordinates
     (``chart_spatial_patch``).
     """
-    def rho(points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        xi = np.concatenate([np.zeros((len(points), 1)), points], axis=1)
-        return bundle.density(chart.inverse_map(xi))
+    surface = chart.surface
 
-    return rho
+    def leaf(points):
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        return surface.embed(chart.base_origin + _rows_times(
+            points, chart.frame_matrix_inv.T))
+
+    def rho(points):
+        return bundle.density(leaf(points))
+
+    def grad_log_rho(points):
+        x = leaf(points)
+        dp = bundle.density_gradient(x)
+        f = surface._slope(x, bundle.phase_gradient(x))
+        grad_q = (dp[..., :1] * f + dp[..., 1:]) / bundle.density(x)[..., None]
+        return _rows_times(grad_q, chart.frame_matrix_inv)
+
+    return rho, grad_log_rho
 
 
 def stochastic_action(density, patch, interval, constants, box,
-                      order=DEFAULT_ORDER, grad_log_density=None,
-                      current_sq=None):
+                      order=DEFAULT_ORDER, current_sq=None, *,
+                      grad_log_density):
     """Action of the congruence over a coordinate-time interval.
 
     A = -mc^2 (t_b - t_a) sqrt(1 - (E{beta^2} - E{u^2})/c^2). The
@@ -413,10 +396,10 @@ def stochastic_action(density, patch, interval, constants, box,
     )
     e_b2 = 0.0
     if current_sq is not None:
-        axes = _gl_axes(box, order)
+        nodes = _gl_axes(box, order)[0]
         beta2 = np.empty(len(u2["weights"]))
         for block in _row_blocks(len(beta2)):
-            beta2[block] = current_sq(_grid_points(axes, block))
+            beta2[block] = current_sq(_lattice(nodes, block))
         beta2 *= u2["weights"]
         e_b2 = float(np.sum(beta2)) / u2["normalization"]
     argument = 1.0 - (e_b2 - u2["value"]) / constants.c**2

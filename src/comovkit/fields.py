@@ -59,6 +59,9 @@ from .constants import PhysicalConstants, raise_index
 from .errors import BranchUnavailable, DensityZero, NodeInDomain
 
 DENSITY_FLOOR = 1e-12
+# rows per block of the geometry tables and the energy quadrature: work
+# arrays stay O(ROW_BLOCK) whatever the batch, and no row depends on it
+ROW_BLOCK = 512
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +86,12 @@ def _rows_times(x, matrix):
     rows = x.reshape(-1, x.shape[-1])
     out = (np.concatenate((rows, rows)) if len(rows) == 1 else rows) @ matrix
     return out[:len(rows)].reshape(x.shape[:-1] + out.shape[1:])
+
+
+def _row_blocks(n):
+    """Slices of ROW_BLOCK consecutive rows covering rows 0 to n - 1."""
+    return (slice(lo, min(lo + ROW_BLOCK, n))
+            for lo in range(0, n, ROW_BLOCK))
 
 
 def _float_or_array(values):
@@ -130,12 +139,17 @@ class Box:
 
     def grid(self, shape):
         """Tensor lattice of the given per-axis point counts, as (N, ndim)."""
-        axes = [
-            np.linspace(self.lo[i], self.hi[i], int(shape[i]))
-            for i in range(self.ndim)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1), axes
+        return _lattice([np.linspace(self.lo[i], self.hi[i], int(shape[i]))
+                         for i in range(self.ndim)])
+
+
+def _lattice(axes, rows=None):
+    """Points ``rows`` (a slice; all when None) of the C-order tensor
+    lattice of the 1-d ``axes``, as (n, len(axes)), copied from the axes."""
+    shape = tuple(len(axis) for axis in axes)
+    rows = slice(0, int(np.prod(shape))) if rows is None else rows
+    index = np.unravel_index(np.arange(rows.start, rows.stop), shape)
+    return np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +453,7 @@ class PacketBundle(FieldBundle):
         shape = np.minimum(
             np.maximum((extent * lip / np.pi).astype(int) + 2, 5), 40
         )
-        pts, _ = self.domain.grid(shape)
+        pts = self.domain.grid(shape)
         mod = np.sqrt(self._density(pts))
         spacing = float(np.max(extent / (shape - 1)))
         # half the cell diagonal bounds the distance to the nearest sample
@@ -537,13 +551,14 @@ def four_velocity(bundle, x):
     return bundle.phase_gradient(x) / bundle.constants.mass
 
 
-def osmotic_four_velocity(bundle, x, floor=DENSITY_FLOOR):
+def osmotic_four_velocity(bundle, x):
     """Covariant osmotic four-velocity U_mu = (hbar/2m) partial_mu ln p at
-    events x (..., 4), as (..., 4)."""
+    events x (..., 4), as (..., 4); DensityZero where p < DENSITY_FLOOR."""
     scale = bundle.constants.hbar / (2.0 * bundle.constants.mass)
     p = bundle.density(x)
-    if np.any(p < floor):
-        raise DensityZero(f"density fell below the positivity floor {floor:g}")
+    if np.any(p < DENSITY_FLOOR):
+        raise DensityZero("density fell below the positivity floor "
+                          f"{DENSITY_FLOOR:g}")
     return scale * bundle.density_gradient(x) / np.asarray(p)[..., None]
 
 
@@ -618,7 +633,7 @@ def check_theorem_hypotheses(bundle, box=None, shape=HYPOTHESIS_SHAPE):
         half = np.minimum((hi - lo) / 2.0, 4.0)
         mid = (lo + hi) / 2.0
         box = Box(mid - half, mid + half)
-    pts, _ = box.grid(shape)
+    pts = box.grid(shape)
 
     min_density = min_abs_v0 = np.inf
     max_v0, min_v0 = -np.inf, np.inf

@@ -1,11 +1,13 @@
 """Numerical differential geometry on the chart's spatial slices.
 
-The comoving metric splits into a time block g00 (-1: the chart time is
-the reference curve's arc) and a spatial 3-metric sigma on the level
-surface. A ``MetricPatch`` packages sigma together
-with everything downstream code needs: inverse, volume factor, noise
-factor G with G G^T = sigma^{-1}, Christoffel symbols, and their
-contraction. Curvature comes from one central difference of the
+The comoving metric splits into a time block g00 and a spatial 3-metric
+sigma on the level surface. The chart time is the reference curve's arc,
+so g00 = -1 on that curve; off it g00(xi) = -(dS.dS)(ref(xi0)) /
+(dS.dS)(x(xi)), with ref(xi0) the reference curve's event at arc xi0, and
+``geometry_diagnostics`` reports max|g00 + 1|. A ``MetricPatch`` packages
+sigma together with everything downstream code needs: inverse, volume
+factor, noise factor G with G G^T = sigma^{-1}, Christoffel symbols, and
+their contraction. Curvature comes from one central difference of the
 Christoffel field; the error budget C h^2 is calibrated against a flat
 metric written in polar coordinates, where every nonzero Riemann component
 is pure numerical error. A unit-sphere patch provides the negative control
@@ -35,9 +37,9 @@ components), and ``flatness_report``, ``curvature_budget`` and
 ``geometry_diagnostics`` evaluate their lattices in one stacked call.
 Every ``MetricPatch`` table (sigma and sigma-gradient rows, the
 factorization, the Christoffel algebra) is built point by point in blocks
-of ``ROW_BLOCK`` (512) rows into preallocated arrays, as is the energy
-quadrature of ``estimators.expectation_u2``: the work arrays stay the
-size of one block whatever the batch, and every row equals the
+of ``fields.ROW_BLOCK`` (512) rows into preallocated arrays, as is the
+energy quadrature of ``estimators.expectation_u2``: the work arrays stay
+the size of one block whatever the batch, and every row equals the
 whole-batch value bit for bit.
 Every finite difference here (sigma derivatives of a patch without a
 ``sigma_gradient``, Christoffel derivatives, covector derivatives) is the
@@ -55,20 +57,16 @@ import numpy as np
 
 from .constants import ETA
 from .errors import NotSpacelike
-from .fields import _float_or_array, _rows_times, central_gradient
+from .fields import (
+    _float_or_array,
+    _lattice,
+    _row_blocks,
+    _rows_times,
+    central_gradient,
+)
 
 DEFAULT_H = 1e-2
 FD_STEP = 1e-3  # sigma and covector derivative step when none is given
-# rows per block of every MetricPatch table and of the energy quadrature:
-# work arrays stay O(ROW_BLOCK) whatever the batch, and each row's values
-# do not depend on where the blocks split the batch
-ROW_BLOCK = 512
-
-
-def _row_blocks(n):
-    """Slices of ROW_BLOCK consecutive rows covering rows 0 to n - 1."""
-    return (slice(lo, min(lo + ROW_BLOCK, n))
-            for lo in range(0, n, ROW_BLOCK))
 
 
 def _stack_rows(func, name, q, shape):
@@ -257,9 +255,9 @@ class MetricPatch:
         """Gamma[i, j, k] = 1/2 sigma^{il} (d_j s_lk + d_k s_lj - d_l s_jk)."""
         return self._by_blocks(q, h, self._christoffel, (3, 3, 3))
 
-    def christoffel_contraction(self, q, h=None):
+    def christoffel_contraction(self, q):
         """sigma^{jk} Gamma^i_{jk}: the curvature correction in drifts."""
-        return self._by_blocks(q, h, self._contraction, (3,))
+        return self._by_blocks(q, None, self._contraction, (3,))
 
     # --- constructors ---------------------------------------------------------
     @classmethod
@@ -465,22 +463,23 @@ def curvature_budget(h=DEFAULT_H):
     return 10.0 * max(resid, 1e-12)
 
 
-def flatness_report(patch, points, h=DEFAULT_H, budget=None):
-    """Max |R^i_klm| over sample points against the FD budget.
+def flatness_report(patch, points, budget=None):
+    """Max |R^i_klm| over sample points against the FD budget, both at
+    the stencil step DEFAULT_H.
 
     Returns a JSON-able dict; ``flat`` is True iff the largest residual
     stays below the budget.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if budget is None:
-        budget = curvature_budget(h=h)
-    vals = np.max(np.abs(riemann(patch, points, h=h)), axis=(-4, -3, -2, -1))
+        budget = curvature_budget()
+    vals = np.max(np.abs(riemann(patch, points)), axis=(-4, -3, -2, -1))
     at = int(np.argmax(vals))
     worst = float(vals[at])
     return {
         "max_riemann": worst,
         "budget": float(budget),
-        "fd_step": float(h),
+        "fd_step": DEFAULT_H,
         "n_points": int(len(points)),
         "worst_point": [float(v) for v in points[at]],
         "flat": bool(worst <= budget),
@@ -525,15 +524,15 @@ def laplace_beltrami(patch, u, q, h=None):
     return np.einsum("...ij,...ijk->...k", patch.inverse(q), t)
 
 
-def metric_compatibility_residual(patch, q, h=None):
+def metric_compatibility_residual(patch, q):
     """max |nabla_i sigma_jk| over points (..., 3).
 
-    Vanishes to FD accuracy for the patch's own Christoffel symbols.
+    Vanishes to FD accuracy (step FD_STEP) for the patch's own Christoffel
+    symbols.
     """
     q = np.asarray(q, dtype=float)
-    h = h or FD_STEP
-    d = patch.sigma_derivatives(q, h=h)
-    gamma = patch.christoffel(q, h=h)
+    d = patch.sigma_derivatives(q)
+    gamma = patch.christoffel(q)
     sig = patch.metric(q)
     nabla = (
         d
@@ -549,9 +548,7 @@ def metric_compatibility_residual(patch, q, h=None):
 
 def geometry_diagnostics(chart, half_width=1.0, n_per_axis=3, xi0=0.0):
     """Lattice summary of max|g0i|, max|g00 + 1|, sigma and curvature."""
-    axes = [np.linspace(-half_width, half_width, n_per_axis)] * 3
-    mesh = np.meshgrid(*axes, indexing="ij")
-    spatial = np.stack([m.ravel() for m in mesh], axis=-1)
+    spatial = _lattice([np.linspace(-half_width, half_width, n_per_axis)] * 3)
     patch = MetricPatch.from_chart(chart)
     budget = curvature_budget()
 

@@ -349,11 +349,12 @@ def test_07_energy_two_route(constants, boost_wave, boost_chart):
     )
     gauss_delta = abs(rep.mu_direct - rep.mu_identity)
 
-    density = slice_density(boost_wave, boost_chart)
+    density, grad_log_density = slice_density(boost_wave, boost_chart)
     patch = MetricPatch.from_chart(boost_chart)
     small = Box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
     wave = energy_report(density, patch, constants, small, order=4,
-                         time_order=4, delta=0.5)
+                         time_order=4, delta=0.5,
+                         grad_log_density=grad_log_density)
     wave_delta = abs(wave.mu_direct - wave.mu_identity)
     rest_dev = abs(wave.mu_direct + 0.5 * rest)
     record(

@@ -274,13 +274,15 @@ def test_bracketed_roots_endpoints_and_failures(monkeypatch):
 
 
 def test_solve_height_bracket_fallback_batch(monkeypatch):
-    # from a guess of 1e12 the trust-capped Newton only halves its distance
-    # per iteration, so every point falls back to the batched bracket
+    # Newton starts at the origin's height; moved to 1e12 after the level
+    # is fixed, the trust-capped Newton only halves its distance per
+    # iteration, so every point falls back to the batched bracket
     import comovkit.chart as chart_module
 
     bundle = make_plane_wave([0.75, 0.0, 0.0],
                              domain=Box((-1.0,) * 4, (1.0,) * 4))
     surface = ReferenceSurface(bundle, np.zeros(4))
+    surface.origin[0] = 1e12
     batches = []
     fallback = chart_module._bracket_heights
 
@@ -290,14 +292,14 @@ def test_solve_height_bracket_fallback_batch(monkeypatch):
 
     monkeypatch.setattr(chart_module, "_bracket_heights", spy)
     qs = np.random.default_rng(43).uniform(-1.0, 1.0, size=(7, 3))
-    heights = solve_height(surface, qs, guess=1e12)
+    heights = solve_height(surface, qs)
     assert batches == [7]
     np.testing.assert_allclose(heights, 0.6 * qs[:, 0], rtol=0.0, atol=1e-12)
-    single = [solve_height(surface, q, guess=1e12) for q in qs]
+    single = [solve_height(surface, q) for q in qs]
     np.testing.assert_allclose(heights, single, rtol=0.0, atol=1e-14)
     bad = np.vstack([qs[:3], [[1.9, 0.0, 0.0]], qs[3:]])
     with pytest.raises(NoBracket, match=r"\[1\.9, 0\.0, 0\.0\]"):
-        solve_height(surface, bad, guess=1e12)
+        solve_height(surface, bad)
 
 
 def test_inverse_map_threads_match_serial(packet9):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from comovkit import estimators, geometry
+from comovkit import fields
 from comovkit.constants import natural_units
 from comovkit.diffusion import (
     BinSpec,
@@ -18,9 +18,7 @@ from comovkit.diffusion import (
 from comovkit.errors import ImaginaryAction, QuadratureDivergence
 from comovkit.estimators import (
     EnergyReport,
-    _grad_log,
-    _metric_tables,
-    _tensor_nodes,
+    _gl_axes,
     energy_report,
     estimate_density,
     expectation_u2,
@@ -29,8 +27,8 @@ from comovkit.estimators import (
     stochastic_action,
     velocities_from_drifts,
 )
-from comovkit.fields import Box
-from comovkit.geometry import ROW_BLOCK, MetricPatch
+from comovkit.fields import ROW_BLOCK, Box, _lattice
+from comovkit.geometry import MetricPatch
 from conftest import family_checks, traced_peak
 
 SIGMA_RHO = 1.0
@@ -61,6 +59,14 @@ def gauss_density(pts):
 
 def gauss_grad_log(pts):
     return -np.atleast_2d(pts) / SIGMA_RHO**2
+
+
+def constant_density(pts):
+    return np.ones(len(np.atleast_2d(pts)))
+
+
+def zero_grad_log(pts):
+    return np.zeros_like(np.atleast_2d(pts), dtype=float)
 
 
 def gauss_bin_average(bins, scale=1.0):
@@ -260,42 +266,13 @@ def test_expectation_u2_gaussian_closed_form():
                          grad_log_density=gauss_grad_log)
     expected = 3.0 * (NU / 2.0) ** 2 / SIGMA_RHO**2
     assert abs(out["value"] - expected) < 1e-8 * expected
-    fd = expectation_u2(gauss_density, patch, box, NU)
-    assert abs(fd["value"] - expected) < 1e-5 * expected
-
-
-def _stencil_step(box):
-    """The finite-difference step ``expectation_u2`` takes on ``box``."""
-    return 1e-5 * float(np.min(box.extent))
-
-
-def test_expectation_u2_fd_log_gradient_is_one_density_call():
-    patch = MetricPatch.euclidean()
-    box = Box((-7.0, -7.0, -7.0), (7.0, 7.0, 7.0))
-    calls = []
-
-    def density(pts):
-        calls.append(np.shape(pts))
-        return gauss_density(pts)
-
-    out = expectation_u2(density, patch, box, NU, order=8)
-    # per block of ROW_BLOCK nodes, the nodes and then the 6-point stencil
-    # of every node: 512 nodes are one block
-    assert calls == [(512, 3), (6 * 512, 3)]
-    pts, _ = _tensor_nodes(box, 8)
-    grad = _grad_log(gauss_density, pts, None, _stencil_step(box))
-    np.testing.assert_allclose(grad, gauss_grad_log(pts), rtol=0, atol=1e-8)
-    # the quadrature's quadratic form is that gradient's, bit for bit
-    _, inv, _ = _metric_tables(patch, pts)
-    assert out["quad_form"].tobytes() \
-        == np.einsum("ni,nij,nj->n", grad, inv, grad).tobytes()
 
 
 def test_expectation_u2_constant_density_is_zero():
     patch = MetricPatch.euclidean()
     box = Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
-    out = expectation_u2(lambda pts: np.ones(len(np.atleast_2d(pts))),
-                         patch, box, NU)
+    out = expectation_u2(constant_density, patch, box, NU,
+                         grad_log_density=zero_grad_log)
     assert out["value"] == 0.0
     assert out["tail_fraction"] == 0.0
 
@@ -336,7 +313,8 @@ def test_expectation_u2_density_floor_raises():
         return gauss_density(pts) * (pts[:, 0] > 0.0)
 
     with pytest.raises(QuadratureDivergence):
-        expectation_u2(half_dead, patch, box, NU)
+        expectation_u2(half_dead, patch, box, NU,
+                       grad_log_density=gauss_grad_log)
 
 
 # --- energy -----------------------------------------------------------------------
@@ -366,9 +344,8 @@ def test_energy_two_routes_agree_for_gaussian():
 def test_energy_constant_density_is_rest_value():
     patch = MetricPatch.euclidean()
     box = Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
-    rep = energy_report(
-        lambda pts: np.ones(len(np.atleast_2d(pts))), patch, CONSTANTS, box,
-    )
+    rep = energy_report(constant_density, patch, CONSTANTS, box,
+                        grad_log_density=zero_grad_log)
     scale = CONSTANTS.mass * CONSTANTS.c**2
     assert abs(rep.mu_direct + 0.5 * scale) < 1e-13 * scale
     assert rep.gamma_tilde == 1.0
@@ -385,11 +362,11 @@ def test_energy_report_rejects_bad_gamma():
 def test_energy_on_plane_wave_slice(boost_chart):
     # constant unit density on every leaf: the rest energy comes out
     # exactly, through the full chart -> slice-density route
-    density = slice_density(boost_chart.bundle, boost_chart)
+    density, grad_log_density = slice_density(boost_chart.bundle, boost_chart)
     patch = MetricPatch.from_chart(boost_chart)
     box = Box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
     rep = energy_report(density, patch, CONSTANTS, box, order=4,
-                        time_order=4)
+                        time_order=4, grad_log_density=grad_log_density)
     scale = CONSTANTS.mass * CONSTANTS.c**2
     assert abs(rep.mu_direct + 0.5 * scale) < 1e-10 * scale
     assert abs(rep.mu_direct - rep.mu_identity) < 1e-10 * scale
@@ -428,49 +405,31 @@ def test_energy_report_holds_columns_and_one_block():
     assert peak <= QUADRATURE_COLUMN_BYTES * order**3 + 1024 * ROW_BLOCK
 
 
-def test_log_gradient_stencil_holds_one_block():
-    # order 32: 32 768 nodes. Without grad_log_density the log gradient's
-    # stencil runs with its block, so the peak holds the same columns as
-    # with an analytic gradient (see above) plus one block's stencil rows
-    # and density work. The whole-batch stencil peaks at about 376 B a
-    # node, whole-quadrature node and gradient columns at 106 B.
-    order = 32
-    box = Box((-7.0, -7.0, -7.0), (7.0, 7.0, 7.0))
-    rep, peak = traced_peak(lambda: expectation_u2(
-        gauss_density, MetricPatch.euclidean(), box, NU, order=order))
-    assert abs(rep["value"] - 0.75) < 1e-9  # 3 (nu/2)^2 / sigma^2
-    assert peak <= QUADRATURE_COLUMN_BYTES * order**3 + 1024 * ROW_BLOCK
-
-
 @pytest.mark.parametrize("block", [7, 1 << 20])
 def test_log_gradient_does_not_depend_on_the_row_block(block, monkeypatch):
     # order 8: 512 nodes, 73 blocks of 7 and a lone node in a block of its
-    # own, whose density calls take one node and its 6 stencil rows; the
-    # blocks' gradients and node columns are those of one call on all nodes
+    # own. The density and its closed-form log gradient each take every
+    # block's nodes once, in order, and the node columns are those of one
+    # block holding all nodes, bit for bit, on a metric that varies
     box = Box((-7.0, -7.0, -7.0), (7.0, 7.0, 7.0))
-    pts, _ = _tensor_nodes(box, 8)
-    want_grad = _grad_log(gauss_density, pts, None, _stencil_step(box))
-    want = expectation_u2(gauss_density, MetricPatch.euclidean(), box, NU,
-                          order=8)
-    rows, nodes, grads = [], [], []
+    pts = _lattice(_gl_axes(box, 8)[0])
+    want = expectation_u2(gauss_density, _wavy_patch(), box, NU, order=8,
+                          grad_log_density=gauss_grad_log)
+    seen = {gauss_density: [], gauss_grad_log: []}
 
-    def density(p):
-        rows.append(len(p))
-        return gauss_density(p)
+    def recorded(func):
+        def call(p):
+            seen[func].append(p)
+            return func(p)
+        return call
 
-    def recorded(density, p, grad_log_density, h):
-        nodes.append(p)
-        grads.append(_grad_log(density, p, grad_log_density, h))
-        return grads[-1]
-
-    monkeypatch.setattr(geometry, "ROW_BLOCK", block)
-    monkeypatch.setattr(estimators, "_grad_log", recorded)
-    got = expectation_u2(density, MetricPatch.euclidean(), box, NU, order=8)
-    assert len(grads) == (74 if block == 7 else 1)
-    assert rows[-2:] == ([1, 6] if block == 7 else [512, 6 * 512])
-    assert sum(rows) == 7 * 512
-    assert np.concatenate(nodes).tobytes() == pts.tobytes()
-    assert np.concatenate(grads).tobytes() == want_grad.tobytes()
+    monkeypatch.setattr(fields, "ROW_BLOCK", block)
+    got = expectation_u2(recorded(gauss_density), _wavy_patch(), box, NU,
+                         order=8, grad_log_density=recorded(gauss_grad_log))
+    for calls in seen.values():
+        assert [len(p) for p in calls] \
+            == ([7] * 73 + [1] if block == 7 else [512])
+        assert np.concatenate(calls).tobytes() == pts.tobytes()
     for column in ("weights", "sqrt_det", "quad_form", "u_sigma_u"):
         assert got[column].tobytes() == want[column].tobytes()
     assert got["value"] == want["value"]
@@ -481,7 +440,7 @@ def test_energy_report_does_not_depend_on_the_row_block(block, monkeypatch):
     # order 9: 729 nodes, a block and a part at the default size; every
     # sum runs over whole columns, so the split cannot move a value
     want = _wavy_energy(9)
-    monkeypatch.setattr(geometry, "ROW_BLOCK", block)
+    monkeypatch.setattr(fields, "ROW_BLOCK", block)
     assert _wavy_energy(9) == want
 
 
@@ -490,10 +449,8 @@ def test_energy_report_does_not_depend_on_the_row_block(block, monkeypatch):
 def test_action_rest_case_exact():
     patch = MetricPatch.euclidean()
     box = Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
-    val = stochastic_action(
-        lambda pts: np.ones(len(np.atleast_2d(pts))), patch, (0.0, 1.0),
-        CONSTANTS, box,
-    )
+    val = stochastic_action(constant_density, patch, (0.0, 1.0), CONSTANTS,
+                            box, grad_log_density=zero_grad_log)
     assert abs(val + CONSTANTS.mass * CONSTANTS.c**2) < 1e-13
 
 
@@ -533,7 +490,7 @@ def test_action_current_term_holds_columns_and_one_block():
     assert peak <= QUADRATURE_COLUMN_BYTES * order**3 + 1024 * ROW_BLOCK
     u2 = expectation_u2(gauss_density, patch, box, NU, order=order,
                         grad_log_density=gauss_grad_log)
-    pts, _ = _tensor_nodes(box, order)
+    pts = _lattice(_gl_axes(box, order)[0])
     e_b2 = float(np.sum(u2["weights"] * current_sq(pts))) / u2["normalization"]
     assert val == -CONSTANTS.mass * CONSTANTS.c**2 * float(
         np.sqrt(1.0 - (e_b2 - u2["value"]) / CONSTANTS.c**2))

@@ -90,7 +90,8 @@ def test_unreached_exports_are_allowlisted():
 
 
 # defaulted parameters that no code outside tests/ passes, each with its
-# reason to stay; a class's __init__ is written as a call of the class
+# reason to stay; a class's __init__, or a dataclass's defaulted fields, are
+# written as a call of the class
 UNPASSED_PARAMETERS = {
     "chart.ComovingChart(atol=)": "flow tolerance; tests tighten it to "
                                   "force reruns (ROADMAP item 1 adds a "
@@ -101,21 +102,17 @@ UNPASSED_PARAMETERS = {
     "chart.ComovingChart(validate=)": "skips the hypotheses scan of a field "
                                       "the caller trusts; cli hands over "
                                       "its report instead",
-    "chart.ComovingChart.inverse_jacobian(stats=)": "the FlowStats hook "
-                                                    "every chart map takes",
-    "chart.ReferenceSurface.height(guess=)": "the Newton start "
-                                             "solve_height takes; passed "
-                                             "nowhere yet (ROADMAP item 9)",
     "cli.main(argv=)": "the console-script entry point; None reads "
                        "sys.argv",
+    "diffusion.DiffusionConfig(clip_box=)": "confines an ensemble, frozen "
+                                            "paths flagged; ROADMAP item 2 "
+                                            "may confine the packet-slice "
+                                            "ensemble with it",
     "dynamics.comoving_kg_residual(patch=)": "reuses one slice patch over "
                                              "calls; ROADMAP item 15 reaches "
                                              "it from cli",
     "estimators.stochastic_action(current_sq=)": "ROADMAP item 3 gates "
                                                  "stochastic_action",
-    "estimators.stochastic_action(grad_log_density=)": "ROADMAP item 3 "
-                                                       "gates "
-                                                       "stochastic_action",
     "estimators.stochastic_action(order=)": "ROADMAP item 3 gates "
                                             "stochastic_action",
     "fields.PacketBundle(_skip_node_check=)": "builds the bundle with a "
@@ -124,18 +121,11 @@ UNPASSED_PARAMETERS = {
     "fields.check_theorem_hypotheses(box=)": "aims the scan at a window; "
                                              "tests aim it at a V_0 sign "
                                              "change",
-    "fields.osmotic_four_velocity(floor=)": "documented in README; ROADMAP "
-                                            "item 7 gates the function",
-    "geometry.MetricPatch.christoffel_contraction(h=)": "the step override "
-                                                        "christoffel(h=) "
-                                                        "takes too",
-    "geometry.flatness_report(h=)": "the stencil step riemann and "
-                                    "curvature_budget take",
+    "geometry.curvature_budget(h=)": "the stencil step; a test checks that "
+                                     "the budget scales as h^2",
     "geometry.laplace_beltrami(h=)": "the step override of the covariant "
                                      "helpers; ROADMAP item 3 needs the "
                                      "function",
-    "geometry.metric_compatibility_residual(h=)": "the step override of "
-                                                  "the covariant helpers",
 }
 
 
@@ -153,12 +143,42 @@ def _signature(label, fn, method):
     return label, names, defaulted
 
 
+def _is_dataclass(node):
+    return any(getattr(d, "id", getattr(getattr(d, "func", None), "id",
+                                        None)) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _dataclass_signature(label, node):
+    """(label, positional names, defaulted names) of the __init__ that a
+    dataclass generates: its annotated fields in order, less those with
+    ``field(init=False)``; a field with a value, or a ``field`` with a
+    ``default`` or ``default_factory``, is defaulted."""
+    names, defaulted = [], []
+    for stmt in node.body:
+        if not isinstance(stmt, ast.AnnAssign):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) \
+                and getattr(value.func, "id", None) == "field":
+            options = {kw.arg: kw.value for kw in value.keywords}
+            if getattr(options.get("init"), "value", True) is False:
+                continue
+            if not {"default", "default_factory"} & options.keys():
+                value = None
+        names.append(stmt.target.id)
+        if value is not None:
+            defaulted.append(stmt.target.id)
+    return label, names, defaulted
+
+
 def _signatures():
     """Defaulted parameters of every public module-level function, every
     public method of a public class and the __init__ of every public class
     of the package, keyed by the name a call uses: a function's or a
     method's own name, and for an __init__ the name of its class or of any
-    package class that inherits it. Dataclass fields are not scanned."""
+    package class that inherits it. A public dataclass's generated __init__
+    takes its fields, so its defaulted fields count as parameters."""
     classes, sigs, inits = {}, {}, {}
     for path in sorted((ROOT / "src" / "comovkit").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -170,6 +190,9 @@ def _signatures():
                 sigs.setdefault(node.name, []).append(_signature(
                     f"{path.stem}.{node.name}", node, method=False))
             elif isinstance(node, ast.ClassDef):
+                if _is_dataclass(node):
+                    inits[node.name] = _dataclass_signature(
+                        f"{path.stem}.{node.name}", node)
                 for fn in node.body:
                     if not isinstance(fn, ast.FunctionDef):
                         continue
@@ -181,9 +204,10 @@ def _signatures():
                             f"{label}.{fn.name}", fn, method=True))
     for name in classes:
         owner = name  # the class whose __init__ a call of ``name`` runs
-        while owner in classes and not any(
-                isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
-                for fn in classes[owner].body):
+        while owner in classes and not _is_dataclass(classes[owner]) \
+                and not any(isinstance(fn, ast.FunctionDef)
+                            and fn.name == "__init__"
+                            for fn in classes[owner].body):
             bases = classes[owner].bases
             owner = getattr(bases[0], "id", None) if bases else None
         if owner in inits:

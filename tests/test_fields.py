@@ -176,7 +176,7 @@ def _lattice_branch_phase(bundle, pts):
             + w @ np.linalg.norm(kap - kap[j0], axis=1) / margin)
     dom = bundle.domain
     shape = np.maximum((dom.extent / (np.pi / (4.0 * rate))).astype(int) + 2, 2)
-    nodes, _ = dom.grid(shape)
+    nodes = dom.grid(shape)
     raw = np.angle(_mode_sum(bundle, nodes)).reshape(tuple(shape))
     raw[:, 0, 0, 0] = np.unwrap(raw[:, 0, 0, 0])
     raw[:, :, 0, 0] = np.unwrap(raw[:, :, 0, 0], axis=1)
@@ -573,7 +573,7 @@ def test_blocked_scan_equals_whole_lattice_reductions(packet9, constants):
     assert np.prod(shape) % HYPOTHESIS_BLOCK
     report = check_theorem_hypotheses(packet9, shape=shape)
     # the default window of packet9's box is the box itself
-    pts, _ = packet9.domain.grid(shape)
+    pts = packet9.domain.grid(shape)
     density, grad, hess = packet9.density_and_phase_derivatives(pts)
     v = grad / constants.mass
     v0 = v[:, 0]

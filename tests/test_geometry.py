@@ -14,13 +14,12 @@ from comovkit.chart import ComovingChart
 from comovkit.diffusion import (DiffusionConfig, drift_from_fields,
                                 simulate)
 from comovkit.errors import NotSpacelike
-from comovkit.estimators import expectation_u2
-from comovkit.fields import Box, central_gradient, make_packet
+from comovkit.estimators import expectation_u2, slice_density
+from comovkit.fields import ROW_BLOCK, Box, central_gradient, make_packet
 from conftest import traced_peak
 from comovkit.geometry import (
     DEFAULT_H,
     FD_STEP,
-    ROW_BLOCK,
     MetricPatch,
     chart_spatial_patch,
     covariant_derivative_covector,
@@ -563,9 +562,9 @@ def height_rows(monkeypatch):
     rows = []
     solve = chart_module.solve_height
 
-    def counted(surface, q, guess=None):
+    def counted(surface, q):
         rows.append(int(np.prod(np.shape(q)[:-1])))
-        return solve(surface, q, guess=guess)
+        return solve(surface, q)
 
     monkeypatch.setattr(chart_module, "solve_height", counted)
     return rows
@@ -894,7 +893,8 @@ def test_curved_step_and_energy_quadrature_call_no_lapack(monkeypatch):
                              burn_in_fraction=0.0, n_snapshots=1)
     simulate(drift_from_fields(lambda q: -q, patch, 0.5), patch, config)
     expectation_u2(lambda q: np.exp(-0.5 * np.sum(q * q, axis=-1)), patch,
-                   Box((-6.0,) * 3, (6.0,) * 3), 0.5, order=8)
+                   Box((-6.0,) * 3, (6.0,) * 3), 0.5, order=8,
+                   grad_log_density=lambda q: -q)
     assert calls == {"eigh": 0, "cholesky": 0}
 
 
@@ -954,6 +954,39 @@ def test_surface_sigma_derivatives_match_central_differences(constants,
     assert err <= tol, (err, tol)
     # the bound is far below the derivatives it checks
     assert tol < 1e-3 * float(np.max(np.abs(exact)))
+
+
+def test_slice_log_gradient_matches_central_differences(constants):
+    # the moving carrier tilts the leaf (|f| up to 0.35), so the d_0 p f
+    # term of the closed form carries weight
+    chart = _shipped_packet_chart(constants, carrier=MOVING)
+    bundle = chart.bundle
+    rho, grad_log_rho = slice_density(bundle, chart)
+    xi = np.random.default_rng(52).uniform(-1.0, 1.0, size=(16, 3))
+    exact = grad_log_rho(xi)
+
+    def fd(h):
+        return central_gradient(
+            lambda p: np.log(rho(p.reshape(-1, 3))).reshape(p.shape[:-1]),
+            xi, h)
+
+    x = chart.surface.embed(chart.base_origin + xi @ chart.frame_matrix_inv.T)
+    p, dp = bundle.density(x), bundle.density_gradient(x)
+    # round-off of the stencil: ln rho to 8 eps, and the leaf height,
+    # solved to 1e-10 of the phase scale, moves it by up to |d_0 ln p|
+    # times that over |S_0|; each difference is divided by 2h
+    height = 1e-10 * chart.surface.scale / float(
+        np.min(np.abs(bundle.phase_gradient(x)[:, 0])))
+    roundoff = (8.0 * np.finfo(float).eps
+                + float(np.max(np.abs(dp[:, 0] / p))) * height) / DEFAULT_H
+    tol = _richardson_bound(fd, DEFAULT_H) + roundoff
+    err = float(np.max(np.abs(exact - fd(DEFAULT_H))))
+    assert err <= tol, (err, tol)
+    assert tol < 1e-6 * float(np.max(np.abs(exact)))
+    # known-failure control: without the d_0 p f term, the gradient of p
+    # along the inertial axes alone misses by far more than the bound
+    flat = (dp[:, 1:] / p[:, None]) @ chart.frame_matrix_inv
+    assert float(np.max(np.abs(flat - fd(DEFAULT_H)))) > 1e3 * tol
 
 
 def _gauss_riemann(chart, q, sign=-1.0):
