@@ -149,9 +149,9 @@ class ReferenceSurface:
     Every method takes base points q of shape (..., 3) and returns results
     stacked over the leading axes: ``height`` gives (...) (a float for one
     point), ``embed`` (..., 4), ``height_gradient`` (..., 3), ``metric``
-    (..., 3, 3), ``metric_and_gradient`` the metric and its gradient
-    (..., 3, 3, 3), and ``orthogonality_residual`` (...) (a float for one
-    point).
+    (..., 3, 3), ``height_derivatives`` the height gradient (..., 3) and
+    Hessian (..., 3, 3), and ``orthogonality_residual`` (...) (a float for
+    one point).
     """
 
     def __init__(self, bundle, origin):
@@ -204,27 +204,22 @@ class ReferenceSurface:
             )
         return np.eye(3) - f[..., :, None] * f[..., None, :]
 
-    def metric_and_gradient(self, q):
-        """sigma (..., 3, 3), as ``metric`` gives it, and D[..., k, i, j] =
-        d_k sigma_ij in closed form, from one height solve and one field
-        evaluation at the surface events.
+    def height_derivatives(self, q):
+        """Height gradient f_i (..., 3), as ``height_gradient`` gives it,
+        and Hessian f_ik (..., 3, 3) in closed form, from one height solve
+        and one field evaluation at the surface events.
 
-        Differentiating S(f(q), q) = level twice gives the height Hessian
+        Differentiating S(f(q), q) = level twice gives
 
-            f_ik = -(S_ik + S_i0 f_k + S_0k f_i + S_00 f_i f_k) / S_0,
-
-        and sigma_ij = delta_ij - f_i f_j gives
-        d_k sigma_ij = -(f_ik f_j + f_i f_jk).
+            f_ik = -(S_ik + S_i0 f_k + S_0k f_i + S_00 f_i f_k) / S_0.
         """
         x = self.embed(q)
         _, grad, hess = self.bundle.density_and_phase_derivatives(x)
         f = self._slope(x, grad)
         mixed = hess[..., 1:, :1] * f[..., None, :]  # S_i0 f_k
-        fik = -(hess[..., 1:, 1:] + mixed + np.swapaxes(mixed, -1, -2)
-                + hess[..., :1, :1] * f[..., :, None] * f[..., None, :]
-                ) / grad[..., :1, None]
-        term = fik[..., :, :, None] * f[..., None, None, :]  # f_ki f_j
-        return self._metric_of(q, f), -(term + np.swapaxes(term, -1, -2))
+        return f, -(hess[..., 1:, 1:] + mixed + np.swapaxes(mixed, -1, -2)
+                    + hess[..., :1, :1] * f[..., :, None] * f[..., None, :]
+                    ) / grad[..., :1, None]
 
     def orthogonality_residual(self, q):
         """max_i |eta(V, t_i)| for the tangent basis t_i = (f_i, e_i).
@@ -556,6 +551,11 @@ class ComovingChart:
         self.frame_matrix = rot @ np.diag(np.sqrt(w)) @ rot.T
         self.frame_matrix_inv = rot @ np.diag(1.0 / np.sqrt(w)) @ rot.T
 
+    def base_point(self, xi_sp):
+        """Base coordinates q = q0 + E0^-1 xi (..., 3) of spatial chart
+        coordinates xi (..., 3) on the origin leaf."""
+        return self.base_origin + _rows_times(xi_sp, self.frame_matrix_inv.T)
+
     # --- maps ---------------------------------------------------------------
     def forward_map(self, x, stats=None):
         """Inertial events (..., 4) -> comoving coordinates (xi0, ..., xi3)."""
@@ -590,9 +590,7 @@ class ComovingChart:
                          np.broadcast_to(self.origin, (len(arcs), 4)), arcs,
                          self.bundle.domain, self.rtol, self.atol, stats)
         s_target = self.bundle.phase(ref)[which]
-        lift = self.surface.embed(
-            self.base_origin + _rows_times(rows[:, 1:],
-                                           self.frame_matrix_inv.T))
+        lift = self.surface.embed(self.base_point(rows[:, 1:]))
         return flow_to_level(self.bundle, lift, s_target, rtol=self.rtol,
                              atol=self.atol, stats=stats).reshape(xi.shape)
 

@@ -119,8 +119,6 @@ class PathEnsemble:
     nu: float
     direction: str = "forward"
     clipped: np.ndarray = None
-    master_seed: int = None
-    chunk_size: int = DEFAULT_CHUNK
     meta: dict = field(default_factory=dict)
 
     @property
@@ -321,8 +319,7 @@ def simulate(drift, patch, config):
     return PathEnsemble(
         times=times, pre=pre, post=post, dt=config.dt, nu=config.nu,
         direction="forward", clipped=clipped,
-        master_seed=config.master_seed, chunk_size=config.chunk_size,
-        meta={"n_steps": steps, "horizon": config.horizon,
+        meta={"horizon": config.horizon,
               "initial_acceptance": {"proposed": proposed,
                                      "accepted": accepted}},
     )
@@ -366,8 +363,6 @@ def specular_reverse(ensemble):
         nu=ensemble.nu,
         direction=direction,
         clipped=None if clipped is None else _read_only(clipped[:]),
-        master_seed=ensemble.master_seed,
-        chunk_size=ensemble.chunk_size,
         meta=dict(ensemble.meta),
     )
 
@@ -446,9 +441,7 @@ class DriftEstimate:
     count: np.ndarray
     valid: np.ndarray
     direction: str
-    min_count: int
     batch_mean: np.ndarray = None
-    batch_count: np.ndarray = None
     anchor_mean: np.ndarray = None
 
     def eval_points(self):
@@ -582,8 +575,8 @@ def _binned_drift(ensemble, bins, condition_on, min_count):
         )
     return DriftEstimate(
         centers=bins.centers(), mean=overall, se=se, count=count,
-        valid=valid, direction=condition_on, min_count=min_count,
-        batch_mean=bmeans, batch_count=bcount, anchor_mean=anchor_mean,
+        valid=valid, direction=condition_on, batch_mean=bmeans,
+        anchor_mean=anchor_mean,
     )
 
 

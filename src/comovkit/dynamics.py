@@ -172,13 +172,11 @@ class CurrentSample:
 
     x: np.ndarray
     j: np.ndarray
-    j_cov: np.ndarray
     invariant: float
     density: float
     classification: str
     modulus_residual: float
     cross_check: float
-    budget: float
 
     def __post_init__(self):
         cls = np.asarray(self.classification)
@@ -226,14 +224,12 @@ def four_current(bundle, x, budget=1e-9):
     return CurrentSample(
         x=x,
         j=j,
-        j_cov=j_cov,
         invariant=_float_or_array(jj),
         density=_float_or_array(p),
         classification=(str(classification) if classification.ndim == 0
                         else classification),
         modulus_residual=_float_or_array(modulus_residual),
         cross_check=_float_or_array(cross),
-        budget=float(budget),
     )
 
 

@@ -288,8 +288,6 @@ class EnergyReport:
     mu_identity: float
     e_u2: float
     gamma_tilde: float
-    ratio: float
-    delta: float
     order: int
     normalization: float
 
@@ -333,14 +331,11 @@ def energy_report(density, patch, constants, box, delta=1.0,
 
     e_u2 = u2["value"]
     mu_identity = -0.5 * constants.mass * c2 + 0.5 * constants.mass * e_u2
-    ratio = e_u2 / c2
     return EnergyReport(
         mu_direct=mu_direct,
         mu_identity=mu_identity,
         e_u2=e_u2,
-        gamma_tilde=1.0 / np.sqrt(1.0 + ratio),
-        ratio=ratio,
-        delta=delta,
+        gamma_tilde=1.0 / np.sqrt(1.0 + e_u2 / c2),
         order=order,
         normalization=denominator,
     )
@@ -360,9 +355,7 @@ def slice_density(bundle, chart):
     surface = chart.surface
 
     def leaf(points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return surface.embed(chart.base_origin + _rows_times(
-            points, chart.frame_matrix_inv.T))
+        return surface.embed(chart.base_point(np.atleast_2d(points)))
 
     def rho(points):
         return bundle.density(leaf(points))

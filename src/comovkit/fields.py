@@ -38,8 +38,8 @@ and timelike character.
 phase Hessian together; a packet takes all three from one set of real mode
 sums on the phases relative to its carrier mode (see ``PacketBundle``),
 which is what the hypothesis scan and the slice-metric derivatives of the
-chart surface read. The hypothesis scan evaluates its lattice in blocks of
-HYPOTHESIS_BLOCK events.
+chart surface read. The hypothesis scan builds and evaluates its lattice
+in blocks of ROW_BLOCK events.
 
 ``central_gradient`` and ``central_hessian`` are the package's one
 finite-difference stencil: every derivative of a function that the package
@@ -282,44 +282,6 @@ class FieldBundle:
             1j * self.phase(x) / self.constants.hbar
         )
 
-    def conjugate(self):
-        """Phase-conjugated view of this bundle: same p, S -> -S."""
-        return ConjugateBundle(self)
-
-
-class ConjugateBundle(FieldBundle):
-    """Complex conjugate of a bundle: density unchanged, phase negated.
-
-    Conjugation maps positive-frequency solutions onto the opposite branch,
-    so the four-current flips sign everywhere and the solution class swaps.
-    Conjugating twice returns the original bundle object.
-    """
-
-    def __init__(self, base):
-        super().__init__(base.constants, base.domain)
-        self.base = base
-
-    def conjugate(self):
-        return self.base
-
-    def _density(self, x):
-        return self.base._density(x)
-
-    def _density_gradient(self, x):
-        return self.base._density_gradient(x)
-
-    def _density_hessian(self, x):
-        return self.base._density_hessian(x)
-
-    def _phase(self, x):
-        return -self.base._phase(x)
-
-    def _phase_gradient(self, x):
-        return -self.base._phase_gradient(x)
-
-    def _phase_hessian(self, x):
-        return -self.base._phase_hessian(x)
-
 
 class PacketBundle(FieldBundle):
     """Positive-weight superposition of modes exp(i kappa_j . x).
@@ -371,7 +333,7 @@ class PacketBundle(FieldBundle):
         self.kappas = np.concatenate(
             [(-self.omegas / constants.c)[:, None], self.wavevectors], axis=1
         )
-        j0 = self.dominant_index = int(np.argmax(self.weights))
+        j0 = int(np.argmax(self.weights))
         # w0 - sum of the other weights; positive means globally node-free
         self.dominance_margin = float(
             self.weights[j0] - (self.weights.sum() - self.weights[j0]))
@@ -391,6 +353,19 @@ class PacketBundle(FieldBundle):
                 self._branch_angle(self.domain.lo_array) / (2.0 * np.pi)))
         if not _skip_node_check:
             self._check_for_nodes()
+
+    def conjugate(self):
+        """The complex conjugate sum_j w_j exp(-i kappa_j . x): the packet of
+        the negated modes, with the same density and the phase negated.
+
+        Conjugation maps positive-frequency solutions onto the opposite
+        branch, so the four-current flips sign everywhere and the solution
+        class swaps. The density is unchanged, so the node check does not
+        run again; conjugating twice gives a packet equal to this one.
+        """
+        return PacketBundle(-self.wavevectors, self.weights, self.constants,
+                            self.domain, frequencies=-self.omegas,
+                            _skip_node_check=True)
 
     # --- mode sums ----------------------------------------------------------
     def _mode_sums(self, x, order):
@@ -607,23 +582,21 @@ class HypothesisReport:
 
 
 HYPOTHESIS_SHAPE = (7, 7, 7, 7)  # the default hypotheses lattice
-# lattice events per field evaluation of a hypotheses scan: the scan's
-# temporaries grow with the events of one evaluation, not with the lattice
-HYPOTHESIS_BLOCK = 1024
 
 
 def check_theorem_hypotheses(bundle, box=None, shape=HYPOTHESIS_SHAPE):
     """Scan a lattice for the three chart-construction hypotheses.
 
-    Density, phase gradient and phase Hessian come from
-    ``density_and_phase_derivatives`` calls on consecutive blocks of
-    HYPOTHESIS_BLOCK lattice events; the reductions over blocks equal those
-    over one whole-lattice call. Condition (i) fails where |V_0| reaches
-    ``v0_floor`` = 1e-8 c or V_0 changes sign, and (ii) where the Hessian's
-    asymmetry reaches ``closedness_tol`` = 1e-10 max|Hessian| + 1e-14; the
-    report carries both. Returns a HypothesisReport; ``violated`` holds
-    labels "(i)", "(ii)", "(iii)" for every failed condition, in that
-    order.
+    Each block of ROW_BLOCK (512) lattice events is built from the axes
+    and takes its density, phase gradient and phase Hessian from one
+    ``density_and_phase_derivatives`` call, so the scan's memory grows
+    with the block, not the lattice; the reductions over blocks equal
+    those over one whole-lattice call. Condition (i) fails where |V_0|
+    reaches ``v0_floor`` = 1e-8 c or V_0 changes sign, and (ii) where the
+    Hessian's asymmetry reaches ``closedness_tol`` = 1e-10 max|Hessian| +
+    1e-14; the report carries both. Returns a HypothesisReport;
+    ``violated`` holds labels "(i)", "(ii)", "(iii)" for every failed
+    condition, in that order.
     """
     c = bundle.constants.c
     if box is None:
@@ -633,23 +606,25 @@ def check_theorem_hypotheses(bundle, box=None, shape=HYPOTHESIS_SHAPE):
         half = np.minimum((hi - lo) / 2.0, 4.0)
         mid = (lo + hi) / 2.0
         box = Box(mid - half, mid + half)
-    pts = box.grid(shape)
+    axes = [np.linspace(box.lo[i], box.hi[i], int(shape[i]))
+            for i in range(box.ndim)]
+    n_events = int(np.prod([len(axis) for axis in axes]))
 
     min_density = min_abs_v0 = np.inf
     max_v0, min_v0 = -np.inf, np.inf
     max_closed = max_hess = 0.0
     n_timelike = 0
     argmin = 0
-    for start in range(0, len(pts), HYPOTHESIS_BLOCK):
+    for block in _row_blocks(n_events):
         density, grad, hess = bundle.density_and_phase_derivatives(
-            pts[start:start + HYPOTHESIS_BLOCK])
+            _lattice(axes, block))
         v = grad / bundle.constants.mass
         v0 = v[:, 0]
         abs_v0 = np.abs(v0)
         n = int(np.argmin(abs_v0))
         # strict: the first minimum over the lattice, as one argmin finds it
         if abs_v0[n] < min_abs_v0:
-            min_abs_v0, argmin = float(abs_v0[n]), start + n
+            min_abs_v0, argmin = float(abs_v0[n]), block.start + n
         max_v0 = max(max_v0, float(np.max(v0)))
         min_v0 = min(min_v0, float(np.min(v0)))
         vv = np.einsum("...i,...i->...", v, raise_index(v))
@@ -665,7 +640,7 @@ def check_theorem_hypotheses(bundle, box=None, shape=HYPOTHESIS_SHAPE):
     # a sign change proves a zero of V_0 between lattice points even when
     # no sample lands near it
     sign_change = bool((max_v0 > 0.0) and (min_v0 < 0.0))
-    timelike = n_timelike / len(pts)
+    timelike = n_timelike / n_events
 
     violated = []
     if min_abs_v0 <= v0_floor or sign_change:
@@ -684,6 +659,7 @@ def check_theorem_hypotheses(bundle, box=None, shape=HYPOTHESIS_SHAPE):
         v0_floor=float(v0_floor),
         closedness_tol=float(closedness_tol),
         lattice_shape=tuple(int(s) for s in shape),
-        argmin_v0=tuple(float(t) for t in pts[argmin]),
+        argmin_v0=tuple(float(t) for t in
+                        _lattice(axes, slice(argmin, argmin + 1))[0]),
         violated=violated,
     )

@@ -15,18 +15,17 @@ that must fail the flatness gate.
 
 ``MetricPatch`` methods take points of shape (..., 3) and return results
 stacked over the leading axes, e.g. (..., 3, 3) for the metric; the
-``sigma`` callables they wrap stay pointwise, except for the chart-surface
-patches of ``MetricPatch.from_chart`` (base coordinates q) and
-``chart_spatial_patch`` (chart coordinates xi), whose metric is one batched
-height solve per call. Their sigma derivatives are in closed form too: the
-slice is the level set of the phase, so implicit differentiation of the
-height function turns the phase gradient and Hessian at the surface events
-into d sigma (``ReferenceSurface.metric_and_gradient``), their
-Christoffel symbols take sigma and d sigma from one height solve per
-batch, and their Riemann tensor takes a single finite difference, of the
-Christoffel field. The graph metric of a chart's origin slice, its
-inverse, volume factor and noise factor are the methods of
-``MetricPatch.from_chart(chart)``. Each
+``sigma`` callables they wrap stay pointwise, except for the one slice
+patch, ``chart_spatial_patch(chart)``. Its points are the chart's spatial
+coordinates xi, on the origin leaf at base point q = q0 + E0^-1 xi
+(``ComovingChart.base_point``), and its metric is one batched height
+solve per call. Its sigma derivatives are in closed form too: the slice
+is the level set of the phase, so implicit differentiation turns the
+phase gradient and Hessian at the surface events into the height
+gradient f and Hessian f_ik (``ReferenceSurface.height_derivatives``);
+carried to xi they give d sigma, the Christoffel symbols take sigma and
+d sigma from one height solve per batch, and the Riemann tensor takes a
+single finite difference, of the Christoffel field. Each
 patch remembers, per thread, the factorization of the last batch of points
 it saw, so the drift correction and the noise factor of one Euler-Maruyama
 step share one evaluation of sigma.
@@ -273,16 +272,6 @@ class MetricPatch:
             name="constant",
         )
 
-    @classmethod
-    def from_chart(cls, chart):
-        """Graph-coordinate surface metric of the chart's origin level set.
-
-        Spatial points are the base coordinates q; the chart's linear frame
-        normalization is a constant reparametrization that leaves all
-        curvature quantities unchanged.
-        """
-        return _SurfacePatch(chart.surface)
-
 
 class _ConstantPatch(MetricPatch):
     """The patches of ``euclidean`` and ``constant``: ``simulate`` hoists
@@ -292,48 +281,40 @@ class _ConstantPatch(MetricPatch):
 
 
 class _SurfacePatch(MetricPatch):
-    """Chart-surface metric whose batches go to the surface in one call.
+    """Metric of a chart's origin leaf in its spatial chart coordinates xi,
+    whose batches go to the surface in one call.
 
-    With a ``frame`` (q0, E0^-1) the points are chart coordinates xi and
-    the metric is E0^-T sigma_q(q0 + E0^-1 xi) E0^-1; without one they are
-    the base coordinates q. Sigma derivatives are the surface's closed-form
-    ``metric_and_gradient``, carried through the same congruence for xi;
-    the Christoffel symbols take sigma and its derivatives from that one
-    height solve per batch.
+    At q = ``chart.base_point(xi)`` = q0 + E0^-1 xi the metric is
+    E0^-T sigma_q E0^-1 with sigma_q = 1 - f f the graph metric. Its
+    derivatives come from the surface's closed-form height derivatives
+    carried to xi: with g = E0^-T f and h = E0^-T f_ik E0^-1,
+    d_a sigma_bc = -(h_ab g_c + g_b h_ac). The Christoffel symbols take
+    sigma and its derivatives from that one height solve per batch.
     """
 
-    def __init__(self, surface, frame=None, name="chart_surface"):
-        super().__init__(None, name=name)
-        self.surface = surface
-        self.frame = frame
-
-    def _base(self, q):
-        """Base coordinates of the points q."""
-        q = np.asarray(q, dtype=float)
-        if self.frame is None:
-            return q
-        return self.frame[0] + _rows_times(q, self.frame[1].T)
+    def __init__(self, chart):
+        super().__init__(None, name="chart-slice")
+        self.chart = chart
 
     def metric(self, q):
-        sig = self.surface.metric(self._base(q))
-        if self.frame is None:
-            return sig
-        e_inv = self.frame[1]
-        return e_inv.T @ sig @ e_inv
+        e_inv = self.chart.frame_matrix_inv
+        return e_inv.T @ self.chart.surface.metric(
+            self.chart.base_point(q)) @ e_inv
 
     def _metric_and_derivatives(self, q):
-        """sigma and D[..., i, j, k] = d sigma_jk / d q^i in closed form,
+        """sigma and D[..., a, b, c] = d sigma_bc / d xi^a in closed form,
         from one height solve of the batch."""
-        sig, d = self.surface.metric_and_gradient(self._base(q))
-        if self.frame is None:
-            return sig, d
-        e_inv = self.frame[1]
-        # d/dxi_a (E^T sigma E)_bc = E_ma E_jb E_kc d_m sigma_jk
-        return e_inv.T @ sig @ e_inv, np.einsum(
-            "...mjk,ma,jb,kc->...abc", d, e_inv, e_inv, e_inv, optimize=True)
+        base = self.chart.base_point(q)
+        surface, e_inv = self.chart.surface, self.chart.frame_matrix_inv
+        f, fik = surface.height_derivatives(base)
+        g = _rows_times(f, e_inv)  # E0^-T f, the height gradient in xi
+        h = e_inv.T @ fik @ e_inv  # its Hessian in xi
+        term = h[..., :, :, None] * -g[..., None, None, :]  # -h_ab g_c
+        return (e_inv.T @ surface._metric_of(base, f) @ e_inv,
+                term + np.swapaxes(term, -1, -2))
 
     def sigma_derivatives(self, q, h=None):
-        """D[..., i, j, k] = d sigma_jk / d q^i in closed form; ``h`` is
+        """D[..., i, j, k] = d sigma_jk / d xi^i in closed form; ``h`` is
         not used."""
         return self._metric_and_derivatives(q)[1]
 
@@ -345,16 +326,15 @@ class _SurfacePatch(MetricPatch):
 
 
 def chart_spatial_patch(chart):
-    """Slice metric in the chart's spatial coordinates xi as a MetricPatch.
+    """The slice metric of the chart's origin leaf as a MetricPatch of the
+    spatial chart coordinates xi, with one surface call per batch.
 
     The chart's frame normalization is a constant linear map E0, so the
-    surface metric transforms by congruence: sigma_xi = E0^-T sigma_q E0^-1
-    evaluated at q = q0 + E0^-1 xi, with one surface call per batch. It
-    pairs with densities of xi such as ``slice_density``.
+    graph metric transforms by congruence: sigma_xi = E0^-T sigma_q E0^-1
+    at q = q0 + E0^-1 xi. It pairs with densities of xi such as
+    ``slice_density``.
     """
-    return _SurfacePatch(chart.surface,
-                         frame=(chart.base_origin, chart.frame_matrix_inv),
-                         name="chart-slice")
+    return _SurfacePatch(chart)
 
 
 def polar_flat_patch(analytic_derivatives=True):
@@ -549,7 +529,7 @@ def metric_compatibility_residual(patch, q):
 def geometry_diagnostics(chart, half_width=1.0, n_per_axis=3, xi0=0.0):
     """Lattice summary of max|g0i|, max|g00 + 1|, sigma and curvature."""
     spatial = _lattice([np.linspace(-half_width, half_width, n_per_axis)] * 3)
-    patch = MetricPatch.from_chart(chart)
+    patch = chart_spatial_patch(chart)
     budget = curvature_budget()
 
     xi = np.concatenate([np.full((len(spatial), 1), float(xi0)), spatial],
@@ -558,10 +538,9 @@ def geometry_diagnostics(chart, half_width=1.0, n_per_axis=3, xi0=0.0):
     max_g0i = float(np.max(np.abs(g[:, 0, 1:])))
     max_g00_dev = float(np.max(np.abs(g[:, 0, 0] + 1.0)))
 
-    base_pts = chart.base_origin + spatial @ chart.frame_matrix_inv.T
-    flat = flatness_report(patch, base_pts, budget=budget)
-    # the curvature's centre rows left sigma at base_pts in the memo
-    eig_records = np.linalg.eigvalsh(patch.factors(base_pts)[0]).tolist()
+    flat = flatness_report(patch, spatial, budget=budget)
+    # the curvature's centre rows left sigma on the lattice in the memo
+    eig_records = np.linalg.eigvalsh(patch.factors(spatial)[0]).tolist()
     return {
         "xi0": float(xi0),
         "lattice_half_width": float(half_width),

@@ -39,6 +39,7 @@ from comovkit.estimators import energy_report, osmotic_identity_report, slice_de
 from comovkit.fields import Box, four_velocity, make_plane_wave
 from comovkit.geometry import (
     MetricPatch,
+    chart_spatial_patch,
     flatness_report,
     geometry_diagnostics,
     ricci_scalar,
@@ -350,7 +351,7 @@ def test_07_energy_two_route(constants, boost_wave, boost_chart):
     gauss_delta = abs(rep.mu_direct - rep.mu_identity)
 
     density, grad_log_density = slice_density(boost_wave, boost_chart)
-    patch = MetricPatch.from_chart(boost_chart)
+    patch = chart_spatial_patch(boost_chart)
     small = Box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
     wave = energy_report(density, patch, constants, small, order=4,
                          time_order=4, delta=0.5,

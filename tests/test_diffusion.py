@@ -996,7 +996,7 @@ def _reference_binned_drift(ensemble, bins, condition_on):
     )
     _, se, _ = batch_mean_se(bmeans)
     return {"count": count, "mean": overall, "anchor_mean": anchor_mean,
-            "batch_mean": bmeans, "batch_count": bcount, "se": se}
+            "batch_mean": bmeans, "se": se}
 
 
 def _reference_density(ensemble, bins, patch):

@@ -245,7 +245,7 @@ def test_wave_operator_and_current_take_batches(packet9):
     assert batch.classification.ravel().tolist() == [
         s.classification for s in singles]
     # each field to the round-off of its largest entry
-    for name in ("j", "j_cov", "invariant", "density", "modulus_residual",
+    for name in ("j", "invariant", "density", "modulus_residual",
                  "cross_check"):
         want = np.reshape([getattr(s, name) for s in singles], (6, -1))
         np.testing.assert_allclose(
@@ -256,13 +256,13 @@ def test_wave_operator_and_current_take_batches(packet9):
 def test_current_sample_checks_every_event():
     j = np.zeros((2, 4))
     with pytest.raises(ValueError, match="classification"):
-        CurrentSample(np.zeros((2, 4)), j, j, np.zeros(2), np.ones(2),
+        CurrentSample(np.zeros((2, 4)), j, np.zeros(2), np.ones(2),
                       np.array(["one_particle", "bogus"]), np.zeros(2),
-                      np.zeros(2), 1e-9)
+                      np.zeros(2))
     with pytest.raises(ValueError, match="causal"):
-        CurrentSample(np.zeros((2, 4)), j, j, np.array([-1.0, 1.0]),
+        CurrentSample(np.zeros((2, 4)), j, np.array([-1.0, 1.0]),
                       np.ones(2), np.array(["indeterminate", "specular"]),
-                      np.zeros(2), np.zeros(2), 1e-9)
+                      np.zeros(2), np.zeros(2))
 
 
 def test_comoving_kg_residual_takes_batches(packet9, packet9_chart):

@@ -28,7 +28,7 @@ from comovkit.estimators import (
     velocities_from_drifts,
 )
 from comovkit.fields import ROW_BLOCK, Box, _lattice
-from comovkit.geometry import MetricPatch
+from comovkit.geometry import MetricPatch, chart_spatial_patch
 from conftest import family_checks, traced_peak
 
 SIGMA_RHO = 1.0
@@ -355,15 +355,14 @@ def test_energy_constant_density_is_rest_value():
 def test_energy_report_rejects_bad_gamma():
     with pytest.raises(ValueError):
         EnergyReport(mu_direct=0.0, mu_identity=0.0, e_u2=0.0,
-                     gamma_tilde=1.5, ratio=0.0, delta=1.0, order=8,
-                     normalization=1.0)
+                     gamma_tilde=1.5, order=8, normalization=1.0)
 
 
 def test_energy_on_plane_wave_slice(boost_chart):
     # constant unit density on every leaf: the rest energy comes out
     # exactly, through the full chart -> slice-density route
     density, grad_log_density = slice_density(boost_chart.bundle, boost_chart)
-    patch = MetricPatch.from_chart(boost_chart)
+    patch = chart_spatial_patch(boost_chart)
     box = Box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
     rep = energy_report(density, patch, CONSTANTS, box, order=4,
                         time_order=4, grad_log_density=grad_log_density)

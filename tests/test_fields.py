@@ -19,7 +19,7 @@ from comovkit.errors import (
     NodeInDomain,
 )
 from comovkit.fields import (
-    HYPOTHESIS_BLOCK,
+    ROW_BLOCK,
     Box,
     PacketBundle,
     central_gradient,
@@ -568,9 +568,9 @@ def test_hypotheses_detect_vanishing_v0(near_standing, constants):
 
 
 def test_blocked_scan_equals_whole_lattice_reductions(packet9, constants):
-    # 4 347 events: four full blocks and a remainder of 251
+    # 4 347 events: eight full blocks and a remainder of 251
     shape = (3, 161, 3, 3)
-    assert np.prod(shape) % HYPOTHESIS_BLOCK
+    assert np.prod(shape) % ROW_BLOCK == 251
     report = check_theorem_hypotheses(packet9, shape=shape)
     # the default window of packet9's box is the box itself
     pts = packet9.domain.grid(shape)
@@ -581,7 +581,7 @@ def test_blocked_scan_equals_whole_lattice_reductions(packet9, constants):
     # the minimum is attained exactly in later blocks too, and the report
     # keeps the first event, as one argmin does
     ties = np.flatnonzero(np.abs(v0) == np.abs(v0)[n])
-    assert np.max(ties) >= HYPOTHESIS_BLOCK
+    assert np.max(ties) >= ROW_BLOCK
     assert report.min_abs_v0 == np.abs(v0)[n]
     assert report.argmin_v0 == tuple(pts[n])
     assert report.v0_sign_change == bool(v0.max() > 0.0 > v0.min())
@@ -595,6 +595,17 @@ def test_blocked_scan_equals_whole_lattice_reductions(packet9, constants):
     assert report.v0_floor == 1e-8 * constants.c
     assert report.lattice_shape == shape
     assert report.passed
+
+
+def test_hypotheses_scan_memory_stays_one_block(packet9):
+    # the lattice is built block by block from its axes: 102 400 events
+    # would take 3.3 MB as one (n, 4) array, and the scan's peak stays at
+    # the size of a few blocks' field evaluations
+    shape = (8, 40, 40, 8)
+    report, peak = traced_peak(
+        lambda: check_theorem_hypotheses(packet9, shape=shape))
+    assert report.lattice_shape == shape
+    assert peak < 1_500_000
 
 
 @pytest.mark.parametrize("kind", ["packet", "plane_wave", "conjugate",
@@ -652,4 +663,10 @@ def test_conjugate_flips_phase_keeps_density(packet9):
 
 
 def test_conjugate_is_involution(boost_wave):
-    assert boost_wave.conjugate().conjugate() is boost_wave
+    twice = boost_wave.conjugate().conjugate()
+    np.testing.assert_array_equal(twice.kappas, boost_wave.kappas)
+    pts = np.random.default_rng(5).uniform(-2.0, 2.0, size=(20, 4))
+    for name in ("density", "phase", "phase_gradient", "phase_hessian",
+                 "density_gradient", "density_hessian"):
+        np.testing.assert_array_equal(getattr(twice, name)(pts),
+                                      getattr(boost_wave, name)(pts))

@@ -385,13 +385,20 @@ def test_pullback_metric_packet_block_structure(packet9_chart):
 
 
 def test_spatial_metric_boost_graph_value(boost_chart):
-    patch = MetricPatch.from_chart(boost_chart)
-    q = np.array([0.7, -0.3, 0.2])
-    sigma, inverse, sqrt_det = patch.factors(q)
-    np.testing.assert_allclose(sigma, np.diag([0.64, 1.0, 1.0]), atol=1e-10)
-    g = patch.noise_factor(q)
+    # the 0.6c wave's graph metric over the base coordinates q is
+    # diag(0.64, 1, 1); the frame E0 = diag(0.8, 1, 1) makes the chart
+    # slice Euclidean
+    xi = np.array([0.7, -0.3, 0.2])
+    q = boost_chart.base_point(xi)
+    np.testing.assert_allclose(boost_chart.surface.metric(q),
+                               np.diag([0.64, 1.0, 1.0]), atol=1e-10)
+    patch = chart_spatial_patch(boost_chart)
+    sigma, inverse, sqrt_det = patch.factors(xi)
+    np.testing.assert_allclose(sigma, np.eye(3), atol=1e-10)
+    np.testing.assert_allclose(inverse, np.eye(3), atol=1e-10)
+    g = patch.noise_factor(xi)
     np.testing.assert_allclose(g @ g.T, inverse, atol=1e-12)
-    assert sqrt_det == pytest.approx(0.8, abs=1e-10)
+    assert sqrt_det == pytest.approx(1.0, abs=1e-10)
 
 
 def test_chart_spatial_patch_plane_wave_identity(boost_chart):
@@ -403,8 +410,9 @@ def test_chart_spatial_patch_plane_wave_identity(boost_chart):
                                np.broadcast_to(np.eye(3), (2, 6, 3, 3)),
                                rtol=0.0, atol=1e-12)
     assert patch.sqrt_det(pts[0, 0]) == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(MetricPatch.from_chart(boost_chart).metric(
-        pts[0, 0]), np.diag([0.64, 1.0, 1.0]), atol=1e-12)
+    np.testing.assert_allclose(boost_chart.surface.metric(
+        boost_chart.base_point(pts[0, 0])), np.diag([0.64, 1.0, 1.0]),
+        atol=1e-12)
 
 
 def test_chart_spatial_patch_matches_pointwise_congruence(packet9_chart):
@@ -412,7 +420,7 @@ def test_chart_spatial_patch_matches_pointwise_congruence(packet9_chart):
     e_inv = packet9_chart.frame_matrix_inv
     surface = packet9_chart.surface
     single = np.stack([
-        e_inv.T @ surface.metric(packet9_chart.base_origin + e_inv @ q) @ e_inv
+        e_inv.T @ surface.metric(packet9_chart.base_point(q)) @ e_inv
         for q in pts
     ])
     np.testing.assert_allclose(chart_spatial_patch(packet9_chart).metric(pts),
@@ -420,7 +428,7 @@ def test_chart_spatial_patch_matches_pointwise_congruence(packet9_chart):
 
 
 def test_chart_patch_flatness(packet9_chart):
-    patch = MetricPatch.from_chart(packet9_chart)
+    patch = chart_spatial_patch(packet9_chart)
     pts = np.array([
         [0.0, 0.0, 0.0],
         [0.8, -0.5, 0.3],
@@ -541,7 +549,7 @@ def test_batched_riemann_equals_pointwise_stack(name, data):
 
 
 def test_batched_riemann_chart_patch(packet9_chart):
-    patch = MetricPatch.from_chart(packet9_chart)
+    patch = chart_spatial_patch(packet9_chart)
     pts = np.array([[0.0, 0.0, 0.0], [0.8, -0.5, 0.3], [-0.6, 0.9, -0.7],
                     [1.0, 1.0, -1.0]])
     batched = riemann(patch, pts)
@@ -570,14 +578,11 @@ def height_rows(monkeypatch):
     return rows
 
 
-@pytest.mark.parametrize("coords", ["base", "chart"])
-def test_chart_patch_solves_each_batch_once(packet9_chart, coords,
-                                            height_rows):
+def test_chart_patch_solves_each_batch_once(packet9_chart, height_rows):
     # sigma and its closed-form derivatives share one height solve: the
     # 750 stencil neighbours and then the 125 centres of a 5^3 lattice
     rows = height_rows
-    patch = (MetricPatch.from_chart(packet9_chart) if coords == "base"
-             else chart_spatial_patch(packet9_chart))
+    patch = chart_spatial_patch(packet9_chart)
     ax = np.linspace(-1.0, 1.0, 5)
     q = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
     riemann(patch, q.reshape(-1, 3))
@@ -930,16 +935,14 @@ def _richardson_bound(fd, h):
 
 
 @pytest.mark.parametrize("carrier", [(0.0, 0.0, 0.0), MOVING])
-@pytest.mark.parametrize("coords", ["base", "chart"])
 def test_surface_sigma_derivatives_match_central_differences(constants,
-                                                             coords, carrier):
+                                                             carrier):
     chart = _shipped_packet_chart(constants, carrier=carrier)
-    patch = (MetricPatch.from_chart(chart) if coords == "base"
-             else chart_spatial_patch(chart))
+    patch = chart_spatial_patch(chart)
     q = np.random.default_rng(50).uniform(-1.0, 1.0, size=(6, 3))
     exact = patch.sigma_derivatives(q)
     assert exact.shape == (6, 3, 3, 3)
-    # symmetric in j, k up to the round-off of the congruence E^T D E
+    # symmetric in j, k up to the round-off of E^T f_ik E and E^T f
     np.testing.assert_allclose(
         exact, np.swapaxes(exact, -1, -2), rtol=0.0,
         atol=8.0 * np.finfo(float).eps * float(np.max(np.abs(exact))))
@@ -970,7 +973,7 @@ def test_slice_log_gradient_matches_central_differences(constants):
             lambda p: np.log(rho(p.reshape(-1, 3))).reshape(p.shape[:-1]),
             xi, h)
 
-    x = chart.surface.embed(chart.base_origin + xi @ chart.frame_matrix_inv.T)
+    x = chart.surface.embed(chart.base_point(xi))
     p, dp = bundle.density(x), bundle.density_gradient(x)
     # round-off of the stencil: ln rho to 8 eps, and the leaf height,
     # solved to 1e-10 of the phase scale, moves it by up to |d_0 ln p|
@@ -989,17 +992,19 @@ def test_slice_log_gradient_matches_central_differences(constants):
     assert float(np.max(np.abs(flat - fd(DEFAULT_H)))) > 1e3 * tol
 
 
-def _gauss_riemann(chart, q, sign=-1.0):
-    """R_jklm = sign (K_jl K_km - K_jm K_kl) of the origin level set.
+def _gauss_riemann(chart, xi, sign=-1.0):
+    """R_abcd = sign (K_ac K_bd - K_ad K_bc) of the origin level set at
+    spatial chart coordinates xi, in those coordinates.
 
     The level set is the graph x0 = f(q) with f_i = -S_i / S_0 and, from
     differentiating S(f(q), q) = const twice, f_ik = -(S_ik + S_i0 f_k +
-    S_0k f_i + S_00 f_i f_k) / S_0; its second fundamental form is
+    S_0k f_i + S_00 f_i f_k) / S_0; its second fundamental form over q is
     K_ij = f_ij / sqrt(1 - |f|^2). The Gauss equation of a spacelike
     hypersurface in Minkowski space takes sign = -1 (O'Neill,
-    Semi-Riemannian Geometry, 1983, ch. 4).
+    Semi-Riemannian Geometry, 1983, ch. 4). At q = q0 + E0^-1 xi the
+    tensor over q carries E0^-1 on each of its four indices to xi.
     """
-    x = chart.surface.embed(q)
+    x = chart.surface.embed(chart.base_point(xi))
     s1 = chart.bundle.phase_gradient(x)
     s2 = chart.bundle.phase_hessian(x)
     f = -s1[:, 1:] / s1[:, :1]
@@ -1007,8 +1012,10 @@ def _gauss_riemann(chart, q, sign=-1.0):
             + f[:, :, None] * s2[:, :1, 1:]
             + s2[:, :1, :1] * f[:, :, None] * f[:, None, :]) / s1[:, :1, None]
     k = fik / np.sqrt(1.0 - np.sum(f * f, axis=-1))[:, None, None]
-    return sign * (np.einsum("njl,nkm->njklm", k, k)
-                   - np.einsum("njm,nkl->njklm", k, k))
+    r = sign * (np.einsum("njl,nkm->njklm", k, k)
+                - np.einsum("njm,nkl->njklm", k, k))
+    e = chart.frame_matrix_inv
+    return np.einsum("njklm,ja,kb,lc,md->nabcd", r, e, e, e, e)
 
 
 @pytest.mark.parametrize("scale, carrier", [(1.0, (0.0, 0.0, 0.0)),
@@ -1016,14 +1023,14 @@ def _gauss_riemann(chart, q, sign=-1.0):
                                             (1.0, MOVING)])
 def test_chart_slice_riemann_obeys_gauss_equation(constants, scale, carrier):
     chart = _shipped_packet_chart(constants, scale, carrier)
-    patch = MetricPatch.from_chart(chart)
-    q = np.random.default_rng(51).uniform(-1.0, 1.0, size=(5, 3))
+    patch = chart_spatial_patch(chart)
+    xi = np.random.default_rng(51).uniform(-1.0, 1.0, size=(5, 3))
 
     def lowered(h):
-        return np.einsum("nji,niklm->njklm", patch.metric(q),
-                         riemann(patch, q, h=h))
+        return np.einsum("nji,niklm->njklm", patch.metric(xi),
+                         riemann(patch, xi, h=h))
 
-    gauss = _gauss_riemann(chart, q)
+    gauss = _gauss_riemann(chart, xi)
     scale_r = float(np.max(np.abs(gauss)))
     tol = _richardson_bound(lowered, DEFAULT_H)
     err = float(np.max(np.abs(lowered(DEFAULT_H) - gauss)))
@@ -1031,6 +1038,6 @@ def test_chart_slice_riemann_obeys_gauss_equation(constants, scale, carrier):
     assert tol < 1e-2 * scale_r
     # known-failure control: the Riemannian sign misses by about 2 |R|
     wrong = float(np.max(np.abs(lowered(DEFAULT_H)
-                                - _gauss_riemann(chart, q, sign=1.0))))
+                                - _gauss_riemann(chart, xi, sign=1.0))))
     assert wrong > 1.9 * scale_r
     assert wrong > 100.0 * tol
