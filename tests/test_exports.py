@@ -3,9 +3,11 @@ every export and every public module-level function or class of the
 package that no code outside tests/ reaches is allowlisted with a reason,
 so dead code cannot come back unnoticed; so is every defaulted parameter
 of a public function or method that no code outside tests/ passes, so an
-option only tests set cannot come back unnoticed; the package imports
-exactly the runtime dependencies pyproject.toml names; every Python example
-in README.md runs, so it cannot call a deleted name."""
+option only tests set cannot come back unnoticed, and every field of a
+public dataclass that no code reads, so a write-only result cannot come
+back unnoticed; the package imports exactly the runtime dependencies
+pyproject.toml names; every Python example in README.md runs, so it
+cannot call a deleted name."""
 
 import ast
 import importlib
