@@ -37,9 +37,8 @@ the vectors it maps. For a constant-gradient (plane-wave) field the flow
 field is constant, RK4 is exact, and the chart is the closed-form Lorentz
 boost into the rest frame.
 
-Level-set heights that Newton leaves unconverged are found by
-``bracketed_roots``, one batched Chandrupatla iteration over an array of
-brackets.
+Level-set heights that Newton leaves unconverged are found by one batched
+bisection of the domain's time range.
 """
 
 from dataclasses import dataclass, field
@@ -70,73 +69,7 @@ DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
 FLOW_STEPS = 1  # RK4 steps of a row's first attempt, over its whole span
 MAX_FLOW_STEPS = 1024
-ROOT_MAX_ITER = 200  # bracketed-root evaluations per row
 JACOBIAN_STEP = 1e-3  # central-difference step of the map Jacobians
-
-
-# ---------------------------------------------------------------------------
-# bracketed roots
-
-
-def bracketed_roots(func, lo, hi, xtol):
-    """Roots of a batch of scalar functions, one per bracket [lo, hi].
-
-    ``func(x, rows)`` returns the values at x (k,) of the functions of the
-    listed rows (k,) of the batch; ``lo``, ``hi`` and ``xtol`` broadcast to
-    the batch (n,). Every bracket must hold a sign change, and an endpoint
-    where its function vanishes is returned as it is. All open rows take
-    one step of Chandrupatla's method together (Adv. Eng. Software 28:145,
-    1997): inverse quadratic interpolation where it is safe, bisection
-    otherwise, never leaving the bracket. A row closes once its bracket is
-    narrower than xtol + 4 eps |x| or its function vanishes, and returns the
-    bracket end with the smaller residual. RootFailure names the first row
-    still open after ``ROOT_MAX_ITER`` evaluations.
-    """
-    max_iter = ROOT_MAX_ITER
-    x1, x2, xtol = (np.array(v, dtype=float).reshape(-1) for v in
-                    np.broadcast_arrays(lo, hi, xtol))
-    live = np.arange(x1.size)
-    f1, f2 = func(x1, live), func(x2, live)
-    if np.any(np.sign(f1) * np.sign(f2) > 0):
-        n = int(np.argmax(np.sign(f1) * np.sign(f2) > 0))
-        raise NoBracket(f"[{x1[n]:.17g}, {x2[n]:.17g}] holds no sign change")
-    roots = np.empty(x1.size)
-    x3, f3 = x2, f2
-    t = np.full(x1.size, 0.5)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for it in range(max_iter + 1):
-            first = np.abs(f1) <= np.abs(f2)
-            best = np.where(first, x1, x2)
-            tl = (0.5 * xtol + 2.0 * np.finfo(float).eps * np.abs(best)) \
-                / np.abs(x2 - x1)
-            done = (tl > 0.5) | (np.where(first, f1, f2) == 0.0)
-            roots[live[done]] = best[done]
-            keep = ~done
-            live, x1, x2, x3, f1, f2, f3, xtol, t, tl = (
-                v[keep] for v in (live, x1, x2, x3, f1, f2, f3, xtol, t, tl))
-            if not live.size:
-                return roots
-            if it == max_iter:
-                break
-            xt = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
-            ft = func(xt, live)
-            # the new point replaces the bracket end of its own sign
-            same = np.sign(ft) == np.sign(f1)
-            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-            x1, f1 = xt, ft
-            xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (f3 - f2)
-            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-            t = np.where(
-                iqi,
-                f1 / (f2 - f1) * f3 / (f2 - f3)
-                + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2),
-                0.5)
-    raise RootFailure(
-        f"root in [{min(x1[0], x2[0]):.17g}, {max(x1[0], x2[0]):.17g}] "
-        f"not resolved to {xtol[0]:.3g} in {max_iter} iterations"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -240,25 +173,19 @@ def solve_height(surface, q):
 
     A damped, trust-capped Newton runs on the whole batch, dropping points
     as they converge; points it leaves unconverged (or converged outside
-    the domain's x0 range) fall back together to bracket expansion and one
-    ``bracketed_roots`` call. The phase is strictly monotone in x0 wherever
-    the hypotheses hold, so each root is unique. Residual tolerance is 1e-10
-    times the phase scale. Returns (...) heights, a float for one point.
-    ZeroSlope and NoBracket name the offending base point.
+    the domain's x0 range) fall back together to one bisection of that
+    range. The phase is strictly monotone in x0 wherever the hypotheses
+    hold, so each root is unique. Residual tolerance is 1e-10 times the
+    phase scale. Returns (...) heights, a float for one point. ZeroSlope
+    and NoBracket name the offending base point.
     """
     bundle = surface.bundle
     q = np.asarray(q, dtype=float)
     rows = q.reshape(-1, 3)
     tol = 1e-10 * surface.scale
-    start = np.full(len(rows), surface.origin[0])
+    tmin, tmax = bundle.domain.lo[0], bundle.domain.hi[0]
 
-    if bundle.domain is not None:
-        tmin = bundle.domain.lo[0]
-        tmax = bundle.domain.hi[0]
-    else:
-        tmin, tmax = -np.inf, np.inf
-
-    t = start.copy()
+    t = np.full(len(rows), surface.origin[0])
     done = np.zeros(len(rows), dtype=bool)
     live = np.arange(len(rows))
     for _ in range(30):
@@ -285,44 +212,40 @@ def solve_height(surface, q):
         t[live] = t[live] + np.clip(-r / slope, -cap, cap)
     rest = np.flatnonzero(~done)
     if rest.size:
-        t[rest] = _bracket_heights(surface, rows[rest], start[rest], tmin,
-                                   tmax)
+        t[rest] = _bisect_heights(surface, rows[rest], tmin, tmax)
     return float(t[0]) if q.ndim == 1 else t.reshape(q.shape[:-1])
 
 
-def _bracket_heights(surface, q, x0, tmin, tmax):
-    """Heights at base points (n, 3) by bracket expansion about x0 (n,).
+def _bisect_heights(surface, q, tmin, tmax):
+    """Heights at base points (n, 3) by one batched bisection of [tmin, tmax].
 
-    Every bracket widens in both directions, doubling its step, until it
-    holds a sign change or fills [tmin, tmax]; one bracketed root call then
-    solves all of them. NoBracket names the first base point whose bracket
-    fills the range, or has no sign change after 60 doublings.
+    The phase is monotone in x0 under the chart hypotheses, so a sign change
+    of S - level over the range holds its one root; NoBracket names the
+    first base point without one. Every interval halves until it is
+    narrower than 1e-14 (1 + max|t|) or stops shrinking.
     """
 
-    def f(t, rows):
-        x = np.concatenate([t[:, None], q[rows]], axis=1)
-        return surface.bundle.phase(x) - surface.level
+    def f(t):
+        return surface.bundle.phase(
+            np.concatenate([t[:, None], q], axis=1)) - surface.level
 
-    lo = np.clip(x0, tmin, tmax)
-    hi = lo.copy()
-    open_ = np.arange(len(q))
-    stuck = np.zeros(len(q), dtype=bool)
-    width = 0.5
-    for _ in range(60):
-        lo[open_] = np.maximum(lo[open_] - width, tmin)
-        hi[open_] = np.minimum(hi[open_] + width, tmax)
-        found = f(lo[open_], open_) * f(hi[open_], open_) <= 0.0
-        full = (lo[open_] == tmin) & (hi[open_] == tmax)
-        stuck[open_[full & ~found]] = True
-        open_ = open_[~(found | full)]
-        if not open_.size:
-            break
-        width *= 2.0
-    stuck[open_] = True
-    if np.any(stuck):
-        raise NoBracket("no sign change of S - level found for base point "
-                        f"{q[np.argmax(stuck)].tolist()}")
-    return bracketed_roots(f, lo, hi, 1e-14 * (1.0 + np.abs(x0)))
+    lo, hi = np.full(len(q), tmin), np.full(len(q), tmax)
+    f_lo = f(lo)
+    unbracketed = np.sign(f_lo) * np.sign(f(hi)) > 0
+    if np.any(unbracketed):
+        raise NoBracket(f"no sign change of S - level on [{tmin}, {tmax}] "
+                        f"for base point {q[np.argmax(unbracketed)].tolist()}")
+    while True:
+        mid = 0.5 * (lo + hi)
+        tol = 1e-14 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+        open_ = (hi - lo >= tol) & (lo < mid) & (mid < hi)
+        if not np.any(open_):
+            return mid
+        f_mid = f(mid)
+        # the root lies above mid where S - level keeps the sign it has at lo
+        up = open_ & (np.sign(f_mid) == np.sign(f_lo))
+        lo, f_lo = np.where(up, mid, lo), np.where(up, f_mid, f_lo)
+        hi = np.where(open_ & ~up, mid, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,7 @@ from .estimators import (
     velocities_from_drifts,
 )
 from .fields import (
+    HYPOTHESIS_EVENTS_MAX,
     HYPOTHESIS_SHAPE,
     Box,
     check_theorem_hypotheses,
@@ -984,6 +985,13 @@ def _check_cross_fields(raw):
                     ("/diffusion/bins",
                      "bin box [%s, %s] must lie inside the field box [%s, %s]"
                      % (bins["lo"], bins["hi"], box["lo"], box["hi"])))
+
+    events = math.prod(raw.get("lattices", {}).get("hypothesis_shape", ()))
+    if events > HYPOTHESIS_EVENTS_MAX:
+        errors.append(("/lattices/hypothesis_shape",
+                       "lattice of %d events exceeds the hypotheses scan's "
+                       "budget of %d events"
+                       % (events, HYPOTHESIS_EVENTS_MAX)))
 
     if field_type == "packet":
         nw = len(field_spec["wavevectors"])

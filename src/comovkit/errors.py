@@ -55,7 +55,8 @@ class StepFailure(ComovkitError):
 
 
 class NoBracket(ComovkitError):
-    """Root bracketing failed: no sign change inside the search interval."""
+    """S - level has no sign change over the domain's time range at a base
+    point of a height solve; names the base point."""
 
 
 class ZeroSlope(ComovkitError):
@@ -63,7 +64,8 @@ class ZeroSlope(ComovkitError):
 
 
 class RootFailure(ComovkitError):
-    """A root finder failed to converge to the requested tolerance."""
+    """The chart's forward-map Jacobian is numerically singular (|det| below
+    1e-12) at an event; names the first such event."""
 
 
 class NotSpacelike(ComovkitError):

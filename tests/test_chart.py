@@ -22,7 +22,6 @@ from comovkit.chart import (
     _phase_rhs,
     _rk4,
     boost_to_rest_frame,
-    bracketed_roots,
     chart_diagnostics,
     flow_to_level,
     solve_height,
@@ -227,79 +226,86 @@ def test_batched_solve_height_no_bracket_names_point():
                                [0.06, -0.18], atol=1e-12)
 
 
-def _row_family(func, params):
-    """func(x, p) over a batch, one parameter per row."""
-    return lambda x, rows: func(x, params[rows])
-
-
-@pytest.mark.parametrize("case", ["cubic", "exp", "arctan"])
-def test_bracketed_roots_match_brentq(case):
-    # scipy's brentq is an independent oracle; the old callers used
-    # xtol = 1e-14 (1 + |x0|) and 1e-13 (1 + |lam|)
-    rng = np.random.default_rng(41)
-    func, params, lo, hi, exact = {
-        "cubic": (lambda x, c: x ** 3 - c, rng.uniform(-8.0, 8.0, 40),
-                  -3.0, 3.0, np.cbrt),
-        "exp": (lambda x, c: np.exp(x) - c, rng.uniform(0.1, 10.0, 40),
-                -5.0, 5.0, np.log),
-        "arctan": (lambda x, c: np.arctan(x) - c, rng.uniform(-1.2, 1.2, 40),
-                   -30.0, 30.0, np.tan),
-    }[case]
-    xtol = 1e-13
-    roots = bracketed_roots(_row_family(func, params),
-                            np.full(params.shape, lo), hi, xtol)
-    oracle = np.array([brentq(lambda x, c=c: func(x, c), lo, hi, xtol=xtol)
-                       for c in params])
-    np.testing.assert_allclose(roots, oracle, rtol=0.0, atol=xtol)
-    np.testing.assert_allclose(roots, exact(params), rtol=0.0, atol=xtol)
-
-
-def test_bracketed_roots_endpoints_and_failures(monkeypatch):
+@pytest.fixture
+def fallback_batches(monkeypatch):
+    """The batch sizes of solve_height's calls to its bisection fallback."""
     import comovkit.chart as chart_module
 
-    # roots on the lower end, on the upper end, inside, and in a bracket
-    # given high end first
-    c = np.array([-1.0, 2.0, 0.25, 0.5])
-    lo = np.array([-1.0, -1.0, -1.0, 2.0])
-    hi = np.array([2.0, 2.0, 2.0, -1.0])
-    roots = bracketed_roots(lambda x, rows: x - c[rows], lo, hi, 1e-14)
-    assert roots[0] == -1.0 and roots[1] == 2.0
-    np.testing.assert_allclose(roots[2:], [0.25, 0.5], rtol=0.0, atol=1e-14)
-    monkeypatch.setattr(chart_module, "ROOT_MAX_ITER", 3)
-    with pytest.raises(RootFailure, match="3 iterations"):
-        bracketed_roots(lambda x, rows: np.exp(x) - 2.0, [0.0, -1.0], 1.0,
-                        1e-14)
-    with pytest.raises(NoBracket, match="no sign change"):
-        bracketed_roots(lambda x, rows: x - 5.0, [0.0, 0.0], [6.0, 1.0], 1e-14)
-
-
-def test_solve_height_bracket_fallback_batch(monkeypatch):
-    # Newton starts at the origin's height; moved to 1e12 after the level
-    # is fixed, the trust-capped Newton only halves its distance per
-    # iteration, so every point falls back to the batched bracket
-    import comovkit.chart as chart_module
-
-    bundle = make_plane_wave([0.75, 0.0, 0.0],
-                             domain=Box((-1.0,) * 4, (1.0,) * 4))
-    surface = ReferenceSurface(bundle, np.zeros(4))
-    surface.origin[0] = 1e12
     batches = []
-    fallback = chart_module._bracket_heights
+    fallback = chart_module._bisect_heights
 
     def spy(surface, q, *args):
         batches.append(len(q))
         return fallback(surface, q, *args)
 
-    monkeypatch.setattr(chart_module, "_bracket_heights", spy)
+    monkeypatch.setattr(chart_module, "_bisect_heights", spy)
+    return batches
+
+
+def test_solve_height_bracket_fallback_batch(fallback_batches):
+    # Newton starts at the origin's height; moved to 1e12 after the level
+    # is fixed, the trust-capped Newton only halves its distance per
+    # iteration, so every point falls back to the batched bisection
+    bundle = make_plane_wave([0.75, 0.0, 0.0],
+                             domain=Box((-1.0,) * 4, (1.0,) * 4))
+    surface = ReferenceSurface(bundle, np.zeros(4))
+    surface.origin[0] = 1e12
     qs = np.random.default_rng(43).uniform(-1.0, 1.0, size=(7, 3))
     heights = solve_height(surface, qs)
-    assert batches == [7]
+    assert fallback_batches == [7]
     np.testing.assert_allclose(heights, 0.6 * qs[:, 0], rtol=0.0, atol=1e-12)
     single = [solve_height(surface, q) for q in qs]
     np.testing.assert_allclose(heights, single, rtol=0.0, atol=1e-14)
     bad = np.vstack([qs[:3], [[1.9, 0.0, 0.0]], qs[3:]])
     with pytest.raises(NoBracket, match=r"\[1\.9, 0\.0, 0\.0\]"):
         solve_height(surface, bad)
+
+
+class _CubicPhaseBundle(FieldBundle):
+    """S = -(x0 + a x0^3) + k . q: monotone but not linear in x0."""
+
+    a, k = 0.3, np.array([0.4, -0.2, 0.1])
+
+    def _phase(self, x):
+        x = np.asarray(x)
+        return -(x[..., 0] + self.a * x[..., 0] ** 3) + x[..., 1:] @ self.k
+
+    def _phase_gradient(self, x):
+        x = np.asarray(x)
+        g = np.empty(x.shape)
+        g[..., 0] = -(1.0 + 3.0 * self.a * x[..., 0] ** 2)
+        g[..., 1:] = self.k
+        return g
+
+
+def test_solve_height_fallback_matches_brentq(fallback_batches):
+    # from 1e12 Newton on the cubic only takes a third of its distance per
+    # iteration, so every point falls back to the bisection; scipy's brentq
+    # on the same range is an independent oracle
+    bundle = _CubicPhaseBundle(PhysicalConstants(),
+                               Box((-2.0,) * 4, (2.0,) * 4))
+    surface = ReferenceSurface(bundle, np.zeros(4))
+    surface.origin[0] = 1e12
+    qs = np.random.default_rng(44).uniform(-1.0, 1.0, size=(9, 3))
+    heights = solve_height(surface, qs)
+    assert fallback_batches == [9]
+    oracle = [brentq(lambda t, q=q: float(bundle.phase(np.r_[t, q]))
+                     - surface.level,
+                     -2.0, 2.0, xtol=1e-15) for q in qs]
+    np.testing.assert_allclose(heights, oracle, rtol=0.0, atol=1e-13)
+
+
+def test_singular_jacobian_names_event():
+    # a forward map that drops xi3 where x1 > 0 has a singular Jacobian
+    # there and only there
+    chart = ComovingChart(make_plane_wave([0.75, 0.0, 0.0]),
+                          origin=np.zeros(4))
+    chart.forward_map = lambda p, stats=None: np.where(
+        p[..., 1:2] > 0.0, p * [1.0, 1.0, 1.0, 0.0], p)
+    events = np.array([[0.0, -0.5, 0.0, 0.0], [0.1, 0.5, 0.2, 0.3]])
+    assert chart.jacobian(events[0]) == pytest.approx(np.eye(4))
+    with pytest.raises(RootFailure, match=r"\[0\.1, 0\.5, 0\.2, 0\.3\]"):
+        chart.jacobian(events)
 
 
 def test_inverse_map_threads_match_serial(packet9):

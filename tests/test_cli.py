@@ -238,6 +238,23 @@ def test_validate_rejects_a_box_with_no_interior(case, tmp_path, capsys):
     assert f"{pointer}: box [" in capsys.readouterr().err
 
 
+def test_validate_refuses_an_oversized_hypotheses_lattice(tmp_path, capsys):
+    # 3.4e8 events would scan for minutes; the shipped lattices stay valid
+    doc = json.loads((SCENARIOS / "near_standing_wave.json").read_text())
+    doc["lattices"]["hypothesis_shape"] = [1e6, 7, 7, 7]
+    assert main(["validate", write_scenario(tmp_path, doc)]) == 2
+    assert ("/lattices/hypothesis_shape: lattice of 343000000 events "
+            "exceeds the hypotheses scan's budget of 4194304 events"
+            in capsys.readouterr().err)
+    with pytest.raises(ConfigInvalid) as err:
+        validate(doc)
+    assert err.value.pointers == ["/lattices/hypothesis_shape"]
+    doc["lattices"]["hypothesis_shape"] = [64, 64, 32, 32]  # the budget
+    validate(doc)
+    for name in ("near_standing_wave", "packet_9mode"):
+        validate(SCENARIOS / f"{name}.json")
+
+
 @pytest.mark.parametrize("rule", sorted(CROSS_FIELD_RULES))
 def test_validate_rejects_each_cross_field_rule(rule):
     make, pointer, fragment = CROSS_FIELD_RULES[rule]
