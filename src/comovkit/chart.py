@@ -22,10 +22,15 @@ coordinates. A point x is assigned
 
 The inverse map flows the origin in its arc parameter, dx / d lambda =
 V / |V|, to find the target level, lifts the base point onto the origin
-level and flows it there. Every flow is classical RK4 over the whole
-batch (Hairer, Norsett & Wanner, *Solving ODEs I*, II.1), first with one
-step over each row's span. Its embedded third-order companion, which reuses
-the next step's first stage, gives each row an error estimate. Rows above
+level and flows it there. Both maps and ``solve_height`` take a batch
+ROW_BLOCK (512) rows at a time (``fields._in_row_blocks``), so every flow,
+arc integration and height solve inside them sees at most one block and
+their work memory is one block's whatever the batch; no row depends on
+the others, so the values are those of one whole-batch call. Every flow
+is classical RK4 over the whole block (Hairer, Norsett & Wanner, *Solving
+ODEs I*, II.1), first with one step over each row's span. Its embedded
+third-order companion, which reuses the next step's first stage, gives
+each row an error estimate. Rows above
 the chart tolerance, rows with a step end outside the domain and rows whose
 flow field turned NaN at a stage are rerun with twice the steps, up to a
 cap at which they raise StepFailure, LeftDomain or HypothesesFailed. The
@@ -58,6 +63,7 @@ from .errors import (
 )
 from .fields import (
     _float_or_array,
+    _in_row_blocks,
     _rows_times,
     as_coords,
     central_gradient,
@@ -70,6 +76,10 @@ DEFAULT_ATOL = 1e-11
 FLOW_STEPS = 1  # RK4 steps of a row's first attempt, over its whole span
 MAX_FLOW_STEPS = 1024
 JACOBIAN_STEP = 1e-3  # central-difference step of the map Jacobians
+# the most chart_diagnostics samples validate accepts: 2^16 samples ran for
+# 2.9 s in one run of packet_9mode's chart_diag (about 44 us per sample;
+# 2-core x86 machine)
+DIAGNOSTIC_SAMPLES_MAX = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +187,17 @@ def solve_height(surface, q):
     range. The phase is strictly monotone in x0 wherever the hypotheses
     hold, so each root is unique. Residual tolerance is 1e-10 times the
     phase scale. Returns (...) heights, a float for one point. ZeroSlope
-    and NoBracket name the offending base point.
+    and NoBracket name the offending base point. Batches run ROW_BLOCK
+    base points at a time.
     """
-    bundle = surface.bundle
     q = np.asarray(q, dtype=float)
+    return _in_row_blocks(lambda rows: _solve_heights(surface, rows),
+                          q.shape[:-1], q)
+
+
+def _solve_heights(surface, q):
+    """``solve_height`` on one batch of base points q (..., 3)."""
+    bundle = surface.bundle
     rows = q.reshape(-1, 3)
     tol = 1e-10 * surface.scale
     tmin, tmax = bundle.domain.lo[0], bundle.domain.hi[0]
@@ -259,10 +276,11 @@ class FlowStats:
     ``steps`` counts RK4 steps summed over rows, ``rhs_evaluations`` the
     phase-gradient rows evaluated (4 per step plus 1 per attempt), and
     ``max_error_estimate`` is the largest accepted per-row error estimate.
-    ``attempts`` counts batched RK4 runs and ``rejected_rows`` the rows
-    they rejected (above tolerance, outside the domain or with a NaN flow
-    field), each time it rejected them. Rejected attempts count in
-    the work but not in the estimate. Counters start at zero; the
+    ``attempts`` counts batched RK4 runs, one or more per row block of a
+    map call, and ``rejected_rows`` the rows they rejected (above
+    tolerance, outside the domain or with a NaN flow field), each time it
+    rejected them. Rejected attempts count in the work but not in the
+    estimate. Counters start at zero; the
     constructor takes none.
     """
 
@@ -433,8 +451,9 @@ class ComovingChart:
     Immutable after construction: the maps keep no reference curve or
     cache, so concurrent calls share no mutable state. ``forward_map``,
     ``inverse_map``, ``jacobian``, ``inverse_jacobian`` and ``pushforward``
-    take one event (4,) or a batch (..., 4), and each makes one batched
-    map call; pass a FlowStats as ``stats`` to count their flow work.
+    take one event (4,) or a batch (..., 4), and each makes one map call
+    over its batch, which flows it ROW_BLOCK (512) events at a time; pass
+    a FlowStats as ``stats`` to count their flow work.
 
     With ``validate`` the chart refuses, with HypothesesFailed, a field
     whose hypotheses report fails. That report is ``hypothesis_report``
@@ -483,6 +502,10 @@ class ComovingChart:
     def forward_map(self, x, stats=None):
         """Inertial events (..., 4) -> comoving coordinates (xi0, ..., xi3)."""
         x = as_coords(x)
+        return _in_row_blocks(lambda rows: self._forward(rows, stats),
+                              x.shape[:-1], x)
+
+    def _forward(self, x, stats):
         rows = x.reshape(-1, 4)
         outside = ~self.bundle.domain.contains(rows)
         if np.any(outside):
@@ -506,6 +529,10 @@ class ComovingChart:
     def inverse_map(self, xi, stats=None):
         """Comoving coordinates (..., 4) -> inertial events."""
         xi = as_coords(xi)
+        return _in_row_blocks(lambda rows: self._inverse(rows, stats),
+                              xi.shape[:-1], xi)
+
+    def _inverse(self, xi, stats):
         rows = xi.reshape(-1, 4)
         # the reference curve in its arc parameter, once per distinct time
         arcs, which = np.unique(rows[:, 0], return_inverse=True)

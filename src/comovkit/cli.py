@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chart import ComovingChart, chart_diagnostics
+from .chart import DIAGNOSTIC_SAMPLES_MAX, ComovingChart, chart_diagnostics
 from .constants import PhysicalConstants
 from .diffusion import (
     BinSpec,
@@ -69,7 +69,12 @@ from .fields import (
     make_packet,
     make_plane_wave,
 )
-from .geometry import MetricPatch, chart_spatial_patch, geometry_diagnostics
+from .geometry import (
+    VERIFICATION_AXIS_MAX,
+    MetricPatch,
+    chart_spatial_patch,
+    geometry_diagnostics,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -992,6 +997,16 @@ def _check_cross_fields(raw):
                        "lattice of %d events exceeds the hypotheses scan's "
                        "budget of %d events"
                        % (events, HYPOTHESIS_EVENTS_MAX)))
+    side = raw.get("lattices", {}).get("verification", {}).get("n_per_axis", 0)
+    if side > VERIFICATION_AXIS_MAX:
+        errors.append(("/lattices/verification/n_per_axis",
+                       "%d points per axis exceed geometry_diag's budget of "
+                       "%d" % (side, VERIFICATION_AXIS_MAX)))
+    samples = raw.get("chart", {}).get("n_samples", 0)
+    if samples > DIAGNOSTIC_SAMPLES_MAX:
+        errors.append(("/chart/n_samples",
+                       "%d samples exceed chart_diag's budget of %d"
+                       % (samples, DIAGNOSTIC_SAMPLES_MAX)))
 
     if field_type == "packet":
         nw = len(field_spec["wavevectors"])

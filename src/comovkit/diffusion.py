@@ -245,9 +245,10 @@ def simulate(drift, patch, config):
 
     ``drift`` maps (n, 3) states to (n, 3) coordinate drifts (already
     including any Christoffel correction; see ``drift_from_fields``).
-    Raises Explosion when any path norm exceeds ``EXPLOSION_RADIUS``;
-    paths leaving ``clip_box`` freeze in place and are flagged. The
-    ensemble's ``meta["initial_acceptance"]`` holds the initial sampler's
+    Raises Explosion when any path norm exceeds ``EXPLOSION_RADIUS`` or is
+    not finite (a drift or noise factor that turned NaN); paths leaving
+    ``clip_box`` freeze in place and are flagged. The ensemble's
+    ``meta["initial_acceptance"]`` holds the initial sampler's
     ``proposed`` and ``accepted`` counts summed over the chunks.
     """
     steps = config.n_steps
@@ -291,9 +292,10 @@ def simulate(drift, patch, config):
                 if np.any(outside):
                     qn[outside] = q[outside]
                     flags |= outside
-            # |q|^2 <= 3 max|q_i|^2 screens out the exact norm on most steps
-            if 3.0 * max(qn.max(), -qn.min()) ** 2 > radius2 and float(
-                    np.max(np.einsum("ni,ni->n", qn, qn))) > radius2:
+            # |q|^2 <= 3 max|q_i|^2 screens out the exact norm on most steps;
+            # both tests are written to fail on a NaN norm, as on a large one
+            if not 3.0 * max(qn.max(), -qn.min()) ** 2 <= radius2 and not (
+                    np.max(np.einsum("ni,ni->n", qn, qn)) <= radius2):
                 raise Explosion(
                     f"path norm exceeded {EXPLOSION_RADIUS:g} at step {k}")
             m = snap_index.get(k)

@@ -82,7 +82,8 @@ class HypothesesFailed(ComovkitError):
 
 
 class Explosion(ComovkitError):
-    """A simulated path exceeded the configured magnitude bound."""
+    """A simulated path exceeded the configured magnitude bound or turned
+    non-finite."""
 
 
 class InsufficientSamples(ComovkitError):

@@ -24,7 +24,10 @@ BranchUnavailable when a phase value is asked for.
 Events and four-vectors are plain arrays: every accessor takes events
 (..., 4) and returns its values stacked over the same leading axes, and a
 row's values do not depend on the rows that share its call, one event
-included (``_rows_times``). The
+included (``_rows_times``). A batch of more than ROW_BLOCK events is
+evaluated one block at a time into preallocated outputs
+(``_in_row_blocks``), so an accessor's work memory is one block's
+whatever the batch, and its values are those of one whole-batch call. The
 gradient of the phase divided by the mass is the current four-velocity
 (``four_velocity``); the half-log-gradient of the density scaled by hbar/2m
 is the osmotic four-velocity (``osmotic_four_velocity``). Both return
@@ -51,6 +54,7 @@ of a bundle, which takes its derivatives from this stencil on the bundle's
 density and phase, lives with the tests (``tests/conftest.py``).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,8 +63,9 @@ from .constants import PhysicalConstants, raise_index
 from .errors import BranchUnavailable, DensityZero, NodeInDomain
 
 DENSITY_FLOOR = 1e-12
-# rows per block of the geometry tables and the energy quadrature: work
-# arrays stay O(ROW_BLOCK) whatever the batch, and no row depends on it
+# rows per block of the field accessors, the chart maps and height solve,
+# the geometry tables and the energy quadrature: work arrays stay
+# O(ROW_BLOCK) whatever the batch, and no row depends on it
 ROW_BLOCK = 512
 
 
@@ -92,6 +97,33 @@ def _row_blocks(n):
     """Slices of ROW_BLOCK consecutive rows covering rows 0 to n - 1."""
     return (slice(lo, min(lo + ROW_BLOCK, n))
             for lo in range(0, n, ROW_BLOCK))
+
+
+def _in_row_blocks(func, lead, *arrays):
+    """``func(*arrays)`` evaluated ROW_BLOCK rows at a time.
+
+    Every array's leading axes are ``lead``; ``func`` maps rows (n, ...)
+    of each to an array, or a tuple of arrays, of n rows, and no row may
+    depend on the others. A batch of at most ROW_BLOCK rows goes to
+    ``func`` as it is; a larger one is cut into row blocks whose results
+    fill preallocated outputs, stacked over ``lead``, so the work memory
+    is one block's whatever the batch.
+    """
+    n = math.prod(lead)
+    if n <= ROW_BLOCK:
+        return func(*arrays)
+    rows = [a.reshape((n,) + a.shape[len(lead):]) for a in arrays]
+    outs = None
+    for block in _row_blocks(n):
+        vals = func(*(r[block] for r in rows))
+        one = not isinstance(vals, tuple)
+        vals = (vals,) if one else vals
+        if outs is None:
+            outs = [np.empty((n,) + v.shape[1:], v.dtype) for v in vals]
+        for out, v in zip(outs, vals):
+            out[block] = v
+    outs = tuple(out.reshape(lead + out.shape[1:]) for out in outs)
+    return outs[0] if one else outs
 
 
 def _float_or_array(values):
@@ -219,7 +251,8 @@ class FieldBundle:
     """Density + phase pair with analytic derivatives on a box domain.
 
     Subclasses implement `_density*` and `_phase*` on (..., 4) float
-    events; the public accessors coerce the events and call them.
+    events; the public accessors coerce the events and call them on
+    blocks of at most ROW_BLOCK events.
     """
 
     def __init__(self, constants, domain):
@@ -246,34 +279,40 @@ class FieldBundle:
         raise NotImplementedError
 
     # public API ---------------------------------------------------------
+    def _blocked(self, func, x):
+        """``func`` on the events x (..., 4), ROW_BLOCK events at a time."""
+        x = as_coords(x)
+        return _in_row_blocks(func, x.shape[:-1], x)
+
     def density(self, x):
-        return self._density(as_coords(x))
+        return self._blocked(self._density, x)
 
     def phase(self, x):
-        return self._phase(as_coords(x))
+        return self._blocked(self._phase, x)
 
     def density_gradient(self, x):
-        return self._density_gradient(as_coords(x))
+        return self._blocked(self._density_gradient, x)
 
     def density_hessian(self, x):
-        return self._density_hessian(as_coords(x))
+        return self._blocked(self._density_hessian, x)
 
     def phase_gradient(self, x):
-        return self._phase_gradient(as_coords(x))
+        return self._blocked(self._phase_gradient, x)
 
     def phase_hessian(self, x):
-        return self._phase_hessian(as_coords(x))
+        return self._blocked(self._phase_hessian, x)
 
     def density_and_phase_derivatives(self, x):
         """Density (...), phase gradient (..., 4) and phase Hessian
-        (..., 4, 4) at events x (..., 4).
+        (..., 4, 4) at events x (..., 4)."""
+        return self._blocked(self._density_and_phase_derivatives, x)
 
-        This default composes the public accessors; a bundle that can take
-        all three from one evaluation of its field overrides it with values
-        equal to theirs.
-        """
-        x = as_coords(x)
-        return self.density(x), self.phase_gradient(x), self.phase_hessian(x)
+    def _density_and_phase_derivatives(self, x):
+        """This default composes the subclass interface; a bundle that can
+        take all three from one evaluation of its field overrides it with
+        values equal to theirs."""
+        return (self._density(x), self._phase_gradient(x),
+                self._phase_hessian(x))
 
     def amplitude(self, x):
         """Complex field sqrt(p) * exp(i S / hbar)."""
@@ -477,11 +516,11 @@ class PacketBundle(FieldBundle):
         sums = self._mode_sums(x, 2)
         return self._hessian_of(*sums, self._arg_gradient(*sums[:4]))
 
-    def density_and_phase_derivatives(self, x):
+    def _density_and_phase_derivatives(self, x):
         """Density, phase gradient and phase Hessian from one set of mode
         sums, equal bit for bit to ``density``, ``phase_gradient`` and
         ``phase_hessian``."""
-        sums = self._mode_sums(as_coords(x), 2)
+        sums = self._mode_sums(x, 2)
         a, b = sums[:2]
         gr = self._arg_gradient(*sums[:4])
         return (a * a + b * b, self._gradient_of(gr),
@@ -582,6 +621,9 @@ class HypothesisReport:
 
 
 HYPOTHESIS_SHAPE = (7, 7, 7, 7)  # the default hypotheses lattice
+# flat (4, 4) indices of the entries (i, j) above the diagonal and (j, i)
+_UPPER = np.ravel_multi_index(np.triu_indices(4, 1), (4, 4))
+_LOWER = np.ravel_multi_index(np.triu_indices(4, 1)[::-1], (4, 4))
 # the largest hypotheses lattice validate accepts: about 3 s of scan at the
 # 0.65-0.8 us per event measured on the shipped fields (2-core x86 machine)
 HYPOTHESIS_EVENTS_MAX = 2 ** 22
@@ -624,18 +666,20 @@ def check_theorem_hypotheses(bundle, box=None, shape=HYPOTHESIS_SHAPE):
         v = grad / bundle.constants.mass
         v0 = v[:, 0]
         abs_v0 = np.abs(v0)
-        n = int(np.argmin(abs_v0))
+        n = int(abs_v0.argmin())
         # strict: the first minimum over the lattice, as one argmin finds it
         if abs_v0[n] < min_abs_v0:
             min_abs_v0, argmin = float(abs_v0[n]), block.start + n
-        max_v0 = max(max_v0, float(np.max(v0)))
-        min_v0 = min(min_v0, float(np.min(v0)))
+        max_v0, min_v0 = max(max_v0, v0.max()), min(min_v0, v0.min())
         vv = np.einsum("...i,...i->...", v, raise_index(v))
         n_timelike += int(np.count_nonzero(vv < 0.0))
-        max_closed = max(max_closed, float(np.max(
-            np.abs(hess - np.swapaxes(hess, -1, -2)))))
-        max_hess = max(max_hess, float(np.max(np.abs(hess))))
-        min_density = min(min_density, float(np.min(density)))
+        # the six pairs i < j of |H_ij - H_ji|, and max|H| as the larger of
+        # max H and -min H: the maxima of the whole-matrix forms
+        flat = hess.reshape(-1, 16)
+        max_closed = max(max_closed, np.abs(
+            flat[:, _UPPER] - flat[:, _LOWER]).max())
+        max_hess = max(max_hess, flat.max(), -flat.min())
+        min_density = min(min_density, density.min())
 
     v0_floor = 1e-8 * c
     closedness_tol = 1e-10 * (max_hess + 1e-300) + 1e-14
@@ -656,9 +700,9 @@ def check_theorem_hypotheses(bundle, box=None, shape=HYPOTHESIS_SHAPE):
     return HypothesisReport(
         min_abs_v0=min_abs_v0,
         v0_sign_change=sign_change,
-        max_closedness=max_closed,
+        max_closedness=float(max_closed),
         timelike_fraction=timelike,
-        min_density=min_density,
+        min_density=float(min_density),
         v0_floor=float(v0_floor),
         closedness_tol=float(closedness_tol),
         lattice_shape=tuple(int(s) for s in shape),

@@ -58,6 +58,7 @@ from .constants import ETA
 from .errors import NotSpacelike
 from .fields import (
     _float_or_array,
+    _in_row_blocks,
     _lattice,
     _row_blocks,
     _rows_times,
@@ -66,6 +67,11 @@ from .fields import (
 
 DEFAULT_H = 1e-2
 FD_STEP = 1e-3  # sigma and covector derivative step when none is given
+# the largest geometry_diagnostics lattice side validate accepts: 25^3
+# points ran for 2.9 s in one run of packet_9mode's geometry_diag (about
+# 180 us per point, the report's 16 metric components included; 2-core x86
+# machine)
+VERIFICATION_AXIS_MAX = 25
 
 
 def _stack_rows(func, name, q, shape):
@@ -239,24 +245,19 @@ class MetricPatch:
              - 0.5 * np.einsum("...jk,...ljk->...l", inv, d))
         return np.einsum("...il,...l->...i", inv, v)
 
-    def _by_blocks(self, q, h, algebra, shape):
+    def _by_blocks(self, q, h, algebra):
         """``algebra(inv, d)`` on each block of ROW_BLOCK rows, stacked
-        into (..., *shape)."""
+        over the points' leading axes."""
         inv, d = self._inverse_and_derivatives(q, h)
-        lead = d.shape[:-3]
-        inv, d = inv.reshape(-1, 3, 3), d.reshape(-1, 3, 3, 3)
-        out = np.empty((len(d),) + shape)
-        for block in _row_blocks(len(d)):
-            out[block] = algebra(inv[block], d[block])
-        return out.reshape(lead + shape)
+        return _in_row_blocks(algebra, d.shape[:-3], inv, d)
 
     def christoffel(self, q, h=None):
         """Gamma[i, j, k] = 1/2 sigma^{il} (d_j s_lk + d_k s_lj - d_l s_jk)."""
-        return self._by_blocks(q, h, self._christoffel, (3, 3, 3))
+        return self._by_blocks(q, h, self._christoffel)
 
     def christoffel_contraction(self, q):
         """sigma^{jk} Gamma^i_{jk}: the curvature correction in drifts."""
-        return self._by_blocks(q, None, self._contraction, (3,))
+        return self._by_blocks(q, None, self._contraction)
 
     # --- constructors ---------------------------------------------------------
     @classmethod

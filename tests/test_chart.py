@@ -9,6 +9,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from comovkit import fields
 from comovkit.chart import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
@@ -37,6 +38,7 @@ from comovkit.errors import (
     ZeroSlope,
 )
 from comovkit.fields import (
+    ROW_BLOCK,
     Box,
     FieldBundle,
     four_velocity,
@@ -44,7 +46,7 @@ from comovkit.fields import (
     make_plane_wave,
 )
 from comovkit.geometry import chart_spatial_patch
-from conftest import FiniteDifferenceView
+from conftest import FiniteDifferenceView, traced_peak
 
 
 def test_arc_flow_boost_line(boost_wave):
@@ -540,6 +542,19 @@ def test_flow_counters_count_rejected_rows(packet9_chart):
     assert report["flow_attempts"] > 4
 
 
+def test_chart_diag_flow_counters_at_the_default_samples(packet9_chart):
+    # the 40 default samples fit one row block in every map call, Jacobian
+    # stencil included (320 events): rows of one accepted attempt each,
+    # 40 + 40 forward, 40 arcs and 40 lifts back and 320 + 320 for the
+    # Jacobians, over one attempt per map call
+    report = chart_diagnostics(packet9_chart)
+    assert {k: report[k] for k in ("flow_attempts", "flow_rejected_rows",
+                                   "flow_steps", "flow_rhs_evaluations")} \
+        == {"flow_attempts": 4, "flow_rejected_rows": 0,
+            "flow_steps": FLOW_STEPS * 800,
+            "flow_rhs_evaluations": (4 * FLOW_STEPS + 1) * 800}
+
+
 def test_flow_reruns_rows_that_overshoot_the_domain():
     # this curve ends 1e-9 below the box's time edge; its one-step end,
     # whose estimate meets the tolerance, overshoots by 2.7e-9 and lies
@@ -781,3 +796,60 @@ def test_chart_diagnostics_report(boost_chart):
     assert report["pushforward_spatial_max"] < 1e-5
     assert report["orthogonality_max"] < 1e-9
     assert report["hypothesis_report"]["passed"] is True
+
+
+# --- row blocks -------------------------------------------------------------
+#
+# Batched field accessors, both maps and the height solve run ROW_BLOCK rows
+# at a time. One block's work stays under 1.5 kB a row of the block
+# (measured on packet9: 0.31 kB for ``phase``, up to 1.28 kB for
+# ``forward_map``), whatever the batch; an unblocked call takes 0.26-1.36 kB
+# per event of the whole batch.
+MAP_BLOCK_WORK = 1536 * ROW_BLOCK
+
+
+def _map_calls(chart, pts):
+    """Every call that evaluates its batch in row blocks, with its rows."""
+    bundle = chart.bundle
+    xi = chart.forward_map(pts)
+    calls = {name: (getattr(bundle, name), pts) for name in (
+        "density", "density_gradient", "density_hessian", "phase",
+        "phase_gradient", "phase_hessian", "density_and_phase_derivatives")}
+    calls.update(forward_map=(chart.forward_map, pts),
+                 inverse_map=(chart.inverse_map, xi),
+                 height=(chart.surface.height, pts[:, 1:]))
+    return calls
+
+
+@pytest.mark.parametrize("n", [2 ** 12, 2 ** 14])
+@pytest.mark.parametrize("name", ["phase", "phase_gradient",
+                                  "density_and_phase_derivatives",
+                                  "forward_map", "inverse_map"])
+def test_batched_work_memory_is_one_block(packet9_chart, name, n):
+    pts = np.random.default_rng(5).uniform(-1.4, 1.4, size=(n, 4))
+    func, rows = _map_calls(packet9_chart, pts)[name]
+    out, peak = traced_peak(lambda: func(rows))
+    outputs = sum(np.asarray(v).nbytes for v in _as_parts(out))
+    assert peak - outputs <= MAP_BLOCK_WORK
+
+
+def test_blocked_batch_equals_its_blocks_and_one_call(packet9_chart,
+                                                      monkeypatch):
+    # three full blocks and a one-row last block: each result equals, bit
+    # for bit, its blocks evaluated one at a time and the whole batch in
+    # one unblocked call
+    n = 3 * ROW_BLOCK + 1
+    pts = np.random.default_rng(6).uniform(-1.4, 1.4, size=(n, 4))
+    calls = _map_calls(packet9_chart, pts)
+    blocked = {name: _as_parts(func(rows))
+               for name, (func, rows) in calls.items()}
+    cuts = range(0, n, ROW_BLOCK)
+    monkeypatch.setattr(fields, "ROW_BLOCK", n)
+    for name, (func, rows) in calls.items():
+        parts = [_as_parts(func(rows[lo:lo + ROW_BLOCK])) for lo in cuts]
+        whole = _as_parts(func(rows))
+        for k, got in enumerate(blocked[name]):
+            assert got.shape[0] == n
+            assert np.array_equal(got, np.concatenate([p[k] for p in parts])
+                                  ), name
+            assert np.array_equal(got, whole[k]), name

@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comovkit import cli
+from comovkit.chart import DIAGNOSTIC_SAMPLES_MAX
 from comovkit.cli import emit_plotdata, main, run, validate
 from comovkit.errors import ConfigInvalid
 from comovkit.fields import HYPOTHESIS_SHAPE, check_theorem_hypotheses
+from comovkit.geometry import VERIFICATION_AXIS_MAX
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 GAUSS_SMALL = Path(__file__).with_name("gauss_small.json")
@@ -253,6 +255,34 @@ def test_validate_refuses_an_oversized_hypotheses_lattice(tmp_path, capsys):
     validate(doc)
     for name in ("near_standing_wave", "packet_9mode"):
         validate(SCENARIOS / f"{name}.json")
+
+
+# (section path, budget) of each map size validate bounds: 25^3 lattice
+# points and 2^16 samples each ran for about 3 s on packet_9mode
+MAP_BUDGETS = {
+    "/lattices/verification/n_per_axis": (
+        ("lattices", "verification", "n_per_axis"),
+        VERIFICATION_AXIS_MAX),
+    "/chart/n_samples": (("chart", "n_samples"), DIAGNOSTIC_SAMPLES_MAX),
+}
+
+
+@pytest.mark.parametrize("pointer", sorted(MAP_BUDGETS))
+def test_validate_refuses_a_map_size_above_its_budget(pointer, tmp_path,
+                                                      capsys):
+    (*section, key), budget = MAP_BUDGETS[pointer]
+    doc = json.loads((SCENARIOS / "packet_9mode.json").read_text())
+    leaf = doc
+    for name in section:
+        leaf = leaf[name]
+    leaf[key] = budget
+    validate(doc)
+    leaf[key] = budget + 1
+    with pytest.raises(ConfigInvalid) as err:
+        validate(doc)
+    assert err.value.pointers == [pointer]
+    assert main(["validate", write_scenario(tmp_path, doc)]) == 2
+    assert f"{pointer}: {budget + 1} " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rule", sorted(CROSS_FIELD_RULES))

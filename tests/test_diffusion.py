@@ -644,6 +644,21 @@ def test_explosion_step_matches_exact_norm(monkeypatch):
         simulate(lambda q: q, MetricPatch.euclidean(), config)
 
 
+def test_explosion_catches_a_nan_path():
+    # a drift that turns one row NaN fails both norm tests (NaN compares
+    # false), so it must raise rather than write NaN into the snapshots
+    config = DiffusionConfig(dt=0.01, horizon=0.2, n_paths=8, master_seed=3,
+                             initial=("point", (1.0, 0.0, 0.0)))
+
+    def drift(q):
+        beta = -q
+        beta[5] = np.nan
+        return beta
+
+    with pytest.raises(Explosion, match="at step 0$"):
+        simulate(drift, MetricPatch.euclidean(), config)
+
+
 def test_clip_box_freezes_and_flags():
     box = Box((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
     config = DiffusionConfig(dt=0.05, horizon=1.0, n_paths=32, master_seed=2,
