@@ -68,6 +68,7 @@ from .fields import (
     as_coords,
     central_gradient,
     check_theorem_hypotheses,
+    dominance_certificate,
     four_velocity,
 )
 
@@ -182,13 +183,14 @@ def solve_height(surface, q):
     """Solve S(x0, q) = level for x0 at base points q of shape (..., 3).
 
     A damped, trust-capped Newton runs on the whole batch, dropping points
-    as they converge; points it leaves unconverged (or converged outside
-    the domain's x0 range) fall back together to one bisection of that
-    range. The phase is strictly monotone in x0 wherever the hypotheses
-    hold, so each root is unique. Residual tolerance is 1e-10 times the
-    phase scale. Returns (...) heights, a float for one point. ZeroSlope
-    and NoBracket name the offending base point. Batches run ROW_BLOCK
-    base points at a time.
+    as they converge; each step takes the residual and the slope dS/dx0 from
+    one ``phase_and_gradient`` call on the live points. Points it leaves
+    unconverged (or converged outside the domain's x0 range) fall back
+    together to one bisection of that range. The phase is strictly
+    monotone in x0 wherever the hypotheses hold, so each root is unique.
+    Residual tolerance is 1e-10 times the phase scale. Returns (...)
+    heights, a float for one point. ZeroSlope and NoBracket name the
+    offending base point. Batches run ROW_BLOCK base points at a time.
     """
     q = np.asarray(q, dtype=float)
     return _in_row_blocks(lambda rows: _solve_heights(surface, rows),
@@ -208,15 +210,15 @@ def _solve_heights(surface, q):
     for _ in range(30):
         if not live.size:
             break
-        x = np.concatenate([t[live, None], rows[live]], axis=1)
-        r = bundle.phase(x) - surface.level
+        phase, grad = bundle.phase_and_gradient(
+            np.concatenate([t[live, None], rows[live]], axis=1))
+        r = phase - surface.level
         # converged outside the domain height range: leave it to the bracket
         conv = np.abs(r) < tol
         done[live[conv & (tmin <= t[live]) & (t[live] <= tmax)]] = True
-        live, x, r = live[~conv], x[~conv], r[~conv]
+        live, r, slope = live[~conv], r[~conv], grad[~conv, 0]
         if not live.size:
             break
-        slope = bundle.phase_gradient(x)[:, 0]
         flat = np.abs(slope) < surface.slope_floor
         if np.any(flat):
             n = int(np.argmax(flat))
@@ -458,9 +460,12 @@ class ComovingChart:
     With ``validate`` the chart refuses, with HypothesesFailed, a field
     whose hypotheses report fails. That report is ``hypothesis_report``
     when one is given (a caller that has already scanned the bundle hands
-    its report over), and otherwise a ``check_theorem_hypotheses`` scan of
-    the default lattice. The report is kept as ``hypothesis_report``;
-    without ``validate`` that is the given report, or None.
+    its report over). Given none, the chart accepts a field whose
+    ``dominance_certificate`` holds without scanning it, since the
+    certificate proves the hypotheses on all of M^4, and otherwise scans
+    the default lattice with ``check_theorem_hypotheses``. The report is
+    kept as ``hypothesis_report``: the given one, the scan's, or None when
+    no report was given and none was scanned.
     """
 
     def __init__(self, bundle, origin=None, rtol=DEFAULT_RTOL,
@@ -474,8 +479,11 @@ class ComovingChart:
         self.rtol = rtol
         self.atol = atol
         if validate and hypothesis_report is None:
-            hypothesis_report = check_theorem_hypotheses(bundle)
-        if validate and not hypothesis_report.passed:
+            certificate = dominance_certificate(bundle)
+            if not (certificate and certificate["certified"]):
+                hypothesis_report = check_theorem_hypotheses(bundle)
+        if validate and hypothesis_report is not None \
+                and not hypothesis_report.passed:
             raise HypothesesFailed(
                 "field fails the chart hypotheses: "
                 + ", ".join(hypothesis_report.violated)
@@ -601,7 +609,9 @@ def chart_diagnostics(chart, n_samples=40, seed=0):
 
     The result is JSON-able; ``flow_attempts``, ``flow_rejected_rows``,
     ``flow_steps``, ``flow_rhs_evaluations`` and ``max_step_error_estimate``
-    are the FlowStats counters of its map calls.
+    are the FlowStats counters of its map calls. ``hypothesis_report`` is
+    the chart's report, or a scan of the default lattice when the chart
+    holds none (a certified field, or a chart built without ``validate``).
     """
     rng = np.random.default_rng(seed)
     dom = chart.bundle.domain
@@ -617,11 +627,7 @@ def chart_diagnostics(chart, n_samples=40, seed=0):
     spatial_resid = np.max(np.abs(push[:, 1:]), axis=1) / np.abs(push[:, 0])
     ortho = chart.surface.orthogonality_residual(
         rng.uniform(lo[1:], hi[1:], size=(10, 3)))
-    report = (
-        chart.hypothesis_report.to_dict()
-        if chart.hypothesis_report is not None
-        else None
-    )
+    report = chart.hypothesis_report or check_theorem_hypotheses(chart.bundle)
     return {
         "origin": chart.origin.tolist(),
         "time_convention": "proper_time",
@@ -629,7 +635,7 @@ def chart_diagnostics(chart, n_samples=40, seed=0):
         "round_trip_mean": float(rt.mean()),
         "pushforward_spatial_max": float(spatial_resid.max()),
         "orthogonality_max": float(ortho.max()),
-        "hypothesis_report": report,
+        "hypothesis_report": report.to_dict(),
         "n_samples": int(n_samples),
         **stats.to_dict(),
     }

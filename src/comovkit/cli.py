@@ -160,11 +160,16 @@ class _RunContext:
         return self._hypotheses[shape]
 
     def chart(self):
+        """The scenario's chart, validated by the run's default-lattice
+        hypotheses report. A failed report the run already holds, on any
+        lattice, disproves the hypotheses, so the chart refuses with it
+        and no further lattice is scanned."""
         if self._chart is None:
-            origin = self.scenario.raw["chart"]["origin"]
+            failed = next((report for report in self._hypotheses.values()
+                           if not report.passed), None)
             self._chart = ComovingChart(
-                self.bundle(), origin=origin,
-                hypothesis_report=self.hypotheses(HYPOTHESIS_SHAPE))
+                self.bundle(), origin=self.scenario.raw["chart"]["origin"],
+                hypothesis_report=failed or self.hypotheses(HYPOTHESIS_SHAPE))
         return self._chart
 
     def gaussian(self):
@@ -1086,18 +1091,71 @@ def validate(source):
 # run and report
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj):
+    """``obj`` as the JSON text of ``report.json``: keys sorted, two-space
+    indents, numpy arrays and scalars as plain values, and non-finite
+    floats as the strings "nan", "inf" and "-inf" (a bare NaN token is not
+    JSON). The text is what ``json.dumps(obj, indent=2, sort_keys=True)``
+    writes for those plain values, built in one pass."""
+    out = []
+    _emit_json(obj, out, "\n")
+    return "".join(out)
+
+
+def _emit_json(obj, out, newline):
+    """Append the JSON text of ``obj`` to ``out``; ``newline`` is the line
+    break and indent of the enclosing level."""
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return _jsonable(obj.item())
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
+        obj = obj.tolist()
+    elif isinstance(obj, (np.floating, np.integer, np.bool_)):
+        obj = obj.item()
+    if isinstance(obj, str):
+        out.append(_json_string(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(_JSON_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        text = float.__repr__(obj)
+        out.append(text if math.isfinite(obj) else _json_string(text))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[" + inner)
+        # a run of floats is one join; "n" marks "nan" and "inf"
+        if set(map(type, obj)) == {float}:
+            text = ("," + inner).join(map(float.__repr__, obj))
+            if "n" not in text:
+                out.append(text + newline + "]")
+                return
+        for i, item in enumerate(obj):
+            if i:
+                out.append("," + inner)
+            _emit_json(item, out, inner)
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{" + inner)
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        for i, (key, value) in enumerate(items):
+            if i:
+                out.append("," + inner)
+            out.append(_json_string(key) + ": ")
+            _emit_json(value, out, inner)
+        out.append(newline + "}")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(obj).__name__)
+
 
 
 def _versions():
@@ -1169,8 +1227,7 @@ def run(scenario, out_dir=None, seed=None, threads=None):
     report["pass"] = report["error"] is None and all(
         row["pass"] for row in report["properties"])
     report["wall_clock_s"] = time.time() - start
-    (out / "report.json").write_text(
-        json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
+    (out / "report.json").write_text(_json_text(report) + "\n")
     return report
 
 

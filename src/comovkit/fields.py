@@ -299,6 +299,11 @@ class FieldBundle:
     def phase_gradient(self, x):
         return self._blocked(self._phase_gradient, x)
 
+    def phase_and_gradient(self, x):
+        """Phase (...) and phase gradient (..., 4) at events x (..., 4),
+        equal bit for bit to ``phase`` and ``phase_gradient``."""
+        return self._blocked(self._phase_and_gradient, x)
+
     def phase_hessian(self, x):
         return self._blocked(self._phase_hessian, x)
 
@@ -310,9 +315,12 @@ class FieldBundle:
     def _density_and_phase_derivatives(self, x):
         """This default composes the subclass interface; a bundle that can
         take all three from one evaluation of its field overrides it with
-        values equal to theirs."""
+        values equal to theirs, as it may ``_phase_and_gradient``."""
         return (self._density(x), self._phase_gradient(x),
                 self._phase_hessian(x))
+
+    def _phase_and_gradient(self, x):
+        return self._phase(x), self._phase_gradient(x)
 
     def amplitude(self, x):
         """Complex field sqrt(p) * exp(i S / hbar)."""
@@ -388,8 +396,9 @@ class PacketBundle(FieldBundle):
         self._n0 = 0.0
         if self.weights.size > 1 and self.dominance_margin > 0:
             # the whole turns that bring S(lo) / hbar to its principal value
-            self._n0 = -float(np.round(
-                self._branch_angle(self.domain.lo_array) / (2.0 * np.pi)))
+            lo = self.domain.lo_array
+            self._n0 = -float(np.round(self._branch_angle(
+                lo, *self._mode_sums(lo, 1)[:2]) / (2.0 * np.pi)))
         if not _skip_node_check:
             self._check_for_nodes()
 
@@ -451,9 +460,8 @@ class PacketBundle(FieldBundle):
         return self.constants.hbar * (outer + np.swapaxes(outer, -1, -2)
                                       - (a * ms - b * mc) / rho[..., None])
 
-    def _branch_angle(self, x):
-        """theta_j0 + atan2(B, A) at events (..., 4)."""
-        a, b = self._mode_sums(x, 1)[:2]
+    def _branch_angle(self, x, a, b):
+        """theta_j0 + atan2(B, A) at events (..., 4) from the sums A, B."""
         return _rows_times(x, self._carrier) + np.arctan2(b, a)
 
     # --- node detection ---------------------------------------------------
@@ -499,18 +507,28 @@ class PacketBundle(FieldBundle):
         return 2.0 * (p[..., :, None] * p[..., None, :]
                       + q[..., :, None] * q[..., None, :] - a * mc - b * ms)
 
-    def _phase(self, x):
+    def _phase_of(self, x, a, b):
         if self.dominance_margin <= 0:
             raise BranchUnavailable(
                 "phase values need a dominant mode (weight above the sum of "
                 "the others); this superposition has no single-valued branch "
                 "certificate"
             )
-        return self.constants.hbar * (self._branch_angle(x)
+        return self.constants.hbar * (self._branch_angle(x, a, b)
                                       + 2.0 * np.pi * self._n0)
+
+    def _phase(self, x):
+        return self._phase_of(x, *self._mode_sums(x, 1)[:2])
 
     def _phase_gradient(self, x):
         return self._gradient_of(self._arg_gradient(*self._mode_sums(x, 1)))
+
+    def _phase_and_gradient(self, x):
+        """Phase and phase gradient from one set of first-order mode sums,
+        equal bit for bit to ``phase`` and ``phase_gradient``."""
+        sums = self._mode_sums(x, 1)
+        return (self._phase_of(x, *sums[:2]),
+                self._gradient_of(self._arg_gradient(*sums)))
 
     def _phase_hessian(self, x):
         sums = self._mode_sums(x, 2)
@@ -587,6 +605,10 @@ class HypothesisReport:
     (i)   the time component of the phase gradient never vanishes,
     (ii)  the derivative of the four-velocity is symmetric (closed form),
     (iii) the four-velocity is timelike everywhere.
+
+    ``certificate`` is the bundle's ``dominance_certificate`` (None for a
+    bundle that is not a packet): where the scan samples its lattice, a
+    certified bundle's hypotheses hold on all of M^4.
     """
 
     min_abs_v0: float
@@ -598,6 +620,7 @@ class HypothesisReport:
     closedness_tol: float
     lattice_shape: tuple
     argmin_v0: tuple
+    certificate: dict
     violated: list = field(default_factory=list)
 
     @property
@@ -615,9 +638,87 @@ class HypothesisReport:
             "closedness_tol": self.closedness_tol,
             "lattice_shape": list(self.lattice_shape),
             "argmin_v0": list(self.argmin_v0),
+            "certificate": self.certificate,
             "violated": list(self.violated),
             "passed": self.passed,
         }
+
+
+def dominance_certificate(bundle):
+    """Closed-form proof of hypotheses (i) and (iii) on all of M^4, or None
+    for a bundle that is not a ``PacketBundle``.
+
+    With j0 the dominant mode and m = w_j0 - sum_{j != j0} w_j the
+    dominance margin, S / hbar = theta_j0 + arg R + const with R = sum_j
+    w_j exp(i dtheta_j) (see ``PacketBundle``), so
+
+        d_mu S / hbar - kappa_j0,mu = Im(d_mu R / R),
+        d_mu R = i sum_j w_j dkappa_j,mu exp(i dtheta_j),   |R| >= m > 0.
+
+    Hence, at every event,
+
+        |d_mu S / hbar - kappa_j0,mu| <= D_mu = sum_j w_j |dkappa_j,mu| / m
+        |d_sp S / hbar - k_j0|        <= D_sp = sum_j w_j |dk_j| / m
+
+    (Euclidean norm over the spatial axes). So |d_0 S| / hbar >= |kappa_j0,0|
+    - D_0 and |d_sp S| / hbar <= |k_j0| + D_sp everywhere, and:
+
+    * (i) holds when hbar (|kappa_j0,0| - D_0) / mass > 1e-8 c, the scan's
+      ``v0_floor``: V_0 then keeps the sign of kappa_j0,0 and stays above
+      the floor;
+    * (iii) holds when |kappa_j0,0| - D_0 > |k_j0| + D_sp, since then
+      |d_0 S| > |d_sp S| and V is timelike for ETA = diag(-1, 1, 1, 1);
+    * (ii) holds by construction: V is the gradient of S, whose Hessian
+      is symmetric.
+
+    Both bounds hold for any phases dtheta_j, so the rounding of the
+    phases themselves does not enter; the evaluated gradient differs from
+    the exact one by the rounding of the mode sums and of the quotient
+    (A P + B Q) / (A^2 + B^2). To first order in the unit round-off u,
+    with W = sum_j w_j and n modes, that is at most 4 (n + 2) u (W / m)^2
+    D_mu, plus a few u times |kappa_j0,mu| from the carrier. Each bound is
+    widened by the round-off allowance 16 (n + 2) u ((W / m)^2 D +
+    |carrier part|), four times that estimate, which also covers the
+    rounding of the timelike test's quadratic form. The margins are
+
+        v0_margin       = hbar (|kappa_j0,0| - D_0 - a_0) / mass - 1e-8 c
+        timelike_margin = (|kappa_j0,0| - D_0 - a_0) - (|k_j0| + D_sp + a_sp)
+
+    with a_0, a_sp the allowances, and ``certified`` holds when both are
+    positive. A packet without a dominant mode (m <= 0) has infinite D
+    and is not certified. The certificate proves what a lattice scan can
+    only sample, on all of M^4 rather than on a window of the domain; the
+    scan proves only that its lattice points pass, and stays the route for
+    an uncertified field.
+
+    Returns a dict with ``certified``, ``D`` (D_0 .. D_3), ``D_spatial``,
+    ``v0_margin`` and ``timelike_margin``.
+    """
+    if not isinstance(bundle, PacketBundle):
+        return None
+    const = bundle.constants
+    w, m = bundle.weights, bundle.dominance_margin
+    carrier, dk = bundle._carrier, bundle._dkappas
+    k_sp = float(np.linalg.norm(carrier[1:]))
+    if m > 0.0:
+        d = w @ np.abs(dk) / m
+        d_sp = float(w @ np.linalg.norm(dk[:, 1:], axis=1)) / m
+        rel = 16.0 * (w.size + 2) * np.finfo(float).eps
+        grow = (float(w.sum()) / m) ** 2
+        low0 = abs(carrier[0]) - d[0] - rel * (grow * d[0] + abs(carrier[0]))
+        high_sp = k_sp + d_sp + rel * (grow * d_sp + k_sp)
+    else:
+        d, d_sp = np.full(4, np.inf), np.inf
+        low0, high_sp = -np.inf, np.inf
+    v0_margin = const.hbar * low0 / const.mass - 1e-8 * const.c
+    timelike_margin = low0 - high_sp
+    return {
+        "certified": bool(v0_margin > 0.0 and timelike_margin > 0.0),
+        "D": [float(v) for v in d],
+        "D_spatial": float(d_sp),
+        "v0_margin": float(v0_margin),
+        "timelike_margin": float(timelike_margin),
+    }
 
 
 HYPOTHESIS_SHAPE = (7, 7, 7, 7)  # the default hypotheses lattice
@@ -639,9 +740,10 @@ def check_theorem_hypotheses(bundle, box=None, shape=HYPOTHESIS_SHAPE):
     those over one whole-lattice call. Condition (i) fails where |V_0|
     reaches ``v0_floor`` = 1e-8 c or V_0 changes sign, and (ii) where the
     Hessian's asymmetry reaches ``closedness_tol`` = 1e-10 max|Hessian| +
-    1e-14; the report carries both. Returns a HypothesisReport;
-    ``violated`` holds labels "(i)", "(ii)", "(iii)" for every failed
-    condition, in that order.
+    1e-14; the report carries both. Returns a HypothesisReport, with the
+    bundle's ``dominance_certificate`` attached; ``violated`` holds labels
+    "(i)", "(ii)", "(iii)" for every failed condition of the scan, in that
+    order.
     """
     c = bundle.constants.c
     if box is None:
@@ -708,5 +810,6 @@ def check_theorem_hypotheses(bundle, box=None, shape=HYPOTHESIS_SHAPE):
         lattice_shape=tuple(int(s) for s in shape),
         argmin_v0=tuple(float(t) for t in
                         _lattice(axes, slice(argmin, argmin + 1))[0]),
+        certificate=dominance_certificate(bundle),
         violated=violated,
     )

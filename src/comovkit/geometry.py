@@ -51,6 +51,7 @@ d_i sigma_{jk}.
 """
 
 import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -431,13 +432,15 @@ _BUDGET_PROBES = np.array([
 ])
 
 
+@lru_cache(maxsize=None)
 def curvature_budget(h=DEFAULT_H):
     """FD curvature error budget C h^2, calibrated on the polar fixture.
 
     The polar patch is exactly flat, so the largest Riemann component it
     produces through the same FD pipeline (sigma derivatives included)
     measures the method error; the budget is ten times that residual,
-    floored at a roundoff allowance.
+    floored at a roundoff allowance. It depends on the step h alone, so
+    it is computed once per step per process and cached.
     """
     patch = polar_flat_patch(analytic_derivatives=False)
     resid = float(np.max(np.abs(riemann(patch, _BUDGET_PROBES, h=h))))

@@ -38,9 +38,12 @@ from comovkit.errors import (
     ZeroSlope,
 )
 from comovkit.fields import (
+    HYPOTHESIS_SHAPE,
     ROW_BLOCK,
     Box,
     FieldBundle,
+    check_theorem_hypotheses,
+    dominance_certificate,
     four_velocity,
     make_packet,
     make_plane_wave,
@@ -660,19 +663,26 @@ _PACKET_PROPERTY = settings(
 
 
 @st.composite
-def _dominant_packets(draw, k_max=0.05, n_events=3):
-    """A carrier at rest (weight 2) and 2-8 side modes with |k| <= k_max,
-    side weights summing to at most 1.5, on [-4, 4]^4; with ``n_events``
-    events in [-1.5, 1.5]^4."""
+def _dominant_packets(draw, k_max=0.05, n_events=3, carrier_max=0.0):
+    """A carrier (weight 2) and 2-8 side modes whose wave vectors lie within
+    k_max of the carrier's, side weights summing to at most 1.5, on
+    [-4, 4]^4; with ``n_events`` events in [-1.5, 1.5]^4. The carrier is at
+    rest, or with ``carrier_max`` has |k| up to it: with k_max 1 the
+    draws hold both certified and uncertified packets
+    (``dominance_certificate``)."""
     n_side = draw(st.integers(2, 8))
     unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    carrier = np.zeros(3)
+    if carrier_max:
+        carrier = np.array(draw(st.tuples(unit, unit, unit)))
+        carrier *= carrier_max / max(np.linalg.norm(carrier), 1.0)
     ks = np.array(draw(st.lists(st.tuples(unit, unit, unit), min_size=n_side,
                                 max_size=n_side)))
     ks *= k_max / np.maximum(np.linalg.norm(ks, axis=1, keepdims=True), 1.0)
     w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n_side,
                                max_size=n_side)))
     w *= min(1.0, 1.5 / w.sum())
-    bundle = make_packet(np.vstack([np.zeros(3), ks]),
+    bundle = make_packet(np.vstack([carrier, carrier + ks]),
                          np.concatenate([[2.0], w]),
                          Box((-4.0,) * 4, (4.0,) * 4))
     coord = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
@@ -758,6 +768,59 @@ def test_accepted_flows_meet_tolerance(case):
                bundle.domain)[0]
     tol = DEFAULT_ATOL + DEFAULT_RTOL * np.max(np.abs(y), axis=1)
     assert np.all(np.max(np.abs(y - ref), axis=1) <= tol)
+
+
+@settings(_PACKET_PROPERTY, max_examples=60)
+@given(case=st.one_of(_dominant_packets(k_max=1.0),
+                      _dominant_packets(k_max=1.0, carrier_max=0.5)))
+def test_certificate_bounds_every_lattice_gradient(case):
+    # |d_mu S / hbar - kappa_j0,mu| <= D_mu and the spatial deviation's norm
+    # <= D_sp, up to the certificate's round-off allowance, on the default
+    # scan lattice of the whole box and the drawn events; and a certified
+    # packet passes the scan
+    bundle, pts = case
+    cert = dominance_certificate(bundle)
+    x = np.concatenate([bundle.domain.grid(HYPOTHESIS_SHAPE), pts])
+    dev = bundle.phase_gradient(x) / bundle.constants.hbar - bundle.kappas[0]
+    carrier = np.abs(bundle.kappas[0])
+    w, m = bundle.weights, bundle.dominance_margin
+    rel = 16.0 * (w.size + 2) * np.finfo(float).eps
+    grow = (w.sum() / m) ** 2
+    bound = np.asarray(cert["D"])
+    assert np.all(np.abs(dev) <= bound + rel * (grow * bound + carrier))
+    k_sp = np.linalg.norm(carrier[1:])
+    assert np.all(np.linalg.norm(dev[:, 1:], axis=1) <= cert["D_spatial"]
+                  + rel * (grow * cert["D_spatial"] + k_sp))
+    if cert["certified"]:
+        assert check_theorem_hypotheses(bundle).passed
+
+
+def test_certified_chart_skips_the_scan(packet9, monkeypatch):
+    from comovkit import chart as chart_module
+
+    scanned = []
+
+    def counting(bundle, *args, **kwargs):
+        scanned.append(bundle)
+        return check_theorem_hypotheses(bundle, *args, **kwargs)
+
+    monkeypatch.setattr(chart_module, "check_theorem_hypotheses", counting)
+    # certified: accepted on the certificate, no scan and no report
+    chart = ComovingChart(packet9, origin=np.zeros(4))
+    assert scanned == [] and chart.hypothesis_report is None
+    # |R| can fall to 0.2 off this small box, so the certificate fails,
+    # while the scan of the box passes: one scan, and its report is kept
+    weak = make_packet([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]], [1.0, 0.8],
+                       Box((-1.0,) * 4, (1.0,) * 4))
+    assert not dominance_certificate(weak)["certified"]
+    chart = ComovingChart(weak, origin=np.zeros(4))
+    assert scanned == [weak] and chart.hypothesis_report.passed
+    # a report handed over is used as it is
+    report = check_theorem_hypotheses(weak, shape=(3, 3, 3, 3))
+    scanned.clear()
+    assert ComovingChart(weak, origin=np.zeros(4),
+                         hypothesis_report=report).hypothesis_report is report
+    assert scanned == []
 
 
 @settings(_PACKET_PROPERTY, max_examples=15)

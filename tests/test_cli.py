@@ -744,18 +744,20 @@ def test_run_scans_each_hypotheses_lattice_once(tmp_path, monkeypatch):
     assert report["analyses"]["chart_diag"]["hypothesis_report"] \
         == report["analyses"]["hypotheses"]
 
-    # the shipped negative control scans its own lattice, then the chart's
-    # default one, which fails and ends the run with a typed error
+    # the shipped negative control scans its own lattice only: that report
+    # fails, which disproves the hypotheses, so the chart refuses with it
+    # and ends the run with a typed error
     scanned.clear()
     doc = json.loads((SCENARIOS / "near_standing_wave.json").read_text())
     doc["analyses"].append("chart_diag")
     doc["chart"] = {"origin": [0.0, 0.0, 0.0, 0.0]}
     report = run(validate(doc), out_dir=tmp_path / "near")
-    assert scanned == [tuple(doc["lattices"]["hypothesis_shape"]),
-                       HYPOTHESIS_SHAPE]
+    assert scanned == [tuple(doc["lattices"]["hypothesis_shape"])]
     assert report["error"]["analysis"] == "chart_diag"
     assert report["error"]["kind"] == "domain"
     assert report["error"]["type"] == "HypothesesFailed"
+    assert report["error"]["message"] == \
+        "field fails the chart hypotheses: (i), (iii)"
     assert (tmp_path / "near" / "report.json").is_file()
 
 
@@ -846,10 +848,69 @@ def test_run_records_analysis_wall_times(tmp_path, monkeypatch):
 
 def test_report_writes_non_finite_numbers_as_strings():
     # numpy scalars and Python floats alike: a bare NaN token is not JSON
-    out = cli._jsonable({"a": np.float64("nan"), "b": np.float32("inf"),
-                         "c": float("nan")})
-    assert json.loads(json.dumps(out, allow_nan=False)) == {
-        "a": "nan", "b": "inf", "c": "nan"}
+    text = cli._json_text({"a": np.float64("nan"), "b": np.float32("inf"),
+                           "c": float("nan"), "d": [1.0, -np.inf]})
+    assert json.loads(text, parse_constant=pytest.fail) == {
+        "a": "nan", "b": "inf", "c": "nan", "d": [1.0, "-inf"]}
+
+
+def _plain(obj):
+    """The report value as json.dumps got it before the one-pass writer:
+    numpy arrays and scalars as plain values, tuples as lists, keys as
+    strings and non-finite floats as their repr."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return _plain(obj.item())
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
+def _dumps(obj):
+    return json.dumps(_plain(obj), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", ["gauss_small", "near_standing_wave",
+                                  "nonrel_family", "packet_9mode",
+                                  "plane_wave_boost"])
+def test_report_writer_matches_json_dumps(name, tmp_path):
+    # the shipped fast documents (gauss_small stands in for the slow
+    # gaussian_stationary, with the same analyses but energy), report and
+    # file alike
+    path = SCENARIOS / f"{name}.json"
+    if name == "gauss_small":
+        path = Path(__file__).parent / "gauss_small.json"
+    report = run(validate(path), out_dir=tmp_path)
+    assert cli._json_text(report) == _dumps(report)
+    assert (tmp_path / "report.json").read_text() == \
+        cli._json_text(report) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), -np.inf, np.float64("nan"),
+    np.float32(0.1), np.float32("-inf"), np.bool_(True), np.bool_(False),
+    np.int64(-7), (1, 2.5, "x"), (), {}, [], [[]], [{}], {1: 2.0, 0: "a"},
+    {"b": [1.0, float("nan"), 3.0], "a": None, "c": True},
+    "ascii and non-ASCII: \u00e9\u4e2d\U0001f600 \"quoted\" \\ \n",
+    {"\u00e9": np.array([[1.5, np.nan], [np.inf, -0.0]])},
+    np.array([], dtype=float), np.array([True, False]), np.arange(3),
+    [1, 1.0, True, None, "1"], {"nested": {"deeper": {"x": [0.1, 0.2]}}},
+    1e300, -1e-300, 10 ** 30, 0.0,
+], ids=lambda v: type(v).__name__)
+def test_report_writer_matches_json_dumps_on_edge_cases(value):
+    assert cli._json_text(value) == _dumps(value)
+    assert cli._json_text({"k": value, "l": [value]}) \
+        == _dumps({"k": value, "l": [value]})
+
+
+def test_report_writer_refuses_what_json_refuses():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._json_text({"a": {1, 2}})
 
 
 def test_run_gaussian_diffusion_properties(tmp_path):

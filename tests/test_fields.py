@@ -25,6 +25,7 @@ from comovkit.fields import (
     central_gradient,
     central_hessian,
     check_theorem_hypotheses,
+    dominance_certificate,
     four_velocity,
     make_packet,
     make_plane_wave,
@@ -627,6 +628,62 @@ def test_one_evaluation_equals_public_accessors(kind, packet9, boost_wave):
     one = bundle.density_and_phase_derivatives(pts[1, 2])
     assert np.shape(one[0]) == () and one[1].shape == (4,)
     assert one[2].shape == (4, 4)
+
+
+@pytest.mark.parametrize("kind", ["packet", "plane_wave"])
+@pytest.mark.parametrize("n", [None, 1, 2, ROW_BLOCK + 1])
+def test_phase_and_gradient_equal_the_two_accessors(kind, n, packet9,
+                                                    boost_wave):
+    # one set of mode sums gives both, bit for bit, on one event (4,), on
+    # one-, two- and more-than-one-block batches
+    bundle = packet9 if kind == "packet" else boost_wave
+    pts = np.random.default_rng(13).uniform(
+        -2.0, 2.0, size=(4,) if n is None else (n, 4))
+    phase, grad = bundle.phase_and_gradient(pts)
+    want = bundle.phase(pts)
+    assert type(phase) is type(want)
+    np.testing.assert_array_equal(phase, want)
+    np.testing.assert_array_equal(grad, bundle.phase_gradient(pts))
+    assert grad.shape == pts.shape
+
+
+def test_dominance_certificate_of_the_shipped_packets(packet9, near_standing,
+                                                      boost_wave):
+    # packet9: D_mu = sum_j w_j |kappa_j,mu - kappa_0,mu| / m, m = 2 - 1.5
+    cert = dominance_certificate(packet9)
+    w = np.asarray(packet9.weights)
+    m = w[0] - w[1:].sum()
+    assert cert["certified"]
+    np.testing.assert_allclose(
+        cert["D"], w @ np.abs(packet9.kappas - packet9.kappas[0]) / m,
+        rtol=1e-15)
+    # |V_0| >= 1 - D_0 = 0.9955 (the default lattice's minimum is 1.00063)
+    assert cert["v0_margin"] > 0.99 and cert["timelike_margin"] > 0.8
+    # near_standing: the x-bound of 80.85 is sharp, and neither holds
+    cert = dominance_certificate(near_standing)
+    assert not cert["certified"]
+    np.testing.assert_allclose(cert["D"][1], 80.85, rtol=1e-12)
+    assert cert["v0_margin"] < 0.0 and cert["timelike_margin"] < 0.0
+    # a plane wave is certified with D = 0; a detuned one with a spacelike
+    # gradient (|kappa_0| = 0.5 < |k| = 0.75) is not
+    cert = dominance_certificate(boost_wave)
+    assert cert["certified"] and cert["D"] == [0.0] * 4
+    assert not dominance_certificate(make_plane_wave(
+        [0.75, 0.0, 0.0], frequency=0.5))["certified"]
+    # no dominant mode: infinite D; not a packet: no certificate
+    constants = PhysicalConstants()
+    tie = PacketBundle([[0.1, 0.0, 0.0], [-0.1, 0.0, 0.0]], [1.0, 1.0],
+                       constants, Box((-1.0,) * 4, (1.0,) * 4),
+                       _skip_node_check=True)
+    assert not dominance_certificate(tie)["certified"]
+    assert dominance_certificate(tie)["D_spatial"] == np.inf
+    assert dominance_certificate(FiniteDifferenceView(packet9, 1e-3)) is None
+
+
+def test_hypotheses_report_carries_the_certificate(packet9):
+    report = check_theorem_hypotheses(packet9, shape=(3, 3, 3, 3))
+    assert report.certificate == dominance_certificate(packet9)
+    assert report.to_dict()["certificate"] == report.certificate
 
 
 def test_hypotheses_closedness_zero_in_fd_mode(boost_wave):
