@@ -155,7 +155,7 @@ def test_validate_rejects_weight_count_mismatch(tmp_path):
 
 
 def test_validate_rejects_energy_without_section(tmp_path):
-    doc = gaussian_doc(analyses=["simulate", "energy"])
+    doc = without(gaussian_doc(analyses=["simulate", "energy"]), "energy")
     with pytest.raises(ConfigInvalid) as err:
         validate(write_scenario(tmp_path, doc))
     assert "/analyses" in err.value.pointers
@@ -180,7 +180,8 @@ CROSS_FIELD_RULES = {
                         "chart"),
         "/analyses", "energy"),
     "energy_without_section": (
-        lambda: gaussian_doc(analyses=["energy"]), "/analyses", "energy"),
+        lambda: without(gaussian_doc(analyses=["energy"]), "energy"),
+        "/analyses", "energy"),
     "nonrel_without_section": (
         lambda: plane_wave_doc(analyses=["nonrel"]), "/analyses", "nonrel"),
     "diffusion_without_section": (
@@ -880,8 +881,7 @@ def _dumps(obj):
                                   "plane_wave_boost"])
 def test_report_writer_matches_json_dumps(name, tmp_path):
     # the shipped fast documents (gauss_small stands in for the slow
-    # gaussian_stationary, with the same analyses but energy), report and
-    # file alike
+    # gaussian_stationary, with the same analyses), report and file alike
     path = SCENARIOS / f"{name}.json"
     if name == "gauss_small":
         path = Path(__file__).parent / "gauss_small.json"
