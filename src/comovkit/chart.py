@@ -77,10 +77,6 @@ DEFAULT_ATOL = 1e-11
 FLOW_STEPS = 1  # RK4 steps of a row's first attempt, over its whole span
 MAX_FLOW_STEPS = 1024
 JACOBIAN_STEP = 1e-3  # central-difference step of the map Jacobians
-# the most chart_diagnostics samples validate accepts: 2^16 samples ran for
-# 2.9 s in one run of packet_9mode's chart_diag (about 44 us per sample;
-# 2-core x86 machine)
-DIAGNOSTIC_SAMPLES_MAX = 2 ** 16
 
 
 # ---------------------------------------------------------------------------

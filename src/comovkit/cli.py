@@ -2,10 +2,12 @@
 
 A scenario is one JSON document describing the physical constants, the
 field under study, and which analyses to execute; ``_TABLE`` declares what
-each analysis reads and runs.  ``validate`` checks the document against the
-published schema plus cross-field constraints without running anything;
-``run`` executes the requested analyses in the table's order, writes
-deterministic data files plus a ``report.json``, and exits
+each analysis reads and runs; the slice analyses read the field's slice
+from ``_RunContext.leaf``, the one place they branch on the field type.
+``validate`` checks the document against the published schema plus
+cross-field constraints without running anything; ``run`` executes the
+requested analyses in the table's order, writes deterministic data files
+plus a ``report.json``, and exits
 
     0  every checked property passed
     1  at least one property failed its tolerance
@@ -35,14 +37,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chart import DIAGNOSTIC_SAMPLES_MAX, ComovingChart, chart_diagnostics
+from .chart import ComovingChart, chart_diagnostics
 from .constants import PhysicalConstants
 from .diffusion import (
     BinSpec,
     DiffusionConfig,
     combine_drift_estimates,
-    drift_from_fields,
     forward_drift_estimate,
+    leaf_drift,
     simulate,
     specular_reverse,
     variance_report,
@@ -57,12 +59,12 @@ from .errors import ComovkitError, ConfigInvalid
 from .estimators import (
     energy_report,
     estimate_density,
+    gaussian_density,
     osmotic_identity_report,
     slice_density,
     velocities_from_drifts,
 )
 from .fields import (
-    HYPOTHESIS_EVENTS_MAX,
     HYPOTHESIS_SHAPE,
     Box,
     check_theorem_hypotheses,
@@ -70,47 +72,10 @@ from .fields import (
     make_plane_wave,
 )
 from .geometry import (
-    VERIFICATION_AXIS_MAX,
     MetricPatch,
     chart_spatial_patch,
     geometry_diagnostics,
 )
-
-
-# ---------------------------------------------------------------------------
-# gaussian density fixture
-
-
-class GaussianFixture:
-    """Isotropic gaussian invariant density with analytic log-gradient."""
-
-    def __init__(self, sigma, box):
-        self.sigma = float(sigma)
-        self.box = box
-
-    def density(self, q):
-        return self.weight(q) / (2.0 * np.pi * self.sigma ** 2) ** 1.5
-
-    def grad_log_density(self, q):
-        return -np.asarray(q, dtype=float) / self.sigma ** 2
-
-    def weight(self, q):
-        # unnormalized density for rejection sampling, sup = 1
-        q = np.asarray(q, dtype=float)
-        return np.exp(-0.5 * np.sum(q * q, axis=-1) / self.sigma ** 2)
-
-    def osmotic(self, nu):
-        """Osmotic velocity u(q) = (nu/2) grad ln rho = -nu q / (2 sigma^2).
-
-        The flat Euler-Maruyama step calls it once per step, so it is one
-        multiply by a constant folded in advance.
-        """
-        scale = -0.5 * nu / self.sigma ** 2
-
-        def u(q):
-            return np.multiply(q, scale)
-
-        return u
 
 
 # ---------------------------------------------------------------------------
@@ -172,20 +137,14 @@ class _RunContext:
                 hypothesis_report=failed or self.hypotheses(HYPOTHESIS_SHAPE))
         return self._chart
 
-    def gaussian(self):
-        spec = self.scenario.raw["field"]
-        if spec["type"] != "gaussian":
-            raise ConfigInvalid("diffusion fixture needs a gaussian field")
-        return GaussianFixture(spec["sigma"], _parse_box(spec["box"]))
-
     def leaf(self):
         """(density, grad_log_density, patch) on the field's spatial slice:
-        the gaussian fixture under the Euclidean metric, or a wave bundle's
-        chart origin leaf (``slice_density``) under its slice metric."""
-        if self.scenario.raw["field"]["type"] == "gaussian":
-            fixture = self.gaussian()
-            return (fixture.density, fixture.grad_log_density,
-                    MetricPatch.euclidean())
+        the gaussian (``gaussian_density``) under the Euclidean metric, or a
+        wave bundle's chart origin leaf (``slice_density``) under its slice
+        metric. The slice analyses branch on the field type only here."""
+        spec = self.scenario.raw["field"]
+        if spec["type"] == "gaussian":
+            return (*gaussian_density(spec["sigma"]), MetricPatch.euclidean())
         chart = self.chart()
         return (*slice_density(self.bundle(), chart),
                 chart_spatial_patch(chart))
@@ -292,14 +251,16 @@ def _run_geometry_diag(ctx):
     return diag, rows
 
 
-def _diffusion_config(ctx):
+def _diffusion_config(ctx, density):
     d = ctx.scenario.raw["diffusion"]
-    fixture = ctx.gaussian()
     init_spec = d.get("initial", {"kind": "density"})
     if init_spec["kind"] == "point":
         initial = ("point", tuple(init_spec["at"]))
     else:
-        initial = ("density", fixture.weight, fixture.box, 1.0)
+        # the leaf density in the field's box, below its (gaussian) peak
+        initial = ("density", density,
+                   _parse_box(ctx.scenario.raw["field"]["box"]),
+                   float(density(np.zeros(3))))
     return DiffusionConfig(
         dt=d["dt"],
         horizon=d["horizon"],
@@ -315,12 +276,10 @@ def _diffusion_config(ctx):
 
 
 def _run_simulate(ctx):
-    fixture = ctx.gaussian()
-    config = _diffusion_config(ctx)
-    _, _, patch = ctx.leaf()
-    drift = drift_from_fields(fixture.osmotic(ctx.constants.nu), patch,
-                              ctx.constants.nu)
-    ensemble = simulate(drift, patch, config)
+    density, grad_log_density, patch = ctx.leaf()
+    config = _diffusion_config(ctx, density)
+    ensemble = simulate(leaf_drift(grad_log_density, patch, config.nu),
+                        patch, config)
     ctx._ensemble = ensemble
 
     ctx.save_array("paths_times", ensemble.times)
@@ -328,7 +287,7 @@ def _run_simulate(ctx):
     ctx.save_array("paths_post", ensemble.post)
 
     var = variance_report(ensemble)
-    sigma_sq = fixture.sigma ** 2
+    sigma_sq = float(ctx.scenario.raw["field"]["sigma"]) ** 2
     z_final = np.max(np.abs(var["variance"][-1] - sigma_sq) / var["se"][-1])
     result = {
         "n_paths": ensemble.n_paths,
@@ -391,7 +350,7 @@ def _run_estimate(ctx):
 
 
 def _run_specular(ctx):
-    fixture = ctx.gaussian()
+    _, grad_log_density, patch = ctx.leaf()
     ensemble = ctx.ensemble()
     bins = ctx.bins()
     nu = ctx.constants.nu
@@ -402,10 +361,9 @@ def _run_specular(ctx):
     involution = double.same_pairs(ensemble)
 
     # the reversed ensemble drifts forward at +u: compare the binned
-    # forward drift against the analytic osmotic velocity at the anchors
+    # forward drift against the leaf's coordinate drift at the anchors
     fwd = forward_drift_estimate(reverse, bins, min_count=min_count)
-    u = fixture.osmotic(nu)
-    target = u(fwd.eval_points())
+    target = leaf_drift(grad_log_density, patch, nu)(fwd.eval_points())
     usable = fwd.valid & (fwd.count >= min_count) & np.all(
         np.isfinite(fwd.se), axis=-1)
     z = np.abs(fwd.mean[usable] - target[usable]) / fwd.se[usable]
@@ -654,7 +612,9 @@ SCENARIO_SCHEMA = {
                 "round_trip_tol": _POSITIVE,
                 "pushforward_tol": _POSITIVE,
                 "boost_tol": _POSITIVE,
-                "n_samples": {"type": "integer", "minimum": 1},
+                # 2^16 samples: 2.9 s of packet_9mode's chart_diag (2 cores)
+                "n_samples": {"type": "integer", "minimum": 1,
+                              "maximum": 65536},
             },
             "required": ["origin"],
             "additionalProperties": False,
@@ -666,7 +626,10 @@ SCENARIO_SCHEMA = {
                     "type": "object",
                     "properties": {
                         "half_width": _POSITIVE,
-                        "n_per_axis": {"type": "integer", "minimum": 2},
+                        # 25^3 points: 2.9 s of packet_9mode's
+                        # geometry_diag (2 cores)
+                        "n_per_axis": {"type": "integer", "minimum": 2,
+                                       "maximum": 25},
                         "xi0": {"type": "number"},
                     },
                     "additionalProperties": False,
@@ -820,7 +783,7 @@ def _pointer(parts):
 _SCHEMA_KEYWORDS = frozenset({
     "type", "properties", "required", "additionalProperties", "items",
     "minItems", "maxItems", "uniqueItems", "minimum", "exclusiveMinimum",
-    "exclusiveMaximum", "minLength", "const", "enum", "oneOf"})
+    "maximum", "exclusiveMaximum", "minLength", "const", "enum", "oneOf"})
 _SCHEMA_TYPES = {"object": dict, "array": list, "string": str,
                  "boolean": bool, "null": type(None)}
 
@@ -918,6 +881,9 @@ def _schema_errors(schema, value, path=()):
             elif key == "exclusiveMinimum" and value <= rule:
                 yield path, ("%r is less than or equal to the minimum of %r"
                              % (value, rule))
+            elif key == "maximum" and value > rule:
+                yield path, "%r is greater than the maximum of %r" % (value,
+                                                                      rule)
             elif key == "exclusiveMaximum" and value >= rule:
                 yield path, ("%r is greater than or equal to the maximum of "
                              "%r" % (value, rule))
@@ -943,6 +909,11 @@ def _with_integers(schema, value):
     if isinstance(value, list) and "items" in schema:
         return [_with_integers(schema["items"], item) for item in value]
     return value
+
+
+# the largest hypotheses lattice (a product the schema cannot bound): about
+# 3 s of scan at 0.65-0.8 us per event on the shipped fields (2 cores)
+HYPOTHESIS_EVENTS_MAX = 2 ** 22
 
 
 def _check_cross_fields(raw):
@@ -1002,16 +973,6 @@ def _check_cross_fields(raw):
                        "lattice of %d events exceeds the hypotheses scan's "
                        "budget of %d events"
                        % (events, HYPOTHESIS_EVENTS_MAX)))
-    side = raw.get("lattices", {}).get("verification", {}).get("n_per_axis", 0)
-    if side > VERIFICATION_AXIS_MAX:
-        errors.append(("/lattices/verification/n_per_axis",
-                       "%d points per axis exceed geometry_diag's budget of "
-                       "%d" % (side, VERIFICATION_AXIS_MAX)))
-    samples = raw.get("chart", {}).get("n_samples", 0)
-    if samples > DIAGNOSTIC_SAMPLES_MAX:
-        errors.append(("/chart/n_samples",
-                       "%d samples exceed chart_diag's budget of %d"
-                       % (samples, DIAGNOSTIC_SAMPLES_MAX)))
 
     if field_type == "packet":
         nw = len(field_spec["wavevectors"])

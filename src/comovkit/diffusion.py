@@ -2,7 +2,8 @@
 
 Euler-Maruyama integration of dq^i = beta^i dt + sqrt(nu dt) G^i_k z^k
 with G G^T = sigma^{-1}, where beta is the coordinate drift obtained from
-the invariant (vector) drift by subtracting the Christoffel contraction.
+the invariant (vector) drift by subtracting the Christoffel contraction;
+``leaf_drift`` builds it from an invariant density's log gradient.
 
 Reproducibility contract: the noise draw consumed by (path, step) is a
 pure function of the master seed, the path's chunk (paths are grouped in
@@ -240,11 +241,35 @@ def drift_from_fields(u, patch, nu):
     return beta
 
 
+def leaf_drift(grad_log_density, patch, nu):
+    """beta = (nu/2) sigma^{-1} grad ln rho - (nu/2) sigma^{jk} Gamma^i_{jk},
+    the coordinate drift for the invariant density whose log gradient is
+    ``grad_log_density``. A constant patch forms sigma^{-1} once, and the
+    identity metric forms no product."""
+    half_nu = 0.5 * nu
+    if not patch.is_constant:
+        def u(q):
+            return half_nu * np.einsum("...ij,...j->...i", patch.inverse(q),
+                                       grad_log_density(q))
+    elif np.array_equal(patch.inverse(np.zeros(3)), np.eye(3)):
+        def u(q):
+            # an operator, so numpy scales the new gradient array in place
+            # (temporary elision) rather than allocating a second one
+            return grad_log_density(q) * half_nu
+    else:
+        rows_to_u = half_nu * patch.inverse(np.zeros(3)).T
+
+        def u(q):
+            return grad_log_density(q) @ rows_to_u
+
+    return drift_from_fields(u, patch, nu)
+
+
 def simulate(drift, patch, config):
     """Euler-Maruyama ensemble of the forward diffusion.
 
     ``drift`` maps (n, 3) states to (n, 3) coordinate drifts (already
-    including any Christoffel correction; see ``drift_from_fields``).
+    including any Christoffel correction; see ``leaf_drift``).
     Raises Explosion when any path norm exceeds ``EXPLOSION_RADIUS`` or is
     not finite (a drift or noise factor that turned NaN); paths leaving
     ``clip_box`` freeze in place and are flagged. The ensemble's

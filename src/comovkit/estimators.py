@@ -5,7 +5,8 @@ current and osmotic velocities recovered from forward/backward drifts.
 Analytic side: tensor-product Gauss-Legendre expectations of the squared
 osmotic velocity, the two-route energy functional, and the stochastic
 action, each from a density and its closed-form log gradient;
-``slice_density`` gives that pair on a chart's origin leaf.
+``gaussian_density`` gives that pair for the isotropic Gaussian on the flat
+slice and ``slice_density`` on a chart's origin leaf.
 
 All ensemble standard errors come from ``diffusion.DEFAULT_BATCHES`` (32)
 path batches: increments of one path are autocorrelated in time, and
@@ -25,6 +26,7 @@ from .diffusion import (
     batch_mean_se,
     combine_drift_estimates,
     forward_drift_estimate,
+    leaf_drift,
 )
 from .errors import (
     ImaginaryAction,
@@ -107,10 +109,10 @@ def velocities_from_drifts(fwd, bwd):
     """Combine drift estimates into (current, osmotic) velocity fields.
 
     The half sum and half difference of the coordinate drifts, formed per
-    path batch. On a curved patch the invariant osmotic velocity also
-    carries the Christoffel contraction term, which this combination leaves
-    out (``osmotic_identity_report`` adds it); the term cancels from the
-    current velocity.
+    path batch. On a curved patch the half difference is the coordinate
+    drift, the invariant osmotic velocity less the Christoffel contraction
+    term (``osmotic_identity_report`` compares it with ``leaf_drift``); the
+    term cancels from the current velocity.
     """
     cur_mean, cur_se, cur_valid = combine_drift_estimates(fwd, bwd, 0.5, 0.5)
     osm_mean, osm_se, osm_valid = combine_drift_estimates(fwd, bwd, 0.5, -0.5)
@@ -128,22 +130,18 @@ def osmotic_identity_report(ensemble, bins, patch, nu, grad_log_density,
                             min_count=500, z=3.0):
     """Fraction of well-sampled bins where binned u matches the log slope.
 
-    The target is (nu/2) sigma^{-1} grad ln rho from the closed-form log
-    gradient ``grad_log_density``, evaluated at the bins' sample-mean
-    anchors. The forward and backward drift estimates it conditions on are
-    returned under ``forward`` and ``backward``.
+    The half difference of the forward and backward drifts is compared
+    with the coordinate drift ``leaf_drift`` of the closed-form log
+    gradient ``grad_log_density`` at the bins' sample-mean anchors. The
+    drift estimates it conditions on are returned under ``forward`` and
+    ``backward``.
     """
     fwd = forward_drift_estimate(ensemble, bins, min_count=min_count)
     bwd = backward_drift_estimate(ensemble, bins, min_count=min_count)
     anchor = 0.5 * (fwd.eval_points() + bwd.eval_points())
     u_mean, diff_se, valid = combine_drift_estimates(fwd, bwd, 0.5, -0.5)
-    grad = grad_log_density(anchor)[..., None]
-    diff = u_mean - 0.5 * nu * (patch.inverse(anchor) @ grad)[..., 0]
+    diff = u_mean - leaf_drift(grad_log_density, patch, nu)(anchor)
     count = np.minimum(fwd.count, bwd.count)
-    if not patch.is_constant:
-        # deterministic metric correction turning the drift combination
-        # into the invariant osmotic velocity
-        diff = diff + 0.5 * nu * patch.christoffel_contraction(anchor)
 
     usable = valid & (count >= min_count) & np.all(
         np.isfinite(diff_se), axis=-1
@@ -339,6 +337,23 @@ def energy_report(density, patch, constants, box, delta=1.0,
         order=order,
         normalization=denominator,
     )
+
+
+def gaussian_density(sigma):
+    """The isotropic Gaussian of width ``sigma`` on the flat slice, largest
+    at the origin, and its log gradient -q / sigma^2, as the pair of
+    callables ``(rho, grad_log_rho)``."""
+    var = float(sigma) ** 2
+    norm = (2.0 * np.pi * var) ** 1.5
+
+    def rho(points):
+        q = np.asarray(points, dtype=float)
+        return np.exp(-0.5 * np.sum(q * q, axis=-1) / var) / norm
+
+    def grad_log_rho(points):
+        return np.multiply(points, -1.0 / var)
+
+    return rho, grad_log_rho
 
 
 def slice_density(bundle, chart):

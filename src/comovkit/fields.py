@@ -725,9 +725,6 @@ HYPOTHESIS_SHAPE = (7, 7, 7, 7)  # the default hypotheses lattice
 # flat (4, 4) indices of the entries (i, j) above the diagonal and (j, i)
 _UPPER = np.ravel_multi_index(np.triu_indices(4, 1), (4, 4))
 _LOWER = np.ravel_multi_index(np.triu_indices(4, 1)[::-1], (4, 4))
-# the largest hypotheses lattice validate accepts: about 3 s of scan at the
-# 0.65-0.8 us per event measured on the shipped fields (2-core x86 machine)
-HYPOTHESIS_EVENTS_MAX = 2 ** 22
 
 
 def check_theorem_hypotheses(bundle, box=None, shape=HYPOTHESIS_SHAPE):

@@ -68,11 +68,6 @@ from .fields import (
 
 DEFAULT_H = 1e-2
 FD_STEP = 1e-3  # sigma and covector derivative step when none is given
-# the largest geometry_diagnostics lattice side validate accepts: 25^3
-# points ran for 2.9 s in one run of packet_9mode's geometry_diag (about
-# 180 us per point, the report's 16 metric components included; 2-core x86
-# machine)
-VERIFICATION_AXIS_MAX = 25
 
 
 def _stack_rows(func, name, q, shape):

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from comovkit.chart import ComovingChart, boost_to_rest_frame
-from comovkit.cli import GaussianFixture
 from comovkit.cli import run as cli_run
 from comovkit.cli import validate as cli_validate
 from comovkit.constants import raise_index
@@ -23,8 +22,8 @@ from comovkit.diffusion import (
     DiffusionConfig,
     backward_drift_estimate,
     combine_drift_estimates,
-    drift_from_fields,
     forward_drift_estimate,
+    leaf_drift,
     simulate,
     specular_reverse,
     variance_report,
@@ -35,7 +34,12 @@ from comovkit.dynamics import (
     kg_residual,
     nonrel_limit_study,
 )
-from comovkit.estimators import energy_report, osmotic_identity_report, slice_density
+from comovkit.estimators import (
+    energy_report,
+    gaussian_density,
+    osmotic_identity_report,
+    slice_density,
+)
 from comovkit.fields import Box, four_velocity, make_plane_wave
 from comovkit.geometry import (
     MetricPatch,
@@ -89,14 +93,16 @@ def packet_geometry(constants):
     return diag
 
 
-# the unit-variance gaussian invariant density of the gaussian scenarios
-UNIT_GAUSSIAN = GaussianFixture(1.0, Box((-4.0,) * 3, (4.0,) * 3))
+# the unit-variance gaussian invariant density of the gaussian scenarios,
+# (rho, grad ln rho); the gates compare with their own closed forms of it
+SIGMA = 1.0
+UNIT_GAUSSIAN = gaussian_density(SIGMA)
 
 
 @pytest.fixture(scope="module")
 def stationary_run(constants):
     """Full-scale stationary ensemble: 1e5 paths, dt 1e-3, horizon 10."""
-    target = UNIT_GAUSSIAN
+    density, grad_log_density = UNIT_GAUSSIAN
     patch = MetricPatch.euclidean()
     config = DiffusionConfig(
         dt=1e-3,
@@ -104,19 +110,20 @@ def stationary_run(constants):
         n_paths=100_000,
         master_seed=20260816,
         nu=constants.nu,
-        initial=("density", target.weight, target.box, 1.0),
+        initial=("density", density, Box((-4.0,) * 3, (4.0,) * 3),
+                 density(np.zeros(3))),
         burn_in_fraction=0.2,
         n_snapshots=24,
         chunk_size=16384,
         n_threads=4,
     )
-    drift = drift_from_fields(target.osmotic(constants.nu), patch, constants.nu)
+    drift = leaf_drift(grad_log_density, patch, constants.nu)
     start = time.time()
     ensemble = simulate(drift, patch, config)
     elapsed = time.time() - start
     bins = BinSpec((-2.4, -2.4, -2.4), (2.4, 2.4, 2.4), (6, 6, 6))
     return {
-        "target": target,
+        "grad_log_density": grad_log_density,
         "patch": patch,
         "ensemble": ensemble,
         "bins": bins,
@@ -220,16 +227,15 @@ def test_04_stationary_kinematics(stationary_run, constants):
     start = time.time()
     run = stationary_run
     ensemble, bins = run["ensemble"], run["bins"]
-    target = run["target"]
 
     var = variance_report(ensemble)
     z_var = float(np.max(
-        np.abs(var["variance"][-1] - target.sigma ** 2) / var["se"][-1]
+        np.abs(var["variance"][-1] - SIGMA ** 2) / var["se"][-1]
     ))
 
     osmotic = osmotic_identity_report(
         ensemble, bins, run["patch"], constants.nu, min_count=500, z=3.0,
-        grad_log_density=target.grad_log_density,
+        grad_log_density=run["grad_log_density"],
     )
 
     fwd = forward_drift_estimate(ensemble, bins, min_count=500)
@@ -267,7 +273,9 @@ def test_04_stationary_kinematics(stationary_run, constants):
 def test_05_specular_reversal(stationary_run, constants):
     run = stationary_run
     ensemble, bins = run["ensemble"], run["bins"]
-    u = run["target"].osmotic(constants.nu)
+
+    def u(q):  # the osmotic velocity (nu/2) grad ln rho, in closed form
+        return -constants.nu * q / (2.0 * SIGMA ** 2)
 
     reverse = specular_reverse(ensemble)
     double = specular_reverse(reverse)
@@ -341,12 +349,12 @@ def test_06_current_identities(constants, boost_wave, packet9):
 
 
 def test_07_energy_two_route(constants, boost_wave, boost_chart):
-    target = UNIT_GAUSSIAN
+    density, grad_log_density = UNIT_GAUSSIAN
     rest = constants.mass * constants.c ** 2
     box = Box((-7.0, -7.0, -7.0), (7.0, 7.0, 7.0))
     rep = energy_report(
-        target.density, MetricPatch.euclidean(), constants, box,
-        grad_log_density=target.grad_log_density, order=32,
+        density, MetricPatch.euclidean(), constants, box,
+        grad_log_density=grad_log_density, order=32,
     )
     gauss_delta = abs(rep.mu_direct - rep.mu_identity)
 

@@ -12,11 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comovkit import cli
-from comovkit.chart import DIAGNOSTIC_SAMPLES_MAX
 from comovkit.cli import emit_plotdata, main, run, validate
 from comovkit.errors import ConfigInvalid
 from comovkit.fields import HYPOTHESIS_SHAPE, check_theorem_hypotheses
-from comovkit.geometry import VERIFICATION_AXIS_MAX
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 GAUSS_SMALL = Path(__file__).with_name("gauss_small.json")
@@ -258,24 +256,25 @@ def test_validate_refuses_an_oversized_hypotheses_lattice(tmp_path, capsys):
         validate(SCENARIOS / f"{name}.json")
 
 
-# (section path, budget) of each map size validate bounds: 25^3 lattice
-# points and 2^16 samples each ran for about 3 s on packet_9mode
+# the section path of each map size whose budget the schema states as its
+# maximum: 25^3 lattice points and 2^16 samples each ran for about 3 s on
+# packet_9mode
 MAP_BUDGETS = {
-    "/lattices/verification/n_per_axis": (
-        ("lattices", "verification", "n_per_axis"),
-        VERIFICATION_AXIS_MAX),
-    "/chart/n_samples": (("chart", "n_samples"), DIAGNOSTIC_SAMPLES_MAX),
+    "/lattices/verification/n_per_axis": ("lattices", "verification",
+                                          "n_per_axis"),
+    "/chart/n_samples": ("chart", "n_samples"),
 }
 
 
 @pytest.mark.parametrize("pointer", sorted(MAP_BUDGETS))
 def test_validate_refuses_a_map_size_above_its_budget(pointer, tmp_path,
                                                       capsys):
-    (*section, key), budget = MAP_BUDGETS[pointer]
+    *section, key = MAP_BUDGETS[pointer]
     doc = json.loads((SCENARIOS / "packet_9mode.json").read_text())
-    leaf = doc
+    leaf, rule = doc, cli.SCENARIO_SCHEMA
     for name in section:
-        leaf = leaf[name]
+        leaf, rule = leaf[name], rule["properties"][name]
+    budget = rule["properties"][key]["maximum"]
     leaf[key] = budget
     validate(doc)
     leaf[key] = budget + 1

@@ -10,8 +10,10 @@ from comovkit.diffusion import (
     DiffusionConfig,
     PathEnsemble,
     backward_drift_estimate,
+    combine_drift_estimates,
     drift_from_fields,
     forward_drift_estimate,
+    leaf_drift,
     simulate,
     specular_reverse,
 )
@@ -22,13 +24,14 @@ from comovkit.estimators import (
     energy_report,
     estimate_density,
     expectation_u2,
+    gaussian_density,
     osmotic_identity_report,
     slice_density,
     stochastic_action,
     velocities_from_drifts,
 )
 from comovkit.fields import ROW_BLOCK, Box, _lattice
-from comovkit.geometry import MetricPatch, chart_spatial_patch
+from comovkit.geometry import MetricPatch, chart_spatial_patch, polar_flat_patch
 from conftest import family_checks, traced_peak
 
 SIGMA_RHO = 1.0
@@ -528,3 +531,44 @@ def test_osmotic_identity_closed_form_target(ou_ensemble, ou_bins):
         assert rep[key].direction == alone.direction
         np.testing.assert_array_equal(rep[key].mean, alone.mean)
         np.testing.assert_array_equal(rep[key].batch_mean, alone.batch_mean)
+
+
+def test_osmotic_identity_on_a_curved_patch_is_the_former_expression():
+    # the unit gaussian in polar coordinates (r, theta, z), whose log
+    # gradient is (-r, 0, -z), started from rho sqrt|sigma| = r rho and
+    # simulated with its leaf drift: the report's diff u_mean - beta is the
+    # former u_mean - (nu/2) sigma^-1 g + (nu/2) sigma^jk Gamma_jk up to
+    # rounding, at most 4 ulp of the three terms' magnitudes (0.34 of that
+    # seen), and the fraction (7 of 8 bins) and usable bins are the same
+    patch = polar_flat_patch()
+
+    def grad_log(q):
+        q = np.atleast_2d(q)
+        return np.stack([-q[:, 0], np.zeros(len(q)), -q[:, 2]], axis=-1)
+
+    def weight(q):  # r exp(-(r^2 + z^2) / 2), largest at r = 1
+        return q[:, 0] * np.exp(-0.5 * (q[:, 0] ** 2 + q[:, 2] ** 2))
+
+    config = DiffusionConfig(
+        dt=0.01, horizon=1.0, n_paths=1024, master_seed=5, nu=NU,
+        initial=("density", weight, Box((0.05, -np.pi, -4.0),
+                                        (4.0, np.pi, 4.0)), np.exp(-0.5)),
+        burn_in_fraction=0.5, n_snapshots=50, chunk_size=512)
+    ensemble = simulate(leaf_drift(grad_log, patch, NU), patch, config)
+    bins = BinSpec((0.5, -1.0, -1.0), (2.5, 1.0, 1.0), (2, 2, 2))
+    rep = osmotic_identity_report(ensemble, bins, patch, NU, min_count=100,
+                                  grad_log_density=grad_log)
+
+    fwd, bwd = rep["forward"], rep["backward"]
+    anchor = 0.5 * (fwd.eval_points() + bwd.eval_points())
+    u_mean, diff_se, _ = combine_drift_estimates(fwd, bwd, 0.5, -0.5)
+    u = 0.5 * NU * (patch.inverse(anchor) @ grad_log(anchor)[..., None])[..., 0]
+    correction = 0.5 * NU * patch.christoffel_contraction(anchor)
+    former = u_mean - u + correction
+    usable = rep["usable"]
+    assert rep["n_bins"] == int(np.sum(usable)) == 8
+    assert np.all(np.abs(rep["diff"] - former)[usable] <= 4.0 * np.finfo(
+        float).eps * (np.abs(u_mean) + np.abs(u) + np.abs(correction))[usable])
+    hits = np.all(np.abs(former) <= 3.0 * diff_se, axis=-1) & usable
+    assert rep["fraction"] == float(np.sum(hits) / np.sum(usable))
+    assert np.all(np.abs(correction[:, 0]) > 0.1)
